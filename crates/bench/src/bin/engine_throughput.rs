@@ -25,8 +25,8 @@ use oasis_core::{
     Status,
 };
 use oasis_engine::{
-    AdmissionError, IndexBackend, LatencySummary, QueryTicket, SearchOutcome, ServingConfig,
-    ServingEngine, ShardedEngine,
+    AdmissionError, CompletionHook, IndexBackend, IndexCatalog, LatencySummary, QueryTicket,
+    SearchOutcome, ServingConfig, ServingEngine, ShardedEngine,
 };
 use oasis_suffix::{EsaIndex, SuffixTreeAccess};
 use oasis_workloads::{generate_queries, QuerySpec};
@@ -243,27 +243,26 @@ fn observability_bench(scale: Scale, json_path: Option<String>) {
         .unwrap_or(1);
 
     let run = |traced: bool| -> (Duration, oasis_engine::ServingSnapshot) {
-        let serving = ServingEngine::new(
-            tb.engine_with_threads(1),
-            ServingConfig {
-                workers: hardware,
-                queue_capacity: (jobs.len() / 4).max(4),
-            },
-        )
+        let generation = IndexCatalog::new("bench", tb.engine_with_threads(1)).current();
+        let serving = ServingEngine::new(ServingConfig {
+            workers: hardware,
+            queue_capacity: (jobs.len() / 4).max(4),
+        })
         .expect("valid serving config");
         let start = Instant::now();
         let mut tickets: Vec<QueryTicket> = Vec::new();
         for (i, job) in jobs.iter().enumerate() {
             loop {
-                let admitted = if traced {
-                    serving.try_submit_traced(
-                        job.clone(),
-                        oasis_obs::QueryTrace::enabled(i as u64, job.query.len() as u32),
-                        Box::new(|| {}),
-                    )
+                // The traced mode also carries a completion hook, like
+                // the server's submissions.
+                let (trace, notify): (_, Option<CompletionHook>) = if traced {
+                    let trace = oasis_obs::QueryTrace::enabled(i as u64, job.query.len() as u32);
+                    (trace, Some(Box::new(|| {})))
                 } else {
-                    serving.try_submit(job.clone())
+                    (oasis_obs::QueryTrace::disabled(), None)
                 };
+                let admitted =
+                    serving.try_submit(Arc::clone(&generation), job.clone(), trace, notify);
                 match admitted {
                     Ok(ticket) => {
                         tickets.push(ticket);
@@ -800,7 +799,7 @@ fn many_conns_bench(scale: Scale, json_path: Option<String>) {
 
     // Phase 2: the event-driven server at 4x the connections, defaults
     // for the cache, a queue deep enough that admission never rejects.
-    let index = ServedIndex::new(tb.workload.db.clone(), Box::new(tb.engine_with_threads(1)));
+    let index = ServedIndex::new(tb.workload.db.clone(), Arc::new(tb.engine_with_threads(1)));
     let server = OasisServer::bind(
         "127.0.0.1:0",
         index,
@@ -1097,20 +1096,23 @@ fn main() {
     // Serving front end: non-blocking submission with a bounded queue;
     // full-queue rejections back off by completing the oldest in-flight
     // query first, so every job is eventually served exactly once.
-    let serving = ServingEngine::new(
-        tb.engine_with_threads(1),
-        ServingConfig {
-            workers: hardware,
-            queue_capacity: (jobs.len() / 4).max(4),
-        },
-    )
+    let generation = IndexCatalog::new("bench", tb.engine_with_threads(1)).current();
+    let serving = ServingEngine::new(ServingConfig {
+        workers: hardware,
+        queue_capacity: (jobs.len() / 4).max(4),
+    })
     .expect("valid serving config");
     let start = Instant::now();
     let mut tickets: Vec<QueryTicket> = Vec::new();
     let mut served = Vec::new();
     for job in &jobs {
         loop {
-            match serving.try_submit(job.clone()) {
+            match serving.try_submit(
+                Arc::clone(&generation),
+                job.clone(),
+                oasis_obs::QueryTrace::disabled(),
+                None,
+            ) {
                 Ok(ticket) => {
                     tickets.push(ticket);
                     break;
@@ -1281,7 +1283,7 @@ fn main() {
     // microseconds over the in-process submit-to-completion tails.
     let loopback = {
         use oasis_net::{Client, OasisServer, SearchRequest, ServedIndex, ServerConfig};
-        let index = ServedIndex::new(tb.workload.db.clone(), Box::new(tb.engine_with_threads(1)));
+        let index = ServedIndex::new(tb.workload.db.clone(), Arc::new(tb.engine_with_threads(1)));
         let server = OasisServer::bind(
             "127.0.0.1:0",
             index,

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use oasis_align::Score;
 use oasis_core::Hit;
 
-/// The full identity of a cacheable search: the executing generation,
+/// The full identity of a cacheable search: the pinned generation,
 /// the encoded query, and every parameter that shapes the hit list.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {

@@ -1,24 +1,24 @@
 //! Generation tracking and atomic hot-swap of index generations.
 //!
 //! A production search service cannot stop the world to pick up a freshly
-//! built (or freshly loaded) index. [`IndexCatalog`] makes the executor
+//! built (or freshly loaded) index. [`IndexCatalog`] makes the index
 //! behind a running [`crate::ServingEngine`] *replaceable*: it holds the
-//! current generation behind an `RwLock<Arc<_>>`, and every query snapshots
-//! the `Arc` once at admission-to-execution time. [`IndexCatalog::publish`]
-//! swaps the pointer — an O(1) critical section that never waits for
-//! queries — so:
+//! current [`Generation`] behind an `RwLock<Arc<_>>`, and every query pins
+//! the generation current at its admission by cloning that `Arc`
+//! ([`IndexCatalog::current`]) and submitting it along with the job.
+//! [`IndexCatalog::publish`] swaps the pointer — an O(1) critical section
+//! that never waits for queries — so:
 //!
-//! * queries already executing finish on the generation they started with
-//!   (their `Arc` keeps it alive);
-//! * every query that starts after the swap sees the new generation;
-//! * the old generation is dropped exactly when its last in-flight query
+//! * queries already admitted run on, and answer from, the generation
+//!   they pinned (their `Arc` keeps it alive);
+//! * every query admitted after the swap pins the new generation;
+//! * the old generation is dropped exactly when its last pinned query
 //!   completes (the catalog itself keeps only a [`Weak`] to retired
 //!   generations, observable through
 //!   [`retired_in_flight`](IndexCatalog::retired_in_flight)).
 //!
-//! The catalog is itself a [`QueryExecutor`], so it slots directly between
-//! a [`crate::ServingEngine`] and whatever executor each generation wraps
-//! (a [`crate::ShardedEngine`], a single-index [`crate::OasisEngine`], or a
+//! A generation wraps any [`crate::QueryExecutor`] (a
+//! [`crate::ShardedEngine`], a single-index [`crate::OasisEngine`], or a
 //! test double):
 //!
 //! ```
@@ -27,22 +27,28 @@
 //! use oasis_bioseq::{Alphabet, DatabaseBuilder};
 //! use oasis_core::OasisParams;
 //! use oasis_engine::{BatchQuery, IndexCatalog, ServingConfig, ServingEngine, ShardedEngine};
+//! use oasis_obs::QueryTrace;
 //!
 //! let mut b = DatabaseBuilder::new(Alphabet::dna());
 //! b.push_str("s0", "AGTACGCCTAG").unwrap();
 //! let db = Arc::new(b.finish());
 //! let gen0 = ShardedEngine::build(db.clone(), Scoring::unit_dna(), 2);
-//! let serving = ServingEngine::new(
-//!     IndexCatalog::new("boot", gen0),
-//!     ServingConfig { workers: 2, queue_capacity: 8 },
-//! )
-//! .unwrap();
+//! let catalog = IndexCatalog::new("boot", gen0);
+//! let serving = ServingEngine::new(ServingConfig { workers: 2, queue_capacity: 8 }).unwrap();
 //!
-//! // … later, without stopping admission: build (or load) a new
-//! // generation and swap it in. In-flight queries drain on the old one.
+//! // Admission pins the current generation; the query runs on it.
+//! let query = Alphabet::dna().encode_str("TACG").unwrap();
+//! let job = BatchQuery::new(query, OasisParams::with_min_score(2));
+//! let ticket = serving
+//!     .try_submit(catalog.current(), job, QueryTrace::disabled(), None)
+//!     .unwrap();
+//!
+//! // … meanwhile, without stopping admission: build (or load) a new
+//! // generation and swap it in. Pinned queries finish on the old one.
 //! let gen1 = ShardedEngine::build(db.clone(), Scoring::unit_dna(), 4);
-//! serving.executor().publish("rebuilt with 4 shards", gen1).unwrap();
-//! assert_eq!(serving.executor().current_info().id, 1);
+//! catalog.publish("rebuilt with 4 shards", gen1).unwrap();
+//! assert_eq!(catalog.current().id(), 1);
+//! assert!(!ticket.wait().unwrap().outcome.hits.is_empty());
 //! ```
 //!
 //! During teardown, [`begin_shutdown`](IndexCatalog::begin_shutdown)
@@ -54,23 +60,38 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, Weak};
 
-use crate::serving::QueryExecutor;
-use crate::{BatchQuery, SearchOutcome};
-
-/// One catalogued index generation.
-struct Generation<E> {
+/// One catalogued index generation: an executor plus the identity it was
+/// published under. Handed out pinned (`Arc`) by [`IndexCatalog::current`];
+/// only the catalog creates generations, so ids are unique per catalog.
+pub struct Generation<E: ?Sized> {
     id: u64,
     label: String,
     executor: E,
 }
 
-/// Identity of a generation: its monotonically increasing id and the label
-/// it was published under (a human-readable provenance note, e.g.
-/// `"loaded from ./index-v2"`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GenerationInfo {
+impl<E: ?Sized> Generation<E> {
     /// Monotonic generation number (0 is the generation the catalog was
     /// created with).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The label supplied at publication (a human-readable provenance
+    /// note, e.g. `"loaded from ./index-v2"`).
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// The executor queries pinned to this generation run on.
+    pub fn executor(&self) -> &E {
+        &self.executor
+    }
+}
+
+/// Identity of a retired generation still pinned by in-flight queries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GenerationInfo {
+    /// The generation's id.
     pub id: u64,
     /// The label supplied at publication.
     pub label: String,
@@ -184,45 +205,14 @@ impl<E> IndexCatalog<E> {
         self.shutting_down.load(Ordering::Relaxed)
     }
 
-    /// Snapshot the current generation (cheap: one `Arc` clone under a
-    /// read lock). The caller's clone keeps the generation alive for as
-    /// long as it runs, independent of later publishes.
-    fn snapshot(&self) -> Arc<Generation<E>> {
+    /// Pin the generation new queries are admitted on (cheap: one `Arc`
+    /// clone under a read lock). The caller's clone keeps the generation
+    /// alive for as long as it holds it, independent of later publishes.
+    pub fn current(&self) -> Arc<Generation<E>> {
         self.current
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
-    }
-
-    /// Identity of the generation new queries will run on.
-    pub fn current_info(&self) -> GenerationInfo {
-        let current = self.snapshot();
-        GenerationInfo {
-            id: current.id,
-            label: current.label.clone(),
-        }
-    }
-
-    /// Run `f` against the current generation's executor (the generation
-    /// stays pinned for the duration of the call).
-    pub fn with_current<R>(&self, f: impl FnOnce(&E) -> R) -> R {
-        let current = self.snapshot();
-        f(&current.executor)
-    }
-
-    /// Like [`with_current`](IndexCatalog::with_current), but `f` also
-    /// receives the pinned generation's identity — one snapshot, so the
-    /// info and the executor are guaranteed to belong to the *same*
-    /// generation even while publishes race (a server answering over the
-    /// network must name results consistently with the generation that
-    /// produced them).
-    pub fn with_current_info<R>(&self, f: impl FnOnce(&GenerationInfo, &E) -> R) -> R {
-        let current = self.snapshot();
-        let info = GenerationInfo {
-            id: current.id,
-            label: current.label.clone(),
-        };
-        f(&info, &current.executor)
     }
 
     /// Retired generations still pinned by in-flight queries. Empty once
@@ -240,18 +230,10 @@ impl<E> IndexCatalog<E> {
     }
 }
 
-impl<E: QueryExecutor> QueryExecutor for IndexCatalog<E> {
-    fn execute(&self, job: &BatchQuery) -> SearchOutcome {
-        // Snapshot once, then run without holding any catalog lock: a
-        // publish during execution must neither block nor be blocked.
-        let generation = self.snapshot();
-        generation.executor.execute(job)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BatchQuery, QueryExecutor, SearchOutcome};
     use oasis_core::SearchStats;
     use oasis_storage::PoolStatsSnapshot;
     use std::sync::mpsc;
@@ -281,17 +263,18 @@ mod tests {
     #[test]
     fn publish_switches_new_queries() {
         let catalog = IndexCatalog::new("gen0", Marker(7));
-        assert_eq!(catalog.execute(&job()).stats.max_queue, 7);
-        assert_eq!(catalog.current_info().id, 0);
-        assert_eq!(catalog.current_info().label, "gen0");
+        let gen0 = catalog.current();
+        assert_eq!(gen0.executor().execute(&job()).stats.max_queue, 7);
+        assert_eq!((gen0.id(), gen0.label()), (0, "gen0"));
         let id = catalog.publish("gen1", Marker(9)).unwrap();
         assert_eq!(id, 1);
-        assert_eq!(catalog.execute(&job()).stats.max_queue, 9);
+        let gen1 = catalog.current();
+        assert_eq!(gen1.executor().execute(&job()).stats.max_queue, 9);
         assert_eq!(catalog.generations_published(), 2);
-        assert_eq!(catalog.with_current(|m| m.0), 9);
-        // The info and the executor come from one snapshot.
-        let (info, marker) = catalog.with_current_info(|info, m| (info.clone(), m.0));
-        assert_eq!((info.id, info.label.as_str(), marker), (1, "gen1", 9));
+        // The id, label and executor come from one pinned generation.
+        assert_eq!((gen1.id(), gen1.label(), gen1.executor().0), (1, "gen1", 9));
+        // A generation pinned before the publish still answers from it.
+        assert_eq!(gen0.executor().execute(&job()).stats.max_queue, 7);
     }
 
     #[test]
@@ -337,16 +320,16 @@ mod tests {
                 release: Mutex::new(release_rx),
             }),
         ));
-        // A query starts on generation 0 and parks inside it.
+        // A query pins generation 0 and parks inside it.
         let worker = {
-            let catalog = catalog.clone();
-            std::thread::spawn(move || catalog.execute(&job()))
+            let pinned = catalog.current();
+            std::thread::spawn(move || pinned.executor().execute(&job()))
         };
         started_rx.recv().unwrap();
         // Swap generations while the query is in flight.
         catalog.publish("instant", Either::Instant).unwrap();
         // New queries run (on the new generation) without blocking…
-        catalog.execute(&job());
+        catalog.current().executor().execute(&job());
         // …while the old generation is still pinned by the parked query.
         let pinned = catalog.retired_in_flight();
         assert_eq!(pinned.len(), 1);
@@ -372,9 +355,12 @@ mod tests {
         );
         // The refusal consumed no id: accounting stays exact.
         assert_eq!(catalog.generations_published(), 2);
-        assert_eq!(catalog.current_info().id, 1);
-        // Queries still run on the pinned generation while draining.
-        assert_eq!(catalog.execute(&job()).stats.max_queue, 9);
+        assert_eq!(catalog.current().id(), 1);
+        // Queries still run on the current generation while draining.
+        assert_eq!(
+            catalog.current().executor().execute(&job()).stats.max_queue,
+            9
+        );
         assert!(catalog.retired_in_flight().is_empty());
     }
 }

@@ -6,10 +6,11 @@
 //! [`DeltaIndex`](crate::DeltaIndex) holding every durably logged append
 //! a compaction has not yet folded into the base. Queries never touch
 //! that mutable state directly: each mutation rebuilds an immutable
-//! [`LayeredExecutor`] snapshot (base shards + one delta shard fanned
-//! through the exact lazy k-way merge), and readers grab whichever
-//! snapshot is current via an `Arc` swap — the same publication pattern
-//! [`IndexCatalog`](crate::IndexCatalog) uses for whole generations.
+//! snapshot — a [`ShardedEngine`] over the base shards plus one delta
+//! shard, fanned through the exact lazy k-way merge — and readers grab
+//! whichever snapshot is current via an `Arc` swap, the same publication
+//! pattern [`IndexCatalog`](crate::IndexCatalog) uses for whole
+//! generations.
 //!
 //! ## Invariants
 //!
@@ -43,9 +44,7 @@ use crate::catalog::PublishError;
 use crate::compactor::{fold_into_base, CompactionReport};
 use crate::delta::DeltaIndex;
 use crate::persist::sharded_engine_from_artifact;
-use crate::serving::QueryExecutor;
 use crate::shard::{IndexBackend, Shard, ShardedEngine};
-use crate::{BatchQuery, SearchOutcome};
 
 /// Everything that can go wrong operating a [`LiveIndex`].
 #[derive(Debug)]
@@ -158,48 +157,13 @@ pub struct AppendReceipt {
     pub stats: LiveStats,
 }
 
-/// An immutable query snapshot: base shards plus (when the delta is
-/// non-empty) one delta shard, merged exactly.
-///
-/// Snapshots are cheap to share (`Arc`) and implement
-/// [`QueryExecutor`], so they slot into [`IndexCatalog`](crate::IndexCatalog)
-/// generations and the serving engine unchanged.
-pub struct LayeredExecutor {
-    engine: ShardedEngine,
-    delta_seqs: u32,
-    delta_residues: u64,
-}
-
-impl LayeredExecutor {
-    /// The underlying sharded engine (base shards + optional delta shard).
-    pub fn engine(&self) -> &ShardedEngine {
-        &self.engine
-    }
-
-    /// Sequences served from the delta layer in this snapshot.
-    pub fn delta_seqs(&self) -> u32 {
-        self.delta_seqs
-    }
-
-    /// Residues served from the delta layer in this snapshot.
-    pub fn delta_residues(&self) -> u64 {
-        self.delta_residues
-    }
-}
-
-impl QueryExecutor for LayeredExecutor {
-    fn execute(&self, job: &BatchQuery) -> SearchOutcome {
-        self.engine.run_job(job)
-    }
-}
-
 struct LiveState {
     base_db: Arc<SequenceDatabase>,
     base_shards: Vec<Arc<Shard>>,
     delta: DeltaIndex,
     wal: WriteAheadLog,
     lineage: DeltaLineage,
-    snapshot: Arc<LayeredExecutor>,
+    snapshot: Arc<ShardedEngine>,
     last_compaction_micros: u64,
     last_folded_seqs: u64,
 }
@@ -296,8 +260,10 @@ impl LiveIndex {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The current immutable query snapshot.
-    pub fn snapshot(&self) -> Arc<LayeredExecutor> {
+    /// The current immutable query snapshot: the base shards plus, when
+    /// the delta is non-empty, one delta shard over the concatenated
+    /// database ([`LiveIndex::stats`] reports the delta's size).
+    pub fn snapshot(&self) -> Arc<ShardedEngine> {
         Arc::clone(&self.lock().snapshot)
     }
 
@@ -362,7 +328,7 @@ impl LiveIndex {
     /// replays from the artifact actually visible on disk.
     pub fn compact(
         &self,
-        publish: impl FnOnce(Arc<LayeredExecutor>) -> Result<u64, PublishError>,
+        publish: impl FnOnce(Arc<ShardedEngine>) -> Result<u64, PublishError>,
     ) -> Result<CompactionReport, LiveIndexError> {
         if self.compacting.swap(true, Ordering::SeqCst) {
             return Err(LiveIndexError::CompactionInProgress);
@@ -374,7 +340,7 @@ impl LiveIndex {
 
     fn compact_locked_flag(
         &self,
-        publish: impl FnOnce(Arc<LayeredExecutor>) -> Result<u64, PublishError>,
+        publish: impl FnOnce(Arc<ShardedEngine>) -> Result<u64, PublishError>,
     ) -> Result<CompactionReport, LiveIndexError> {
         let started = Instant::now();
         // Freeze: under the lock, note exactly which records this
@@ -482,18 +448,13 @@ fn make_snapshot(
     delta: &DeltaIndex,
     scoring: &Scoring,
     backend: IndexBackend,
-) -> Result<Arc<LayeredExecutor>, LiveIndexError> {
+) -> Result<Arc<ShardedEngine>, LiveIndexError> {
     if delta.is_empty() {
-        let engine = ShardedEngine::from_shared_shards(
+        return Ok(Arc::new(ShardedEngine::from_shared_shards(
             Arc::clone(base_db),
             scoring.clone(),
             base_shards.to_vec(),
-        );
-        return Ok(Arc::new(LayeredExecutor {
-            engine,
-            delta_seqs: 0,
-            delta_residues: 0,
-        }));
+        )));
     }
     let combined = Arc::new(concatenate(base_db, delta)?);
     let delta_shard = match delta.build_shard(base_db, backend) {
@@ -507,12 +468,11 @@ fn make_snapshot(
     };
     let mut shards = base_shards.to_vec();
     shards.push(Arc::new(delta_shard));
-    let engine = ShardedEngine::from_shared_shards(combined, scoring.clone(), shards);
-    Ok(Arc::new(LayeredExecutor {
-        engine,
-        delta_seqs: delta.num_seqs(),
-        delta_residues: delta.residues(),
-    }))
+    Ok(Arc::new(ShardedEngine::from_shared_shards(
+        combined,
+        scoring.clone(),
+        shards,
+    )))
 }
 
 #[cfg(test)]
@@ -557,12 +517,9 @@ mod tests {
         assert!(receipt.stats.wal_bytes > 0);
 
         let snap = live.snapshot();
-        assert_eq!(snap.delta_seqs(), 1);
+        assert_eq!(snap.num_shards(), 3, "two base shards plus the delta shard");
         let q = Alphabet::dna().encode_str("CCCCCCCC").unwrap();
-        let hits = snap
-            .engine()
-            .run_one(&q, &OasisParams::with_min_score(6))
-            .hits;
+        let hits = snap.run_one(&q, &OasisParams::with_min_score(6)).hits;
         assert!(
             hits.iter().any(|h| h.seq == base.num_sequences()),
             "delta hit missing: {hits:?}"
@@ -667,7 +624,7 @@ mod tests {
         for min in 1..=5 {
             let params = OasisParams::with_min_score(min);
             assert_eq!(
-                snap.engine().run_one(&q, &params).hits,
+                snap.run_one(&q, &params).hits,
                 rebuilt.run_one(&q, &params).hits,
                 "min={min}"
             );

@@ -33,16 +33,17 @@
 //!   streams back into the global non-increasing-score order — with
 //!   byte-identical results to the unsharded engine.
 //! * [`ServingEngine`] is the non-blocking front end: a bounded admission
-//!   queue over any [`QueryExecutor`], completion through ticket handles,
-//!   and per-query latency capture for tail-latency reporting.
+//!   queue and worker pool, completion through ticket handles, and
+//!   per-query latency capture for tail-latency reporting.
 //!
 //! The index itself has a lifecycle: [`persist`] writes a built index to a
 //! checksummed on-disk artifact and reconstitutes ready engines from it
-//! (so restarts load instead of rebuild), and [`IndexCatalog`] hot-swaps a
-//! freshly built or loaded generation into a live [`ServingEngine`] —
-//! in-flight queries drain on the old generation, new admissions see the
-//! new one, and the old generation is dropped when its last query
-//! completes.
+//! (so restarts load instead of rebuild), [`LiveIndex`] layers appended
+//! sequences over a base artifact, and [`IndexCatalog`] hot-swaps a
+//! freshly built or loaded [`Generation`] under live traffic. Every
+//! submission to the [`ServingEngine`] carries the generation pinned at
+//! its admission: admitted queries run on it, new admissions see the new
+//! one, and the old generation is dropped when its last query completes.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -89,15 +90,13 @@ mod serving;
 mod shard;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
-pub use catalog::{GenerationInfo, IndexCatalog, PublishError};
+pub use catalog::{Generation, GenerationInfo, IndexCatalog, PublishError};
 pub use compactor::{compact_artifact, CompactionReport};
 pub use delta::DeltaIndex;
-pub use layered::{
-    AppendReceipt, LayeredExecutor, LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats,
-};
+pub use layered::{AppendReceipt, LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats};
 pub use persist::{
-    build_index_artifact, disk_engine_from_artifact, load_sharded_engine, persist_sharded_engine,
-    sharded_engine_from_artifact,
+    build_index_artifact, disk_engine_from_artifact, load_sharded_engine, open_artifact_engine,
+    opens_disk_resident, persist_sharded_engine, sharded_engine_from_artifact, ArtifactEngine,
 };
 pub use serving::{
     AdmissionError, CompletionHook, LatencySummary, QueryExecutor, QueryTicket, ServedOutcome,

@@ -14,6 +14,10 @@
 //!   *disk-resident*: the shard image is served through a
 //!   [`oasis_storage::BufferPool`] over a [`FileDevice`], the paper's
 //!   operating mode, after a one-pass checksum verification.
+//! * [`open_artifact_engine`] applies the serving policy over the two
+//!   ([`opens_disk_resident`]): one tree-image shard opens disk-resident,
+//!   anything else loads as the in-memory fan-out engine. The CLI and the
+//!   network server both open artifacts through it.
 //!
 //! Either load path produces hits byte-identical to a freshly built index
 //! (`tests/index_persistence.rs` property-tests this), so a loaded
@@ -217,6 +221,42 @@ pub fn disk_engine_from_artifact(
     let tree = DiskSuffixTree::open(device, pool_bytes)
         .map_err(|e| ArtifactError::Corrupt(format!("shard 0: {e}")))?;
     Ok(OasisEngine::new(Arc::new(tree), db, scoring))
+}
+
+/// The engine an artifact opens as under [`open_artifact_engine`]'s
+/// policy.
+pub enum ArtifactEngine {
+    /// A single tree-image shard, disk-resident through a buffer pool.
+    Disk(OasisEngine<DiskSuffixTree<FileDevice>>),
+    /// Several shards, or a packed-ESA shard: the in-memory fan-out.
+    Sharded(ShardedEngine),
+}
+
+/// The serving policy for artifacts: does `manifest` open disk-resident?
+/// Only a single tree-image shard does. Several shards fan out in memory,
+/// and packed-ESA sections have no disk-resident mode, so an ESA shard
+/// loads in memory even alone.
+pub fn opens_disk_resident(manifest: &IndexManifest) -> bool {
+    matches!(manifest.shards.as_slice(), [only] if only.kind == SectionKind::TreeImage)
+}
+
+/// Open the artifact in `dir` for serving, with the manifest and database
+/// already loaded: disk-resident through a buffer pool of `pool_bytes`
+/// ([`disk_engine_from_artifact`]) when [`opens_disk_resident`] says so,
+/// otherwise as the in-memory fan-out engine
+/// ([`sharded_engine_from_artifact`]).
+pub fn open_artifact_engine(
+    dir: &Path,
+    manifest: &IndexManifest,
+    db: Arc<SequenceDatabase>,
+    scoring: Scoring,
+    pool_bytes: usize,
+) -> Result<ArtifactEngine, ArtifactError> {
+    if opens_disk_resident(manifest) {
+        disk_engine_from_artifact(dir, manifest, db, scoring, pool_bytes).map(ArtifactEngine::Disk)
+    } else {
+        sharded_engine_from_artifact(dir, manifest, db, scoring).map(ArtifactEngine::Sharded)
+    }
 }
 
 #[cfg(test)]

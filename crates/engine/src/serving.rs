@@ -2,13 +2,16 @@
 //! completion tickets, and per-query latency capture.
 //!
 //! A production search service cannot run every arriving query at once —
-//! it needs *admission control*. [`ServingEngine`] puts a bounded
-//! submission queue in front of any [`QueryExecutor`] (the single-index
-//! [`crate::OasisEngine`], the fan-out [`crate::ShardedEngine`], or a test
-//! double): [`ServingEngine::try_submit`] never blocks, returning either a
-//! [`QueryTicket`] — a completion handle the caller can wait on — or
-//! [`AdmissionError::QueueFull`], the backpressure signal that tells the
-//! caller to retry later instead of silently piling work up.
+//! it needs *admission control*. [`ServingEngine`] is a bounded submission
+//! queue plus a worker pool. It owns no index: every submission carries
+//! the pinned [`Generation`] it runs on (handed out by
+//! [`crate::IndexCatalog::current`]), whose executor may be the
+//! single-index [`crate::OasisEngine`], the fan-out
+//! [`crate::ShardedEngine`], or a test double. [`ServingEngine::try_submit`]
+//! never blocks, returning either a [`QueryTicket`] — a completion handle
+//! the caller can wait on — or [`AdmissionError::QueueFull`], the
+//! backpressure signal that tells the caller to retry later instead of
+//! silently piling work up.
 //!
 //! Every served query's latency is captured (queue wait, service time, and
 //! the submit-to-completion total) into log-bucketed
@@ -16,10 +19,9 @@
 //! lives, every sample counted — and [`ServingEngine::snapshot`] folds
 //! them into the torn-free [`ServingSnapshot`] behind both the `Metrics`
 //! wire frame and the `engine_throughput` tail-latency tables. A query
-//! submitted through [`ServingEngine::try_submit_traced`] additionally
-//! carries an [`oasis_obs::QueryTrace`] through the queue and worker,
-//! coming back out with `queue_wait`/`execute` stage spans and the
-//! driver's work counters recorded.
+//! submitted with an enabled [`oasis_obs::QueryTrace`] carries it through
+//! the queue and worker, coming back out with `queue_wait`/`execute`
+//! stage spans and the driver's work counters recorded.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,13 +30,14 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::catalog::Generation;
 use crate::{BatchQuery, OasisEngine, SearchOutcome, ShardedEngine};
 use oasis_obs::trace::stage;
 use oasis_obs::{Histogram, HistogramSnapshot, QueryTrace};
 use oasis_suffix::SuffixTreeAccess;
 
 /// Anything that can run one query to completion. Implemented by both
-/// engines; serving code and tests stay generic over it.
+/// engines; it is the seam that lets tests substitute a double.
 pub trait QueryExecutor: Send + Sync {
     /// Execute `job` (respecting its [`BatchQuery::limit`]) and return the
     /// full outcome.
@@ -50,15 +53,6 @@ impl<T: SuffixTreeAccess + Send + Sync + ?Sized> QueryExecutor for OasisEngine<T
 impl QueryExecutor for ShardedEngine {
     fn execute(&self, job: &BatchQuery) -> SearchOutcome {
         self.run_job(job)
-    }
-}
-
-/// Shared executors execute by delegation, so an `Arc<LayeredExecutor>`
-/// snapshot (or any shared engine) slots into catalog generations and
-/// [`ServingEngine`] without a wrapper type.
-impl<E: QueryExecutor + ?Sized> QueryExecutor for std::sync::Arc<E> {
-    fn execute(&self, job: &BatchQuery) -> SearchOutcome {
-        (**self).execute(job)
     }
 }
 
@@ -163,8 +157,8 @@ pub struct ServedOutcome {
     /// Submit-to-completion latency (`queue_wait + service`).
     pub total: Duration,
     /// The query's trace, with admission/execution spans and driver
-    /// counters recorded (disabled and empty unless submitted through
-    /// [`ServingEngine::try_submit_traced`]).
+    /// counters recorded (disabled and empty unless submitted with an
+    /// enabled trace).
     pub trace: QueryTrace,
 }
 
@@ -284,12 +278,14 @@ pub type CompletionHook = Box<dyn FnOnce() + Send + 'static>;
 
 /// One admitted query waiting for a worker.
 struct Submission {
+    /// The generation pinned at admission; the query runs on it.
+    generation: Arc<Generation<dyn QueryExecutor>>,
     job: BatchQuery,
     tx: mpsc::Sender<ServedOutcome>,
     submitted: Instant,
     notify: Option<CompletionHook>,
-    /// Travels with the query; disabled (and free) unless the caller used
-    /// [`ServingEngine::try_submit_traced`].
+    /// Travels with the query; disabled (and free) unless the caller
+    /// passed an enabled trace.
     trace: QueryTrace,
 }
 
@@ -317,7 +313,7 @@ pub struct ServingSnapshot {
     pub total: HistogramSnapshot,
 }
 
-struct Shared<E: ?Sized> {
+struct Shared {
     queue: Mutex<VecDeque<Submission>>,
     /// Signalled when work is enqueued or shutdown begins.
     wake: Condvar,
@@ -332,24 +328,24 @@ struct Shared<E: ?Sized> {
     /// Submit-to-completion latency per served query (µs). Its count *is*
     /// the served counter — one source of truth for scrape consistency.
     total: Histogram,
-    executor: E,
 }
 
-/// The non-blocking serving front end over a [`QueryExecutor`].
+/// The non-blocking serving front end: a bounded queue of submissions,
+/// each pinned to the [`Generation`] it runs on.
 ///
 /// Dropping the engine stops admission, lets the workers drain every
 /// already-admitted query (admitted work is never abandoned), and joins
 /// the worker threads.
-pub struct ServingEngine<E: QueryExecutor + 'static> {
-    shared: Arc<Shared<E>>,
+pub struct ServingEngine {
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl<E: QueryExecutor + 'static> ServingEngine<E> {
-    /// Spin up the worker pool over `executor`. A degenerate `config`
-    /// (zero workers or zero queue capacity) is rejected with a clear
-    /// error instead of yielding an engine that can never serve.
-    pub fn new(executor: E, config: ServingConfig) -> Result<Self, ServingConfigError> {
+impl ServingEngine {
+    /// Spin up the worker pool. A degenerate `config` (zero workers or
+    /// zero queue capacity) is rejected with a clear error instead of
+    /// yielding an engine that can never serve.
+    pub fn new(config: ServingConfig) -> Result<Self, ServingConfigError> {
         config.validate()?;
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -360,7 +356,6 @@ impl<E: QueryExecutor + 'static> ServingEngine<E> {
             queue_wait: Histogram::new(),
             service: Histogram::new(),
             total: Histogram::new(),
-            executor,
         });
         let workers = (0..config.workers)
             .map(|_| {
@@ -371,43 +366,22 @@ impl<E: QueryExecutor + 'static> ServingEngine<E> {
         Ok(ServingEngine { shared, workers })
     }
 
-    /// Submit a query without blocking: admitted work returns a
-    /// [`QueryTicket`]; a full queue rejects with backpressure instead of
-    /// making the caller wait.
-    pub fn try_submit(&self, job: BatchQuery) -> Result<QueryTicket, AdmissionError> {
-        self.submit_inner(job, QueryTrace::disabled(), None)
-    }
-
-    /// [`try_submit`](ServingEngine::try_submit), with a
-    /// [`CompletionHook`] that fires once the ticket is resolvable. This
-    /// is the nonblocking completion path: the caller polls the ticket
-    /// with [`QueryTicket::try_take`] only after the hook has fired, so
-    /// it never parks a thread per in-flight query.
-    pub fn try_submit_with_notify(
+    /// Submit `job` to run on `generation` without blocking: admitted
+    /// work returns a [`QueryTicket`]; a full queue rejects with
+    /// backpressure instead of making the caller wait.
+    ///
+    /// The submission holds `generation` until the query has executed, so
+    /// a publish after admission never changes what the query runs on.
+    /// An enabled `trace` gets the `queue_wait` and `execute` stage spans
+    /// plus the driver's work counters, and comes back in
+    /// [`ServedOutcome::trace`]; [`QueryTrace::disabled`] opts out at zero
+    /// cost. A `notify` hook fires once the ticket is resolvable — the
+    /// nonblocking completion path: the caller polls the ticket with
+    /// [`QueryTicket::try_take`] only after the hook has fired, so it never
+    /// parks a thread per in-flight query.
+    pub fn try_submit<E: QueryExecutor + 'static>(
         &self,
-        job: BatchQuery,
-        notify: CompletionHook,
-    ) -> Result<QueryTicket, AdmissionError> {
-        self.submit_inner(job, QueryTrace::disabled(), Some(notify))
-    }
-
-    /// [`try_submit_with_notify`](ServingEngine::try_submit_with_notify)
-    /// with a caller-provided [`QueryTrace`] riding along: the engine
-    /// records the `queue_wait` and `execute` stage spans plus the
-    /// driver's work counters into it, and hands it back inside
-    /// [`ServedOutcome::trace`]. Pass [`QueryTrace::disabled`] (or use the
-    /// plain submit paths) to opt out at zero per-stage cost.
-    pub fn try_submit_traced(
-        &self,
-        job: BatchQuery,
-        trace: QueryTrace,
-        notify: CompletionHook,
-    ) -> Result<QueryTicket, AdmissionError> {
-        self.submit_inner(job, trace, Some(notify))
-    }
-
-    fn submit_inner(
-        &self,
+        generation: Arc<Generation<E>>,
         job: BatchQuery,
         trace: QueryTrace,
         notify: Option<CompletionHook>,
@@ -439,6 +413,7 @@ impl<E: QueryExecutor + 'static> ServingEngine<E> {
                 });
             }
             queue.push_back(Submission {
+                generation,
                 job,
                 tx,
                 submitted: Instant::now(),
@@ -499,11 +474,6 @@ impl<E: QueryExecutor + 'static> ServingEngine<E> {
         }
     }
 
-    /// The executor queries run on.
-    pub fn executor(&self) -> &E {
-        &self.shared.executor
-    }
-
     /// Begin a graceful shutdown: admission stops immediately
     /// ([`try_submit`](ServingEngine::try_submit) returns
     /// [`AdmissionError::ShuttingDown`]), while already-admitted queries
@@ -524,7 +494,7 @@ impl<E: QueryExecutor + 'static> ServingEngine<E> {
     }
 }
 
-impl<E: QueryExecutor + 'static> Drop for ServingEngine<E> {
+impl Drop for ServingEngine {
     fn drop(&mut self) {
         // The flag must flip while the queue mutex is held: a worker that
         // just observed `shutdown == false` under the lock is then either
@@ -540,9 +510,16 @@ impl<E: QueryExecutor + 'static> Drop for ServingEngine<E> {
     }
 }
 
-fn worker_loop<E: QueryExecutor + ?Sized>(shared: &Shared<E>) {
+fn worker_loop(shared: &Shared) {
     loop {
-        let mut submission = {
+        let Submission {
+            generation,
+            job,
+            tx,
+            submitted,
+            notify,
+            mut trace,
+        } = {
             let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(s) = queue.pop_front() {
@@ -557,28 +534,29 @@ fn worker_loop<E: QueryExecutor + ?Sized>(shared: &Shared<E>) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let notify = submission.notify.take();
-        let mut trace = std::mem::replace(&mut submission.trace, QueryTrace::disabled());
         let started = Instant::now();
         // A panicking query (e.g. one encoded with the wrong alphabet)
         // must not kill the worker: later admitted work would never run
         // and its tickets would wait forever. Catch the unwind, drop the
         // ticket sender (the waiter sees `None`), and keep serving.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.executor.execute(&submission.job)
+            generation.executor().execute(&job)
         }));
         let finished = Instant::now();
+        // Unpin before the ticket resolves: once a caller sees the
+        // outcome, the generation no longer counts as in flight.
+        drop(generation);
         let outcome = match result {
             Ok(outcome) => outcome,
             Err(_) => {
-                drop(submission.tx); // resolves the ticket with `None`
+                drop(tx); // resolves the ticket with `None`
                 if let Some(notify) = notify {
                     notify();
                 }
                 continue;
             }
         };
-        trace.record_span(stage::QUEUE_WAIT, submission.submitted, started);
+        trace.record_span(stage::QUEUE_WAIT, submitted, started);
         trace.record_span(stage::EXECUTE, started, finished);
         trace.record_search(
             outcome.stats.nodes_expanded,
@@ -588,11 +566,11 @@ fn worker_loop<E: QueryExecutor + ?Sized>(shared: &Shared<E>) {
             outcome.stats.hits_emitted,
         );
         let served = ServedOutcome {
-            id: submission.job.id.clone(),
+            id: job.id,
             outcome,
-            queue_wait: started - submission.submitted,
+            queue_wait: started - submitted,
             service: finished - started,
-            total: finished - submission.submitted,
+            total: finished - submitted,
             trace,
         };
         shared.queue_wait.record_duration(served.queue_wait);
@@ -600,7 +578,7 @@ fn worker_loop<E: QueryExecutor + ?Sized>(shared: &Shared<E>) {
         shared.total.record_duration(served.total);
         // The caller may have dropped its ticket — that only means nobody
         // is listening; the work itself is still accounted.
-        let _ = submission.tx.send(served);
+        let _ = tx.send(served);
         // The hook fires strictly after the send: a notified poller's
         // `try_take` is guaranteed to find the outcome.
         if let Some(notify) = notify {
@@ -630,6 +608,20 @@ mod tests {
         OasisEngine::new(tree, db.clone(), Scoring::unit_dna())
     }
 
+    /// Pin `executor` as a fresh catalog's generation 0.
+    fn pinned<E: QueryExecutor>(executor: E) -> Arc<Generation<E>> {
+        crate::IndexCatalog::new("test", executor).current()
+    }
+
+    /// Untraced, unhooked submission onto `generation`.
+    fn submit<E: QueryExecutor + 'static>(
+        serving: &ServingEngine,
+        generation: &Arc<Generation<E>>,
+        job: BatchQuery,
+    ) -> Result<QueryTicket, AdmissionError> {
+        serving.try_submit(Arc::clone(generation), job, QueryTrace::disabled(), None)
+    }
+
     fn job(alpha: &Alphabet, text: &str) -> BatchQuery {
         BatchQuery::named(
             text.to_string(),
@@ -642,18 +634,16 @@ mod tests {
     fn serves_queries_with_correct_results_and_latency() {
         let db = dna_db(&["AGTACGCCTAG", "TACCG", "GGTAGG"]);
         let reference = engine(&db);
-        let serving = ServingEngine::new(
-            engine(&db),
-            ServingConfig {
-                workers: 2,
-                queue_capacity: 8,
-            },
-        )
+        let generation = pinned(engine(&db));
+        let serving = ServingEngine::new(ServingConfig {
+            workers: 2,
+            queue_capacity: 8,
+        })
         .expect("valid serving config");
         let alpha = Alphabet::dna();
         let tickets: Vec<QueryTicket> = ["TACG", "GGTA", "CC"]
             .iter()
-            .map(|t| serving.try_submit(job(&alpha, t)).expect("admitted"))
+            .map(|t| submit(&serving, &generation, job(&alpha, t)).expect("admitted"))
             .collect();
         for ticket in tickets {
             let served = ticket.wait().expect("completed");
@@ -670,7 +660,6 @@ mod tests {
 
     #[test]
     fn degenerate_config_rejected_at_construction() {
-        let db = dna_db(&["ACGT"]);
         for (config, want) in [
             (
                 ServingConfig {
@@ -688,9 +677,7 @@ mod tests {
             ),
         ] {
             assert_eq!(config.validate(), Err(want));
-            let err = ServingEngine::new(engine(&db), config)
-                .err()
-                .expect("rejected");
+            let err = ServingEngine::new(config).err().expect("rejected");
             assert_eq!(err, want);
             assert!(err.to_string().contains("at least 1"), "{err}");
         }
@@ -730,21 +717,25 @@ mod tests {
         // Suppress the expected panic backtrace noise from the worker.
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let serving = ServingEngine::new(
-            Bomb,
-            ServingConfig {
-                workers: 1,
-                queue_capacity: 4,
-            },
-        )
+        let generation = pinned(Bomb);
+        let serving = ServingEngine::new(ServingConfig {
+            workers: 1,
+            queue_capacity: 4,
+        })
         .expect("valid serving config");
         let params = OasisParams::with_min_score(1);
-        let bad = serving
-            .try_submit(BatchQuery::named("boom", vec![0], params))
-            .expect("admitted");
-        let good = serving
-            .try_submit(BatchQuery::named("fine", vec![0], params))
-            .expect("admitted");
+        let bad = submit(
+            &serving,
+            &generation,
+            BatchQuery::named("boom", vec![0], params),
+        )
+        .expect("admitted");
+        let good = submit(
+            &serving,
+            &generation,
+            BatchQuery::named("fine", vec![0], params),
+        )
+        .expect("admitted");
         // The panicked query resolves with no outcome…
         assert!(bad.wait().is_none());
         // …and the same (sole) worker still serves what follows.
@@ -773,20 +764,21 @@ mod tests {
             }
         }
         let (release_tx, release_rx) = mpsc::channel();
-        let serving = ServingEngine::new(
-            Gate {
-                release: Mutex::new(release_rx),
-            },
-            ServingConfig {
-                workers: 1,
-                queue_capacity: 4,
-            },
-        )
+        let generation = pinned(Gate {
+            release: Mutex::new(release_rx),
+        });
+        let serving = ServingEngine::new(ServingConfig {
+            workers: 1,
+            queue_capacity: 4,
+        })
         .expect("valid serving config");
         let params = OasisParams::with_min_score(1);
-        let ticket = serving
-            .try_submit(BatchQuery::named("gated", vec![0], params))
-            .expect("admitted");
+        let ticket = submit(
+            &serving,
+            &generation,
+            BatchQuery::named("gated", vec![0], params),
+        )
+        .expect("admitted");
         // Still in flight: the deadline elapses, the ticket stays usable.
         assert!(ticket.wait_timeout(Duration::from_millis(20)).is_none());
         release_tx.send(()).unwrap();
@@ -799,9 +791,12 @@ mod tests {
         // A panicked query resolves as dead, not as a timeout.
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let dead = serving
-            .try_submit(BatchQuery::named("boom", vec![0], params))
-            .expect("admitted");
+        let dead = submit(
+            &serving,
+            &generation,
+            BatchQuery::named("boom", vec![0], params),
+        )
+        .expect("admitted");
         assert!(matches!(
             dead.wait_timeout(Duration::from_secs(10)),
             Some(None)
@@ -828,20 +823,21 @@ mod tests {
         // histogram counts every query in fixed memory. Serve well past
         // the old 4096-sample window and check nothing was lost.
         const N: usize = 20_000;
-        let serving = ServingEngine::new(
-            Noop,
-            ServingConfig {
-                workers: 4,
-                queue_capacity: N,
-            },
-        )
+        let generation = pinned(Noop);
+        let serving = ServingEngine::new(ServingConfig {
+            workers: 4,
+            queue_capacity: N,
+        })
         .expect("valid serving config");
         let params = OasisParams::with_min_score(1);
         let tickets: Vec<QueryTicket> = (0..N)
             .map(|i| {
-                serving
-                    .try_submit(BatchQuery::named(format!("q{i}"), vec![0], params))
-                    .expect("capacity is ample")
+                submit(
+                    &serving,
+                    &generation,
+                    BatchQuery::named(format!("q{i}"), vec![0], params),
+                )
+                .expect("capacity is ample")
             })
             .collect();
         for t in tickets {
@@ -857,14 +853,12 @@ mod tests {
 
     #[test]
     fn served_count_never_decreases_across_scrapes() {
+        let generation = pinned(Noop);
         let serving = Arc::new(
-            ServingEngine::new(
-                Noop,
-                ServingConfig {
-                    workers: 2,
-                    queue_capacity: 1024,
-                },
-            )
+            ServingEngine::new(ServingConfig {
+                workers: 2,
+                queue_capacity: 1024,
+            })
             .expect("valid serving config"),
         );
         let submitter = {
@@ -874,11 +868,11 @@ mod tests {
                 let mut tickets = Vec::new();
                 for i in 0..2000 {
                     loop {
-                        match serving.try_submit(BatchQuery::named(
-                            format!("q{i}"),
-                            vec![0],
-                            params,
-                        )) {
+                        match submit(
+                            &serving,
+                            &generation,
+                            BatchQuery::named(format!("q{i}"), vec![0], params),
+                        ) {
                             Ok(t) => break tickets.push(t),
                             // Backpressure: retry until admitted.
                             Err(_) => std::thread::yield_now(),
@@ -911,18 +905,21 @@ mod tests {
     #[test]
     fn traced_submission_records_stages_and_counters() {
         let db = dna_db(&["AGTACGCCTAG", "TACCG", "GGTAGG"]);
-        let serving = ServingEngine::new(
-            engine(&db),
-            ServingConfig {
-                workers: 1,
-                queue_capacity: 4,
-            },
-        )
+        let generation = pinned(engine(&db));
+        let serving = ServingEngine::new(ServingConfig {
+            workers: 1,
+            queue_capacity: 4,
+        })
         .expect("valid serving config");
         let alpha = Alphabet::dna();
-        let trace = oasis_obs::QueryTrace::enabled(7, 4);
+        let trace = QueryTrace::enabled(7, 4);
         let ticket = serving
-            .try_submit_traced(job(&alpha, "TACG"), trace, Box::new(|| {}))
+            .try_submit(
+                Arc::clone(&generation),
+                job(&alpha, "TACG"),
+                trace,
+                Some(Box::new(|| {})),
+            )
             .expect("admitted");
         let served = ticket.wait().expect("completed");
         let trace = &served.trace;
@@ -939,8 +936,7 @@ mod tests {
             served.outcome.stats.nodes_expanded
         );
         // An untraced submission stays disabled and recordless.
-        let plain = serving
-            .try_submit(job(&alpha, "GGTA"))
+        let plain = submit(&serving, &generation, job(&alpha, "GGTA"))
             .expect("admitted")
             .wait()
             .expect("completed");
@@ -952,19 +948,17 @@ mod tests {
     fn shutdown_stops_admission_but_serves_admitted_work() {
         let db = dna_db(&["AGTACGCCTAG", "TACCG"]);
         let alpha = Alphabet::dna();
-        let serving = ServingEngine::new(
-            engine(&db),
-            ServingConfig {
-                workers: 1,
-                queue_capacity: 4,
-            },
-        )
+        let generation = pinned(engine(&db));
+        let serving = ServingEngine::new(ServingConfig {
+            workers: 1,
+            queue_capacity: 4,
+        })
         .expect("valid serving config");
-        let admitted = serving.try_submit(job(&alpha, "TACG")).expect("admitted");
+        let admitted = submit(&serving, &generation, job(&alpha, "TACG")).expect("admitted");
         serving.shutdown();
         // Admission closed…
         assert_eq!(
-            serving.try_submit(job(&alpha, "CC")).unwrap_err(),
+            submit(&serving, &generation, job(&alpha, "CC")).unwrap_err(),
             AdmissionError::ShuttingDown
         );
         // …but already-admitted work is still served.
@@ -978,15 +972,13 @@ mod tests {
         let alpha = Alphabet::dna();
         let ticket;
         {
-            let serving = ServingEngine::new(
-                engine(&db),
-                ServingConfig {
-                    workers: 1,
-                    queue_capacity: 4,
-                },
-            )
+            let generation = pinned(engine(&db));
+            let serving = ServingEngine::new(ServingConfig {
+                workers: 1,
+                queue_capacity: 4,
+            })
             .expect("valid serving config");
-            ticket = serving.try_submit(job(&alpha, "TACG")).expect("admitted");
+            ticket = submit(&serving, &generation, job(&alpha, "TACG")).expect("admitted");
             // `serving` drops here: shutdown must still serve the query.
         }
         assert!(ticket.wait().is_some());

@@ -33,13 +33,15 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use oasis_engine::{CacheKey, QueryTicket};
+use oasis_engine::{CacheKey, Generation, QueryTicket};
 use oasis_obs::trace::stage;
 use oasis_obs::QueryTrace;
 
 use crate::frame::{decode_header, write_frame, Frame, HEADER_LEN};
+use crate::server::ServedIndex;
 use crate::NetError;
 
 /// Requests that may be in flight (admitted or answerable but
@@ -81,14 +83,13 @@ pub(crate) struct WaitingSearch {
     pub(crate) deadline_ms: Option<u32>,
     /// When the query was admitted.
     pub(crate) submitted: Instant,
-    /// Cache slot to fill on completion — only if the executing
-    /// generation still matches the key's.
+    /// Cache slot to fill on completion (keyed by the pinned generation).
     pub(crate) cache_key: Option<CacheKey>,
     /// The resolved score threshold (echoed in the Done frame).
     pub(crate) min_score: oasis_align::Score,
-    /// The admission-time database, used to name hits if the executing
-    /// generation's binding is unavailable.
-    pub(crate) fallback_db: std::sync::Arc<oasis_bioseq::SequenceDatabase>,
+    /// The generation pinned at admission: the query executes on it, and
+    /// hit names, `Done.generation` and the trace read from it.
+    pub(crate) generation: Arc<Generation<ServedIndex>>,
     /// The server's WAL-fsync counter at admission; the trace reports
     /// the delta (fsyncs that ran while this query was in flight).
     pub(crate) fsyncs_at_submit: u64,

@@ -49,7 +49,7 @@
 //! let db = Arc::new(b.finish());
 //! let scoring = Scoring::unit_dna();
 //! let engine = ShardedEngine::build(db.clone(), scoring.clone(), 2);
-//! let index = ServedIndex::new(db, Box::new(engine));
+//! let index = ServedIndex::new(db, Arc::new(engine));
 //! let server =
 //!     OasisServer::bind("127.0.0.1:0", index, scoring, ServerConfig::default()).unwrap();
 //! let addr = server.local_addr();
@@ -77,7 +77,9 @@ pub use frame::{
     SearchDone, SearchRequest, StageSummary, StatsReport, TraceDump, TraceEntry, TraceSpan,
     MAX_FRAME_BYTES, PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
-pub use server::{OasisServer, ServedIndex, ServerConfig, ServerError, ServerHandle};
+pub use server::{
+    OasisServer, ServedIndex, ServerConfig, ServerError, ServerHandle, PER_GENERATION_ROWS,
+};
 
 /// Why a network operation failed.
 #[derive(Debug)]

@@ -8,9 +8,9 @@
 //! in-flight query tickets, and flushes whatever responses are ready.
 //! When nothing moves it parks on a [`Completions`] waker, which engine
 //! workers poke through a per-query completion hook
-//! ([`ServingEngine::try_submit_with_notify`]) — the loop never blocks
-//! on a ticket, so thousands of connections cost one thread plus the
-//! engine's worker pool, not a thread per socket.
+//! ([`ServingEngine::try_submit`]) — the loop never blocks on a ticket,
+//! so thousands of connections cost one thread plus the engine's worker
+//! pool, not a thread per socket.
 //!
 //! Connections are **pipelined**: a client may send several requests
 //! back-to-back before reading, and responses return strictly in
@@ -36,31 +36,18 @@
 //! the loop, which is acceptable for rare admin operations and keeps
 //! every catalog publish serialized with dispatch.
 //!
-//! ## Request-time parameter binding
-//!
-//! A search's query encoding and its E-value → `minScore` conversion
-//! are resolved against the generation serving *at admission time*. A
-//! `reload` landing while the request waits in the queue means the
-//! query may execute on a newer generation with a threshold derived
-//! from the older one's statistics — the documented semantics (the
-//! threshold is part of the request once admitted), harmless in the
-//! standard reload flow where generations index the same corpus. Hit
-//! *names*, which must never be inconsistent, are always resolved
-//! against the generation that executed the query (below), and a
-//! result is only cached when the executing generation still matches
-//! the admission-time key.
-//!
 //! ## Generational consistency
 //!
-//! The executor behind the queue is an [`IndexCatalog`] of
-//! [`ServedIndex`] generations, so the admin `reload` request can
-//! hot-swap a freshly loaded artifact under live traffic. Hits carry
-//! sequence *names*, and names must come from the generation that
-//! actually executed the query — not whichever generation happens to be
-//! current when the response is written. The worker therefore records a
-//! per-request binding (token → the executing generation's database and
-//! id) at execution time, and the loop resolves names through that
-//! binding.
+//! Served indexes live in an [`IndexCatalog`] of [`ServedIndex`]
+//! generations, so the admin `reload` request (and every append or
+//! compaction) can hot-swap a new generation under live traffic. Each
+//! search is pinned to the generation current when it is *admitted*:
+//! the query is encoded with that generation's alphabet, its E-value
+//! becomes a `minScore` against that generation's database, the engine
+//! executes it on that generation, and its hit names, `Done.generation`,
+//! cache key and trace counters all come from the same pinned `Arc`. A
+//! swap that lands while the request waits in the queue therefore
+//! changes nothing about its answer — one answer, one index version.
 //!
 //! ## Shutdown
 //!
@@ -75,9 +62,9 @@
 //!
 //! [`Completions`]: crate::reactor::Completions
 //! [`Conn`]: crate::conn::Conn
-//! [`ServingEngine::try_submit_with_notify`]: oasis_engine::ServingEngine::try_submit_with_notify
+//! [`ServingEngine::try_submit`]: oasis_engine::ServingEngine::try_submit
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -89,13 +76,13 @@ use oasis_align::{background_dna, background_protein, KarlinParams, Score, Scori
 use oasis_bioseq::{parse_fasta, AlphabetKind, SequenceDatabase, UnknownResiduePolicy};
 use oasis_core::{Hit, OasisParams};
 use oasis_engine::{
-    disk_engine_from_artifact, sharded_engine_from_artifact, AdmissionError, BatchQuery, CacheKey,
-    IndexCatalog, LiveIndex, LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor,
-    ResultCache, SearchOutcome, ServingConfig, ServingConfigError, ServingEngine,
+    open_artifact_engine, AdmissionError, ArtifactEngine, BatchQuery, CacheKey, IndexCatalog,
+    LiveIndex, LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor, ResultCache,
+    SearchOutcome, ServingConfig, ServingConfigError, ServingEngine,
 };
 use oasis_obs::trace::stage;
 use oasis_obs::{Counter, Histogram, HistogramSnapshot, QueryTrace, SlowLog};
-use oasis_storage::{read_manifest, replay_wal, ArtifactError, IndexManifest, SectionKind};
+use oasis_storage::{read_manifest, replay_wal, ArtifactError, IndexManifest};
 
 use crate::conn::{Conn, WaitingSearch};
 use crate::frame::{
@@ -119,6 +106,11 @@ const DRAIN_GRACE: Duration = Duration::from_secs(10);
 const SLOWLOG_CAPACITY: usize = 64;
 /// Accept-poll cadence of the plain-text metrics listener thread.
 const METRICS_POLL: Duration = Duration::from_millis(25);
+/// Rows of the per-generation served table the server keeps: the most
+/// recent generations that answered a search. Every append publishes a
+/// generation, so an unbounded table would grow for the server's whole
+/// life (and past what one `Metrics` frame can encode).
+pub const PER_GENERATION_ROWS: usize = 64;
 
 /// One publishable index generation: a query executor plus the database
 /// it serves. The database rides along because the wire protocol names
@@ -126,20 +118,20 @@ const METRICS_POLL: Duration = Duration::from_millis(25);
 /// the serving alphabet — both must stay consistent with the executor.
 pub struct ServedIndex {
     db: Arc<SequenceDatabase>,
-    executor: Box<dyn QueryExecutor>,
+    executor: Arc<dyn QueryExecutor>,
 }
 
 impl ServedIndex {
     /// A served generation over `executor`, which must search exactly
     /// `db`.
-    pub fn new(db: Arc<SequenceDatabase>, executor: Box<dyn QueryExecutor>) -> Self {
+    pub fn new(db: Arc<SequenceDatabase>, executor: Arc<dyn QueryExecutor>) -> Self {
         ServedIndex { db, executor }
     }
 
-    /// Load the artifact directory `dir` into a served generation: a
-    /// single shard opens disk-resident through a buffer pool of
-    /// `pool_bytes`, several shards reconstitute the in-memory fan-out
-    /// engine — the same policy as the local `search --index` path.
+    /// Load the artifact directory `dir` into a served generation, opened
+    /// by [`open_artifact_engine`] — the same policy as the local
+    /// `search --index` path (a buffer pool of `pool_bytes` serves a
+    /// disk-resident shard).
     pub fn from_artifact(
         dir: &Path,
         scoring: Scoring,
@@ -166,28 +158,11 @@ impl ServedIndex {
                 scoring.matrix.kind()
             )));
         }
-        // Packed-ESA shards are in-memory only, so any ESA section routes
-        // the whole artifact through the sharded loader — even one shard.
-        let all_tree = manifest
-            .shards
-            .iter()
-            .all(|s| s.kind == SectionKind::TreeImage);
-        let executor: Box<dyn QueryExecutor> = if manifest.shards.len() == 1 && all_tree {
-            Box::new(disk_engine_from_artifact(
-                dir,
-                manifest,
-                db.clone(),
-                scoring,
-                pool_bytes,
-            )?)
-        } else {
-            Box::new(sharded_engine_from_artifact(
-                dir,
-                manifest,
-                db.clone(),
-                scoring,
-            )?)
-        };
+        let executor: Arc<dyn QueryExecutor> =
+            match open_artifact_engine(dir, manifest, db.clone(), scoring, pool_bytes)? {
+                ArtifactEngine::Disk(engine) => Arc::new(engine),
+                ArtifactEngine::Sharded(engine) => Arc::new(engine),
+            };
         Ok(ServedIndex { db, executor })
     }
 
@@ -278,72 +253,12 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// Per-request execution bindings: which generation actually ran a
-/// token's query. Written by engine workers, consumed by the event
-/// loop; `abandoned` marks tokens the loop gave up on (deadline) so
-/// late completions don't leak entries.
-#[derive(Default)]
-struct Bindings {
-    done: HashMap<String, (Arc<SequenceDatabase>, u64)>,
-    abandoned: HashSet<String>,
-}
-
-/// The engine-side executor: runs each job on the catalog's current
-/// generation and records which generation that was.
-struct NetExec {
-    catalog: IndexCatalog<ServedIndex>,
-    bindings: Mutex<Bindings>,
-}
-
-impl NetExec {
-    fn take_binding(&self, token: &str) -> Option<(Arc<SequenceDatabase>, u64)> {
-        // A poisoned bindings lock is recovered everywhere in this impl:
-        // the map stays structurally valid across a panic, and a serving
-        // daemon must not die because one worker thread did.
-        self.bindings
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .done
-            .remove(token)
-    }
-
-    /// The loop stopped waiting for `token` (deadline). If the result
-    /// already landed, drop it; otherwise flag the token so the worker
-    /// discards the binding on arrival.
-    fn abandon(&self, token: String) {
-        let mut b = self.bindings.lock().unwrap_or_else(PoisonError::into_inner);
-        if b.done.remove(&token).is_none() {
-            b.abandoned.insert(token);
-        }
-    }
-
-    /// Remove every trace of `token` (used after a dead ticket).
-    fn forget(&self, token: &str) {
-        let mut b = self.bindings.lock().unwrap_or_else(PoisonError::into_inner);
-        b.done.remove(token);
-        b.abandoned.remove(token);
-    }
-}
-
-impl QueryExecutor for NetExec {
-    fn execute(&self, job: &BatchQuery) -> SearchOutcome {
-        // One catalog snapshot covers the execution *and* the recorded
-        // identity, so a concurrent publish can never mismatch them.
-        let (outcome, db, generation) = self
-            .catalog
-            .with_current_info(|info, index| (index.execute(job), index.db().clone(), info.id));
-        let mut b = self.bindings.lock().unwrap_or_else(PoisonError::into_inner);
-        if !b.abandoned.remove(&job.id) {
-            b.done.insert(job.id.clone(), (db, generation));
-        }
-        outcome
-    }
-}
-
 /// State shared between the event loop, engine workers (via completion
 /// hooks), and [`ServerHandle`]s.
 struct Shared {
-    serving: ServingEngine<NetExec>,
+    /// The served generations; searches pin the current one at admission.
+    catalog: IndexCatalog<ServedIndex>,
+    serving: ServingEngine,
     scoring: Scoring,
     karlin: Option<KarlinParams>,
     pool_bytes: usize,
@@ -370,7 +285,8 @@ struct Shared {
     accepted: AtomicU64,
     /// Deepest per-connection pipeline observed.
     pipelined_peak: AtomicU64,
-    /// Searches answered per generation (executions and cache hits).
+    /// Searches answered per generation (executions and cache hits), for
+    /// the [`PER_GENERATION_ROWS`] most recent generations.
     per_gen: Mutex<BTreeMap<u64, u64>>,
     /// Open-connection bound (`usize::MAX` = unlimited).
     max_conns: usize,
@@ -392,10 +308,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn exec(&self) -> &NetExec {
-        self.serving.executor()
-    }
-
     /// Take ownership of every in-flight compaction handle. The lock
     /// guard lives only inside this call, so the caller can join the
     /// handles without holding it.
@@ -413,7 +325,7 @@ impl Shared {
         // Close the catalog first: a background compaction that loses
         // this race gets a typed publish refusal and leaves the WAL
         // intact, so shutdown never strands an unreplayable append.
-        self.exec().catalog.begin_shutdown();
+        self.catalog.begin_shutdown();
         self.serving.shutdown();
         // Wake the event loop so an idle server notices immediately.
         self.completions.wake();
@@ -429,10 +341,14 @@ impl Shared {
             .fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    /// Count one answered search against `generation`.
+    /// Count one answered search against `generation`, keeping only the
+    /// most recent [`PER_GENERATION_ROWS`] generations.
     fn bump_generation(&self, generation: u64) {
         let mut per_gen = self.per_gen.lock().unwrap_or_else(PoisonError::into_inner);
         *per_gen.entry(generation).or_insert(0) += 1;
+        while per_gen.len() > PER_GENERATION_ROWS {
+            per_gen.pop_first();
+        }
     }
 
     fn per_generation_snapshot(&self) -> Vec<GenerationServed> {
@@ -528,19 +444,13 @@ impl OasisServer {
             AlphabetKind::Protein => background_protein().to_vec(),
         };
         let karlin = KarlinParams::estimate(&scoring.matrix, &freqs).ok();
-        let exec = NetExec {
-            catalog: IndexCatalog::new("boot", index),
-            bindings: Mutex::new(Bindings::default()),
-        };
-        let serving = ServingEngine::new(
-            exec,
-            ServingConfig {
-                workers,
-                queue_capacity: config.queue_capacity,
-            },
-        )
+        let serving = ServingEngine::new(ServingConfig {
+            workers,
+            queue_capacity: config.queue_capacity,
+        })
         .map_err(ServerError::Config)?;
         let shared = Arc::new(Shared {
+            catalog: IndexCatalog::new("boot", index),
             serving,
             scoring,
             karlin,
@@ -614,16 +524,10 @@ impl OasisServer {
                     .ok_or(ServerError::Live(LiveIndexError::Publish(
                         PublishError::ShuttingDown,
                     )))?;
-            let snapshot = live.snapshot();
-            if snapshot.delta_seqs() > 0 {
-                let served = ServedIndex::new(
-                    snapshot.engine().db_shared(),
-                    Box::new(Arc::clone(&snapshot)),
-                );
+            if live.stats().delta_seqs > 0 {
                 self.shared
-                    .exec()
                     .catalog
-                    .publish("live-replay", served)
+                    .publish("live-replay", live_generation(live.snapshot()))
                     .map_err(|e| ServerError::Live(LiveIndexError::Publish(e)))?;
             }
         }
@@ -773,15 +677,15 @@ fn refuse_over_capacity(stream: TcpStream, max_conns: usize) {
 }
 
 fn hello_frame(shared: &Shared) -> Frame {
-    shared.exec().catalog.with_current_info(|info, index| {
-        Frame::Hello(Hello {
-            protocol: PROTOCOL_VERSION,
-            generation: info.id,
-            generation_label: info.label.clone(),
-            alphabet: index.db().alphabet_kind(),
-            num_seqs: index.db().num_sequences(),
-            total_residues: index.db().total_residues(),
-        })
+    let current = shared.catalog.current();
+    let db = current.executor().db();
+    Frame::Hello(Hello {
+        protocol: PROTOCOL_VERSION,
+        generation: current.id(),
+        generation_label: current.label().to_string(),
+        alphabet: db.alphabet_kind(),
+        num_seqs: db.num_sequences(),
+        total_residues: db.total_residues(),
     })
 }
 
@@ -912,19 +816,18 @@ fn dispatch(shared: &Arc<Shared>, frame: Frame) -> Action {
     }
 }
 
-/// Admit one search: resolve its parameters against the current
-/// generation, consult the result cache, and either answer immediately
-/// (cache hit, parameter error, admission refusal) or hand back the
-/// in-flight state the loop will poll.
+/// Admit one search: pin the current generation, resolve the request's
+/// parameters against it, consult the result cache, and either answer
+/// immediately (cache hit, parameter error, admission refusal) or hand
+/// back the in-flight state the loop will poll.
 fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
-    // Encode with the current generation's alphabet and derive minScore
+    // Encode with the pinned generation's alphabet and derive minScore
     // against its database (the serving alphabet is authoritative, like
-    // the artifact alphabet on the local --index path). One snapshot
-    // covers both plus the cache key's generation id.
-    let (db, generation) = shared
-        .exec()
-        .catalog
-        .with_current_info(|info, index| (index.db().clone(), info.id));
+    // the artifact alphabet on the local --index path). The query then
+    // executes on, and is answered from, this same generation.
+    let pinned = shared.catalog.current();
+    let generation = pinned.id();
+    let db = pinned.executor().db();
     let encoded = match db.alphabet().encode_str(&req.query) {
         Ok(encoded) => encoded,
         Err(e) => return Action::Reply(error_frames(ErrorCode::Malformed, format!("query: {e}"))),
@@ -967,11 +870,11 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
         limit: req.top,
     };
     if let Some(cached) = shared.cache.get(&key) {
-        // The key's generation is the *current* generation, so the
-        // snapshot `db` is exactly the one the cached hits were named
-        // against. Cache hits report zero service time.
+        // The key's generation is the pinned one, so `db` is exactly the
+        // database the cached hits came from. Cache hits report zero
+        // service time.
         shared.bump_generation(generation);
-        let mut frames = hit_frames(&db, &cached);
+        let mut frames = hit_frames(db, &cached);
         frames.push(Frame::Done(SearchDone {
             hits: cached.len() as u32,
             min_score,
@@ -1003,13 +906,14 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
     let submitted = Instant::now();
     let completions = Arc::clone(&shared.completions);
     let notify = Box::new(move || completions.push(token));
-    let admitted = if shared.slow_threshold_us.is_some() {
-        shared
-            .serving
-            .try_submit_traced(job, QueryTrace::enabled(token, query_len), notify)
+    let trace = if shared.slow_threshold_us.is_some() {
+        QueryTrace::enabled(token, query_len)
     } else {
-        shared.serving.try_submit_with_notify(job, notify)
+        QueryTrace::disabled()
     };
+    let admitted = shared
+        .serving
+        .try_submit(Arc::clone(&pinned), job, trace, Some(notify));
     let ticket = match admitted {
         Ok(ticket) => ticket,
         Err(AdmissionError::QueueFull { capacity }) => {
@@ -1036,7 +940,7 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
         submitted,
         cache_key: Some(key),
         min_score,
-        fallback_db: db,
+        generation: pinned,
         fsyncs_at_submit: shared.wal_fsyncs.get(),
     }))
 }
@@ -1050,26 +954,16 @@ fn resolve_waiting(
     waiting: &mut WaitingSearch,
     now: Instant,
 ) -> Option<(Vec<Frame>, Option<Box<QueryTrace>>)> {
-    let token = waiting.token.to_string();
     if let Some(served) = waiting.ticket.try_take() {
         let resolve_start = Instant::now();
-        // Name hits against the generation that actually executed the
-        // query.
-        let (gen_db, generation) = shared
-            .exec()
-            .take_binding(&token)
-            .unwrap_or_else(|| (waiting.fallback_db.clone(), 0));
+        // The query executed on the generation pinned at admission; its
+        // names, id and cache key all come from that generation.
+        let generation = waiting.generation.id();
         if let Some(key) = waiting.cache_key.take() {
-            // Cache only when the executing generation still matches
-            // the admission-time key — a reload that landed in between
-            // must not file this result under a generation it was not
-            // computed on.
-            if key.generation == generation {
-                shared.cache.insert(key, served.outcome.hits.clone());
-            }
+            shared.cache.insert(key, served.outcome.hits.clone());
         }
         shared.bump_generation(generation);
-        let mut frames = hit_frames(&gen_db, &served.outcome.hits);
+        let mut frames = hit_frames(waiting.generation.executor().db(), &served.outcome.hits);
         frames.push(Frame::Done(SearchDone {
             hits: served.outcome.hits.len() as u32,
             min_score: waiting.min_score,
@@ -1098,7 +992,6 @@ fn resolve_waiting(
     if waiting.notified {
         // The completion hook fired but the ticket is empty: the query
         // panicked (the hook runs strictly after the outcome send).
-        shared.exec().forget(&token);
         return Some((
             error_frames(ErrorCode::Internal, "query execution failed"),
             None,
@@ -1107,9 +1000,7 @@ fn resolve_waiting(
     if let Some(deadline) = waiting.deadline {
         if now >= deadline {
             // The query keeps running (admitted work is never
-            // cancelled) but nobody will read its binding: mark the
-            // token abandoned so the worker drops it on completion.
-            shared.exec().abandon(token);
+            // cancelled); its outcome is simply never read.
             let ms = waiting.deadline_ms.unwrap_or(0);
             return Some((
                 error_frames(
@@ -1145,7 +1036,7 @@ fn hit_frames(db: &Arc<SequenceDatabase>, hits: &[Hit]) -> Vec<Frame> {
 fn stats_frame(shared: &Shared) -> Frame {
     let stats = shared.serving.stats();
     let latency = shared.serving.latency_summary();
-    let info = shared.exec().catalog.current_info();
+    let current = shared.catalog.current();
     // Live-ingestion counters come from the already-open live index;
     // stats never force one open (all zeros until the first append or
     // WAL replay).
@@ -1160,8 +1051,8 @@ fn stats_frame(shared: &Shared) -> Frame {
         p95_us: latency.p95.as_micros() as u64,
         p99_us: latency.p99.as_micros() as u64,
         max_us: latency.max.as_micros() as u64,
-        generation: info.id,
-        generation_label: info.label,
+        generation: current.id(),
+        generation_label: current.label().to_string(),
         delta_seqs: live.delta_seqs,
         delta_residues: live.delta_residues,
         wal_bytes: live.wal_bytes,
@@ -1322,7 +1213,7 @@ fn serve_metrics_scrape(mut stream: TcpStream, shared: &Shared) {
 
 fn handle_reload(shared: &Arc<Shared>, path: &str) -> Vec<Frame> {
     match ServedIndex::from_artifact(Path::new(path), shared.scoring.clone(), shared.pool_bytes) {
-        Ok(index) => match shared.exec().catalog.publish(path, index) {
+        Ok(index) => match shared.catalog.publish(path, index) {
             Ok(generation) => {
                 eprintln!("oasis-net: published generation {generation} from {path}");
                 vec![Frame::Reloaded(ReloadDone {
@@ -1357,7 +1248,7 @@ fn handle_append(shared: &Arc<Shared>, fasta: &str) -> Vec<Frame> {
     };
     // The serving alphabet is authoritative for parsing, exactly as on
     // the search path.
-    let alphabet = live.snapshot().engine().db_shared().alphabet().clone();
+    let alphabet = live.snapshot().db().alphabet().clone();
     // Database FASTA skips unknown residues, matching the local append
     // and `load_db` paths (queries use Reject; appends are database).
     let seqs = match parse_fasta(fasta.as_bytes(), &alphabet, UnknownResiduePolicy::Skip) {
@@ -1375,15 +1266,12 @@ fn handle_append(shared: &Arc<Shared>, fasta: &str) -> Vec<Frame> {
     // while a query was in flight.
     shared.wal_fsyncs.inc();
     // Publish the fresh layered snapshot so queries (and hit naming) see
-    // the appended sequences. The snapshot's database is the concatenated
-    // one, so delta hits resolve names like any other hit.
-    let snapshot = live.snapshot();
-    let served = ServedIndex::new(
-        snapshot.engine().db_shared(),
-        Box::new(Arc::clone(&snapshot)),
-    );
+    // the appended sequences.
     let label = format!("live-append+{}", receipt.stats.appended_seqs);
-    let generation = match shared.exec().catalog.publish(label, served) {
+    let generation = match shared
+        .catalog
+        .publish(label, live_generation(live.snapshot()))
+    {
         Ok(generation) => generation,
         Err(e @ PublishError::ShuttingDown) => {
             // The append is durable (WAL + delta); only the publication
@@ -1418,14 +1306,9 @@ fn maybe_spawn_compaction(shared: &Arc<Shared>, live: &Arc<LiveIndex>) {
     let handle = std::thread::spawn(move || {
         let catalog_shared = thread_shared;
         let result = live.compact(move |snapshot| {
-            let served = ServedIndex::new(
-                snapshot.engine().db_shared(),
-                Box::new(Arc::clone(&snapshot)),
-            );
             catalog_shared
-                .exec()
                 .catalog
-                .publish("live-compaction", served)
+                .publish("live-compaction", live_generation(snapshot))
         });
         match result {
             Ok(report) if report.folded_seqs > 0 => eprintln!(
@@ -1443,4 +1326,11 @@ fn maybe_spawn_compaction(shared: &Arc<Shared>, live: &Arc<LiveIndex>) {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .push(handle);
+}
+
+/// A served generation over a live-index snapshot. The snapshot's
+/// database is the concatenated (base + delta) one, so delta hits are
+/// named like any other hit.
+fn live_generation(snapshot: Arc<oasis_engine::ShardedEngine>) -> ServedIndex {
+    ServedIndex::new(snapshot.db_shared(), snapshot)
 }

@@ -59,7 +59,7 @@ pub struct TraceCounters {
     pub cache_hit: bool,
     /// WAL fsyncs this query waited on (live appends only).
     pub wal_fsyncs: u64,
-    /// Catalog generation the query executed against.
+    /// Catalog generation the query was admitted on (and executed on).
     pub generation: u64,
 }
 

@@ -58,40 +58,37 @@ fn main() {
     );
 
     // --- generational hot-swap under a live serving engine ---------------
-    let serving = ServingEngine::new(
-        IndexCatalog::new("gen0: cold build", cold),
-        ServingConfig {
-            workers: 2,
-            queue_capacity: 16,
-        },
-    )
+    let catalog = IndexCatalog::new("gen0: cold build", cold);
+    let serving = ServingEngine::new(ServingConfig {
+        workers: 2,
+        queue_capacity: 16,
+    })
     .expect("valid serving config");
+    // Each submission pins the generation current at its admission.
     let job = BatchQuery::named("demo", query.clone(), params);
-    let before = serving
-        .try_submit(job.clone())
-        .expect("admitted")
-        .wait()
-        .expect("served");
+    let submit = |job: BatchQuery| {
+        serving
+            .try_submit(catalog.current(), job, QueryTrace::disabled(), None)
+            .expect("admitted")
+            .wait()
+            .expect("served")
+    };
+    let before = submit(job.clone());
 
     // Swap in the artifact-loaded generation without stopping admission:
-    // in-flight queries finish on the old generation, new ones see gen 1,
+    // pinned queries finish on the old generation, new ones see gen 1,
     // and the old generation is dropped with its last query.
-    serving
-        .executor()
+    catalog
         .publish("gen1: loaded from artifact", loaded)
         .expect("publish");
-    let after = serving
-        .try_submit(job)
-        .expect("still admitting during/after the swap")
-        .wait()
-        .expect("served");
+    let after = submit(job);
     assert_eq!(before.outcome.hits, after.outcome.hits);
-    let current = serving.executor().current_info();
+    let current = catalog.current();
     println!(
         "hot-swapped to generation {} ({:?}); retired generations still pinned: {}",
-        current.id,
-        current.label,
-        serving.executor().retired_in_flight().len()
+        current.id(),
+        current.label(),
+        catalog.retired_in_flight().len()
     );
     println!("results identical across the swap (asserted)");
 

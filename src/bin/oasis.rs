@@ -703,15 +703,14 @@ fn open_engine(
 }
 
 /// The search back end a `search` invocation runs on: the disk index
-/// behind the buffer pool (default), or `--shards N` balanced in-memory
-/// shard indexes fanned out per query. Results are byte-identical either
-/// way; only the storage/parallelism shape differs.
+/// behind the buffer pool (default), or balanced in-memory shard indexes
+/// fanned out per query (`--shards N`, a multi-shard or ESA artifact, or
+/// a live index snapshot whose delta was replayed from the append WAL).
+/// Results are byte-identical either way; only the storage/parallelism
+/// shape differs.
 enum SearchBackend {
     Disk(OasisEngine<DiskSuffixTree<FileDevice>>),
-    Sharded(ShardedEngine),
-    /// A live (layered) index snapshot: the artifact's base shards plus
-    /// the delta replayed from its append WAL, merged exactly.
-    Layered(Arc<oasis::engine::LayeredExecutor>),
+    Sharded(Arc<ShardedEngine>),
 }
 
 impl SearchBackend {
@@ -736,7 +735,7 @@ impl SearchBackend {
                     "sharded: {} balanced in-memory shard(s); disk index not opened",
                     engine.num_shards()
                 );
-                Ok(SearchBackend::Sharded(engine))
+                Ok(SearchBackend::Sharded(Arc::new(engine)))
             }
         }
     }
@@ -745,7 +744,6 @@ impl SearchBackend {
         match self {
             SearchBackend::Disk(e) => e.threads(),
             SearchBackend::Sharded(e) => e.threads(),
-            SearchBackend::Layered(e) => e.engine().threads(),
         }
     }
 
@@ -753,7 +751,6 @@ impl SearchBackend {
         match self {
             SearchBackend::Disk(e) => e.run_batch(jobs),
             SearchBackend::Sharded(e) => e.run_batch(jobs),
-            SearchBackend::Layered(e) => e.engine().run_batch(jobs),
         }
     }
 }
@@ -815,9 +812,10 @@ fn wal_summary(
 /// Load an index artifact directory into a ready search backend. The
 /// artifact is self-contained: the database (names, alphabet) comes from
 /// its checksummed sections, so no FASTA path is needed — and the
-/// artifact's alphabet overrides `--dna`/`--protein`. A single shard is
-/// opened disk-resident through the buffer pool (`--pool-mb` applies);
-/// several shards reconstitute the in-memory fan-out engine.
+/// artifact's alphabet overrides `--dna`/`--protein`. The engine policy
+/// is `open_artifact_engine`'s: a single tree shard is opened
+/// disk-resident through the buffer pool (`--pool-mb` applies); anything
+/// else reconstitutes the in-memory fan-out engine.
 fn open_artifact_backend(
     flags: &mut Flags,
     dir: &str,
@@ -848,54 +846,51 @@ fn open_artifact_backend(
         )
         .map_err(|e| format!("{dir}: {e}"))?;
         let snapshot = live.snapshot();
-        let db = snapshot.engine().db_shared();
         eprintln!(
             "index artifact: {} base shard(s) + live delta of {} sequence(s) replayed \
              from the wal (loaded in {:.2?})",
             manifest.shards.len(),
-            snapshot.delta_seqs(),
+            live.stats().delta_seqs,
             start.elapsed()
         );
-        return Ok((db, SearchBackend::Layered(snapshot)));
+        return Ok((snapshot.db_shared(), SearchBackend::Sharded(snapshot)));
     }
-    // Packed-ESA sections have no disk-resident serving mode, so any ESA
-    // shard routes the artifact through the in-memory loader — even one.
-    let all_tree = manifest
-        .shards
-        .iter()
-        .all(|s| s.kind == oasis::storage::SectionKind::TreeImage);
-    let backend = if manifest.shards.len() == 1 && all_tree {
-        let mut engine = oasis::engine::disk_engine_from_artifact(
-            path,
-            &manifest,
-            db.clone(),
-            scoring,
-            flags.pool_bytes(),
-        )
-        .map_err(|e| format!("{dir}: {e}"))?;
-        if let Some(threads) = flags.threads {
-            engine = engine.with_threads(threads);
+    let opened = oasis::engine::open_artifact_engine(
+        path,
+        &manifest,
+        db.clone(),
+        scoring,
+        flags.pool_bytes(),
+    )
+    .map_err(|e| format!("{dir}: {e}"))?;
+    let backend = match opened {
+        ArtifactEngine::Disk(mut engine) => {
+            if let Some(threads) = flags.threads {
+                engine = engine.with_threads(threads);
+            }
+            eprintln!(
+                "index artifact: 1 shard, disk-resident through the buffer pool (loaded in {:.2?})",
+                start.elapsed()
+            );
+            SearchBackend::Disk(engine)
         }
-        eprintln!(
-            "index artifact: 1 shard, disk-resident through the buffer pool (loaded in {:.2?})",
-            start.elapsed()
-        );
-        SearchBackend::Disk(engine)
-    } else {
-        flags.warn_pool_mb_ignored();
-        let mut engine =
-            oasis::engine::sharded_engine_from_artifact(path, &manifest, db.clone(), scoring)
-                .map_err(|e| format!("{dir}: {e}"))?;
-        if let Some(threads) = flags.threads {
-            engine = engine.with_threads(threads);
+        ArtifactEngine::Sharded(mut engine) => {
+            flags.warn_pool_mb_ignored();
+            if let Some(threads) = flags.threads {
+                engine = engine.with_threads(threads);
+            }
+            let all_tree = manifest
+                .shards
+                .iter()
+                .all(|s| s.kind == oasis::storage::SectionKind::TreeImage);
+            let kind = if all_tree { "tree" } else { "esa" };
+            eprintln!(
+                "index artifact: {} {kind} shard(s), in-memory fan-out (loaded in {:.2?})",
+                engine.num_shards(),
+                start.elapsed()
+            );
+            SearchBackend::Sharded(Arc::new(engine))
         }
-        let kind = if all_tree { "tree" } else { "esa" };
-        eprintln!(
-            "index artifact: {} {kind} shard(s), in-memory fan-out (loaded in {:.2?})",
-            engine.num_shards(),
-            start.elapsed()
-        );
-        SearchBackend::Sharded(engine)
     };
     Ok((db, backend))
 }
@@ -1034,12 +1029,6 @@ fn search_single(
         }
         SearchBackend::Sharded(engine) => {
             let mut session = engine.session(&query, &params);
-            let shown = print_hits(&db, session.by_ref(), limit);
-            let (_, delta) = session.finish();
-            (shown, delta)
-        }
-        SearchBackend::Layered(snapshot) => {
-            let mut session = snapshot.engine().session(&query, &params);
             let shown = print_hits(&db, session.by_ref(), limit);
             let (_, delta) = session.finish();
             (shown, delta)
@@ -1392,7 +1381,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // `search --index` path; the scoring is fixed for the server's life.
     flags.alphabet = db.alphabet().clone();
     let scoring = scoring_from(&flags)?;
-    if manifest.shards.len() > 1 {
+    if !oasis::engine::opens_disk_resident(&manifest) {
         flags.warn_pool_mb_ignored();
     }
     let served = oasis::net::ServedIndex::from_artifact_parts(

@@ -26,19 +26,23 @@ pub use oasis_core::{
 
 pub use oasis_engine::{
     build_index_artifact, compact_artifact, disk_engine_from_artifact, load_sharded_engine,
-    persist_sharded_engine, sharded_engine_from_artifact, AdmissionError, AppendReceipt,
-    BatchQuery, CacheKey, CacheStats, CompactionReport, CompletionHook, DeltaIndex, GenerationInfo,
-    IndexBackend, IndexCatalog, LatencySummary, LayeredExecutor, LiveIndex, LiveIndexError,
-    LiveIndexOptions, LiveStats, OasisEngine, PublishError, QueryExecutor, QuerySession,
-    QueryTicket, ResultCache, SearchOutcome, ServedOutcome, ServingConfig, ServingConfigError,
-    ServingEngine, ServingStats, ShardedEngine, ShardedSession,
+    open_artifact_engine, opens_disk_resident, persist_sharded_engine,
+    sharded_engine_from_artifact, AdmissionError, AppendReceipt, ArtifactEngine, BatchQuery,
+    CacheKey, CacheStats, CompactionReport, CompletionHook, DeltaIndex, Generation, GenerationInfo,
+    IndexBackend, IndexCatalog, LatencySummary, LiveIndex, LiveIndexError, LiveIndexOptions,
+    LiveStats, OasisEngine, PublishError, QueryExecutor, QuerySession, QueryTicket, ResultCache,
+    SearchOutcome, ServedOutcome, ServingConfig, ServingConfigError, ServingEngine, ServingStats,
+    ShardedEngine, ShardedSession,
 };
 
 pub use oasis_net::{
     AppendDone, AppendRequest, Client, ErrorCode, ErrorFrame, Frame, GenerationServed, Hello,
     MetricsReport, NetError, OasisServer, ReloadDone, RemoteHit, ScoreRule, SearchDone,
-    SearchRequest, ServedIndex, ServerConfig, ServerHandle, StatsReport, PROTOCOL_VERSION,
+    SearchRequest, ServedIndex, ServerConfig, ServerHandle, StatsReport, PER_GENERATION_ROWS,
+    PROTOCOL_VERSION,
 };
+
+pub use oasis_obs::QueryTrace;
 
 pub use oasis_blast::{BlastParams, BlastSearch};
 

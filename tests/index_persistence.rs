@@ -176,42 +176,36 @@ fn loaded_generation_hot_swaps_into_live_serving_without_result_change() {
     // across index substrates, not just across generations.
     build_index_artifact(&db, &dir, 3, 64, IndexBackend::Esa).expect("artifact written");
 
-    let serving = ServingEngine::new(
-        IndexCatalog::new(
-            "cold build",
-            ShardedEngine::build(db.clone(), Scoring::unit_dna(), 2),
-        ),
-        ServingConfig {
-            workers: 2,
-            queue_capacity: 64,
-        },
-    )
+    let catalog = IndexCatalog::new(
+        "cold build",
+        ShardedEngine::build(db.clone(), Scoring::unit_dna(), 2),
+    );
+    let serving = ServingEngine::new(ServingConfig {
+        workers: 2,
+        queue_capacity: 64,
+    })
     .expect("valid serving config");
 
-    let job = |round: usize| {
-        BatchQuery::named(
+    // Every submission pins the generation current at its admission.
+    let submit = |round: usize| {
+        let job = BatchQuery::named(
             format!("q{round}"),
             vec![3, 0, 1, 2],
             OasisParams::with_min_score(1),
-        )
+        );
+        serving.try_submit(catalog.current(), job, QueryTrace::disabled(), None)
     };
-    let before = serving
-        .try_submit(job(0))
-        .expect("admitted")
-        .wait()
-        .expect("served");
+    let before = submit(0).expect("admitted").wait().expect("served");
 
     // Load a generation from the artifact and publish it mid-traffic.
     let loaded = load_sharded_engine(&dir, Scoring::unit_dna()).expect("artifact loads");
     let tickets: Vec<QueryTicket> = (1..=16)
-        .map(|round| serving.try_submit(job(round)).expect("admitted"))
+        .map(|round| submit(round).expect("admitted"))
         .collect();
-    serving
-        .executor()
+    catalog
         .publish("loaded from artifact", loaded)
         .expect("publish");
-    let after = serving
-        .try_submit(job(99))
+    let after = submit(99)
         .expect("admission stays open across the swap")
         .wait()
         .expect("served");
@@ -222,9 +216,6 @@ fn loaded_generation_hot_swaps_into_live_serving_without_result_change() {
     }
     assert_eq!(after.outcome.hits, before.outcome.hits);
     assert_eq!(serving.stats().rejected, 0);
-    assert_eq!(
-        serving.executor().current_info().label,
-        "loaded from artifact"
-    );
+    assert_eq!(catalog.current().label(), "loaded from artifact");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -102,9 +102,9 @@ proptest! {
                     let snapshot = live.snapshot();
                     for threads in [1usize, 4] {
                         let got: Vec<SearchOutcome> = if threads == 1 {
-                            jobs.iter().map(|j| snapshot.engine().run_job(j)).collect()
+                            jobs.iter().map(|j| snapshot.run_job(j)).collect()
                         } else {
-                            snapshot.engine().run_batch(&jobs)
+                            snapshot.run_batch(&jobs)
                         };
                         for (g, w) in got.iter().zip(&reference) {
                             prop_assert_eq!(
@@ -144,9 +144,7 @@ fn reopen_after_simulated_kill_replays_the_wal() {
     let stats = live.stats();
     assert_eq!(stats.delta_seqs, 2, "both appends replayed");
     let snapshot = live.snapshot();
-    let outcome = snapshot
-        .engine()
-        .run_one(&[1u8, 1, 2, 3], &OasisParams::with_min_score(3));
+    let outcome = snapshot.run_one(&[1u8, 1, 2, 3], &OasisParams::with_min_score(3));
     assert!(
         outcome.hits.iter().any(|h| h.seq == 2),
         "replayed sequence answers queries: {:?}",
@@ -159,10 +157,7 @@ fn reopen_after_simulated_kill_replays_the_wal() {
     let reference = ShardedEngine::build(build_db(&all, 0), Scoring::unit_dna(), 1);
     let q = vec![2u8, 3, 0, 2];
     assert_eq!(
-        snapshot
-            .engine()
-            .run_one(&q, &OasisParams::with_min_score(1))
-            .hits,
+        snapshot.run_one(&q, &OasisParams::with_min_score(1)).hits,
         reference.run_one(&q, &OasisParams::with_min_score(1)).hits
     );
     std::fs::remove_dir_all(&dir).ok();

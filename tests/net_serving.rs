@@ -8,6 +8,10 @@
 //!   worker;
 //! * `reload` hot-swaps an index generation while clients are mid-stream
 //!   without corrupting a single response;
+//! * a search queued when a `reload` lands answers wholly from the
+//!   generation it was admitted on (hits, names, `Done.generation`,
+//!   cache entry, trace);
+//! * the per-generation served table stays bounded under many appends;
 //! * graceful shutdown stops admission, drains admitted work, and closes
 //!   idle streams with the typed terminal frame;
 //! * malformed bytes on the wire get a typed `Malformed` error, not a
@@ -52,7 +56,7 @@ fn start_server(
 ) {
     let scoring = Scoring::unit_dna();
     let engine = oasis::engine::ShardedEngine::build(db.clone(), scoring.clone(), shards);
-    let index = ServedIndex::new(db.clone(), Box::new(engine));
+    let index = ServedIndex::new(db.clone(), Arc::new(engine));
     let server = OasisServer::bind("127.0.0.1:0", index, scoring, config).expect("bind");
     let addr = server.local_addr();
     let handle = server.handle();
@@ -172,7 +176,7 @@ fn busy_backpressure_surfaces_on_the_wire_when_the_queue_is_full() {
     let (release_tx, release_rx) = mpsc::channel();
     let index = ServedIndex::new(
         db,
-        Box::new(Gate {
+        Arc::new(Gate {
             started: started_tx,
             release: Mutex::new(release_rx),
         }),
@@ -253,7 +257,7 @@ fn deadline_exceeded_is_typed_and_the_server_keeps_serving() {
     let (release_tx, release_rx) = mpsc::channel();
     let index = ServedIndex::new(
         db,
-        Box::new(Gate {
+        Arc::new(Gate {
             started: started_tx,
             release: Mutex::new(release_rx),
         }),
@@ -751,7 +755,7 @@ fn background_compaction_racing_shutdown_loses_nothing() {
         let encoded = Alphabet::dna().encode_str(query).unwrap();
         let params = OasisParams::with_min_score(1);
         assert_eq!(
-            snapshot.engine().run_one(&encoded, &params).hits,
+            snapshot.run_one(&encoded, &params).hits,
             reference.run_one(&encoded, &params).hits,
             "query {query} after the shutdown race"
         );
@@ -938,6 +942,161 @@ fn result_cache_hits_repeated_queries_but_never_serves_a_stale_generation() {
         "per-generation counters must follow the swap: {:?}",
         after.per_generation
     );
+
+    client.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parks every query until the test releases it, then answers from a
+/// real engine — so a parked worker still produces checkable hits.
+struct ParkThenRun {
+    started: mpsc::Sender<()>,
+    release: Mutex<mpsc::Receiver<()>>,
+    engine: oasis::engine::ShardedEngine,
+}
+
+impl QueryExecutor for ParkThenRun {
+    fn execute(&self, job: &oasis::engine::BatchQuery) -> oasis::engine::SearchOutcome {
+        self.started.send(()).ok();
+        self.release.lock().unwrap().recv().unwrap();
+        self.engine.run_job(job)
+    }
+}
+
+#[test]
+fn a_search_queued_across_a_reload_answers_from_its_admission_generation() {
+    // Generation 0 and the reloaded generation 1 index the same residues
+    // under different names, so every hit name says which generation
+    // produced it.
+    let db0 = dna_db(SEQS);
+    let db1 = {
+        let mut b = DatabaseBuilder::new(Alphabet::dna());
+        for (i, s) in SEQS.iter().enumerate() {
+            b.push_str(format!("reloaded{i}"), s).unwrap();
+        }
+        Arc::new(b.finish())
+    };
+    let dir = tmpdir("admission-generation");
+    oasis::engine::build_index_artifact(&db1, &dir, 2, 64, oasis::engine::IndexBackend::Tree)
+        .expect("reload artifact");
+
+    let scoring = Scoring::unit_dna();
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let index = ServedIndex::new(
+        db0.clone(),
+        Arc::new(ParkThenRun {
+            started: started_tx,
+            release: Mutex::new(release_rx),
+            engine: oasis::engine::ShardedEngine::build(db0.clone(), scoring.clone(), 2),
+        }),
+    );
+    let server = OasisServer::bind(
+        "127.0.0.1:0",
+        index,
+        scoring,
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 4,
+            slow_ms: Some(0),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let runner = std::thread::spawn(move || server.run());
+    let search = |query: &'static str| {
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect");
+            client
+                .search_collect(SearchRequest::new(query).with_min_score(1))
+                .expect("search completes")
+        })
+    };
+
+    // A parks the single worker on generation 0…
+    let a = search("GATT");
+    started_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a reached the worker");
+    // …B is admitted on generation 0 and waits in the queue…
+    let b = search("TACG");
+    let mut admin = Client::connect(addr).expect("connect admin");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while admin.stats().expect("stats").queue_depth < 1 {
+        assert!(std::time::Instant::now() < deadline, "b never queued");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // …and a reload lands before B starts executing.
+    let reloaded = admin
+        .reload(dir.to_string_lossy().to_string())
+        .expect("reload");
+    assert_eq!(reloaded.generation, 1);
+    release_tx.send(()).unwrap(); // A
+    release_tx.send(()).unwrap(); // B, if it runs on generation 0's gate
+    let (hits_a, done_a) = a.join().expect("a thread");
+    let (hits_b, done_b) = b.join().expect("b thread");
+
+    // B's whole answer comes from its admission generation: the Done
+    // frame's id, every hit and every hit name.
+    assert_eq!(done_a.generation, 0);
+    assert_identical_response(&db0, &hits_a, "GATT", 1);
+    assert_eq!(
+        done_b.generation, 0,
+        "B answers from its admission generation"
+    );
+    assert_identical_response(&db0, &hits_b, "TACG", 1);
+    // Its trace counters name the same generation.
+    let dump = admin.trace_dump().expect("trace dump");
+    assert_eq!(dump.entries.len(), 2, "{:?}", dump.entries);
+    assert!(dump
+        .entries
+        .iter()
+        .all(|e| e.generation == 0 && !e.cache_hit));
+    // Its result was cached under generation 0: both entries exist, and
+    // the same query on generation 1 misses them.
+    let cached = admin.metrics().expect("metrics");
+    assert_eq!(cached.cache_entries, 2, "A and B are both cached");
+    let (hits, done) = admin
+        .search_collect(SearchRequest::new("TACG").with_min_score(1))
+        .expect("search on generation 1");
+    assert_eq!(done.generation, 1);
+    assert_identical_response(&db1, &hits, "TACG", 1);
+    let after = admin.metrics().expect("metrics");
+    assert_eq!(after.cache_hits, cached.cache_hits);
+    assert_eq!(after.cache_misses, cached.cache_misses + 1);
+
+    admin.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn per_generation_table_stays_bounded_across_many_appends() {
+    // Every append publishes a generation; the served-per-generation
+    // table keeps only the most recent ones, so the Metrics frame stays
+    // encodable however long the server ingests.
+    let dir = tmpdir("per-generation-cap");
+    let (addr, _handle, runner) = start_live_server(&dir, 0);
+    let mut client = Client::connect(addr).expect("connect");
+    let appends = PER_GENERATION_ROWS + 8;
+    for i in 0..appends {
+        let done = client.append(format!(">p{i}\nACGTTGCA\n")).expect("append");
+        let (_, searched) = client
+            .search_collect(SearchRequest::new("TACG").with_min_score(1))
+            .expect("search");
+        assert_eq!(searched.generation, done.generation);
+    }
+    let metrics = client.metrics().expect("metrics round-trips");
+    let rows: Vec<u64> = metrics
+        .per_generation
+        .iter()
+        .map(|g| g.generation)
+        .collect();
+    assert_eq!(rows.len(), PER_GENERATION_ROWS, "{rows:?}");
+    assert_eq!(rows.last(), Some(&(appends as u64)), "newest row kept");
+    assert!(metrics.per_generation.iter().all(|g| g.served == 1));
 
     client.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");

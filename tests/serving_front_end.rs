@@ -4,7 +4,8 @@
 //! captured for the tail percentiles, degenerate configurations are
 //! rejected at construction, and an [`IndexCatalog`] hot-swaps index
 //! generations under live traffic without rejecting, blocking, or
-//! corrupting in-flight queries.
+//! corrupting in-flight queries — each query runs on the generation
+//! pinned at its admission.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -39,34 +40,44 @@ fn job(id: &str) -> BatchQuery {
     BatchQuery::named(id, vec![0, 1, 2], OasisParams::with_min_score(1))
 }
 
+/// Untraced, unhooked submission pinned to `catalog`'s current generation.
+fn submit<E: QueryExecutor + 'static>(
+    serving: &ServingEngine,
+    catalog: &IndexCatalog<E>,
+    job: BatchQuery,
+) -> Result<QueryTicket, AdmissionError> {
+    serving.try_submit(catalog.current(), job, QueryTrace::disabled(), None)
+}
+
 #[test]
 fn full_admission_queue_rejects_instead_of_blocking() {
     let (started_tx, started_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel();
-    let serving = ServingEngine::new(
+    let catalog = IndexCatalog::new(
+        "gated",
         GateExecutor {
             started: started_tx,
             release: Mutex::new(release_rx),
         },
-        ServingConfig {
-            workers: 1,
-            queue_capacity: 2,
-        },
-    )
+    );
+    let serving = ServingEngine::new(ServingConfig {
+        workers: 1,
+        queue_capacity: 2,
+    })
     .expect("valid serving config");
 
     // First job is picked up by the (single) worker and parks on the gate.
-    let a = serving.try_submit(job("a")).expect("a admitted");
+    let a = submit(&serving, &catalog, job("a")).expect("a admitted");
     assert_eq!(started_rx.recv().expect("worker started"), "a");
     assert!(a.try_take().is_none(), "a is still executing");
 
     // Two more fill the bounded queue to capacity…
-    let b = serving.try_submit(job("b")).expect("b admitted");
-    let c = serving.try_submit(job("c")).expect("c admitted");
+    let b = submit(&serving, &catalog, job("b")).expect("b admitted");
+    let c = submit(&serving, &catalog, job("c")).expect("c admitted");
     assert_eq!(serving.queue_depth(), 2);
 
     // …and the next submission is rejected immediately — no blocking.
-    let err = serving.try_submit(job("d")).unwrap_err();
+    let err = submit(&serving, &catalog, job("d")).unwrap_err();
     assert_eq!(err, AdmissionError::QueueFull { capacity: 2 });
     assert_eq!(serving.stats().rejected, 1);
 
@@ -93,33 +104,19 @@ fn degenerate_serving_config_is_rejected_at_construction() {
     // Zero workers would strand every admitted query; zero capacity would
     // reject every submission. Both used to construct silently; now they
     // fail with a clear diagnostic before any thread spawns.
-    let mut b = DatabaseBuilder::new(Alphabet::dna());
-    b.push_str("s0", "AGTACGCCTAG").unwrap();
-    let db = Arc::new(b.finish());
-    let engine = || {
-        let tree = Arc::new(SuffixTree::build(&db));
-        OasisEngine::new(tree, db.clone(), Scoring::unit_dna())
-    };
-
-    let err = ServingEngine::new(
-        engine(),
-        ServingConfig {
-            workers: 0,
-            queue_capacity: 4,
-        },
-    )
+    let err = ServingEngine::new(ServingConfig {
+        workers: 0,
+        queue_capacity: 4,
+    })
     .err()
     .expect("zero workers rejected");
     assert_eq!(err, ServingConfigError::ZeroWorkers);
     assert!(err.to_string().contains("workers"), "{err}");
 
-    let err = ServingEngine::new(
-        engine(),
-        ServingConfig {
-            workers: 2,
-            queue_capacity: 0,
-        },
-    )
+    let err = ServingEngine::new(ServingConfig {
+        workers: 2,
+        queue_capacity: 0,
+    })
     .err()
     .expect("zero capacity rejected");
     assert_eq!(err, ServingConfigError::ZeroQueueCapacity);
@@ -128,7 +125,7 @@ fn degenerate_serving_config_is_rejected_at_construction() {
 
 #[test]
 fn hot_swap_serves_new_generation_and_drains_old_one() {
-    // A query parked inside generation 0 must pin it across a publish;
+    // A query admitted on generation 0 must pin it across a publish;
     // queries submitted after the publish run on generation 1 without
     // waiting for the old one; and the old generation is dropped the
     // moment its last in-flight query completes.
@@ -158,45 +155,43 @@ fn hot_swap_serves_new_generation_and_drains_old_one() {
             }
         }
     }
-    let serving = ServingEngine::new(
-        IndexCatalog::new(
-            "gated-gen0",
-            Gen::Gated {
-                started: started_tx,
-                release: Mutex::new(release_rx),
-            },
-        ),
-        ServingConfig {
-            workers: 2,
-            queue_capacity: 8,
+    let catalog = IndexCatalog::new(
+        "gated-gen0",
+        Gen::Gated {
+            started: started_tx,
+            release: Mutex::new(release_rx),
         },
-    )
+    );
+    let serving = ServingEngine::new(ServingConfig {
+        workers: 2,
+        queue_capacity: 8,
+    })
     .expect("valid serving config");
 
     // Park one query inside generation 0.
-    let parked = serving.try_submit(job("parked")).expect("admitted");
+    let parked = submit(&serving, &catalog, job("parked")).expect("admitted");
     assert_eq!(started_rx.recv().expect("started"), "parked");
 
     // Swap generations while it is in flight.
-    let new_id = serving.executor().publish("instant-gen1", Gen::Instant);
+    let new_id = catalog.publish("instant-gen1", Gen::Instant);
     assert_eq!(new_id, Ok(1));
-    assert_eq!(serving.executor().current_info().label, "instant-gen1");
+    assert_eq!(catalog.current().label(), "instant-gen1");
 
     // New work is admitted and served by generation 1 immediately — the
     // parked query still holds the other worker, so completion proves the
     // swap neither blocked nor rejected.
-    let after = serving.try_submit(job("after-swap")).expect("admitted");
+    let after = submit(&serving, &catalog, job("after-swap")).expect("admitted");
     assert_eq!(after.wait().expect("served").id, "after-swap");
 
     // Generation 0 is still pinned by the parked query…
-    let pinned = serving.executor().retired_in_flight();
+    let pinned = catalog.retired_in_flight();
     assert_eq!(pinned.len(), 1);
     assert_eq!(pinned[0].label, "gated-gen0");
 
     // …and is dropped once that query completes.
     release_tx.send(()).expect("worker listening");
     assert_eq!(parked.wait().expect("drained").id, "parked");
-    assert!(serving.executor().retired_in_flight().is_empty());
+    assert!(catalog.retired_in_flight().is_empty());
     assert_eq!(serving.stats().rejected, 0);
 }
 
@@ -218,19 +213,15 @@ fn hot_swap_under_concurrent_traffic_is_lossless_and_correct() {
         let tree = Arc::new(SuffixTree::build(&db));
         OasisEngine::new(tree, db.clone(), Scoring::unit_dna())
     };
-    let serving = Arc::new(
-        ServingEngine::new(
-            IndexCatalog::new(
-                "gen0",
-                ShardedEngine::build(db.clone(), Scoring::unit_dna(), 1),
-            ),
-            ServingConfig {
-                workers: 2,
-                queue_capacity: 256,
-            },
-        )
-        .expect("valid serving config"),
+    let catalog = IndexCatalog::new(
+        "gen0",
+        ShardedEngine::build(db.clone(), Scoring::unit_dna(), 1),
     );
+    let serving = ServingEngine::new(ServingConfig {
+        workers: 2,
+        queue_capacity: 256,
+    })
+    .expect("valid serving config");
 
     let alpha = Alphabet::dna();
     let texts = ["TACG", "GATT", "GGTAGG", "CC", "TACCG"];
@@ -238,13 +229,11 @@ fn hot_swap_under_concurrent_traffic_is_lossless_and_correct() {
         // Publish fresh generations (different shard counts — results must
         // not change) while the main thread keeps submitting.
         let swapper = {
-            let serving = serving.clone();
-            let db = db.clone();
+            let (catalog, db) = (&catalog, db.clone());
             scope.spawn(move || {
                 for k in [2usize, 3, 4] {
                     let generation = ShardedEngine::build(db.clone(), Scoring::unit_dna(), k);
-                    serving
-                        .executor()
+                    catalog
                         .publish(format!("{k}-shards"), generation)
                         .expect("publish");
                     std::thread::yield_now();
@@ -255,13 +244,16 @@ fn hot_swap_under_concurrent_traffic_is_lossless_and_correct() {
         for round in 0..20 {
             for t in texts {
                 let id = format!("{t}#{round}");
-                let ticket = serving
-                    .try_submit(BatchQuery::named(
+                let ticket = submit(
+                    &serving,
+                    &catalog,
+                    BatchQuery::named(
                         id.clone(),
                         alpha.encode_str(t).unwrap(),
                         OasisParams::with_min_score(2),
-                    ))
-                    .expect("capacity covers the offered load — no rejects");
+                    ),
+                )
+                .expect("capacity covers the offered load — no rejects");
                 tickets.push((t.to_string(), ticket));
             }
         }
@@ -280,8 +272,8 @@ fn hot_swap_under_concurrent_traffic_is_lossless_and_correct() {
     assert_eq!(serving.stats().rejected, 0, "no backpressure under swaps");
     assert_eq!(serving.stats().served, 100);
     // Once everything drained, no retired generation stays pinned.
-    assert!(serving.executor().retired_in_flight().is_empty());
-    assert_eq!(serving.executor().generations_published(), 4);
+    assert!(catalog.retired_in_flight().is_empty());
+    assert_eq!(catalog.generations_published(), 4);
 }
 
 #[test]
@@ -296,13 +288,14 @@ fn serving_real_engine_matches_direct_execution() {
     let db = Arc::new(b.finish());
     let tree = Arc::new(SuffixTree::build(&db));
     let engine = OasisEngine::new(tree.clone(), db.clone(), Scoring::unit_dna());
-    let serving = ServingEngine::new(
+    let single = IndexCatalog::new(
+        "single",
         OasisEngine::new(tree, db.clone(), Scoring::unit_dna()),
-        ServingConfig {
-            workers: 2,
-            queue_capacity: 8,
-        },
-    )
+    );
+    let serving = ServingEngine::new(ServingConfig {
+        workers: 2,
+        queue_capacity: 8,
+    })
     .expect("valid serving config");
     let alpha = Alphabet::dna();
     let jobs: Vec<BatchQuery> = ["TACG", "GATT", "GGTAGG"]
@@ -317,7 +310,7 @@ fn serving_real_engine_matches_direct_execution() {
         .collect();
     let tickets: Vec<QueryTicket> = jobs
         .iter()
-        .map(|j| serving.try_submit(j.clone()).expect("capacity is ample"))
+        .map(|j| submit(&serving, &single, j.clone()).expect("capacity is ample"))
         .collect();
     for (ticket, job) in tickets.into_iter().zip(&jobs) {
         let served = ticket.wait().expect("served");
@@ -326,17 +319,9 @@ fn serving_real_engine_matches_direct_execution() {
         assert!(served.total >= served.service);
     }
     // The sharded engine serves through the same front end.
-    let sharded = ServingEngine::new(
-        ShardedEngine::build(db, Scoring::unit_dna(), 3),
-        ServingConfig {
-            workers: 2,
-            queue_capacity: 8,
-        },
-    )
-    .expect("valid serving config");
+    let sharded = IndexCatalog::new("sharded", ShardedEngine::build(db, Scoring::unit_dna(), 3));
     for job in &jobs {
-        let served = sharded
-            .try_submit(job.clone())
+        let served = submit(&serving, &sharded, job.clone())
             .expect("capacity is ample")
             .wait()
             .expect("served");
