@@ -21,7 +21,6 @@ fn main() {
         "ablation_ordering",
         "ablation_blocksize",
         "ablation_seeding",
-        "engine_throughput",
     ];
     let mut failures = Vec::new();
     for bin in bins {

@@ -21,7 +21,7 @@ use oasis_align::{background_protein, KarlinParams, Score, Scoring, SwScanner};
 use oasis_bioseq::Alphabet;
 use oasis_blast::{BlastParams, BlastSearch};
 use oasis_core::{Hit, OasisParams, SearchStats};
-use oasis_engine::{BatchQuery, OasisEngine};
+use oasis_engine::OasisEngine;
 use oasis_suffix::SuffixTree;
 use oasis_workloads::{generate_protein, generate_queries, ProteinDbSpec, QuerySpec, Workload};
 
@@ -219,33 +219,6 @@ impl Testbed {
         let start = Instant::now();
         let outcome = self.engine.run_one(query, &params);
         (outcome.hits, outcome.stats, start.elapsed())
-    }
-
-    /// A fresh engine over the same shared substrate (`Arc`-cloned tree
-    /// and database) with an explicit worker-thread count.
-    pub fn engine_with_threads(&self, threads: usize) -> OasisEngine<SuffixTree> {
-        OasisEngine::new(
-            self.tree.clone(),
-            self.workload.db.clone(),
-            self.scoring.clone(),
-        )
-        .with_threads(threads)
-    }
-
-    /// The whole query workload as an engine batch at `evalue` (per-query
-    /// `minScore` from query length via Equation 3).
-    pub fn batch_jobs(&self, evalue: f64) -> Vec<BatchQuery> {
-        self.queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                BatchQuery::named(
-                    format!("q{i}"),
-                    q.clone(),
-                    OasisParams::with_min_score(self.min_score(q.len(), evalue)),
-                )
-            })
-            .collect()
     }
 
     /// Run the Smith-Waterman scan for one query at `evalue`.

@@ -1,7 +1,6 @@
 //! End-to-end smoke tests for the reproduction binaries: `repro_all` (which
-//! chains all 14 table/figure/ablation/engine binaries), one representative
-//! `fig*` binary, and the `engine_throughput` concurrency bin must run to
-//! completion on `Scale::Tiny` without panicking.
+//! chains all 13 table/figure/ablation binaries) and one representative
+//! `fig*` binary must run to completion on `Scale::Tiny` without panicking.
 //!
 //! Cargo builds this package's binaries before running integration tests and
 //! exposes their paths via `CARGO_BIN_EXE_<name>`, so the sibling-binary
@@ -33,45 +32,6 @@ fn fig6_selectivity_runs_on_tiny() {
 }
 
 #[test]
-fn engine_throughput_runs_on_tiny() {
-    let out = run_tiny(env!("CARGO_BIN_EXE_engine_throughput"));
-    assert!(
-        out.status.success(),
-        "engine_throughput failed ({}):\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("queries/sec"),
-        "engine_throughput produced no throughput table:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("byte-identical"),
-        "engine_throughput skipped its equivalence assertion:\n{stdout}"
-    );
-    // Tail-latency reporting must not silently rot: the serving section
-    // has to publish all three percentiles, the shard sweep, and the
-    // index-lifecycle startup comparison (cold build vs artifact load).
-    for needle in [
-        "p50",
-        "p95",
-        "p99",
-        "shards",
-        "rejected",
-        "cold build",
-        "artifact load",
-        "loopback tcp",
-        "request path",
-    ] {
-        assert!(
-            stdout.contains(needle),
-            "engine_throughput output lost its {needle} column:\n{stdout}"
-        );
-    }
-}
-
-#[test]
 fn repro_all_runs_on_tiny() {
     let out = run_tiny(env!("CARGO_BIN_EXE_repro_all"));
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -83,7 +43,7 @@ fn repro_all_runs_on_tiny() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(
-        stdout.contains("all 14 experiments completed"),
+        stdout.contains("all 13 experiments completed"),
         "repro_all did not report full completion:\n{stdout}"
     );
 }

@@ -24,7 +24,9 @@ use std::path::Path;
 use std::time::Instant;
 
 use oasis_bioseq::SequenceDatabase;
-use oasis_storage::{read_manifest, replay_wal, DeltaLineage, IndexManifest, WriteAheadLog};
+use oasis_storage::{
+    pending_records, read_manifest, replay_wal, DeltaLineage, IndexManifest, WriteAheadLog,
+};
 
 use crate::delta::DeltaIndex;
 use crate::layered::{concatenate, LiveIndexError, LiveIndexOptions};
@@ -116,14 +118,7 @@ pub fn compact_artifact(
     let Some(replay) = replay_wal(dir)? else {
         return Ok(CompactionReport::idle());
     };
-    // `folded_through` is only meaningful once a compaction recorded it;
-    // a plain artifact (no lineage) folds every record, seq_no 0 included.
-    let floor_applies = manifest.lineage.is_some();
-    let pending: Vec<_> = replay
-        .records
-        .into_iter()
-        .filter(|r| !floor_applies || r.seq_no > lineage.folded_through)
-        .collect();
+    let pending = pending_records(replay.records, manifest.lineage.as_ref());
     if pending.is_empty() {
         return Ok(CompactionReport::idle());
     }

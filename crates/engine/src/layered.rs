@@ -38,7 +38,7 @@ use oasis_bioseq::database::MAX_TEXT_LEN;
 use oasis_bioseq::{BioseqError, DatabaseBuilder, Sequence, SequenceDatabase};
 use oasis_storage::artifact::ArtifactError;
 use oasis_storage::wal::{WalError, WriteAheadLog};
-use oasis_storage::{read_manifest, DeltaLineage};
+use oasis_storage::{pending_records, read_manifest, DeltaLineage};
 
 use crate::catalog::PublishError;
 use crate::compactor::{fold_into_base, CompactionReport};
@@ -218,12 +218,10 @@ impl LiveIndex {
         let lineage = manifest.lineage.unwrap_or_default();
 
         let (mut wal, replay) = WriteAheadLog::open(dir)?;
-        let mut delta = DeltaIndex::from_records(replay.records);
-        if manifest.lineage.is_some() {
-            // `folded_through` is only meaningful once a compaction
-            // recorded it; seq_no 0 is live in a plain artifact's log.
+        let delta =
+            DeltaIndex::from_records(pending_records(replay.records, manifest.lineage.as_ref()));
+        if let Some(lineage) = &manifest.lineage {
             wal.reserve_past(lineage.folded_through);
-            delta.drop_folded(lineage.folded_through);
         }
         let snapshot = make_snapshot(&base_db, &base_shards, &delta, &scoring, backend)?;
         Ok(LiveIndex {

@@ -17,11 +17,11 @@
 //! the submit-to-completion total) into log-bucketed
 //! [`oasis_obs::Histogram`]s — fixed memory no matter how long the engine
 //! lives, every sample counted — and [`ServingEngine::snapshot`] folds
-//! them into the torn-free [`ServingSnapshot`] behind both the `Metrics`
-//! wire frame and the `engine_throughput` tail-latency tables. A query
-//! submitted with an enabled [`oasis_obs::QueryTrace`] carries it through
-//! the queue and worker, coming back out with `queue_wait`/`execute`
-//! stage spans and the driver's work counters recorded.
+//! them into the torn-free [`ServingSnapshot`] behind the `Metrics` wire
+//! frame. A query submitted with an enabled [`oasis_obs::QueryTrace`]
+//! carries it through the queue and worker, coming back out with
+//! `queue_wait`/`execute` stage spans and the driver's work counters
+//! recorded.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -214,7 +214,7 @@ pub struct ServingStats {
     pub rejected: u64,
 }
 
-/// Tail-latency summary (nearest-rank percentiles) over a sample set.
+/// Tail-latency summary read from one latency histogram snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Number of samples summarized.
@@ -240,29 +240,6 @@ impl LatencySummary {
             p95: Duration::from_micros(snap.quantile(0.95)),
             p99: Duration::from_micros(snap.quantile(0.99)),
             max: Duration::from_micros(snap.max),
-        }
-    }
-
-    /// Summarize a sample set (empty samples give an all-zero summary).
-    pub fn from_samples(samples: &[Duration]) -> Self {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let nearest_rank = |q: f64| {
-            let rank = (q * sorted.len() as f64).ceil() as usize;
-            sorted
-                .get(rank.clamp(1, sorted.len()) - 1)
-                .copied()
-                .unwrap_or_default()
-        };
-        LatencySummary {
-            count: sorted.len(),
-            p50: nearest_rank(0.50),
-            p95: nearest_rank(0.95),
-            p99: nearest_rank(0.99),
-            max: sorted.last().copied().unwrap_or_default(),
         }
     }
 }
@@ -682,21 +659,6 @@ mod tests {
             assert!(err.to_string().contains("at least 1"), "{err}");
         }
         assert!(ServingConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn latency_summary_percentiles() {
-        let ms = Duration::from_millis;
-        let samples: Vec<Duration> = (1..=100).map(ms).collect();
-        let s = LatencySummary::from_samples(&samples);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50, ms(50));
-        assert_eq!(s.p95, ms(95));
-        assert_eq!(s.p99, ms(99));
-        assert_eq!(s.max, ms(100));
-        assert_eq!(LatencySummary::from_samples(&[]), LatencySummary::default());
-        let one = LatencySummary::from_samples(&[ms(7)]);
-        assert_eq!((one.p50, one.p99, one.max), (ms(7), ms(7), ms(7)));
     }
 
     #[test]

@@ -82,7 +82,7 @@ use oasis_engine::{
 };
 use oasis_obs::trace::stage;
 use oasis_obs::{Counter, Histogram, HistogramSnapshot, QueryTrace, SlowLog};
-use oasis_storage::{read_manifest, replay_wal, ArtifactError, IndexManifest};
+use oasis_storage::{pending_records, read_manifest, replay_wal, ArtifactError, IndexManifest};
 
 use crate::conn::{Conn, WaitingSearch};
 use crate::frame::{
@@ -272,7 +272,8 @@ struct Shared {
     live: Mutex<Option<Arc<LiveIndex>>>,
     /// Delta size that triggers a background compaction (0 = never).
     compact_after: usize,
-    /// In-flight background compaction threads, joined in `run`.
+    /// Background compaction threads not yet seen to finish; finished
+    /// ones are dropped at the next spawn, the rest joined in `run`.
     compactions: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// The bounded LRU result cache (capacity 0 = disabled).
     cache: ResultCache,
@@ -507,10 +508,12 @@ impl OasisServer {
     /// server was killed between an append and its compaction), the live
     /// index opens *now* and its replayed snapshot is published before
     /// any connection is accepted — a restart never silently serves
-    /// without acknowledged appends.
+    /// without acknowledged appends. A WAL that cannot be replayed (I/O
+    /// error, bad magic, out-of-order records) is an error for the same
+    /// reason.
     pub fn set_live_dir(&self, dir: impl Into<PathBuf>) -> Result<(), ServerError> {
         let dir = dir.into();
-        let pending = wal_has_pending(&dir);
+        let pending = wal_has_pending(&dir).map_err(ServerError::Live)?;
         *self
             .shared
             .live_dir
@@ -648,18 +651,16 @@ impl OasisServer {
     }
 }
 
-/// Does `dir`'s WAL hold records no compaction has folded yet?
-fn wal_has_pending(dir: &Path) -> bool {
-    let Ok(Some(replay)) = replay_wal(dir) else {
-        return false;
+/// Does `dir`'s WAL hold records no compaction has folded yet? A log that
+/// cannot be read is an error, never "nothing pending".
+fn wal_has_pending(dir: &Path) -> Result<bool, LiveIndexError> {
+    let Some(replay) = replay_wal(dir).map_err(LiveIndexError::Wal)? else {
+        return Ok(false);
     };
-    match read_manifest(dir).ok().and_then(|m| m.lineage) {
-        Some(lineage) => replay
-            .records
-            .iter()
-            .any(|r| r.seq_no > lineage.folded_through),
-        None => !replay.records.is_empty(),
-    }
+    let lineage = read_manifest(dir)
+        .map_err(LiveIndexError::Artifact)?
+        .lineage;
+    Ok(!pending_records(replay.records, lineage.as_ref()).is_empty())
 }
 
 /// The accept-side connection limit was hit: greet the stream with a
@@ -1321,11 +1322,14 @@ fn maybe_spawn_compaction(shared: &Arc<Shared>, live: &Arc<LiveIndex>) {
             Err(e) => eprintln!("oasis-net: compaction aborted: {e}"),
         }
     });
-    shared
+    let mut compactions = shared
         .compactions
         .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push(handle);
+        .unwrap_or_else(PoisonError::into_inner);
+    // An exited thread needs no join; keeping its handle would keep one
+    // dead thread per compaction for the server's whole life.
+    compactions.retain(|h| !h.is_finished());
+    compactions.push(handle);
 }
 
 /// A served generation over a live-index snapshot. The snapshot's
@@ -1333,4 +1337,67 @@ fn maybe_spawn_compaction(shared: &Arc<Shared>, live: &Arc<LiveIndex>) {
 /// named like any other hit.
 fn live_generation(snapshot: Arc<oasis_engine::ShardedEngine>) -> ServedIndex {
     ServedIndex::new(snapshot.db_shared(), snapshot)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use oasis_bioseq::{Alphabet, DatabaseBuilder};
+    use oasis_engine::{build_index_artifact, IndexBackend};
+
+    #[test]
+    fn finished_compaction_threads_are_not_retained() {
+        let dir = std::env::temp_dir().join(format!(
+            "oasis-net-compaction-handles-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut b = DatabaseBuilder::new(Alphabet::dna());
+        b.push_str("s0", "AGTACGCCTAG").unwrap();
+        b.push_str("s1", "GATTACA").unwrap();
+        build_index_artifact(&b.finish(), &dir, 1, 64, IndexBackend::Tree).unwrap();
+        let scoring = Scoring::unit_dna();
+        let index = ServedIndex::from_artifact(&dir, scoring.clone(), 1 << 20).unwrap();
+        let config = ServerConfig {
+            compact_after: 1,
+            ..ServerConfig::default()
+        };
+        let server = OasisServer::bind("127.0.0.1:0", index, scoring, config).unwrap();
+        server.set_live_dir(&dir).unwrap();
+        let addr = server.local_addr();
+        let shared = Arc::clone(&server.shared);
+        let runner = std::thread::spawn(move || server.run());
+
+        let all_exited = || {
+            shared
+                .compactions
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .iter()
+                .all(|h| h.is_finished())
+        };
+        let mut client = Client::connect(addr).unwrap();
+        const ROUNDS: u64 = 5;
+        for round in 0..ROUNDS {
+            // Each append crosses `compact_after` and spawns a compaction;
+            // let its thread exit before the next one is spawned.
+            client.append(format!(">a{round}\nACGTTGCA\n")).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while !all_exited() {
+                assert!(Instant::now() < deadline, "compaction {round} never ended");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        assert_eq!(client.stats().unwrap().compactions, ROUNDS);
+        let retained = shared
+            .compactions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        assert!(retained <= 1, "{retained} compaction handles retained");
+        client.shutdown_server().unwrap();
+        runner.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -12,7 +12,7 @@
 //! Cost discipline: a [disabled](QueryTrace::disabled) trace holds an
 //! empty `Vec` (no allocation) and every recording method checks one bool
 //! and returns — the per-query overhead with tracing off is a handful of
-//! branches, measured in `engine_throughput --observability`.
+//! branches.
 
 use std::time::{Duration, Instant};
 

@@ -44,4 +44,6 @@ pub use device::{BlockDevice, FileDevice, MemDevice, SimulatedDisk};
 pub use layout::{header_block_size, DiskSuffixTree, DiskTreeBuilder, ImageStats};
 pub use partitioned::{balanced_ranges, budget_ranges, partitioned_suffix_array};
 pub use pool::{BufferPool, BufferPoolStats, PoolDeltaScope, PoolStatsSnapshot, Region};
-pub use wal::{replay_wal, WalError, WalRecord, WalReplay, WriteAheadLog, WAL_FILE};
+pub use wal::{
+    pending_records, replay_wal, WalError, WalRecord, WalReplay, WriteAheadLog, WAL_FILE,
+};

@@ -36,7 +36,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::artifact::fnv1a64;
+use crate::artifact::{fnv1a64, DeltaLineage};
 
 /// File name of the write-ahead log inside an artifact directory. Does not
 /// match any of the artifact section naming patterns, so artifact rebuilds
@@ -125,6 +125,20 @@ impl WalReplay {
     pub fn residues(&self) -> u64 {
         self.records.iter().map(|r| r.codes.len() as u64).sum()
     }
+}
+
+/// The records no compaction has folded into the artifact yet: those past
+/// `lineage.folded_through` when the manifest records a lineage, otherwise
+/// every record. `folded_through` only means something once a compaction
+/// recorded it; `seq_no` 0 is live in a plain artifact's log.
+pub fn pending_records(
+    mut records: Vec<WalRecord>,
+    lineage: Option<&DeltaLineage>,
+) -> Vec<WalRecord> {
+    if let Some(lineage) = lineage {
+        records.retain(|r| r.seq_no > lineage.folded_through);
+    }
+    records
 }
 
 /// Read the log in `dir` without taking write ownership: `Ok(None)` when

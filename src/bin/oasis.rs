@@ -792,19 +792,13 @@ fn wal_summary(
     let Some(replay) = oasis::storage::replay_wal(dir).map_err(|e| e.to_string())? else {
         return Ok(None);
     };
-    let floor = manifest.lineage.as_ref().map(|l| l.folded_through);
-    let (mut pending_seqs, mut pending_residues) = (0usize, 0u64);
-    for record in &replay.records {
-        if floor.is_none_or(|f| record.seq_no > f) {
-            pending_seqs += 1;
-            pending_residues += record.codes.len() as u64;
-        }
-    }
+    let records = replay.records.len();
+    let pending = oasis::storage::pending_records(replay.records, manifest.lineage.as_ref());
     Ok(Some(WalSummary {
         bytes: replay.bytes,
-        records: replay.records.len(),
-        pending_seqs,
-        pending_residues,
+        records,
+        pending_seqs: pending.len(),
+        pending_residues: pending.iter().map(|r| r.codes.len() as u64).sum(),
         torn_tail: replay.torn_tail,
     }))
 }

@@ -296,3 +296,119 @@ fn thread_count_does_not_change_results() {
         }
     }
 }
+
+/// The generated protein workload (ProClass-like queries, PAM30, the
+/// Equation 3 threshold at E = 20000) answers byte-identically to the
+/// serial single-index batch on every execution path: 2–8 worker
+/// threads, 1–8 shards, tree and ESA `run_one`, engines loaded from tree
+/// and packed-ESA artifacts, and the serving front end under admission
+/// backpressure, where every job is served exactly once.
+#[test]
+fn protein_workload_is_identical_on_every_execution_path() {
+    let workload = generate_protein(&ProteinDbSpec::tiny());
+    let db = workload.db.clone();
+    let scoring = Scoring::pam30_protein();
+    let karlin =
+        KarlinParams::estimate(&scoring.matrix, &oasis::align::stats::background_protein())
+            .unwrap();
+    let jobs: Vec<BatchQuery> = generate_queries(&workload, &QuerySpec::proclass_like(16, 0xBEEF))
+        .into_iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let min = karlin.min_score_for_evalue(q.len() as u64, db.total_residues(), 20_000.0);
+            BatchQuery::named(format!("q{i}"), q, OasisParams::with_min_score(min))
+        })
+        .collect();
+    let tree = Arc::new(SuffixTree::build(&db));
+    let tree_engine =
+        |threads| OasisEngine::new(tree.clone(), db.clone(), scoring.clone()).with_threads(threads);
+    let serial = tree_engine(1).run_batch(&jobs);
+    assert!(serial.iter().any(|o| !o.hits.is_empty()), "no query hit");
+    let same = |got: &[SearchOutcome], what: &str| {
+        assert_eq!(got.len(), serial.len(), "{what}: outcome count");
+        for ((g, w), job) in got.iter().zip(&serial).zip(&jobs) {
+            assert_eq!(g.hits, w.hits, "{what}: query {}", job.id);
+        }
+    };
+
+    for threads in [2usize, THREADS, 8] {
+        let outcomes = tree_engine(threads).run_batch(&jobs);
+        same(&outcomes, &format!("threads={threads}"));
+    }
+    for shards in [1usize, 2, 4, 8] {
+        let engine = ShardedEngine::build(db.clone(), scoring.clone(), shards);
+        same(
+            &engine.with_threads(THREADS).run_batch(&jobs),
+            &format!("shards={shards}"),
+        );
+    }
+
+    let esa_engine = OasisEngine::new(Arc::new(EsaIndex::build(&db)), db.clone(), scoring.clone());
+    for (job, want) in jobs.iter().zip(&serial) {
+        let via_tree = tree_engine(1).run_one(&job.query, &job.params);
+        let via_esa = esa_engine.run_one(&job.query, &job.params);
+        assert_eq!(via_tree.hits, want.hits, "tree run_one: query {}", job.id);
+        assert_eq!(via_esa.hits, want.hits, "esa run_one: query {}", job.id);
+    }
+
+    for backend in [IndexBackend::Tree, IndexBackend::Esa] {
+        let dir = std::env::temp_dir().join(format!(
+            "oasis-equivalence-protein-{}-{}",
+            backend.as_str(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        build_index_artifact(&db, &dir, 4, 2048, backend).expect("artifact written");
+        let loaded = load_sharded_engine(&dir, scoring.clone()).expect("artifact loads");
+        same(
+            &loaded.with_threads(THREADS).run_batch(&jobs),
+            &format!("{} artifact", backend.as_str()),
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // A queue a quarter of the batch deep: a full queue is answered by
+    // completing the oldest ticket and resubmitting.
+    let generation = IndexCatalog::new("protein", tree_engine(1)).current();
+    let serving = ServingEngine::new(ServingConfig {
+        workers: THREADS,
+        queue_capacity: jobs.len() / 4,
+    })
+    .expect("valid serving config");
+    let mut tickets = std::collections::VecDeque::new();
+    let mut served = Vec::new();
+    for job in &jobs {
+        loop {
+            let trace = QueryTrace::disabled();
+            match serving.try_submit(Arc::clone(&generation), job.clone(), trace, None) {
+                Ok(ticket) => {
+                    tickets.push_back(ticket);
+                    break;
+                }
+                Err(AdmissionError::QueueFull { .. }) => {
+                    let oldest: QueryTicket = tickets.pop_front().expect("a ticket is in flight");
+                    served.push(oldest.wait().expect("served"));
+                }
+                Err(e) => panic!("unexpected admission error: {e}"),
+            }
+        }
+    }
+    served.extend(tickets.into_iter().map(|t| t.wait().expect("served")));
+    assert_eq!(
+        serving.stats().served as usize,
+        jobs.len(),
+        "every job served once"
+    );
+    assert_eq!(served.len(), jobs.len());
+    for outcome in &served {
+        let at = jobs
+            .iter()
+            .position(|j| j.id == outcome.id)
+            .expect("known id");
+        assert_eq!(
+            outcome.outcome.hits, serial[at].hits,
+            "served: query {}",
+            outcome.id
+        );
+    }
+}

@@ -2,7 +2,8 @@
 //! (profile + two-pass + live-mask) kernel must be **byte-identical** to
 //! the scalar Algorithm 3 transcription on every field of every node it
 //! ever produces — across random databases, queries, thresholds, rule
-//! ablations, and both index substrates (suffix tree and packed ESA).
+//! ablations, both index substrates (suffix tree and packed ESA), and
+//! both alphabets (DNA with the unit matrix, protein with BLOSUM62).
 //!
 //! The walk expands the *entire* viable frontier breadth-first with both
 //! kernels in lockstep, so agreement is checked not just at the root's
@@ -16,8 +17,8 @@ use oasis::core::{
 };
 use oasis::prelude::*;
 
-fn build_db(seqs: &[Vec<u8>]) -> SequenceDatabase {
-    let mut b = DatabaseBuilder::new(Alphabet::dna());
+fn build_db(alphabet: Alphabet, seqs: &[Vec<u8>]) -> SequenceDatabase {
+    let mut b = DatabaseBuilder::new(alphabet);
     for (i, codes) in seqs.iter().enumerate() {
         b.push(Sequence::from_codes(format!("s{i}"), codes.clone()))
             .unwrap();
@@ -104,7 +105,7 @@ proptest! {
         no_improvement in any::<bool>(),
         threshold in any::<bool>(),
     ) {
-        let db = build_db(&seqs);
+        let db = build_db(Alphabet::dna(), &seqs);
         let scoring = Scoring::unit_dna();
         let rules = PruneRules { non_positive, no_improvement, threshold };
         let tree = SuffixTree::build(&db);
@@ -117,16 +118,27 @@ proptest! {
 
     /// Queries drawn across the fused-scalar cutoff (48) and the 64-cell
     /// block boundary, exercising the scalar fallback, the single-word
-    /// mask, and multi-word live-mask skipping against the oracle.
+    /// mask, and multi-word live-mask skipping against the oracle — over
+    /// DNA with the unit matrix and over protein with BLOSUM62.
     #[test]
     fn fast_kernel_equals_reference_past_one_mask_word(
-        seqs in prop::collection::vec(prop::collection::vec(0u8..4, 20..80), 1..4),
-        query in prop::collection::vec(0u8..4, 40..100),
+        seqs in prop::collection::vec(prop::collection::vec(0u8..20, 20..80), 1..4),
+        query in prop::collection::vec(0u8..20, 40..100),
         min in 1i32..12,
+        protein in any::<bool>(),
     ) {
-        let db = build_db(&seqs);
-        let scoring = Scoring::unit_dna();
+        let (db, query, scoring, min) = if protein {
+            let db = build_db(Alphabet::protein(), &seqs);
+            (db, query, Scoring::blosum62_protein(), min * 4)
+        } else {
+            let dna = |codes: &Vec<u8>| codes.iter().map(|c| c % 4).collect::<Vec<u8>>();
+            let seqs: Vec<Vec<u8>> = seqs.iter().map(dna).collect();
+            (build_db(Alphabet::dna(), &seqs), dna(&query), Scoring::unit_dna(), min)
+        };
         let tree = SuffixTree::build(&db);
-        walk_both(&tree, &query, &scoring, min, PruneRules::default())?;
+        let esa = EsaIndex::build(&db);
+        let via_tree = walk_both(&tree, &query, &scoring, min, PruneRules::default())?;
+        let via_esa = walk_both(&esa, &query, &scoring, min, PruneRules::default())?;
+        prop_assert_eq!(via_tree, via_esa);
     }
 }

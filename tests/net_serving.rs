@@ -12,6 +12,8 @@
 //!   generation it was admitted on (hits, names, `Done.generation`,
 //!   cache entry, trace);
 //! * the per-generation served table stays bounded under many appends;
+//! * a WAL that cannot be replayed makes `set_live_dir` fail rather than
+//!   serve the base without its appends;
 //! * graceful shutdown stops admission, drains admitted work, and closes
 //!   idle streams with the typed terminal frame;
 //! * malformed bytes on the wire get a typed `Malformed` error, not a
@@ -760,6 +762,26 @@ fn background_compaction_racing_shutdown_loses_nothing() {
             "query {query} after the shutdown race"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unreadable_wal_fails_set_live_dir_instead_of_serving_without_it() {
+    // A log that does not replay may hold acknowledged appends: enabling
+    // live ingestion over it must fail, not silently serve the base.
+    let dir = tmpdir("bad-wal");
+    let db = dna_db(SEQS);
+    oasis::engine::build_index_artifact(&db, &dir, 2, 64, oasis::engine::IndexBackend::Tree)
+        .expect("base artifact");
+    std::fs::write(dir.join(WAL_FILE), b"NOTAWAL!\x00\x01\x02\x03").expect("write wal");
+    let scoring = Scoring::unit_dna();
+    let index = ServedIndex::from_artifact(&dir, scoring.clone(), 1 << 20).expect("load base");
+    let server =
+        OasisServer::bind("127.0.0.1:0", index, scoring, ServerConfig::default()).expect("bind");
+    let err = server
+        .set_live_dir(&dir)
+        .expect_err("a WAL with a bad magic must not be skipped");
+    assert!(err.to_string().contains("bad magic"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
