@@ -44,14 +44,14 @@ fn bench_online(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500));
     group.bench_function("first_hit", |b| {
         b.iter(|| {
-            let mut session = tb.engine.session(black_box(&query), &params);
+            let mut session = tb.search(&*tb.tree, black_box(&query), &params);
             black_box(session.next())
         })
     });
     group.bench_function("full_drain", |b| {
         b.iter(|| {
-            let outcome = tb.engine.run_one(black_box(&query), &params);
-            black_box(outcome.hits.len())
+            let (hits, _) = tb.search(&*tb.tree, black_box(&query), &params).run();
+            black_box(hits.len())
         })
     });
     group.finish();

@@ -7,11 +7,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use std::sync::Arc;
-
 use oasis_bench::{Scale, Testbed};
 use oasis_core::OasisParams;
-use oasis_engine::OasisEngine;
 use oasis_storage::{BufferPool, DiskSuffixTree, MemDevice, Region};
 
 fn bench_pool(c: &mut Criterion) {
@@ -60,15 +57,13 @@ fn bench_disk_query(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(500));
     for (label, divisor) in [("full_pool", 1usize), ("eighth_pool", 8)] {
-        let tree = Arc::new(
+        let tree =
             DiskSuffixTree::open_image(image.clone(), 2048, (image.len() / divisor).max(4096))
-                .expect("valid image"),
-        );
-        let engine = OasisEngine::new(tree, tb.workload.db.clone(), tb.scoring.clone());
+                .expect("valid image");
         group.bench_function(label, |b| {
             b.iter(|| {
-                let outcome = engine.run_one(black_box(&query), &params);
-                black_box(outcome.hits.len())
+                let (hits, _) = tb.run_pooled(&tree, black_box(&query), &params);
+                black_box(hits.len())
             })
         });
     }

@@ -4,12 +4,10 @@
 //! Sweeps 512 B / 2 KB / 8 KB at a fixed buffer-pool byte budget and
 //! reports modelled query time and per-component hit ratios.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use oasis_bench::{banner, fmt_duration, fmt_ratio, print_table, Scale, Testbed};
 use oasis_core::OasisParams;
-use oasis_engine::OasisEngine;
 use oasis_storage::{
     DiskSuffixTree, DiskTreeBuilder, MemDevice, PoolStatsSnapshot, Region, SimulatedDisk,
 };
@@ -29,18 +27,16 @@ fn main() {
         let (image, stats) = DiskTreeBuilder::with_block_size(block_size).build_image(&tb.tree);
         let pool_bytes = (stats.total_bytes as usize / 8).max(block_size * 4);
         let device = SimulatedDisk::fujitsu_2003(MemDevice::new(image, block_size));
-        let tree = Arc::new(DiskSuffixTree::open(device, pool_bytes).expect("valid image"));
+        let tree = DiskSuffixTree::open(device, pool_bytes).expect("valid image");
         tree.pool().device().reset();
-        let engine = OasisEngine::new(tree.clone(), tb.workload.db.clone(), tb.scoring.clone())
-            .with_threads(1);
         let mut cpu = Duration::ZERO;
         let mut s = PoolStatsSnapshot::default();
         for q in &tb.queries {
             let params = OasisParams::with_min_score(tb.min_score(q.len(), evalue));
             let start = Instant::now();
-            let outcome = engine.run_one(q, &params);
+            let (_, delta) = tb.run_pooled(&tree, q, &params);
             cpu += start.elapsed();
-            s.merge(&outcome.pool_delta);
+            s.merge(&delta);
         }
         let io = Duration::from_nanos(tree.pool().device().virtual_nanos());
         rows.push(vec![

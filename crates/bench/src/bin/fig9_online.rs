@@ -22,9 +22,9 @@ fn main() {
     let query = tb.encode("DKDGDGCITTKEL");
     let evalue = 20_000.0;
 
-    // Stream hits through an engine session, recording each arrival.
+    // Stream hits from the online search, recording each arrival.
     let params = OasisParams::with_min_score(tb.min_score(query.len(), evalue));
-    let session = tb.engine.session(&query, &params);
+    let session = tb.search(&*tb.tree, &query, &params);
     let start = Instant::now();
     let mut arrivals = Vec::new();
     for hit in session {

@@ -20,9 +20,9 @@ use std::time::{Duration, Instant};
 use oasis_align::{background_protein, KarlinParams, Score, Scoring, SwScanner};
 use oasis_bioseq::Alphabet;
 use oasis_blast::{BlastParams, BlastSearch};
-use oasis_core::{Hit, OasisParams, SearchStats};
-use oasis_engine::OasisEngine;
-use oasis_suffix::SuffixTree;
+use oasis_core::{Hit, OasisParams, OasisSearch, SearchStats};
+use oasis_storage::{PoolDeltaScope, PoolStatsSnapshot};
+use oasis_suffix::{SuffixTree, SuffixTreeAccess};
 use oasis_workloads::{generate_protein, generate_queries, ProteinDbSpec, QuerySpec, Workload};
 
 /// Experiment scale, from the `OASIS_SCALE` environment variable.
@@ -104,12 +104,12 @@ impl Scale {
 
 /// A ready-to-query experimental setup shared by all figure binaries.
 ///
-/// All searches run through [`Testbed::engine`] — the one search entry
-/// point in the tree — which shares the suffix tree and database by `Arc`.
+/// All OASIS searches run through [`Testbed::search`]: the core search
+/// over the in-memory [`Testbed::tree`] or a disk-resident image of it.
 pub struct Testbed {
     /// The synthetic SWISS-PROT-like workload.
     pub workload: Workload,
-    /// Suffix tree over the workload database (shared with the engine).
+    /// Suffix tree over the workload database.
     pub tree: Arc<SuffixTree>,
     /// PAM30 + fixed gap scoring, as in the paper's protein experiments.
     pub scoring: Scoring,
@@ -117,8 +117,6 @@ pub struct Testbed {
     pub karlin: KarlinParams,
     /// ProClass-like query set (lengths 6–56, mean ≈16).
     pub queries: Vec<Vec<u8>>,
-    /// The multi-query engine over the in-memory tree.
-    pub engine: OasisEngine<SuffixTree>,
 }
 
 impl Testbed {
@@ -129,14 +127,12 @@ impl Testbed {
         queries: Vec<Vec<u8>>,
     ) -> Self {
         let tree = Arc::new(SuffixTree::build(&workload.db));
-        let engine = OasisEngine::new(tree.clone(), workload.db.clone(), scoring.clone());
         Testbed {
             workload,
             tree,
             scoring,
             karlin,
             queries,
-            engine,
         }
     }
 
@@ -213,12 +209,38 @@ impl Testbed {
             .min_score_for_evalue(len as u64, self.workload.db.total_residues(), evalue)
     }
 
-    /// Run OASIS for one query at `evalue`, through the engine.
+    /// The OASIS search for one query over `index` — the in-memory
+    /// [`Testbed::tree`] or a disk-resident image of it — streaming hits
+    /// online.
+    pub fn search<'a, T: SuffixTreeAccess + ?Sized>(
+        &'a self,
+        index: &'a T,
+        query: &[u8],
+        params: &OasisParams,
+    ) -> OasisSearch<'a, T> {
+        OasisSearch::new(index, &self.workload.db, query, &self.scoring, params)
+    }
+
+    /// Run one query to completion over `index`, returning its hits and
+    /// the buffer-pool traffic it caused (all zeros in memory), measured
+    /// through a thread-local [`PoolDeltaScope`].
+    pub fn run_pooled<T: SuffixTreeAccess + ?Sized>(
+        &self,
+        index: &T,
+        query: &[u8],
+        params: &OasisParams,
+    ) -> (Vec<Hit>, PoolStatsSnapshot) {
+        let scope = PoolDeltaScope::begin();
+        let (hits, _) = self.search(index, query, params).run();
+        (hits, scope.finish())
+    }
+
+    /// Run OASIS for one query at `evalue` over the in-memory tree.
     pub fn run_oasis(&self, query: &[u8], evalue: f64) -> (Vec<Hit>, SearchStats, Duration) {
         let params = OasisParams::with_min_score(self.min_score(query.len(), evalue));
         let start = Instant::now();
-        let outcome = self.engine.run_one(query, &params);
-        (outcome.hits, outcome.stats, start.elapsed())
+        let (hits, stats) = self.search(&*self.tree, query, &params).run();
+        (hits, stats, start.elapsed())
     }
 
     /// Run the Smith-Waterman scan for one query at `evalue`.
@@ -263,7 +285,7 @@ pub struct DiskRun {
     /// Total modelled I/O time (simulated 2003 disk; one charge per miss).
     pub io: Duration,
     /// Buffer-pool statistics after the run.
-    pub pool_stats: oasis_storage::PoolStatsSnapshot,
+    pub pool_stats: PoolStatsSnapshot,
     /// Number of queries executed.
     pub queries: usize,
 }
@@ -284,24 +306,22 @@ impl Testbed {
     /// Replay the whole query workload against the disk tree with a buffer
     /// pool of `pool_bytes`, modelling the paper's SCSI disk per miss. The
     /// pool is shared across queries (steady-state behaviour, as in §4.5);
-    /// queries run serially through a disk-backed engine so the CPU/IO
-    /// split stays attributable, and the workload's pool statistics are
-    /// the fold of the per-query deltas (not a racy global reset).
+    /// queries run serially so the CPU/IO split stays attributable, and
+    /// the workload's pool statistics are the fold of the per-query deltas
+    /// (not a racy global reset).
     pub fn disk_run(&self, image: &[u8], pool_bytes: usize, evalue: f64) -> DiskRun {
-        use oasis_storage::{DiskSuffixTree, MemDevice, PoolStatsSnapshot, SimulatedDisk};
+        use oasis_storage::{DiskSuffixTree, MemDevice, SimulatedDisk};
         let device = SimulatedDisk::fujitsu_2003(MemDevice::new(image.to_vec(), 2048));
-        let tree = Arc::new(DiskSuffixTree::open(device, pool_bytes).expect("valid image"));
+        let tree = DiskSuffixTree::open(device, pool_bytes).expect("valid image");
         tree.pool().device().reset();
-        let engine = OasisEngine::new(tree.clone(), self.workload.db.clone(), self.scoring.clone())
-            .with_threads(1);
         let mut cpu = Duration::ZERO;
         let mut pool_stats = PoolStatsSnapshot::default();
         for q in &self.queries {
             let params = OasisParams::with_min_score(self.min_score(q.len(), evalue));
             let start = Instant::now();
-            let outcome = engine.run_one(q, &params);
+            let (_, delta) = self.run_pooled(&tree, q, &params);
             cpu += start.elapsed();
-            pool_stats.merge(&outcome.pool_delta);
+            pool_stats.merge(&delta);
         }
         DiskRun {
             cpu,

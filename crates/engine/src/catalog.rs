@@ -18,8 +18,7 @@
 //!   [`retired_in_flight`](IndexCatalog::retired_in_flight)).
 //!
 //! A generation wraps any [`crate::QueryExecutor`] (a
-//! [`crate::ShardedEngine`], a single-index [`crate::OasisEngine`], or a
-//! test double):
+//! [`crate::ShardedEngine`] or a test double):
 //!
 //! ```
 //! use std::sync::Arc;

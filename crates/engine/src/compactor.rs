@@ -94,8 +94,8 @@ pub(crate) fn fold_into_base(
     lineage: DeltaLineage,
 ) -> Result<(Arc<SequenceDatabase>, Vec<Shard>), LiveIndexError> {
     let merged = Arc::new(concatenate(base, frozen)?);
-    let shards = Shard::build_all(&merged, shard_count, backend);
-    let entries = artifact_entries(shards.iter());
+    let shards = Shard::build_all(&merged, Some(&merged), shard_count, backend);
+    let entries = artifact_entries(shards.iter())?;
     oasis_storage::write_index_artifact(dir, &merged, &entries, block_size, Some(lineage))?;
     Ok((merged, shards))
 }

@@ -21,6 +21,8 @@
 //! for byte — what a full rebuild over the concatenated database would
 //! return. `tests/live_ingestion.rs` property-tests exactly that.
 
+use std::sync::Arc;
+
 use oasis_bioseq::{Sequence, SequenceDatabase};
 use oasis_storage::WalRecord;
 use oasis_suffix::{EsaIndex, SuffixTree};
@@ -129,7 +131,7 @@ impl DeltaIndex {
             IndexBackend::Esa => ShardBackend::Esa(EsaIndex::build(&delta_db)),
         };
         Some(Shard {
-            db: delta_db,
+            db: Arc::new(delta_db),
             index,
             seq_offset: base.num_sequences(),
             text_offset: base.text_len(),

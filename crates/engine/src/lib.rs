@@ -5,36 +5,34 @@
 //!
 //! The concurrent multi-query layer over the OASIS search: what the paper's
 //! *online* framing assumes but never spells out — many simultaneous
-//! queries sharing one immutable suffix-tree index and one buffer pool.
+//! queries sharing one immutable index and one buffer pool.
 //!
-//! [`OasisEngine`] owns the read-only substrate (database + index + the
-//! index's buffer pool, if disk-resident) behind [`Arc`] and executes
-//! batches of queries across a pool of worker threads. Each query runs its
-//! own [`SearchDriver`], so results are
-//! *byte-identical* to a serial [`oasis_core::OasisSearch`] run regardless
-//! of thread count or scheduling: the search itself is deterministic, and
-//! every mutable datum (frontier, scratch columns, statistics) is private
-//! to its query. The only shared mutable state is the buffer-pool frame
-//! table, which affects *timing*, never *results*.
+//! [`ShardedEngine`] is the one engine. It owns the read-only substrate
+//! (database + K shard indexes) behind [`Arc`](std::sync::Arc) and
+//! executes batches of queries across a pool of worker threads. An
+//! unsharded index is K=1: one shard over the whole database, in memory
+//! (a suffix tree or an enhanced suffix array) or disk-resident behind a
+//! buffer pool, the paper's §3.4 operating mode ([`ShardedEngine::disk_resident`]). With K > 1 the
+//! database is partitioned into lexically contiguous sequence shards
+//! (boundaries picked by `oasis-storage`'s adaptive lexical-range
+//! machinery), every query fans out across the shards, and a lazy k-way
+//! merge restores the global non-increasing-score order. Each query runs
+//! its own [`SearchDriver`](oasis_core::SearchDriver) per shard, so results
+//! are *byte-identical* to a serial [`oasis_core::OasisSearch`] run
+//! regardless of shard count, thread count or scheduling: the search itself
+//! is deterministic, and every mutable datum (frontier, scratch columns,
+//! statistics) is private to its query. The only shared mutable state is
+//! the buffer-pool frame table, which affects *timing*, never *results*.
 //!
 //! Per-query buffer-pool accounting uses
-//! [`PoolDeltaScope`]: each worker opens a
+//! [`PoolDeltaScope`](oasis_storage::PoolDeltaScope): each worker opens a
 //! thread-local scope around its query, so [`SearchOutcome::pool_delta`]
 //! reports exactly that query's hit ratio even while other queries hammer
-//! the same pool — the racy "reset the global counters, run, snapshot"
-//! pattern is gone.
+//! the same pool.
 //!
-//! On top of the single-index engine sit two serving-oriented layers:
-//!
-//! * [`ShardedEngine`] partitions the database into lexically contiguous
-//!   sequence shards (boundaries picked by `oasis-storage`'s adaptive
-//!   lexical-range machinery), indexes each shard separately, fans every
-//!   query out across the shards, and k-way-merges the per-shard online
-//!   streams back into the global non-increasing-score order — with
-//!   byte-identical results to the unsharded engine.
-//! * [`ServingEngine`] is the non-blocking front end: a bounded admission
-//!   queue and worker pool, completion through ticket handles, and
-//!   per-query latency capture for tail-latency reporting.
+//! [`ServingEngine`] is the non-blocking front end over it: a bounded
+//! admission queue and worker pool, completion through ticket handles, and
+//! per-query latency capture for tail-latency reporting.
 //!
 //! The index itself has a lifecycle: [`persist`] writes a built index to a
 //! checksummed on-disk artifact and reconstitutes ready engines from it
@@ -50,15 +48,13 @@
 //! use oasis_align::Scoring;
 //! use oasis_bioseq::{Alphabet, DatabaseBuilder};
 //! use oasis_core::OasisParams;
-//! use oasis_engine::{BatchQuery, OasisEngine};
-//! use oasis_suffix::SuffixTree;
+//! use oasis_engine::{BatchQuery, ShardedEngine};
 //!
 //! let mut b = DatabaseBuilder::new(Alphabet::dna());
 //! b.push_str("s0", "AGTACGCCTAG").unwrap();
 //! b.push_str("s1", "TACCG").unwrap();
 //! let db = Arc::new(b.finish());
-//! let tree = Arc::new(SuffixTree::build(&db));
-//! let engine = OasisEngine::new(tree, db, Scoring::unit_dna()).with_threads(4);
+//! let engine = ShardedEngine::build(db, Scoring::unit_dna(), 1).with_threads(4);
 //!
 //! let alpha = Alphabet::dna();
 //! let params = OasisParams::with_min_score(2);
@@ -72,13 +68,10 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use oasis_align::{Score, Scoring};
-use oasis_bioseq::SequenceDatabase;
-use oasis_core::{Hit, OasisParams, OasisSearch, SearchDriver, SearchStats};
-use oasis_storage::{PoolDeltaScope, PoolStatsSnapshot};
-use oasis_suffix::SuffixTreeAccess;
+use oasis_core::{Hit, OasisParams, SearchStats};
+use oasis_storage::PoolStatsSnapshot;
 
 mod cache;
 mod catalog;
@@ -96,7 +89,7 @@ pub use delta::DeltaIndex;
 pub use layered::{AppendReceipt, LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats};
 pub use persist::{
     build_index_artifact, disk_engine_from_artifact, load_sharded_engine, open_artifact_engine,
-    opens_disk_resident, persist_sharded_engine, sharded_engine_from_artifact, ArtifactEngine,
+    opens_disk_resident, persist_sharded_engine, sharded_engine_from_artifact,
 };
 pub use serving::{
     AdmissionError, CompletionHook, LatencySummary, QueryExecutor, QueryTicket, ServedOutcome,
@@ -154,133 +147,14 @@ impl BatchQuery {
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// The hits, in the search's online (non-increasing score) order —
-    /// identical to what a serial [`OasisSearch`] run would return (a
-    /// prefix of it when the job set [`BatchQuery::limit`]).
+    /// identical to what a serial [`oasis_core::OasisSearch`] run would
+    /// return (a prefix of it when the job set [`BatchQuery::limit`]).
     pub hits: Vec<Hit>,
     /// Search instrumentation counters for this query alone.
     pub stats: SearchStats,
     /// Buffer-pool traffic attributable to this query alone (all zeros
     /// for purely in-memory indexes, which issue no pool requests).
     pub pool_delta: PoolStatsSnapshot,
-}
-
-/// The shared-substrate, multi-query OASIS engine.
-///
-/// Owns the immutable search substrate behind [`Arc`] — the sequence
-/// database and any [`SuffixTreeAccess`] index (in-memory or disk-resident
-/// behind a buffer pool) — plus the scoring scheme, and executes queries
-/// against it: one at a time ([`run_one`]), streamed ([`session`]), or as
-/// a concurrent batch over worker threads ([`run_batch`]).
-///
-/// The index type may be a trait object (`OasisEngine<dyn SuffixTreeAccess>`):
-/// the trait is object-safe and `Sync` by design.
-///
-/// [`run_one`]: OasisEngine::run_one
-/// [`session`]: OasisEngine::session
-/// [`run_batch`]: OasisEngine::run_batch
-pub struct OasisEngine<T: SuffixTreeAccess + ?Sized> {
-    db: Arc<SequenceDatabase>,
-    scoring: Scoring,
-    threads: usize,
-    tree: Arc<T>,
-}
-
-impl<T: SuffixTreeAccess + ?Sized> OasisEngine<T> {
-    /// An engine over `tree` (which must index exactly `db`) scoring with
-    /// `scoring`. Worker count defaults to the machine's available
-    /// parallelism.
-    pub fn new(tree: Arc<T>, db: Arc<SequenceDatabase>, scoring: Scoring) -> Self {
-        assert_eq!(
-            tree.text_len(),
-            db.text_len(),
-            "suffix tree does not index this database"
-        );
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        OasisEngine {
-            db,
-            scoring,
-            threads,
-            tree,
-        }
-    }
-
-    /// Override the worker-thread count for [`run_batch`] (min 1).
-    ///
-    /// [`run_batch`]: OasisEngine::run_batch
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The shared database.
-    pub fn db(&self) -> &SequenceDatabase {
-        &self.db
-    }
-
-    /// The shared index.
-    pub fn tree(&self) -> &T {
-        &self.tree
-    }
-
-    /// The scoring scheme every query uses.
-    pub fn scoring(&self) -> &Scoring {
-        &self.scoring
-    }
-
-    /// Begin a streaming search: hits arrive one by one, online, and the
-    /// session tracks this query's buffer-pool delta. Consume it as an
-    /// iterator, then call [`QuerySession::finish`] for the accounting.
-    pub fn session(&self, query: &[u8], params: &OasisParams) -> QuerySession<'_, T> {
-        let scope = PoolDeltaScope::begin();
-        QuerySession {
-            search: OasisSearch::new(&*self.tree, &self.db, query, &self.scoring, params),
-            scope: Some(scope),
-        }
-    }
-
-    /// Run one query to completion on the calling thread.
-    pub fn run_one(&self, query: &[u8], params: &OasisParams) -> SearchOutcome {
-        run_query(&*self.tree, &self.db, &self.scoring, query, params, None)
-    }
-
-    /// Run one batch job (respecting its [`BatchQuery::limit`]) on the
-    /// calling thread.
-    pub fn run_job(&self, job: &BatchQuery) -> SearchOutcome {
-        run_query(
-            &*self.tree,
-            &self.db,
-            &self.scoring,
-            &job.query,
-            &job.params,
-            job.limit,
-        )
-    }
-
-    /// Execute a batch of queries across the worker pool, returning one
-    /// [`SearchOutcome`] per job, **in job order**.
-    ///
-    /// Workers claim jobs from a shared cursor, so long and short queries
-    /// interleave without static partitioning skew. Each query's results
-    /// are identical to a serial run — concurrency affects only wall-clock
-    /// time. A worker panic (e.g. a query encoded with the wrong alphabet)
-    /// propagates to the caller.
-    pub fn run_batch(&self, jobs: &[BatchQuery]) -> Vec<SearchOutcome> {
-        // Workers borrow the substrate as plain `&`s: `&T` crosses threads
-        // because the trait demands `Sync`; nothing requires `T: Send`.
-        let (tree, db, scoring) = (&*self.tree, &*self.db, &self.scoring);
-        run_pooled(self.threads, jobs.len(), move |i| {
-            // oasis-lint: allow(panic-free-serving) — run_pooled only calls with i < jobs.len()
-            let job = &jobs[i];
-            run_query(tree, db, scoring, &job.query, &job.params, job.limit)
-        })
-    }
 }
 
 /// Execute `run(0..n)` across up to `threads` scoped worker threads,
@@ -322,102 +196,16 @@ where
         .collect()
 }
 
-/// Run one query against a borrowed substrate, with a per-query pool delta
-/// scope around the whole search. With a `limit`, the search aborts after
-/// that many hits — the online property means the unexplored remainder is
-/// never paid for. A zero-length query short-circuits to an empty outcome
-/// without touching the driver: no alignment of the empty string can reach
-/// a positive `minScore`, and the serving path must not depend on how the
-/// driver happens to treat degenerate input.
-fn run_query<T: SuffixTreeAccess + ?Sized>(
-    tree: &T,
-    db: &SequenceDatabase,
-    scoring: &Scoring,
-    query: &[u8],
-    params: &OasisParams,
-    limit: Option<usize>,
-) -> SearchOutcome {
-    if query.is_empty() {
-        return SearchOutcome {
-            hits: Vec::new(),
-            stats: SearchStats::default(),
-            pool_delta: PoolStatsSnapshot::default(),
-        };
-    }
-    let scope = PoolDeltaScope::begin();
-    let mut search = OasisSearch::new(tree, db, query, scoring, params);
-    let cap = limit.unwrap_or(usize::MAX);
-    let hits: Vec<Hit> = search.by_ref().take(cap).collect();
-    SearchOutcome {
-        hits,
-        stats: search.stats(),
-        pool_delta: scope.finish(),
-    }
-}
-
-/// A streaming single-query handle borrowed from an [`OasisEngine`].
-///
-/// Iterates [`Hit`]s in the online order; [`finish`](QuerySession::finish)
-/// closes the per-query buffer-pool delta scope and returns the
-/// accounting. Dropping the session without finishing simply discards the
-/// delta. The session stays on the thread that opened it (the delta scope
-/// is thread-local), which the `!Send` scope enforces at compile time.
-pub struct QuerySession<'e, T: SuffixTreeAccess + ?Sized> {
-    search: OasisSearch<'e, T>,
-    scope: Option<PoolDeltaScope>,
-}
-
-impl<'e, T: SuffixTreeAccess + ?Sized> QuerySession<'e, T> {
-    /// Counters so far (final once iteration is exhausted).
-    pub fn stats(&self) -> SearchStats {
-        self.search.stats()
-    }
-
-    /// Upper bound on the score of any hit still to come (see
-    /// [`OasisSearch::score_bound`]).
-    pub fn score_bound(&self) -> Option<Score> {
-        self.search.score_bound()
-    }
-
-    /// Close the session, returning the final search statistics and this
-    /// query's buffer-pool delta.
-    pub fn finish(mut self) -> (SearchStats, PoolStatsSnapshot) {
-        let delta = self
-            .scope
-            .take()
-            .map(PoolDeltaScope::finish)
-            .unwrap_or_default();
-        (self.search.stats(), delta)
-    }
-
-    /// Abandon per-query pool accounting and expose the underlying search,
-    /// e.g. to wrap it in [`oasis_core::EvalueOrderedSearch`].
-    pub fn into_search(self) -> OasisSearch<'e, T> {
-        let QuerySession { search, scope } = self;
-        drop(scope); // close the delta scope now, on this thread
-        search
-    }
-
-    /// The underlying resumable driver (for step-level control).
-    pub fn driver(&self) -> &SearchDriver<'e, T> {
-        self.search.driver()
-    }
-}
-
-impl<T: SuffixTreeAccess + ?Sized> Iterator for QuerySession<'_, T> {
-    type Item = Hit;
-
-    fn next(&mut self) -> Option<Hit> {
-        self.search.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oasis_bioseq::{Alphabet, DatabaseBuilder};
-    use oasis_storage::{DiskSuffixTree, DiskTreeBuilder, Region};
-    use oasis_suffix::SuffixTree;
+    use std::sync::Arc;
+
+    use oasis_align::Scoring;
+    use oasis_bioseq::{Alphabet, DatabaseBuilder, SequenceDatabase};
+    use oasis_core::OasisSearch;
+    use oasis_storage::{DiskSuffixTree, DiskTreeBuilder, FileDevice, Region};
+    use oasis_suffix::{SuffixTree, SuffixTreeAccess};
 
     fn dna_db(seqs: &[&str]) -> Arc<SequenceDatabase> {
         let mut b = DatabaseBuilder::new(Alphabet::dna());
@@ -427,12 +215,23 @@ mod tests {
         Arc::new(b.finish())
     }
 
-    fn mem_engine(db: &Arc<SequenceDatabase>) -> OasisEngine<SuffixTree> {
-        let tree = Arc::new(SuffixTree::build(db));
-        OasisEngine::new(tree, db.clone(), Scoring::unit_dna())
+    fn mem_engine(db: &Arc<SequenceDatabase>) -> ShardedEngine {
+        ShardedEngine::build(db.clone(), Scoring::unit_dna(), 1)
     }
 
-    fn queries(alpha: &Alphabet, texts: &[&str], min: Score) -> Vec<BatchQuery> {
+    /// Write `tree`'s disk image to a per-test file and open it behind a
+    /// pool of `pool_bytes`.
+    fn disk_tree(tree: &SuffixTree, tag: &str, pool_bytes: usize) -> DiskSuffixTree<FileDevice> {
+        let path = std::env::temp_dir().join(format!("oasis-engine-{tag}-{}", std::process::id()));
+        DiskTreeBuilder::with_block_size(64)
+            .write_file(tree, &path)
+            .unwrap();
+        let disk = DiskSuffixTree::open(FileDevice::open(&path, 64).unwrap(), pool_bytes).unwrap();
+        std::fs::remove_file(&path).ok();
+        disk
+    }
+
+    fn queries(alpha: &Alphabet, texts: &[&str], min: i32) -> Vec<BatchQuery> {
         texts
             .iter()
             .map(|t| {
@@ -493,37 +292,40 @@ mod tests {
     #[test]
     fn disk_engine_attributes_pool_traffic_per_query() {
         let db = dna_db(&["ACGTACGTTGCAGT", "GTACCA", "ACACACAC"]);
-        let mem_tree = SuffixTree::build(&db);
-        let (image, _) = DiskTreeBuilder::with_block_size(64).build_image(&mem_tree);
-        let disk = Arc::new(DiskSuffixTree::open_image(image, 64, 1 << 20).unwrap());
-        let engine = OasisEngine::new(disk.clone(), db.clone(), Scoring::unit_dna());
+        let disk = disk_tree(&SuffixTree::build(&db), "pool-delta", 1 << 20);
+        let engine = ShardedEngine::disk_resident(db.clone(), disk, Scoring::unit_dna()).unwrap();
         let q = Alphabet::dna().encode_str("GTAC").unwrap();
         let params = OasisParams::with_min_score(3);
-        let before = disk.pool().stats().total().requests;
         let outcome = engine.run_one(&q, &params);
         assert!(outcome.pool_delta.total().requests > 0);
         assert!(outcome.pool_delta.region(Region::Internal).requests > 0);
-        // The delta is bounded by the global growth on this (single) thread.
-        let grown = disk.pool().stats().total().requests - before;
-        assert_eq!(outcome.pool_delta.total().requests, grown);
-        // And the disk engine agrees with the in-memory one.
-        let mem = mem_engine(&db);
-        assert_eq!(outcome.hits, mem.run_one(&q, &params).hits);
+        // On this (single) thread the delta is exactly a second run's.
+        let again = engine.run_one(&q, &params);
+        assert_eq!(
+            again.pool_delta.total().requests,
+            outcome.pool_delta.total().requests
+        );
+        // And the disk engine agrees with the in-memory one, counters too.
+        let mem = mem_engine(&db).run_one(&q, &params);
+        assert_eq!(outcome.hits, mem.hits);
+        assert_eq!(outcome.stats, mem.stats);
     }
 
     #[test]
     fn engine_over_trait_object_substrate() {
-        // The substrate can be type-erased: SuffixTreeAccess is object-safe.
+        // The substrate can be type-erased (SuffixTreeAccess is object-safe):
+        // the core search over a `dyn` tree agrees with the engine exactly.
         let db = dna_db(&["AGTACGCCTAG", "TACCG"]);
         let tree: Arc<dyn SuffixTreeAccess> = Arc::new(SuffixTree::build(&db));
-        let engine = OasisEngine::new(tree, db.clone(), Scoring::unit_dna()).with_threads(2);
+        let engine = mem_engine(&db).with_threads(2);
         let jobs = queries(&Alphabet::dna(), &["TACG", "CC"], 1);
         let outcomes = engine.run_batch(&jobs);
         assert!(!outcomes[0].hits.is_empty());
-        let concrete = mem_engine(&db).run_batch(&jobs);
-        for (a, b) in outcomes.iter().zip(&concrete) {
-            assert_eq!(a.hits, b.hits);
-            assert_eq!(a.stats, b.stats);
+        for (job, out) in jobs.iter().zip(&outcomes) {
+            let (hits, stats) =
+                OasisSearch::new(&*tree, &db, &job.query, &Scoring::unit_dna(), &job.params).run();
+            assert_eq!(out.hits, hits);
+            assert_eq!(out.stats, stats);
         }
     }
 
@@ -574,22 +376,14 @@ mod tests {
     }
 
     #[test]
-    fn into_search_hands_off_cleanly() {
-        let db = dna_db(&["AGTACGCCTAG", "TACCG"]);
-        let engine = mem_engine(&db);
-        let q = Alphabet::dna().encode_str("TACG").unwrap();
-        let params = OasisParams::with_min_score(1);
-        let search = engine.session(&q, &params).into_search();
-        let (hits, _) = search.run();
-        assert_eq!(hits, engine.run_one(&q, &params).hits);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not index this database")]
     fn mismatched_substrate_rejected() {
         let db1 = dna_db(&["ACGT"]);
         let db2 = dna_db(&["ACGTACGT"]);
-        let tree = Arc::new(SuffixTree::build(&db1));
-        let _ = OasisEngine::new(tree, db2, Scoring::unit_dna());
+        let disk = disk_tree(&SuffixTree::build(&db1), "mismatch", 1 << 16);
+        let err = ShardedEngine::disk_resident(db2, disk, Scoring::unit_dna())
+            .err()
+            .map(|e| e.to_string())
+            .unwrap_or_default();
+        assert!(err.contains("the database has 9"), "{err}");
     }
 }

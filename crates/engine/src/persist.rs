@@ -1,23 +1,24 @@
 //! Building and loading persistent index artifacts at the engine level.
 //!
 //! `oasis-storage`'s artifact module defines the on-disk format (manifest,
-//! checksums, atomic writes); this module connects it to running engines:
+//! checksums, atomic writes); this module connects it to the
+//! [`ShardedEngine`]:
 //!
 //! * [`build_index_artifact`] partitions a database exactly like
 //!   [`ShardedEngine::build`] (same balanced lexical ranges), indexes each
 //!   shard, and persists everything into an artifact directory.
-//! * [`load_sharded_engine`] reconstitutes a ready [`ShardedEngine`] from
-//!   an artifact — decoding the serialized trees instead of rebuilding
-//!   them, so startup scales with index size on disk, not with
-//!   suffix-array construction.
+//! * [`load_sharded_engine`] reconstitutes a ready engine from an artifact
+//!   — decoding the serialized trees instead of rebuilding them, so
+//!   startup scales with index size on disk, not with suffix-array
+//!   construction.
 //! * [`disk_engine_from_artifact`] opens a single-shard artifact
-//!   *disk-resident*: the shard image is served through a
-//!   [`oasis_storage::BufferPool`] over a [`FileDevice`], the paper's
-//!   operating mode, after a one-pass checksum verification.
+//!   *disk-resident*: after a one-pass checksum verification, the shard
+//!   image is served through a [`oasis_storage::BufferPool`] over a
+//!   [`FileDevice`] — the paper's operating mode — as a one-shard engine.
 //! * [`open_artifact_engine`] applies the serving policy over the two
 //!   ([`opens_disk_resident`]): one tree-image shard opens disk-resident,
-//!   anything else loads as the in-memory fan-out engine. The CLI and the
-//!   network server both open artifacts through it.
+//!   anything else loads in memory. The CLI and the network server both
+//!   open artifacts through it.
 //!
 //! Either load path produces hits byte-identical to a freshly built index
 //! (`tests/index_persistence.rs` property-tests this), so a loaded
@@ -35,13 +36,14 @@ use oasis_storage::{
 };
 
 use crate::shard::{Shard, ShardBackend};
-use crate::{IndexBackend, OasisEngine, ShardedEngine};
+use crate::{IndexBackend, ShardedEngine};
 
 /// The artifact writer's view of a shard list: each shard's inclusive
-/// global sequence range plus its index payload.
+/// global sequence range plus its index payload. A disk-resident shard
+/// has no in-memory index to write, which is a typed error.
 pub(crate) fn artifact_entries<'a>(
     shards: impl IntoIterator<Item = &'a Shard>,
-) -> Vec<(u32, u32, ShardPayload<'a>)> {
+) -> Result<Vec<(u32, u32, ShardPayload<'a>)>, ArtifactError> {
     shards
         .into_iter()
         .map(|shard| {
@@ -50,8 +52,15 @@ pub(crate) fn artifact_entries<'a>(
             let payload = match &shard.index {
                 ShardBackend::Tree(tree) => ShardPayload::Tree(tree),
                 ShardBackend::Esa(esa) => ShardPayload::Esa(esa),
+                ShardBackend::Disk(_) => {
+                    return Err(ArtifactError::Unsupported(
+                        "a disk-resident shard is served from its artifact and cannot be \
+                         persisted again"
+                            .to_string(),
+                    ))
+                }
             };
-            (lo, hi, payload)
+            Ok((lo, hi, payload))
         })
         .collect()
 }
@@ -69,13 +78,15 @@ pub fn build_index_artifact(
     block_size: usize,
     backend: IndexBackend,
 ) -> Result<IndexManifest, ArtifactError> {
-    let built = Shard::build_all(db, shards, backend);
-    write_index_artifact(dir, db, &artifact_entries(&built), block_size, None)
+    let built = Shard::build_all(db, None, shards, backend);
+    write_index_artifact(dir, db, &artifact_entries(&built)?, block_size, None)
 }
 
 /// Persist an already-built [`ShardedEngine`]'s index into the artifact
 /// directory `dir`, reusing its shard trees — no rebuilding. This is the
-/// serving-side flow: build (or load) once, serve, persist.
+/// serving-side flow: build (or load) once, serve, persist. A
+/// disk-resident engine is already persisted; writing it again is
+/// [`ArtifactError::Unsupported`].
 pub fn persist_sharded_engine(
     engine: &ShardedEngine,
     dir: &Path,
@@ -84,7 +95,7 @@ pub fn persist_sharded_engine(
     write_index_artifact(
         dir,
         engine.db(),
-        &artifact_entries(engine.shards().iter().map(Arc::as_ref)),
+        &artifact_entries(engine.shards().iter().map(Arc::as_ref))?,
         block_size,
         None,
     )
@@ -125,12 +136,23 @@ pub fn sharded_engine_from_artifact(
         // oasis-lint: allow(panic-free-serving) — i ranges over 0..manifest.shards.len() below
         let meta = &manifest.shards[i];
         let (lo, hi) = (meta.seq_lo as usize, meta.seq_hi as usize);
-        let shard_db = Shard::database_for(&db, lo, hi);
+        let shard_db = Shard::database_for(&db, Some(&db), lo, hi);
         let index = match meta.kind {
-            SectionKind::TreeImage => ShardBackend::Tree(manifest.load_shard_tree(dir, i)?),
+            SectionKind::TreeImage => {
+                let tree = manifest.load_shard_tree(dir, i)?;
+                // The decoded tree must cover exactly the shard's text;
+                // anything else means the manifest pairs a section with
+                // the wrong range.
+                if tree.text() != shard_db.text() {
+                    return Err(ArtifactError::Corrupt(format!(
+                        "shard {i}: index does not cover sequences {lo}..={hi}"
+                    )));
+                }
+                ShardBackend::Tree(tree)
+            }
             // The packed payload revalidates against the shard database
             // inside `decode_esa` (geometry + text checksum), which covers
-            // the pairing check below as well.
+            // the pairing check as well.
             SectionKind::PackedEsa => {
                 let bytes = manifest.load_shard_section(dir, i)?;
                 ShardBackend::Esa(decode_esa(bytes, &shard_db).map_err(|e| {
@@ -138,13 +160,6 @@ pub fn sharded_engine_from_artifact(
                 })?)
             }
         };
-        // The decoded index must cover exactly the shard's text; anything
-        // else means the manifest pairs a section with the wrong range.
-        if index.text() != shard_db.text() {
-            return Err(ArtifactError::Corrupt(format!(
-                "shard {i}: index does not cover sequences {lo}..={hi}"
-            )));
-        }
         Ok(Shard {
             db: shard_db,
             index,
@@ -176,16 +191,17 @@ pub fn load_sharded_engine(dir: &Path, scoring: Scoring) -> Result<ShardedEngine
 
 /// Open a **single-shard** artifact disk-resident: verify the shard
 /// image's checksum, then serve it through a buffer pool of `pool_bytes`
-/// over a [`FileDevice`] — the §3.4 operating mode, where the tree is
-/// never materialized in memory. Multi-shard artifacts load through
-/// [`sharded_engine_from_artifact`] instead.
+/// over a [`FileDevice`] as a one-shard engine
+/// ([`ShardedEngine::disk_resident`]) — the §3.4 operating mode, where the
+/// tree is never materialized in memory. Multi-shard artifacts load
+/// through [`sharded_engine_from_artifact`] instead.
 pub fn disk_engine_from_artifact(
     dir: &Path,
     manifest: &IndexManifest,
     db: Arc<SequenceDatabase>,
     scoring: Scoring,
     pool_bytes: usize,
-) -> Result<OasisEngine<DiskSuffixTree<FileDevice>>, ArtifactError> {
+) -> Result<ShardedEngine, ArtifactError> {
     if manifest.shards.len() != 1 {
         return Err(ArtifactError::Corrupt(format!(
             "disk-resident load needs a single-shard artifact (this one has {})",
@@ -220,16 +236,7 @@ pub fn disk_engine_from_artifact(
     let device = FileDevice::open(manifest.shard_path(dir, 0), manifest.block_size as usize)?;
     let tree = DiskSuffixTree::open(device, pool_bytes)
         .map_err(|e| ArtifactError::Corrupt(format!("shard 0: {e}")))?;
-    Ok(OasisEngine::new(Arc::new(tree), db, scoring))
-}
-
-/// The engine an artifact opens as under [`open_artifact_engine`]'s
-/// policy.
-pub enum ArtifactEngine {
-    /// A single tree-image shard, disk-resident through a buffer pool.
-    Disk(OasisEngine<DiskSuffixTree<FileDevice>>),
-    /// Several shards, or a packed-ESA shard: the in-memory fan-out.
-    Sharded(ShardedEngine),
+    ShardedEngine::disk_resident(db, tree, scoring)
 }
 
 /// The serving policy for artifacts: does `manifest` open disk-resident?
@@ -243,19 +250,18 @@ pub fn opens_disk_resident(manifest: &IndexManifest) -> bool {
 /// Open the artifact in `dir` for serving, with the manifest and database
 /// already loaded: disk-resident through a buffer pool of `pool_bytes`
 /// ([`disk_engine_from_artifact`]) when [`opens_disk_resident`] says so,
-/// otherwise as the in-memory fan-out engine
-/// ([`sharded_engine_from_artifact`]).
+/// otherwise in memory ([`sharded_engine_from_artifact`]).
 pub fn open_artifact_engine(
     dir: &Path,
     manifest: &IndexManifest,
     db: Arc<SequenceDatabase>,
     scoring: Scoring,
     pool_bytes: usize,
-) -> Result<ArtifactEngine, ArtifactError> {
+) -> Result<ShardedEngine, ArtifactError> {
     if opens_disk_resident(manifest) {
-        disk_engine_from_artifact(dir, manifest, db, scoring, pool_bytes).map(ArtifactEngine::Disk)
+        disk_engine_from_artifact(dir, manifest, db, scoring, pool_bytes)
     } else {
-        sharded_engine_from_artifact(dir, manifest, db, scoring).map(ArtifactEngine::Sharded)
+        sharded_engine_from_artifact(dir, manifest, db, scoring)
     }
 }
 
@@ -365,6 +371,12 @@ mod tests {
         let params = OasisParams::with_min_score(2);
         let outcome = engine.run_one(&q, &params);
         assert!(outcome.pool_delta.total().requests > 0, "must hit the pool");
+        // The one disk shard shares the global database: it is held once.
+        assert_eq!(engine.num_shards(), 1);
+        assert!(Arc::ptr_eq(&engine.shards()[0].db, &db));
+        // No in-memory index to re-persist: a typed error, not a panic.
+        let err = persist_sharded_engine(&engine, &tmpdir("diskres-repersist"), 64);
+        assert!(matches!(err, Err(ArtifactError::Unsupported(_))));
         let fresh = ShardedEngine::build(db, Scoring::unit_dna(), 1);
         assert_eq!(outcome.hits, fresh.run_one(&q, &params).hits);
         // Multi-shard artifacts refuse the disk-resident path.

@@ -5,9 +5,9 @@
 //! it needs *admission control*. [`ServingEngine`] is a bounded submission
 //! queue plus a worker pool. It owns no index: every submission carries
 //! the pinned [`Generation`] it runs on (handed out by
-//! [`crate::IndexCatalog::current`]), whose executor may be the
-//! single-index [`crate::OasisEngine`], the fan-out
-//! [`crate::ShardedEngine`], or a test double. [`ServingEngine::try_submit`]
+//! [`crate::IndexCatalog::current`]), whose executor is a
+//! [`crate::ShardedEngine`], a served index wrapping one, or a test
+//! double. [`ServingEngine::try_submit`]
 //! never blocks, returning either a [`QueryTicket`] — a completion handle
 //! the caller can wait on — or [`AdmissionError::QueueFull`], the
 //! backpressure signal that tells the caller to retry later instead of
@@ -31,23 +31,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::catalog::Generation;
-use crate::{BatchQuery, OasisEngine, SearchOutcome, ShardedEngine};
+use crate::{BatchQuery, SearchOutcome, ShardedEngine};
 use oasis_obs::trace::stage;
 use oasis_obs::{Histogram, HistogramSnapshot, QueryTrace};
-use oasis_suffix::SuffixTreeAccess;
 
-/// Anything that can run one query to completion. Implemented by both
-/// engines; it is the seam that lets tests substitute a double.
+/// Anything that can run one query to completion. Implemented by the
+/// engine; it is the seam that lets tests substitute a double.
 pub trait QueryExecutor: Send + Sync {
     /// Execute `job` (respecting its [`BatchQuery::limit`]) and return the
     /// full outcome.
     fn execute(&self, job: &BatchQuery) -> SearchOutcome;
-}
-
-impl<T: SuffixTreeAccess + Send + Sync + ?Sized> QueryExecutor for OasisEngine<T> {
-    fn execute(&self, job: &BatchQuery) -> SearchOutcome {
-        self.run_job(job)
-    }
 }
 
 impl QueryExecutor for ShardedEngine {
@@ -570,7 +563,6 @@ mod tests {
     use oasis_align::Scoring;
     use oasis_bioseq::{Alphabet, DatabaseBuilder, SequenceDatabase};
     use oasis_core::OasisParams;
-    use oasis_suffix::SuffixTree;
 
     fn dna_db(seqs: &[&str]) -> Arc<SequenceDatabase> {
         let mut b = DatabaseBuilder::new(Alphabet::dna());
@@ -580,9 +572,8 @@ mod tests {
         Arc::new(b.finish())
     }
 
-    fn engine(db: &Arc<SequenceDatabase>) -> OasisEngine<SuffixTree> {
-        let tree = Arc::new(SuffixTree::build(db));
-        OasisEngine::new(tree, db.clone(), Scoring::unit_dna())
+    fn engine(db: &Arc<SequenceDatabase>) -> ShardedEngine {
+        ShardedEngine::build(db.clone(), Scoring::unit_dna(), 1)
     }
 
     /// Pin `executor` as a fresh catalog's generation 0.

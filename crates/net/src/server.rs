@@ -76,9 +76,9 @@ use oasis_align::{background_dna, background_protein, KarlinParams, Score, Scori
 use oasis_bioseq::{parse_fasta, AlphabetKind, SequenceDatabase, UnknownResiduePolicy};
 use oasis_core::{Hit, OasisParams};
 use oasis_engine::{
-    open_artifact_engine, AdmissionError, ArtifactEngine, BatchQuery, CacheKey, IndexCatalog,
-    LiveIndex, LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor, ResultCache,
-    SearchOutcome, ServingConfig, ServingConfigError, ServingEngine,
+    open_artifact_engine, AdmissionError, BatchQuery, CacheKey, IndexCatalog, LiveIndex,
+    LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor, ResultCache, SearchOutcome,
+    ServingConfig, ServingConfigError, ServingEngine,
 };
 use oasis_obs::trace::stage;
 use oasis_obs::{Counter, Histogram, HistogramSnapshot, QueryTrace, SlowLog};
@@ -158,12 +158,8 @@ impl ServedIndex {
                 scoring.matrix.kind()
             )));
         }
-        let executor: Arc<dyn QueryExecutor> =
-            match open_artifact_engine(dir, manifest, db.clone(), scoring, pool_bytes)? {
-                ArtifactEngine::Disk(engine) => Arc::new(engine),
-                ArtifactEngine::Sharded(engine) => Arc::new(engine),
-            };
-        Ok(ServedIndex { db, executor })
+        let engine = open_artifact_engine(dir, manifest, db.clone(), scoring, pool_bytes)?;
+        Ok(ServedIndex::new(db, Arc::new(engine)))
     }
 
     /// The database this generation serves.

@@ -105,6 +105,9 @@ pub enum ArtifactError {
     },
     /// Structural inconsistency (bad counts, ranges, or decode failures).
     Corrupt(String),
+    /// The index cannot be written as an artifact (a disk-resident shard
+    /// is served from its file and holds no in-memory index to persist).
+    Unsupported(String),
 }
 
 impl std::fmt::Display for ArtifactError {
@@ -123,6 +126,7 @@ impl std::fmt::Display for ArtifactError {
                 write!(f, "checksum mismatch in {file} — artifact is corrupt")
             }
             ArtifactError::Corrupt(what) => write!(f, "corrupt artifact: {what}"),
+            ArtifactError::Unsupported(what) => write!(f, "unsupported: {what}"),
         }
     }
 }

@@ -1,13 +1,12 @@
 //! Disk-resident index — the paper's §3.4 representation end to end: build
 //! the three-array disk image, open it through a clock buffer pool, run the
 //! search against the *disk* tree, and inspect per-component hit ratios
-//! (the paper's Figure 8 instrumentation).
+//! (the paper's Figure 8 instrumentation). The same disk tree, opened from
+//! an index file, is what `ShardedEngine::disk_resident` serves.
 //!
 //! ```sh
 //! cargo run --release --example disk_index
 //! ```
-
-use std::sync::Arc;
 
 use oasis::prelude::*;
 use oasis::storage::Region;
@@ -37,18 +36,17 @@ fn main() {
     let scoring = Scoring::pam30_protein();
     let query = Alphabet::protein().encode_str("DKDGDGCITTKEL").unwrap();
     let params = OasisParams::with_min_score(30);
-    let mem_engine = OasisEngine::new(Arc::new(tree), db.clone(), scoring.clone());
+    let (mem_hits, _) = OasisSearch::new(&tree, &db, &query, &scoring, &params).run();
 
     for divisor in [16usize, 4, 1] {
         let pool_bytes = (image.len() / divisor).max(4096);
-        let disk_tree = Arc::new(
-            DiskSuffixTree::open_image(image.clone(), 2048, pool_bytes).expect("valid image"),
-        );
-        let engine = OasisEngine::new(disk_tree, db.clone(), scoring.clone());
-        // The engine attributes pool traffic per query (a thread-local
-        // delta, exact even under concurrent batches) — no global reset.
-        let outcome = engine.run_one(&query, &params);
-        let s = outcome.pool_delta;
+        let disk_tree =
+            DiskSuffixTree::open_image(image.clone(), 2048, pool_bytes).expect("valid image");
+        // A thread-local delta scope attributes pool traffic to this query
+        // alone (exact even under concurrent queries) — no global reset.
+        let scope = PoolDeltaScope::begin();
+        let (hits, _) = OasisSearch::new(&disk_tree, &db, &query, &scoring, &params).run();
+        let s = scope.finish();
         // `hit_ratio` is None when a region saw no requests — render that
         // as n/a rather than a fabricated number.
         let ratio = |r: Region| {
@@ -58,15 +56,14 @@ fn main() {
         };
         println!(
             "pool 1/{divisor:<2} of index: {} hits | hit ratios: symbols {}, internal {}, leaves {}",
-            outcome.hits.len(),
+            hits.len(),
             ratio(Region::Symbols),
             ratio(Region::Internal),
             ratio(Region::Leaves),
         );
 
         // The disk tree is bit-for-bit equivalent to the in-memory tree:
-        let mem_hits = mem_engine.run_one(&query, &params).hits;
-        assert_eq!(outcome.hits, mem_hits, "disk and memory trees must agree");
+        assert_eq!(hits, mem_hits, "disk and memory trees must agree");
     }
     println!("\ndisk-resident search returned identical results at every pool size");
     println!("(asserted); the level-first internal layout keeps its hit ratio");

@@ -37,13 +37,12 @@ fn main() {
     let scoring = Scoring::pam30_protein();
     let karlin =
         KarlinParams::estimate(&scoring.matrix, &oasis::align::background_protein()).unwrap();
-    let engine = OasisEngine::new(tree, db.clone(), scoring);
 
     let query = alphabet.encode_str(motif).unwrap();
     let params = OasisParams::with_min_score(40);
 
     println!("score-ordered (classic OASIS):");
-    for hit in engine.session(&query, &params) {
+    for hit in OasisSearch::new(&*tree, &db, &query, &scoring, &params) {
         println!(
             "  {:<14} score={:<4} E(adjusted)={:.2e}",
             db.name(hit.seq),
@@ -53,7 +52,7 @@ fn main() {
     }
 
     println!("\nE-value-ordered (§4.3 refinement), still online:");
-    let inner = engine.session(&query, &params).into_search();
+    let inner = OasisSearch::new(&*tree, &db, &query, &scoring, &params);
     let search = EvalueOrderedSearch::new(inner, &db, query.len(), karlin);
     let hits: Vec<EvaluedHit> = search.collect();
     for h in &hits {

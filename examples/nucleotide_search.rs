@@ -8,7 +8,6 @@
 //! cargo run --release --example nucleotide_search
 //! ```
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use oasis::prelude::*;
@@ -28,11 +27,10 @@ fn main() {
         db.total_residues(),
         workload.motifs.len()
     );
-    let tree = Arc::new(SuffixTree::build(&db));
 
     // Table 1: +1 match, −1 mismatch, −1 gap.
     let scoring = Scoring::unit_dna();
-    let engine = OasisEngine::new(tree, db.clone(), scoring.clone());
+    let engine = ShardedEngine::build(db.clone(), scoring.clone(), 1);
     let queries = generate_queries(&workload, &QuerySpec::fixed(20, 6, 99));
     let min_score = 12; // ≥12 of 20 bases must effectively match
 

@@ -10,7 +10,6 @@
 //! cargo run --release --example online_topk
 //! ```
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use oasis::prelude::*;
@@ -18,12 +17,11 @@ use oasis::prelude::*;
 fn main() {
     let workload = generate_protein(&ProteinDbSpec::default());
     let db = workload.db.clone();
-    let tree = Arc::new(SuffixTree::build(&db));
     let scoring = Scoring::pam30_protein();
     let karlin =
         KarlinParams::estimate(&scoring.matrix, &oasis::align::stats::background_protein())
             .expect("stats");
-    let engine = OasisEngine::new(tree, db.clone(), scoring);
+    let engine = ShardedEngine::build(db.clone(), scoring, 1);
 
     // The paper's Figure 9 query: a 13-residue calcium-binding-loop motif.
     let query = Alphabet::protein().encode_str("DKDGDGCITTKEL").unwrap();

@@ -11,7 +11,6 @@
 //! cargo run --release --example peptide_search
 //! ```
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use oasis::prelude::*;
@@ -32,14 +31,12 @@ fn main() {
     );
 
     let build_start = Instant::now();
-    let tree = Arc::new(SuffixTree::build(&db));
-    println!("suffix tree built in {:?}", build_start.elapsed());
-
     let scoring = Scoring::pam30_protein();
+    let engine = ShardedEngine::build(db.clone(), scoring.clone(), 1);
+    println!("suffix tree built in {:?}", build_start.elapsed());
     let karlin =
         KarlinParams::estimate(&scoring.matrix, &oasis::align::stats::background_protein())
             .expect("PAM30 statistics");
-    let engine = OasisEngine::new(tree, db.clone(), scoring.clone());
 
     let queries = generate_queries(&workload, &QuerySpec::proclass_like(12, 42));
     let evalue = 20_000.0;

@@ -1,5 +1,5 @@
 //! Quickstart: build a tiny protein database, index it, and run an exact
-//! online local-alignment search through the multi-query engine.
+//! online local-alignment search over it.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -37,14 +37,13 @@ fn main() {
         tree.num_leaves()
     );
 
-    // 3. Assemble the engine — the shared substrate all queries run
-    //    through — and search a short peptide: exact, best-first, online.
+    // 3. Search a short peptide: exact, best-first, online — each hit
+    //    arrives as soon as it is proven optimal.
     let scoring = Scoring::new(SubstitutionMatrix::blosum62(), GapModel::linear(-8));
-    let engine = OasisEngine::new(tree, db.clone(), scoring.clone());
     let query = alphabet.encode_str("AKQRQISFVKSH").unwrap();
     let params = OasisParams::with_min_score(25);
     println!("\nquery AKQRQISFVKSH (minScore 25):");
-    for hit in engine.session(&query, &params) {
+    for hit in OasisSearch::new(&*tree, &db, &query, &scoring, &params) {
         let alignment = hit.alignment(&db, &query, &scoring);
         println!(
             "\n  {} — score {} (target window {}..{})",

@@ -19,17 +19,16 @@
 //! builds the generalized suffix tree and writes the paper's §3.4 disk
 //! representation; `index build` persists a complete **index artifact** —
 //! database plus N balanced shard trees, checksummed and atomically
-//! written — that `search --index` later *loads* instead of rebuilding
-//! (single-shard artifacts serve disk-resident through the buffer pool;
-//! multi-shard artifacts reconstitute the in-memory fan-out engine);
-//! `search` runs the exact online OASIS search through the multi-query
-//! engine — a single query streams hits as they are proven optimal, a
-//! `--queries` FASTA batch executes concurrently across worker threads
-//! against the shared index, and `--shards N` partitions the database
-//! into N balanced in-memory shard indexes whose merged results are
-//! byte-identical to the single-index search; `info` prints index
-//! geometry and `index inspect` prints an artifact's manifest without
-//! loading any trees.
+//! written — that `search --index` later *loads* instead of rebuilding;
+//! `search` runs the exact online OASIS search through the one engine,
+//! `ShardedEngine`. A bare index file, or a single-shard tree artifact,
+//! opens as one disk-resident shard read through the buffer pool;
+//! `--shards N` (or a multi-shard or ESA artifact) serves N balanced
+//! in-memory shards whose merged results are byte-identical. A single
+//! query streams hits as they are proven optimal, and a `--queries`
+//! FASTA batch executes concurrently across worker threads against the
+//! shared index; `info` prints index geometry and `index inspect` prints
+//! an artifact's manifest without loading any trees.
 //!
 //! The network trio makes the serving stack an actual service: `serve`
 //! exposes an index artifact over the versioned wire protocol of
@@ -246,6 +245,14 @@ impl Flags {
         })
     }
 
+    /// Apply `--threads` (the batch worker count) to an opened engine.
+    fn with_threads(&self, engine: ShardedEngine) -> ShardedEngine {
+        match self.threads {
+            Some(threads) => engine.with_threads(threads),
+            None => engine,
+        }
+    }
+
     /// `--pool-mb` only sizes the buffer pool behind a disk-resident
     /// index; multi-shard backends are in-memory and never touch a pool.
     /// Passing it there deserves a warning, not silence.
@@ -257,6 +264,24 @@ impl Flags {
             );
         }
     }
+}
+
+/// The argument after flag `name`.
+fn value(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("{name} requires a value"))
+}
+
+/// The argument after flag `name`, parsed as a `T`.
+fn parsed<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    name: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value(it, name)?.parse().map_err(|e| format!("{name}: {e}"))
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
@@ -293,125 +318,36 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
         match a.as_str() {
             "--dna" => f.alphabet = Alphabet::dna(),
             "--protein" => f.alphabet = Alphabet::protein(),
-            "--block-size" => {
-                f.block_size = Some(
-                    value("--block-size")?
-                        .parse()
-                        .map_err(|e| format!("--block-size: {e}"))?,
-                )
-            }
-            "--evalue" => {
-                f.evalue = Some(
-                    value("--evalue")?
-                        .parse()
-                        .map_err(|e| format!("--evalue: {e}"))?,
-                )
-            }
-            "--min-score" => {
-                f.min_score = Some(
-                    value("--min-score")?
-                        .parse()
-                        .map_err(|e| format!("--min-score: {e}"))?,
-                )
-            }
-            "--top" => f.top = Some(value("--top")?.parse().map_err(|e| format!("--top: {e}"))?),
-            "--pool-mb" => {
-                f.pool_mb = Some(
-                    value("--pool-mb")?
-                        .parse()
-                        .map_err(|e| format!("--pool-mb: {e}"))?,
-                )
-            }
-            "--matrix" => f.matrix = value("--matrix")?,
-            "--gap" => f.gap = value("--gap")?.parse().map_err(|e| format!("--gap: {e}"))?,
-            "--queries" => f.queries = Some(value("--queries")?),
-            "--threads" => {
-                f.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--shards" => {
-                f.shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?,
-                )
-            }
-            "--out" => f.out = Some(value("--out")?),
-            "--index" => f.index = Some(value("--index")?),
-            "--addr" => f.addr = Some(value("--addr")?),
-            "--remote" => f.remote = Some(value("--remote")?),
-            "--workers" => {
-                f.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                )
-            }
-            "--queue" => {
-                f.queue = Some(
-                    value("--queue")?
-                        .parse()
-                        .map_err(|e| format!("--queue: {e}"))?,
-                )
-            }
-            "--backend" => f.backend = Some(value("--backend")?),
-            "--compact-after" => {
-                f.compact_after = Some(
-                    value("--compact-after")?
-                        .parse()
-                        .map_err(|e| format!("--compact-after: {e}"))?,
-                )
-            }
-            "--max-conns" => {
-                f.max_conns = Some(
-                    value("--max-conns")?
-                        .parse()
-                        .map_err(|e| format!("--max-conns: {e}"))?,
-                )
-            }
-            "--cache-entries" => {
-                f.cache_entries = Some(
-                    value("--cache-entries")?
-                        .parse()
-                        .map_err(|e| format!("--cache-entries: {e}"))?,
-                )
-            }
-            "--timeout-ms" => {
-                f.timeout_ms = Some(
-                    value("--timeout-ms")?
-                        .parse()
-                        .map_err(|e| format!("--timeout-ms: {e}"))?,
-                )
-            }
-            "--metrics-addr" => f.metrics_addr = Some(value("--metrics-addr")?),
-            "--slow-ms" => {
-                f.slow_ms = Some(
-                    value("--slow-ms")?
-                        .parse()
-                        .map_err(|e| format!("--slow-ms: {e}"))?,
-                )
-            }
+            "--block-size" => f.block_size = Some(parsed(&mut it, "--block-size")?),
+            "--evalue" => f.evalue = Some(parsed(&mut it, "--evalue")?),
+            "--min-score" => f.min_score = Some(parsed(&mut it, "--min-score")?),
+            "--top" => f.top = Some(parsed(&mut it, "--top")?),
+            "--pool-mb" => f.pool_mb = Some(parsed(&mut it, "--pool-mb")?),
+            "--matrix" => f.matrix = value(&mut it, "--matrix")?,
+            "--gap" => f.gap = parsed(&mut it, "--gap")?,
+            "--queries" => f.queries = Some(value(&mut it, "--queries")?),
+            "--threads" => f.threads = Some(parsed(&mut it, "--threads")?),
+            "--shards" => f.shards = Some(parsed(&mut it, "--shards")?),
+            "--out" => f.out = Some(value(&mut it, "--out")?),
+            "--index" => f.index = Some(value(&mut it, "--index")?),
+            "--addr" => f.addr = Some(value(&mut it, "--addr")?),
+            "--remote" => f.remote = Some(value(&mut it, "--remote")?),
+            "--workers" => f.workers = Some(parsed(&mut it, "--workers")?),
+            "--queue" => f.queue = Some(parsed(&mut it, "--queue")?),
+            "--backend" => f.backend = Some(value(&mut it, "--backend")?),
+            "--compact-after" => f.compact_after = Some(parsed(&mut it, "--compact-after")?),
+            "--max-conns" => f.max_conns = Some(parsed(&mut it, "--max-conns")?),
+            "--cache-entries" => f.cache_entries = Some(parsed(&mut it, "--cache-entries")?),
+            "--timeout-ms" => f.timeout_ms = Some(parsed(&mut it, "--timeout-ms")?),
+            "--metrics-addr" => f.metrics_addr = Some(value(&mut it, "--metrics-addr")?),
+            "--slow-ms" => f.slow_ms = Some(parsed(&mut it, "--slow-ms")?),
             "--json" => f.json = true,
             "--compact" => f.compact = true,
             "--prom" => f.prom = true,
-            "--deadline-ms" => {
-                f.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("--deadline-ms: {e}"))?,
-                )
-            }
+            "--deadline-ms" => f.deadline_ms = Some(parsed(&mut it, "--deadline-ms")?),
             other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
             other => f.positional.push(other.to_string()),
         }
@@ -665,11 +601,14 @@ impl MinScoreRule {
             oasis::bioseq::AlphabetKind::Dna => oasis::align::background_dna().to_vec(),
             oasis::bioseq::AlphabetKind::Protein => oasis::align::background_protein().to_vec(),
         };
+        let evalue = flags.evalue.unwrap_or(10.0);
+        if !(evalue.is_finite() && evalue > 0.0) {
+            return Err(format!(
+                "E-value must be finite and positive (got {evalue})"
+            ));
+        }
         let karlin = KarlinParams::estimate(&scoring.matrix, &freqs).map_err(|e| e.to_string())?;
-        Ok(MinScoreRule::Evalue {
-            karlin,
-            evalue: flags.evalue.unwrap_or(10.0),
-        })
+        Ok(MinScoreRule::Evalue { karlin, evalue })
     }
 
     fn min_score(&self, db: &SequenceDatabase, query_len: usize) -> Score {
@@ -682,79 +621,6 @@ impl MinScoreRule {
     }
 }
 
-/// Open the disk index and assemble the multi-query engine — the single
-/// search entry point for both the one-shot and the batch paths.
-fn open_engine(
-    flags: &Flags,
-    db: Arc<SequenceDatabase>,
-    index_path: &str,
-    scoring: Scoring,
-) -> Result<OasisEngine<DiskSuffixTree<FileDevice>>, String> {
-    let block_size = index_block_size(index_path, flags.block_size)?;
-    let device =
-        FileDevice::open(index_path, block_size).map_err(|e| format!("{index_path}: {e}"))?;
-    let tree = DiskSuffixTree::open(device, flags.pool_bytes())
-        .map_err(|e| format!("{index_path}: {e}"))?;
-    let mut engine = OasisEngine::new(Arc::new(tree), db, scoring);
-    if let Some(threads) = flags.threads {
-        engine = engine.with_threads(threads);
-    }
-    Ok(engine)
-}
-
-/// The search back end a `search` invocation runs on: the disk index
-/// behind the buffer pool (default), or balanced in-memory shard indexes
-/// fanned out per query (`--shards N`, a multi-shard or ESA artifact, or
-/// a live index snapshot whose delta was replayed from the append WAL).
-/// Results are byte-identical either way; only the storage/parallelism
-/// shape differs.
-enum SearchBackend {
-    Disk(OasisEngine<DiskSuffixTree<FileDevice>>),
-    Sharded(Arc<ShardedEngine>),
-}
-
-impl SearchBackend {
-    fn build(
-        flags: &Flags,
-        db: Arc<SequenceDatabase>,
-        index_path: &str,
-        scoring: Scoring,
-    ) -> Result<Self, String> {
-        match flags.shards {
-            None => Ok(SearchBackend::Disk(open_engine(
-                flags, db, index_path, scoring,
-            )?)),
-            Some(0) => Err("--shards must be at least 1".to_string()),
-            Some(n) => {
-                flags.warn_pool_mb_ignored();
-                let mut engine = ShardedEngine::build(db, scoring, n);
-                if let Some(threads) = flags.threads {
-                    engine = engine.with_threads(threads);
-                }
-                eprintln!(
-                    "sharded: {} balanced in-memory shard(s); disk index not opened",
-                    engine.num_shards()
-                );
-                Ok(SearchBackend::Sharded(Arc::new(engine)))
-            }
-        }
-    }
-
-    fn threads(&self) -> usize {
-        match self {
-            SearchBackend::Disk(e) => e.threads(),
-            SearchBackend::Sharded(e) => e.threads(),
-        }
-    }
-
-    fn run_batch(&self, jobs: &[BatchQuery]) -> Vec<SearchOutcome> {
-        match self {
-            SearchBackend::Disk(e) => e.run_batch(jobs),
-            SearchBackend::Sharded(e) => e.run_batch(jobs),
-        }
-    }
-}
-
 /// Report a run's buffer-pool traffic on stderr — the per-query (or
 /// per-batch) delta the engine attributes through `PoolDeltaScope`, i.e.
 /// the paper's Figure 8 hit-ratio metric.
@@ -763,7 +629,7 @@ fn report_pool(delta: &PoolStatsSnapshot) {
     match total.hit_ratio() {
         // An idle pool has no ratio — claiming "100%" here would let pure
         // in-memory runs report a perfect hit rate they never earned.
-        None => eprintln!("buffer pool: no requests, hit ratio n/a (in-memory index)"),
+        None => eprintln!("buffer pool: no requests, hit ratio n/a"),
         Some(ratio) => eprintln!(
             "buffer pool: {} requests, {:.1}% hit ratio",
             total.requests,
@@ -803,17 +669,14 @@ fn wal_summary(
     }))
 }
 
-/// Load an index artifact directory into a ready search backend. The
-/// artifact is self-contained: the database (names, alphabet) comes from
-/// its checksummed sections, so no FASTA path is needed — and the
-/// artifact's alphabet overrides `--dna`/`--protein`. The engine policy
-/// is `open_artifact_engine`'s: a single tree shard is opened
-/// disk-resident through the buffer pool (`--pool-mb` applies); anything
-/// else reconstitutes the in-memory fan-out engine.
-fn open_artifact_backend(
-    flags: &mut Flags,
-    dir: &str,
-) -> Result<(Arc<SequenceDatabase>, SearchBackend), String> {
+/// Load an index artifact directory into a ready engine. The artifact is
+/// self-contained: the database (names, alphabet) comes from its
+/// checksummed sections, so no FASTA path is needed — and the artifact's
+/// alphabet overrides `--dna`/`--protein`. The engine policy is
+/// `open_artifact_engine`'s: a single tree shard is opened disk-resident
+/// through the buffer pool (`--pool-mb` applies); anything else
+/// reconstitutes the in-memory fan-out engine.
+fn open_artifact(flags: &mut Flags, dir: &str) -> Result<Arc<ShardedEngine>, String> {
     let path = std::path::Path::new(dir);
     let start = std::time::Instant::now();
     let manifest = oasis::storage::read_manifest(path).map_err(|e| format!("{dir}: {e}"))?;
@@ -839,7 +702,6 @@ fn open_artifact_backend(
             oasis::engine::LiveIndexOptions::default(),
         )
         .map_err(|e| format!("{dir}: {e}"))?;
-        let snapshot = live.snapshot();
         eprintln!(
             "index artifact: {} base shard(s) + live delta of {} sequence(s) replayed \
              from the wal (loaded in {:.2?})",
@@ -847,59 +709,62 @@ fn open_artifact_backend(
             live.stats().delta_seqs,
             start.elapsed()
         );
-        return Ok((snapshot.db_shared(), SearchBackend::Sharded(snapshot)));
+        return Ok(live.snapshot());
     }
-    let opened = oasis::engine::open_artifact_engine(
-        path,
-        &manifest,
-        db.clone(),
-        scoring,
-        flags.pool_bytes(),
-    )
-    .map_err(|e| format!("{dir}: {e}"))?;
-    let backend = match opened {
-        ArtifactEngine::Disk(mut engine) => {
-            if let Some(threads) = flags.threads {
-                engine = engine.with_threads(threads);
-            }
-            eprintln!(
-                "index artifact: 1 shard, disk-resident through the buffer pool (loaded in {:.2?})",
-                start.elapsed()
-            );
-            SearchBackend::Disk(engine)
-        }
-        ArtifactEngine::Sharded(mut engine) => {
-            flags.warn_pool_mb_ignored();
-            if let Some(threads) = flags.threads {
-                engine = engine.with_threads(threads);
-            }
-            let all_tree = manifest
-                .shards
-                .iter()
-                .all(|s| s.kind == oasis::storage::SectionKind::TreeImage);
-            let kind = if all_tree { "tree" } else { "esa" };
-            eprintln!(
-                "index artifact: {} {kind} shard(s), in-memory fan-out (loaded in {:.2?})",
-                engine.num_shards(),
-                start.elapsed()
-            );
-            SearchBackend::Sharded(Arc::new(engine))
-        }
-    };
-    Ok((db, backend))
+    let engine =
+        oasis::engine::open_artifact_engine(path, &manifest, db, scoring, flags.pool_bytes())
+            .map_err(|e| format!("{dir}: {e}"))?;
+    if oasis::engine::opens_disk_resident(&manifest) {
+        eprintln!(
+            "index artifact: 1 shard, disk-resident through the buffer pool (loaded in {:.2?})",
+            start.elapsed()
+        );
+    } else {
+        flags.warn_pool_mb_ignored();
+        let all_tree = manifest
+            .shards
+            .iter()
+            .all(|s| s.kind == oasis::storage::SectionKind::TreeImage);
+        let kind = if all_tree { "tree" } else { "esa" };
+        eprintln!(
+            "index artifact: {} {kind} shard(s), in-memory fan-out (loaded in {:.2?})",
+            engine.num_shards(),
+            start.elapsed()
+        );
+    }
+    Ok(Arc::new(flags.with_threads(engine)))
 }
 
-/// Load the database and build the backend for the legacy
-/// `<db> <index.oasis>` invocation shape.
-fn open_legacy_backend(
-    flags: &Flags,
-    db_path: &str,
-    index_path: &str,
-) -> Result<(Arc<SequenceDatabase>, SearchBackend), String> {
+/// Load the database and open the engine for the legacy
+/// `<db> <index.oasis>` invocation shape: the disk index behind the
+/// buffer pool (default), or balanced in-memory shard indexes fanned out
+/// per query (`--shards N`; the disk index is not opened). Results are
+/// byte-identical either way; only the storage/parallelism shape differs.
+fn open_legacy(flags: &Flags, db_path: &str, index_path: &str) -> Result<ShardedEngine, String> {
     let db = Arc::new(load_db(db_path, &flags.alphabet)?);
     let scoring = scoring_from(flags)?;
-    let backend = SearchBackend::build(flags, db.clone(), index_path, scoring)?;
-    Ok((db, backend))
+    let engine = match flags.shards {
+        None => {
+            let block_size = index_block_size(index_path, flags.block_size)?;
+            let device = FileDevice::open(index_path, block_size)
+                .map_err(|e| format!("{index_path}: {e}"))?;
+            let tree = DiskSuffixTree::open(device, flags.pool_bytes())
+                .map_err(|e| format!("{index_path}: {e}"))?;
+            ShardedEngine::disk_resident(db, tree, scoring)
+                .map_err(|e| format!("{index_path}: {e}"))?
+        }
+        Some(0) => return Err("--shards must be at least 1".to_string()),
+        Some(n) => {
+            flags.warn_pool_mb_ignored();
+            let engine = ShardedEngine::build(db, scoring, n);
+            eprintln!(
+                "sharded: {} balanced in-memory shard(s); disk index not opened",
+                engine.num_shards()
+            );
+            engine
+        }
+    };
+    Ok(flags.with_threads(engine))
 }
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
@@ -917,28 +782,26 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
                     .to_string(),
             );
         }
-        let (db, backend) = open_artifact_backend(&mut flags, &dir)?;
+        let engine = open_artifact(&mut flags, &dir)?;
         return match (flags.positional.as_slice(), &flags.queries) {
-            ([query_text], None) => search_single(&flags, db, &backend, query_text),
-            ([], Some(queries_path)) => {
-                let queries_path = queries_path.clone();
-                search_batch(&flags, db, &backend, &queries_path)
-            }
+            ([query_text], None) => search_single(&flags, &engine, query_text),
+            ([], Some(queries_path)) => search_batch(&flags, &engine, queries_path),
             _ => Err("usage: oasis search --index <dir> <QUERY> [...]\n\
                  or:    oasis search --index <dir> --queries <queries.fasta> [...]"
                 .to_string()),
         };
     }
     match (flags.positional.as_slice(), &flags.queries) {
-        ([db_path, index_path, query_text], None) => {
-            let (db, backend) = open_legacy_backend(&flags, db_path, index_path)?;
-            search_single(&flags, db, &backend, query_text)
-        }
-        ([db_path, index_path], Some(queries_path)) => {
-            let queries_path = queries_path.clone();
-            let (db, backend) = open_legacy_backend(&flags, db_path, index_path)?;
-            search_batch(&flags, db, &backend, &queries_path)
-        }
+        ([db_path, index_path, query_text], None) => search_single(
+            &flags,
+            &open_legacy(&flags, db_path, index_path)?,
+            query_text,
+        ),
+        ([db_path, index_path], Some(queries_path)) => search_batch(
+            &flags,
+            &open_legacy(&flags, db_path, index_path)?,
+            queries_path,
+        ),
         _ => Err("usage: oasis search <db> <index.oasis> <QUERY> [...]\n\
              or:    oasis search <db> <index.oasis> --queries <queries.fasta> [...]"
             .to_string()),
@@ -977,15 +840,13 @@ fn batch_hit_line(id: &str, name: &str, hit: &Hit) -> String {
     )
 }
 
-/// Stream hits from an engine session to stdout, stopping at `limit`.
+/// Stream hits from an engine session to stdout, stopping at `limit`
+/// (checked before each hit is pulled, so `--top 0` prints none).
 fn print_hits(db: &SequenceDatabase, hits: impl Iterator<Item = Hit>, limit: usize) -> usize {
     let mut shown = 0usize;
-    for hit in hits {
+    for hit in hits.take(limit) {
         println!("{}", hit_line(db.name(hit.seq), &hit));
         shown += 1;
-        if shown >= limit {
-            break;
-        }
     }
     shown
 }
@@ -994,12 +855,7 @@ fn print_hits(db: &SequenceDatabase, hits: impl Iterator<Item = Hit>, limit: usi
 /// session, then close the session for the per-query accounting — on the
 /// drained *and* the `--top` early-exit path alike, so the pool hit ratio
 /// is never silently discarded.
-fn search_single(
-    flags: &Flags,
-    db: Arc<SequenceDatabase>,
-    backend: &SearchBackend,
-    query_text: &str,
-) -> Result<(), String> {
+fn search_single(flags: &Flags, engine: &ShardedEngine, query_text: &str) -> Result<(), String> {
     if query_text.is_empty() {
         return Err("query is empty — nothing to search".to_string());
     }
@@ -1008,26 +864,16 @@ fn search_single(
         .encode_str(query_text)
         .map_err(|e| e.to_string())?;
     let scoring = scoring_from(flags)?;
-    let min_score = MinScoreRule::from_flags(flags, &scoring)?.min_score(&db, query.len());
+    let db = engine.db();
+    let min_score = MinScoreRule::from_flags(flags, &scoring)?.min_score(db, query.len());
     eprintln!("minScore = {min_score}");
 
     let params = OasisParams::with_min_score(min_score);
     let limit = flags.top.unwrap_or(usize::MAX);
     let start = std::time::Instant::now();
-    let (shown, delta) = match backend {
-        SearchBackend::Disk(engine) => {
-            let mut session = engine.session(&query, &params);
-            let shown = print_hits(&db, session.by_ref(), limit);
-            let (_, delta) = session.finish();
-            (shown, delta)
-        }
-        SearchBackend::Sharded(engine) => {
-            let mut session = engine.session(&query, &params);
-            let shown = print_hits(&db, session.by_ref(), limit);
-            let (_, delta) = session.finish();
-            (shown, delta)
-        }
-    };
+    let mut session = engine.session(&query, &params);
+    let shown = print_hits(db, session.by_ref(), limit);
+    let (_, delta) = session.finish();
     eprintln!("{shown} hits in {:.2?}", start.elapsed());
     report_pool(&delta);
     Ok(())
@@ -1035,13 +881,9 @@ fn search_single(
 
 /// A FASTA of queries: run the whole batch concurrently over the shared
 /// index and print per-query results keyed by record name.
-fn search_batch(
-    flags: &Flags,
-    db: Arc<SequenceDatabase>,
-    backend: &SearchBackend,
-    queries_path: &str,
-) -> Result<(), String> {
+fn search_batch(flags: &Flags, engine: &ShardedEngine, queries_path: &str) -> Result<(), String> {
     let scoring = scoring_from(flags)?;
+    let db = engine.db();
 
     let bytes = std::fs::read(queries_path).map_err(|e| format!("{queries_path}: {e}"))?;
     // Queries use Reject, matching the positional-QUERY path (encode_str):
@@ -1060,7 +902,7 @@ fn search_batch(
         .into_iter()
         .map(|seq| {
             let (name, codes) = seq.into_parts();
-            let min = rule.min_score(&db, codes.len());
+            let min = rule.min_score(db, codes.len());
             let mut job = BatchQuery::named(name, codes, OasisParams::with_min_score(min));
             if let Some(top) = flags.top {
                 // Top-k abort per query: the engine stops each search as
@@ -1075,10 +917,10 @@ fn search_batch(
     eprintln!(
         "{} queries on {} thread(s)",
         jobs.len(),
-        backend.threads().min(jobs.len())
+        engine.threads().min(jobs.len())
     );
     let start = std::time::Instant::now();
-    let outcomes = backend.run_batch(&jobs);
+    let outcomes = engine.run_batch(&jobs);
     let elapsed = start.elapsed();
 
     let mut total_hits = 0usize;

@@ -83,7 +83,11 @@ fn sharded_search_is_byte_identical_to_disk_search() {
 #[test]
 fn pool_hit_ratio_reported_on_drained_and_top_k_paths() {
     let dir = setup("hitratio");
-    for extra in [&["TACG"][..], &["TACG", "--top", "1"][..]] {
+    for extra in [
+        &["TACG"][..],
+        &["TACG", "--top", "1"][..],
+        &["TACG", "--top", "0"][..],
+    ] {
         let out = search(&dir, extra);
         assert!(out.status.success(), "search failed: {out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -96,9 +100,12 @@ fn pool_hit_ratio_reported_on_drained_and_top_k_paths() {
     let out = search(&dir, &["--queries", "q.fa"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("hit ratio"), "batch accounting:\n{stderr}");
-    // `--top 1` prints exactly one hit before the early exit.
+    // `--top 1` prints exactly one hit before the early exit, and
+    // `--top 0` none — like `--queries` and `query --remote`.
     let top = search(&dir, &["TACG", "--top", "1"]);
     assert_eq!(String::from_utf8_lossy(&top.stdout).lines().count(), 1);
+    let none = search(&dir, &["TACG", "--top", "0"]);
+    assert_eq!(String::from_utf8_lossy(&none.stdout).lines().count(), 0);
 }
 
 #[test]
@@ -164,9 +171,16 @@ fn pool_mb_warns_when_ignored_by_in_memory_backends() {
         single.status.success(),
         "artifact search failed: {single:?}"
     );
+    let stderr = String::from_utf8_lossy(&single.stderr);
     assert!(
-        !String::from_utf8_lossy(&single.stderr).contains("warning: --pool-mb"),
+        !stderr.contains("warning: --pool-mb"),
         "single-shard artifact must not warn: {single:?}"
+    );
+    assert!(
+        stderr.contains("disk-resident through the buffer pool")
+            && stderr.contains("buffer pool: ")
+            && !stderr.contains("no requests"),
+        "single-shard artifact must serve through the pool: {stderr}"
     );
 }
 
@@ -426,4 +440,22 @@ fn degenerate_inputs_fail_cleanly() {
         String::from_utf8_lossy(&out.stderr).contains("--min-score must be at least 1"),
         "a non-positive threshold must be a clean error, not a panic"
     );
+
+    // A degenerate E-value is the server's clean error, not a panic in
+    // the Karlin-Altschul conversion.
+    for evalue in ["0", "-1", "nan", "inf"] {
+        let out = oasis(
+            &[
+                "search", "db.fa", "idx", "TACG", "--dna", "--matrix", "unit", "--gap", "-1",
+                "--evalue", evalue,
+            ],
+            &dir,
+        );
+        assert_eq!(out.status.code(), Some(1), "--evalue {evalue}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("E-value must be finite and positive"),
+            "--evalue {evalue}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }

@@ -209,10 +209,7 @@ fn hot_swap_under_concurrent_traffic_is_lossless_and_correct() {
         b.push_str(format!("s{i}"), s).unwrap();
     }
     let db = Arc::new(b.finish());
-    let reference = {
-        let tree = Arc::new(SuffixTree::build(&db));
-        OasisEngine::new(tree, db.clone(), Scoring::unit_dna())
-    };
+    let reference = ShardedEngine::build(db.clone(), Scoring::unit_dna(), 1);
     let catalog = IndexCatalog::new(
         "gen0",
         ShardedEngine::build(db.clone(), Scoring::unit_dna(), 1),
@@ -286,11 +283,10 @@ fn serving_real_engine_matches_direct_execution() {
         b.push_str(format!("s{i}"), s).unwrap();
     }
     let db = Arc::new(b.finish());
-    let tree = Arc::new(SuffixTree::build(&db));
-    let engine = OasisEngine::new(tree.clone(), db.clone(), Scoring::unit_dna());
+    let engine = ShardedEngine::build(db.clone(), Scoring::unit_dna(), 1);
     let single = IndexCatalog::new(
         "single",
-        OasisEngine::new(tree, db.clone(), Scoring::unit_dna()),
+        ShardedEngine::build(db.clone(), Scoring::unit_dna(), 1),
     );
     let serving = ServingEngine::new(ServingConfig {
         workers: 2,
