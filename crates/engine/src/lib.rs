@@ -92,8 +92,8 @@ pub use persist::{
     opens_disk_resident, persist_sharded_engine, sharded_engine_from_artifact,
 };
 pub use serving::{
-    AdmissionError, CompletionHook, LatencySummary, QueryExecutor, QueryTicket, ServedOutcome,
-    ServingConfig, ServingConfigError, ServingEngine, ServingSnapshot, ServingStats,
+    AdmissionError, CompletionHook, QueryExecutor, QueryTicket, ServedOutcome, ServingConfig,
+    ServingConfigError, ServingEngine, ServingSnapshot,
 };
 pub use shard::{IndexBackend, ShardedEngine, ShardedSession};
 

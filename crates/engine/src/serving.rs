@@ -16,12 +16,13 @@
 //! Every served query's latency is captured (queue wait, service time, and
 //! the submit-to-completion total) into log-bucketed
 //! [`oasis_obs::Histogram`]s — fixed memory no matter how long the engine
-//! lives, every sample counted — and [`ServingEngine::snapshot`] folds
-//! them into the torn-free [`ServingSnapshot`] behind the `Metrics` wire
-//! frame. A query submitted with an enabled [`oasis_obs::QueryTrace`]
-//! carries it through the queue and worker, coming back out with
-//! `queue_wait`/`execute` stage spans and the driver's work counters
-//! recorded.
+//! lives, every sample counted — and [`ServingEngine::snapshot`], the
+//! engine's one read API, folds them with the served/rejected counters
+//! and the queue depth into the torn-free [`ServingSnapshot`] behind the
+//! `Metrics` wire frame. A query submitted with an enabled
+//! [`oasis_obs::QueryTrace`] carries it through the queue and worker,
+//! coming back out with `queue_wait`/`execute` stage spans and the
+//! driver's work counters recorded.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -176,64 +177,6 @@ impl QueryTicket {
     /// Non-blocking poll: `Some` once the query has completed.
     pub fn try_take(&self) -> Option<ServedOutcome> {
         self.rx.try_recv().ok()
-    }
-
-    /// Block for at most `timeout` — the building block for per-request
-    /// deadlines (a network server cannot `wait()` forever on behalf of a
-    /// client that asked for an answer within its deadline).
-    ///
-    /// * `Some(Some(outcome))` — the query completed in time.
-    /// * `Some(None)` — the query itself died (it panicked, exactly the
-    ///   case where [`wait`](QueryTicket::wait) returns `None`); no
-    ///   outcome will ever arrive.
-    /// * `None` — the deadline elapsed with the query still in flight.
-    ///   The ticket stays valid: the query keeps running (admitted work
-    ///   is never cancelled) and a later wait can still collect it.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Option<ServedOutcome>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(outcome) => Some(Some(outcome)),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(None),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-        }
-    }
-}
-
-/// Counters describing a serving engine's lifetime so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServingStats {
-    /// Queries executed to completion.
-    pub served: u64,
-    /// Submissions rejected by admission control.
-    pub rejected: u64,
-}
-
-/// Tail-latency summary read from one latency histogram snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    /// Number of samples summarized.
-    pub count: usize,
-    /// Median latency.
-    pub p50: Duration,
-    /// 95th-percentile latency.
-    pub p95: Duration,
-    /// 99th-percentile latency.
-    pub p99: Duration,
-    /// Worst observed latency.
-    pub max: Duration,
-}
-
-impl LatencySummary {
-    /// Summarize a merged histogram snapshot: the count, sum-free
-    /// percentiles, and max come from one consistent read, so the numbers
-    /// can never describe two different moments.
-    pub fn from_histogram(snap: &HistogramSnapshot) -> Self {
-        LatencySummary {
-            count: usize::try_from(snap.count).unwrap_or(usize::MAX),
-            p50: Duration::from_micros(snap.quantile(0.50)),
-            p95: Duration::from_micros(snap.quantile(0.95)),
-            p99: Duration::from_micros(snap.quantile(0.99)),
-            max: Duration::from_micros(snap.max),
-        }
     }
 }
 
@@ -395,48 +338,22 @@ impl ServingEngine {
         Ok(QueryTicket { rx })
     }
 
-    /// Queries waiting in the admission queue right now.
-    pub fn queue_depth(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// The configured queue capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
-    /// Served/rejected counters so far. The served count is the total
-    /// histogram's sample count, so it always agrees with
-    /// [`latency_summary`](ServingEngine::latency_summary) and never
-    /// decreases across reads.
-    pub fn stats(&self) -> ServingStats {
-        ServingStats {
-            served: self.shared.total.snapshot().count,
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Tail-latency percentiles over every query served so far, read from
-    /// the fixed-memory total-latency histogram — exact counting (no
-    /// sampling window) at ≤ ~3 % bucket resolution.
-    pub fn latency_summary(&self) -> LatencySummary {
-        LatencySummary::from_histogram(&self.shared.total.snapshot())
-    }
-
-    /// One consistent view of counters and latency histograms. This is
-    /// what the `Metrics` wire frame is built from: the served count and
-    /// the total-latency percentiles come from the *same* histogram
-    /// merge, so a scrape can never observe them torn.
+    /// One consistent view of counters and latency histograms — the
+    /// engine's only read API, and what the `Metrics` wire frame is built
+    /// from: the served count and the total-latency percentiles come
+    /// from the *same* histogram merge, so a scrape can never observe
+    /// them torn.
     pub fn snapshot(&self) -> ServingSnapshot {
         let total = self.shared.total.snapshot();
         ServingSnapshot {
             served: total.count,
             rejected: self.shared.rejected.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth(),
+            queue_depth: self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len(),
             queue_capacity: self.shared.capacity,
             queue_wait: self.shared.queue_wait.snapshot(),
             service: self.shared.service.snapshot(),
@@ -619,11 +536,11 @@ mod tests {
             assert_eq!(served.outcome.hits, want.hits, "query {}", served.id);
             assert!(served.total >= served.service);
         }
-        assert_eq!(serving.stats().served, 3);
-        assert_eq!(serving.stats().rejected, 0);
-        let summary = serving.latency_summary();
-        assert_eq!(summary.count, 3);
-        assert!(summary.max >= summary.p50);
+        let snap = serving.snapshot();
+        assert_eq!(snap.served, 3);
+        assert_eq!(snap.rejected, 0);
+        assert_eq!(snap.total.count, 3);
+        assert!(snap.total.max >= snap.total.quantile(0.50));
     }
 
     #[test]
@@ -693,67 +610,7 @@ mod tests {
         assert!(bad.wait().is_none());
         // …and the same (sole) worker still serves what follows.
         assert_eq!(good.wait().expect("worker survived").id, "fine");
-        assert_eq!(serving.stats().served, 1);
-        drop(serving);
-        std::panic::set_hook(prev_hook);
-    }
-
-    #[test]
-    fn wait_timeout_distinguishes_pending_completed_and_dead() {
-        struct Gate {
-            release: Mutex<mpsc::Receiver<()>>,
-        }
-        impl QueryExecutor for Gate {
-            fn execute(&self, job: &BatchQuery) -> SearchOutcome {
-                if job.id == "boom" {
-                    panic!("injected query panic");
-                }
-                self.release.lock().unwrap().recv().unwrap();
-                SearchOutcome {
-                    hits: Vec::new(),
-                    stats: Default::default(),
-                    pool_delta: Default::default(),
-                }
-            }
-        }
-        let (release_tx, release_rx) = mpsc::channel();
-        let generation = pinned(Gate {
-            release: Mutex::new(release_rx),
-        });
-        let serving = ServingEngine::new(ServingConfig {
-            workers: 1,
-            queue_capacity: 4,
-        })
-        .expect("valid serving config");
-        let params = OasisParams::with_min_score(1);
-        let ticket = submit(
-            &serving,
-            &generation,
-            BatchQuery::named("gated", vec![0], params),
-        )
-        .expect("admitted");
-        // Still in flight: the deadline elapses, the ticket stays usable.
-        assert!(ticket.wait_timeout(Duration::from_millis(20)).is_none());
-        release_tx.send(()).unwrap();
-        // Completed: the same ticket now yields the outcome.
-        let outcome = ticket
-            .wait_timeout(Duration::from_secs(10))
-            .expect("completed in time")
-            .expect("query did not panic");
-        assert_eq!(outcome.id, "gated");
-        // A panicked query resolves as dead, not as a timeout.
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let dead = submit(
-            &serving,
-            &generation,
-            BatchQuery::named("boom", vec![0], params),
-        )
-        .expect("admitted");
-        assert!(matches!(
-            dead.wait_timeout(Duration::from_secs(10)),
-            Some(None)
-        ));
+        assert_eq!(serving.snapshot().served, 1);
         drop(serving);
         std::panic::set_hook(prev_hook);
     }
@@ -799,7 +656,6 @@ mod tests {
         let snap = serving.snapshot();
         assert_eq!(snap.served, N as u64, "every served query is counted");
         assert_eq!(snap.total.count, N as u64);
-        assert_eq!(serving.latency_summary().count, N);
         // Torn-free by construction: served IS the total histogram count.
         assert_eq!(snap.served, snap.total.count);
     }
@@ -852,7 +708,7 @@ mod tests {
             last = snap.served;
         }
         submitter.join().expect("submitter thread");
-        assert_eq!(serving.stats().served, 2000);
+        assert_eq!(serving.snapshot().served, 2000);
     }
 
     #[test]
@@ -916,7 +772,7 @@ mod tests {
         );
         // …but already-admitted work is still served.
         assert_eq!(admitted.wait().expect("drained").id, "TACG");
-        assert_eq!(serving.stats().served, 1);
+        assert_eq!(serving.snapshot().served, 1);
     }
 
     #[test]

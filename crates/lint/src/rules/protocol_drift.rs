@@ -245,8 +245,8 @@ fn cross_check(
     }
 }
 
-/// Lowercase, underscore-free name used to match `TY_STATS_REQUEST`
-/// against `StatsRequest`.
+/// Lowercase, underscore-free name used to match `TY_METRICS_REQUEST`
+/// against `MetricsRequest`.
 fn normalize(name: &str) -> String {
     let base = name.strip_prefix("TY_").unwrap_or(name);
     base.chars()

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use crate::frame::{
     read_frame, write_frame, AppendDone, AppendRequest, Frame, Hello, MetricsReport, ReloadDone,
-    ReloadRequest, RemoteHit, SearchDone, SearchRequest, StatsReport, TraceDump, PROTOCOL_VERSION,
+    ReloadRequest, RemoteHit, SearchDone, SearchRequest, TraceDump, PROTOCOL_VERSION,
 };
 use crate::NetError;
 
@@ -175,24 +175,23 @@ impl Client {
         Ok((hits, done))
     }
 
-    /// Fetch the server's serving statistics.
-    pub fn stats(&mut self) -> Result<StatsReport, NetError> {
-        self.request(&Frame::StatsRequest)?;
-        match self.response("Stats")? {
-            Frame::Stats(stats) => Ok(stats),
-            _ => unreachable!("response() returned the wanted kind"),
-        }
-    }
-
-    /// Fetch the server's scrapeable metrics: queue depth, result-cache
-    /// counters, connection/pipeline gauges, latency tails, and
-    /// per-generation served counts.
+    /// Fetch the server's admin snapshot: admission-queue state, latency
+    /// tails, the serving generation, live-ingestion state, result-cache
+    /// counters, connection/pipeline gauges, and per-generation and
+    /// per-stage rows.
     pub fn metrics(&mut self) -> Result<MetricsReport, NetError> {
         self.request(&Frame::MetricsRequest)?;
         match self.response("Metrics")? {
             Frame::Metrics(report) => Ok(report),
             _ => unreachable!("response() returned the wanted kind"),
         }
+    }
+
+    /// The pre-version-5 name of [`metrics`](Client::metrics). Kept only
+    /// because the repository benchmark (`perfbench/`) still calls it; it
+    /// goes with the benchmark change of ROADMAP item 8.
+    pub fn stats(&mut self) -> Result<MetricsReport, NetError> {
+        self.metrics()
     }
 
     /// Dump the server's slow-query log: the traced queries whose

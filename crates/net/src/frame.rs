@@ -38,14 +38,15 @@ use crate::NetError;
 /// OASIS server before anything else is interpreted.
 pub const PROTOCOL_MAGIC: &[u8; 8] = b"OASISNT1";
 /// Current wire-protocol version (see `docs/PROTOCOL.md` for history).
-/// Version 2 added live ingestion: the `Append`/`Appended` admin frames
-/// and the delta/WAL/compaction columns of the `Stats` payload. Version 3
-/// added request pipelining, the `MetricsRequest`/`Metrics` admin frames
-/// (types 14 and 15), and the connection-limit backpressure rule.
-/// Version 4 added observability: the per-stage latency rows appended to
-/// the `Metrics` payload and the `TraceDumpRequest`/`TraceDump` slow-query
-/// admin frames (types 16 and 17).
-pub const PROTOCOL_VERSION: u32 = 4;
+/// Version 2 added live ingestion (the `Append`/`Appended` admin frames).
+/// Version 3 added request pipelining, the `MetricsRequest`/`Metrics`
+/// admin frames (types 14 and 15), and the connection-limit backpressure
+/// rule. Version 4 added observability: the per-stage latency rows of the
+/// `Metrics` payload and the `TraceDumpRequest`/`TraceDump` slow-query
+/// admin frames (types 16 and 17). Version 5 made `Metrics` the only
+/// admin snapshot: it gained the max latency, the serving generation and
+/// the delta/WAL/compaction columns, and frame types 6 and 7 are retired.
+pub const PROTOCOL_VERSION: u32 = 5;
 /// Upper bound on a frame's declared payload length. Anything larger is
 /// rejected as malformed before allocation.
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
@@ -53,14 +54,13 @@ pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 /// Frame header: payload length (u32) + frame type (u8).
 pub(crate) const HEADER_LEN: usize = 5;
 
-// Frame type bytes. Gaps are reserved for future frames.
+// Frame type bytes. Gaps are reserved: 6 and 7 are retired (never
+// reused), the rest are free for future frames.
 const TY_HELLO: u8 = 1;
 const TY_SEARCH: u8 = 2;
 const TY_HIT: u8 = 3;
 const TY_DONE: u8 = 4;
 const TY_ERROR: u8 = 5;
-const TY_STATS_REQUEST: u8 = 6;
-const TY_STATS: u8 = 7;
 const TY_RELOAD: u8 = 8;
 const TY_RELOADED: u8 = 9;
 const TY_SHUTDOWN: u8 = 10;
@@ -294,11 +294,27 @@ impl ErrorFrame {
     }
 }
 
-/// Server-side serving statistics (the admin `stats` response):
-/// `ServingStats` + `LatencySummary` + the serving generation.
+/// Per-generation serving volume: one row of [`MetricsReport`]. QPS is
+/// derived client-side as `served / (uptime_us / 1e6)` so the wire
+/// carries exact counters, never a lossy rate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GenerationServed {
+    /// Id of the index generation.
+    pub generation: u64,
+    /// Queries that generation executed to completion (cache hits it
+    /// answered included).
+    pub served: u64,
+}
+
+/// The one admin snapshot (the admin `metrics` response, also rendered
+/// for the `--metrics-addr` scrape): admission-queue state, latency
+/// tails, the serving generation, live-ingestion state, result-cache
+/// counters, connection and pipelining gauges, and per-generation and
+/// per-stage rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatsReport {
-    /// Queries executed to completion.
+pub struct MetricsReport {
+    /// Queries executed to completion by the engine; also the sample
+    /// count of the latency percentiles below (one histogram merge).
     pub served: u64,
     /// Submissions rejected by admission control.
     pub rejected: u64,
@@ -306,8 +322,6 @@ pub struct StatsReport {
     pub queue_depth: u32,
     /// The configured admission-queue capacity.
     pub queue_capacity: u32,
-    /// Latency samples the percentiles below summarize.
-    pub latency_count: u64,
     /// Median submit-to-completion latency, microseconds.
     pub p50_us: u64,
     /// 95th-percentile latency, microseconds.
@@ -332,39 +346,6 @@ pub struct StatsReport {
     /// Wall-clock duration of the most recent compaction, microseconds
     /// (zero when none has run).
     pub last_compaction_us: u64,
-}
-
-/// Per-generation serving volume: one row of [`MetricsReport`]. QPS is
-/// derived client-side as `served / (uptime_us / 1e6)` so the wire
-/// carries exact counters, never a lossy rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GenerationServed {
-    /// Id of the index generation.
-    pub generation: u64,
-    /// Queries that generation executed to completion (cache hits it
-    /// answered included).
-    pub served: u64,
-}
-
-/// The scrapeable front-door metrics (the admin `metrics` response):
-/// admission-queue state, result-cache counters, connection and
-/// pipelining gauges, latency tails, and per-generation serving volume.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsReport {
-    /// Queries executed to completion by the engine.
-    pub served: u64,
-    /// Submissions rejected by admission control.
-    pub rejected: u64,
-    /// Queries waiting in the admission queue right now.
-    pub queue_depth: u32,
-    /// The configured admission-queue capacity.
-    pub queue_capacity: u32,
-    /// Median submit-to-completion latency, microseconds.
-    pub p50_us: u64,
-    /// 95th-percentile latency, microseconds.
-    pub p95_us: u64,
-    /// 99th-percentile latency, microseconds.
-    pub p99_us: u64,
     /// Result-cache lookups answered from the cache.
     pub cache_hits: u64,
     /// Result-cache lookups that missed.
@@ -543,6 +524,11 @@ impl MetricsReport {
     }
 }
 
+/// The pre-version-5 name of [`MetricsReport`]. Kept only because the
+/// repository benchmark (`perfbench/`) still names it; it goes with the
+/// benchmark change of ROADMAP item 8.
+pub type StatsReport = MetricsReport;
+
 /// Latency summary of one pipeline stage: one row of
 /// [`MetricsReport::stages`], read from that stage's histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -675,10 +661,6 @@ pub enum Frame {
     Done(SearchDone),
     /// Server → client: typed failure.
     Error(ErrorFrame),
-    /// Client → server: report serving statistics.
-    StatsRequest,
-    /// Server → client: the statistics.
-    Stats(StatsReport),
     /// Client → server: hot-swap in the artifact at this path.
     Reload(ReloadRequest),
     /// Server → client: the reload succeeded.
@@ -710,8 +692,6 @@ impl Frame {
             Frame::Hit(_) => "Hit",
             Frame::Done(_) => "Done",
             Frame::Error(_) => "Error",
-            Frame::StatsRequest => "StatsRequest",
-            Frame::Stats(_) => "Stats",
             Frame::Reload(_) => "Reload",
             Frame::Reloaded(_) => "Reloaded",
             Frame::Shutdown => "Shutdown",
@@ -732,8 +712,6 @@ impl Frame {
             Frame::Hit(_) => TY_HIT,
             Frame::Done(_) => TY_DONE,
             Frame::Error(_) => TY_ERROR,
-            Frame::StatsRequest => TY_STATS_REQUEST,
-            Frame::Stats(_) => TY_STATS,
             Frame::Reload(_) => TY_RELOAD,
             Frame::Reloaded(_) => TY_RELOADED,
             Frame::Shutdown => TY_SHUTDOWN,
@@ -799,29 +777,10 @@ impl Frame {
                 w.u16(e.code.to_u16());
                 w.str16(&e.message)?;
             }
-            Frame::StatsRequest
-            | Frame::Shutdown
+            Frame::Shutdown
             | Frame::ShutdownAck
             | Frame::MetricsRequest
             | Frame::TraceDumpRequest => {}
-            Frame::Stats(s) => {
-                w.u64(s.served);
-                w.u64(s.rejected);
-                w.u32(s.queue_depth);
-                w.u32(s.queue_capacity);
-                w.u64(s.latency_count);
-                w.u64(s.p50_us);
-                w.u64(s.p95_us);
-                w.u64(s.p99_us);
-                w.u64(s.max_us);
-                w.u64(s.generation);
-                w.str16(&s.generation_label)?;
-                w.u32(s.delta_seqs);
-                w.u64(s.delta_residues);
-                w.u64(s.wal_bytes);
-                w.u64(s.compactions);
-                w.u64(s.last_compaction_us);
-            }
             Frame::Reload(r) => w.str16(&r.path)?,
             Frame::Append(a) => w.str32(&a.fasta)?,
             Frame::Appended(a) => {
@@ -844,6 +803,14 @@ impl Frame {
                 w.u64(m.p50_us);
                 w.u64(m.p95_us);
                 w.u64(m.p99_us);
+                w.u64(m.max_us);
+                w.u64(m.generation);
+                w.str16(&m.generation_label)?;
+                w.u32(m.delta_seqs);
+                w.u64(m.delta_residues);
+                w.u64(m.wal_bytes);
+                w.u64(m.compactions);
+                w.u64(m.last_compaction_us);
                 w.u64(m.cache_hits);
                 w.u64(m.cache_misses);
                 w.u64(m.cache_evictions);
@@ -1013,25 +980,6 @@ impl Frame {
                     message: r.str16()?,
                 })
             }
-            TY_STATS_REQUEST => Frame::StatsRequest,
-            TY_STATS => Frame::Stats(StatsReport {
-                served: r.u64()?,
-                rejected: r.u64()?,
-                queue_depth: r.u32()?,
-                queue_capacity: r.u32()?,
-                latency_count: r.u64()?,
-                p50_us: r.u64()?,
-                p95_us: r.u64()?,
-                p99_us: r.u64()?,
-                max_us: r.u64()?,
-                generation: r.u64()?,
-                generation_label: r.str16()?,
-                delta_seqs: r.u32()?,
-                delta_residues: r.u64()?,
-                wal_bytes: r.u64()?,
-                compactions: r.u64()?,
-                last_compaction_us: r.u64()?,
-            }),
             TY_RELOAD => Frame::Reload(ReloadRequest { path: r.str16()? }),
             TY_APPEND => Frame::Append(AppendRequest { fasta: r.str32()? }),
             TY_APPENDED => Frame::Appended(AppendDone {
@@ -1049,65 +997,61 @@ impl Frame {
             TY_SHUTDOWN => Frame::Shutdown,
             TY_SHUTDOWN_ACK => Frame::ShutdownAck,
             TY_METRICS_REQUEST => Frame::MetricsRequest,
-            TY_METRICS => {
-                let served = r.u64()?;
-                let rejected = r.u64()?;
-                let queue_depth = r.u32()?;
-                let queue_capacity = r.u32()?;
-                let p50_us = r.u64()?;
-                let p95_us = r.u64()?;
-                let p99_us = r.u64()?;
-                let cache_hits = r.u64()?;
-                let cache_misses = r.u64()?;
-                let cache_evictions = r.u64()?;
-                let cache_entries = r.u32()?;
-                let cache_capacity = r.u32()?;
-                let connections_open = r.u32()?;
-                let connections_accepted = r.u64()?;
-                let pipelined_peak = r.u32()?;
-                let uptime_us = r.u64()?;
-                let rows = r.u16()? as usize;
-                let mut per_generation = Vec::with_capacity(rows.min(1024));
-                for _ in 0..rows {
-                    per_generation.push(GenerationServed {
-                        generation: r.u64()?,
-                        served: r.u64()?,
-                    });
-                }
-                let stage_rows = r.u16()? as usize;
-                let mut stages = Vec::with_capacity(stage_rows.min(1024));
-                for _ in 0..stage_rows {
-                    stages.push(StageSummary {
-                        stage: r.str16()?,
-                        count: r.u64()?,
-                        p50_us: r.u64()?,
-                        p95_us: r.u64()?,
-                        p99_us: r.u64()?,
-                        max_us: r.u64()?,
-                        sum_us: r.u64()?,
-                    });
-                }
-                Frame::Metrics(MetricsReport {
-                    served,
-                    rejected,
-                    queue_depth,
-                    queue_capacity,
-                    p50_us,
-                    p95_us,
-                    p99_us,
-                    cache_hits,
-                    cache_misses,
-                    cache_evictions,
-                    cache_entries,
-                    cache_capacity,
-                    connections_open,
-                    connections_accepted,
-                    pipelined_peak,
-                    uptime_us,
-                    per_generation,
-                    stages,
-                })
-            }
+            // Struct-literal fields evaluate in the order written, which
+            // is the wire order.
+            TY_METRICS => Frame::Metrics(MetricsReport {
+                served: r.u64()?,
+                rejected: r.u64()?,
+                queue_depth: r.u32()?,
+                queue_capacity: r.u32()?,
+                p50_us: r.u64()?,
+                p95_us: r.u64()?,
+                p99_us: r.u64()?,
+                max_us: r.u64()?,
+                generation: r.u64()?,
+                generation_label: r.str16()?,
+                delta_seqs: r.u32()?,
+                delta_residues: r.u64()?,
+                wal_bytes: r.u64()?,
+                compactions: r.u64()?,
+                last_compaction_us: r.u64()?,
+                cache_hits: r.u64()?,
+                cache_misses: r.u64()?,
+                cache_evictions: r.u64()?,
+                cache_entries: r.u32()?,
+                cache_capacity: r.u32()?,
+                connections_open: r.u32()?,
+                connections_accepted: r.u64()?,
+                pipelined_peak: r.u32()?,
+                uptime_us: r.u64()?,
+                per_generation: {
+                    let rows = r.u16()? as usize;
+                    let mut per_generation = Vec::with_capacity(rows.min(1024));
+                    for _ in 0..rows {
+                        per_generation.push(GenerationServed {
+                            generation: r.u64()?,
+                            served: r.u64()?,
+                        });
+                    }
+                    per_generation
+                },
+                stages: {
+                    let rows = r.u16()? as usize;
+                    let mut stages = Vec::with_capacity(rows.min(1024));
+                    for _ in 0..rows {
+                        stages.push(StageSummary {
+                            stage: r.str16()?,
+                            count: r.u64()?,
+                            p50_us: r.u64()?,
+                            p95_us: r.u64()?,
+                            p99_us: r.u64()?,
+                            max_us: r.u64()?,
+                            sum_us: r.u64()?,
+                        });
+                    }
+                    stages
+                },
+            }),
             TY_TRACE_DUMP_REQUEST => Frame::TraceDumpRequest,
             TY_TRACE_DUMP => {
                 let threshold_us = r.u64()?;

@@ -29,9 +29,10 @@
 //!   answers repeated queries without re-running the index traversal,
 //!   per-request deadlines are enforced by the loop, and graceful
 //!   shutdown stops accepting, drains admitted work, and closes every
-//!   stream with a terminal frame. The `Metrics` admin frame exposes
-//!   queue depth, cache counters, connection/pipeline counts, and
-//!   latency tails for scraping.
+//!   stream with a terminal frame. The `Metrics` admin frame is the one
+//!   admin snapshot: queue depth, latency tails, the serving generation,
+//!   live-ingestion state, cache counters and connection/pipeline counts,
+//!   the same report the `--metrics-addr` scrape renders.
 //! * [`Client`] connects (optionally with a connect timeout), verifies
 //!   the handshake, and iterates streamed hits as they arrive.
 //!

@@ -31,7 +31,7 @@
 //! changes the key. Cache hits stream the same hit frames a fresh
 //! execution would, with `service_us = 0`.
 //!
-//! Admin frames (`Stats`, `Metrics`, `Reload`, `Append`) are handled
+//! Admin frames (`Metrics`, `TraceDump`, `Reload`, `Append`) are handled
 //! inline on the loop thread; a reload's artifact load briefly stalls
 //! the loop, which is acceptable for rare admin operations and keeps
 //! every catalog publish serialized with dispatch.
@@ -87,8 +87,8 @@ use oasis_storage::{pending_records, read_manifest, replay_wal, ArtifactError, I
 use crate::conn::{Conn, WaitingSearch};
 use crate::frame::{
     write_frame, AppendDone, ErrorCode, ErrorFrame, Frame, GenerationServed, Hello, MetricsReport,
-    ReloadDone, RemoteHit, ScoreRule, SearchDone, SearchRequest, StageSummary, StatsReport,
-    TraceDump, TraceEntry, TraceSpan, PROTOCOL_VERSION,
+    ReloadDone, RemoteHit, ScoreRule, SearchDone, SearchRequest, StageSummary, TraceDump,
+    TraceEntry, TraceSpan, PROTOCOL_VERSION,
 };
 use crate::reactor::{Completions, Slab};
 use crate::NetError;
@@ -791,7 +791,6 @@ fn service_conn(
 fn dispatch(shared: &Arc<Shared>, frame: Frame) -> Action {
     match frame {
         Frame::Search(req) => dispatch_search(shared, req),
-        Frame::StatsRequest => Action::Reply(vec![stats_frame(shared)]),
         Frame::MetricsRequest => Action::Reply(vec![Frame::Metrics(metrics_report(shared))]),
         Frame::TraceDumpRequest => Action::Reply(vec![trace_dump_frame(shared)]),
         Frame::Reload(reload) => Action::Reply(handle_reload(shared, &reload.path)),
@@ -1030,34 +1029,6 @@ fn hit_frames(db: &Arc<SequenceDatabase>, hits: &[Hit]) -> Vec<Frame> {
         .collect()
 }
 
-fn stats_frame(shared: &Shared) -> Frame {
-    let stats = shared.serving.stats();
-    let latency = shared.serving.latency_summary();
-    let current = shared.catalog.current();
-    // Live-ingestion counters come from the already-open live index;
-    // stats never force one open (all zeros until the first append or
-    // WAL replay).
-    let live = shared.live_peek().map(|l| l.stats()).unwrap_or_default();
-    Frame::Stats(StatsReport {
-        served: stats.served,
-        rejected: stats.rejected,
-        queue_depth: shared.serving.queue_depth() as u32,
-        queue_capacity: shared.serving.queue_capacity() as u32,
-        latency_count: latency.count as u64,
-        p50_us: latency.p50.as_micros() as u64,
-        p95_us: latency.p95.as_micros() as u64,
-        p99_us: latency.p99.as_micros() as u64,
-        max_us: latency.max.as_micros() as u64,
-        generation: current.id(),
-        generation_label: current.label().to_string(),
-        delta_seqs: live.delta_seqs,
-        delta_residues: live.delta_residues,
-        wal_bytes: live.wal_bytes,
-        compactions: live.compactions,
-        last_compaction_us: live.last_compaction_micros,
-    })
-}
-
 /// One stage row of the `Metrics` frame, read from a histogram
 /// snapshot (one consistent merge per row).
 fn stage_summary(name: &str, snap: &HistogramSnapshot) -> StageSummary {
@@ -1072,14 +1043,18 @@ fn stage_summary(name: &str, snap: &HistogramSnapshot) -> StageSummary {
     }
 }
 
-/// Build the scrapeable metrics report. The served count and the
-/// total-latency percentiles come from one histogram merge
-/// ([`ServingEngine::snapshot`]), so a scrape never observes them torn;
-/// this is also what the `--metrics-addr` listener renders, so the wire
-/// frame and the Prometheus body always describe the same snapshot
-/// shape.
+/// Build the admin snapshot: the `Metrics` frame and the
+/// `--metrics-addr` scrape both render this one report. The served count
+/// and the total-latency percentiles come from one histogram merge
+/// ([`ServingEngine::snapshot`]), so a report never pairs a count with
+/// percentiles from another moment.
 fn metrics_report(shared: &Shared) -> MetricsReport {
     let snap = shared.serving.snapshot();
+    let current = shared.catalog.current();
+    // Live-ingestion counters come from the already-open live index; a
+    // report never forces one open (all zeros until the first append or
+    // WAL replay).
+    let live = shared.live_peek().map(|l| l.stats()).unwrap_or_default();
     let cache = shared.cache.stats();
     let stages = vec![
         stage_summary(stage::QUEUE_WAIT, &snap.queue_wait),
@@ -1095,6 +1070,14 @@ fn metrics_report(shared: &Shared) -> MetricsReport {
         p50_us: snap.total.quantile(0.50),
         p95_us: snap.total.quantile(0.95),
         p99_us: snap.total.quantile(0.99),
+        max_us: snap.total.max,
+        generation: current.id(),
+        generation_label: current.label().to_string(),
+        delta_seqs: live.delta_seqs,
+        delta_residues: live.delta_residues,
+        wal_bytes: live.wal_bytes,
+        compactions: live.compactions,
+        last_compaction_us: live.last_compaction_micros,
         cache_hits: cache.hits,
         cache_misses: cache.misses,
         cache_evictions: cache.evictions,
@@ -1385,7 +1368,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
-        assert_eq!(client.stats().unwrap().compactions, ROUNDS);
+        assert_eq!(client.metrics().unwrap().compactions, ROUNDS);
         let retained = shared
             .compactions
             .lock()

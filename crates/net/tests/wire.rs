@@ -8,7 +8,7 @@ use oasis_net::frame::{read_frame, write_frame};
 use oasis_net::{
     AppendDone, AppendRequest, ErrorCode, ErrorFrame, Frame, GenerationServed, Hello,
     MetricsReport, NetError, ReloadDone, ReloadRequest, RemoteHit, ScoreRule, SearchDone,
-    SearchRequest, StageSummary, StatsReport, TraceDump, TraceEntry, TraceSpan, MAX_FRAME_BYTES,
+    SearchRequest, StageSummary, TraceDump, TraceEntry, TraceSpan, MAX_FRAME_BYTES,
 };
 use proptest::prelude::*;
 
@@ -143,29 +143,6 @@ proptest! {
     }
 
     #[test]
-    fn stats_roundtrips(served in 0u64..u64::MAX, rejected in 0u64..u64::MAX,
-                        depth in 0u32..u32::MAX, cap in 0u32..u32::MAX,
-                        count in 0u64..u64::MAX, p50 in 0u64..u64::MAX,
-                        p95 in 0u64..u64::MAX, p99 in 0u64..u64::MAX,
-                        max in 0u64..u64::MAX, generation in 0u64..u64::MAX,
-                        seed in 0u64..u64::MAX, delta_seqs in 0u32..u32::MAX,
-                        delta_residues in 0u64..u64::MAX, wal_bytes in 0u64..u64::MAX,
-                        compactions in 0u64..u64::MAX, last_compaction in 0u64..u64::MAX) {
-        let frame = Frame::Stats(StatsReport {
-            served, rejected,
-            queue_depth: depth, queue_capacity: cap,
-            latency_count: count,
-            p50_us: p50, p95_us: p95, p99_us: p99, max_us: max,
-            generation,
-            generation_label: string_from(seed, 48),
-            delta_seqs, delta_residues, wal_bytes, compactions,
-            last_compaction_us: last_compaction,
-        });
-        prop_assert_eq!(roundtrip(&frame), frame.clone());
-        assert_prefixes_rejected(&frame);
-    }
-
-    #[test]
     fn append_frames_roundtrip(seed in 0u64..u64::MAX, appended in 0u32..u32::MAX,
                                appended_res in 0u64..u64::MAX, delta_seqs in 0u32..u32::MAX,
                                delta_res in 0u64..u64::MAX, wal_bytes in 0u64..u64::MAX,
@@ -191,7 +168,11 @@ proptest! {
     fn metrics_roundtrips(served in 0u64..u64::MAX, rejected in 0u64..u64::MAX,
                           depth in 0u32..u32::MAX, cap in 0u32..u32::MAX,
                           p50 in 0u64..u64::MAX, p95 in 0u64..u64::MAX,
-                          p99 in 0u64..u64::MAX, hits in 0u64..u64::MAX,
+                          p99 in 0u64..u64::MAX, max in 0u64..u64::MAX,
+                          generation in 0u64..u64::MAX, label_seed in 0u64..u64::MAX,
+                          delta_seqs in 0u32..u32::MAX, delta_residues in 0u64..u64::MAX,
+                          wal_bytes in 0u64..u64::MAX, compactions in 0u64..u64::MAX,
+                          last_compaction in 0u64..u64::MAX, hits in 0u64..u64::MAX,
                           misses in 0u64..u64::MAX, evictions in 0u64..u64::MAX,
                           entries in 0u32..u32::MAX, cache_cap in 0u32..u32::MAX,
                           open in 0u32..u32::MAX, accepted in 0u64..u64::MAX,
@@ -218,7 +199,11 @@ proptest! {
         let frame = Frame::Metrics(MetricsReport {
             served, rejected,
             queue_depth: depth, queue_capacity: cap,
-            p50_us: p50, p95_us: p95, p99_us: p99,
+            p50_us: p50, p95_us: p95, p99_us: p99, max_us: max,
+            generation,
+            generation_label: string_from(label_seed, 48),
+            delta_seqs, delta_residues, wal_bytes, compactions,
+            last_compaction_us: last_compaction,
             cache_hits: hits, cache_misses: misses, cache_evictions: evictions,
             cache_entries: entries, cache_capacity: cache_cap,
             connections_open: open, connections_accepted: accepted,
@@ -285,7 +270,6 @@ proptest! {
 #[test]
 fn empty_payload_frames_roundtrip() {
     for frame in [
-        Frame::StatsRequest,
         Frame::MetricsRequest,
         Frame::TraceDumpRequest,
         Frame::Shutdown,
@@ -315,6 +299,10 @@ fn expect_protocol_error(bytes: &[u8], what: &str) {
 #[test]
 fn unknown_frame_type_is_rejected() {
     expect_protocol_error(&raw_frame(0, &[]), "type 0");
+    // Types 6 and 7 (the retired stats request and response) stay
+    // reserved: a peer still sending them gets a protocol error.
+    expect_protocol_error(&raw_frame(6, &[]), "type 6");
+    expect_protocol_error(&raw_frame(7, &[0; 8]), "type 7");
     expect_protocol_error(&raw_frame(0xEE, &[1, 2, 3]), "type 0xEE");
 }
 

@@ -88,11 +88,11 @@ fn main() {
         .expect("post-swap search");
     assert_eq!(done.generation, reloaded.generation);
 
-    // 5. Serving stats, then a graceful shutdown.
-    let stats = client.stats().expect("stats");
+    // 5. The admin snapshot, then a graceful shutdown.
+    let metrics = client.metrics().expect("metrics");
     println!(
         "served {} queries (p50 {}us), generation {}",
-        stats.served, stats.p50_us, stats.generation
+        metrics.served, metrics.p50_us, metrics.generation
     );
     client.shutdown_server().expect("shutdown");
     runner.join().expect("server thread").expect("clean exit");

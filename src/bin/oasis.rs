@@ -11,7 +11,7 @@
 //! oasis search --index <dir> <QUERY> [options]
 //! oasis serve  --index <dir> --addr <host:port> [options]
 //! oasis query  --remote <host:port> <QUERY> [options]
-//! oasis admin  --remote <host:port> stats|metrics|reload <dir>|append <fasta>|shutdown
+//! oasis admin  --remote <host:port> metrics|slowlog|reload <dir>|append <fasta>|shutdown
 //! oasis info   <index.oasis>
 //! ```
 //!
@@ -37,7 +37,8 @@
 //! LRU result cache, per-request deadlines, hot `reload` of a new index
 //! generation), `query --remote` streams hits from such a server with
 //! stdout byte-identical to a local `search`, and `admin` issues
-//! stats/metrics/reload/append/shutdown requests.
+//! metrics/slowlog/reload/append/shutdown requests (`admin metrics` is
+//! the one admin snapshot, printed as one table).
 
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -71,7 +72,6 @@ USAGE:
   oasis query  --remote <host:port> <QUERY> [--evalue E | --min-score S]
                [--top K] [--deadline-ms D] [--timeout-ms T]
   oasis query  --remote <host:port> --queries <queries.fasta> [same options]
-  oasis admin  --remote <host:port> stats
   oasis admin  --remote <host:port> metrics [--prom]
   oasis admin  --remote <host:port> slowlog
   oasis admin  --remote <host:port> reload <dir>
@@ -128,17 +128,16 @@ serving index over the wire: they are WAL-logged server-side and
 answering queries before the call returns, and once the delta reaches
 --compact-after sequences (default 256; 0 disables) a background
 compaction folds them into a fresh base generation with zero downtime.
-`admin metrics` scrapes the front door — queue depth, cache
-hit/miss/eviction counters, connection and pipeline gauges, exact
+`admin metrics` prints the server's one admin snapshot as one aligned
+table — serving generation, served/rejected counts, queue depth, exact
 histogram latency tails, per-stage timing summaries
-(queue_wait/execute/resolve/frame_flush), and per-generation served
-counts — while `admin stats` keeps the index-centric view
-(delta/WAL/compaction) plus the cache and connection gauges, both
-through one aligned table format. `admin metrics --prom` emits the same
-snapshot as a Prometheus text-exposition body, byte-identical to what
-`serve --metrics-addr <host:port>` answers on every connection (curl
-its /metrics or read the socket raw; with port 0 the resolved address
-prints as a `metrics on <addr>` stdout line). `serve --slow-ms N`
+(queue_wait/execute/resolve/frame_flush), the live delta, WAL size and
+compactions, cache hit/miss/eviction counters, connection and pipeline
+gauges, uptime and per-generation served counts. `admin metrics
+--prom` emits the same snapshot as a Prometheus text-exposition body,
+byte-identical to what `serve --metrics-addr <host:port>` answers on
+every connection (curl its /metrics or read the socket raw; with port
+0 the resolved address prints as a `metrics on <addr>` stdout line). `serve --slow-ms N`
 (default 250; 0 logs every query) traces each query through the
 pipeline and retains queries slower than N milliseconds in a bounded
 slow-query ring; `admin slowlog` dumps it with full stage spans and
@@ -587,26 +586,33 @@ enum MinScoreRule {
     Evalue { karlin: KarlinParams, evalue: f64 },
 }
 
+/// The validated score flags: `--min-score` (at least 1) or `--evalue`
+/// (finite and positive, default 10). The local rule and the remote
+/// request both go through here, so a bad flag fails with the same
+/// wording on either path; `query --remote` checks it before connecting.
+fn score_rule(flags: &Flags) -> Result<ScoreRule, String> {
+    match (flags.min_score, flags.evalue.unwrap_or(10.0)) {
+        // `OasisParams` asserts minScore >= 1; turn a bad flag into a
+        // clean error instead of a panic on the serving path.
+        (Some(s), _) if s < 1 => Err(format!("--min-score must be at least 1 (got {s})")),
+        (Some(s), _) => Ok(ScoreRule::MinScore(s)),
+        (None, e) if !(e.is_finite() && e > 0.0) => {
+            Err(format!("E-value must be finite and positive (got {e})"))
+        }
+        (None, e) => Ok(ScoreRule::Evalue(e)),
+    }
+}
+
 impl MinScoreRule {
     fn from_flags(flags: &Flags, scoring: &Scoring) -> Result<Self, String> {
-        if let Some(s) = flags.min_score {
-            if s < 1 {
-                // `OasisParams` asserts minScore >= 1; turn a bad flag into
-                // a clean error instead of a panic on the serving path.
-                return Err(format!("--min-score must be at least 1 (got {s})"));
-            }
-            return Ok(MinScoreRule::Fixed(s));
-        }
+        let evalue = match score_rule(flags)? {
+            ScoreRule::MinScore(s) => return Ok(MinScoreRule::Fixed(s)),
+            ScoreRule::Evalue(e) => e,
+        };
         let freqs: Vec<f64> = match flags.alphabet.kind() {
             oasis::bioseq::AlphabetKind::Dna => oasis::align::background_dna().to_vec(),
             oasis::bioseq::AlphabetKind::Protein => oasis::align::background_protein().to_vec(),
         };
-        let evalue = flags.evalue.unwrap_or(10.0);
-        if !(evalue.is_finite() && evalue > 0.0) {
-            return Err(format!(
-                "E-value must be finite and positive (got {evalue})"
-            ));
-        }
         let karlin = KarlinParams::estimate(&scoring.matrix, &freqs).map_err(|e| e.to_string())?;
         Ok(MinScoreRule::Evalue { karlin, evalue })
     }
@@ -1280,22 +1286,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     server.run().map_err(|e| e.to_string())
 }
 
-/// Remote search request shared by the single-query and batch paths.
+/// Remote search request shared by the single-query and batch paths;
+/// `rule` is the [`score_rule`] checked before connecting.
 fn remote_request(
     flags: &Flags,
+    rule: ScoreRule,
     id: &str,
     query_text: &str,
 ) -> Result<oasis::net::SearchRequest, String> {
     let mut req = oasis::net::SearchRequest::new(query_text).with_id(id);
-    req = match flags.min_score {
-        Some(s) => {
-            if s < 1 {
-                return Err(format!("--min-score must be at least 1 (got {s})"));
-            }
-            req.with_min_score(s)
-        }
-        None => req.with_evalue(flags.evalue.unwrap_or(10.0)),
-    };
+    req.rule = rule;
     if let Some(top) = flags.top {
         req = req.with_top(u32::try_from(top).map_err(|_| "--top is out of range")?);
     }
@@ -1339,6 +1339,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         .remote
         .clone()
         .ok_or("query requires --remote <host:port>")?;
+    let rule = score_rule(&flags)?;
     let mut client = connect_remote(&flags, addr.as_str())?;
     eprintln!(
         "connected: protocol v{}, generation {} ({}), {} sequences / {} residues",
@@ -1349,10 +1350,10 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         client.hello().total_residues
     );
     match (flags.positional.as_slice(), &flags.queries) {
-        ([query_text], None) => query_single(&flags, &mut client, query_text),
+        ([query_text], None) => query_single(&flags, rule, &mut client, query_text),
         ([], Some(queries_path)) => {
             let queries_path = queries_path.clone();
-            query_batch(&flags, &mut client, &queries_path)
+            query_batch(&flags, rule, &mut client, &queries_path)
         }
         _ => Err("usage: oasis query --remote <host:port> <QUERY> [...]\n\
              or:    oasis query --remote <host:port> --queries <queries.fasta> [...]"
@@ -1364,13 +1365,14 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// local single-query output format exactly.
 fn query_single(
     flags: &Flags,
+    rule: ScoreRule,
     client: &mut oasis::net::Client,
     query_text: &str,
 ) -> Result<(), String> {
     if query_text.is_empty() {
         return Err("query is empty — nothing to search".to_string());
     }
-    let req = remote_request(flags, "q", query_text)?;
+    let req = remote_request(flags, rule, "q", query_text)?;
     let limit = flags.top.unwrap_or(usize::MAX);
     let start = std::time::Instant::now();
     let mut stream = client.search(req).map_err(|e| e.to_string())?;
@@ -1399,6 +1401,7 @@ fn query_single(
 /// local batch format.
 fn query_batch(
     flags: &Flags,
+    rule: ScoreRule,
     client: &mut oasis::net::Client,
     queries_path: &str,
 ) -> Result<(), String> {
@@ -1425,7 +1428,7 @@ fn query_batch(
     for seq in records {
         let (name, codes) = seq.into_parts();
         let text = alphabet.decode_all(&codes);
-        let req = remote_request(flags, &name, &text)?;
+        let req = remote_request(flags, rule, &name, &text)?;
         let (hits, done) = client
             .search_collect(req)
             .map_err(|e| format!("query {name}: {e}"))?;
@@ -1446,34 +1449,13 @@ fn query_batch(
     Ok(())
 }
 
-/// One aligned `label:   value` row of the admin tables. Both `admin
-/// stats` and `admin metrics` print through this single formatter so
-/// the two reports line up identically (labels padded to column 14).
+/// One aligned `label:   value` row of the `admin metrics` table
+/// (labels padded to column 14).
 fn admin_row(label: &str, value: impl std::fmt::Display) {
     println!("{:<14}{value}", format!("{label}:"));
 }
 
-/// The cache / connection / pipeline gauges shared by the `stats` and
-/// `metrics` tables.
-fn print_front_door_rows(m: &oasis::net::MetricsReport) {
-    admin_row(
-        "cache",
-        format_args!(
-            "{} hits / {} misses / {} evictions ({}/{} entries)",
-            m.cache_hits, m.cache_misses, m.cache_evictions, m.cache_entries, m.cache_capacity
-        ),
-    );
-    admin_row(
-        "connections",
-        format_args!(
-            "{} open / {} accepted",
-            m.connections_open, m.connections_accepted
-        ),
-    );
-    admin_row("pipelined", format_args!("peak {}", m.pipelined_peak));
-}
-
-/// Admin requests against a running server: stats, metrics, reload,
+/// Admin requests against a running server: metrics, slowlog, reload,
 /// append, shutdown.
 fn cmd_admin(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
@@ -1489,50 +1471,6 @@ fn cmd_admin(args: &[String]) -> Result<(), String> {
         .collect::<Vec<_>>()
         .as_slice()
     {
-        ["stats"] => {
-            let stats = client.stats().map_err(|e| e.to_string())?;
-            let metrics = client.metrics().map_err(|e| e.to_string())?;
-            let us = std::time::Duration::from_micros;
-            admin_row(
-                "generation",
-                format_args!("{} ({})", stats.generation, stats.generation_label),
-            );
-            admin_row("served", stats.served);
-            admin_row("rejected", stats.rejected);
-            admin_row(
-                "queue",
-                format_args!("{}/{}", stats.queue_depth, stats.queue_capacity),
-            );
-            admin_row(
-                "latency",
-                format_args!(
-                    "p50 {:.2?}  p95 {:.2?}  p99 {:.2?}  max {:.2?} ({} samples)",
-                    us(stats.p50_us),
-                    us(stats.p95_us),
-                    us(stats.p99_us),
-                    us(stats.max_us),
-                    stats.latency_count
-                ),
-            );
-            admin_row(
-                "delta",
-                format_args!(
-                    "{} sequence(s) / {} residues",
-                    stats.delta_seqs, stats.delta_residues
-                ),
-            );
-            admin_row("wal", format_args!("{} bytes", stats.wal_bytes));
-            admin_row(
-                "compactions",
-                format_args!(
-                    "{} (last took {:.2?})",
-                    stats.compactions,
-                    us(stats.last_compaction_us)
-                ),
-            );
-            print_front_door_rows(&metrics);
-            Ok(())
-        }
         ["metrics"] => {
             let m = client.metrics().map_err(|e| e.to_string())?;
             if flags.prom {
@@ -1542,6 +1480,10 @@ fn cmd_admin(args: &[String]) -> Result<(), String> {
                 return Ok(());
             }
             let us = std::time::Duration::from_micros;
+            admin_row(
+                "generation",
+                format_args!("{} ({})", m.generation, m.generation_label),
+            );
             admin_row("served", m.served);
             admin_row("rejected", m.rejected);
             admin_row(
@@ -1551,10 +1493,11 @@ fn cmd_admin(args: &[String]) -> Result<(), String> {
             admin_row(
                 "latency",
                 format_args!(
-                    "p50 {:.2?}  p95 {:.2?}  p99 {:.2?}",
+                    "p50 {:.2?}  p95 {:.2?}  p99 {:.2?}  max {:.2?}",
                     us(m.p50_us),
                     us(m.p95_us),
-                    us(m.p99_us)
+                    us(m.p99_us),
+                    us(m.max_us)
                 ),
             );
             for s in &m.stages {
@@ -1570,7 +1513,41 @@ fn cmd_admin(args: &[String]) -> Result<(), String> {
                     ),
                 );
             }
-            print_front_door_rows(&m);
+            admin_row(
+                "delta",
+                format_args!(
+                    "{} sequence(s) / {} residues",
+                    m.delta_seqs, m.delta_residues
+                ),
+            );
+            admin_row("wal", format_args!("{} bytes", m.wal_bytes));
+            admin_row(
+                "compactions",
+                format_args!(
+                    "{} (last took {:.2?})",
+                    m.compactions,
+                    us(m.last_compaction_us)
+                ),
+            );
+            admin_row(
+                "cache",
+                format_args!(
+                    "{} hits / {} misses / {} evictions ({}/{} entries)",
+                    m.cache_hits,
+                    m.cache_misses,
+                    m.cache_evictions,
+                    m.cache_entries,
+                    m.cache_capacity
+                ),
+            );
+            admin_row(
+                "connections",
+                format_args!(
+                    "{} open / {} accepted",
+                    m.connections_open, m.connections_accepted
+                ),
+            );
+            admin_row("pipelined", format_args!("peak {}", m.pipelined_peak));
             admin_row("uptime", format_args!("{:.2?}", us(m.uptime_us)));
             for g in &m.per_generation {
                 admin_row(
@@ -1651,7 +1628,7 @@ fn cmd_admin(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         _ => Err("usage: oasis admin --remote <host:port> \
-                  stats|metrics [--prom]|slowlog|reload <dir>|append <fasta>|shutdown"
+                  metrics [--prom]|slowlog|reload <dir>|append <fasta>|shutdown"
             .to_string()),
     }
 }

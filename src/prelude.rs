@@ -29,16 +29,15 @@ pub use oasis_engine::{
     open_artifact_engine, opens_disk_resident, persist_sharded_engine,
     sharded_engine_from_artifact, AdmissionError, AppendReceipt, BatchQuery, CacheKey, CacheStats,
     CompactionReport, CompletionHook, DeltaIndex, Generation, GenerationInfo, IndexBackend,
-    IndexCatalog, LatencySummary, LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats,
-    PublishError, QueryExecutor, QueryTicket, ResultCache, SearchOutcome, ServedOutcome,
-    ServingConfig, ServingConfigError, ServingEngine, ServingStats, ShardedEngine, ShardedSession,
+    IndexCatalog, LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats, PublishError,
+    QueryExecutor, QueryTicket, ResultCache, SearchOutcome, ServedOutcome, ServingConfig,
+    ServingConfigError, ServingEngine, ShardedEngine, ShardedSession,
 };
 
 pub use oasis_net::{
     AppendDone, AppendRequest, Client, ErrorCode, ErrorFrame, Frame, GenerationServed, Hello,
     MetricsReport, NetError, OasisServer, ReloadDone, RemoteHit, ScoreRule, SearchDone,
-    SearchRequest, ServedIndex, ServerConfig, ServerHandle, StatsReport, PER_GENERATION_ROWS,
-    PROTOCOL_VERSION,
+    SearchRequest, ServedIndex, ServerConfig, ServerHandle, PER_GENERATION_ROWS, PROTOCOL_VERSION,
 };
 
 pub use oasis_obs::QueryTrace;

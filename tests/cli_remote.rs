@@ -1,6 +1,6 @@
 //! End-to-end CLI coverage of the network path: `oasis serve` on an
 //! ephemeral port, `oasis query --remote` byte-identical to the local
-//! `oasis search --index`, and `oasis admin` stats/reload/shutdown.
+//! `oasis search --index`, and `oasis admin` metrics/reload/shutdown.
 
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -227,21 +227,17 @@ fn remote_query_is_byte_identical_to_local_search_and_admin_works() {
         String::from_utf8_lossy(&remote.stdout)
     );
 
-    // Admin: stats answers — index-centric rows plus the front-door
-    // cache/connection gauges, one aligned table.
-    let stats = oasis(&["admin", "--remote", &addr, "stats"], &dir);
-    assert!(stats.status.success(), "stats failed: {stats:?}");
-    let text = String::from_utf8_lossy(&stats.stdout);
-    assert!(text.contains("generation:   0"), "{text}");
-    assert!(text.contains("served:"), "{text}");
-    assert!(text.contains("cache:"), "{text}");
-    assert!(text.contains("connections:"), "{text}");
-
-    // Admin: metrics scrapes the front door. The repeated remote TACG
-    // query above makes the cache hit count nonzero.
+    // Admin: metrics prints the one admin snapshot as one aligned table —
+    // index-centric rows and the front-door gauges. The repeated remote
+    // TACG query above makes the cache hit count nonzero.
     let metrics = oasis(&["admin", "--remote", &addr, "metrics"], &dir);
     assert!(metrics.status.success(), "metrics failed: {metrics:?}");
     let text = String::from_utf8_lossy(&metrics.stdout);
+    assert!(text.contains("generation:   0"), "{text}");
+    assert!(text.contains("served:"), "{text}");
+    assert!(text.contains("delta:"), "{text}");
+    assert!(text.contains("compactions:"), "{text}");
+    assert!(text.contains("connections:"), "{text}");
     assert!(text.contains("cache:"), "{text}");
     assert!(text.contains("pipelined:"), "{text}");
     assert!(text.contains("uptime:"), "{text}");
@@ -431,4 +427,21 @@ fn query_without_remote_and_bad_addr_fail_cleanly() {
         String::from_utf8_lossy(&out.stderr).contains("error:"),
         "{out:?}"
     );
+    // Bad score flags fail before connecting, with the local wording —
+    // never as a connect error or a server-side framing error.
+    for (flag, value, want) in [
+        ("--evalue", "0", "E-value must be finite and positive"),
+        ("--evalue", "-1", "E-value must be finite and positive"),
+        ("--evalue", "nan", "E-value must be finite and positive"),
+        ("--evalue", "inf", "E-value must be finite and positive"),
+        ("--min-score", "0", "--min-score must be at least 1"),
+    ] {
+        let out = oasis(
+            &["query", "--remote", "127.0.0.1:1", "TACG", flag, value],
+            &dir,
+        );
+        assert!(!out.status.success(), "{flag} {value}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want), "{flag} {value}: {stderr}");
+    }
 }

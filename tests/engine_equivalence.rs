@@ -404,7 +404,7 @@ fn protein_workload_is_identical_on_every_execution_path() {
     }
     served.extend(tickets.into_iter().map(|t| t.wait().expect("served")));
     assert_eq!(
-        serving.stats().served as usize,
+        serving.snapshot().served as usize,
         jobs.len(),
         "every job served once"
     );

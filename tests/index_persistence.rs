@@ -215,7 +215,7 @@ fn loaded_generation_hot_swaps_into_live_serving_without_result_change() {
         assert_eq!(served.outcome.hits, before.outcome.hits);
     }
     assert_eq!(after.outcome.hits, before.outcome.hits);
-    assert_eq!(serving.stats().rejected, 0);
+    assert_eq!(serving.snapshot().rejected, 0);
     assert_eq!(catalog.current().label(), "loaded from artifact");
     std::fs::remove_dir_all(&dir).ok();
 }

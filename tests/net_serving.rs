@@ -217,7 +217,7 @@ fn busy_backpressure_surfaces_on_the_wire_when_the_queue_is_full() {
     // Wait until B's submission is actually queued before C submits.
     let mut admin = Client::connect(addr).expect("connect admin");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while admin.stats().expect("stats").queue_depth < 1 {
+    while admin.metrics().expect("metrics").queue_depth < 1 {
         assert!(std::time::Instant::now() < deadline, "b never queued");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -230,9 +230,9 @@ fn busy_backpressure_surfaces_on_the_wire_when_the_queue_is_full() {
         }
         other => panic!("expected Busy, got {other:?}"),
     }
-    // The connection survives a Busy rejection: stats still answer.
-    let stats = admin.stats().expect("stats after busy");
-    assert!(stats.rejected >= 1, "rejection counted: {stats:?}");
+    // The connection survives a Busy rejection: metrics still answer.
+    let metrics = admin.metrics().expect("metrics after busy");
+    assert!(metrics.rejected >= 1, "rejection counted: {metrics:?}");
 
     // Release both gated queries; A and B complete with clean responses.
     release_tx.send(()).unwrap();
@@ -401,7 +401,7 @@ fn reload_hot_swaps_a_generation_under_live_streaming_clients() {
         Err(NetError::Remote(e)) => assert_eq!(e.code, ErrorCode::Internal, "{e:?}"),
         other => panic!("expected Internal, got {other:?}"),
     }
-    assert_eq!(admin.stats().expect("stats").generation, 2);
+    assert_eq!(admin.metrics().expect("metrics").generation, 2);
 
     admin.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");
@@ -601,11 +601,11 @@ fn appends_and_background_compaction_publish_with_zero_downtime() {
 
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
-        let stats = admin.stats().expect("stats during compaction");
-        if stats.compactions >= 1 {
-            assert_eq!(stats.delta_seqs, 0, "delta folded into the base");
-            assert_eq!(stats.generation, 3);
-            assert_eq!(stats.generation_label, "live-compaction");
+        let metrics = admin.metrics().expect("metrics during compaction");
+        if metrics.compactions >= 1 {
+            assert_eq!(metrics.delta_seqs, 0, "delta folded into the base");
+            assert_eq!(metrics.generation, 3);
+            assert_eq!(metrics.generation_label, "live-compaction");
             break;
         }
         assert!(std::time::Instant::now() < deadline, "compaction never ran");
@@ -666,17 +666,17 @@ fn background_compaction_racing_admin_reload_keeps_every_generation_sound() {
 
     // The compaction completes regardless of who published last.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while admin.stats().expect("stats").compactions < 1 {
+    while admin.metrics().expect("metrics").compactions < 1 {
         assert!(std::time::Instant::now() < deadline, "compaction never ran");
         std::thread::sleep(Duration::from_millis(20));
     }
 
     // Whichever generation won the race serves; its responses must be
     // byte-identical to the database that generation indexes.
-    let stats = admin.stats().expect("stats after race");
-    assert_eq!(stats.generation, 3, "both publications landed");
+    let metrics = admin.metrics().expect("metrics after race");
+    assert_eq!(metrics.generation, 3, "both publications landed");
     let db_full = db_with_appended(&extra);
-    let reference = if stats.generation_label == "live-compaction" {
+    let reference = if metrics.generation_label == "live-compaction" {
         &db_full
     } else {
         &db_base // the reload's artifact has only the base sequences
@@ -1046,7 +1046,7 @@ fn a_search_queued_across_a_reload_answers_from_its_admission_generation() {
     let b = search("TACG");
     let mut admin = Client::connect(addr).expect("connect admin");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while admin.stats().expect("stats").queue_depth < 1 {
+    while admin.metrics().expect("metrics").queue_depth < 1 {
         assert!(std::time::Instant::now() < deadline, "b never queued");
         std::thread::sleep(Duration::from_millis(10));
     }

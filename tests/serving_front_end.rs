@@ -74,12 +74,12 @@ fn full_admission_queue_rejects_instead_of_blocking() {
     // Two more fill the bounded queue to capacity…
     let b = submit(&serving, &catalog, job("b")).expect("b admitted");
     let c = submit(&serving, &catalog, job("c")).expect("c admitted");
-    assert_eq!(serving.queue_depth(), 2);
+    assert_eq!(serving.snapshot().queue_depth, 2);
 
     // …and the next submission is rejected immediately — no blocking.
     let err = submit(&serving, &catalog, job("d")).unwrap_err();
     assert_eq!(err, AdmissionError::QueueFull { capacity: 2 });
-    assert_eq!(serving.stats().rejected, 1);
+    assert_eq!(serving.snapshot().rejected, 1);
 
     // Release the gate: every admitted job completes exactly once.
     for _ in 0..3 {
@@ -91,12 +91,11 @@ fn full_admission_queue_rejects_instead_of_blocking() {
         .collect();
     ids.sort();
     assert_eq!(ids, ["a", "b", "c"]);
-    let stats = serving.stats();
-    assert_eq!(stats.served, 3);
-    assert_eq!(stats.rejected, 1);
-    let latency = serving.latency_summary();
-    assert_eq!(latency.count, 3);
-    assert!(latency.max >= latency.p50);
+    let snap = serving.snapshot();
+    assert_eq!(snap.served, 3);
+    assert_eq!(snap.rejected, 1);
+    assert_eq!(snap.total.count, 3);
+    assert!(snap.total.max >= snap.total.quantile(0.50));
 }
 
 #[test]
@@ -192,7 +191,7 @@ fn hot_swap_serves_new_generation_and_drains_old_one() {
     release_tx.send(()).expect("worker listening");
     assert_eq!(parked.wait().expect("drained").id, "parked");
     assert!(catalog.retired_in_flight().is_empty());
-    assert_eq!(serving.stats().rejected, 0);
+    assert_eq!(serving.snapshot().rejected, 0);
 }
 
 #[test]
@@ -266,8 +265,9 @@ fn hot_swap_under_concurrent_traffic_is_lossless_and_correct() {
         );
         assert_eq!(served.outcome.hits, want.hits, "query {text}");
     }
-    assert_eq!(serving.stats().rejected, 0, "no backpressure under swaps");
-    assert_eq!(serving.stats().served, 100);
+    let snap = serving.snapshot();
+    assert_eq!(snap.rejected, 0, "no backpressure under swaps");
+    assert_eq!(snap.served, 100);
     // Once everything drained, no retired generation stays pinned.
     assert!(catalog.retired_in_flight().is_empty());
     assert_eq!(catalog.generations_published(), 4);
