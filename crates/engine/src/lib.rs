@@ -12,7 +12,7 @@
 //! executes batches of queries across a pool of worker threads. An
 //! unsharded index is K=1: one shard over the whole database, in memory
 //! (a suffix tree or an enhanced suffix array) or disk-resident behind a
-//! buffer pool, the paper's §3.4 operating mode ([`ShardedEngine::disk_resident`]). With K > 1 the
+//! buffer pool (the paper's §3.4 mode, [`open_artifact_engine`]). With K > 1 the
 //! database is partitioned into lexically contiguous sequence shards
 //! (boundaries picked by `oasis-storage`'s adaptive lexical-range
 //! machinery), every query fans out across the shards, and a lazy k-way
@@ -88,8 +88,8 @@ pub use compactor::{compact_artifact, CompactionReport};
 pub use delta::DeltaIndex;
 pub use layered::{AppendReceipt, LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats};
 pub use persist::{
-    build_index_artifact, disk_engine_from_artifact, load_sharded_engine, open_artifact_engine,
-    opens_disk_resident, persist_sharded_engine, sharded_engine_from_artifact,
+    build_index_artifact, load_sharded_engine, open_artifact_engine, opens_disk_resident,
+    persist_sharded_engine,
 };
 pub use serving::{
     AdmissionError, CompletionHook, QueryExecutor, QueryTicket, ServedOutcome, ServingConfig,

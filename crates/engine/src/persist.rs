@@ -7,18 +7,18 @@
 //! * [`build_index_artifact`] partitions a database exactly like
 //!   [`ShardedEngine::build`] (same balanced lexical ranges), indexes each
 //!   shard, and persists everything into an artifact directory.
-//! * [`load_sharded_engine`] reconstitutes a ready engine from an artifact
-//!   — decoding the serialized trees instead of rebuilding them, so
-//!   startup scales with index size on disk, not with suffix-array
-//!   construction.
-//! * [`disk_engine_from_artifact`] opens a single-shard artifact
-//!   *disk-resident*: after a one-pass checksum verification, the shard
-//!   image is served through a [`oasis_storage::BufferPool`] over a
-//!   [`FileDevice`] — the paper's operating mode — as a one-shard engine.
-//! * [`open_artifact_engine`] applies the serving policy over the two
-//!   ([`opens_disk_resident`]): one tree-image shard opens disk-resident,
-//!   anything else loads in memory. The CLI and the network server both
-//!   open artifacts through it.
+//! * [`load_sharded_engine`] reconstitutes a ready in-memory engine from
+//!   an artifact — decoding the serialized trees instead of rebuilding
+//!   them, so startup scales with index size on disk, not with
+//!   suffix-array construction.
+//! * [`open_artifact_engine`] applies the serving policy
+//!   ([`opens_disk_resident`]): one tree-image shard opens
+//!   *disk-resident* — after a one-pass checksum verification and a check
+//!   that the image indexes exactly the database's text, the shard image
+//!   is served through a [`oasis_storage::BufferPool`] over a
+//!   [`FileDevice`], the paper's operating mode — and anything else loads
+//!   in memory. The CLI and the network server open artifacts through
+//!   it.
 //!
 //! Either load path produces hits byte-identical to a freshly built index
 //! (`tests/index_persistence.rs` property-tests this), so a loaded
@@ -123,9 +123,8 @@ fn validate_coverage(manifest: &IndexManifest) -> Result<(), ArtifactError> {
 }
 
 /// Reconstitute a [`ShardedEngine`] from the artifact in `dir`, with the
-/// manifest and database already loaded (the lower-level entry point the
-/// CLI uses to report staged progress). Shards decode concurrently.
-pub fn sharded_engine_from_artifact(
+/// manifest and database already loaded. Shards decode concurrently.
+pub(crate) fn sharded_engine_from_artifact(
     dir: &Path,
     manifest: &IndexManifest,
     db: Arc<SequenceDatabase>,
@@ -180,9 +179,9 @@ pub fn sharded_engine_from_artifact(
     Ok(ShardedEngine::from_shards(db, scoring, shards?))
 }
 
-/// Load the artifact in `dir` into a ready [`ShardedEngine`] — the
-/// convenience wrapper over [`read_manifest`] +
-/// [`IndexManifest::load_database`] + [`sharded_engine_from_artifact`].
+/// Load the artifact in `dir` into a ready in-memory [`ShardedEngine`]:
+/// [`read_manifest`], [`IndexManifest::load_database`], then every shard
+/// decoded concurrently.
 pub fn load_sharded_engine(dir: &Path, scoring: Scoring) -> Result<ShardedEngine, ArtifactError> {
     let manifest = read_manifest(dir)?;
     let db = Arc::new(manifest.load_database(dir)?);
@@ -195,7 +194,7 @@ pub fn load_sharded_engine(dir: &Path, scoring: Scoring) -> Result<ShardedEngine
 /// ([`ShardedEngine::disk_resident`]) — the §3.4 operating mode, where the
 /// tree is never materialized in memory. Multi-shard artifacts load
 /// through [`sharded_engine_from_artifact`] instead.
-pub fn disk_engine_from_artifact(
+pub(crate) fn disk_engine_from_artifact(
     dir: &Path,
     manifest: &IndexManifest,
     db: Arc<SequenceDatabase>,
@@ -249,8 +248,8 @@ pub fn opens_disk_resident(manifest: &IndexManifest) -> bool {
 
 /// Open the artifact in `dir` for serving, with the manifest and database
 /// already loaded: disk-resident through a buffer pool of `pool_bytes`
-/// ([`disk_engine_from_artifact`]) when [`opens_disk_resident`] says so,
-/// otherwise in memory ([`sharded_engine_from_artifact`]).
+/// when [`opens_disk_resident`] says so, otherwise in memory (as
+/// [`load_sharded_engine`] does).
 pub fn open_artifact_engine(
     dir: &Path,
     manifest: &IndexManifest,

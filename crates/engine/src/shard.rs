@@ -10,7 +10,8 @@
 //! one shard over the whole database, which shares the global database
 //! instead of copying it. That shard may be an in-memory suffix tree, an
 //! enhanced suffix array, or the paper's disk-resident tree read through a
-//! buffer pool (§3.4) — see [`ShardedEngine::disk_resident`].
+//! buffer pool (§3.4), which is how [`crate::open_artifact_engine`] opens
+//! a single-shard tree artifact.
 //!
 //! ## Why the merge is exact
 //!
@@ -266,10 +267,10 @@ impl ShardedEngine {
     /// A one-shard engine serving `tree` disk-resident through its buffer
     /// pool — the paper's §3.4 operating mode, where the tree is never
     /// materialized in memory. `tree` must index exactly `db`, which the
-    /// shard shares rather than copies. Both the single-shard artifact
-    /// loader ([`crate::disk_engine_from_artifact`]) and a bare index file
-    /// open through here.
-    pub fn disk_resident(
+    /// shard shares rather than copies. The single-shard artifact loader
+    /// ([`crate::persist::disk_engine_from_artifact`]) opens through here,
+    /// after checking that the tree indexes exactly `db`'s text.
+    pub(crate) fn disk_resident(
         db: Arc<SequenceDatabase>,
         tree: DiskSuffixTree<FileDevice>,
         scoring: Scoring,

@@ -82,7 +82,7 @@ use oasis_engine::{
 };
 use oasis_obs::trace::stage;
 use oasis_obs::{Counter, Histogram, HistogramSnapshot, QueryTrace, SlowLog};
-use oasis_storage::{pending_records, read_manifest, replay_wal, ArtifactError, IndexManifest};
+use oasis_storage::{pending_records, read_manifest, replay_wal, ArtifactError};
 
 use crate::conn::{Conn, WaitingSearch};
 use crate::frame::{
@@ -139,18 +139,6 @@ impl ServedIndex {
     ) -> Result<Self, ArtifactError> {
         let manifest = read_manifest(dir)?;
         let db = Arc::new(manifest.load_database(dir)?);
-        Self::from_artifact_parts(dir, &manifest, db, scoring, pool_bytes)
-    }
-
-    /// [`from_artifact`](ServedIndex::from_artifact) with the manifest and
-    /// database already loaded (lets callers inspect them first).
-    pub fn from_artifact_parts(
-        dir: &Path,
-        manifest: &IndexManifest,
-        db: Arc<SequenceDatabase>,
-        scoring: Scoring,
-        pool_bytes: usize,
-    ) -> Result<Self, ArtifactError> {
         if db.alphabet_kind() != scoring.matrix.kind() {
             return Err(ArtifactError::Corrupt(format!(
                 "artifact alphabet {:?} does not match the serving scoring's {:?} matrix",
@@ -158,7 +146,7 @@ impl ServedIndex {
                 scoring.matrix.kind()
             )));
         }
-        let engine = open_artifact_engine(dir, manifest, db.clone(), scoring, pool_bytes)?;
+        let engine = open_artifact_engine(dir, &manifest, db.clone(), scoring, pool_bytes)?;
         Ok(ServedIndex::new(db, Arc::new(engine)))
     }
 

@@ -246,23 +246,6 @@ impl DiskTreeBuilder {
     }
 }
 
-/// Read the block size recorded in an index header prefix (the first 12+
-/// bytes of an image or file), validating the magic. Lets callers open a
-/// [`crate::FileDevice`] with the block size the index was written with
-/// instead of guessing.
-pub fn header_block_size(prefix: &[u8]) -> Result<usize, LayoutError> {
-    if prefix.len() < 12 || &prefix[0..8] != MAGIC {
-        return Err(LayoutError::BadMagic);
-    }
-    let bs = u32::from_le_bytes(prefix[8..12].try_into().unwrap());
-    // Same invariant DiskTreeBuilder::with_block_size enforces; a corrupt
-    // field must become a clean error, not a panic or a huge allocation.
-    if bs < 64 || bs % 16 != 0 {
-        return Err(LayoutError::BadBlockSize { header: bs });
-    }
-    Ok(bs as usize)
-}
-
 /// Problems opening a disk image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LayoutError {
@@ -275,11 +258,6 @@ pub enum LayoutError {
         /// Block size of the device.
         device: u32,
     },
-    /// Header block-size field is corrupt (zero, tiny, or misaligned).
-    BadBlockSize {
-        /// Block size recorded in the header.
-        header: u32,
-    },
     /// Image is shorter than the header claims.
     Truncated,
 }
@@ -290,9 +268,6 @@ impl std::fmt::Display for LayoutError {
             LayoutError::BadMagic => write!(f, "not an OASIS index (bad magic)"),
             LayoutError::BlockSizeMismatch { header, device } => {
                 write!(f, "index block size {header} != device block size {device}")
-            }
-            LayoutError::BadBlockSize { header } => {
-                write!(f, "index header has invalid block size {header}")
             }
             LayoutError::Truncated => write!(f, "index image is truncated"),
         }

@@ -41,7 +41,7 @@ pub use artifact::{
     ShardMeta, ShardPayload, ARTIFACT_VERSION, ARTIFACT_VERSION_DELTA, MANIFEST_FILE,
 };
 pub use device::{BlockDevice, FileDevice, MemDevice, SimulatedDisk};
-pub use layout::{header_block_size, DiskSuffixTree, DiskTreeBuilder, ImageStats};
+pub use layout::{DiskSuffixTree, DiskTreeBuilder, ImageStats};
 pub use partitioned::{balanced_ranges, budget_ranges, partitioned_suffix_array};
 pub use pool::{BufferPool, BufferPoolStats, PoolDeltaScope, PoolStatsSnapshot, Region};
 pub use wal::{

@@ -2,7 +2,8 @@
 //! the three-array disk image, open it through a clock buffer pool, run the
 //! search against the *disk* tree, and inspect per-component hit ratios
 //! (the paper's Figure 8 instrumentation). The same disk tree, opened from
-//! an index file, is what `ShardedEngine::disk_resident` serves.
+//! a one-shard tree artifact (`oasis index build`), is what
+//! `open_artifact_engine` serves disk-resident.
 //!
 //! ```sh
 //! cargo run --release --example disk_index

@@ -1,34 +1,29 @@
 //! `oasis` — command-line local-alignment search over FASTA databases.
 //!
 //! ```text
-//! oasis makedb <db.fasta> <db.oasisdb>
-//! oasis index  <db> <index.oasis> [--dna|--protein] [--block-size N]
-//! oasis index  build <db> --out <dir> [--shards N] [--block-size N]
+//! oasis index  build <db.fasta> --out <dir> [--shards N] [--block-size N]
 //! oasis index  inspect <dir> [--json]
 //! oasis index  append <fasta> --index <dir> [--compact]
-//! oasis search <db> <index.oasis> <QUERY> [options]
-//! oasis search <db> <index.oasis> --queries <queries.fasta> [options]
 //! oasis search --index <dir> <QUERY> [options]
+//! oasis search --index <dir> --queries <queries.fasta> [options]
 //! oasis serve  --index <dir> --addr <host:port> [options]
 //! oasis query  --remote <host:port> <QUERY> [options]
 //! oasis admin  --remote <host:port> metrics|slowlog|reload <dir>|append <fasta>|shutdown
-//! oasis info   <index.oasis>
+//! oasis lint   [--json] [--root <DIR>]
 //! ```
 //!
-//! `makedb` converts FASTA to the fast binary database format; `index`
-//! builds the generalized suffix tree and writes the paper's §3.4 disk
-//! representation; `index build` persists a complete **index artifact** —
-//! database plus N balanced shard trees, checksummed and atomically
-//! written — that `search --index` later *loads* instead of rebuilding;
-//! `search` runs the exact online OASIS search through the one engine,
-//! `ShardedEngine`. A bare index file, or a single-shard tree artifact,
-//! opens as one disk-resident shard read through the buffer pool;
-//! `--shards N` (or a multi-shard or ESA artifact) serves N balanced
-//! in-memory shards whose merged results are byte-identical. A single
-//! query streams hits as they are proven optimal, and a `--queries`
-//! FASTA batch executes concurrently across worker threads against the
-//! shared index; `info` prints index geometry and `index inspect` prints
-//! an artifact's manifest without loading any trees.
+//! The one on-disk index is the **index artifact** directory: `index
+//! build` persists the database plus N balanced shard indexes,
+//! checksummed and atomically written, and `search --index` and `serve`
+//! *load* it instead of rebuilding. `search` runs the exact online OASIS
+//! search through the one engine, `ShardedEngine`: a single-shard tree
+//! artifact opens as one disk-resident shard read through the buffer pool
+//! (the paper's §3.4 disk mode); a multi-shard or ESA artifact serves its
+//! shards in memory, with merged results byte-identical. A single query
+//! streams hits as they are proven optimal, and a `--queries` FASTA batch
+//! executes concurrently across worker threads against the shared index.
+//! `index inspect` prints an artifact's manifest without loading any
+//! trees, and `index append` WAL-logs new sequences next to it.
 //!
 //! The network trio makes the serving stack an actual service: `serve`
 //! exposes an index artifact over the versioned wire protocol of
@@ -41,27 +36,22 @@
 //! the one admin snapshot, printed as one table).
 
 use std::io::BufReader;
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use oasis::prelude::*;
-use oasis::storage::FileDevice;
 
 const USAGE: &str = "\
 oasis — online and accurate local-alignment search (VLDB'03 reproduction)
 
 USAGE:
-  oasis makedb <db.fasta> <db.oasisdb> [--dna|--protein]
-  oasis index  <db.fasta|db.oasisdb> <index.oasis> [--dna|--protein] [--block-size N]
-  oasis index  build <db.fasta|db.oasisdb> --out <dir> [--dna|--protein]
+  oasis index  build <db.fasta> --out <dir> [--dna|--protein]
                [--shards N] [--block-size N] [--backend tree|esa]
-  oasis search <db.fasta|db.oasisdb> <index.oasis> <QUERY> [--dna|--protein]
-               [--evalue E | --min-score S] [--top K] [--pool-mb M]
-               [--matrix unit|blosum62|pam30] [--gap G] [--shards N]
-  oasis search <db.fasta|db.oasisdb> <index.oasis> --queries <queries.fasta>
-               [--threads N] [other search options]
-  oasis search --index <dir> <QUERY> [other search options]
-  oasis search --index <dir> --queries <queries.fasta> [other search options]
+  oasis search --index <dir> <QUERY> [--evalue E | --min-score S] [--top K]
+               [--pool-mb M] [--matrix unit|blosum62|pam30] [--gap G]
+  oasis search --index <dir> --queries <queries.fasta> [--threads N]
+               [other search options]
   oasis index  inspect <dir> [--json]
   oasis index  append <fasta> --index <dir> [--compact] [--shards N]
                [--block-size N] [--backend tree|esa]
@@ -78,23 +68,13 @@ USAGE:
   oasis admin  --remote <host:port> append <queries.fasta>
   oasis admin  --remote <host:port> shutdown
                (admin also accepts [--timeout-ms T])
-  oasis info   <index.oasis> [--block-size N]
   oasis lint   [--json] [--root <DIR>]
-
-Database arguments accept FASTA or the binary .oasisdb format written by
-`makedb` (detected by magic). Residues outside the alphabet are skipped
-while parsing database FASTA. With --queries, every record of the FASTA
-file is searched as its own query (ids from the record names) and the
-batch runs concurrently over the shared index (--threads, default: all
-cores); query records with residues outside the alphabet are rejected,
-exactly like a positional QUERY. With --shards N the database is split
-into N balanced in-memory shard indexes and every query fans out across
-them (the on-disk index is not opened); merged results are
-byte-identical to the single-index search.
 
 `index build` persists a complete artifact directory (database + N
 balanced shard indexes, per-section checksums, atomic temp-file+rename
-writes). `--backend esa` indexes each shard with an enhanced suffix
+writes) from a FASTA database; residues outside the alphabet are
+skipped. `--shards` is at least 1 and `--block-size` at least 64 and a
+multiple of 16. `--backend esa` indexes each shard with an enhanced suffix
 array instead of a suffix tree — a packed SA/LCP/LUT payload that loads
 without any tree reconstruction and produces byte-identical hits.
 `search --index <dir>` loads it — no FASTA parsing, no tree
@@ -102,9 +82,13 @@ construction, no --shards (the artifact fixes the shard layout; its
 alphabet is authoritative): one tree-image shard serves disk-resident
 through the buffer pool (--pool-mb applies), anything else (several
 shards, or any packed-esa shard) reconstitutes the in-memory fan-out
-engine. Results are byte-identical to a freshly built index.
-`index inspect` prints an artifact's manifest — version, shard table
-with backend kinds, per-section encoded sizes and checksums, delta
+engine. Results are byte-identical to a freshly built index. With
+--queries, every record of the FASTA file is searched as its own query
+(ids from the record names) and the batch runs concurrently over the
+shared index (--threads, default: all cores); query records with
+residues outside the alphabet are rejected, exactly like a positional
+QUERY. `index inspect` prints an artifact's manifest — version, shard
+table with backend kinds, per-section encoded sizes and checksums, delta
 lineage and WAL state — without loading any indexes (`--json` emits the
 same facts machine-readably). `index append` WAL-logs new FASTA
 sequences next to an artifact: later `search --index`/`serve` runs
@@ -153,20 +137,17 @@ wire-spec and artifact-manifest drift — and exits non-zero on findings;
 see docs/LINTS.md for the rules and the escape syntax.
 
 Defaults: --protein, --matrix pam30, --gap -10, --evalue 10, --pool-mb 64,
---shards 1 for `index build`, --block-size 2048 for `index`/`index build`
-(search/info read the block size from the index header unless overridden),
---queue 64 and --workers = all cores for `serve`.";
+--shards 1 and --block-size 2048 for `index build`, --queue 64 and
+--workers = all cores for `serve`.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("makedb") => cmd_makedb(&args[1..]),
         Some("index") => cmd_index(&args[1..]),
         Some("search") => cmd_search(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("admin") => cmd_admin(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
         Some("lint") => return cmd_lint(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
@@ -226,6 +207,22 @@ impl Flags {
             None | Some("tree") => Ok(oasis::engine::IndexBackend::Tree),
             Some("esa") => Ok(oasis::engine::IndexBackend::Esa),
             Some(other) => Err(format!("unknown backend {other} (tree|esa)")),
+        }
+    }
+
+    /// Check the index-shape flags `index build` and `index append`
+    /// share before either reads a FASTA, opens an artifact or writes
+    /// the WAL: `--shards` at least 1, and `--block-size` at least 64 and
+    /// a multiple of 16 (the storage layout's rule).
+    fn check_shape(&self) -> Result<(), String> {
+        if self.shards == Some(0) {
+            return Err("--shards must be at least 1".to_string());
+        }
+        match self.block_size {
+            Some(bs) if bs < 64 || !bs.is_multiple_of(16) => Err(format!(
+                "--block-size must be at least 64 and a multiple of 16 (got {bs})"
+            )),
+            _ => Ok(()),
         }
     }
 
@@ -355,11 +352,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 }
 
 fn load_db(path: &str, alphabet: &Alphabet) -> Result<SequenceDatabase, String> {
-    // Binary databases are detected by magic; anything else parses as FASTA.
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    if bytes.starts_with(b"OASISDB1") {
-        return oasis::bioseq::read_database(&bytes[..]).map_err(|e| format!("{path}: {e}"));
-    }
     let seqs = parse_fasta(
         BufReader::new(&bytes[..]),
         alphabet,
@@ -371,26 +364,6 @@ fn load_db(path: &str, alphabet: &Alphabet) -> Result<SequenceDatabase, String> 
         b.push(s).map_err(|e| e.to_string())?;
     }
     Ok(b.finish())
-}
-
-fn cmd_makedb(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let [fasta_path, out_path] = flags.positional.as_slice() else {
-        return Err("usage: oasis makedb <db.fasta> <db.oasisdb> [--dna|--protein]".to_string());
-    };
-    let db = load_db(fasta_path, &flags.alphabet)?;
-    let mut out = std::io::BufWriter::new(
-        std::fs::File::create(out_path).map_err(|e| format!("{out_path}: {e}"))?,
-    );
-    oasis::bioseq::write_database(&mut out, &db).map_err(|e| format!("{out_path}: {e}"))?;
-    use std::io::Write;
-    out.flush().map_err(|e| format!("{out_path}: {e}"))?;
-    eprintln!(
-        "wrote {out_path}: {} sequences / {} residues",
-        db.num_sequences(),
-        db.total_residues()
-    );
-    Ok(())
 }
 
 fn scoring_from(flags: &Flags) -> Result<Scoring, String> {
@@ -414,42 +387,12 @@ fn scoring_from(flags: &Flags) -> Result<Scoring, String> {
 }
 
 fn cmd_index(args: &[String]) -> Result<(), String> {
-    // `oasis index build …` is the artifact path, `oasis index inspect …`
-    // prints an artifact manifest; anything else is the legacy
-    // single-file tree image.
-    if args.first().map(String::as_str) == Some("build") {
-        return cmd_index_build(&args[1..]);
+    match args.first().map(String::as_str) {
+        Some("build") => cmd_index_build(&args[1..]),
+        Some("inspect") => cmd_index_inspect(&args[1..]),
+        Some("append") => cmd_index_append(&args[1..]),
+        _ => Err("usage: oasis index build|inspect|append ...".to_string()),
     }
-    if args.first().map(String::as_str) == Some("inspect") {
-        return cmd_index_inspect(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("append") {
-        return cmd_index_append(&args[1..]);
-    }
-    let flags = parse_flags(args)?;
-    let [db_path, index_path] = flags.positional.as_slice() else {
-        return Err("usage: oasis index <db.fasta> <index.oasis> [...]".to_string());
-    };
-    let db = load_db(db_path, &flags.alphabet)?;
-    eprintln!(
-        "parsed {} sequences / {} residues",
-        db.num_sequences(),
-        db.total_residues()
-    );
-    let start = std::time::Instant::now();
-    let tree = SuffixTree::build(&db);
-    eprintln!("suffix tree built in {:.2?}", start.elapsed());
-    let block_size = flags.block_size.unwrap_or(2048);
-    let stats = oasis::storage::DiskTreeBuilder::with_block_size(block_size)
-        .write_file(&tree, index_path)
-        .map_err(|e| format!("{index_path}: {e}"))?;
-    eprintln!(
-        "wrote {index_path}: {:.2} MB ({:.1} bytes/symbol, {} byte blocks)",
-        stats.total_bytes as f64 / 1e6,
-        stats.bytes_per_symbol(),
-        block_size
-    );
-    Ok(())
 }
 
 /// Build the whole index — N balanced shard trees over the database —
@@ -459,35 +402,26 @@ fn cmd_index_build(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let [db_path] = flags.positional.as_slice() else {
         return Err(
-            "usage: oasis index build <db.fasta|db.oasisdb> --out <dir> [--shards N] [...]"
-                .to_string(),
+            "usage: oasis index build <db.fasta> --out <dir> [--shards N] [...]".to_string(),
         );
     };
     let out = flags
         .out
         .as_deref()
         .ok_or("index build requires --out <dir>")?;
-    let shards = flags.shards.unwrap_or(1);
-    if shards == 0 {
-        return Err("--shards must be at least 1".to_string());
-    }
+    flags.check_shape()?;
+    let backend = flags.index_backend()?;
     let db = load_db(db_path, &flags.alphabet)?;
     eprintln!(
         "parsed {} sequences / {} residues",
         db.num_sequences(),
         db.total_residues()
     );
-    let block_size = flags.block_size.unwrap_or(2048);
-    let backend = flags.index_backend()?;
+    let (shards, block_size) = (flags.shards.unwrap_or(1), flags.block_size.unwrap_or(2048));
     let start = std::time::Instant::now();
-    let manifest = oasis::engine::build_index_artifact(
-        &db,
-        std::path::Path::new(out),
-        shards,
-        block_size,
-        backend,
-    )
-    .map_err(|e| format!("{out}: {e}"))?;
+    let manifest =
+        oasis::engine::build_index_artifact(&db, Path::new(out), shards, block_size, backend)
+            .map_err(|e| format!("{out}: {e}"))?;
     eprintln!(
         "wrote artifact {out}: {} {} shard(s), {:.2} MB total ({} byte blocks) in {:.2?}",
         manifest.shards.len(),
@@ -519,17 +453,13 @@ fn cmd_index_append(args: &[String]) -> Result<(), String> {
         .index
         .clone()
         .ok_or("index append requires --index <dir>")?;
-    let path = std::path::Path::new(&dir);
+    flags.check_shape()?;
+    let options = flags.live_options()?;
     // The artifact's alphabet is authoritative (as on every other
     // artifact path); the scoring only shapes the in-process snapshot
     // the append validates the layered merge with.
-    let manifest = oasis::storage::read_manifest(path).map_err(|e| format!("{dir}: {e}"))?;
-    let db = manifest
-        .load_database(path)
-        .map_err(|e| format!("{dir}: {e}"))?;
-    flags.alphabet = db.alphabet().clone();
-    let scoring = scoring_from(&flags)?;
-    let live = oasis::engine::LiveIndex::open(path, scoring, flags.live_options()?)
+    let artifact = Artifact::read(&mut flags, &dir)?;
+    let live = oasis::engine::LiveIndex::open(Path::new(&dir), artifact.scoring, options)
         .map_err(|e| format!("{dir}: {e}"))?;
     let bytes = std::fs::read(&fasta_path).map_err(|e| format!("{fasta_path}: {e}"))?;
     let seqs = parse_fasta(
@@ -563,18 +493,6 @@ fn cmd_index_append(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Block size for opening `index_path`: an explicit `--block-size` wins,
-/// otherwise the size recorded in the index header is used.
-fn index_block_size(index_path: &str, explicit: Option<usize>) -> Result<usize, String> {
-    if let Some(bs) = explicit {
-        return Ok(bs);
-    }
-    let mut prefix = [0u8; 12];
-    let mut f = std::fs::File::open(index_path).map_err(|e| format!("{index_path}: {e}"))?;
-    std::io::Read::read_exact(&mut f, &mut prefix).map_err(|e| format!("{index_path}: {e}"))?;
-    oasis::storage::header_block_size(&prefix).map_err(|e| format!("{index_path}: {e}"))
 }
 
 /// How `minScore` is derived for each query of a run: a fixed
@@ -675,36 +593,71 @@ fn wal_summary(
     }))
 }
 
-/// Load an index artifact directory into a ready engine. The artifact is
-/// self-contained: the database (names, alphabet) comes from its
-/// checksummed sections, so no FASTA path is needed — and the artifact's
-/// alphabet overrides `--dna`/`--protein`. The engine policy is
-/// `open_artifact_engine`'s: a single tree shard is opened disk-resident
-/// through the buffer pool (`--pool-mb` applies); anything else
-/// reconstitutes the in-memory fan-out engine.
-fn open_artifact(flags: &mut Flags, dir: &str) -> Result<Arc<ShardedEngine>, String> {
-    let path = std::path::Path::new(dir);
+/// An index artifact directory read for searching or serving: its
+/// manifest, its checksummed database, and the scoring. The artifact is
+/// self-contained, so no FASTA path is needed, and its alphabet overrides
+/// `--dna`/`--protein`: the scoring is derived under it.
+struct Artifact<'a> {
+    dir: &'a str,
+    manifest: oasis::storage::IndexManifest,
+    db: Arc<SequenceDatabase>,
+    scoring: Scoring,
+}
+
+impl<'a> Artifact<'a> {
+    fn read(flags: &mut Flags, dir: &'a str) -> Result<Self, String> {
+        let manifest = read_manifest(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
+        let db = manifest
+            .load_database(Path::new(dir))
+            .map_err(|e| format!("{dir}: {e}"))?;
+        flags.alphabet = db.alphabet().clone();
+        Ok(Artifact {
+            dir,
+            manifest,
+            db: Arc::new(db),
+            scoring: scoring_from(flags)?,
+        })
+    }
+
+    fn path(&self) -> &Path {
+        Path::new(self.dir)
+    }
+
+    /// Open the artifact's engine by `open_artifact_engine`'s policy: a
+    /// single tree shard disk-resident through a buffer pool of
+    /// `--pool-mb`, anything else in memory (where `--pool-mb` warns).
+    fn open_engine(&self, flags: &Flags) -> Result<ShardedEngine, String> {
+        if !opens_disk_resident(&self.manifest) {
+            flags.warn_pool_mb_ignored();
+        }
+        open_artifact_engine(
+            self.path(),
+            &self.manifest,
+            Arc::clone(&self.db),
+            self.scoring.clone(),
+            flags.pool_bytes(),
+        )
+        .map_err(|e| format!("{}: {e}", self.dir))
+    }
+}
+
+/// Open the artifact in `dir` for `search --index`. A pending append WAL
+/// means sequences were durably added since the artifact was written:
+/// search the layered index (base shards + the replayed delta), which
+/// sees every appended sequence byte-identically to a full rebuild over
+/// the concatenated database. Otherwise search the artifact's engine.
+fn open_search_engine(flags: &mut Flags, dir: &str) -> Result<Arc<ShardedEngine>, String> {
     let start = std::time::Instant::now();
-    let manifest = oasis::storage::read_manifest(path).map_err(|e| format!("{dir}: {e}"))?;
-    let db = Arc::new(
-        manifest
-            .load_database(path)
-            .map_err(|e| format!("{dir}: {e}"))?,
-    );
-    flags.alphabet = db.alphabet().clone();
-    let scoring = scoring_from(flags)?;
-    // A pending append WAL means sequences were durably added since the
-    // artifact was written: serve the layered index (base shards + the
-    // replayed delta) so `search --index` sees every appended sequence,
-    // byte-identically to a full rebuild over the concatenated database.
-    if wal_summary(path, &manifest)?.is_some_and(|w| w.pending_seqs > 0) {
+    let artifact = Artifact::read(flags, dir)?;
+    let manifest = &artifact.manifest;
+    if wal_summary(artifact.path(), manifest)?.is_some_and(|w| w.pending_seqs > 0) {
         flags.warn_pool_mb_ignored();
         if flags.threads.is_some() {
             eprintln!("warning: --threads is ignored on a live (layered) index snapshot");
         }
         let live = oasis::engine::LiveIndex::open(
-            path,
-            scoring,
+            artifact.path(),
+            artifact.scoring.clone(),
             oasis::engine::LiveIndexOptions::default(),
         )
         .map_err(|e| format!("{dir}: {e}"))?;
@@ -717,16 +670,13 @@ fn open_artifact(flags: &mut Flags, dir: &str) -> Result<Arc<ShardedEngine>, Str
         );
         return Ok(live.snapshot());
     }
-    let engine =
-        oasis::engine::open_artifact_engine(path, &manifest, db, scoring, flags.pool_bytes())
-            .map_err(|e| format!("{dir}: {e}"))?;
-    if oasis::engine::opens_disk_resident(&manifest) {
+    let engine = artifact.open_engine(flags)?;
+    if opens_disk_resident(manifest) {
         eprintln!(
             "index artifact: 1 shard, disk-resident through the buffer pool (loaded in {:.2?})",
             start.elapsed()
         );
     } else {
-        flags.warn_pool_mb_ignored();
         let all_tree = manifest
             .shards
             .iter()
@@ -741,75 +691,30 @@ fn open_artifact(flags: &mut Flags, dir: &str) -> Result<Arc<ShardedEngine>, Str
     Ok(Arc::new(flags.with_threads(engine)))
 }
 
-/// Load the database and open the engine for the legacy
-/// `<db> <index.oasis>` invocation shape: the disk index behind the
-/// buffer pool (default), or balanced in-memory shard indexes fanned out
-/// per query (`--shards N`; the disk index is not opened). Results are
-/// byte-identical either way; only the storage/parallelism shape differs.
-fn open_legacy(flags: &Flags, db_path: &str, index_path: &str) -> Result<ShardedEngine, String> {
-    let db = Arc::new(load_db(db_path, &flags.alphabet)?);
-    let scoring = scoring_from(flags)?;
-    let engine = match flags.shards {
-        None => {
-            let block_size = index_block_size(index_path, flags.block_size)?;
-            let device = FileDevice::open(index_path, block_size)
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            let tree = DiskSuffixTree::open(device, flags.pool_bytes())
-                .map_err(|e| format!("{index_path}: {e}"))?;
-            ShardedEngine::disk_resident(db, tree, scoring)
-                .map_err(|e| format!("{index_path}: {e}"))?
-        }
-        Some(0) => return Err("--shards must be at least 1".to_string()),
-        Some(n) => {
-            flags.warn_pool_mb_ignored();
-            let engine = ShardedEngine::build(db, scoring, n);
-            eprintln!(
-                "sharded: {} balanced in-memory shard(s); disk index not opened",
-                engine.num_shards()
-            );
-            engine
-        }
-    };
-    Ok(flags.with_threads(engine))
-}
-
 fn cmd_search(args: &[String]) -> Result<(), String> {
     let mut flags = parse_flags(args)?;
-    if let Some(dir) = flags.index.clone() {
-        if flags.shards.is_some() {
-            return Err(
-                "--shards cannot be combined with --index (the artifact fixes the shard layout)"
-                    .to_string(),
-            );
-        }
-        if flags.block_size.is_some() {
-            return Err(
-                "--block-size cannot be combined with --index (the artifact records its block size)"
-                    .to_string(),
-            );
-        }
-        let engine = open_artifact(&mut flags, &dir)?;
-        return match (flags.positional.as_slice(), &flags.queries) {
-            ([query_text], None) => search_single(&flags, &engine, query_text),
-            ([], Some(queries_path)) => search_batch(&flags, &engine, queries_path),
-            _ => Err("usage: oasis search --index <dir> <QUERY> [...]\n\
-                 or:    oasis search --index <dir> --queries <queries.fasta> [...]"
-                .to_string()),
-        };
+    let dir = flags
+        .index
+        .clone()
+        .ok_or("search requires --index <dir> (build one with `oasis index build`)")?;
+    if flags.shards.is_some() {
+        return Err(
+            "--shards cannot be combined with --index (the artifact fixes the shard layout)"
+                .to_string(),
+        );
     }
+    if flags.block_size.is_some() {
+        return Err(
+            "--block-size cannot be combined with --index (the artifact records its block size)"
+                .to_string(),
+        );
+    }
+    let engine = open_search_engine(&mut flags, &dir)?;
     match (flags.positional.as_slice(), &flags.queries) {
-        ([db_path, index_path, query_text], None) => search_single(
-            &flags,
-            &open_legacy(&flags, db_path, index_path)?,
-            query_text,
-        ),
-        ([db_path, index_path], Some(queries_path)) => search_batch(
-            &flags,
-            &open_legacy(&flags, db_path, index_path)?,
-            queries_path,
-        ),
-        _ => Err("usage: oasis search <db> <index.oasis> <QUERY> [...]\n\
-             or:    oasis search <db> <index.oasis> --queries <queries.fasta> [...]"
+        ([query_text], None) => search_single(&flags, &engine, query_text),
+        ([], Some(queries_path)) => search_batch(&flags, &engine, queries_path),
+        _ => Err("usage: oasis search --index <dir> <QUERY> [...]\n\
+             or:    oasis search --index <dir> --queries <queries.fasta> [...]"
             .to_string()),
     }
 }
@@ -961,21 +866,6 @@ fn search_batch(flags: &Flags, engine: &ShardedEngine, queries_path: &str) -> Re
         pool.merge(&outcome.pool_delta);
     }
     report_pool(&pool);
-    Ok(())
-}
-
-fn cmd_info(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let [index_path] = flags.positional.as_slice() else {
-        return Err("usage: oasis info <index.oasis> [--block-size N]".to_string());
-    };
-    let block_size = index_block_size(index_path, flags.block_size)?;
-    let device =
-        FileDevice::open(index_path, block_size).map_err(|e| format!("{index_path}: {e}"))?;
-    let tree = DiskSuffixTree::open(device, 1 << 20).map_err(|e| format!("{index_path}: {e}"))?;
-    println!("index:          {index_path}");
-    println!("text length:    {}", tree.text_len());
-    println!("internal nodes: {}", SuffixTreeAccess::num_internal(&tree));
     Ok(())
 }
 
@@ -1212,28 +1102,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if !flags.positional.is_empty() {
         return Err("usage: oasis serve --index <dir> --addr <host:port> [...]".to_string());
     }
-    let path = std::path::Path::new(&dir);
-    let manifest = oasis::storage::read_manifest(path).map_err(|e| format!("{dir}: {e}"))?;
-    let db = Arc::new(
-        manifest
-            .load_database(path)
-            .map_err(|e| format!("{dir}: {e}"))?,
-    );
-    // The artifact's alphabet is authoritative, exactly as on the local
-    // `search --index` path; the scoring is fixed for the server's life.
-    flags.alphabet = db.alphabet().clone();
-    let scoring = scoring_from(&flags)?;
-    if !oasis::engine::opens_disk_resident(&manifest) {
-        flags.warn_pool_mb_ignored();
-    }
-    let served = oasis::net::ServedIndex::from_artifact_parts(
-        path,
-        &manifest,
-        db.clone(),
-        scoring.clone(),
-        flags.pool_bytes(),
-    )
-    .map_err(|e| format!("{dir}: {e}"))?;
+    // Opened exactly as on the local `search --index` path; the scoring
+    // is fixed for the server's life.
+    let artifact = Artifact::read(&mut flags, &dir)?;
+    let engine = artifact.open_engine(&flags)?;
+    let served = ServedIndex::new(Arc::clone(&artifact.db), Arc::new(engine));
     let metrics_addr = match flags.metrics_addr.as_deref() {
         Some(spec) => {
             use std::net::ToSocketAddrs as _;
@@ -1258,17 +1131,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         // genuinely slow queries are retained; --slow-ms 0 logs all.
         slow_ms: Some(flags.slow_ms.unwrap_or(250)),
     };
-    let server = oasis::net::OasisServer::bind(addr.as_str(), served, scoring, config)
+    let server = oasis::net::OasisServer::bind(addr.as_str(), served, artifact.scoring, config)
         .map_err(|e| e.to_string())?;
     // Live ingestion: `admin append` WAL-logs into the serving artifact's
     // directory, and a WAL left over from a previous run is replayed into
     // a layered generation before the first connection is accepted.
-    server.set_live_dir(path).map_err(|e| e.to_string())?;
+    server
+        .set_live_dir(dir.as_str())
+        .map_err(|e| e.to_string())?;
     eprintln!(
         "serving {dir}: {} sequences, {} shard(s), queue capacity {}, \
          live ingestion enabled ({})",
-        db.num_sequences(),
-        manifest.shards.len(),
+        artifact.db.num_sequences(),
+        artifact.manifest.shards.len(),
         config.queue_capacity,
         match config.compact_after {
             0 => "background compaction off".to_string(),

@@ -1,7 +1,8 @@
-//! End-to-end CLI coverage of the serving path: `--shards` produces
-//! byte-identical output to the disk index, per-query pool accounting is
-//! reported (on the drained and the `--top` early-exit path), and
-//! degenerate inputs fail cleanly instead of panicking.
+//! End-to-end CLI coverage of the serving path over index artifacts: a
+//! multi-shard artifact produces byte-identical output to the one-shard,
+//! disk-resident one, per-query pool accounting is reported (on the
+//! drained and the `--top` early-exit path), and degenerate inputs fail
+//! cleanly instead of panicking — bad shape flags before any write.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -28,12 +29,29 @@ fn setup(tag: &str) -> PathBuf {
     )
     .unwrap();
     std::fs::write(dir.join("q.fa"), ">q0\nTACG\n>q1\nGATT\n").unwrap();
-    let out = oasis(
-        &["index", "db.fa", "idx", "--dna", "--block-size", "64"],
-        &dir,
-    );
-    assert!(out.status.success(), "index failed: {out:?}");
+    // One shard: opens disk-resident through the buffer pool.
+    build(&dir, "idx", &[]);
     dir
+}
+
+/// `index build db.fa --out <out> --dna --block-size 64` plus `extra`.
+fn build(dir: &PathBuf, out: &str, extra: &[&str]) {
+    let mut args = vec![
+        "index",
+        "build",
+        "db.fa",
+        "--out",
+        out,
+        "--dna",
+        "--block-size",
+        "64",
+    ];
+    args.extend_from_slice(extra);
+    let built = oasis(&args, dir);
+    assert!(
+        built.status.success(),
+        "index build {extra:?} failed: {built:?}"
+    );
 }
 
 const COMMON: &[&str] = &[
@@ -46,11 +64,17 @@ const COMMON: &[&str] = &[
     "2",
 ];
 
-fn search(dir: &PathBuf, extra: &[&str]) -> Output {
-    let mut args = vec!["search", "db.fa", "idx"];
+/// `search --index <index>` plus `extra` and the common scoring flags.
+fn search_in(dir: &PathBuf, index: &str, extra: &[&str]) -> Output {
+    let mut args = vec!["search", "--index", index];
     args.extend_from_slice(extra);
     args.extend_from_slice(COMMON);
     oasis(&args, dir)
+}
+
+/// A search over the one-shard, disk-resident artifact `setup` built.
+fn search(dir: &PathBuf, extra: &[&str]) -> Output {
+    search_in(dir, "idx", extra)
 }
 
 #[test]
@@ -58,8 +82,16 @@ fn sharded_search_is_byte_identical_to_disk_search() {
     let dir = setup("shards");
     let disk = search(&dir, &["TACG"]);
     assert!(disk.status.success(), "disk search failed: {disk:?}");
-    for shards in ["1", "2", "3"] {
-        let sharded = search(&dir, &["TACG", "--shards", shards]);
+    assert!(
+        String::from_utf8_lossy(&disk.stderr).contains("disk-resident through the buffer pool"),
+        "{disk:?}"
+    );
+    let disk_batch = search(&dir, &["--queries", "q.fa"]);
+    assert!(disk_batch.status.success(), "{disk_batch:?}");
+    for shards in ["2", "3"] {
+        let out = format!("idx{shards}");
+        build(&dir, &out, &["--shards", shards]);
+        let sharded = search_in(&dir, &out, &["TACG"]);
         assert!(
             sharded.status.success(),
             "sharded search failed: {sharded:?}"
@@ -69,15 +101,15 @@ fn sharded_search_is_byte_identical_to_disk_search() {
             String::from_utf8_lossy(&sharded.stdout),
             "--shards {shards} must not change results"
         );
+        // Batch mode too.
+        let sharded = search_in(&dir, &out, &["--queries", "q.fa"]);
+        assert!(sharded.status.success(), "{sharded:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&disk_batch.stdout),
+            String::from_utf8_lossy(&sharded.stdout),
+            "--shards {shards} must not change batch results"
+        );
     }
-    // Batch mode too.
-    let disk = search(&dir, &["--queries", "q.fa"]);
-    let sharded = search(&dir, &["--queries", "q.fa", "--shards", "2"]);
-    assert!(disk.status.success() && sharded.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&disk.stdout),
-        String::from_utf8_lossy(&sharded.stdout)
-    );
 }
 
 #[test]
@@ -111,62 +143,23 @@ fn pool_hit_ratio_reported_on_drained_and_top_k_paths() {
 #[test]
 fn pool_mb_warns_when_ignored_by_in_memory_backends() {
     let dir = setup("poolmb");
-    // Legacy --shards path: in-memory, --pool-mb does nothing → warn.
-    let sharded = search(&dir, &["TACG", "--shards", "2", "--pool-mb", "8"]);
-    assert!(
-        sharded.status.success(),
-        "sharded search failed: {sharded:?}"
-    );
-    let stderr = String::from_utf8_lossy(&sharded.stderr);
-    assert!(
-        stderr.contains("warning: --pool-mb is ignored"),
-        "expected a --pool-mb warning, got:\n{stderr}"
-    );
-    // Without --pool-mb there is nothing to warn about.
-    let quiet = search(&dir, &["TACG", "--shards", "2"]);
-    assert!(
-        !String::from_utf8_lossy(&quiet.stderr).contains("warning: --pool-mb"),
-        "spurious warning: {quiet:?}"
-    );
-    // The disk path genuinely uses the pool: no warning there either.
-    let disk = search(&dir, &["TACG", "--pool-mb", "8"]);
-    assert!(disk.status.success());
-    assert!(
-        !String::from_utf8_lossy(&disk.stderr).contains("warning: --pool-mb"),
-        "disk-resident search must not warn: {disk:?}"
-    );
-
-    // Artifact paths: multi-shard (in-memory) warns, single-shard
-    // (disk-resident through the pool) does not.
-    for (out, shards) in [("arti2", "2"), ("arti1", "1")] {
-        let built = oasis(
-            &[
-                "index",
-                "build",
-                "db.fa",
-                "--out",
-                out,
-                "--dna",
-                "--shards",
-                shards,
-                "--block-size",
-                "64",
-            ],
-            &dir,
-        );
-        assert!(built.status.success(), "index build failed: {built:?}");
-    }
-    let mut args = vec!["search", "--index", "arti2", "TACG", "--pool-mb", "8"];
-    args.extend_from_slice(COMMON);
-    let multi = oasis(&args, &dir);
+    // Multi-shard (in-memory) warns, single-shard (disk-resident through
+    // the pool) does not.
+    build(&dir, "arti2", &["--shards", "2"]);
+    let multi = search_in(&dir, "arti2", &["TACG", "--pool-mb", "8"]);
     assert!(multi.status.success(), "artifact search failed: {multi:?}");
     assert!(
         String::from_utf8_lossy(&multi.stderr).contains("warning: --pool-mb is ignored"),
         "multi-shard artifact must warn: {multi:?}"
     );
-    let mut args = vec!["search", "--index", "arti1", "TACG", "--pool-mb", "8"];
-    args.extend_from_slice(COMMON);
-    let single = oasis(&args, &dir);
+    // Without --pool-mb there is nothing to warn about.
+    let quiet = search_in(&dir, "arti2", &["TACG"]);
+    assert!(quiet.status.success(), "artifact search failed: {quiet:?}");
+    assert!(
+        !String::from_utf8_lossy(&quiet.stderr).contains("warning: --pool-mb"),
+        "spurious warning: {quiet:?}"
+    );
+    let single = search(&dir, &["TACG", "--pool-mb", "8"]);
     assert!(
         single.status.success(),
         "artifact search failed: {single:?}"
@@ -187,22 +180,7 @@ fn pool_mb_warns_when_ignored_by_in_memory_backends() {
 #[test]
 fn index_inspect_prints_the_manifest_without_loading_trees() {
     let dir = setup("inspect");
-    let built = oasis(
-        &[
-            "index",
-            "build",
-            "db.fa",
-            "--out",
-            "arti",
-            "--dna",
-            "--shards",
-            "2",
-            "--block-size",
-            "64",
-        ],
-        &dir,
-    );
-    assert!(built.status.success(), "index build failed: {built:?}");
+    build(&dir, "arti", &["--shards", "2"]);
     let out = oasis(&["index", "inspect", "arti"], &dir);
     assert!(out.status.success(), "inspect failed: {out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -227,24 +205,7 @@ fn index_inspect_prints_the_manifest_without_loading_trees() {
     // The shard boundary table tiles the database.
     assert!(stdout.contains("seqs 0..="), "{stdout}");
     // A packed-ESA artifact reports its backend kind per shard.
-    let built = oasis(
-        &[
-            "index",
-            "build",
-            "db.fa",
-            "--out",
-            "esa-arti",
-            "--dna",
-            "--shards",
-            "2",
-            "--block-size",
-            "64",
-            "--backend",
-            "esa",
-        ],
-        &dir,
-    );
-    assert!(built.status.success(), "esa index build failed: {built:?}");
+    build(&dir, "esa-arti", &["--shards", "2", "--backend", "esa"]);
     let out = oasis(&["index", "inspect", "esa-arti"], &dir);
     assert!(out.status.success(), "esa inspect failed: {out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -262,22 +223,7 @@ fn index_inspect_prints_the_manifest_without_loading_trees() {
 #[test]
 fn index_inspect_json_is_machine_readable_and_tracks_the_live_state() {
     let dir = setup("inspect-json");
-    let built = oasis(
-        &[
-            "index",
-            "build",
-            "db.fa",
-            "--out",
-            "arti",
-            "--dna",
-            "--shards",
-            "2",
-            "--block-size",
-            "64",
-        ],
-        &dir,
-    );
-    assert!(built.status.success(), "index build failed: {built:?}");
+    build(&dir, "arti", &["--shards", "2"]);
 
     // A fresh artifact: no lineage, no WAL, every manifest fact present.
     let out = oasis(&["index", "inspect", "arti", "--json"], &dir);
@@ -358,36 +304,14 @@ fn index_inspect_json_is_machine_readable_and_tracks_the_live_state() {
 fn esa_backend_serves_byte_identical_search_results() {
     let dir = setup("esa-backend");
     for (out, backend) in [("tree-arti", "tree"), ("esa-arti", "esa")] {
-        let built = oasis(
-            &[
-                "index",
-                "build",
-                "db.fa",
-                "--out",
-                out,
-                "--dna",
-                "--shards",
-                "2",
-                "--block-size",
-                "64",
-                "--backend",
-                backend,
-            ],
-            &dir,
-        );
-        assert!(
-            built.status.success(),
-            "{backend} index build failed: {built:?}"
-        );
+        build(&dir, out, &["--shards", "2", "--backend", backend]);
     }
     for query in ["TACG", "ACGT", "GGG"] {
-        let direct = search(&dir, &[query]);
-        assert!(direct.status.success(), "direct search failed: {direct:?}");
+        let disk = search(&dir, &[query]);
+        assert!(disk.status.success(), "disk search failed: {disk:?}");
         let mut outputs = Vec::new();
         for index in ["tree-arti", "esa-arti"] {
-            let mut args = vec!["search", "--index", index, query];
-            args.extend_from_slice(COMMON);
-            let out = oasis(&args, &dir);
+            let out = search_in(&dir, index, &[query]);
             assert!(out.status.success(), "{index} search failed: {out:?}");
             outputs.push(String::from_utf8_lossy(&out.stdout).into_owned());
         }
@@ -396,9 +320,9 @@ fn esa_backend_serves_byte_identical_search_results() {
             "{query}: tree and esa artifacts must serve identical hits"
         );
         assert_eq!(
-            String::from_utf8_lossy(&direct.stdout),
+            String::from_utf8_lossy(&disk.stdout),
             outputs[1],
-            "{query}: esa artifact must match the direct in-memory search"
+            "{query}: esa artifact must match the one-shard disk-resident search"
         );
     }
 }
@@ -411,7 +335,10 @@ fn degenerate_inputs_fail_cleanly() {
     let stderr = String::from_utf8_lossy(&empty.stderr);
     assert!(stderr.contains("query is empty"), "got: {stderr}");
 
-    let zero_shards = search(&dir, &["TACG", "--shards", "0"]);
+    let zero_shards = oasis(
+        &["index", "build", "db.fa", "--out", "zero", "--shards", "0"],
+        &dir,
+    );
     assert!(!zero_shards.status.success());
     assert!(
         String::from_utf8_lossy(&zero_shards.stderr).contains("--shards"),
@@ -422,7 +349,7 @@ fn degenerate_inputs_fail_cleanly() {
     let out = oasis(
         &[
             "search",
-            "db.fa",
+            "--index",
             "idx",
             "TACG",
             "--dna",
@@ -441,12 +368,12 @@ fn degenerate_inputs_fail_cleanly() {
         "a non-positive threshold must be a clean error, not a panic"
     );
 
-    // A degenerate E-value is the server's clean error, not a panic in
-    // the Karlin-Altschul conversion.
+    // A degenerate E-value is a clean error, not a panic in the
+    // Karlin-Altschul conversion.
     for evalue in ["0", "-1", "nan", "inf"] {
         let out = oasis(
             &[
-                "search", "db.fa", "idx", "TACG", "--dna", "--matrix", "unit", "--gap", "-1",
+                "search", "--index", "idx", "TACG", "--dna", "--matrix", "unit", "--gap", "-1",
                 "--evalue", evalue,
             ],
             &dir,
@@ -456,6 +383,88 @@ fn degenerate_inputs_fail_cleanly() {
             String::from_utf8_lossy(&out.stderr).contains("E-value must be finite and positive"),
             "--evalue {evalue}: {}",
             String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    // The artifact directory is the only on-disk index: a search without
+    // `--index` names it, `index` needs a subcommand, and `info` is not a
+    // verb.
+    let positional = oasis(&["search", "db.fa", "idx", "TACG"], &dir);
+    assert_eq!(positional.status.code(), Some(1), "{positional:?}");
+    assert!(
+        String::from_utf8_lossy(&positional.stderr).contains("--index"),
+        "{positional:?}"
+    );
+    let bare = oasis(&["index", "db.fa", "bare"], &dir);
+    assert_eq!(bare.status.code(), Some(1), "{bare:?}");
+    assert!(!dir.join("bare").exists());
+    let info = oasis(&["info", "idx"], &dir);
+    assert_eq!(info.status.code(), Some(2), "{info:?}");
+    assert!(
+        String::from_utf8_lossy(&info.stderr).contains("USAGE:"),
+        "{info:?}"
+    );
+}
+
+#[test]
+fn shape_flags_are_rejected_before_any_write() {
+    let dir = setup("shape");
+    // `index build` checks --block-size before it reads the FASTA: a
+    // missing database is not even opened.
+    for (flag, value) in [
+        ("--block-size", "0"),
+        ("--block-size", "100"),
+        ("--shards", "0"),
+    ] {
+        let out = oasis(
+            &[
+                "index",
+                "build",
+                "missing.fa",
+                "--out",
+                "never",
+                flag,
+                value,
+            ],
+            &dir,
+        );
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(flag) && !stderr.contains("missing.fa"),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(!dir.join("never").exists());
+    }
+    // `index append` checks them before the WAL write, so a rejected
+    // append leaves nothing behind to be appended twice on a retry.
+    std::fs::write(dir.join("add.fa"), ">a0\nTTGACA\n").unwrap();
+    for (flag, value) in [("--block-size", "0"), ("--shards", "0")] {
+        let out = oasis(
+            &[
+                "index",
+                "append",
+                "add.fa",
+                "--index",
+                "idx",
+                "--matrix",
+                "unit",
+                "--compact",
+                flag,
+                value,
+            ],
+            &dir,
+        );
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(flag),
+            "{flag} {value}: {out:?}"
+        );
+        let inspect = oasis(&["index", "inspect", "idx", "--json"], &dir);
+        let stdout = String::from_utf8_lossy(&inspect.stdout);
+        assert!(
+            stdout.contains("\"wal\": null") && stdout.contains("\"lineage\": null"),
+            "{flag} {value} must not touch the artifact:\n{stdout}"
         );
     }
 }

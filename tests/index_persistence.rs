@@ -97,9 +97,9 @@ fn single_shard_artifact_serves_disk_resident_and_identical() {
     let dir = scratch("diskres");
     let manifest =
         build_index_artifact(&db, &dir, 1, 64, IndexBackend::Tree).expect("artifact written");
-    let engine =
-        disk_engine_from_artifact(&dir, &manifest, db.clone(), Scoring::unit_dna(), 1 << 16)
-            .expect("disk-resident load");
+    assert!(opens_disk_resident(&manifest));
+    let engine = open_artifact_engine(&dir, &manifest, db.clone(), Scoring::unit_dna(), 1 << 16)
+        .expect("disk-resident load");
     let q = vec![3u8, 0, 1, 2];
     let params = OasisParams::with_min_score(1);
     let outcome = engine.run_one(&q, &params);
