@@ -82,8 +82,9 @@ pub fn write_database<W: Write>(mut w: W, db: &SequenceDatabase) -> io::Result<(
     Ok(())
 }
 
-/// Read a database written by [`write_database`], with structural checks.
-pub fn read_database<R: Read>(mut r: R) -> Result<SequenceDatabase, BinIoError> {
+/// Read only the header of a database written by [`write_database`]:
+/// its alphabet, without reading the sequences.
+pub fn read_alphabet_kind<R: Read>(mut r: R) -> Result<AlphabetKind, BinIoError> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -91,11 +92,16 @@ pub fn read_database<R: Read>(mut r: R) -> Result<SequenceDatabase, BinIoError> 
     }
     let mut kind = [0u8; 1];
     r.read_exact(&mut kind)?;
-    let alphabet = match kind[0] {
-        0 => Alphabet::dna(),
-        1 => Alphabet::protein(),
-        _ => return Err(BinIoError::Corrupt("unknown alphabet kind")),
-    };
+    match kind[0] {
+        0 => Ok(AlphabetKind::Dna),
+        1 => Ok(AlphabetKind::Protein),
+        _ => Err(BinIoError::Corrupt("unknown alphabet kind")),
+    }
+}
+
+/// Read a database written by [`write_database`], with structural checks.
+pub fn read_database<R: Read>(mut r: R) -> Result<SequenceDatabase, BinIoError> {
+    let alphabet = Alphabet::of_kind(read_alphabet_kind(&mut r)?);
     let mut buf4 = [0u8; 4];
     r.read_exact(&mut buf4)?;
     let nseq = u32::from_le_bytes(buf4);

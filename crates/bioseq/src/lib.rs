@@ -27,7 +27,7 @@ pub mod fasta;
 pub mod sequence;
 
 pub use alphabet::{Alphabet, AlphabetKind, TERMINATOR};
-pub use binio::{read_database, write_database, BinIoError};
+pub use binio::{read_alphabet_kind, read_database, write_database, BinIoError};
 pub use database::{DatabaseBuilder, SeqId, SequenceDatabase, SequenceView};
 pub use error::BioseqError;
 pub use fasta::{parse_fasta, write_fasta, UnknownResiduePolicy};

@@ -12,21 +12,15 @@
 //! base plus a replayable log, or the new base plus a log whose folded
 //! prefix replay skips.
 //!
-//! Two entry points share the same fold:
-//!
-//! * [`LiveIndex::compact`](crate::LiveIndex::compact) — online, while
-//!   serving; the expensive fold runs off the state lock.
-//! * [`compact_artifact`] — offline (`oasis index append --compact`, or
-//!   a maintenance job): folds the WAL tail into the artifact in place,
-//!   with no engine or scoring needed beyond what the fold itself uses.
+//! The one entry point is [`LiveIndex::compact`](crate::LiveIndex::compact):
+//! the expensive fold runs off the state lock, so queries and appends go
+//! on while it grinds. Offline (`oasis index append --compact`) it is
+//! the same call with a `publish` that has no catalog to publish into.
 
 use std::path::Path;
-use std::time::Instant;
 
 use oasis_bioseq::SequenceDatabase;
-use oasis_storage::{
-    pending_records, read_manifest, replay_wal, DeltaLineage, IndexManifest, WriteAheadLog,
-};
+use oasis_storage::{DeltaLineage, IndexManifest};
 
 use crate::delta::DeltaIndex;
 use crate::layered::{concatenate, LiveIndexError, LiveIndexOptions};
@@ -41,23 +35,11 @@ pub struct CompactionReport {
     pub folded_seqs: u32,
     /// Residues folded (terminators excluded).
     pub folded_residues: u64,
-    /// The catalog generation the compacted snapshot was published as
-    /// (`None` for offline compactions and empty-delta no-ops).
+    /// The generation `publish` reported for the compacted snapshot
+    /// (`None` for an empty-delta no-op, which publishes nothing).
     pub generation: Option<u64>,
     /// Wall-clock duration of the compaction, in microseconds.
     pub micros: u64,
-}
-
-impl CompactionReport {
-    /// A report for a compaction that found nothing to fold.
-    pub(crate) fn idle() -> Self {
-        CompactionReport {
-            folded_seqs: 0,
-            folded_residues: 0,
-            generation: None,
-            micros: 0,
-        }
-    }
 }
 
 /// Resolve artifact-shape overrides against what the manifest records:
@@ -79,7 +61,7 @@ pub(crate) fn resolve_shape(
     )
 }
 
-/// The shared fold: concatenate `base` with the frozen delta, rebuild
+/// The fold: concatenate `base` with the frozen delta, rebuild
 /// `shard_count` shards over the merged database, and atomically persist
 /// the version-3 artifact (lineage included) into `dir`. Returns the
 /// merged database and its shards so the caller can adopt them without
@@ -100,71 +82,16 @@ pub(crate) fn fold_into_base(
     Ok((merged, shards))
 }
 
-/// Fold the WAL tail into the artifact in `dir`, offline.
-///
-/// Loads the manifest and database, replays the log past the recorded
-/// `folded_through` mark, rebuilds the merged artifact, and truncates
-/// the WAL. A missing or fully folded log is a no-op report
-/// (zero counts, no generation). Crash-safe in the same way as
-/// online compaction: the WAL shrinks only after the new manifest is on
-/// disk, and replay skips the folded prefix if the truncation never ran.
-pub fn compact_artifact(
-    dir: &Path,
-    options: LiveIndexOptions,
-) -> Result<CompactionReport, LiveIndexError> {
-    let started = Instant::now();
-    let manifest = read_manifest(dir)?;
-    let lineage = manifest.lineage.unwrap_or_default();
-    let Some(replay) = replay_wal(dir)? else {
-        return Ok(CompactionReport::idle());
-    };
-    let pending = pending_records(replay.records, manifest.lineage.as_ref());
-    if pending.is_empty() {
-        return Ok(CompactionReport::idle());
-    }
-    let frozen = DeltaIndex::from_records(pending);
-    let folded_through = match frozen.last_seq_no() {
-        Some(n) => n,
-        None => return Ok(CompactionReport::idle()),
-    };
-    let (backend, shard_count, block_size) = resolve_shape(&manifest, options);
-    let base = manifest.load_database(dir)?;
-    let next_lineage = DeltaLineage {
-        compactions: lineage.compactions + 1,
-        appended_seqs: folded_through + 1,
-        folded_through,
-    };
-    let folded_seqs = frozen.num_seqs();
-    let folded_residues = frozen.residues();
-    fold_into_base(
-        dir,
-        &base,
-        &frozen,
-        shard_count,
-        block_size,
-        backend,
-        next_lineage,
-    )?;
-    // Manifest is durable; now the folded prefix may leave the log.
-    let (mut wal, _replayed) = WriteAheadLog::open(dir)?;
-    wal.reserve_past(folded_through);
-    wal.rewrite(&[])?;
-    Ok(CompactionReport {
-        folded_seqs,
-        folded_residues,
-        generation: None,
-        micros: started.elapsed().as_micros() as u64,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::persist::{build_index_artifact, load_sharded_engine};
     use crate::shard::ShardedEngine;
+    use crate::LiveIndex;
     use oasis_align::Scoring;
     use oasis_bioseq::{Alphabet, DatabaseBuilder, Sequence};
     use oasis_core::OasisParams;
+    use oasis_storage::{read_manifest, replay_wal, WriteAheadLog, WAL_FILE};
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -192,6 +119,15 @@ mod tests {
         wal.append(name, &codes).unwrap();
     }
 
+    /// Open the artifact in `dir` (replaying its WAL) and compact it with
+    /// no catalog to publish into, as `oasis index append --compact` does.
+    fn compact_offline(dir: &Path, options: LiveIndexOptions) -> CompactionReport {
+        LiveIndex::open(dir, Scoring::unit_dna(), options)
+            .unwrap()
+            .compact(|_| Ok(0))
+            .unwrap()
+    }
+
     #[test]
     fn offline_compaction_folds_the_log() {
         for backend in [IndexBackend::Tree, IndexBackend::Esa] {
@@ -200,10 +136,10 @@ mod tests {
             log_append(&dir, "c", "GGGACGTA");
             log_append(&dir, "d", "TTTT");
 
-            let report = compact_artifact(&dir, LiveIndexOptions::default()).unwrap();
+            let report = compact_offline(&dir, LiveIndexOptions::default());
             assert_eq!(report.folded_seqs, 2);
             assert_eq!(report.folded_residues, 12);
-            assert_eq!(report.generation, None);
+            assert_eq!(report.generation, Some(0), "what the publish hook returned");
 
             let manifest = read_manifest(&dir).unwrap();
             assert_eq!(manifest.num_seqs, 4);
@@ -253,16 +189,20 @@ mod tests {
     fn idle_compaction_changes_nothing() {
         let dir = tmpdir("idle");
         seed(&dir, IndexBackend::Tree, 1);
-        // No WAL at all.
-        let report = compact_artifact(&dir, LiveIndexOptions::default()).unwrap();
-        assert_eq!(report, CompactionReport::idle());
+        // No WAL at all, and opening one for the compaction creates none.
+        let report = compact_offline(&dir, LiveIndexOptions::default());
+        assert_eq!((report.folded_seqs, report.generation), (0, None));
+        assert!(
+            !dir.join(WAL_FILE).exists(),
+            "opening the WAL wrote no file"
+        );
         let manifest = read_manifest(&dir).unwrap();
         assert!(manifest.lineage.is_none(), "stays a plain v2 artifact");
 
         // A second compaction right after a fold is also idle.
         log_append(&dir, "c", "ACGT");
-        compact_artifact(&dir, LiveIndexOptions::default()).unwrap();
-        let report = compact_artifact(&dir, LiveIndexOptions::default()).unwrap();
+        compact_offline(&dir, LiveIndexOptions::default());
+        let report = compact_offline(&dir, LiveIndexOptions::default());
         assert_eq!(report.folded_seqs, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -296,7 +236,7 @@ mod tests {
         .unwrap();
         // WAL still holds the folded record — but the next compaction
         // skips it instead of folding it twice.
-        let report = compact_artifact(&dir, LiveIndexOptions::default()).unwrap();
+        let report = compact_offline(&dir, LiveIndexOptions::default());
         assert_eq!(report.folded_seqs, 0);
         let manifest = read_manifest(&dir).unwrap();
         assert_eq!(manifest.num_seqs, 3, "c folded exactly once");
@@ -313,7 +253,7 @@ mod tests {
             block_size: Some(128),
             backend: Some(IndexBackend::Esa),
         };
-        compact_artifact(&dir, opts).unwrap();
+        compact_offline(&dir, opts);
         let manifest = read_manifest(&dir).unwrap();
         assert_eq!(manifest.shards.len(), 3);
         assert_eq!(manifest.block_size, 128);

@@ -12,6 +12,10 @@
 //! pattern [`IndexCatalog`](crate::IndexCatalog) uses for whole
 //! generations.
 //!
+//! The base is whatever engine the artifact was opened as:
+//! [`LiveIndex::adopt`] shares its shards, so a disk-resident base stays
+//! on disk until the first compaction replaces it with the folded one.
+//!
 //! ## Invariants
 //!
 //! * **Logged iff indexed.** `append` writes each sequence to the WAL
@@ -38,13 +42,13 @@ use oasis_bioseq::database::MAX_TEXT_LEN;
 use oasis_bioseq::{BioseqError, DatabaseBuilder, Sequence, SequenceDatabase};
 use oasis_storage::artifact::ArtifactError;
 use oasis_storage::wal::{WalError, WriteAheadLog};
-use oasis_storage::{pending_records, read_manifest, DeltaLineage};
+use oasis_storage::{pending_records, read_manifest, DeltaLineage, IndexManifest};
 
 use crate::catalog::PublishError;
-use crate::compactor::{fold_into_base, CompactionReport};
+use crate::compactor::{fold_into_base, resolve_shape, CompactionReport};
 use crate::delta::DeltaIndex;
 use crate::persist::sharded_engine_from_artifact;
-use crate::shard::{IndexBackend, Shard, ShardedEngine};
+use crate::shard::{IndexBackend, ShardedEngine};
 
 /// Everything that can go wrong operating a [`LiveIndex`].
 #[derive(Debug)]
@@ -158,8 +162,8 @@ pub struct AppendReceipt {
 }
 
 struct LiveState {
-    base_db: Arc<SequenceDatabase>,
-    base_shards: Vec<Arc<Shard>>,
+    /// The base: the adopted engine, or the last compaction's fold.
+    base: Arc<ShardedEngine>,
     delta: DeltaIndex,
     wal: WriteAheadLog,
     lineage: DeltaLineage,
@@ -191,7 +195,6 @@ impl LiveState {
 /// the lock: grab [`LiveIndex::snapshot`] and run against that.
 pub struct LiveIndex {
     dir: PathBuf,
-    scoring: Scoring,
     backend: IndexBackend,
     shard_count: usize,
     block_size: usize,
@@ -200,53 +203,56 @@ pub struct LiveIndex {
 }
 
 impl LiveIndex {
-    /// Open the artifact in `dir` for live ingestion: load the base,
-    /// replay the WAL tail past the manifest's `folded_through` mark
-    /// into the delta, and build the initial snapshot.
+    /// Open the artifact in `dir` for live ingestion: load the base in
+    /// memory, then [`adopt`](LiveIndex::adopt) it.
     pub fn open(
         dir: &Path,
         scoring: Scoring,
         options: LiveIndexOptions,
     ) -> Result<Self, LiveIndexError> {
         let manifest = read_manifest(dir)?;
-        let base_db = Arc::new(manifest.load_database(dir)?);
-        let engine =
-            sharded_engine_from_artifact(dir, &manifest, Arc::clone(&base_db), scoring.clone())?;
-        let base_shards = engine.shared_shards();
-        let (backend, shard_count, block_size) =
-            crate::compactor::resolve_shape(&manifest, options);
-        let lineage = manifest.lineage.unwrap_or_default();
+        let db = Arc::new(manifest.load_database(dir)?);
+        let base = sharded_engine_from_artifact(dir, &manifest, db, scoring)?;
+        Self::adopt(dir, &manifest, base, options)
+    }
 
+    /// Take over `base`, an engine already opened over the artifact in
+    /// `dir` (whose manifest is `manifest`), for live ingestion: share its
+    /// database and shards as they are — a disk-resident shard stays
+    /// disk-resident until the first compaction — replay the WAL tail
+    /// past the manifest's `folded_through` mark into the delta, and
+    /// build the initial snapshot with `base`'s scoring and thread count.
+    pub fn adopt(
+        dir: &Path,
+        manifest: &IndexManifest,
+        base: ShardedEngine,
+        options: LiveIndexOptions,
+    ) -> Result<Self, LiveIndexError> {
+        let (backend, shard_count, block_size) = resolve_shape(manifest, options);
         let (mut wal, replay) = WriteAheadLog::open(dir)?;
         let delta =
             DeltaIndex::from_records(pending_records(replay.records, manifest.lineage.as_ref()));
         if let Some(lineage) = &manifest.lineage {
             wal.reserve_past(lineage.folded_through);
         }
-        let snapshot = make_snapshot(&base_db, &base_shards, &delta, &scoring, backend)?;
+        let base = Arc::new(base);
+        let snapshot = make_snapshot(&base, &delta, backend)?;
         Ok(LiveIndex {
             dir: dir.to_path_buf(),
-            scoring,
             backend,
             shard_count,
             block_size,
             state: Mutex::new(LiveState {
-                base_db,
-                base_shards,
+                base,
                 delta,
                 wal,
-                lineage,
+                lineage: manifest.lineage.unwrap_or_default(),
                 snapshot,
                 last_compaction_micros: 0,
                 last_folded_seqs: 0,
             }),
             compacting: AtomicBool::new(false),
         })
-    }
-
-    /// The directory holding the base artifact and WAL.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The backend delta and compacted shards are built with.
@@ -279,7 +285,7 @@ impl LiveIndex {
     /// is rejected whole, leaving log and delta untouched.
     pub fn append(&self, seqs: Vec<Sequence>) -> Result<AppendReceipt, LiveIndexError> {
         let mut state = self.lock();
-        let mut projected = state.base_db.text_len() as u64
+        let mut projected = state.base.db().text_len() as u64
             + state.delta.residues()
             + u64::from(state.delta.num_seqs());
         for seq in &seqs {
@@ -299,13 +305,7 @@ impl LiveIndex {
             let record = state.wal.append(seq.name(), seq.codes())?;
             state.delta.push(record);
         }
-        state.snapshot = make_snapshot(
-            &state.base_db,
-            &state.base_shards,
-            &state.delta,
-            &self.scoring,
-            self.backend,
-        )?;
+        state.snapshot = make_snapshot(&state.base, &state.delta, self.backend)?;
         Ok(AppendReceipt {
             appended_seqs,
             appended_residues,
@@ -344,7 +344,7 @@ impl LiveIndex {
         // Freeze: under the lock, note exactly which records this
         // compaction will fold. Appends that land afterwards get higher
         // seq_nos and simply survive into the next delta.
-        let (base_db, frozen, lineage) = {
+        let (base, frozen, lineage) = {
             let state = self.lock();
             if state.delta.is_empty() {
                 return Ok(CompactionReport {
@@ -355,7 +355,7 @@ impl LiveIndex {
                 });
             }
             (
-                Arc::clone(&state.base_db),
+                Arc::clone(&state.base),
                 DeltaIndex::from_records(state.delta.records().to_vec()),
                 state.lineage,
             )
@@ -373,7 +373,7 @@ impl LiveIndex {
         // against the old snapshot while this grinds.
         let (merged_db, merged_shards) = fold_into_base(
             &self.dir,
-            &base_db,
+            base.db(),
             &frozen,
             self.shard_count,
             self.block_size,
@@ -386,18 +386,13 @@ impl LiveIndex {
         // Adopt: swap the merged artifact in as the new base, rebuild the
         // snapshot over the (possibly non-empty) surviving delta tail,
         // publish, and only then truncate the WAL.
+        let merged = ShardedEngine::from_shards(merged_db, base.scoring().clone(), merged_shards)
+            .with_threads(base.threads());
         let mut state = self.lock();
-        state.base_db = Arc::clone(&merged_db);
-        state.base_shards = merged_shards.into_iter().map(Arc::new).collect();
+        state.base = Arc::new(merged);
         state.delta.drop_folded(folded_through);
         state.lineage = next_lineage;
-        state.snapshot = make_snapshot(
-            &state.base_db,
-            &state.base_shards,
-            &state.delta,
-            &self.scoring,
-            self.backend,
-        )?;
+        state.snapshot = make_snapshot(&state.base, &state.delta, self.backend)?;
         let generation = publish(Arc::clone(&state.snapshot))?;
         let tail = state.delta.records().to_vec();
         state.wal.rewrite(&tail)?;
@@ -438,24 +433,19 @@ pub(crate) fn concatenate(
     Ok(builder.finish())
 }
 
-/// Build an immutable snapshot over `base_shards` plus (when non-empty)
-/// one delta shard, backed by the concatenated database.
+/// Build an immutable snapshot: `base` itself while the delta is empty,
+/// otherwise `base`'s shards, shared as they are, plus one delta shard,
+/// backed by the concatenated database.
 fn make_snapshot(
-    base_db: &Arc<SequenceDatabase>,
-    base_shards: &[Arc<Shard>],
+    base: &Arc<ShardedEngine>,
     delta: &DeltaIndex,
-    scoring: &Scoring,
     backend: IndexBackend,
 ) -> Result<Arc<ShardedEngine>, LiveIndexError> {
     if delta.is_empty() {
-        return Ok(Arc::new(ShardedEngine::from_shared_shards(
-            Arc::clone(base_db),
-            scoring.clone(),
-            base_shards.to_vec(),
-        )));
+        return Ok(Arc::clone(base));
     }
-    let combined = Arc::new(concatenate(base_db, delta)?);
-    let delta_shard = match delta.build_shard(base_db, backend) {
+    let combined = Arc::new(concatenate(base.db(), delta)?);
+    let delta_shard = match delta.build_shard(base.db(), backend) {
         Some(shard) => shard,
         // Unreachable: `concatenate` above already validated the size.
         None => {
@@ -464,19 +454,18 @@ fn make_snapshot(
             }))
         }
     };
-    let mut shards = base_shards.to_vec();
+    let mut shards = base.shared_shards();
     shards.push(Arc::new(delta_shard));
-    Ok(Arc::new(ShardedEngine::from_shared_shards(
-        combined,
-        scoring.clone(),
-        shards,
-    )))
+    Ok(Arc::new(
+        ShardedEngine::from_shared_shards(combined, base.scoring().clone(), shards)
+            .with_threads(base.threads()),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::build_index_artifact;
+    use crate::persist::{build_index_artifact, open_artifact_engine};
     use oasis_bioseq::Alphabet;
     use oasis_core::OasisParams;
 
@@ -615,7 +604,7 @@ mod tests {
         let snap = live.snapshot();
         let rebuilt = {
             let state = live.lock();
-            let combined = concatenate(&state.base_db, &state.delta).unwrap();
+            let combined = concatenate(state.base.db(), &state.delta).unwrap();
             ShardedEngine::build(Arc::new(combined), Scoring::unit_dna(), 1)
         };
         let q = Alphabet::dna().encode_str("TACGT").unwrap();
@@ -626,6 +615,43 @@ mod tests {
                 rebuilt.run_one(&q, &params).hits,
                 "min={min}"
             );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn adopted_disk_resident_base_stays_on_the_pool_after_appends() {
+        let dir = tmpdir("adopt-disk");
+        seed_artifact(&dir, IndexBackend::Tree, 1);
+        let manifest = read_manifest(&dir).unwrap();
+        let db = Arc::new(manifest.load_database(&dir).unwrap());
+        let base = open_artifact_engine(&dir, &manifest, db, Scoring::unit_dna(), 1 << 16).unwrap();
+        let live = LiveIndex::adopt(&dir, &manifest, base, LiveIndexOptions::default()).unwrap();
+        live.append(vec![dna_seq("d", "ACGTTACG"), dna_seq("e", "TACGTACG")])
+            .unwrap();
+
+        let snap = live.snapshot();
+        assert_eq!(snap.num_shards(), 2, "the disk base shard plus the delta");
+        let mut b = DatabaseBuilder::new(Alphabet::dna());
+        for (name, residues) in [
+            ("a", "ACGTACGTAC"),
+            ("b", "TTACGTTT"),
+            ("c", "GGGACGTA"),
+            ("d", "ACGTTACG"),
+            ("e", "TACGTACG"),
+        ] {
+            b.push_str(name, residues).unwrap();
+        }
+        let rebuilt = ShardedEngine::build(Arc::new(b.finish()), Scoring::unit_dna(), 1);
+        let q = Alphabet::dna().encode_str("TACGT").unwrap();
+        for min in 1..=5 {
+            let params = OasisParams::with_min_score(min);
+            let outcome = snap.run_one(&q, &params);
+            assert!(
+                outcome.pool_delta.total().requests > 0,
+                "min={min}: the base shard must still read through the buffer pool"
+            );
+            assert_eq!(outcome.hits, rebuilt.run_one(&q, &params).hits, "min={min}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

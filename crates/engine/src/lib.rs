@@ -84,7 +84,7 @@ mod shard;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use catalog::{Generation, GenerationInfo, IndexCatalog, PublishError};
-pub use compactor::{compact_artifact, CompactionReport};
+pub use compactor::CompactionReport;
 pub use delta::DeltaIndex;
 pub use layered::{AppendReceipt, LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats};
 pub use persist::{

@@ -1,6 +1,8 @@
 //! The mechanism under the event-driven front door: a waker the event
-//! loop parks on, the completion queue engine workers notify through,
-//! and the slab the loop keys connections by.
+//! loop parks on and the completion queue engine workers notify through.
+//! The connections themselves are a plain `Vec` in the loop: it services
+//! and drops them in one pass per tick, and completion tokens name
+//! queries, not connections, so no connection key outlives a tick.
 //!
 //! `std` has no readiness API (`poll(2)` would need FFI, which this
 //! workspace forbids), so the server's "poller" is a *tick* loop over
@@ -117,75 +119,6 @@ impl Completions {
     }
 }
 
-/// A slab: stable small-integer keys over a growable pool of slots.
-/// Freed keys are reused, so key values stay dense no matter how many
-/// connections come and go.
-pub(crate) struct Slab<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<usize>,
-    len: usize,
-}
-
-impl<T> Slab<T> {
-    pub(crate) fn new() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Occupied slots.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Store `value`, returning its key.
-    pub(crate) fn insert(&mut self, value: T) -> usize {
-        self.len += 1;
-        match self.free.pop() {
-            Some(id) => {
-                if let Some(slot) = self.slots.get_mut(id) {
-                    *slot = Some(value);
-                }
-                id
-            }
-            None => {
-                self.slots.push(Some(value));
-                self.slots.len() - 1
-            }
-        }
-    }
-
-    pub(crate) fn get_mut(&mut self, id: usize) -> Option<&mut T> {
-        self.slots.get_mut(id).and_then(|slot| slot.as_mut())
-    }
-
-    /// Free `id`'s slot, returning its value (None if already free).
-    pub(crate) fn remove(&mut self, id: usize) -> Option<T> {
-        let value = self.slots.get_mut(id).and_then(|slot| slot.take());
-        if value.is_some() {
-            self.free.push(id);
-            self.len -= 1;
-        }
-        value
-    }
-
-    /// A snapshot of the occupied keys, so the caller can iterate while
-    /// mutating (including removing) entries.
-    pub(crate) fn ids(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(id, slot)| slot.as_ref().map(|_| id))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,21 +160,5 @@ mod tests {
         completions.push(2);
         assert_eq!(completions.drain(), vec![3, 1, 2]);
         assert!(completions.drain().is_empty());
-    }
-
-    #[test]
-    fn slab_reuses_freed_slots() {
-        let mut slab = Slab::new();
-        let a = slab.insert("a");
-        let b = slab.insert("b");
-        assert_eq!(slab.len(), 2);
-        assert_eq!(slab.remove(a), Some("a"));
-        assert_eq!(slab.remove(a), None);
-        let c = slab.insert("c");
-        assert_eq!(c, a, "freed keys are reused");
-        assert_eq!(slab.get_mut(b), Some(&mut "b"));
-        let mut ids = slab.ids();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![a.min(b), a.max(b)]);
     }
 }

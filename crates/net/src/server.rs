@@ -34,13 +34,21 @@
 //! Admin frames (`Metrics`, `TraceDump`, `Reload`, `Append`) are handled
 //! inline on the loop thread; a reload's artifact load briefly stalls
 //! the loop, which is acceptable for rare admin operations and keeps
-//! every catalog publish serialized with dispatch.
+//! every catalog publish serialized with dispatch. Artifacts are opened
+//! only by [`ServedIndex::from_artifact`], at boot and on `Reload`.
 //!
 //! ## Generational consistency
 //!
 //! Served indexes live in an [`IndexCatalog`] of [`ServedIndex`]
 //! generations, so the admin `reload` request (and every append or
-//! compaction) can hot-swap a new generation under live traffic. Each
+//! compaction) can hot-swap a new generation under live traffic. A
+//! generation opened from an artifact is a snapshot of that directory's
+//! [`LiveIndex`] and carries it: `Append` logs into the WAL of the
+//! directory the *current* generation serves, a reload replays the new
+//! directory's pending WAL and makes it the append target, and `Metrics`
+//! reports the current generation's lineage and WAL. A reload answers
+//! `Busy` while a background compaction runs, so an older directory's
+//! compaction never publishes over it. Each
 //! search is pinned to the generation current when it is *admitted*:
 //! the query is encoded with that generation's alphabet, its E-value
 //! becomes a `minScore` against that generation's database, the engine
@@ -67,7 +75,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -78,11 +86,11 @@ use oasis_core::{Hit, OasisParams};
 use oasis_engine::{
     open_artifact_engine, AdmissionError, BatchQuery, CacheKey, IndexCatalog, LiveIndex,
     LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor, ResultCache, SearchOutcome,
-    ServingConfig, ServingConfigError, ServingEngine,
+    ServingConfig, ServingConfigError, ServingEngine, ShardedEngine,
 };
 use oasis_obs::trace::stage;
 use oasis_obs::{Counter, Histogram, HistogramSnapshot, QueryTrace, SlowLog};
-use oasis_storage::{pending_records, read_manifest, replay_wal, ArtifactError};
+use oasis_storage::{read_manifest, ArtifactError};
 
 use crate::conn::{Conn, WaitingSearch};
 use crate::frame::{
@@ -90,7 +98,7 @@ use crate::frame::{
     ReloadDone, RemoteHit, ScoreRule, SearchDone, SearchRequest, StageSummary, TraceDump,
     TraceEntry, TraceSpan, PROTOCOL_VERSION,
 };
-use crate::reactor::{Completions, Slab};
+use crate::reactor::Completions;
 use crate::NetError;
 
 /// Park timeout while connections are open: bounds how fast the loop
@@ -116,38 +124,60 @@ pub const PER_GENERATION_ROWS: usize = 64;
 /// it serves. The database rides along because the wire protocol names
 /// hits (remote clients hold no database) and encodes query text with
 /// the serving alphabet — both must stay consistent with the executor.
+/// A generation opened from an artifact also carries that directory's
+/// [`LiveIndex`], which appends and compactions go through.
 pub struct ServedIndex {
     db: Arc<SequenceDatabase>,
     executor: Arc<dyn QueryExecutor>,
+    live: Option<Arc<LiveIndex>>,
 }
 
 impl ServedIndex {
     /// A served generation over `executor`, which must search exactly
-    /// `db`.
+    /// `db`. It has no live index, so appends to it are refused.
     pub fn new(db: Arc<SequenceDatabase>, executor: Arc<dyn QueryExecutor>) -> Self {
-        ServedIndex { db, executor }
+        ServedIndex {
+            db,
+            executor,
+            live: None,
+        }
     }
 
-    /// Load the artifact directory `dir` into a served generation, opened
-    /// by [`open_artifact_engine`] — the same policy as the local
-    /// `search --index` path (a buffer pool of `pool_bytes` serves a
-    /// disk-resident shard).
+    /// Open the artifact directory `dir` as a served generation: the base
+    /// opens once by [`open_artifact_engine`] — the same policy as the
+    /// local `search --index` path (a buffer pool of `pool_bytes` serves a
+    /// disk-resident shard) — and the directory's [`LiveIndex`] adopts it,
+    /// replaying any appends pending in its WAL. The generation serves
+    /// that live index's snapshot.
     pub fn from_artifact(
         dir: &Path,
         scoring: Scoring,
         pool_bytes: usize,
-    ) -> Result<Self, ArtifactError> {
+    ) -> Result<Self, LiveIndexError> {
         let manifest = read_manifest(dir)?;
         let db = Arc::new(manifest.load_database(dir)?);
         if db.alphabet_kind() != scoring.matrix.kind() {
-            return Err(ArtifactError::Corrupt(format!(
+            return Err(LiveIndexError::Artifact(ArtifactError::Corrupt(format!(
                 "artifact alphabet {:?} does not match the serving scoring's {:?} matrix",
                 db.alphabet_kind(),
                 scoring.matrix.kind()
-            )));
+            ))));
         }
-        let engine = open_artifact_engine(dir, &manifest, db.clone(), scoring, pool_bytes)?;
-        Ok(ServedIndex::new(db, Arc::new(engine)))
+        let engine = open_artifact_engine(dir, &manifest, db, scoring, pool_bytes)?;
+        let live = LiveIndex::adopt(dir, &manifest, engine, LiveIndexOptions::default())?;
+        let snapshot = live.snapshot();
+        Ok(ServedIndex::live(Arc::new(live), snapshot))
+    }
+
+    /// A generation serving `snapshot`, a snapshot of `live`. The
+    /// snapshot's database is the concatenated (base + delta) one, so
+    /// delta hits are named like any other hit.
+    fn live(live: Arc<LiveIndex>, snapshot: Arc<ShardedEngine>) -> Self {
+        ServedIndex {
+            db: snapshot.db_shared(),
+            executor: snapshot,
+            live: Some(live),
+        }
     }
 
     /// The database this generation serves.
@@ -221,8 +251,6 @@ pub enum ServerError {
     Io(std::io::Error),
     /// The derived [`ServingConfig`] was degenerate.
     Config(ServingConfigError),
-    /// Live ingestion could not be enabled (artifact/WAL problem).
-    Live(LiveIndexError),
 }
 
 impl std::fmt::Display for ServerError {
@@ -230,7 +258,6 @@ impl std::fmt::Display for ServerError {
         match self {
             ServerError::Io(e) => write!(f, "server bind failed: {e}"),
             ServerError::Config(e) => write!(f, "{e}"),
-            ServerError::Live(e) => write!(f, "live ingestion: {e}"),
         }
     }
 }
@@ -248,16 +275,13 @@ struct Shared {
     pool_bytes: usize,
     shutting_down: AtomicBool,
     next_token: AtomicU64,
-    /// Artifact directory live ingestion appends into (None = appends
-    /// are refused; set via [`OasisServer::set_live_dir`]).
-    live_dir: Mutex<Option<PathBuf>>,
-    /// The live-ingestion state, opened lazily on the first append (or
-    /// eagerly at startup when the WAL holds unreplayed records).
-    live: Mutex<Option<Arc<LiveIndex>>>,
     /// Delta size that triggers a background compaction (0 = never).
     compact_after: usize,
     /// Background compaction threads not yet seen to finish; finished
     /// ones are dropped at the next spawn, the rest joined in `run`.
+    /// Only the loop thread spawns them, and it also runs `Reload`, which
+    /// answers `Busy` while one is unfinished — so a compaction can never
+    /// publish over a reload.
     compactions: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// The bounded LRU result cache (capacity 0 = disabled).
     cache: ResultCache,
@@ -345,34 +369,13 @@ impl Shared {
             .collect()
     }
 
-    /// The live index if one is already open (never opens one).
-    fn live_peek(&self) -> Option<Arc<LiveIndex>> {
-        self.live
+    /// Is a background compaction still running?
+    fn compaction_running(&self) -> bool {
+        self.compactions
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// The live index, opening it on first use. `Ok(None)` means no
-    /// live directory is configured (appends are refused).
-    fn live_open(&self) -> Result<Option<Arc<LiveIndex>>, LiveIndexError> {
-        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(index) = live.as_ref() {
-            return Ok(Some(Arc::clone(index)));
-        }
-        let dir = self
-            .live_dir
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let Some(dir) = dir else { return Ok(None) };
-        let index = Arc::new(LiveIndex::open(
-            &dir,
-            self.scoring.clone(),
-            LiveIndexOptions::default(),
-        )?);
-        *live = Some(Arc::clone(&index));
-        Ok(Some(index))
+            .iter()
+            .any(|h| !h.is_finished())
     }
 }
 
@@ -442,8 +445,6 @@ impl OasisServer {
             pool_bytes: config.pool_bytes,
             shutting_down: AtomicBool::new(false),
             next_token: AtomicU64::new(0),
-            live_dir: Mutex::new(None),
-            live: Mutex::new(None),
             compact_after: config.compact_after,
             compactions: Mutex::new(Vec::new()),
             cache: ResultCache::new(config.cache_entries),
@@ -485,42 +486,6 @@ impl OasisServer {
         })
     }
 
-    /// Enable live ingestion: `Append` requests durably log into `dir`'s
-    /// write-ahead log and serve from the layered (base + delta) index.
-    ///
-    /// If the WAL already holds records no compaction has folded (the
-    /// server was killed between an append and its compaction), the live
-    /// index opens *now* and its replayed snapshot is published before
-    /// any connection is accepted — a restart never silently serves
-    /// without acknowledged appends. A WAL that cannot be replayed (I/O
-    /// error, bad magic, out-of-order records) is an error for the same
-    /// reason.
-    pub fn set_live_dir(&self, dir: impl Into<PathBuf>) -> Result<(), ServerError> {
-        let dir = dir.into();
-        let pending = wal_has_pending(&dir).map_err(ServerError::Live)?;
-        *self
-            .shared
-            .live_dir
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(dir);
-        if pending {
-            let live =
-                self.shared
-                    .live_open()
-                    .map_err(ServerError::Live)?
-                    .ok_or(ServerError::Live(LiveIndexError::Publish(
-                        PublishError::ShuttingDown,
-                    )))?;
-            if live.stats().delta_seqs > 0 {
-                self.shared
-                    .catalog
-                    .publish("live-replay", live_generation(live.snapshot()))
-                    .map_err(|e| ServerError::Live(LiveIndexError::Publish(e)))?;
-            }
-        }
-        Ok(())
-    }
-
     /// The bound address (resolves `:0` to the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
@@ -545,7 +510,7 @@ impl OasisServer {
         self.listener.set_nonblocking(true)?;
         let metrics_thread = self.metrics_thread.take();
         let shared = &self.shared;
-        let mut conns: Slab<Conn> = Slab::new();
+        let mut conns: Vec<Conn> = Vec::new();
         let mut drain_deadline: Option<Instant> = None;
         loop {
             let mut progress = false;
@@ -569,7 +534,7 @@ impl OasisServer {
                             // Server-first handshake: protocol version +
                             // serving generation, queued like any response.
                             conn.push_ready(vec![hello_frame(shared)]);
-                            conns.insert(conn);
+                            conns.push(conn);
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                         // Transient accept failure (e.g. EMFILE): retry
@@ -585,18 +550,18 @@ impl OasisServer {
             shared
                 .open_conns
                 .store(conns.len() as u64, Ordering::Relaxed);
-            for id in conns.ids() {
-                let Some(conn) = conns.get_mut(id) else {
-                    continue;
-                };
-                match service_conn(shared, conn, &notified, shutting) {
-                    ConnFate::Keep(moved) => progress |= moved,
-                    ConnFate::Close => {
-                        conns.remove(id);
-                        progress = true;
+            conns.retain_mut(
+                |conn| match service_conn(shared, conn, &notified, shutting) {
+                    ConnFate::Keep(moved) => {
+                        progress |= moved;
+                        true
                     }
-                }
-            }
+                    ConnFate::Close => {
+                        progress = true;
+                        false
+                    }
+                },
+            );
             if shutting {
                 if conns.is_empty() {
                     break;
@@ -604,9 +569,7 @@ impl OasisServer {
                 if drain_deadline.is_some_and(|d| Instant::now() >= d) {
                     // Peers that stopped reading their terminal frames:
                     // force-close rather than wedge shutdown.
-                    for id in conns.ids() {
-                        conns.remove(id);
-                    }
+                    conns.clear();
                     break;
                 }
             }
@@ -633,18 +596,6 @@ impl OasisServer {
         }
         Ok(())
     }
-}
-
-/// Does `dir`'s WAL hold records no compaction has folded yet? A log that
-/// cannot be read is an error, never "nothing pending".
-fn wal_has_pending(dir: &Path) -> Result<bool, LiveIndexError> {
-    let Some(replay) = replay_wal(dir).map_err(LiveIndexError::Wal)? else {
-        return Ok(false);
-    };
-    let lineage = read_manifest(dir)
-        .map_err(LiveIndexError::Artifact)?
-        .lineage;
-    Ok(!pending_records(replay.records, lineage.as_ref()).is_empty())
 }
 
 /// The accept-side connection limit was hit: greet the stream with a
@@ -1039,10 +990,14 @@ fn stage_summary(name: &str, snap: &HistogramSnapshot) -> StageSummary {
 fn metrics_report(shared: &Shared) -> MetricsReport {
     let snap = shared.serving.snapshot();
     let current = shared.catalog.current();
-    // Live-ingestion counters come from the already-open live index; a
-    // report never forces one open (all zeros until the first append or
-    // WAL replay).
-    let live = shared.live_peek().map(|l| l.stats()).unwrap_or_default();
+    // Live-ingestion counters come from the serving generation's live
+    // index (all zeros for a generation without one).
+    let live = current
+        .executor()
+        .live
+        .as_ref()
+        .map(|l| l.stats())
+        .unwrap_or_default();
     let cache = shared.cache.stats();
     let stages = vec![
         stage_summary(stage::QUEUE_WAIT, &snap.queue_wait),
@@ -1179,7 +1134,16 @@ fn serve_metrics_scrape(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.write_all(response.as_bytes());
 }
 
+/// Open the artifact at `path` and publish it. While a background
+/// compaction runs the answer is `Busy`: its publish would otherwise land
+/// over the reloaded generation.
 fn handle_reload(shared: &Arc<Shared>, path: &str) -> Vec<Frame> {
+    if shared.compaction_running() {
+        return error_frames(
+            ErrorCode::Busy,
+            format!("reload {path}: a background compaction is running; retry after it ends"),
+        );
+    }
     match ServedIndex::from_artifact(Path::new(path), shared.scoring.clone(), shared.pool_bytes) {
         Ok(index) => match shared.catalog.publish(path, index) {
             Ok(generation) => {
@@ -1197,22 +1161,18 @@ fn handle_reload(shared: &Arc<Shared>, path: &str) -> Vec<Frame> {
     }
 }
 
-/// Run one append request: parse, WAL-log, fold into the live snapshot,
-/// publish the layered generation, and maybe kick a background
-/// compaction.
+/// Run one append request against the current generation's live index:
+/// parse, WAL-log, fold into the live snapshot, publish the layered
+/// generation, and maybe kick a background compaction.
 fn handle_append(shared: &Arc<Shared>, fasta: &str) -> Vec<Frame> {
     if shared.is_shutting_down() {
         return error_frames(ErrorCode::ShuttingDown, "server is shutting down");
     }
-    let live = match shared.live_open() {
-        Ok(Some(live)) => live,
-        Ok(None) => {
-            return error_frames(
-                ErrorCode::Malformed,
-                "this server has no live-ingestion directory (append unsupported)",
-            )
-        }
-        Err(e) => return error_frames(ErrorCode::Internal, format!("append: {e}")),
+    let Some(live) = shared.catalog.current().executor().live.clone() else {
+        return error_frames(
+            ErrorCode::Malformed,
+            "the serving generation has no live index (append unsupported)",
+        );
     };
     // The serving alphabet is authoritative for parsing, exactly as on
     // the search path.
@@ -1238,7 +1198,7 @@ fn handle_append(shared: &Arc<Shared>, fasta: &str) -> Vec<Frame> {
     let label = format!("live-append+{}", receipt.stats.appended_seqs);
     let generation = match shared
         .catalog
-        .publish(label, live_generation(live.snapshot()))
+        .publish(label, ServedIndex::live(Arc::clone(&live), live.snapshot()))
     {
         Ok(generation) => generation,
         Err(e @ PublishError::ShuttingDown) => {
@@ -1272,11 +1232,11 @@ fn maybe_spawn_compaction(shared: &Arc<Shared>, live: &Arc<LiveIndex>) {
     let thread_shared = Arc::clone(shared);
     let live = Arc::clone(live);
     let handle = std::thread::spawn(move || {
-        let catalog_shared = thread_shared;
+        let served_live = Arc::clone(&live);
         let result = live.compact(move |snapshot| {
-            catalog_shared
+            thread_shared
                 .catalog
-                .publish("live-compaction", live_generation(snapshot))
+                .publish("live-compaction", ServedIndex::live(served_live, snapshot))
         });
         match result {
             Ok(report) if report.folded_seqs > 0 => eprintln!(
@@ -1297,13 +1257,6 @@ fn maybe_spawn_compaction(shared: &Arc<Shared>, live: &Arc<LiveIndex>) {
     // dead thread per compaction for the server's whole life.
     compactions.retain(|h| !h.is_finished());
     compactions.push(handle);
-}
-
-/// A served generation over a live-index snapshot. The snapshot's
-/// database is the concatenated (base + delta) one, so delta hits are
-/// named like any other hit.
-fn live_generation(snapshot: Arc<oasis_engine::ShardedEngine>) -> ServedIndex {
-    ServedIndex::new(snapshot.db_shared(), snapshot)
 }
 
 #[cfg(test)]
@@ -1331,7 +1284,6 @@ mod tests {
             ..ServerConfig::default()
         };
         let server = OasisServer::bind("127.0.0.1:0", index, scoring, config).unwrap();
-        server.set_live_dir(&dir).unwrap();
         let addr = server.local_addr();
         let shared = Arc::clone(&server.shared);
         let runner = std::thread::spawn(move || server.run());

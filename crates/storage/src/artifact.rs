@@ -56,7 +56,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use oasis_bioseq::SequenceDatabase;
+use oasis_bioseq::{AlphabetKind, SequenceDatabase};
 use oasis_suffix::{EsaIndex, NodeHandle, SuffixTree, TreeAssembler};
 
 use crate::layout::{
@@ -268,6 +268,14 @@ impl IndexManifest {
             ));
         }
         Ok(db)
+    }
+
+    /// The database's alphabet, read from its section header alone (the
+    /// checksum is verified when the database loads).
+    pub fn alphabet_kind(&self, dir: &Path) -> Result<AlphabetKind, ArtifactError> {
+        let file = std::fs::File::open(dir.join(&self.database.file))?;
+        oasis_bioseq::read_alphabet_kind(file)
+            .map_err(|e| ArtifactError::Corrupt(format!("database section: {e}")))
     }
 
     /// Load, checksum-verify, and decode shard `i`'s tree into memory.

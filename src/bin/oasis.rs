@@ -103,11 +103,12 @@ admission answers Busy backpressure instead of queueing unboundedly,
 bounded LRU result cache (--cache-entries, default 512; 0 disables)
 answers repeated queries without re-running the traversal, requests
 may carry deadlines, and `admin reload` hot-swaps a freshly loaded
-artifact generation under live traffic. `query --remote` runs a search
-against such a server; its stdout is byte-identical to a local
-`search` over the same index (the scoring is fixed server-side at
-`serve` time). With port 0, `serve` prints the actual listening address
-on stdout. `admin append` durably appends FASTA sequences to the
+artifact generation under live traffic, replaying its pending WAL and
+making it the append target (Busy while a background compaction
+runs). `query --remote` runs a search against such a server; its
+stdout is byte-identical to a local `search` over the same index (the
+scoring is fixed server-side at `serve` time). With port 0, `serve`
+prints the actual listening address on stdout. `admin append` durably appends FASTA sequences to the
 serving index over the wire: they are WAL-logged server-side and
 answering queries before the call returns, and once the delta reaches
 --compact-after sequences (default 256; 0 disables) a background
@@ -136,9 +137,10 @@ repository's own sources — serving-path panic-freedom, lock discipline,
 wire-spec and artifact-manifest drift — and exits non-zero on findings;
 see docs/LINTS.md for the rules and the escape syntax.
 
-Defaults: --protein, --matrix pam30, --gap -10, --evalue 10, --pool-mb 64,
---shards 1 and --block-size 2048 for `index build`, --queue 64 and
---workers = all cores for `serve`.";
+Defaults: --protein for `index build`, --matrix unit on a DNA index and
+pam30 on a protein one, --gap -10, --evalue 10, --pool-mb 64, --shards 1
+and --block-size 2048 for `index build`, --queue 64 and --workers = all
+cores for `serve`.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -171,7 +173,7 @@ struct Flags {
     min_score: Option<i32>,
     top: Option<usize>,
     pool_mb: Option<usize>,
-    matrix: String,
+    matrix: Option<String>,
     gap: i32,
     queries: Option<String>,
     threads: Option<usize>,
@@ -240,26 +242,6 @@ impl Flags {
             backend,
         })
     }
-
-    /// Apply `--threads` (the batch worker count) to an opened engine.
-    fn with_threads(&self, engine: ShardedEngine) -> ShardedEngine {
-        match self.threads {
-            Some(threads) => engine.with_threads(threads),
-            None => engine,
-        }
-    }
-
-    /// `--pool-mb` only sizes the buffer pool behind a disk-resident
-    /// index; multi-shard backends are in-memory and never touch a pool.
-    /// Passing it there deserves a warning, not silence.
-    fn warn_pool_mb_ignored(&self) {
-        if self.pool_mb.is_some() {
-            eprintln!(
-                "warning: --pool-mb is ignored: multi-shard indexes are served \
-                 in-memory and do not use the buffer pool"
-            );
-        }
-    }
 }
 
 /// The argument after flag `name`.
@@ -289,7 +271,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         min_score: None,
         top: None,
         pool_mb: None,
-        matrix: "pam30".to_string(),
+        matrix: None,
         gap: -10,
         queries: None,
         threads: None,
@@ -322,7 +304,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--min-score" => f.min_score = Some(parsed(&mut it, "--min-score")?),
             "--top" => f.top = Some(parsed(&mut it, "--top")?),
             "--pool-mb" => f.pool_mb = Some(parsed(&mut it, "--pool-mb")?),
-            "--matrix" => f.matrix = value(&mut it, "--matrix")?,
+            "--matrix" => f.matrix = Some(value(&mut it, "--matrix")?),
             "--gap" => f.gap = parsed(&mut it, "--gap")?,
             "--queries" => f.queries = Some(value(&mut it, "--queries")?),
             "--threads" => f.threads = Some(parsed(&mut it, "--threads")?),
@@ -366,9 +348,15 @@ fn load_db(path: &str, alphabet: &Alphabet) -> Result<SequenceDatabase, String> 
     Ok(b.finish())
 }
 
+/// The scoring under the artifact's alphabet (`flags.alphabet`):
+/// `--matrix`, by default `unit` for DNA and `pam30` for protein.
 fn scoring_from(flags: &Flags) -> Result<Scoring, String> {
     let kind = flags.alphabet.kind();
-    let matrix = match flags.matrix.as_str() {
+    let name = flags.matrix.as_deref().unwrap_or(match kind {
+        AlphabetKind::Dna => "unit",
+        AlphabetKind::Protein => "pam30",
+    });
+    let matrix = match name {
         "unit" => SubstitutionMatrix::unit(kind),
         "blosum62" => SubstitutionMatrix::blosum62(),
         "pam30" => SubstitutionMatrix::pam30(),
@@ -376,8 +364,7 @@ fn scoring_from(flags: &Flags) -> Result<Scoring, String> {
     };
     if matrix.kind() != kind {
         return Err(format!(
-            "matrix {} is a protein matrix; use --protein or --matrix unit",
-            flags.matrix
+            "matrix {name} is a protein matrix and the index is DNA; use --matrix unit"
         ));
     }
     if flags.gap >= 0 {
@@ -458,9 +445,7 @@ fn cmd_index_append(args: &[String]) -> Result<(), String> {
     // The artifact's alphabet is authoritative (as on every other
     // artifact path); the scoring only shapes the in-process snapshot
     // the append validates the layered merge with.
-    let artifact = Artifact::read(&mut flags, &dir)?;
-    let live = oasis::engine::LiveIndex::open(Path::new(&dir), artifact.scoring, options)
-        .map_err(|e| format!("{dir}: {e}"))?;
+    let live = Artifact::read(&mut flags, &dir)?.open_live(&flags, options)?;
     let bytes = std::fs::read(&fasta_path).map_err(|e| format!("{fasta_path}: {e}"))?;
     let seqs = parse_fasta(
         BufReader::new(&bytes[..]),
@@ -593,28 +578,26 @@ fn wal_summary(
     }))
 }
 
-/// An index artifact directory read for searching or serving: its
-/// manifest, its checksummed database, and the scoring. The artifact is
-/// self-contained, so no FASTA path is needed, and its alphabet overrides
-/// `--dna`/`--protein`: the scoring is derived under it.
+/// An index artifact directory read for searching, appending or serving:
+/// its manifest and the scoring. The artifact is self-contained, so no
+/// FASTA path is needed, and its alphabet overrides `--dna`/`--protein`:
+/// the scoring is derived under it.
 struct Artifact<'a> {
     dir: &'a str,
     manifest: oasis::storage::IndexManifest,
-    db: Arc<SequenceDatabase>,
     scoring: Scoring,
 }
 
 impl<'a> Artifact<'a> {
     fn read(flags: &mut Flags, dir: &'a str) -> Result<Self, String> {
         let manifest = read_manifest(Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
-        let db = manifest
-            .load_database(Path::new(dir))
+        let kind = manifest
+            .alphabet_kind(Path::new(dir))
             .map_err(|e| format!("{dir}: {e}"))?;
-        flags.alphabet = db.alphabet().clone();
+        flags.alphabet = Alphabet::of_kind(kind);
         Ok(Artifact {
             dir,
             manifest,
-            db: Arc::new(db),
             scoring: scoring_from(flags)?,
         })
     }
@@ -623,72 +606,76 @@ impl<'a> Artifact<'a> {
         Path::new(self.dir)
     }
 
-    /// Open the artifact's engine by `open_artifact_engine`'s policy: a
-    /// single tree shard disk-resident through a buffer pool of
-    /// `--pool-mb`, anything else in memory (where `--pool-mb` warns).
-    fn open_engine(&self, flags: &Flags) -> Result<ShardedEngine, String> {
-        if !opens_disk_resident(&self.manifest) {
-            flags.warn_pool_mb_ignored();
+    /// `--pool-mb` only sizes the buffer pool behind a disk-resident
+    /// index; multi-shard backends are in-memory and never touch a pool.
+    /// Passing it there deserves a warning, not silence.
+    fn warn_pool_mb_ignored(&self, flags: &Flags) {
+        if flags.pool_mb.is_some() && !opens_disk_resident(&self.manifest) {
+            eprintln!(
+                "warning: --pool-mb is ignored: multi-shard indexes are served \
+                 in-memory and do not use the buffer pool"
+            );
         }
-        open_artifact_engine(
+    }
+
+    /// Open the artifact's live index: the base by `open_artifact_engine`'s
+    /// policy (a single tree shard disk-resident through a buffer pool of
+    /// `--pool-mb`, anything else in memory) with `--threads` applied,
+    /// adopted by the directory's `LiveIndex`, which replays any appends
+    /// pending in the WAL.
+    fn open_live(&self, flags: &Flags, options: LiveIndexOptions) -> Result<LiveIndex, String> {
+        self.warn_pool_mb_ignored(flags);
+        let fail = |e: &dyn std::fmt::Display| format!("{}: {e}", self.dir);
+        let db = self
+            .manifest
+            .load_database(self.path())
+            .map_err(|e| fail(&e))?;
+        let engine = open_artifact_engine(
             self.path(),
             &self.manifest,
-            Arc::clone(&self.db),
+            Arc::new(db),
             self.scoring.clone(),
             flags.pool_bytes(),
         )
-        .map_err(|e| format!("{}: {e}", self.dir))
+        .map_err(|e| fail(&e))?;
+        let engine = match flags.threads {
+            Some(threads) => engine.with_threads(threads),
+            None => engine,
+        };
+        LiveIndex::adopt(self.path(), &self.manifest, engine, options).map_err(|e| fail(&e))
     }
 }
 
-/// Open the artifact in `dir` for `search --index`. A pending append WAL
-/// means sequences were durably added since the artifact was written:
-/// search the layered index (base shards + the replayed delta), which
-/// sees every appended sequence byte-identically to a full rebuild over
-/// the concatenated database. Otherwise search the artifact's engine.
+/// Open the artifact in `dir` for `search --index`: its live index's
+/// snapshot, which sees every durably appended sequence byte-identically
+/// to a full rebuild over the concatenated database.
 fn open_search_engine(flags: &mut Flags, dir: &str) -> Result<Arc<ShardedEngine>, String> {
     let start = std::time::Instant::now();
     let artifact = Artifact::read(flags, dir)?;
+    let live = artifact.open_live(flags, LiveIndexOptions::default())?;
     let manifest = &artifact.manifest;
-    if wal_summary(artifact.path(), manifest)?.is_some_and(|w| w.pending_seqs > 0) {
-        flags.warn_pool_mb_ignored();
-        if flags.threads.is_some() {
-            eprintln!("warning: --threads is ignored on a live (layered) index snapshot");
-        }
-        let live = oasis::engine::LiveIndex::open(
-            artifact.path(),
-            artifact.scoring.clone(),
-            oasis::engine::LiveIndexOptions::default(),
-        )
-        .map_err(|e| format!("{dir}: {e}"))?;
-        eprintln!(
-            "index artifact: {} base shard(s) + live delta of {} sequence(s) replayed \
-             from the wal (loaded in {:.2?})",
-            manifest.shards.len(),
-            live.stats().delta_seqs,
-            start.elapsed()
-        );
-        return Ok(live.snapshot());
-    }
-    let engine = artifact.open_engine(flags)?;
-    if opens_disk_resident(manifest) {
-        eprintln!(
-            "index artifact: 1 shard, disk-resident through the buffer pool (loaded in {:.2?})",
-            start.elapsed()
-        );
+    let layout = if opens_disk_resident(manifest) {
+        "1 shard, disk-resident through the buffer pool".to_string()
     } else {
         let all_tree = manifest
             .shards
             .iter()
             .all(|s| s.kind == oasis::storage::SectionKind::TreeImage);
         let kind = if all_tree { "tree" } else { "esa" };
-        eprintln!(
-            "index artifact: {} {kind} shard(s), in-memory fan-out (loaded in {:.2?})",
-            engine.num_shards(),
-            start.elapsed()
-        );
-    }
-    Ok(Arc::new(flags.with_threads(engine)))
+        format!(
+            "{} {kind} shard(s), in-memory fan-out",
+            manifest.shards.len()
+        )
+    };
+    let delta = match live.stats().delta_seqs {
+        0 => String::new(),
+        n => format!(" + live delta of {n} sequence(s) replayed from the wal"),
+    };
+    eprintln!(
+        "index artifact: {layout}{delta} (loaded in {:.2?})",
+        start.elapsed()
+    );
+    Ok(live.snapshot())
 }
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
@@ -1102,11 +1089,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if !flags.positional.is_empty() {
         return Err("usage: oasis serve --index <dir> --addr <host:port> [...]".to_string());
     }
-    // Opened exactly as on the local `search --index` path; the scoring
-    // is fixed for the server's life.
+    // Opened by the same policy as the local `search --index` path; the
+    // scoring is fixed for the server's life. `admin append` WAL-logs
+    // into the directory the current generation serves.
     let artifact = Artifact::read(&mut flags, &dir)?;
-    let engine = artifact.open_engine(&flags)?;
-    let served = ServedIndex::new(Arc::clone(&artifact.db), Arc::new(engine));
+    artifact.warn_pool_mb_ignored(&flags);
+    let served = ServedIndex::from_artifact(
+        artifact.path(),
+        artifact.scoring.clone(),
+        flags.pool_bytes(),
+    )
+    .map_err(|e| format!("{dir}: {e}"))?;
+    let num_seqs = served.db().num_sequences();
     let metrics_addr = match flags.metrics_addr.as_deref() {
         Some(spec) => {
             use std::net::ToSocketAddrs as _;
@@ -1133,16 +1127,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     let server = oasis::net::OasisServer::bind(addr.as_str(), served, artifact.scoring, config)
         .map_err(|e| e.to_string())?;
-    // Live ingestion: `admin append` WAL-logs into the serving artifact's
-    // directory, and a WAL left over from a previous run is replayed into
-    // a layered generation before the first connection is accepted.
-    server
-        .set_live_dir(dir.as_str())
-        .map_err(|e| e.to_string())?;
     eprintln!(
         "serving {dir}: {} sequences, {} shard(s), queue capacity {}, \
          live ingestion enabled ({})",
-        artifact.db.num_sequences(),
+        num_seqs,
         artifact.manifest.shards.len(),
         config.queue_capacity,
         match config.compact_after {

@@ -468,3 +468,43 @@ fn shape_flags_are_rejected_before_any_write() {
         );
     }
 }
+
+#[test]
+fn matrix_default_follows_the_artifact_alphabet() {
+    let dir = setup("matrix-default");
+    // A DNA artifact without `--matrix` (and without `--dna`) scores with
+    // `unit`, exactly as if it were given.
+    let query = [
+        "search",
+        "--index",
+        "idx",
+        "TACG",
+        "--gap",
+        "-1",
+        "--min-score",
+        "3",
+    ];
+    let implicit = oasis(&query, &dir);
+    assert!(implicit.status.success(), "{implicit:?}");
+    let explicit = oasis(&[&query[..], &["--matrix", "unit"]].concat(), &dir);
+    assert!(explicit.status.success(), "{explicit:?}");
+    assert!(!explicit.stdout.is_empty(), "{explicit:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&implicit.stdout),
+        String::from_utf8_lossy(&explicit.stdout)
+    );
+    // `index append` needs no `--matrix` either.
+    std::fs::write(dir.join("add.fa"), ">a0\nTTGACA\n").unwrap();
+    let appended = oasis(&["index", "append", "add.fa", "--index", "idx"], &dir);
+    assert!(appended.status.success(), "{appended:?}");
+    // An explicit protein matrix on a DNA artifact is still an error, but
+    // `--protein` cannot help (the artifact's alphabet wins), so the
+    // message does not suggest it.
+    let wrong = oasis(&[&query[..], &["--matrix", "pam30"]].concat(), &dir);
+    assert_eq!(wrong.status.code(), Some(1), "{wrong:?}");
+    let stderr = String::from_utf8_lossy(&wrong.stderr);
+    assert!(
+        stderr.contains("--matrix unit") && !stderr.contains("--protein"),
+        "{stderr}"
+    );
+}

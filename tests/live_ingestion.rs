@@ -222,7 +222,12 @@ fn offline_compaction_records_lineage_and_truncates() {
         live.append(sequences(&added, 2)).expect("append");
     }
 
-    let report = compact_artifact(&dir, LiveIndexOptions::default()).expect("offline compaction");
+    // Offline: a later process replays the log and compacts, with no
+    // catalog to publish into.
+    let report = LiveIndex::open(&dir, Scoring::unit_dna(), LiveIndexOptions::default())
+        .expect("reopen")
+        .compact(|_| Ok(0))
+        .expect("offline compaction");
     assert_eq!(report.folded_seqs, 2);
 
     let manifest = read_manifest(&dir).expect("manifest");
@@ -261,7 +266,7 @@ fn offline_compaction_records_lineage_and_truncates() {
         0,
         "folded records must not replay into the delta again"
     );
-    let second = compact_artifact(&dir, LiveIndexOptions::default()).expect("idle compaction");
+    let second = live.compact(|_| Ok(0)).expect("idle compaction");
     assert_eq!(second.folded_seqs, 0, "nothing left to fold");
     assert_eq!(
         read_manifest(&dir).expect("manifest").num_seqs,

@@ -12,14 +12,18 @@
 //!   generation it was admitted on (hits, names, `Done.generation`,
 //!   cache entry, trace);
 //! * the per-generation served table stays bounded under many appends;
-//! * a WAL that cannot be replayed makes `set_live_dir` fail rather than
-//!   serve the base without its appends;
+//! * every generation opened from an artifact carries that directory's
+//!   live index: a reload replays the new directory's pending WAL and
+//!   makes it the append target, a fresh server's metrics report the
+//!   artifact's lineage and WAL, and a WAL that cannot be replayed makes
+//!   `ServedIndex::from_artifact` fail rather than serve the base without
+//!   its appends;
 //! * graceful shutdown stops admission, drains admitted work, and closes
 //!   idle streams with the typed terminal frame;
 //! * malformed bytes on the wire get a typed `Malformed` error, not a
 //!   hung or poisoned server.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -497,7 +501,7 @@ fn db_with_appended(extra: &[(&str, &str)]) -> Arc<SequenceDatabase> {
 /// Start a live-ingestion server over a fresh artifact built from the
 /// base database at `dir`.
 fn start_live_server(
-    dir: &PathBuf,
+    dir: &Path,
     compact_after: usize,
 ) -> (
     std::net::SocketAddr,
@@ -507,6 +511,18 @@ fn start_live_server(
     let db = dna_db(SEQS);
     oasis::engine::build_index_artifact(&db, dir, 2, 64, oasis::engine::IndexBackend::Tree)
         .expect("base artifact");
+    serve_artifact(dir, compact_after)
+}
+
+/// Start a live-ingestion server over the existing artifact at `dir`.
+fn serve_artifact(
+    dir: &Path,
+    compact_after: usize,
+) -> (
+    std::net::SocketAddr,
+    ServerHandle,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
     let scoring = Scoring::unit_dna();
     let index = ServedIndex::from_artifact(dir, scoring.clone(), 1 << 20).expect("load base");
     let server = OasisServer::bind(
@@ -521,7 +537,6 @@ fn start_live_server(
         },
     )
     .expect("bind");
-    server.set_live_dir(dir).expect("live dir");
     let addr = server.local_addr();
     let handle = server.handle();
     let runner = std::thread::spawn(move || server.run());
@@ -657,43 +672,45 @@ fn background_compaction_racing_admin_reload_keeps_every_generation_sound() {
     let extra = [ADD1, ADD2].concat();
     let done = admin.append(fasta_for(&extra)).expect("append");
     assert_eq!(done.generation, 1);
-    // …while an admin reload races it into the catalog. Publication
-    // order between generations 2 and 3 is whatever the race decides.
-    let reloaded = admin
-        .reload(dir_b.to_string_lossy().to_string())
-        .expect("reload during compaction");
-    assert!(reloaded.generation == 2 || reloaded.generation == 3);
-
-    // The compaction completes regardless of who published last.
+    // …while an admin reload races it. A reload answers `Busy` until the
+    // compaction has ended, so the compaction's publish (generation 2)
+    // can never land over the reloaded generation.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while admin.metrics().expect("metrics").compactions < 1 {
-        assert!(std::time::Instant::now() < deadline, "compaction never ran");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    // Whichever generation won the race serves; its responses must be
-    // byte-identical to the database that generation indexes.
-    let metrics = admin.metrics().expect("metrics after race");
-    assert_eq!(metrics.generation, 3, "both publications landed");
-    let db_full = db_with_appended(&extra);
-    let reference = if metrics.generation_label == "live-compaction" {
-        &db_full
-    } else {
-        &db_base // the reload's artifact has only the base sequences
+    let reloaded = loop {
+        match admin.reload(dir_b.to_string_lossy().to_string()) {
+            Ok(reloaded) => break reloaded,
+            Err(NetError::Remote(e)) if e.code == ErrorCode::Busy => {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "compaction never ended"
+                );
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("reload during compaction: {e}"),
+        }
     };
+    assert_eq!(reloaded.generation, 3, "the compaction published first");
+
+    // B serves: the reloaded generation is current, carries B's (empty)
+    // lineage and WAL, and answers byte-identically to B's database.
+    let metrics = admin.metrics().expect("metrics after race");
+    assert_eq!(metrics.generation, 3);
+    assert_eq!(metrics.generation_label, dir_b.to_string_lossy());
+    assert_eq!((metrics.compactions, metrics.delta_seqs), (0, 0));
+    let db_full = db_with_appended(&extra);
     let mut client = Client::connect(addr).expect("connect");
     for query in QUERIES {
         let (hits, _) = client
             .search_collect(SearchRequest::new(*query).with_min_score(2))
             .expect("search after race");
-        assert_identical_response(reference, &hits, query, 2);
+        assert_identical_response(&db_base, &hits, query, 2);
     }
 
     admin.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");
 
-    // The live directory's fold completed independently of the catalog
-    // race: lineage recorded, WAL truncated.
+    // A's artifact was compacted before the reload: lineage recorded,
+    // WAL truncated.
     let manifest = read_manifest(&dir).expect("manifest");
     assert_eq!(manifest.num_seqs, db_full.num_sequences());
     assert_eq!(manifest.lineage.expect("lineage").compactions, 1);
@@ -766,22 +783,155 @@ fn background_compaction_racing_shutdown_loses_nothing() {
 }
 
 #[test]
-fn unreadable_wal_fails_set_live_dir_instead_of_serving_without_it() {
-    // A log that does not replay may hold acknowledged appends: enabling
-    // live ingestion over it must fail, not silently serve the base.
+fn unreadable_wal_fails_from_artifact_instead_of_serving_without_it() {
+    // A log that does not replay may hold acknowledged appends: opening
+    // the artifact over it must fail, not silently serve the base.
     let dir = tmpdir("bad-wal");
     let db = dna_db(SEQS);
     oasis::engine::build_index_artifact(&db, &dir, 2, 64, oasis::engine::IndexBackend::Tree)
         .expect("base artifact");
     std::fs::write(dir.join(WAL_FILE), b"NOTAWAL!\x00\x01\x02\x03").expect("write wal");
-    let scoring = Scoring::unit_dna();
-    let index = ServedIndex::from_artifact(&dir, scoring.clone(), 1 << 20).expect("load base");
-    let server =
-        OasisServer::bind("127.0.0.1:0", index, scoring, ServerConfig::default()).expect("bind");
-    let err = server
-        .set_live_dir(&dir)
-        .expect_err("a WAL with a bad magic must not be skipped");
+    let Err(err) = ServedIndex::from_artifact(&dir, Scoring::unit_dna(), 1 << 20) else {
+        panic!("a WAL with a bad magic must not be skipped");
+    };
     assert!(err.to_string().contains("bad magic"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A DNA database of `(name, residues)` records.
+fn named_db(records: &[(&str, &str)]) -> Arc<SequenceDatabase> {
+    let mut b = DatabaseBuilder::new(Alphabet::dna());
+    for (name, residues) in records {
+        b.push_str(name.to_string(), residues).unwrap();
+    }
+    Arc::new(b.finish())
+}
+
+/// Artifact B of the reload tests: sequences that share no name with
+/// the base, and hits of their own for `QUERIES`.
+const B_SEQS: &[(&str, &str)] = &[("b0", "TTACGATTAC"), ("b1", "CCGGTACGTT")];
+
+#[test]
+fn append_after_reload_logs_into_the_reloaded_artifact() {
+    let dir_a = tmpdir("append-after-reload-a");
+    let dir_b = tmpdir("append-after-reload-b");
+    let (addr, _handle, runner) = start_live_server(&dir_a, 0);
+    let db_b = named_db(B_SEQS);
+    oasis::engine::build_index_artifact(&db_b, &dir_b, 1, 64, oasis::engine::IndexBackend::Tree)
+        .expect("artifact b");
+
+    let mut admin = Client::connect(addr).expect("connect admin");
+    admin
+        .append(fasta_for(&[("a9", "GATTACA")]))
+        .expect("append to a");
+    let wal_a = std::fs::read(dir_a.join(WAL_FILE)).expect("a's wal");
+    admin
+        .reload(dir_b.to_string_lossy().to_string())
+        .expect("reload b");
+    let done = admin
+        .append(fasta_for(&[("c0", "TACGGATT")]))
+        .expect("append after reload");
+    assert_eq!(done.delta_seqs, 1, "b's delta, not a's");
+
+    // Hits equal a fresh build of B + the appended record: nothing of A.
+    let want = named_db(&[B_SEQS, &[("c0", "TACGGATT")]].concat());
+    let mut client = Client::connect(addr).expect("connect");
+    for query in QUERIES {
+        let (hits, _) = client
+            .search_collect(SearchRequest::new(*query).with_min_score(2))
+            .expect("search after append");
+        assert_identical_response(&want, &hits, query, 2);
+    }
+    admin.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+
+    let logged = replay_wal(&dir_b).expect("replay b").expect("b's wal");
+    let names: Vec<&str> = logged.records.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(names, ["c0"], "the record is in b's wal");
+    assert_eq!(
+        std::fs::read(dir_a.join(WAL_FILE)).expect("a's wal"),
+        wal_a,
+        "a's wal is unchanged"
+    );
+    std::fs::remove_dir_all(&dir_a).ok();
+    std::fs::remove_dir_all(&dir_b).ok();
+}
+
+#[test]
+fn reload_serves_the_pending_wal_of_the_reloaded_artifact() {
+    let dir_a = tmpdir("reload-pending-a");
+    let dir_b = tmpdir("reload-pending-b");
+    let (addr, _handle, runner) = start_live_server(&dir_a, 0);
+    oasis::engine::build_index_artifact(
+        &named_db(B_SEQS),
+        &dir_b,
+        2,
+        64,
+        oasis::engine::IndexBackend::Tree,
+    )
+    .expect("artifact b");
+    // `oasis index append d.fa --index B`, while the server serves A.
+    let codes = Alphabet::dna().encode_str("GATTACAGG").unwrap();
+    LiveIndex::open(&dir_b, Scoring::unit_dna(), LiveIndexOptions::default())
+        .expect("open b")
+        .append(vec![Sequence::from_codes("d0", codes)])
+        .expect("append to b");
+
+    let mut admin = Client::connect(addr).expect("connect admin");
+    admin
+        .reload(dir_b.to_string_lossy().to_string())
+        .expect("reload b");
+    let metrics = admin.metrics().expect("metrics");
+    assert_eq!(metrics.delta_seqs, 1, "b's pending append replayed");
+    let want = named_db(&[B_SEQS, &[("d0", "GATTACAGG")]].concat());
+    let (hits, _) = admin
+        .search_collect(SearchRequest::new("GATTACAGG").with_min_score(9))
+        .expect("search the pending sequence");
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!(hits[0].name, "d0");
+    for query in QUERIES {
+        let (hits, _) = admin
+            .search_collect(SearchRequest::new(*query).with_min_score(2))
+            .expect("search after reload");
+        assert_identical_response(&want, &hits, query, 2);
+    }
+    admin.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+    std::fs::remove_dir_all(&dir_a).ok();
+    std::fs::remove_dir_all(&dir_b).ok();
+}
+
+#[test]
+fn fresh_server_metrics_carry_the_artifact_lineage_and_wal() {
+    let dir = tmpdir("fresh-metrics");
+    oasis::engine::build_index_artifact(
+        &dna_db(SEQS),
+        &dir,
+        2,
+        64,
+        oasis::engine::IndexBackend::Tree,
+    )
+    .expect("base artifact");
+    // One compaction in the artifact's lineage; the truncated WAL keeps
+    // only its 8-byte magic.
+    let live =
+        LiveIndex::open(&dir, Scoring::unit_dna(), LiveIndexOptions::default()).expect("open");
+    let codes = Alphabet::dna().encode_str("ACCGGA").unwrap();
+    live.append(vec![Sequence::from_codes("a0", codes)])
+        .expect("append");
+    live.compact(|_| Ok(0)).expect("compact");
+    drop(live);
+    let wal_bytes = replay_wal(&dir).expect("replay").expect("wal").bytes;
+    assert_eq!(wal_bytes, 8);
+
+    let (addr, _handle, runner) = serve_artifact(&dir, 0);
+    let mut admin = Client::connect(addr).expect("connect admin");
+    let metrics = admin.metrics().expect("metrics");
+    assert_eq!(metrics.compactions, 1);
+    assert_eq!(metrics.wal_bytes, wal_bytes);
+    assert_eq!(metrics.delta_seqs, 0);
+    admin.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
     std::fs::remove_dir_all(&dir).ok();
 }
 
