@@ -232,48 +232,27 @@ impl<E> IndexCatalog<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchQuery, QueryExecutor, SearchOutcome};
-    use oasis_core::SearchStats;
-    use oasis_storage::PoolStatsSnapshot;
     use std::sync::mpsc;
     use std::sync::Mutex;
 
-    /// An executor that tags outcomes with its generation marker via the
-    /// `max_queue` stat (any observable channel works).
+    /// A stand-in executor carrying its generation's marker.
     struct Marker(u64);
-
-    impl QueryExecutor for Marker {
-        fn execute(&self, _job: &BatchQuery) -> SearchOutcome {
-            SearchOutcome {
-                hits: Vec::new(),
-                stats: SearchStats {
-                    max_queue: self.0 as usize,
-                    ..SearchStats::default()
-                },
-                pool_delta: PoolStatsSnapshot::default(),
-            }
-        }
-    }
-
-    fn job() -> BatchQuery {
-        BatchQuery::new(vec![0], oasis_core::OasisParams::with_min_score(1))
-    }
 
     #[test]
     fn publish_switches_new_queries() {
         let catalog = IndexCatalog::new("gen0", Marker(7));
         let gen0 = catalog.current();
-        assert_eq!(gen0.executor().execute(&job()).stats.max_queue, 7);
+        assert_eq!(gen0.executor().0, 7);
         assert_eq!((gen0.id(), gen0.label()), (0, "gen0"));
         let id = catalog.publish("gen1", Marker(9)).unwrap();
         assert_eq!(id, 1);
         let gen1 = catalog.current();
-        assert_eq!(gen1.executor().execute(&job()).stats.max_queue, 9);
+        assert_eq!(gen1.executor().0, 9);
         assert_eq!(catalog.generations_published(), 2);
         // The id, label and executor come from one pinned generation.
         assert_eq!((gen1.id(), gen1.label(), gen1.executor().0), (1, "gen1", 9));
         // A generation pinned before the publish still answers from it.
-        assert_eq!(gen0.executor().execute(&job()).stats.max_queue, 7);
+        assert_eq!(gen0.executor().0, 7);
     }
 
     #[test]
@@ -282,30 +261,16 @@ mod tests {
             started: mpsc::Sender<()>,
             release: Mutex<mpsc::Receiver<()>>,
         }
-        impl QueryExecutor for Gate {
-            fn execute(&self, _job: &BatchQuery) -> SearchOutcome {
-                self.started.send(()).unwrap();
-                self.release.lock().unwrap().recv().unwrap();
-                SearchOutcome {
-                    hits: Vec::new(),
-                    stats: SearchStats::default(),
-                    pool_delta: PoolStatsSnapshot::default(),
-                }
-            }
-        }
         enum Either {
             Gated(Gate),
             Instant,
         }
-        impl QueryExecutor for Either {
-            fn execute(&self, job: &BatchQuery) -> SearchOutcome {
-                match self {
-                    Either::Gated(g) => g.execute(job),
-                    Either::Instant => SearchOutcome {
-                        hits: Vec::new(),
-                        stats: SearchStats::default(),
-                        pool_delta: PoolStatsSnapshot::default(),
-                    },
+        impl Either {
+            /// Stands in for a query: a gated generation parks it.
+            fn run(&self) {
+                if let Either::Gated(g) = self {
+                    g.started.send(()).unwrap();
+                    g.release.lock().unwrap().recv().unwrap();
                 }
             }
         }
@@ -322,13 +287,13 @@ mod tests {
         // A query pins generation 0 and parks inside it.
         let worker = {
             let pinned = catalog.current();
-            std::thread::spawn(move || pinned.executor().execute(&job()))
+            std::thread::spawn(move || pinned.executor().run())
         };
         started_rx.recv().unwrap();
         // Swap generations while the query is in flight.
         catalog.publish("instant", Either::Instant).unwrap();
         // New queries run (on the new generation) without blocking…
-        catalog.current().executor().execute(&job());
+        catalog.current().executor().run();
         // …while the old generation is still pinned by the parked query.
         let pinned = catalog.retired_in_flight();
         assert_eq!(pinned.len(), 1);
@@ -356,10 +321,7 @@ mod tests {
         assert_eq!(catalog.generations_published(), 2);
         assert_eq!(catalog.current().id(), 1);
         // Queries still run on the current generation while draining.
-        assert_eq!(
-            catalog.current().executor().execute(&job()).stats.max_queue,
-            9
-        );
+        assert_eq!(catalog.current().executor().0, 9);
         assert!(catalog.retired_in_flight().is_empty());
     }
 }

@@ -31,7 +31,7 @@
 //! the same pool.
 //!
 //! [`ServingEngine`] is the non-blocking front end over it: a bounded
-//! admission queue and worker pool, completion through ticket handles, and
+//! admission queue and worker pool, hits streamed through ticket handles, and
 //! per-query latency capture for tail-latency reporting.
 //!
 //! The index itself has a lifecycle: [`persist`] writes a built index to a
@@ -92,10 +92,10 @@ pub use persist::{
     persist_sharded_engine,
 };
 pub use serving::{
-    AdmissionError, CompletionHook, QueryExecutor, QueryTicket, ServedOutcome, ServingConfig,
-    ServingConfigError, ServingEngine, ServingSnapshot,
+    AdmissionError, HitSink, QueryExecutor, QueryTicket, ReadyHook, ServedOutcome, ServingConfig,
+    ServingConfigError, ServingEngine, ServingSnapshot, StreamEnd,
 };
-pub use shard::{IndexBackend, ShardedEngine, ShardedSession};
+pub use shard::{IndexBackend, SessionPoll, ShardedEngine, ShardedSession};
 
 /// One query of a batch: the encoded sequence plus its search parameters
 /// (per-query, because `minScore` typically depends on query length via

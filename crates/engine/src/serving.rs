@@ -1,5 +1,5 @@
 //! The non-blocking serving front end: bounded admission, worker threads,
-//! completion tickets, and per-query latency capture.
+//! streaming query tickets, cancellation, and per-query latency capture.
 //!
 //! A production search service cannot run every arriving query at once —
 //! it needs *admission control*. [`ServingEngine`] is a bounded submission
@@ -7,11 +7,27 @@
 //! the pinned [`Generation`] it runs on (handed out by
 //! [`crate::IndexCatalog::current`]), whose executor is a
 //! [`crate::ShardedEngine`], a served index wrapping one, or a test
-//! double. [`ServingEngine::try_submit`]
-//! never blocks, returning either a [`QueryTicket`] — a completion handle
-//! the caller can wait on — or [`AdmissionError::QueueFull`], the
-//! backpressure signal that tells the caller to retry later instead of
-//! silently piling work up.
+//! double. [`ServingEngine::try_submit`] never blocks, returning either a
+//! [`QueryTicket`] or [`AdmissionError::QueueFull`], the backpressure
+//! signal that tells the caller to retry later instead of silently piling
+//! work up.
+//!
+//! Execution is a *stream*, the paper's online property kept end to end.
+//! The worker runs [`QueryExecutor::stream`], which for the engine steps
+//! a [`crate::ShardedSession`] in bounded batches of `STEP_BATCH`
+//! driver steps and hands each hit to a [`HitSink`] the moment the k-way
+//! merge releases it. The sink appends it to a buffer the ticket shares,
+//! so a reader sees hits long before the search ends:
+//! [`QueryTicket::poll`] takes whatever arrived, never blocking, and
+//! [`QueryTicket::wait`] collects the whole answer for in-process
+//! callers. An optional [`ReadyHook`] fires whenever the ticket goes from
+//! nothing-to-take to something-to-take, which is how an event loop
+//! learns to poll without parking a thread per query.
+//!
+//! Dropping a ticket cancels its query: the worker checks the flag
+//! between step batches (and before starting a queued query), so a search
+//! nobody will read frees its worker within one batch. A cancelled search
+//! is not counted as served.
 //!
 //! Every served query's latency is captured (queue wait, service time, and
 //! the submit-to-completion total) into log-bucketed
@@ -26,27 +42,52 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::catalog::Generation;
+use crate::shard::SessionPoll;
 use crate::{BatchQuery, SearchOutcome, ShardedEngine};
+use oasis_core::{Hit, SearchStats};
 use oasis_obs::trace::stage;
 use oasis_obs::{Histogram, HistogramSnapshot, QueryTrace};
+use oasis_storage::PoolStatsSnapshot;
 
-/// Anything that can run one query to completion. Implemented by the
-/// engine; it is the seam that lets tests substitute a double.
+/// Driver steps the worker runs between cancellation checks. One step
+/// pops and expands one frontier node (about 1.3 µs for the benchmark's
+/// short protein queries on a 2-core x86-64 VM), so a batch is under a
+/// tenth of a millisecond:
+/// a cancelled search frees its worker that soon, and the check (one
+/// relaxed atomic load) costs nothing measurable at this spacing.
+const STEP_BATCH: usize = 64;
+
+/// Anything that can run one query as a stream of hits. Implemented by
+/// the engine; it is the seam that lets tests substitute a double.
 pub trait QueryExecutor: Send + Sync {
-    /// Execute `job` (respecting its [`BatchQuery::limit`]) and return the
-    /// full outcome.
-    fn execute(&self, job: &BatchQuery) -> SearchOutcome;
+    /// Run `job` (respecting its [`BatchQuery::limit`]), handing every hit
+    /// to `sink` in the canonical order as soon as it is known, and return
+    /// the search's accounting. Between bounded batches of work an
+    /// implementation checks [`HitSink::is_cancelled`] and, once it is
+    /// set, returns early: nobody will read the rest.
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot);
 }
 
 impl QueryExecutor for ShardedEngine {
-    fn execute(&self, job: &BatchQuery) -> SearchOutcome {
-        self.run_job(job)
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+        let mut session = self.session(&job.query, &job.params);
+        let mut left = job.limit.unwrap_or(usize::MAX);
+        while left > 0 && !sink.is_cancelled() {
+            match session.poll(STEP_BATCH) {
+                SessionPoll::Hit(hit) => {
+                    sink.emit(hit);
+                    left -= 1;
+                }
+                SessionPoll::Pending => {}
+                SessionPoll::Done => break,
+            }
+        }
+        session.finish()
     }
 }
 
@@ -142,7 +183,7 @@ impl std::error::Error for AdmissionError {}
 pub struct ServedOutcome {
     /// The job's caller-assigned id.
     pub id: String,
-    /// The search result.
+    /// The search result: every hit the stream carried, in order.
     pub outcome: SearchOutcome,
     /// Time spent waiting in the admission queue.
     pub queue_wait: Duration,
@@ -156,47 +197,162 @@ pub struct ServedOutcome {
     pub trace: QueryTrace,
 }
 
-/// Completion handle for one admitted query.
+/// How a streamed query ended, as [`QueryTicket::poll`] reports it once
+/// every hit has been taken.
+#[derive(Debug)]
+pub enum StreamEnd {
+    /// The search completed; `outcome.hits` holds the whole answer (the
+    /// hits already taken through `poll`, in order).
+    Done(Box<ServedOutcome>),
+    /// The query panicked (e.g. it was encoded with the wrong alphabet).
+    /// The hits taken before it are a valid prefix of the answer; the
+    /// worker survives and keeps serving.
+    Failed,
+}
+
+/// The buffer one query's worker and its ticket share.
+#[derive(Debug)]
+struct Stream {
+    state: Mutex<StreamState>,
+    /// Signalled when the stream ends (for [`QueryTicket::wait`]).
+    ended: Condvar,
+    /// Set when the ticket is dropped: nobody will read the rest. A bare
+    /// stop signal — no data is published through it.
+    cancelled: AtomicBool,
+}
+
+#[derive(Debug, Default)]
+struct StreamState {
+    /// Every hit so far, in merge order.
+    hits: Vec<Hit>,
+    /// How many of `hits` the reader has taken.
+    taken: usize,
+    end: Option<StreamEnd>,
+}
+
+impl Stream {
+    fn lock(&self) -> MutexGuard<'_, StreamState> {
+        // Poisoning is recovered from throughout this module: worker
+        // panics are already confined by `catch_unwind`, and the data
+        // under these locks stays structurally valid across a panic — so
+        // a poisoned lock must not take the serving path down with it.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn end(&self, end: StreamEnd) {
+        self.lock().end = Some(end);
+        self.ended.notify_all();
+    }
+}
+
+/// Where an executor hands its hits: appends each one to the buffer its
+/// query's [`QueryTicket`] reads, waking the reader when the buffer goes
+/// from empty to non-empty, and reports whether the ticket was dropped.
+pub struct HitSink<'a> {
+    stream: &'a Stream,
+    ready: Option<&'a (dyn Fn() + Send)>,
+}
+
+impl HitSink<'_> {
+    /// Publish the next hit of the stream to the ticket.
+    pub fn emit(&mut self, hit: Hit) {
+        let was_empty = {
+            let mut state = self.stream.lock();
+            state.hits.push(hit);
+            state.taken + 1 == state.hits.len()
+        };
+        // Only the first hit after the reader caught up wakes it; later
+        // ones coalesce into the batch it takes next.
+        if was_empty {
+            if let Some(ready) = self.ready {
+                ready();
+            }
+        }
+    }
+
+    /// Has the ticket been dropped? An executor checks this between
+    /// bounded batches of work and stops once it is set.
+    pub fn is_cancelled(&self) -> bool {
+        self.stream.cancelled.load(Ordering::Relaxed)
+    }
+}
+
+/// The reading end of one admitted query's hit stream.
 ///
-/// The result arrives exactly once; [`wait`](QueryTicket::wait) blocks for
-/// it, [`try_take`](QueryTicket::try_take) polls without blocking. `wait`
-/// returns `None` only when the query itself panicked (e.g. it was encoded
-/// with the wrong alphabet) — the worker survives and keeps serving, but
-/// there is no outcome to deliver.
+/// [`poll`](QueryTicket::poll) takes the hits that arrived so far without
+/// blocking; [`wait`](QueryTicket::wait) blocks for the whole answer.
+/// Dropping the ticket cancels the query: the worker stops it at its next
+/// step-batch boundary, or skips it if it has not started.
 #[derive(Debug)]
 pub struct QueryTicket {
-    rx: mpsc::Receiver<ServedOutcome>,
+    stream: Arc<Stream>,
 }
 
 impl QueryTicket {
-    /// Block until the query completes.
+    /// Block until the query ends and return its whole answer; `None` only
+    /// when the query itself panicked.
     pub fn wait(self) -> Option<ServedOutcome> {
-        self.rx.recv().ok()
+        let mut state = self.stream.lock();
+        while state.end.is_none() {
+            state = self
+                .stream
+                .ended
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(state);
+        match self.poll(&mut Vec::new()) {
+            Some(StreamEnd::Done(served)) => Some(*served),
+            _ => None,
+        }
     }
 
-    /// Non-blocking poll: `Some` once the query has completed.
-    pub fn try_take(&self) -> Option<ServedOutcome> {
-        self.rx.try_recv().ok()
+    /// Non-blocking: move the hits not yet taken into `out`, and once the
+    /// query has ended (and so every hit is taken), return how it ended.
+    /// The end is returned once; later polls answer `None`.
+    pub fn poll(&self, out: &mut Vec<Hit>) -> Option<StreamEnd> {
+        let mut state = self.stream.lock();
+        if let Some(fresh) = state.hits.get(state.taken..) {
+            out.extend_from_slice(fresh);
+        }
+        state.taken = state.hits.len();
+        match state.end.take() {
+            Some(StreamEnd::Done(mut served)) => {
+                served.outcome.hits = std::mem::take(&mut state.hits);
+                Some(StreamEnd::Done(served))
+            }
+            end => end,
+        }
+    }
+
+    /// Has the query ended? Takes nothing.
+    pub fn is_finished(&self) -> bool {
+        self.stream.lock().end.is_some()
     }
 }
 
-/// A completion-notification hook, invoked exactly once per admitted
-/// query — after the outcome has been sent into the ticket (or, if the
-/// query panicked, after the sender is dropped so the ticket resolves to
-/// `None`). The hook runs on the worker thread with no engine lock held;
-/// it exists so an event loop can learn a ticket is ready without ever
-/// blocking on it (push a token onto a completion queue, wake a poller).
-/// Keep it cheap and never let it block.
-pub type CompletionHook = Box<dyn FnOnce() + Send + 'static>;
+impl Drop for QueryTicket {
+    fn drop(&mut self) {
+        self.stream.cancelled.store(true, Ordering::Relaxed);
+    }
+}
+
+/// A readiness hook, invoked on the worker thread (with no engine lock
+/// held) each time its query's ticket goes from nothing-to-take to
+/// something-to-take: the first hit after the reader caught up, and the
+/// end of the stream. It exists so an event loop can learn a ticket is
+/// worth polling without ever blocking on it. Keep it cheap and never let
+/// it block.
+pub type ReadyHook = Box<dyn Fn() + Send + 'static>;
 
 /// One admitted query waiting for a worker.
 struct Submission {
     /// The generation pinned at admission; the query runs on it.
     generation: Arc<Generation<dyn QueryExecutor>>,
     job: BatchQuery,
-    tx: mpsc::Sender<ServedOutcome>,
+    stream: Arc<Stream>,
     submitted: Instant,
-    notify: Option<CompletionHook>,
+    ready: Option<ReadyHook>,
     /// Travels with the query; disabled (and free) unless the caller
     /// passed an enabled trace.
     trace: QueryTrace,
@@ -210,7 +366,8 @@ struct Submission {
 /// `served` is monotonically non-decreasing across consecutive snapshots.
 #[derive(Debug, Clone)]
 pub struct ServingSnapshot {
-    /// Queries executed to completion (the total histogram's count).
+    /// Queries executed to completion (the total histogram's count); a
+    /// panicked or cancelled query is not served.
     pub served: u64,
     /// Submissions rejected by admission control.
     pub rejected: u64,
@@ -247,8 +404,8 @@ struct Shared {
 /// each pinned to the [`Generation`] it runs on.
 ///
 /// Dropping the engine stops admission, lets the workers drain every
-/// already-admitted query (admitted work is never abandoned), and joins
-/// the worker threads.
+/// already-admitted query whose ticket is still held (only a dropped
+/// ticket abandons its query), and joins the worker threads.
 pub struct ServingEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -288,24 +445,23 @@ impl ServingEngine {
     /// An enabled `trace` gets the `queue_wait` and `execute` stage spans
     /// plus the driver's work counters, and comes back in
     /// [`ServedOutcome::trace`]; [`QueryTrace::disabled`] opts out at zero
-    /// cost. A `notify` hook fires once the ticket is resolvable — the
-    /// nonblocking completion path: the caller polls the ticket with
-    /// [`QueryTicket::try_take`] only after the hook has fired, so it never
-    /// parks a thread per in-flight query.
+    /// cost. A `ready` hook fires whenever the ticket has something new to
+    /// take — the nonblocking path: the caller polls the ticket with
+    /// [`QueryTicket::poll`] after the hook fired, so it never parks a
+    /// thread per in-flight query.
     pub fn try_submit<E: QueryExecutor + 'static>(
         &self,
         generation: Arc<Generation<E>>,
         job: BatchQuery,
         trace: QueryTrace,
-        notify: Option<CompletionHook>,
+        ready: Option<ReadyHook>,
     ) -> Result<QueryTicket, AdmissionError> {
-        let (tx, rx) = mpsc::channel();
+        let stream = Arc::new(Stream {
+            state: Mutex::new(StreamState::default()),
+            ended: Condvar::new(),
+            cancelled: AtomicBool::new(false),
+        });
         {
-            // Poisoning is recovered from throughout this module: worker
-            // panics are already confined by `catch_unwind`, and the data
-            // under these locks (a queue of submissions, a ring of
-            // samples) stays structurally valid across a panic — so a
-            // poisoned lock must not take the serving path down with it.
             let mut queue = self
                 .shared
                 .queue
@@ -328,14 +484,14 @@ impl ServingEngine {
             queue.push_back(Submission {
                 generation,
                 job,
-                tx,
+                stream: Arc::clone(&stream),
                 submitted: Instant::now(),
-                notify,
+                ready,
                 trace,
             });
         }
         self.shared.wake.notify_one();
-        Ok(QueryTicket { rx })
+        Ok(QueryTicket { stream })
     }
 
     /// One consistent view of counters and latency histograms — the
@@ -402,9 +558,9 @@ fn worker_loop(shared: &Shared) {
         let Submission {
             generation,
             job,
-            tx,
+            stream,
             submitted,
-            notify,
+            ready,
             mut trace,
         } = {
             let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -421,55 +577,62 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
+        if stream.cancelled.load(Ordering::Relaxed) {
+            continue; // its ticket is gone before the search began
+        }
         let started = Instant::now();
         // A panicking query (e.g. one encoded with the wrong alphabet)
         // must not kill the worker: later admitted work would never run
-        // and its tickets would wait forever. Catch the unwind, drop the
-        // ticket sender (the waiter sees `None`), and keep serving.
+        // and its tickets would wait forever. Catch the unwind, end the
+        // stream as failed, and keep serving.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            generation.executor().execute(&job)
+            let mut sink = HitSink {
+                stream: &stream,
+                ready: ready.as_deref(),
+            };
+            generation.executor().stream(&job, &mut sink)
         }));
         let finished = Instant::now();
         // Unpin before the ticket resolves: once a caller sees the
         // outcome, the generation no longer counts as in flight.
         drop(generation);
-        let outcome = match result {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                drop(tx); // resolves the ticket with `None`
-                if let Some(notify) = notify {
-                    notify();
-                }
-                continue;
+        let end = match result {
+            // Nobody will read a cancelled search: it is not served.
+            Ok(_) if stream.cancelled.load(Ordering::Relaxed) => continue,
+            Ok((stats, pool_delta)) => {
+                trace.record_span(stage::QUEUE_WAIT, submitted, started);
+                trace.record_span(stage::EXECUTE, started, finished);
+                trace.record_search(
+                    stats.nodes_expanded,
+                    stats.nodes_enqueued,
+                    stats.columns_expanded,
+                    stats.nodes_pruned,
+                    stats.hits_emitted,
+                );
+                let served = ServedOutcome {
+                    id: job.id,
+                    outcome: SearchOutcome {
+                        hits: Vec::new(), // filled from the stream when read
+                        stats,
+                        pool_delta,
+                    },
+                    queue_wait: started - submitted,
+                    service: finished - started,
+                    total: finished - submitted,
+                    trace,
+                };
+                shared.queue_wait.record_duration(served.queue_wait);
+                shared.service.record_duration(served.service);
+                shared.total.record_duration(served.total);
+                StreamEnd::Done(Box::new(served))
             }
+            Err(_) => StreamEnd::Failed,
         };
-        trace.record_span(stage::QUEUE_WAIT, submitted, started);
-        trace.record_span(stage::EXECUTE, started, finished);
-        trace.record_search(
-            outcome.stats.nodes_expanded,
-            outcome.stats.nodes_enqueued,
-            outcome.stats.columns_expanded,
-            outcome.stats.nodes_pruned,
-            outcome.stats.hits_emitted,
-        );
-        let served = ServedOutcome {
-            id: job.id,
-            outcome,
-            queue_wait: started - submitted,
-            service: finished - started,
-            total: finished - submitted,
-            trace,
-        };
-        shared.queue_wait.record_duration(served.queue_wait);
-        shared.service.record_duration(served.service);
-        shared.total.record_duration(served.total);
-        // The caller may have dropped its ticket — that only means nobody
-        // is listening; the work itself is still accounted.
-        let _ = tx.send(served);
-        // The hook fires strictly after the send: a notified poller's
-        // `try_take` is guaranteed to find the outcome.
-        if let Some(notify) = notify {
-            notify();
+        stream.end(end);
+        // The hook fires strictly after the end is stored: a notified
+        // poller is guaranteed to find it.
+        if let Some(ready) = ready {
+            ready();
         }
     }
 }
@@ -573,15 +736,15 @@ mod tests {
     fn panicking_query_resolves_ticket_and_worker_survives() {
         struct Bomb;
         impl QueryExecutor for Bomb {
-            fn execute(&self, job: &BatchQuery) -> SearchOutcome {
+            fn stream(
+                &self,
+                job: &BatchQuery,
+                _sink: &mut HitSink<'_>,
+            ) -> (SearchStats, PoolStatsSnapshot) {
                 if job.id == "boom" {
                     panic!("injected query panic");
                 }
-                SearchOutcome {
-                    hits: Vec::new(),
-                    stats: Default::default(),
-                    pool_delta: Default::default(),
-                }
+                Default::default()
             }
         }
         // Suppress the expected panic backtrace noise from the worker.
@@ -618,12 +781,12 @@ mod tests {
     /// A trivial executor for stress tests: no real search, no blocking.
     struct Noop;
     impl QueryExecutor for Noop {
-        fn execute(&self, _job: &BatchQuery) -> SearchOutcome {
-            SearchOutcome {
-                hits: Vec::new(),
-                stats: Default::default(),
-                pool_delta: Default::default(),
-            }
+        fn stream(
+            &self,
+            _job: &BatchQuery,
+            _sink: &mut HitSink<'_>,
+        ) -> (SearchStats, PoolStatsSnapshot) {
+            Default::default()
         }
     }
 
@@ -751,6 +914,77 @@ mod tests {
             .expect("completed");
         assert!(!plain.trace.is_enabled());
         assert!(plain.trace.spans().is_empty());
+    }
+
+    /// Emits one hit, then parks until its ticket is dropped — it only
+    /// ever returns through the cancel path.
+    struct HitThenPark {
+        parked: std::sync::mpsc::Sender<()>,
+    }
+    impl QueryExecutor for HitThenPark {
+        fn stream(
+            &self,
+            job: &BatchQuery,
+            sink: &mut HitSink<'_>,
+        ) -> (SearchStats, PoolStatsSnapshot) {
+            if job.id != "park" {
+                return Default::default();
+            }
+            sink.emit(Hit {
+                seq: 0,
+                score: 7,
+                t_start: 0,
+                t_len: 1,
+                q_end: 1,
+            });
+            self.parked.send(()).ok();
+            while !sink.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Default::default()
+        }
+    }
+
+    #[test]
+    fn hits_reach_the_ticket_before_the_search_ends_and_a_drop_cancels_it() {
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let generation = pinned(HitThenPark { parked: parked_tx });
+        let serving = ServingEngine::new(ServingConfig {
+            workers: 1,
+            queue_capacity: 4,
+        })
+        .expect("valid serving config");
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let ready_tx = Mutex::new(ready_tx);
+        let params = oasis_core::OasisParams::with_min_score(1);
+        let parked = serving
+            .try_submit(
+                Arc::clone(&generation),
+                BatchQuery::named("park", vec![0], params),
+                QueryTrace::disabled(),
+                Some(Box::new(move || {
+                    ready_tx.lock().unwrap().send(()).ok();
+                })),
+            )
+            .expect("admitted");
+        parked_rx.recv().expect("the executor parked");
+        ready_rx.recv().expect("the first hit woke the reader");
+        // The hit is readable while the search is still running.
+        let mut hits = Vec::new();
+        assert!(parked.poll(&mut hits).is_none());
+        assert_eq!(hits.len(), 1);
+        assert!(!parked.is_finished());
+        // Dropping the ticket frees the (only) worker: the next query
+        // completes, and the cancelled one is not counted as served.
+        drop(parked);
+        let next = submit(
+            &serving,
+            &generation,
+            BatchQuery::named("next", vec![0], params),
+        )
+        .expect("admitted");
+        assert_eq!(next.wait().expect("served").id, "next");
+        assert_eq!(serving.snapshot().served, 1);
     }
 
     #[test]

@@ -560,10 +560,30 @@ impl ShardedSession<'_> {
     }
 }
 
-impl Iterator for ShardedSession<'_> {
-    type Item = Hit;
+/// What one bounded [`ShardedSession::poll`] produced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionPoll {
+    /// The merge released its next hit, in the global online order.
+    Hit(Hit),
+    /// The step budget ran out before the merge could release a hit; poll
+    /// again to continue exactly where this call stopped.
+    Pending,
+    /// Every shard is exhausted: the stream is complete.
+    Done,
+}
 
-    fn next(&mut self) -> Option<Hit> {
+impl ShardedSession<'_> {
+    /// Advance the merge by at most `budget` driver steps (at least one
+    /// round-robin pass): the next hit if the merge can release one within
+    /// that work, [`SessionPoll::Pending`] if not.
+    ///
+    /// The merge keeps all its state in the cursors, so stopping after
+    /// any pass and polling again performs exactly the steps one
+    /// uninterrupted [`Iterator::next`] would: the hit order never
+    /// depends on the budget. A caller that must stay responsive (the
+    /// serving worker checks for cancellation) polls in bounded batches.
+    pub fn poll(&mut self, budget: usize) -> SessionPoll {
+        let mut steps = 0usize;
         loop {
             // The best already-materialized candidate.
             let best: Option<Hit> = self.cursors.iter().filter_map(|c| c.head).reduce(|a, b| {
@@ -588,9 +608,13 @@ impl Iterator for ShardedSession<'_> {
                 if must {
                     cursor.pump();
                     pumped = true;
+                    steps += 1;
                 }
             }
             if pumped {
+                if steps >= budget {
+                    return SessionPoll::Pending;
+                }
                 continue;
             }
             // No shard can compete with `best` any more: emit it.
@@ -599,13 +623,27 @@ impl Iterator for ShardedSession<'_> {
                     .map(|h| best.map(|b| h == b).unwrap_or(false))
                     .unwrap_or(false)
             });
-            return match winner {
-                Some(cursor) => {
+            return match winner.and_then(|cursor| cursor.head.take()) {
+                Some(hit) => {
                     self.emitted += 1;
-                    cursor.head.take()
+                    SessionPoll::Hit(hit)
                 }
-                None => None,
+                None => SessionPoll::Done,
             };
+        }
+    }
+}
+
+impl Iterator for ShardedSession<'_> {
+    type Item = Hit;
+
+    fn next(&mut self) -> Option<Hit> {
+        loop {
+            match self.poll(usize::MAX) {
+                SessionPoll::Hit(hit) => return Some(hit),
+                SessionPoll::Pending => {}
+                SessionPoll::Done => return None,
+            }
         }
     }
 }
@@ -764,6 +802,34 @@ mod tests {
         let (stats, delta) = session.finish();
         assert_eq!(stats.hits_emitted as usize, hits.len());
         assert_eq!(delta.total().requests, 0, "in-memory shards: no pool");
+    }
+
+    #[test]
+    fn bounded_polls_release_the_iterator_stream_exactly() {
+        let db = dna_db(SEQS);
+        let engine = ShardedEngine::build(db, Scoring::unit_dna(), 3);
+        let q = Alphabet::dna().encode_str("TACG").unwrap();
+        let params = OasisParams::with_min_score(1);
+        let mut whole = engine.session(&q, &params);
+        let want: Vec<Hit> = whole.by_ref().collect();
+        let want_stats = whole.finish().0;
+        assert!(want.len() > 2, "the query must stream several hits");
+        for budget in [1usize, 2, 7] {
+            let mut session = engine.session(&q, &params);
+            let (mut got, mut pending) = (Vec::new(), 0usize);
+            loop {
+                match session.poll(budget) {
+                    SessionPoll::Hit(hit) => got.push(hit),
+                    SessionPoll::Pending => pending += 1,
+                    SessionPoll::Done => break,
+                }
+            }
+            assert_eq!(got, want, "budget {budget}");
+            assert_eq!(session.finish().0, want_stats, "budget {budget}");
+            if budget == 1 {
+                assert!(pending > 0, "a one-step budget must yield Pending");
+            }
+        }
     }
 
     #[test]

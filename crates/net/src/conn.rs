@@ -11,10 +11,13 @@
 //!
 //! The pipeline queue is the ordering mechanism: every parsed request
 //! appends one [`Pending`] entry, either already-answerable
-//! ([`Pending::Ready`]) or awaiting an engine ticket
-//! ([`Pending::Waiting`]). Completed waits are rewritten to `Ready` in
-//! place, and only the *leading run* of `Ready` entries is flushed —
-//! a response never overtakes an earlier request's.
+//! ([`Pending::Ready`]) or an admitted search whose hits stream in from
+//! an engine worker ([`Pending::Streaming`]). Only the entry at the
+//! *head* of the queue writes: a streaming head drains each new batch of
+//! hits into `Hit` frames as the worker releases them, and once it ends
+//! (`Done` or a terminal error) the next entry becomes the head. Entries
+//! behind it buffer in their tickets — a response never overtakes an
+//! earlier request's — and are only checked for an expired deadline.
 //!
 //! Backpressure is structural. At most [`MAX_PIPELINE`] requests may
 //! be in flight per connection; once the queue is full the loop simply
@@ -22,11 +25,12 @@
 //! TCP window closes — the client feels backpressure without the
 //! server buffering unboundedly. (The admission queue's
 //! [`ErrorCode::Busy`] answer is still the cross-connection limit; the
-//! pipeline cap is per-connection.)
+//! pipeline cap is per-connection.) Dropping a connection drops its
+//! tickets, which cancels their searches.
 //!
 //! This module is mechanism only: it never decides *what* to answer.
-//! Dispatch policy (search admission, the result cache, admin frames)
-//! lives in `server.rs`.
+//! Dispatch policy (search admission, the result cache, admin frames,
+//! what a batch of hits becomes on the wire) lives in `server.rs`.
 //!
 //! [`ErrorCode::Busy`]: crate::ErrorCode
 
@@ -37,7 +41,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use oasis_engine::{CacheKey, Generation, QueryTicket};
-use oasis_obs::trace::stage;
 use oasis_obs::QueryTrace;
 
 use crate::frame::{decode_header, write_frame, Frame, HEADER_LEN};
@@ -59,30 +62,23 @@ const READ_QUANTUM: usize = 256 * 1024;
 /// One request's slot in the pipeline queue.
 pub(crate) enum Pending {
     /// The response frames are known; flush them when this entry
-    /// reaches the head of the queue. A traced search carries its
-    /// [`QueryTrace`] along so [`Conn::flush`] can stamp the
-    /// `frame_flush` span and hand the finished trace back to the loop.
+    /// reaches the head of the queue. A traced response (a cache hit)
+    /// carries its [`QueryTrace`] along so [`Conn::flush`] can time the
+    /// flush and hand the trace back to the loop.
     Ready(Vec<Frame>, Option<Box<QueryTrace>>),
-    /// A search is executing in the engine; the loop polls it via the
-    /// ticket once its completion token arrives.
-    Waiting(WaitingSearch),
+    /// An admitted search whose hits stream in from an engine worker.
+    Streaming(Box<StreamingSearch>),
 }
 
-/// An admitted search the event loop is tracking to completion.
-pub(crate) struct WaitingSearch {
-    /// The numeric token naming this query (its `BatchQuery` id).
-    pub(crate) token: u64,
-    /// Completion handle; polled with `try_take`, never waited on.
+/// An admitted search the event loop streams to the client.
+pub(crate) struct StreamingSearch {
+    /// The reading end of the worker's hit stream; dropping it cancels
+    /// the search.
     pub(crate) ticket: QueryTicket,
-    /// Set once the engine's completion hook delivered this token:
-    /// from then on, an empty ticket means the query panicked.
-    pub(crate) notified: bool,
     /// The client's deadline, if it set one.
     pub(crate) deadline: Option<Instant>,
     /// The requested deadline in milliseconds (for the error message).
     pub(crate) deadline_ms: Option<u32>,
-    /// When the query was admitted.
-    pub(crate) submitted: Instant,
     /// Cache slot to fill on completion (keyed by the pinned generation).
     pub(crate) cache_key: Option<CacheKey>,
     /// The resolved score threshold (echoed in the Done frame).
@@ -93,6 +89,63 @@ pub(crate) struct WaitingSearch {
     /// The server's WAL-fsync counter at admission; the trace reports
     /// the delta (fsyncs that ran while this query was in flight).
     pub(crate) fsyncs_at_submit: u64,
+    /// Loop-side timings of the batches streamed so far.
+    pub(crate) clock: StreamClock,
+}
+
+/// The loop's side of one response: when it was admitted, when its first
+/// hit reached the socket, and the time its batches spent being resolved
+/// and flushed, summed over batches.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StreamClock {
+    /// When the request was admitted (or answered, for a cache hit).
+    pub(crate) admitted: Instant,
+    /// When the first `Hit` frame was handed to the socket.
+    pub(crate) first_hit: Option<Instant>,
+    /// When the first batch was resolved, and the total resolve time.
+    pub(crate) resolve: Option<(Instant, Duration)>,
+    /// When the first batch was flushed, and the total flush time.
+    pub(crate) flush: Option<(Instant, Duration)>,
+}
+
+impl StreamClock {
+    pub(crate) fn new(admitted: Instant) -> Self {
+        StreamClock {
+            admitted,
+            first_hit: None,
+            resolve: None,
+            flush: None,
+        }
+    }
+
+    /// Add the interval `start..end` to a summed stage.
+    pub(crate) fn add(stage: &mut Option<(Instant, Duration)>, start: Instant, end: Instant) {
+        let spent = end.saturating_duration_since(start);
+        match stage {
+            Some((_, total)) => *total += spent,
+            None => *stage = Some((start, spent)),
+        }
+    }
+}
+
+/// What the loop's policy made of one streaming entry this tick.
+pub(crate) enum Advance {
+    /// Nothing new to write.
+    Idle,
+    /// The next batch of `Hit` frames; the search is still running.
+    Batch(Vec<Frame>),
+    /// The response's last frames — remaining hits then `Done`, or a
+    /// terminal error — plus the trace of a traced search that completed.
+    End(Vec<Frame>, Option<Box<QueryTrace>>),
+}
+
+/// A response whose last frame was handed to the socket this flush, for
+/// the loop to file into its stage histograms and slow-query log.
+pub(crate) struct Flushed {
+    /// Its loop-side timings.
+    pub(crate) clock: StreamClock,
+    /// Its trace, if it was traced and answered (not an error).
+    pub(crate) trace: Option<QueryTrace>,
 }
 
 /// What one read pass over a connection produced.
@@ -159,9 +212,9 @@ impl Conn {
         self.pending.push_back(Pending::Ready(frames, Some(trace)));
     }
 
-    /// Queue an in-flight search.
-    pub(crate) fn push_waiting(&mut self, waiting: WaitingSearch) {
-        self.pending.push_back(Pending::Waiting(waiting));
+    /// Queue an admitted search.
+    pub(crate) fn push_streaming(&mut self, search: Box<StreamingSearch>) {
+        self.pending.push_back(Pending::Streaming(search));
     }
 
     /// How many more requests this connection may admit before the
@@ -170,46 +223,11 @@ impl Conn {
         MAX_PIPELINE.saturating_sub(self.pending.len())
     }
 
-    /// Does any queued request still await its engine ticket?
-    pub(crate) fn has_waiting(&self) -> bool {
+    /// Is any admitted search still streaming?
+    pub(crate) fn has_streaming(&self) -> bool {
         self.pending
             .iter()
-            .any(|p| matches!(p, Pending::Waiting(_)))
-    }
-
-    /// Mark queued searches whose completion tokens arrived. Returns
-    /// true if any entry matched (the loop should poll its ticket now).
-    pub(crate) fn mark_notified(&mut self, tokens: &std::collections::HashSet<u64>) -> bool {
-        let mut any = false;
-        for entry in &mut self.pending {
-            if let Pending::Waiting(w) = entry {
-                if !w.notified && tokens.contains(&w.token) {
-                    w.notified = true;
-                    any = true;
-                }
-            }
-        }
-        any
-    }
-
-    /// Rewrite completed waits to ready responses, in place. `resolve`
-    /// is the policy hook: given a waiting search it returns `Some`
-    /// response frames (plus the query's trace, if it was traced) once
-    /// the search finished (or timed out), `None` while still in flight.
-    pub(crate) fn poll_waiting<F>(&mut self, mut resolve: F) -> bool
-    where
-        F: FnMut(&mut WaitingSearch) -> Option<(Vec<Frame>, Option<Box<QueryTrace>>)>,
-    {
-        let mut any = false;
-        for entry in &mut self.pending {
-            if let Pending::Waiting(w) = entry {
-                if let Some((frames, trace)) = resolve(w) {
-                    *entry = Pending::Ready(frames, trace);
-                    any = true;
-                }
-            }
-        }
-        any
+            .any(|p| matches!(p, Pending::Streaming(_)))
     }
 
     /// Pull bytes off the socket and parse up to `budget` complete
@@ -288,32 +306,83 @@ impl Conn {
         event
     }
 
-    /// Flush the leading run of ready responses: encode them into the
-    /// write buffer, then push as much as the socket accepts. Returns
-    /// whether any bytes moved; an `Err` means the connection is dead.
+    /// Write what the head of the pipeline has: every leading ready
+    /// response, then the streaming head's new batch of hits (and, once
+    /// it ends, its last frames, after which the next entry is the head).
+    /// `advance` is the policy hook: called with `head = true` for the
+    /// entry that may write, `false` for a streaming entry behind it
+    /// (which may only end, with a terminal error, never write hits).
+    /// Encoded frames go into the write buffer, and as much of it as the
+    /// socket accepts is written. Returns whether anything moved; an
+    /// `Err` means the connection is dead.
     ///
-    /// Traces riding on flushed entries get a `frame_flush` span
-    /// covering the encode plus this call's synchronous write attempt
-    /// (bytes a full socket defers to later ticks are not attributed),
-    /// and are handed back through `finished` for the loop to deposit
-    /// in the slow-query log.
-    pub(crate) fn flush(&mut self, finished: &mut Vec<QueryTrace>) -> Result<bool, NetError> {
+    /// The encode plus this call's synchronous write attempt is the
+    /// batch's flush time (bytes a full socket defers to later ticks are
+    /// not attributed). It is added to the clock of every response that
+    /// wrote in this call, and a response whose first `Hit` frame was in
+    /// the call takes the write's end as its first-hit instant. Responses
+    /// that ended here come back through `flushed`.
+    pub(crate) fn flush<F>(
+        &mut self,
+        mut advance: F,
+        flushed: &mut Vec<Flushed>,
+    ) -> Result<bool, NetError>
+    where
+        F: FnMut(&mut StreamingSearch, bool) -> Advance,
+    {
         let flush_start = Instant::now();
-        let mut flushed_traces: Vec<QueryTrace> = Vec::new();
-        while let Some(Pending::Ready(..)) = self.pending.front() {
-            let Some(Pending::Ready(frames, trace)) = self.pending.pop_front() else {
-                break;
-            };
-            for frame in &frames {
-                // Writing into a Vec cannot block; only encoding can
-                // fail, and an unencodable response is connection-fatal.
-                write_frame(&mut self.write_buf, frame)?;
-            }
-            if let Some(trace) = trace {
-                flushed_traces.push(*trace);
+        let mut moved = false;
+        // Responses that ended in this call, and whether each sent a hit.
+        let mut ended: Vec<(Flushed, bool)> = Vec::new();
+        // The head kept streaming and sent hits in this call.
+        let mut head_sent = false;
+        loop {
+            match self.pending.front_mut() {
+                None => break,
+                Some(Pending::Ready(..)) => {
+                    let Some(Pending::Ready(frames, trace)) = self.pending.pop_front() else {
+                        break;
+                    };
+                    self.encode(&frames)?;
+                    moved = true;
+                    if let Some(trace) = trace {
+                        let clock = StreamClock::new(trace.born());
+                        let trace = Some(*trace);
+                        ended.push((Flushed { clock, trace }, false));
+                    }
+                }
+                Some(Pending::Streaming(search)) => match advance(search, true) {
+                    Advance::Idle => break,
+                    Advance::Batch(frames) => {
+                        self.encode(&frames)?;
+                        moved = true;
+                        head_sent = true;
+                        break;
+                    }
+                    Advance::End(frames, trace) => {
+                        self.encode(&frames)?;
+                        moved = true;
+                        let Some(Pending::Streaming(search)) = self.pending.pop_front() else {
+                            break;
+                        };
+                        let sent = frames.iter().any(|f| matches!(f, Frame::Hit(_)));
+                        let trace = trace.map(|t| *t);
+                        let clock = search.clock;
+                        ended.push((Flushed { clock, trace }, sent));
+                    }
+                },
             }
         }
-        let mut wrote = false;
+        // Entries behind the head only buffer; a deadline can still end
+        // them (their tickets drop here, cancelling the searches).
+        for entry in self.pending.iter_mut().skip(1) {
+            if let Pending::Streaming(search) = entry {
+                if let Advance::End(frames, trace) = advance(search, false) {
+                    *entry = Pending::Ready(frames, trace);
+                    moved = true;
+                }
+            }
+        }
         while let Some(remaining) = self.write_buf.get(self.written..) {
             if remaining.is_empty() {
                 break;
@@ -327,7 +396,7 @@ impl Conn {
                 }
                 Ok(n) => {
                     self.written += n;
-                    wrote = true;
+                    moved = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -338,19 +407,41 @@ impl Conn {
             self.write_buf.clear();
             self.written = 0;
         }
-        if !flushed_traces.is_empty() {
-            let flush_end = Instant::now();
-            for mut trace in flushed_traces {
-                trace.record_span(stage::FRAME_FLUSH, flush_start, flush_end);
-                finished.push(trace);
+        let flush_end = Instant::now();
+        if head_sent {
+            if let Some(Pending::Streaming(search)) = self.pending.front_mut() {
+                stamp(&mut search.clock, flush_start, flush_end, true);
             }
         }
-        Ok(wrote)
+        for (mut done, sent) in ended {
+            stamp(&mut done.clock, flush_start, flush_end, sent);
+            flushed.push(done);
+        }
+        Ok(moved)
+    }
+
+    /// Encode `frames` into the write buffer. Writing into a `Vec` cannot
+    /// block; only encoding can fail, and an unencodable response is
+    /// connection-fatal.
+    fn encode(&mut self, frames: &[Frame]) -> Result<(), NetError> {
+        for frame in frames {
+            write_frame(&mut self.write_buf, frame)?;
+        }
+        Ok(())
     }
 
     /// Nothing left to do: no queued requests and every response byte
     /// has been handed to the kernel.
     pub(crate) fn is_drained(&self) -> bool {
         self.pending.is_empty() && self.written == self.write_buf.len()
+    }
+}
+
+/// Charge one flush (`start..end`) to a response's clock; `sent_hit`
+/// marks the write that carried its first `Hit` frame.
+fn stamp(clock: &mut StreamClock, start: Instant, end: Instant, sent_hit: bool) {
+    StreamClock::add(&mut clock.flush, start, end);
+    if sent_hit && clock.first_hit.is_none() {
+        clock.first_hit = Some(end);
     }
 }

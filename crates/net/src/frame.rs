@@ -46,7 +46,11 @@ pub const PROTOCOL_MAGIC: &[u8; 8] = b"OASISNT1";
 /// admin frames (types 16 and 17). Version 5 made `Metrics` the only
 /// admin snapshot: it gained the max latency, the serving generation and
 /// the delta/WAL/compaction columns, and frame types 6 and 7 are retired.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// Version 6 streams each hit as the engine releases it, before the
+/// search ends, and stops a search whose deadline elapsed or whose
+/// connection closed: hits sent before a terminal `Error` are a valid
+/// prefix of the answer. No frame layout changed.
+pub const PROTOCOL_VERSION: u32 = 6;
 /// Upper bound on a frame's declared payload length. Anything larger is
 /// rejected as malformed before allocation.
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
@@ -120,7 +124,8 @@ pub struct SearchRequest {
     /// Stop after this many hits (the online top-k abort).
     pub top: Option<u32>,
     /// Submit-to-completion deadline in milliseconds; past it the server
-    /// answers [`ErrorCode::DeadlineExceeded`] instead of hits.
+    /// stops the search and answers [`ErrorCode::DeadlineExceeded`] after
+    /// the hits it already sent (a valid prefix of the answer).
     pub deadline_ms: Option<u32>,
 }
 

@@ -27,9 +27,11 @@
 //!   connections are **pipelined** (several requests in flight per
 //!   stream, responses in request order), a bounded LRU result cache
 //!   answers repeated queries without re-running the index traversal,
-//!   per-request deadlines are enforced by the loop, and graceful
-//!   shutdown stops accepting, drains admitted work, and closes every
-//!   stream with a terminal frame. The `Metrics` admin frame is the one
+//!   each search's hits go on the wire as the engine's shard merge
+//!   releases them (the first one long before the search ends), a search
+//!   whose deadline elapsed or whose connection was reset is cancelled
+//!   on its worker, and graceful shutdown stops accepting, drains
+//!   admitted work, and closes every stream with a terminal frame. The `Metrics` admin frame is the one
 //!   admin snapshot: queue depth, latency tails, the serving generation,
 //!   live-ingestion state, cache counters and connection/pipeline counts,
 //!   the same report the `--metrics-addr` scrape renders.

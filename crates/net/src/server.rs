@@ -4,18 +4,31 @@
 //! One event loop owns every socket. The listener and all client
 //! streams run in nonblocking mode; each tick the loop accepts what is
 //! pending, pulls bytes from every readable connection into its
-//! [`Conn`] state machine, dispatches the complete frames, polls
-//! in-flight query tickets, and flushes whatever responses are ready.
-//! When nothing moves it parks on a [`Completions`] waker, which engine
-//! workers poke through a per-query completion hook
-//! ([`ServingEngine::try_submit`]) — the loop never blocks on a ticket,
-//! so thousands of connections cost one thread plus the engine's worker
-//! pool, not a thread per socket.
+//! [`Conn`] state machine, dispatches the complete frames, drains the
+//! hits each streaming search's worker released since the last tick, and
+//! flushes whatever responses are ready. When nothing moves it parks on
+//! a [`Waker`], which engine workers poke through a per-query readiness
+//! hook ([`ServingEngine::try_submit`]) when a ticket's buffer goes from
+//! empty to non-empty — so a search's first hit goes out at once, and
+//! later hits coalesce into one batch per tick while the loop is busy.
+//! The loop never blocks on a ticket, so thousands of connections cost
+//! one thread plus the engine's worker pool, not a thread per socket.
+//!
+//! Hits are streamed **online**: a search's hits go on the wire in the
+//! engine's canonical order as the workers' k-way merge releases them,
+//! and `Done` closes the stream with the same counts a whole answer
+//! would carry. A deadline that expires, or a connection that is reset
+//! (or whose writes fail), drops the search's ticket, which cancels it:
+//! the worker stops within one step batch instead of finishing work
+//! nobody will read. A peer that only half-closes still gets its
+//! responses. The hits already sent before a terminal `Error` are a
+//! valid prefix of the answer.
 //!
 //! Connections are **pipelined**: a client may send several requests
 //! back-to-back before reading, and responses return strictly in
 //! request order even when the engine completes them out of order (the
-//! per-connection queue in [`Conn`] is the ordering mechanism). A
+//! per-connection queue in [`Conn`] is the ordering mechanism: only its
+//! head-of-line search streams, the ones behind it buffer). A
 //! connection may have at most `MAX_PIPELINE` requests in flight;
 //! beyond that the loop stops reading its socket and the TCP window
 //! applies the backpressure. Across connections, the engine's bounded
@@ -28,8 +41,10 @@
 //! `(generation, query bytes, score params)`. Generations are
 //! immutable — every reload, append, and compaction publishes a *new*
 //! generation id — so a cached result can never go stale: a hot swap
-//! changes the key. Cache hits stream the same hit frames a fresh
-//! execution would, with `service_us = 0`.
+//! changes the key. A search's full hit list is inserted when its
+//! `Done` is framed, and only for a search that completed — never for
+//! one that failed or was cancelled. Cache hits stream the same hit
+//! frames a fresh execution would, with `service_us = 0`.
 //!
 //! Admin frames (`Metrics`, `TraceDump`, `Reload`, `Append`) are handled
 //! inline on the loop thread; a reload's artifact load briefly stalls
@@ -68,11 +83,11 @@
 //! connection has drained (or a grace period expires for peers that
 //! stopped reading).
 //!
-//! [`Completions`]: crate::reactor::Completions
+//! [`Waker`]: crate::reactor::Waker
 //! [`Conn`]: crate::conn::Conn
 //! [`ServingEngine::try_submit`]: oasis_engine::ServingEngine::try_submit
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -82,27 +97,27 @@ use std::time::{Duration, Instant};
 
 use oasis_align::{background_dna, background_protein, KarlinParams, Score, Scoring};
 use oasis_bioseq::{parse_fasta, AlphabetKind, SequenceDatabase, UnknownResiduePolicy};
-use oasis_core::{Hit, OasisParams};
+use oasis_core::{Hit, OasisParams, SearchStats};
 use oasis_engine::{
-    open_artifact_engine, AdmissionError, BatchQuery, CacheKey, IndexCatalog, LiveIndex,
-    LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor, ResultCache, SearchOutcome,
-    ServingConfig, ServingConfigError, ServingEngine, ShardedEngine,
+    open_artifact_engine, AdmissionError, BatchQuery, CacheKey, HitSink, IndexCatalog, LiveIndex,
+    LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor, ResultCache, ServingConfig,
+    ServingConfigError, ServingEngine, ShardedEngine, StreamEnd,
 };
 use oasis_obs::trace::stage;
 use oasis_obs::{Counter, Histogram, HistogramSnapshot, QueryTrace, SlowLog};
-use oasis_storage::{read_manifest, ArtifactError};
+use oasis_storage::{read_manifest, ArtifactError, PoolStatsSnapshot};
 
-use crate::conn::{Conn, WaitingSearch};
+use crate::conn::{Advance, Conn, Flushed, StreamClock, StreamingSearch};
 use crate::frame::{
     write_frame, AppendDone, ErrorCode, ErrorFrame, Frame, GenerationServed, Hello, MetricsReport,
     ReloadDone, RemoteHit, ScoreRule, SearchDone, SearchRequest, StageSummary, TraceDump,
     TraceEntry, TraceSpan, PROTOCOL_VERSION,
 };
-use crate::reactor::Completions;
+use crate::reactor::Waker;
 use crate::NetError;
 
 /// Park timeout while connections are open: bounds how fast the loop
-/// notices new socket bytes (completions and shutdown wake it sooner).
+/// notices new socket bytes (streamed hits and shutdown wake it sooner).
 const BUSY_TICK: Duration = Duration::from_millis(1);
 /// Park timeout with no connections: bounds accept latency only.
 const IDLE_TICK: Duration = Duration::from_millis(10);
@@ -187,8 +202,8 @@ impl ServedIndex {
 }
 
 impl QueryExecutor for ServedIndex {
-    fn execute(&self, job: &BatchQuery) -> SearchOutcome {
-        self.executor.execute(job)
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+        self.executor.stream(job, sink)
     }
 }
 
@@ -264,7 +279,7 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// State shared between the event loop, engine workers (via completion
+/// State shared between the event loop, engine workers (via readiness
 /// hooks), and [`ServerHandle`]s.
 struct Shared {
     /// The served generations; searches pin the current one at admission.
@@ -285,9 +300,9 @@ struct Shared {
     compactions: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// The bounded LRU result cache (capacity 0 = disabled).
     cache: ResultCache,
-    /// Completion queue + waker the event loop parks on; engine workers
-    /// push finished query tokens here via the completion hook.
-    completions: Arc<Completions>,
+    /// The waker the event loop parks on; engine workers poke it through
+    /// each search's readiness hook.
+    waker: Arc<Waker>,
     /// When the server was bound (metrics uptime).
     started: Instant,
     /// Connections accepted over the server's lifetime.
@@ -302,9 +317,12 @@ struct Shared {
     /// Connections open right now; the event loop publishes its count
     /// each tick so the metrics listener thread can report it too.
     open_conns: AtomicU64,
-    /// Loop-side time to name hits and build response frames, per
-    /// completed search (µs).
+    /// Loop-side time to name hits and build response frames, summed
+    /// over each streamed search's batches (µs).
     resolve_hist: Histogram,
+    /// Admission to the first `Hit` frame handed to the socket, per
+    /// streamed search that sent a hit (µs).
+    first_hit_hist: Histogram,
     /// Time to encode and hand a traced response to the kernel (µs);
     /// samples only while tracing is enabled (`slow_ms` set).
     flush_hist: Histogram,
@@ -337,7 +355,7 @@ impl Shared {
         self.catalog.begin_shutdown();
         self.serving.shutdown();
         // Wake the event loop so an idle server notices immediately.
-        self.completions.wake();
+        self.waker.wake();
     }
 
     fn is_shutting_down(&self) -> bool {
@@ -448,7 +466,7 @@ impl OasisServer {
             compact_after: config.compact_after,
             compactions: Mutex::new(Vec::new()),
             cache: ResultCache::new(config.cache_entries),
-            completions: Arc::new(Completions::new()),
+            waker: Arc::new(Waker::new()),
             started: Instant::now(),
             accepted: AtomicU64::new(0),
             pipelined_peak: AtomicU64::new(0),
@@ -460,6 +478,7 @@ impl OasisServer {
             },
             open_conns: AtomicU64::new(0),
             resolve_hist: Histogram::new(),
+            first_hit_hist: Histogram::new(),
             flush_hist: Histogram::new(),
             slow_threshold_us: config.slow_ms.map(|ms| ms.saturating_mul(1000)),
             slowlog: SlowLog::new(SLOWLOG_CAPACITY),
@@ -543,25 +562,19 @@ impl OasisServer {
                     }
                 }
             }
-            let notified: HashSet<u64> = shared.completions.drain().into_iter().collect();
-            if !notified.is_empty() {
-                progress = true;
-            }
             shared
                 .open_conns
                 .store(conns.len() as u64, Ordering::Relaxed);
-            conns.retain_mut(
-                |conn| match service_conn(shared, conn, &notified, shutting) {
-                    ConnFate::Keep(moved) => {
-                        progress |= moved;
-                        true
-                    }
-                    ConnFate::Close => {
-                        progress = true;
-                        false
-                    }
-                },
-            );
+            conns.retain_mut(|conn| match service_conn(shared, conn, shutting) {
+                ConnFate::Keep(moved) => {
+                    progress |= moved;
+                    true
+                }
+                ConnFate::Close => {
+                    progress = true;
+                    false
+                }
+            });
             if shutting {
                 if conns.is_empty() {
                     break;
@@ -579,7 +592,7 @@ impl OasisServer {
                 } else {
                     BUSY_TICK
                 };
-                shared.completions.wait_timeout(tick);
+                shared.waker.wait_timeout(tick);
             }
         }
         self.shared.open_conns.store(0, Ordering::Relaxed);
@@ -644,24 +657,16 @@ enum Action {
     /// The response is known *and* carries a query trace (a traced
     /// cache hit) that must flow through the flush span and slow log.
     ReplyTraced(Vec<Frame>, Box<QueryTrace>),
-    /// A search was admitted; poll it to completion.
-    Wait(Box<WaitingSearch>),
+    /// A search was admitted; stream it.
+    Stream(Box<StreamingSearch>),
     /// Answer, then close the connection (protocol misuse).
     ReplyClose(Vec<Frame>),
 }
 
 /// Service one connection for one tick: ingest bytes, dispatch frames,
-/// poll in-flight searches, flush responses, decide its fate.
-fn service_conn(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    notified: &HashSet<u64>,
-    shutting: bool,
-) -> ConnFate {
+/// stream in-flight searches, flush responses, decide its fate.
+fn service_conn(shared: &Arc<Shared>, conn: &mut Conn, shutting: bool) -> ConnFate {
     let mut progress = false;
-    if !notified.is_empty() && conn.mark_notified(notified) {
-        progress = true;
-    }
     let event = conn.read_frames(conn.read_budget());
     progress |= event.progress;
     for frame in event.frames {
@@ -671,7 +676,7 @@ fn service_conn(
         match dispatch(shared, frame) {
             Action::Reply(frames) => conn.push_ready(frames),
             Action::ReplyTraced(frames, trace) => conn.push_ready_traced(frames, trace),
-            Action::Wait(waiting) => conn.push_waiting(*waiting),
+            Action::Stream(search) => conn.push_streaming(search),
             Action::ReplyClose(frames) => {
                 conn.push_ready(frames);
                 conn.closing = true;
@@ -696,11 +701,7 @@ fn service_conn(
             }
         }
     }
-    if conn.has_waiting() {
-        let now = Instant::now();
-        progress |= conn.poll_waiting(|waiting| resolve_waiting(shared, waiting, now));
-    }
-    if shutting && !conn.term_queued && !conn.has_waiting() {
+    if shutting && !conn.term_queued && !conn.has_streaming() {
         // In-flight work has drained: close with the typed terminal
         // frame (after any still-unflushed responses), so clients can
         // tell a graceful drain from a crash.
@@ -712,12 +713,16 @@ fn service_conn(
         conn.closing = true;
         progress = true;
     }
-    let mut finished_traces: Vec<QueryTrace> = Vec::new();
-    match conn.flush(&mut finished_traces) {
-        Ok(wrote) => progress |= wrote,
+    let mut flushed: Vec<Flushed> = Vec::new();
+    let now = Instant::now();
+    match conn.flush(
+        |search, head| advance_stream(shared, search, head, now),
+        &mut flushed,
+    ) {
+        Ok(moved) => progress |= moved,
         Err(_) => return ConnFate::Close, // client gone mid-response
     }
-    deposit_traces(shared, finished_traces);
+    deposit(shared, flushed);
     if conn.is_drained() && (conn.closing || conn.peer_eof) {
         return ConnFate::Close;
     }
@@ -726,7 +731,7 @@ fn service_conn(
 
 /// Decide how to answer one client frame. Runs on the event loop, so it
 /// must not block on engine work — searches are admitted with a
-/// completion hook and polled later.
+/// readiness hook and streamed as their hits arrive.
 fn dispatch(shared: &Arc<Shared>, frame: Frame) -> Action {
     match frame {
         Frame::Search(req) => dispatch_search(shared, req),
@@ -839,8 +844,8 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
         job = job.with_limit(top as usize);
     }
     let submitted = Instant::now();
-    let completions = Arc::clone(&shared.completions);
-    let notify = Box::new(move || completions.push(token));
+    let waker = Arc::clone(&shared.waker);
+    let ready = Box::new(move || waker.wake());
     let trace = if shared.slow_threshold_us.is_some() {
         QueryTrace::enabled(token, query_len)
     } else {
@@ -848,7 +853,7 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
     };
     let admitted = shared
         .serving
-        .try_submit(Arc::clone(&pinned), job, trace, Some(notify));
+        .try_submit(Arc::clone(&pinned), job, trace, Some(ready));
     let ticket = match admitted {
         Ok(ticket) => ticket,
         Err(AdmissionError::QueueFull { capacity }) => {
@@ -864,92 +869,98 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
             ))
         }
     };
-    Action::Wait(Box::new(WaitingSearch {
-        token,
+    Action::Stream(Box::new(StreamingSearch {
         ticket,
-        notified: false,
         deadline: req
             .deadline_ms
             .map(|ms| submitted + Duration::from_millis(ms as u64)),
         deadline_ms: req.deadline_ms,
-        submitted,
         cache_key: Some(key),
         min_score,
         generation: pinned,
         fsyncs_at_submit: shared.wal_fsyncs.get(),
+        clock: StreamClock::new(submitted),
     }))
 }
 
-/// Poll one in-flight search: `Some((frames, trace))` once it
-/// completed, died, or blew its deadline; `None` while still executing.
-/// The trace rides back only for traced completions — it still needs
-/// its flush span before it can be judged slow.
-fn resolve_waiting(
-    shared: &Arc<Shared>,
-    waiting: &mut WaitingSearch,
+/// Advance one streaming search. The head of its connection's pipeline
+/// takes the hits its worker released since the last tick and frames
+/// them, named against the pinned generation; at the end of the stream it
+/// fills the cache and frames `Done`, or frames the terminal error. An
+/// entry behind the head writes nothing: its hits wait in its ticket. Any
+/// entry whose deadline passed before its search ended answers
+/// `DeadlineExceeded` (after the hits already sent, for a head) — and
+/// dropping it drops its ticket, which cancels the search.
+fn advance_stream(
+    shared: &Shared,
+    search: &mut StreamingSearch,
+    head: bool,
     now: Instant,
-) -> Option<(Vec<Frame>, Option<Box<QueryTrace>>)> {
-    if let Some(served) = waiting.ticket.try_take() {
-        let resolve_start = Instant::now();
-        // The query executed on the generation pinned at admission; its
-        // names, id and cache key all come from that generation.
-        let generation = waiting.generation.id();
-        if let Some(key) = waiting.cache_key.take() {
-            shared.cache.insert(key, served.outcome.hits.clone());
-        }
-        shared.bump_generation(generation);
-        let mut frames = hit_frames(waiting.generation.executor().db(), &served.outcome.hits);
-        frames.push(Frame::Done(SearchDone {
-            hits: served.outcome.hits.len() as u32,
-            min_score: waiting.min_score,
-            generation,
-            service_us: served.service.as_micros() as u64,
-            total_us: served.total.as_micros() as u64,
-        }));
-        let resolve_end = Instant::now();
-        shared
-            .resolve_hist
-            .record_duration(resolve_end.saturating_duration_since(resolve_start));
-        let mut trace = served.trace;
-        let trace = if trace.is_enabled() {
-            trace.counters.generation = generation;
-            trace.counters.wal_fsyncs = shared
-                .wal_fsyncs
-                .get()
-                .saturating_sub(waiting.fsyncs_at_submit);
-            trace.record_span(stage::RESOLVE, resolve_start, resolve_end);
-            Some(Box::new(trace))
+) -> Advance {
+    let expired = search.deadline.is_some_and(|deadline| now >= deadline);
+    if !head {
+        return if expired && !search.ticket.is_finished() {
+            Advance::End(deadline_frames(search), None)
         } else {
-            None
+            Advance::Idle
         };
-        return Some((frames, trace));
     }
-    if waiting.notified {
-        // The completion hook fired but the ticket is empty: the query
-        // panicked (the hook runs strictly after the outcome send).
-        return Some((
-            error_frames(ErrorCode::Internal, "query execution failed"),
-            None,
-        ));
-    }
-    if let Some(deadline) = waiting.deadline {
-        if now >= deadline {
-            // The query keeps running (admitted work is never
-            // cancelled); its outcome is simply never read.
-            let ms = waiting.deadline_ms.unwrap_or(0);
-            return Some((
-                error_frames(
-                    ErrorCode::DeadlineExceeded,
-                    format!(
-                        "deadline of {ms} ms elapsed ({:?} in)",
-                        waiting.submitted.elapsed()
-                    ),
-                ),
-                None,
-            ));
+    let resolve_start = Instant::now();
+    let mut hits = Vec::new();
+    let end = search.ticket.poll(&mut hits);
+    // The query executed on the generation pinned at admission; its
+    // names, id and cache key all come from that generation.
+    let mut frames = hit_frames(search.generation.executor().db(), &hits);
+    let advance = match end {
+        Some(StreamEnd::Done(served)) => {
+            let generation = search.generation.id();
+            if let Some(key) = search.cache_key.take() {
+                shared.cache.insert(key, served.outcome.hits.clone());
+            }
+            shared.bump_generation(generation);
+            frames.push(Frame::Done(SearchDone {
+                hits: served.outcome.hits.len() as u32,
+                min_score: search.min_score,
+                generation,
+                service_us: served.service.as_micros() as u64,
+                total_us: served.total.as_micros() as u64,
+            }));
+            let mut trace = served.trace;
+            let trace = trace.is_enabled().then(|| {
+                trace.counters.generation = generation;
+                trace.counters.wal_fsyncs = shared
+                    .wal_fsyncs
+                    .get()
+                    .saturating_sub(search.fsyncs_at_submit);
+                Box::new(trace)
+            });
+            Advance::End(frames, trace)
         }
-    }
-    None
+        Some(StreamEnd::Failed) => {
+            frames.extend(error_frames(ErrorCode::Internal, "query execution failed"));
+            Advance::End(frames, None)
+        }
+        None if expired => {
+            frames.extend(deadline_frames(search));
+            Advance::End(frames, None)
+        }
+        None if frames.is_empty() => return Advance::Idle,
+        None => Advance::Batch(frames),
+    };
+    StreamClock::add(&mut search.clock.resolve, resolve_start, Instant::now());
+    advance
+}
+
+/// The terminal frame of a search whose deadline elapsed.
+fn deadline_frames(search: &StreamingSearch) -> Vec<Frame> {
+    let ms = search.deadline_ms.unwrap_or(0);
+    error_frames(
+        ErrorCode::DeadlineExceeded,
+        format!(
+            "deadline of {ms} ms elapsed ({:?} in)",
+            search.clock.admitted.elapsed()
+        ),
+    )
 }
 
 /// Hit frames for `hits`, named against `db`.
@@ -1004,6 +1015,7 @@ fn metrics_report(shared: &Shared) -> MetricsReport {
         stage_summary(stage::EXECUTE, &snap.service),
         stage_summary(stage::RESOLVE, &shared.resolve_hist.snapshot()),
         stage_summary(stage::FRAME_FLUSH, &shared.flush_hist.snapshot()),
+        stage_summary(stage::FIRST_HIT, &shared.first_hit_hist.snapshot()),
     ];
     MetricsReport {
         served: snap.served,
@@ -1078,17 +1090,34 @@ fn trace_dump_frame(shared: &Shared) -> Frame {
     })
 }
 
-/// File flushed traces: stamp per-stage histograms and retain the ones
-/// that crossed the slow threshold in the ring. Traces only exist when
-/// tracing is enabled, so the disabled path pays one `is_empty` check.
-fn deposit_traces(shared: &Shared, traces: Vec<QueryTrace>) {
-    for trace in traces {
-        let record = trace.finish();
-        for span in &record.spans {
-            if span.stage == stage::FRAME_FLUSH {
-                shared.flush_hist.record(span.dur_us);
-            }
+/// File the responses that finished flushing: their loop-side stages go
+/// into the stage histograms and, for a traced search, into its trace as
+/// spans; a trace that crossed the slow threshold is kept in the ring.
+/// Only traced responses pay for spans and the ring.
+fn deposit(shared: &Shared, flushed: Vec<Flushed>) {
+    for Flushed { clock, trace } in flushed {
+        if let Some(first_hit) = clock.first_hit {
+            shared
+                .first_hit_hist
+                .record_duration(first_hit.saturating_duration_since(clock.admitted));
         }
+        if let Some((_, spent)) = clock.resolve {
+            shared.resolve_hist.record_duration(spent);
+        }
+        let Some(mut trace) = trace else {
+            continue;
+        };
+        if let Some((start, spent)) = clock.resolve {
+            trace.record_span(stage::RESOLVE, start, start + spent);
+        }
+        if let Some((start, spent)) = clock.flush {
+            trace.record_span(stage::FRAME_FLUSH, start, start + spent);
+            shared.flush_hist.record_duration(spent);
+        }
+        if let Some(first_hit) = clock.first_hit {
+            trace.record_span(stage::FIRST_HIT, clock.admitted, first_hit);
+        }
+        let record = trace.finish();
         if shared
             .slow_threshold_us
             .is_some_and(|threshold| record.total_us >= threshold)

@@ -24,10 +24,16 @@ pub mod stage {
     pub const QUEUE_WAIT: &str = "queue_wait";
     /// Worker execution: suffix traversal + expand kernel + merge.
     pub const EXECUTE: &str = "execute";
-    /// Event-loop resolution: completion token to encoded response.
+    /// Event-loop resolution: a batch of streamed hits taken from the
+    /// ticket, named and framed (summed over a query's batches).
     pub const RESOLVE: &str = "resolve";
-    /// Frame flush: response encode + socket write attempt.
+    /// Frame flush: a batch's encode + socket write attempt (summed over a
+    /// query's batches).
     pub const FRAME_FLUSH: &str = "frame_flush";
+    /// Time to first hit: admission to the first `Hit` frame handed to
+    /// the socket. It overlaps the stages above — the online property
+    /// means the first hit leaves while the search still executes.
+    pub const FIRST_HIT: &str = "first_hit";
 }
 
 /// One named interval inside a query's lifetime.

@@ -116,7 +116,7 @@ compaction folds them into a fresh base generation with zero downtime.
 `admin metrics` prints the server's one admin snapshot as one aligned
 table — serving generation, served/rejected counts, queue depth, exact
 histogram latency tails, per-stage timing summaries
-(queue_wait/execute/resolve/frame_flush), the live delta, WAL size and
+(queue_wait/execute/resolve/frame_flush/first_hit), the live delta, WAL size and
 compactions, cache hit/miss/eviction counters, connection and pipeline
 gauges, uptime and per-generation served counts. `admin metrics
 --prom` emits the same snapshot as a Prometheus text-exposition body,

@@ -27,10 +27,10 @@ pub use oasis_core::{
 pub use oasis_engine::{
     build_index_artifact, load_sharded_engine, open_artifact_engine, opens_disk_resident,
     persist_sharded_engine, AdmissionError, AppendReceipt, BatchQuery, CacheKey, CacheStats,
-    CompactionReport, CompletionHook, DeltaIndex, Generation, GenerationInfo, IndexBackend,
-    IndexCatalog, LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats, PublishError,
-    QueryExecutor, QueryTicket, ResultCache, SearchOutcome, ServedOutcome, ServingConfig,
-    ServingConfigError, ServingEngine, ShardedEngine, ShardedSession,
+    CompactionReport, DeltaIndex, Generation, GenerationInfo, HitSink, IndexBackend, IndexCatalog,
+    LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats, PublishError, QueryExecutor,
+    QueryTicket, ReadyHook, ResultCache, SearchOutcome, ServedOutcome, ServingConfig,
+    ServingConfigError, ServingEngine, SessionPoll, ShardedEngine, ShardedSession, StreamEnd,
 };
 
 pub use oasis_net::{

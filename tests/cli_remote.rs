@@ -349,7 +349,13 @@ fn prom_exposition_metrics_endpoint_and_slowlog_work_end_to_end() {
         text.contains("oasis_query_latency_us{quantile=\"0.99\"}"),
         "{text}"
     );
-    for stage in ["queue_wait", "execute", "resolve", "frame_flush"] {
+    for stage in [
+        "queue_wait",
+        "execute",
+        "resolve",
+        "frame_flush",
+        "first_hit",
+    ] {
         assert!(
             text.contains(&format!(
                 "oasis_stage_latency_us{{stage=\"{stage}\",quantile=\"0.5\"}}"
@@ -385,13 +391,19 @@ fn prom_exposition_metrics_endpoint_and_slowlog_work_end_to_end() {
     );
 
     // The slow log holds both queries: the executed one with the full
-    // four-stage trace and its work counters, the repeat flagged as a
-    // cache hit.
+    // stage trace (time to first hit included) and its work counters,
+    // the repeat flagged as a cache hit.
     let slowlog = oasis(&["admin", "--remote", &addr, "slowlog"], &dir);
     assert!(slowlog.status.success(), "slowlog failed: {slowlog:?}");
     let text = String::from_utf8_lossy(&slowlog.stdout);
     assert!(text.contains("slow-query log:"), "{text}");
-    for stage in ["queue_wait", "execute", "resolve", "frame_flush"] {
+    for stage in [
+        "queue_wait",
+        "execute",
+        "resolve",
+        "frame_flush",
+        "first_hit",
+    ] {
         assert!(text.contains(stage), "missing {stage} span in:\n{text}");
     }
     assert!(text.contains("[cache hit]"), "{text}");

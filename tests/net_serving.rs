@@ -4,8 +4,14 @@
 //!   including hit order — for serial and concurrent clients;
 //! * `Busy` backpressure surfaces on the wire when the admission queue
 //!   is full, and the connection stays usable;
+//! * hits stream online: the first `Hit` frame reaches the client while
+//!   the search is still running, a pipelined connection streams only its
+//!   head request and answers the rest in order after the head's `Done`,
+//!   and a search that panics mid-stream sends its prefix, then
+//!   `Error(Internal)`, and is never cached;
 //! * per-request deadlines answer `DeadlineExceeded` without killing the
-//!   worker;
+//!   worker, and an expired deadline or a closed connection cancels its
+//!   search, freeing the worker for other connections;
 //! * `reload` hot-swaps an index generation while clients are mid-stream
 //!   without corrupting a single response;
 //! * a search queued when a `reload` lands answers wholly from the
@@ -164,14 +170,14 @@ struct Gate {
 }
 
 impl QueryExecutor for Gate {
-    fn execute(&self, _job: &oasis::engine::BatchQuery) -> oasis::engine::SearchOutcome {
+    fn stream(
+        &self,
+        _job: &BatchQuery,
+        _sink: &mut HitSink<'_>,
+    ) -> (SearchStats, PoolStatsSnapshot) {
         self.started.send(()).ok();
         self.release.lock().unwrap().recv().unwrap();
-        oasis::engine::SearchOutcome {
-            hits: Vec::new(),
-            stats: SearchStats::default(),
-            pool_delta: PoolStatsSnapshot::default(),
-        }
+        Default::default()
     }
 }
 
@@ -294,8 +300,8 @@ fn deadline_exceeded_is_typed_and_the_server_keeps_serving() {
     started_rx
         .recv_timeout(Duration::from_secs(10))
         .expect("query reached the worker");
-    // The abandoned query still completes server-side (admitted work is
-    // never cancelled) and the same connection serves the next request.
+    // The gate ignores cancellation, so the abandoned query still needs
+    // its release; the same connection then serves the next request.
     release_tx.send(()).unwrap();
     release_tx.send(()).unwrap(); // for the retry below
     let (hits, done) = client
@@ -1129,10 +1135,10 @@ struct ParkThenRun {
 }
 
 impl QueryExecutor for ParkThenRun {
-    fn execute(&self, job: &oasis::engine::BatchQuery) -> oasis::engine::SearchOutcome {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
         self.started.send(()).ok();
         self.release.lock().unwrap().recv().unwrap();
-        self.engine.run_job(job)
+        self.engine.stream(job, sink)
     }
 }
 
@@ -1273,4 +1279,342 @@ fn per_generation_table_stays_bounded_across_many_appends() {
     client.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Start a server over `executor` (which searches `db`) with `workers`
+/// engine workers.
+fn start_with(
+    db: &Arc<SequenceDatabase>,
+    executor: Arc<dyn QueryExecutor>,
+    workers: usize,
+) -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let index = ServedIndex::new(db.clone(), executor);
+    let server = OasisServer::bind(
+        "127.0.0.1:0",
+        index,
+        Scoring::unit_dna(),
+        ServerConfig {
+            workers,
+            queue_capacity: 16,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    (addr, std::thread::spawn(move || server.run()))
+}
+
+/// A client whose reads fail after 30 s instead of hanging a broken test.
+fn bounded_client(addr: std::net::SocketAddr) -> Client {
+    let client = Client::connect(addr).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    client
+}
+
+/// Runs every query on a real engine, except `held`: that one emits its
+/// first hit, signals `parked`, and waits for `release` before streaming
+/// the rest.
+struct HoldAfterFirstHit {
+    engine: oasis::engine::ShardedEngine,
+    held: Vec<u8>,
+    parked: mpsc::Sender<()>,
+    release: Mutex<mpsc::Receiver<()>>,
+}
+
+impl QueryExecutor for HoldAfterFirstHit {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+        if job.query != self.held {
+            return self.engine.stream(job, sink);
+        }
+        let mut session = self.engine.session(&job.query, &job.params);
+        if let Some(first) = session.next() {
+            sink.emit(first);
+            self.parked.send(()).ok();
+            self.release.lock().unwrap().recv().unwrap();
+        }
+        for hit in session.by_ref() {
+            sink.emit(hit);
+        }
+        session.finish()
+    }
+}
+
+fn hold_after_first_hit(
+    db: &Arc<SequenceDatabase>,
+    held: &str,
+) -> (Arc<HoldAfterFirstHit>, mpsc::Receiver<()>, mpsc::Sender<()>) {
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let executor = Arc::new(HoldAfterFirstHit {
+        engine: oasis::engine::ShardedEngine::build(db.clone(), Scoring::unit_dna(), 2),
+        held: Alphabet::dna().encode_str(held).unwrap(),
+        parked: parked_tx,
+        release: Mutex::new(release_rx),
+    });
+    (executor, parked_rx, release_tx)
+}
+
+#[test]
+fn the_first_hit_reaches_the_client_before_the_search_ends() {
+    let db = dna_db(SEQS);
+    let want = local_hits(&db, "GATT", 1);
+    assert!(want.len() >= 2, "the held query must stream several hits");
+    let (executor, parked, release) = hold_after_first_hit(&db, "GATT");
+    let (addr, runner) = start_with(&db, executor, 2);
+
+    let mut client = bounded_client(addr);
+    let mut stream = client
+        .search(SearchRequest::new("GATT").with_min_score(1))
+        .expect("search");
+    // The executor holds the rest of the search until released: this read
+    // can only succeed if the server streamed the hit it already has.
+    let first = stream
+        .next_hit()
+        .expect("the first hit arrives while the search is held")
+        .expect("a hit, not the end of the stream");
+    parked
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the executor is parked");
+    assert_eq!(first.hit(), want[0]);
+    release.send(()).unwrap();
+    let mut hits = vec![first];
+    while let Some(hit) = stream.next_hit().expect("the rest of the stream") {
+        hits.push(hit);
+    }
+    let done = stream.finish().expect("done");
+    assert_eq!(done.hits as usize, want.len());
+    assert_identical_response(&db, &hits, "GATT", 1);
+
+    client.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+}
+
+#[test]
+fn a_pipelined_connection_streams_its_head_and_answers_the_rest_in_order() {
+    use std::io::Write;
+
+    let db = dna_db(SEQS);
+    let (executor, parked, release) = hold_after_first_hit(&db, "GATT");
+    let (addr, runner) = start_with(&db, executor, 2);
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("raw connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    match oasis::net::read_frame(&mut stream).expect("hello") {
+        Frame::Hello(h) => assert_eq!(h.protocol, PROTOCOL_VERSION),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    // Eight distinct requests back to back; the head is held after its
+    // first hit while the other seven complete on the second worker.
+    let requests = [
+        ("GATT", 1),
+        ("TACG", 1),
+        ("CC", 1),
+        ("GGTAGG", 2),
+        ("ACGT", 1),
+        ("TAC", 2),
+        ("TACG", 2),
+        ("ACGT", 2),
+    ];
+    let mut batch = Vec::new();
+    for (query, min) in requests {
+        oasis::net::write_frame(
+            &mut batch,
+            &Frame::Search(SearchRequest::new(query).with_min_score(min)),
+        )
+        .expect("encode request");
+    }
+    stream.write_all(&batch).expect("write pipeline");
+    parked
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the head is parked");
+    let mut admin = bounded_client(addr);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while admin.metrics().expect("metrics").served < 7 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "requests 2-8 never completed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Requests 2-8 are complete and buffered. Their frames must still not
+    // overtake the head: reading in order, the head's hits and Done come
+    // first, then every other response in request order.
+    release.send(()).unwrap();
+    for (query, min) in requests {
+        let (hits, done) = read_response(&mut stream).expect("search response");
+        assert_eq!(
+            done.min_score, min,
+            "responses must come back in request order"
+        );
+        assert_eq!(done.hits as usize, hits.len());
+        assert_identical_response(&db, &hits, query, min);
+    }
+    let metrics = admin.metrics().expect("metrics");
+    assert_eq!(metrics.pipelined_peak, 8, "{metrics:?}");
+    assert_eq!(metrics.served, 8);
+    drop(stream);
+
+    admin.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+}
+
+/// Runs every query on a real engine, except `failing`: that one emits
+/// its first two hits and then panics.
+struct TwoHitsThenPanic {
+    engine: oasis::engine::ShardedEngine,
+    failing: Vec<u8>,
+}
+
+impl QueryExecutor for TwoHitsThenPanic {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+        if job.query != self.failing {
+            return self.engine.stream(job, sink);
+        }
+        for hit in self.engine.session(&job.query, &job.params).take(2) {
+            sink.emit(hit);
+        }
+        panic!("injected mid-stream failure");
+    }
+}
+
+#[test]
+fn a_search_that_panics_mid_stream_sends_its_prefix_then_internal() {
+    let db = dna_db(SEQS);
+    let want = local_hits(&db, "GATT", 1);
+    assert!(
+        want.len() > 2,
+        "the failing query must have more than two hits"
+    );
+    let executor = Arc::new(TwoHitsThenPanic {
+        engine: oasis::engine::ShardedEngine::build(db.clone(), Scoring::unit_dna(), 2),
+        failing: Alphabet::dna().encode_str("GATT").unwrap(),
+    });
+    // One worker: it must survive the panic to answer what follows.
+    let (addr, runner) = start_with(&db, executor, 1);
+    let mut client = bounded_client(addr);
+    for round in 0..2 {
+        let mut stream = client
+            .search(SearchRequest::new("GATT").with_min_score(1))
+            .expect("search");
+        for want in &want[..2] {
+            let hit = stream.next_hit().expect("hit frame").expect("a hit");
+            assert_eq!(hit.hit(), *want, "round {round}");
+        }
+        match stream.next_hit() {
+            Err(NetError::Remote(e)) => assert_eq!(e.code, ErrorCode::Internal, "{e:?}"),
+            other => panic!("expected Error(Internal), got {other:?}"),
+        }
+        // Never cached: the repeat executes (and fails) again.
+        let metrics = client.metrics().expect("metrics");
+        assert_eq!(metrics.cache_entries, 0, "round {round}");
+        assert_eq!(metrics.cache_misses, round + 1, "round {round}");
+        assert_eq!(metrics.served, 0, "a failed search is not served");
+    }
+    // The worker and the connection keep serving.
+    let (hits, _) = client
+        .search_collect(SearchRequest::new("TACG").with_min_score(1))
+        .expect("the next search completes");
+    assert_identical_response(&db, &hits, "TACG", 1);
+
+    client.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+}
+
+/// Runs every query on a real engine, except `parking`: that one emits
+/// its first hit, signals `parked`, and then returns only once its search
+/// is cancelled.
+struct ParkUntilCancelled {
+    engine: oasis::engine::ShardedEngine,
+    parking: Vec<u8>,
+    parked: mpsc::Sender<()>,
+}
+
+impl QueryExecutor for ParkUntilCancelled {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+        if job.query != self.parking {
+            return self.engine.stream(job, sink);
+        }
+        if let Some(first) = self.engine.session(&job.query, &job.params).next() {
+            sink.emit(first);
+        }
+        self.parked.send(()).ok();
+        while !sink.is_cancelled() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Default::default()
+    }
+}
+
+#[test]
+fn an_expired_deadline_or_a_closed_connection_cancels_the_search() {
+    let db = dna_db(SEQS);
+    let want = local_hits(&db, "GATT", 1);
+    let (parked_tx, parked) = mpsc::channel();
+    let executor = Arc::new(ParkUntilCancelled {
+        engine: oasis::engine::ShardedEngine::build(db.clone(), Scoring::unit_dna(), 2),
+        parking: Alphabet::dna().encode_str("GATT").unwrap(),
+        parked: parked_tx,
+    });
+    // One worker: the parked search holds it until it is cancelled, so
+    // every search on the other connection proves the cancellation.
+    let (addr, runner) = start_with(&db, executor, 1);
+    let mut other = bounded_client(addr);
+
+    // Deadline: the hit sent before the error is a valid prefix. (The
+    // executor emits it at once; the deadline only has to outlast that.)
+    let mut client = bounded_client(addr);
+    let mut stream = client
+        .search(
+            SearchRequest::new("GATT")
+                .with_min_score(1)
+                .with_deadline_ms(500),
+        )
+        .expect("search");
+    let first = stream.next_hit().expect("hit frame").expect("a hit");
+    assert_eq!(first.hit(), want[0]);
+    match stream.next_hit() {
+        Err(NetError::Remote(e)) => assert_eq!(e.code, ErrorCode::DeadlineExceeded, "{e:?}"),
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    parked.recv().expect("the search ran");
+    let (hits, _) = other
+        .search_collect(SearchRequest::new("TACG").with_min_score(1))
+        .expect("the worker is free after the deadline");
+    assert_identical_response(&db, &hits, "TACG", 1);
+
+    // Connection close: the parked search is cancelled with it. The
+    // client closes with its first hit unread, so the kernel resets the
+    // connection instead of half-closing it.
+    let mut closing = std::net::TcpStream::connect(addr).expect("raw connect");
+    closing
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    oasis::net::read_frame(&mut closing).expect("hello");
+    oasis::net::write_frame(
+        &mut closing,
+        &Frame::Search(SearchRequest::new("GATT").with_min_score(1)),
+    )
+    .expect("send search");
+    parked.recv().expect("the search ran");
+    closing.peek(&mut [0u8; 1]).expect("the first hit arrived");
+    drop(closing);
+    let (hits, _) = other
+        .search_collect(SearchRequest::new("CC").with_min_score(1))
+        .expect("the worker is free after the close");
+    assert_identical_response(&db, &hits, "CC", 1);
+
+    // Cancelled searches are neither served nor cached.
+    let metrics = other.metrics().expect("metrics");
+    assert_eq!(metrics.served, 2, "{metrics:?}");
+    assert_eq!(metrics.cache_entries, 2, "{metrics:?}");
+
+    other.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
 }

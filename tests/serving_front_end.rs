@@ -21,18 +21,18 @@ struct GateExecutor {
 }
 
 impl QueryExecutor for GateExecutor {
-    fn execute(&self, job: &BatchQuery) -> SearchOutcome {
+    fn stream(
+        &self,
+        job: &BatchQuery,
+        _sink: &mut HitSink<'_>,
+    ) -> (SearchStats, PoolStatsSnapshot) {
         self.started.send(job.id.clone()).expect("test listening");
         self.release
             .lock()
             .expect("gate poisoned")
             .recv()
             .expect("test releases every admitted job");
-        SearchOutcome {
-            hits: Vec::new(),
-            stats: SearchStats::default(),
-            pool_delta: PoolStatsSnapshot::default(),
-        }
+        Default::default()
     }
 }
 
@@ -69,7 +69,7 @@ fn full_admission_queue_rejects_instead_of_blocking() {
     // First job is picked up by the (single) worker and parks on the gate.
     let a = submit(&serving, &catalog, job("a")).expect("a admitted");
     assert_eq!(started_rx.recv().expect("worker started"), "a");
-    assert!(a.try_take().is_none(), "a is still executing");
+    assert!(!a.is_finished(), "a is still executing");
 
     // Two more fill the bounded queue to capacity…
     let b = submit(&serving, &catalog, job("b")).expect("b admitted");
@@ -138,7 +138,11 @@ fn hot_swap_serves_new_generation_and_drains_old_one() {
         Instant,
     }
     impl QueryExecutor for Gen {
-        fn execute(&self, job: &BatchQuery) -> SearchOutcome {
+        fn stream(
+            &self,
+            job: &BatchQuery,
+            _sink: &mut HitSink<'_>,
+        ) -> (SearchStats, PoolStatsSnapshot) {
             if let Gen::Gated { started, release } = self {
                 started.send(job.id.clone()).expect("test listening");
                 release
@@ -147,11 +151,7 @@ fn hot_swap_serves_new_generation_and_drains_old_one() {
                     .recv()
                     .expect("test releases");
             }
-            SearchOutcome {
-                hits: Vec::new(),
-                stats: SearchStats::default(),
-                pool_delta: PoolStatsSnapshot::default(),
-            }
+            Default::default()
         }
     }
     let catalog = IndexCatalog::new(
