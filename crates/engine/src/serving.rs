@@ -21,8 +21,8 @@
 //! [`QueryTicket::poll`] takes whatever arrived, never blocking, and
 //! [`QueryTicket::wait`] collects the whole answer for in-process
 //! callers. An optional [`ReadyHook`] fires whenever the ticket goes from
-//! nothing-to-take to something-to-take, which is how an event loop
-//! learns to poll without parking a thread per query.
+//! nothing-to-take to something-to-take, which is how a connection's
+//! writer learns to poll without parking on any one query.
 //!
 //! Dropping a ticket cancels its query: the worker checks the flag
 //! between step batches (and before starting a queued query), so a search
@@ -340,8 +340,9 @@ impl Drop for QueryTicket {
 /// A readiness hook, invoked on the worker thread (with no engine lock
 /// held) each time its query's ticket goes from nothing-to-take to
 /// something-to-take: the first hit after the reader caught up, and the
-/// end of the stream. It exists so an event loop can learn a ticket is
-/// worth polling without ever blocking on it. Keep it cheap and never let
+/// end of the stream. It exists so a reader serving several tickets (a
+/// connection's writer) can learn one is worth polling without ever
+/// blocking on it. Keep it cheap and never let
 /// it block.
 pub type ReadyHook = Box<dyn Fn() + Send + 'static>;
 

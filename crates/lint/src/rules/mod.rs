@@ -32,7 +32,6 @@ pub const SERVING_PATHS: &[&str] = &[
     "crates/net/src/lib.rs",
     "crates/net/src/frame.rs",
     "crates/net/src/server.rs",
-    "crates/net/src/reactor.rs",
     "crates/net/src/conn.rs",
     "crates/net/src/client.rs",
     "crates/engine/src/lib.rs",

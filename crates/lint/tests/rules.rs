@@ -67,15 +67,14 @@ fn live_ingestion_mutation_paths_have_fixture_pairs() {
 
 #[test]
 fn front_door_paths_have_fixture_pairs() {
-    // The event-driven front door — the reactor the loop parks on, the
-    // per-connection state machine parsing peer-controlled bytes, and
-    // the result cache on every dispatch — is serving-path code: the
-    // rule must fire on each failing fixture and stay silent on its
-    // panic-free twin.
+    // The front door — the waker each connection's threads share, the
+    // reader decoding peer-controlled bytes, and the result cache on
+    // every dispatch — is serving-path code: the rule must fire on each
+    // failing fixture and stay silent on its panic-free twin.
     for (fail, pass) in [
         (
-            "panic_free_front_door/reactor_fail.rs",
-            "panic_free_front_door/reactor_pass.rs",
+            "panic_free_front_door/waker_fail.rs",
+            "panic_free_front_door/waker_pass.rs",
         ),
         (
             "panic_free_front_door/conn_fail.rs",
@@ -91,9 +90,9 @@ fn front_door_paths_have_fixture_pairs() {
         let diags = lint_fixtures(&[pass]);
         assert!(diags.is_empty(), "{pass}: {diags:?}");
     }
-    // The reactor fixture also holds a queue guard across a blocking
+    // The waker fixture also holds an inbox guard across a blocking
     // recv — lock discipline is checked on the new paths too.
-    let diags = lint_fixtures(&["panic_free_front_door/reactor_fail.rs"]);
+    let diags = lint_fixtures(&["panic_free_front_door/waker_fail.rs"]);
     assert!(fires(&diags, "guard-across-blocking"), "{diags:?}");
 }
 
@@ -185,7 +184,7 @@ fn binary_exit_status_tracks_fixtures() {
         "panic_free_live/delta_fail.rs",
         "panic_free_live/layered_fail.rs",
         "panic_free_live/compactor_fail.rs",
-        "panic_free_front_door/reactor_fail.rs",
+        "panic_free_front_door/waker_fail.rs",
         "panic_free_front_door/conn_fail.rs",
         "panic_free_front_door/cache_fail.rs",
         "panic_free_obs/hist_fail.rs",
@@ -203,7 +202,7 @@ fn binary_exit_status_tracks_fixtures() {
         "panic_free_live/delta_pass.rs",
         "panic_free_live/layered_pass.rs",
         "panic_free_live/compactor_pass.rs",
-        "panic_free_front_door/reactor_pass.rs",
+        "panic_free_front_door/waker_pass.rs",
         "panic_free_front_door/conn_pass.rs",
         "panic_free_front_door/cache_pass.rs",
         "panic_free_obs/hist_pass.rs",
@@ -276,17 +275,16 @@ fn the_esa_backend_is_on_the_serving_path_list() {
 }
 
 #[test]
-fn the_reactor_and_conn_are_on_the_serving_path_list() {
-    // The event loop's reactor and connection state machine run inside
-    // the daemon: an injected unwrap in either must fire, exactly like
-    // one in server.rs.
-    for path in ["crates/net/src/reactor.rs", "crates/net/src/conn.rs"] {
-        let mut ws = real_tree();
-        let src = ws.text_of(path).expect("source loaded").to_string();
-        let broken = format!("{src}\nfn oops(v: &[u8]) -> u8 {{ v.first().copied().unwrap() }}\n");
-        assert!(ws.patch(path, broken));
-        assert!(fires(&ws.lint(), "panic-free-serving"), "{path}");
-    }
+fn the_connection_module_is_on_the_serving_path_list() {
+    // Every connection's reader and writer run `conn.rs` inside the
+    // daemon: an injected unwrap there must fire, exactly like one in
+    // server.rs.
+    let path = "crates/net/src/conn.rs";
+    let mut ws = real_tree();
+    let src = ws.text_of(path).expect("source loaded").to_string();
+    let broken = format!("{src}\nfn oops(v: &[u8]) -> u8 {{ v.first().copied().unwrap() }}\n");
+    assert!(ws.patch(path, broken));
+    assert!(fires(&ws.lint(), "panic-free-serving"));
 }
 
 #[test]

@@ -1,76 +1,325 @@
-//! Per-connection state machine for the event-driven server.
+//! One client connection: a blocking reader thread, a writer thread, and
+//! the [`Waker`] they share.
 //!
-//! A [`Conn`] owns one nonblocking `TcpStream` plus everything the
-//! event loop needs to service it without ever blocking: a partial-read
-//! buffer that frames are parsed out of as bytes arrive, a
-//! partial-write buffer that responses drain from as the socket
-//! accepts them, and the ordered queue of in-flight requests that
-//! makes **pipelining** work — a client may send several requests
-//! back-to-back before reading, and responses come back in request
-//! order even when the underlying queries complete out of order.
+//! The **reader** blocks in [`read_frame`] and posts each request to the
+//! [`Waker`]. The **writer** owns a [`Conn`]: it dispatches the posted
+//! requests (policy lives in `server.rs`), writes responses with a
+//! blocking `write_all`, and parks on the [`Waker`] with no timeout except
+//! the nearest search deadline. Wakes are sticky, so a hit released
+//! between the writer's poll and its park is never missed.
 //!
-//! The pipeline queue is the ordering mechanism: every parsed request
-//! appends one [`Pending`] entry, either already-answerable
-//! ([`Pending::Ready`]) or an admitted search whose hits stream in from
-//! an engine worker ([`Pending::Streaming`]). Only the entry at the
-//! *head* of the queue writes: a streaming head drains each new batch of
-//! hits into `Hit` frames as the worker releases them, and once it ends
-//! (`Done` or a terminal error) the next entry becomes the head. Entries
-//! behind it buffer in their tickets — a response never overtakes an
-//! earlier request's — and are only checked for an expired deadline.
-//!
-//! Backpressure is structural. At most [`MAX_PIPELINE`] requests may
-//! be in flight per connection; once the queue is full the loop simply
-//! stops reading this socket, the kernel receive buffer fills, and the
-//! TCP window closes — the client feels backpressure without the
-//! server buffering unboundedly. (The admission queue's
-//! [`ErrorCode::Busy`] answer is still the cross-connection limit; the
-//! pipeline cap is per-connection.) Dropping a connection drops its
-//! tickets, which cancels their searches.
-//!
-//! This module is mechanism only: it never decides *what* to answer.
-//! Dispatch policy (search admission, the result cache, admin frames,
-//! what a batch of hits becomes on the wire) lives in `server.rs`.
-//!
-//! [`ErrorCode::Busy`]: crate::ErrorCode
+//! The writer's pipeline queue keeps responses in request order: only
+//! its head writes (a streaming head sends each new batch of hits); the
+//! entries behind it buffer in their tickets and are only checked for an
+//! expired deadline. With [`MAX_PIPELINE`] requests in flight the reader
+//! stops reading, so the TCP window carries the backpressure; a client
+//! that stops reading blocks only its own writer. Dropping a [`Conn`]
+//! drops its tickets, which cancels their searches. A frame that stalls
+//! mid-transfer for [`STALL_TIMEOUT`] is malformed; the read timeout is
+//! armed only while a frame is partly read.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use oasis_engine::{CacheKey, Generation, QueryTicket};
 use oasis_obs::QueryTrace;
 
-use crate::frame::{decode_header, write_frame, Frame, HEADER_LEN};
+use crate::frame::{read_frame, write_frame, Frame};
 use crate::server::ServedIndex;
 use crate::NetError;
 
-/// Requests that may be in flight (admitted or answerable but
-/// unflushed) on one connection before the loop stops reading it.
+/// Requests that may be in flight (posted or in the writer's pipeline)
+/// on one connection before the reader stops reading.
 pub(crate) const MAX_PIPELINE: usize = 32;
 
-/// A frame that stalls mid-transfer this long is malformed; between
-/// frames a connection may idle forever.
+/// A frame that stalls mid-transfer this long is malformed.
 const STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Socket bytes consumed per tick per connection, so one firehose
-/// client cannot starve the rest of the loop.
-const READ_QUANTUM: usize = 256 * 1024;
+/// Why the reader stopped.
+pub(crate) enum ReadEnd {
+    /// The peer half-closed between frames: answer, then close.
+    Eof,
+    /// The peer is gone (reset, or another socket error): close at once.
+    Gone,
+    /// A framing violation: answer `Malformed` after the queued
+    /// responses, then close.
+    Malformed(NetError),
+}
+
+#[derive(Default)]
+struct Slot {
+    /// Requests posted by the reader, not yet taken by the writer.
+    inbox: Vec<Frame>,
+    read_end: Option<ReadEnd>,
+    /// Requests in the writer's pipeline, as of its last park.
+    queued: usize,
+    /// A wake is pending; the writer's next park consumes it.
+    woken: bool,
+    /// The connection is being torn down: both threads stop.
+    closed: bool,
+}
+
+/// One connection's parking spot: the writer parks until the reader
+/// posts, a search's hook fires, or the server wakes or closes it; the
+/// reader parks while the pipeline is full.
+pub(crate) struct Waker {
+    slot: Mutex<Slot>,
+    writer: Condvar,
+    reader: Condvar,
+}
+
+impl Waker {
+    pub(crate) fn new() -> Self {
+        Waker {
+            slot: Mutex::new(Slot::default()),
+            writer: Condvar::new(),
+            reader: Condvar::new(),
+        }
+    }
+
+    /// The slot stays structurally valid across a panic, so poisoning is
+    /// recovered from.
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wake_locked(&self, mut slot: MutexGuard<'_, Slot>) {
+        // A wake already pending covers this one.
+        if !std::mem::replace(&mut slot.woken, true) {
+            self.writer.notify_one();
+        }
+    }
+
+    /// End the writer's park, or make its next park return at once.
+    pub(crate) fn wake(&self) {
+        self.wake_locked(self.lock());
+    }
+
+    /// Tear the connection down: the writer leaves at its next park, and
+    /// a reader waiting for room stops.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.writer.notify_one();
+        self.reader.notify_one();
+    }
+
+    /// Reader side: wait for pipeline room; false once closed.
+    fn wait_for_room(&self) -> bool {
+        let mut slot = self.lock();
+        while !slot.closed && slot.inbox.len() + slot.queued >= MAX_PIPELINE {
+            slot = self
+                .reader
+                .wait(slot)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        !slot.closed
+    }
+
+    /// Reader side: hand the writer a request, or the end of reading.
+    fn post(&self, next: Result<Frame, ReadEnd>) {
+        let mut slot = self.lock();
+        match next {
+            Ok(frame) => slot.inbox.push(frame),
+            Err(end) => slot.read_end = Some(end),
+        }
+        self.wake_locked(slot);
+    }
+
+    /// Writer side: park until woken, closed, or `deadline`; then take the
+    /// posted requests, the reader's end (delivered once) and whether the
+    /// connection is closed. `queued` is the writer's pipeline length,
+    /// which frees room for the reader as it shrinks.
+    pub(crate) fn park(
+        &self,
+        queued: usize,
+        deadline: Option<Instant>,
+    ) -> (Vec<Frame>, Option<ReadEnd>, bool) {
+        let mut slot = self.lock();
+        slot.queued = queued;
+        self.reader.notify_one();
+        while !slot.woken && !slot.closed {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            slot = match left {
+                None => self
+                    .writer
+                    .wait(slot)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(left) if left.is_zero() => break,
+                Some(left) => match self.writer.wait_timeout(slot, left) {
+                    Ok((slot, _)) => slot,
+                    Err(poisoned) => poisoned.into_inner().0,
+                },
+            };
+        }
+        slot.woken = false;
+        let frames = std::mem::take(&mut slot.inbox);
+        slot.queued += frames.len();
+        (frames, slot.read_end.take(), slot.closed)
+    }
+}
+
+/// The reader thread: post each request on `stream` until the peer
+/// stops, breaks the protocol, or the connection closes.
+pub(crate) fn read_requests(stream: &TcpStream, waker: &Waker) {
+    let mut reader = BufReader::new(stream);
+    while waker.wait_for_room() {
+        let next = read_request(&mut reader);
+        let ended = next.is_err();
+        waker.post(next);
+        if ended {
+            return;
+        }
+    }
+}
+
+/// Block for the next request; the stall timeout is armed only once the
+/// frame's first byte is buffered.
+fn read_request(reader: &mut BufReader<&TcpStream>) -> Result<Frame, ReadEnd> {
+    loop {
+        match reader.fill_buf() {
+            Ok([]) => return Err(ReadEnd::Eof),
+            Ok(_) => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return Err(ReadEnd::Gone),
+        }
+    }
+    let stream = *reader.get_ref();
+    let armed = stream.set_read_timeout(Some(STALL_TIMEOUT));
+    let frame = read_frame(reader);
+    if armed.and(stream.set_read_timeout(None)).is_err() {
+        return Err(ReadEnd::Gone);
+    }
+    frame.map_err(|e| match e {
+        NetError::Io(e) => match e.kind() {
+            ErrorKind::UnexpectedEof => {
+                ReadEnd::Malformed(NetError::Protocol("connection closed mid-frame".into()))
+            }
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                ReadEnd::Malformed(NetError::Protocol("frame stalled mid-transfer".into()))
+            }
+            _ => ReadEnd::Gone,
+        },
+        other => ReadEnd::Malformed(other),
+    })
+}
+
+/// The open connections, each with its writer's waker and its socket.
+/// The accept limit and `connections_open` count them, shutdown wakes
+/// them, and a drain that outlives its grace period force-closes them.
+pub(crate) struct Registry {
+    roster: Mutex<Roster>,
+    /// Signalled when a connection leaves or shutdown begins.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Roster {
+    /// Each open connection's id, writer's waker and socket.
+    conns: Vec<(u64, Arc<Waker>, Arc<TcpStream>)>,
+    shutting: bool,
+}
+
+impl Registry {
+    pub(crate) fn new() -> Self {
+        Registry {
+            roster: Mutex::new(Roster::default()),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Roster> {
+        self.roster.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Connections open right now.
+    pub(crate) fn open(&self) -> usize {
+        self.lock().conns.len()
+    }
+
+    /// Register a connection, unless `max` are already open.
+    pub(crate) fn admit(
+        &self,
+        id: u64,
+        waker: &Arc<Waker>,
+        stream: &Arc<TcpStream>,
+        max: usize,
+    ) -> bool {
+        let mut roster = self.lock();
+        let admitted = roster.conns.len() < max;
+        if admitted {
+            roster
+                .conns
+                .push((id, Arc::clone(waker), Arc::clone(stream)));
+        }
+        admitted
+    }
+
+    /// Unregister a connection whose threads are done with it.
+    pub(crate) fn leave(&self, id: u64) {
+        self.lock().conns.retain(|(open, ..)| *open != id);
+        self.changed.notify_all();
+    }
+
+    /// Shutdown began: wake every writer so it can drain and close.
+    pub(crate) fn shut_down(&self) {
+        let mut roster = self.lock();
+        roster.shutting = true;
+        roster.conns.iter().for_each(|(_, waker, _)| waker.wake());
+        drop(roster);
+        self.changed.notify_all();
+    }
+
+    /// Block until a connection leaves or shutdown begins. False at once
+    /// when none is open, since then no close would end the wait.
+    pub(crate) fn wait_for_leave(&self) -> bool {
+        let mut roster = self.lock();
+        let open = roster.conns.len();
+        while open > 0 && !roster.shutting && roster.conns.len() >= open {
+            roster = self
+                .changed
+                .wait(roster)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        open > 0 || roster.shutting
+    }
+
+    /// Wait up to `grace` for every connection to leave, then force-close
+    /// the rest: peers that stopped reading must not wedge shutdown.
+    pub(crate) fn drain(&self, grace: Duration) {
+        let deadline = Instant::now() + grace;
+        let mut roster = self.lock();
+        while !roster.conns.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            roster = match self.changed.wait_timeout(roster, left) {
+                Ok((roster, _)) => roster,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+        }
+        for (_, waker, stream) in &roster.conns {
+            waker.close();
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
 
 /// One request's slot in the pipeline queue.
 pub(crate) enum Pending {
-    /// The response frames are known; flush them when this entry
-    /// reaches the head of the queue. A traced response (a cache hit)
-    /// carries its [`QueryTrace`] along so [`Conn::flush`] can time the
-    /// flush and hand the trace back to the loop.
+    /// The response frames are known; write them when this entry reaches
+    /// the head of the queue. A traced response (a cache hit) carries its
+    /// [`QueryTrace`] along so [`Conn::flush`] can time the write and hand
+    /// the trace back to the server.
     Ready(Vec<Frame>, Option<Box<QueryTrace>>),
     /// An admitted search whose hits stream in from an engine worker.
     Streaming(Box<StreamingSearch>),
 }
 
-/// An admitted search the event loop streams to the client.
+/// An admitted search the writer streams to the client.
 pub(crate) struct StreamingSearch {
     /// The reading end of the worker's hit stream; dropping it cancels
     /// the search.
@@ -89,13 +338,13 @@ pub(crate) struct StreamingSearch {
     /// The server's WAL-fsync counter at admission; the trace reports
     /// the delta (fsyncs that ran while this query was in flight).
     pub(crate) fsyncs_at_submit: u64,
-    /// Loop-side timings of the batches streamed so far.
+    /// Writer-side timings of the batches streamed so far.
     pub(crate) clock: StreamClock,
 }
 
-/// The loop's side of one response: when it was admitted, when its first
-/// hit reached the socket, and the time its batches spent being resolved
-/// and flushed, summed over batches.
+/// The writer's side of one response: when it was admitted, when its
+/// first hit reached the socket, and the time its batches spent being
+/// resolved and flushed, summed over batches.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StreamClock {
     /// When the request was admitted (or answered, for a cache hit).
@@ -128,7 +377,7 @@ impl StreamClock {
     }
 }
 
-/// What the loop's policy made of one streaming entry this tick.
+/// What the server's policy made of one streaming entry this pass.
 pub(crate) enum Advance {
     /// Nothing new to write.
     Idle,
@@ -140,87 +389,39 @@ pub(crate) enum Advance {
 }
 
 /// A response whose last frame was handed to the socket this flush, for
-/// the loop to file into its stage histograms and slow-query log.
+/// the server to file into its stage histograms and slow-query log.
 pub(crate) struct Flushed {
-    /// Its loop-side timings.
+    /// Its writer-side timings.
     pub(crate) clock: StreamClock,
     /// Its trace, if it was traced and answered (not an error).
     pub(crate) trace: Option<QueryTrace>,
 }
 
-/// What one read pass over a connection produced.
-pub(crate) struct ReadEvent {
-    /// Complete frames parsed this pass, in arrival order.
-    pub(crate) frames: Vec<Frame>,
-    /// A connection-fatal condition: [`NetError::Io`] means the peer is
-    /// gone (close silently); anything else is a framing violation
-    /// (answer `Malformed`, then close).
-    pub(crate) fatal: Option<NetError>,
-    /// Whether any bytes arrived (drives the loop's park decision).
-    pub(crate) progress: bool,
-}
-
-/// One live client connection owned by the event loop.
+/// The writer's side of one client connection.
 pub(crate) struct Conn {
-    stream: TcpStream,
-    /// Bytes received but not yet parsed into frames (a partial frame
-    /// survives here across ticks).
-    read_buf: Vec<u8>,
-    /// Encoded response bytes not yet accepted by the socket.
-    write_buf: Vec<u8>,
-    /// How much of `write_buf` the socket has accepted.
-    written: usize,
+    stream: Arc<TcpStream>,
+    /// One flush's encoded response bytes (reused across flushes).
+    out: Vec<u8>,
     /// In-flight requests, in arrival order.
     pub(crate) pending: VecDeque<Pending>,
-    /// The peer half-closed its side; read no more, flush and close.
+    /// The peer half-closed its side; close once the pipeline drains.
     pub(crate) peer_eof: bool,
-    /// Stop reading; close once the pipeline and write buffer drain.
+    /// Take no more requests; close once the pipeline drains.
     pub(crate) closing: bool,
     /// The terminal shutdown frame was queued (sent at most once).
     pub(crate) term_queued: bool,
-    /// Last time bytes arrived while a partial frame was pending.
-    last_read_progress: Instant,
 }
 
 impl Conn {
-    /// Adopt an accepted stream: nonblocking, no Nagle delay.
-    pub(crate) fn new(stream: TcpStream) -> std::io::Result<Conn> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        Ok(Conn {
+    pub(crate) fn new(stream: Arc<TcpStream>) -> Conn {
+        Conn {
             stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            written: 0,
+            out: Vec::new(),
             pending: VecDeque::new(),
             peer_eof: false,
             closing: false,
             term_queued: false,
-            last_read_progress: Instant::now(),
-        })
-    }
-
-    /// Queue an already-known response (handshake, admin reply, error).
-    pub(crate) fn push_ready(&mut self, frames: Vec<Frame>) {
-        self.pending.push_back(Pending::Ready(frames, None));
-    }
-
-    /// Queue an already-known response carrying a query trace (a traced
-    /// cache hit: the response is immediate but the trace still flows
-    /// through the flush span and the slow-query log).
-    pub(crate) fn push_ready_traced(&mut self, frames: Vec<Frame>, trace: Box<QueryTrace>) {
-        self.pending.push_back(Pending::Ready(frames, Some(trace)));
-    }
-
-    /// Queue an admitted search.
-    pub(crate) fn push_streaming(&mut self, search: Box<StreamingSearch>) {
-        self.pending.push_back(Pending::Streaming(search));
-    }
-
-    /// How many more requests this connection may admit before the
-    /// pipeline cap pauses its socket.
-    pub(crate) fn read_budget(&self) -> usize {
-        MAX_PIPELINE.saturating_sub(self.pending.len())
+        }
     }
 
     /// Is any admitted search still streaming?
@@ -230,80 +431,16 @@ impl Conn {
             .any(|p| matches!(p, Pending::Streaming(_)))
     }
 
-    /// Pull bytes off the socket and parse up to `budget` complete
-    /// frames. Never blocks: reading stops at `WouldBlock`, at the
-    /// per-tick quantum, or when the budget is spent (leftover bytes
-    /// stay buffered for the next tick).
-    pub(crate) fn read_frames(&mut self, budget: usize) -> ReadEvent {
-        let mut event = ReadEvent {
-            frames: Vec::new(),
-            fatal: None,
-            progress: false,
-        };
-        if budget == 0 || self.peer_eof || self.closing {
-            return event;
-        }
-        let mut chunk = [0u8; 8192];
-        let mut received = 0usize;
-        while received < READ_QUANTUM {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.peer_eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    if let Some(part) = chunk.get(..n) {
-                        self.read_buf.extend_from_slice(part);
-                    }
-                    received += n;
-                    event.progress = true;
-                    self.last_read_progress = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    event.fatal = Some(NetError::Io(e));
-                    return event;
-                }
-            }
-        }
-        while event.frames.len() < budget {
-            let Some(&header) = self.read_buf.first_chunk::<HEADER_LEN>() else {
-                break;
-            };
-            let (frame_type, len) = match decode_header(header) {
-                Ok(decoded) => decoded,
-                Err(e) => {
-                    event.fatal = Some(e);
-                    return event;
-                }
-            };
-            let total = HEADER_LEN + len as usize;
-            if self.read_buf.len() < total {
-                break;
-            }
-            let frame = match self.read_buf.get(HEADER_LEN..total) {
-                Some(payload) => Frame::decode(frame_type, payload),
-                None => break,
-            };
-            self.read_buf.drain(..total);
-            match frame {
-                Ok(frame) => event.frames.push(frame),
-                Err(e) => {
-                    event.fatal = Some(e);
-                    return event;
-                }
-            }
-        }
-        if self.peer_eof && !self.read_buf.is_empty() {
-            event.fatal = Some(NetError::Protocol(
-                "connection closed mid-frame".to_string(),
-            ));
-        } else if !self.read_buf.is_empty() && self.last_read_progress.elapsed() >= STALL_TIMEOUT {
-            // A partial frame sat untouched for the stall window.
-            event.fatal = Some(NetError::Protocol("frame stalled mid-transfer".to_string()));
-        }
-        event
+    /// The nearest deadline of a search still in the pipeline: the only
+    /// time the writer must wake without being woken.
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+        self.pending
+            .iter()
+            .filter_map(|p| match p {
+                Pending::Streaming(search) => search.deadline,
+                Pending::Ready(..) => None,
+            })
+            .min()
     }
 
     /// Write what the head of the pipeline has: every leading ready
@@ -312,26 +449,23 @@ impl Conn {
     /// `advance` is the policy hook: called with `head = true` for the
     /// entry that may write, `false` for a streaming entry behind it
     /// (which may only end, with a terminal error, never write hits).
-    /// Encoded frames go into the write buffer, and as much of it as the
-    /// socket accepts is written. Returns whether anything moved; an
-    /// `Err` means the connection is dead.
+    /// The frames are encoded, then written with one blocking
+    /// `write_all`; an `Err` means the connection is dead.
     ///
-    /// The encode plus this call's synchronous write attempt is the
-    /// batch's flush time (bytes a full socket defers to later ticks are
-    /// not attributed). It is added to the clock of every response that
-    /// wrote in this call, and a response whose first `Hit` frame was in
-    /// the call takes the write's end as its first-hit instant. Responses
-    /// that ended here come back through `flushed`.
+    /// The encode plus the write is the batch's flush time. It is added to
+    /// the clock of every response that wrote in this call, and a response
+    /// whose first `Hit` frame was in the call takes the write's end as
+    /// its first-hit instant. Responses that ended here come back through
+    /// `flushed`.
     pub(crate) fn flush<F>(
         &mut self,
         mut advance: F,
         flushed: &mut Vec<Flushed>,
-    ) -> Result<bool, NetError>
+    ) -> Result<(), NetError>
     where
         F: FnMut(&mut StreamingSearch, bool) -> Advance,
     {
         let flush_start = Instant::now();
-        let mut moved = false;
         // Responses that ended in this call, and whether each sent a hit.
         let mut ended: Vec<(Flushed, bool)> = Vec::new();
         // The head kept streaming and sent hits in this call.
@@ -344,7 +478,6 @@ impl Conn {
                         break;
                     };
                     self.encode(&frames)?;
-                    moved = true;
                     if let Some(trace) = trace {
                         let clock = StreamClock::new(trace.born());
                         let trace = Some(*trace);
@@ -355,13 +488,11 @@ impl Conn {
                     Advance::Idle => break,
                     Advance::Batch(frames) => {
                         self.encode(&frames)?;
-                        moved = true;
                         head_sent = true;
                         break;
                     }
                     Advance::End(frames, trace) => {
                         self.encode(&frames)?;
-                        moved = true;
                         let Some(Pending::Streaming(search)) = self.pending.pop_front() else {
                             break;
                         };
@@ -379,33 +510,13 @@ impl Conn {
             if let Pending::Streaming(search) = entry {
                 if let Advance::End(frames, trace) = advance(search, false) {
                     *entry = Pending::Ready(frames, trace);
-                    moved = true;
                 }
             }
         }
-        while let Some(remaining) = self.write_buf.get(self.written..) {
-            if remaining.is_empty() {
-                break;
-            }
-            match self.stream.write(remaining) {
-                Ok(0) => {
-                    return Err(NetError::Io(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes",
-                    )))
-                }
-                Ok(n) => {
-                    self.written += n;
-                    moved = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        }
-        if self.written == self.write_buf.len() && self.written > 0 {
-            self.write_buf.clear();
-            self.written = 0;
+        if !self.out.is_empty() {
+            let written = (&*self.stream).write_all(&self.out);
+            self.out.clear();
+            written?;
         }
         let flush_end = Instant::now();
         if head_sent {
@@ -417,23 +528,17 @@ impl Conn {
             stamp(&mut done.clock, flush_start, flush_end, sent);
             flushed.push(done);
         }
-        Ok(moved)
+        Ok(())
     }
 
-    /// Encode `frames` into the write buffer. Writing into a `Vec` cannot
+    /// Encode `frames` into the output buffer. Writing into a `Vec` cannot
     /// block; only encoding can fail, and an unencodable response is
     /// connection-fatal.
     fn encode(&mut self, frames: &[Frame]) -> Result<(), NetError> {
         for frame in frames {
-            write_frame(&mut self.write_buf, frame)?;
+            write_frame(&mut self.out, frame)?;
         }
         Ok(())
-    }
-
-    /// Nothing left to do: no queued requests and every response byte
-    /// has been handed to the kernel.
-    pub(crate) fn is_drained(&self) -> bool {
-        self.pending.is_empty() && self.written == self.write_buf.len()
     }
 }
 
@@ -443,5 +548,61 @@ fn stamp(clock: &mut StreamClock, start: Instant, end: Instant, sent_hit: bool) 
     StreamClock::add(&mut clock.flush, start, end);
     if sent_hit && clock.first_hit.is_none() {
         clock.first_hit = Some(end);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn waker_releases_a_parked_waiter() {
+        let waker = Arc::new(Waker::new());
+        let remote = Arc::clone(&waker);
+        let start = Instant::now();
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            remote.wake();
+        });
+        waker.park(0, None);
+        assert!(start.elapsed() < Duration::from_secs(5));
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn wake_before_wait_is_sticky() {
+        let waker = Waker::new();
+        waker.wake();
+        let start = Instant::now();
+        waker.park(0, Some(start + Duration::from_secs(10)));
+        assert!(start.elapsed() < Duration::from_secs(1));
+        // The wake was consumed: the next park waits for its deadline.
+        let start = Instant::now();
+        waker.park(0, Some(start + Duration::from_millis(20)));
+        assert!(start.elapsed() >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn a_full_pipeline_parks_the_reader_until_the_writer_frees_room() {
+        let waker = Arc::new(Waker::new());
+        for _ in 0..MAX_PIPELINE {
+            assert!(waker.wait_for_room());
+            waker.post(Ok(Frame::MetricsRequest));
+        }
+        let (frames, _, _) = waker.park(0, None);
+        assert_eq!(frames.len(), MAX_PIPELINE);
+        let reader = {
+            let waker = Arc::clone(&waker);
+            std::thread::spawn(move || waker.wait_for_room())
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!reader.is_finished(), "the reader must wait for room");
+        // The writer's pipeline shrinks by one; the reader may post again.
+        waker.wake();
+        waker.park(MAX_PIPELINE - 1, None);
+        assert!(reader.join().unwrap());
+        // A closed connection releases the reader with `false`.
+        waker.close();
+        assert!(!waker.wait_for_room());
     }
 }

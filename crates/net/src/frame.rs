@@ -56,7 +56,7 @@ pub const PROTOCOL_VERSION: u32 = 6;
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
 /// Frame header: payload length (u32) + frame type (u8).
-pub(crate) const HEADER_LEN: usize = 5;
+const HEADER_LEN: usize = 5;
 
 // Frame type bytes. Gaps are reserved: 6 and 7 are retired (never
 // reused), the rest are free for future frames.
@@ -1119,7 +1119,7 @@ impl Frame {
 }
 
 /// Parse and validate a frame header: `(frame_type, payload_len)`.
-pub(crate) fn decode_header(header: [u8; HEADER_LEN]) -> Result<(u8, u32), NetError> {
+fn decode_header(header: [u8; HEADER_LEN]) -> Result<(u8, u32), NetError> {
     let (len_bytes, rest) = header.split_first_chunk::<4>().unwrap_or((&[0; 4], &[]));
     let len = u32::from_le_bytes(*len_bytes);
     if len > MAX_FRAME_BYTES {

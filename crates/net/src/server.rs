@@ -1,56 +1,35 @@
-//! The `oasis serve` daemon: an event-driven TCP front end over a
-//! shared [`ServingEngine`].
+//! The `oasis serve` daemon: a threaded TCP front end over a shared
+//! [`ServingEngine`] (architecture: `docs/SERVING.md`).
 //!
-//! One event loop owns every socket. The listener and all client
-//! streams run in nonblocking mode; each tick the loop accepts what is
-//! pending, pulls bytes from every readable connection into its
-//! [`Conn`] state machine, dispatches the complete frames, drains the
-//! hits each streaming search's worker released since the last tick, and
-//! flushes whatever responses are ready. When nothing moves it parks on
-//! a [`Waker`], which engine workers poke through a per-query readiness
-//! hook ([`ServingEngine::try_submit`]) when a ticket's buffer goes from
-//! empty to non-empty — so a search's first hit goes out at once, and
-//! later hits coalesce into one batch per tick while the loop is busy.
-//! The loop never blocks on a ticket, so thousands of connections cost
-//! one thread plus the engine's worker pool, not a thread per socket.
+//! [`OasisServer::run`] is a blocking accept loop. Each connection gets a
+//! reader thread, which blocks in [`read_frame`], and a writer thread,
+//! which dispatches the requests and writes the responses (see
+//! [`Conn`]). The writer parks on the connection's [`Waker`] with no
+//! timeout except the nearest search deadline; the reader and each
+//! search's readiness hook ([`ServingEngine::try_submit`]) wake it. So a
+//! search's first hit goes out at once, and nothing waits on a timer.
 //!
-//! Hits are streamed **online**: a search's hits go on the wire in the
-//! engine's canonical order as the workers' k-way merge releases them,
-//! and `Done` closes the stream with the same counts a whole answer
-//! would carry. A deadline that expires, or a connection that is reset
-//! (or whose writes fail), drops the search's ticket, which cancels it:
-//! the worker stops within one step batch instead of finishing work
-//! nobody will read. A peer that only half-closes still gets its
-//! responses. The hits already sent before a terminal `Error` are a
-//! valid prefix of the answer.
+//! Hits are streamed **online**, in the engine's canonical order as the
+//! workers' k-way merge releases them; `Done` carries the counts a whole
+//! answer would. An expired deadline, or a connection that is reset (or
+//! whose writes fail), drops the search's ticket, which cancels it. A
+//! peer that only half-closes still gets its responses. Hits sent before
+//! a terminal `Error` are a valid prefix of the answer. Connections are
+//! **pipelined** (responses in request order; at most `MAX_PIPELINE` in
+//! flight, then TCP backpressure), the bounded admission queue answers
+//! [`ErrorCode::Busy`] on the wire, and a connection over `max_conns`
+//! (or one whose threads could not be spawned) gets a terminal `Busy`.
 //!
-//! Connections are **pipelined**: a client may send several requests
-//! back-to-back before reading, and responses return strictly in
-//! request order even when the engine completes them out of order (the
-//! per-connection queue in [`Conn`] is the ordering mechanism: only its
-//! head-of-line search streams, the ones behind it buffer). A
-//! connection may have at most `MAX_PIPELINE` requests in flight;
-//! beyond that the loop stops reading its socket and the TCP window
-//! applies the backpressure. Across connections, the engine's bounded
-//! admission queue still answers [`ErrorCode::Busy`] *on the wire*
-//! instead of blocking, and `max_conns` bounds the accept side: a
-//! connection over the limit is greeted with a terminal `Busy` error
-//! frame and closed.
-//!
-//! In front of admission sits a bounded LRU [`ResultCache`] keyed on
-//! `(generation, query bytes, score params)`. Generations are
-//! immutable — every reload, append, and compaction publishes a *new*
-//! generation id — so a cached result can never go stale: a hot swap
-//! changes the key. A search's full hit list is inserted when its
-//! `Done` is framed, and only for a search that completed — never for
-//! one that failed or was cancelled. Cache hits stream the same hit
+//! A bounded LRU [`ResultCache`] keyed on `(generation, query bytes,
+//! score params)` sits in front of admission. Generations are immutable,
+//! so a cached result never goes stale: a hot swap changes the key. Only
+//! a search that completed is inserted; cache hits stream the same hit
 //! frames a fresh execution would, with `service_us = 0`.
 //!
-//! Admin frames (`Metrics`, `TraceDump`, `Reload`, `Append`) are handled
-//! inline on the loop thread; a reload's artifact load briefly stalls
-//! the loop, which is acceptable for rare admin operations and keeps
-//! every catalog publish serialized with dispatch. Artifacts are opened
-//! only by [`ServedIndex::from_artifact`], at boot and on `Reload`.
+//! Admin frames run on the requesting connection's writer. One admin
+//! lock serializes `Reload`, `Append` and the compaction spawn, so
+//! generations publish in WAL order. Artifacts are opened only by
+//! [`ServedIndex::from_artifact`], at boot and on `Reload`.
 //!
 //! ## Generational consistency
 //!
@@ -63,8 +42,7 @@
 //! directory's pending WAL and makes it the append target, and `Metrics`
 //! reports the current generation's lineage and WAL. A reload answers
 //! `Busy` while a background compaction runs, so an older directory's
-//! compaction never publishes over it. Each
-//! search is pinned to the generation current when it is *admitted*:
+//! compaction never publishes over it. Each search is pinned to the generation current when it is *admitted*:
 //! the query is encoded with that generation's alphabet, its E-value
 //! becomes a `minScore` against that generation's database, the engine
 //! executes it on that generation, and its hit names, `Done.generation`,
@@ -74,25 +52,27 @@
 //!
 //! ## Shutdown
 //!
-//! [`ServerHandle::shutdown`] (or a client [`Frame::Shutdown`] request)
-//! stops the accept loop, closes engine admission, and wakes the event
-//! loop. Already-admitted queries still drain — their connections
-//! stream full responses — and then every connection is closed with a
-//! terminal [`ErrorCode::ShuttingDown`] frame, so clients can tell a
-//! graceful drain from a crash. [`OasisServer::run`] returns once every
-//! connection has drained (or a grace period expires for peers that
-//! stopped reading).
+//! [`ServerHandle::shutdown`] (or a [`Frame::Shutdown`] request) closes
+//! admission, wakes every writer, and releases the blocking accepts with
+//! one loopback connect each. Admitted queries drain, then each
+//! connection gets a terminal [`ErrorCode::ShuttingDown`]. `run` returns
+//! once every connection has drained (peers that stopped reading are
+//! force-closed after a grace period) and every thread is joined.
 //!
-//! [`Waker`]: crate::reactor::Waker
+//! [`Waker`]: crate::conn::Waker
 //! [`Conn`]: crate::conn::Conn
+//! [`read_frame`]: crate::frame::read_frame
 //! [`ServingEngine::try_submit`]: oasis_engine::ServingEngine::try_submit
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use oasis_align::{background_dna, background_protein, KarlinParams, Score, Scoring};
@@ -107,28 +87,27 @@ use oasis_obs::trace::stage;
 use oasis_obs::{Counter, Histogram, HistogramSnapshot, QueryTrace, SlowLog};
 use oasis_storage::{read_manifest, ArtifactError, PoolStatsSnapshot};
 
-use crate::conn::{Advance, Conn, Flushed, StreamClock, StreamingSearch};
+use crate::conn::{
+    read_requests, Advance, Conn, Flushed, Pending, ReadEnd, Registry, StreamClock,
+    StreamingSearch, Waker,
+};
 use crate::frame::{
     write_frame, AppendDone, ErrorCode, ErrorFrame, Frame, GenerationServed, Hello, MetricsReport,
     ReloadDone, RemoteHit, ScoreRule, SearchDone, SearchRequest, StageSummary, TraceDump,
     TraceEntry, TraceSpan, PROTOCOL_VERSION,
 };
-use crate::reactor::Waker;
-use crate::NetError;
 
-/// Park timeout while connections are open: bounds how fast the loop
-/// notices new socket bytes (streamed hits and shutdown wake it sooner).
-const BUSY_TICK: Duration = Duration::from_millis(1);
-/// Park timeout with no connections: bounds accept latency only.
-const IDLE_TICK: Duration = Duration::from_millis(10);
 /// How long a draining shutdown waits for peers that stopped reading
 /// before force-closing their connections.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 /// Slow-query ring capacity: enough to hold a burst worth diagnosing,
 /// small enough that a pathological `--slow-ms 0` stays bounded.
 const SLOWLOG_CAPACITY: usize = 64;
-/// Accept-poll cadence of the plain-text metrics listener thread.
-const METRICS_POLL: Duration = Duration::from_millis(25);
+/// Stack of a connection's reader thread: it only decodes frames.
+const READER_STACK: usize = 256 << 10;
+/// Stack of a connection's writer thread, which also runs admin work
+/// (an artifact load, an append's delta rebuild), and of a compaction.
+const WRITER_STACK: usize = 2 << 20;
 /// Rows of the per-generation served table the server keeps: the most
 /// recent generations that answered a search. Every append publishes a
 /// generation, so an unbounded table would grow for the server's whole
@@ -279,8 +258,8 @@ impl std::fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-/// State shared between the event loop, engine workers (via readiness
-/// hooks), and [`ServerHandle`]s.
+/// State shared between the accept loop, the connection threads, engine
+/// workers (via readiness hooks), and [`ServerHandle`]s.
 struct Shared {
     /// The served generations; searches pin the current one at admission.
     catalog: IndexCatalog<ServedIndex>,
@@ -292,17 +271,19 @@ struct Shared {
     next_token: AtomicU64,
     /// Delta size that triggers a background compaction (0 = never).
     compact_after: usize,
-    /// Background compaction threads not yet seen to finish; finished
-    /// ones are dropped at the next spawn, the rest joined in `run`.
-    /// Only the loop thread spawns them, and it also runs `Reload`, which
-    /// answers `Busy` while one is unfinished — so a compaction can never
-    /// publish over a reload.
-    compactions: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The admin lock, held across every `Reload` and `Append` so that
+    /// generations publish in WAL order and no compaction can start
+    /// during a reload. It guards the compaction threads not yet seen to
+    /// finish (dropped at the next spawn, the rest joined in `run`).
+    admin: Mutex<Vec<JoinHandle<()>>>,
     /// The bounded LRU result cache (capacity 0 = disabled).
     cache: ResultCache,
-    /// The waker the event loop parks on; engine workers poke it through
-    /// each search's readiness hook.
-    waker: Arc<Waker>,
+    /// The open connections: the accept limit, metrics and shutdown.
+    conns: Registry,
+    /// Where the server and the metrics listener accept; shutdown
+    /// connects to each once to release its blocking accept.
+    local_addr: SocketAddr,
+    metrics_addr: Option<SocketAddr>,
     /// When the server was bound (metrics uptime).
     started: Instant,
     /// Connections accepted over the server's lifetime.
@@ -314,10 +295,7 @@ struct Shared {
     per_gen: Mutex<BTreeMap<u64, u64>>,
     /// Open-connection bound (`usize::MAX` = unlimited).
     max_conns: usize,
-    /// Connections open right now; the event loop publishes its count
-    /// each tick so the metrics listener thread can report it too.
-    open_conns: AtomicU64,
-    /// Loop-side time to name hits and build response frames, summed
+    /// Writer-side time to name hits and build response frames, summed
     /// over each streamed search's batches (µs).
     resolve_hist: Histogram,
     /// Admission to the first `Hit` frame handed to the socket, per
@@ -335,27 +313,24 @@ struct Shared {
 }
 
 impl Shared {
-    /// Take ownership of every in-flight compaction handle. The lock
-    /// guard lives only inside this call, so the caller can join the
-    /// handles without holding it.
-    fn drain_compactions(&self) -> Vec<std::thread::JoinHandle<()>> {
-        std::mem::take(
-            &mut *self
-                .compactions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        )
+    fn admin(&self) -> MutexGuard<'_, Vec<JoinHandle<()>>> {
+        self.admin.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn begin_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::Release);
+        if self.shutting_down.swap(true, Ordering::AcqRel) {
+            return;
+        }
         // Close the catalog first: a background compaction that loses
         // this race gets a typed publish refusal and leaves the WAL
         // intact, so shutdown never strands an unreplayable append.
         self.catalog.begin_shutdown();
         self.serving.shutdown();
-        // Wake the event loop so an idle server notices immediately.
-        self.waker.wake();
+        self.conns.shut_down();
+        release_accept(self.local_addr);
+        if let Some(addr) = self.metrics_addr {
+            release_accept(addr);
+        }
     }
 
     fn is_shutting_down(&self) -> bool {
@@ -386,27 +361,26 @@ impl Shared {
             .map(|(&generation, &served)| GenerationServed { generation, served })
             .collect()
     }
+}
 
-    /// Is a background compaction still running?
-    fn compaction_running(&self) -> bool {
-        self.compactions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .any(|h| !h.is_finished())
-    }
+/// End a blocking `accept` on `addr` with one loopback connection, which
+/// the loop drops once it sees the shutdown flag.
+fn release_accept(addr: SocketAddr) {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let _ = TcpStream::connect((ip, addr.port()));
 }
 
 /// The network daemon: accepts connections and serves the wire protocol
 /// over a shared serving engine. See the module docs for semantics.
 pub struct OasisServer {
     listener: TcpListener,
-    local_addr: SocketAddr,
     shared: Arc<Shared>,
-    /// Where the plain-text metrics listener bound (None = not enabled).
-    metrics_addr: Option<SocketAddr>,
     /// The metrics listener thread, joined when `run` returns.
-    metrics_thread: Option<std::thread::JoinHandle<()>>,
+    metrics_thread: Option<JoinHandle<()>>,
 }
 
 /// A cloneable handle for initiating shutdown from outside
@@ -418,7 +392,7 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Begin a graceful shutdown: stop accepting, close admission, wake
-    /// the event loop, drain admitted work, close streams with a
+    /// every connection, drain admitted work, close streams with a
     /// terminal frame.
     pub fn shutdown(&self) {
         self.shared.begin_shutdown();
@@ -455,6 +429,10 @@ impl OasisServer {
             queue_capacity: config.queue_capacity,
         })
         .map_err(ServerError::Config)?;
+        let metrics_listener = config.metrics_addr.map(TcpListener::bind).transpose();
+        let metrics_listener = metrics_listener.map_err(ServerError::Io)?;
+        let metrics_addr = metrics_listener.as_ref().map(TcpListener::local_addr);
+        let metrics_addr = metrics_addr.transpose().map_err(ServerError::Io)?;
         let shared = Arc::new(Shared {
             catalog: IndexCatalog::new("boot", index),
             serving,
@@ -464,9 +442,11 @@ impl OasisServer {
             shutting_down: AtomicBool::new(false),
             next_token: AtomicU64::new(0),
             compact_after: config.compact_after,
-            compactions: Mutex::new(Vec::new()),
+            admin: Mutex::new(Vec::new()),
             cache: ResultCache::new(config.cache_entries),
-            waker: Arc::new(Waker::new()),
+            conns: Registry::new(),
+            local_addr,
+            metrics_addr,
             started: Instant::now(),
             accepted: AtomicU64::new(0),
             pipelined_peak: AtomicU64::new(0),
@@ -476,7 +456,6 @@ impl OasisServer {
             } else {
                 config.max_conns
             },
-            open_conns: AtomicU64::new(0),
             resolve_hist: Histogram::new(),
             first_hit_hist: Histogram::new(),
             flush_hist: Histogram::new(),
@@ -484,36 +463,30 @@ impl OasisServer {
             slowlog: SlowLog::new(SLOWLOG_CAPACITY),
             wal_fsyncs: Counter::new(),
         });
-        let (metrics_addr, metrics_thread) = match config.metrics_addr {
-            Some(addr) => {
-                let metrics_listener = TcpListener::bind(addr).map_err(ServerError::Io)?;
-                let bound = metrics_listener.local_addr().map_err(ServerError::Io)?;
-                let thread_shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || {
-                    run_metrics_listener(metrics_listener, &thread_shared);
-                });
-                (Some(bound), Some(handle))
+        let metrics_thread = match metrics_listener {
+            Some(listener) => {
+                let shared = Arc::clone(&shared);
+                let run = move || run_metrics_listener(listener, &shared);
+                Some(spawn("oasis-metrics".into(), READER_STACK, run).map_err(ServerError::Io)?)
             }
-            None => (None, None),
+            None => None,
         };
         Ok(OasisServer {
             listener,
-            local_addr,
             shared,
-            metrics_addr,
             metrics_thread,
         })
     }
 
     /// The bound address (resolves `:0` to the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.shared.local_addr
     }
 
     /// Where the plain-text metrics listener bound (resolves `:0`), or
     /// `None` when [`ServerConfig::metrics_addr`] was not set.
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
+        self.shared.metrics_addr
     }
 
     /// A shutdown handle usable from other threads.
@@ -523,101 +496,122 @@ impl OasisServer {
         }
     }
 
-    /// Run the event loop until shutdown, then drain every connection
-    /// (in-flight responses complete first) and return.
+    /// Accept connections until shutdown, then drain every connection
+    /// (in-flight responses complete first), join every thread the server
+    /// started, and return. An accept failure that no closing connection
+    /// can cure ends the server with that error.
     pub fn run(mut self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         let metrics_thread = self.metrics_thread.take();
         let shared = &self.shared;
-        let mut conns: Vec<Conn> = Vec::new();
-        let mut drain_deadline: Option<Instant> = None;
-        loop {
-            let mut progress = false;
-            let shutting = shared.is_shutting_down();
-            if shutting && drain_deadline.is_none() {
-                drain_deadline = Some(Instant::now() + DRAIN_GRACE);
+        let mut threads: Vec<JoinHandle<()>> = Vec::new();
+        let mut failure = None;
+        for stream in self.listener.incoming() {
+            if shared.is_shutting_down() {
+                break; // the loopback connect that released this accept
             }
-            if !shutting {
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _peer)) => {
-                            progress = true;
-                            shared.accepted.fetch_add(1, Ordering::Relaxed);
-                            if conns.len() >= shared.max_conns {
-                                refuse_over_capacity(stream, shared.max_conns);
-                                continue;
-                            }
-                            let Ok(mut conn) = Conn::new(stream) else {
-                                continue; // stillborn socket
-                            };
-                            // Server-first handshake: protocol version +
-                            // serving generation, queued like any response.
-                            conn.push_ready(vec![hello_frame(shared)]);
-                            conns.push(conn);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        // Transient accept failure (e.g. EMFILE): retry
-                        // next tick rather than spinning here.
-                        Err(_) => break,
-                    }
-                }
-            }
-            shared
-                .open_conns
-                .store(conns.len() as u64, Ordering::Relaxed);
-            conns.retain_mut(|conn| match service_conn(shared, conn, shutting) {
-                ConnFate::Keep(moved) => {
-                    progress |= moved;
-                    true
-                }
-                ConnFate::Close => {
-                    progress = true;
-                    false
-                }
-            });
-            if shutting {
-                if conns.is_empty() {
+            let stream = match stream {
+                Ok(stream) => stream,
+                Err(e) if retry_accept(shared, &e) => continue,
+                Err(e) => {
+                    failure = Some(e);
                     break;
                 }
-                if drain_deadline.is_some_and(|d| Instant::now() >= d) {
-                    // Peers that stopped reading their terminal frames:
-                    // force-close rather than wedge shutdown.
-                    conns.clear();
-                    break;
-                }
-            }
-            if !progress {
-                let tick = if conns.is_empty() {
-                    IDLE_TICK
-                } else {
-                    BUSY_TICK
-                };
-                shared.waker.wait_timeout(tick);
+            };
+            let id = shared.accepted.fetch_add(1, Ordering::Relaxed);
+            // An exited thread needs no join.
+            threads.retain(|thread| !thread.is_finished());
+            if let Some(thread) = spawn_connection(shared, id, stream) {
+                threads.push(thread);
             }
         }
-        self.shared.open_conns.store(0, Ordering::Relaxed);
-        // The metrics listener polls the shutdown flag (set before the
-        // loop above exited), so this join is bounded by one poll tick.
+        shared.begin_shutdown();
+        shared.conns.drain(DRAIN_GRACE);
+        for thread in threads {
+            let _ = thread.join();
+        }
         if let Some(thread) = metrics_thread {
             let _ = thread.join();
         }
         // Background compactions abort cleanly (their publish is refused
         // once shutdown began) — but they must finish before the process
         // may exit, or a truncation could be torn mid-write.
-        for compaction in self.shared.drain_compactions() {
+        let compactions = std::mem::take(&mut *shared.admin());
+        for compaction in compactions {
             let _ = compaction.join();
         }
-        Ok(())
+        failure.map_or(Ok(()), Err)
     }
 }
 
-/// The accept-side connection limit was hit: greet the stream with a
-/// terminal `Busy` frame (best-effort, bounded) and drop it.
-fn refuse_over_capacity(stream: TcpStream, max_conns: usize) {
-    let mut stream = stream;
+/// An accept failed. Retry a transient failure at once; otherwise
+/// (typically out of descriptors) wait until a connection closes or
+/// shutdown begins. False when no connection is open to free one.
+fn retry_accept(shared: &Shared, e: &io::Error) -> bool {
+    let transient = [ErrorKind::Interrupted, ErrorKind::ConnectionAborted];
+    transient.contains(&e.kind()) || shared.conns.wait_for_leave()
+}
+
+/// Spawn a named server thread with a bounded stack.
+fn spawn(
+    name: String,
+    stack: usize,
+    f: impl FnOnce() + Send + 'static,
+) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(name)
+        .stack_size(stack)
+        .spawn(f)
+}
+
+/// Register an accepted stream and start its writer thread, which starts
+/// its reader. Over `max_conns`, or when a thread cannot be spawned, the
+/// stream is refused instead.
+fn spawn_connection(shared: &Arc<Shared>, id: u64, stream: TcpStream) -> Option<JoinHandle<()>> {
+    // Best effort: a dead socket fails its first read or write anyway.
+    let _ = stream.set_nodelay(true);
+    let stream = Arc::new(stream);
+    let waker = Arc::new(Waker::new());
+    if !shared.conns.admit(id, &waker, &stream, shared.max_conns) {
+        refuse(&stream, shared.max_conns);
+        return None;
+    }
+    let (thread_shared, thread_stream) = (Arc::clone(shared), Arc::clone(&stream));
+    let run = move || run_connection(&thread_shared, id, thread_stream, waker);
+    let spawned = spawn(format!("oasis-conn-{id}"), WRITER_STACK, run);
+    if spawned.is_err() {
+        shared.conns.leave(id);
+        refuse(&stream, shared.max_conns);
+    }
+    spawned.ok()
+}
+
+/// A connection's writer thread: start the reader, serve until the
+/// connection ends, then stop the reader (a socket shutdown ends its
+/// blocking read) and unregister.
+fn run_connection(shared: &Arc<Shared>, id: u64, stream: Arc<TcpStream>, waker: Arc<Waker>) {
+    let (reader_stream, reader_waker) = (Arc::clone(&stream), Arc::clone(&waker));
+    let read = move || read_requests(&reader_stream, &reader_waker);
+    match spawn(format!("oasis-read-{id}"), READER_STACK, read) {
+        Ok(reader) => {
+            // Dropping the connection drops its tickets, which cancels
+            // any search still in flight.
+            serve_connection(shared, Conn::new(Arc::clone(&stream)), &waker);
+            waker.close();
+            let _ = stream.shutdown(Shutdown::Both);
+            let _ = reader.join();
+        }
+        Err(_) => refuse(&stream, shared.max_conns),
+    }
+    shared.conns.leave(id);
+}
+
+/// Greet a stream the server will not serve (over the connection limit,
+/// or no thread to serve it) with a terminal `Busy` frame, best-effort
+/// and bounded, before it is dropped.
+fn refuse(stream: &TcpStream, max_conns: usize) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let _ = write_frame(
-        &mut stream,
+        &mut &*stream,
         &Frame::Error(ErrorFrame::new(
             ErrorCode::Busy,
             format!("connection limit reached ({max_conns} open); retry later"),
@@ -642,125 +636,99 @@ fn error_frames(code: ErrorCode, message: impl Into<String>) -> Vec<Frame> {
     vec![Frame::Error(ErrorFrame::new(code, message))]
 }
 
-/// What one tick did to a connection.
-enum ConnFate {
-    /// Still alive; the flag reports whether anything moved.
-    Keep(bool),
-    /// Remove and drop the connection.
-    Close,
+/// An already-known response (handshake, admin reply, error).
+fn reply(frames: Vec<Frame>) -> Pending {
+    Pending::Ready(frames, None)
 }
 
-/// What dispatching one request frame decided.
-enum Action {
-    /// The response is fully known already.
-    Reply(Vec<Frame>),
-    /// The response is known *and* carries a query trace (a traced
-    /// cache hit) that must flow through the flush span and slow log.
-    ReplyTraced(Vec<Frame>, Box<QueryTrace>),
-    /// A search was admitted; stream it.
-    Stream(Box<StreamingSearch>),
-    /// Answer, then close the connection (protocol misuse).
-    ReplyClose(Vec<Frame>),
-}
-
-/// Service one connection for one tick: ingest bytes, dispatch frames,
-/// stream in-flight searches, flush responses, decide its fate.
-fn service_conn(shared: &Arc<Shared>, conn: &mut Conn, shutting: bool) -> ConnFate {
-    let mut progress = false;
-    let event = conn.read_frames(conn.read_budget());
-    progress |= event.progress;
-    for frame in event.frames {
-        if conn.closing {
-            break; // a terminal reply is already queued; drop the rest
+/// A connection's writer loop: greet, then repeatedly write what the
+/// pipeline has, park on `waker`, and dispatch the requests the reader
+/// posted, until the connection is done. Returning drops `conn`.
+fn serve_connection(shared: &Arc<Shared>, mut conn: Conn, waker: &Arc<Waker>) {
+    // Server-first handshake: protocol version + serving generation,
+    // queued like any response.
+    conn.pending.push_back(reply(vec![hello_frame(shared)]));
+    loop {
+        if shared.is_shutting_down() && !conn.term_queued && !conn.has_streaming() {
+            // In-flight work has drained: close with the typed terminal
+            // frame (after any still-unwritten responses), so clients can
+            // tell a graceful drain from a crash.
+            let term = error_frames(ErrorCode::ShuttingDown, "server is shutting down");
+            conn.pending.push_back(reply(term));
+            conn.term_queued = true;
+            conn.closing = true;
         }
-        match dispatch(shared, frame) {
-            Action::Reply(frames) => conn.push_ready(frames),
-            Action::ReplyTraced(frames, trace) => conn.push_ready_traced(frames, trace),
-            Action::Stream(search) => conn.push_streaming(search),
-            Action::ReplyClose(frames) => {
-                conn.push_ready(frames);
+        let mut flushed = Vec::new();
+        let now = Instant::now();
+        let advance =
+            |search: &mut StreamingSearch, head| advance_stream(shared, search, head, now);
+        if conn.flush(advance, &mut flushed).is_err() {
+            return; // client gone mid-response
+        }
+        deposit(shared, flushed);
+        if conn.pending.is_empty() && (conn.closing || conn.peer_eof) {
+            return;
+        }
+        let (frames, read_end, closed) = waker.park(conn.pending.len(), conn.next_deadline());
+        if closed {
+            return;
+        }
+        for frame in frames {
+            if conn.closing {
+                break; // a terminal reply is already queued; drop the rest
+            }
+            dispatch(shared, waker, &mut conn, frame);
+        }
+        shared.note_pipeline_depth(conn.pending.len());
+        match read_end {
+            Some(ReadEnd::Eof) => conn.peer_eof = true,
+            // The peer is gone; nothing to answer.
+            Some(ReadEnd::Gone) => return,
+            Some(ReadEnd::Malformed(e)) if !conn.closing => {
+                let malformed = error_frames(ErrorCode::Malformed, e.to_string());
+                conn.pending.push_back(reply(malformed));
                 conn.closing = true;
             }
-        }
-        progress = true;
-    }
-    shared.note_pipeline_depth(conn.pending.len());
-    if let Some(fatal) = event.fatal {
-        match fatal {
-            // The peer is gone; nothing to answer.
-            NetError::Io(_) => return ConnFate::Close,
-            // Framing violation: typed error after any pending
-            // responses, then close — the stream position is no longer
-            // trustworthy.
-            other => {
-                if !conn.closing {
-                    conn.push_ready(error_frames(ErrorCode::Malformed, other.to_string()));
-                    conn.closing = true;
-                }
-                progress = true;
-            }
+            Some(ReadEnd::Malformed(_)) | None => {}
         }
     }
-    if shutting && !conn.term_queued && !conn.has_streaming() {
-        // In-flight work has drained: close with the typed terminal
-        // frame (after any still-unflushed responses), so clients can
-        // tell a graceful drain from a crash.
-        conn.push_ready(error_frames(
-            ErrorCode::ShuttingDown,
-            "server is shutting down",
-        ));
-        conn.term_queued = true;
-        conn.closing = true;
-        progress = true;
-    }
-    let mut flushed: Vec<Flushed> = Vec::new();
-    let now = Instant::now();
-    match conn.flush(
-        |search, head| advance_stream(shared, search, head, now),
-        &mut flushed,
-    ) {
-        Ok(moved) => progress |= moved,
-        Err(_) => return ConnFate::Close, // client gone mid-response
-    }
-    deposit(shared, flushed);
-    if conn.is_drained() && (conn.closing || conn.peer_eof) {
-        return ConnFate::Close;
-    }
-    ConnFate::Keep(progress)
 }
 
-/// Decide how to answer one client frame. Runs on the event loop, so it
-/// must not block on engine work — searches are admitted with a
-/// readiness hook and streamed as their hits arrive.
-fn dispatch(shared: &Arc<Shared>, frame: Frame) -> Action {
-    match frame {
-        Frame::Search(req) => dispatch_search(shared, req),
-        Frame::MetricsRequest => Action::Reply(vec![Frame::Metrics(metrics_report(shared))]),
-        Frame::TraceDumpRequest => Action::Reply(vec![trace_dump_frame(shared)]),
-        Frame::Reload(reload) => Action::Reply(handle_reload(shared, &reload.path)),
-        Frame::Append(append) => Action::Reply(handle_append(shared, &append.fasta)),
+/// Decide how to answer one client frame. Runs on the connection's
+/// writer, which must not block on engine work — searches are admitted
+/// with a readiness hook that wakes `waker` and streamed as their hits
+/// arrive.
+fn dispatch(shared: &Arc<Shared>, waker: &Arc<Waker>, conn: &mut Conn, frame: Frame) {
+    let entry = match frame {
+        Frame::Search(req) => dispatch_search(shared, waker, req),
+        Frame::MetricsRequest => reply(vec![Frame::Metrics(metrics_report(shared))]),
+        Frame::TraceDumpRequest => reply(vec![trace_dump_frame(shared)]),
+        Frame::Reload(reload) => reply(handle_reload(shared, &reload.path)),
+        Frame::Append(append) => reply(handle_append(shared, &append.fasta)),
         Frame::Shutdown => {
             shared.begin_shutdown();
-            // The ack flushes first; the loop's shutdown pass then adds
-            // the terminal frame and closes this stream too.
-            Action::Reply(vec![Frame::ShutdownAck])
+            // The ack is written first; the writer's shutdown pass then
+            // adds the terminal frame and closes this stream too.
+            reply(vec![Frame::ShutdownAck])
         }
         other => {
             // A client sending server-side frames is out of sync;
             // answer with a typed error and drop the connection.
-            Action::ReplyClose(error_frames(
+            conn.closing = true;
+            reply(error_frames(
                 ErrorCode::Malformed,
                 format!("unexpected {} frame from a client", other.kind()),
             ))
         }
-    }
+    };
+    conn.pending.push_back(entry);
 }
 
 /// Admit one search: pin the current generation, resolve the request's
 /// parameters against it, consult the result cache, and either answer
 /// immediately (cache hit, parameter error, admission refusal) or hand
-/// back the in-flight state the loop will poll.
-fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
+/// back the in-flight state the writer will poll.
+fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest) -> Pending {
     // Encode with the pinned generation's alphabet and derive minScore
     // against its database (the serving alphabet is authoritative, like
     // the artifact alphabet on the local --index path). The query then
@@ -770,12 +738,12 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
     let db = pinned.executor().db();
     let encoded = match db.alphabet().encode_str(&req.query) {
         Ok(encoded) => encoded,
-        Err(e) => return Action::Reply(error_frames(ErrorCode::Malformed, format!("query: {e}"))),
+        Err(e) => return reply(error_frames(ErrorCode::Malformed, format!("query: {e}"))),
     };
     let min_score: Score = match req.rule {
         ScoreRule::MinScore(s) if s >= 1 => s,
         ScoreRule::MinScore(s) => {
-            return Action::Reply(error_frames(
+            return reply(error_frames(
                 ErrorCode::Malformed,
                 format!("minScore must be at least 1 (got {s})"),
             ))
@@ -785,7 +753,7 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
                 karlin.min_score_for_evalue(encoded.len() as u64, db.total_residues(), e)
             }
             None => {
-                return Action::Reply(error_frames(
+                return reply(error_frames(
                     ErrorCode::Internal,
                     "Karlin-Altschul statistics unavailable for the serving matrix; \
                      use an explicit minScore",
@@ -793,7 +761,7 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
             }
         },
         ScoreRule::Evalue(e) => {
-            return Action::Reply(error_frames(
+            return reply(error_frames(
                 ErrorCode::Malformed,
                 format!("E-value must be finite and positive (got {e})"),
             ))
@@ -830,9 +798,9 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
             trace.counters.cache_hit = true;
             trace.counters.generation = generation;
             trace.counters.hits = cached.len() as u64;
-            return Action::ReplyTraced(frames, Box::new(trace));
+            return Pending::Ready(frames, Some(Box::new(trace)));
         }
-        return Action::Reply(frames);
+        return reply(frames);
     }
 
     let mut params = OasisParams::with_min_score(min_score);
@@ -844,7 +812,7 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
         job = job.with_limit(top as usize);
     }
     let submitted = Instant::now();
-    let waker = Arc::clone(&shared.waker);
+    let waker = Arc::clone(waker);
     let ready = Box::new(move || waker.wake());
     let trace = if shared.slow_threshold_us.is_some() {
         QueryTrace::enabled(token, query_len)
@@ -857,19 +825,19 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
     let ticket = match admitted {
         Ok(ticket) => ticket,
         Err(AdmissionError::QueueFull { capacity }) => {
-            return Action::Reply(error_frames(
+            return reply(error_frames(
                 ErrorCode::Busy,
                 format!("admission queue full ({capacity} queries queued); retry later"),
             ))
         }
         Err(AdmissionError::ShuttingDown) => {
-            return Action::Reply(error_frames(
+            return reply(error_frames(
                 ErrorCode::ShuttingDown,
                 "server is shutting down",
             ))
         }
     };
-    Action::Stream(Box::new(StreamingSearch {
+    Pending::Streaming(Box::new(StreamingSearch {
         ticket,
         deadline: req
             .deadline_ms
@@ -884,7 +852,7 @@ fn dispatch_search(shared: &Arc<Shared>, req: SearchRequest) -> Action {
 }
 
 /// Advance one streaming search. The head of its connection's pipeline
-/// takes the hits its worker released since the last tick and frames
+/// takes the hits its worker released since the last pass and frames
 /// them, named against the pinned generation; at the end of the stream it
 /// fills the cache and frames `Done`, or frames the terminal error. An
 /// entry behind the head writes nothing: its hits wait in its ticket. Any
@@ -1038,10 +1006,7 @@ fn metrics_report(shared: &Shared) -> MetricsReport {
         cache_evictions: cache.evictions,
         cache_entries: cache.entries,
         cache_capacity: cache.capacity,
-        connections_open: shared
-            .open_conns
-            .load(Ordering::Relaxed)
-            .min(u32::MAX as u64) as u32,
+        connections_open: shared.conns.open().min(u32::MAX as usize) as u32,
         connections_accepted: shared.accepted.load(Ordering::Relaxed),
         pipelined_peak: shared
             .pipelined_peak
@@ -1090,7 +1055,7 @@ fn trace_dump_frame(shared: &Shared) -> Frame {
     })
 }
 
-/// File the responses that finished flushing: their loop-side stages go
+/// File the responses that finished flushing: their writer-side stages go
 /// into the stage histograms and, for a traced search, into its trace as
 /// spans; a trace that crossed the slow threshold is kept in the ring.
 /// Only traced responses pay for spans and the ring.
@@ -1128,19 +1093,17 @@ fn deposit(shared: &Shared, flushed: Vec<Flushed>) {
 }
 
 /// The `--metrics-addr` thread: accept, answer one Prometheus scrape
-/// over minimal HTTP/1.0, close. Nonblocking accept polled against the
-/// shutdown flag so `run` can join this thread promptly.
+/// over minimal HTTP/1.0, close. Shutdown releases its blocking accept
+/// with one loopback connect, so `run` can join this thread promptly.
 fn run_metrics_listener(listener: TcpListener, shared: &Shared) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !shared.is_shutting_down() {
-        match listener.accept() {
-            Ok((stream, _peer)) => serve_metrics_scrape(stream, shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(METRICS_POLL);
-            }
-            Err(_) => std::thread::sleep(METRICS_POLL),
+    for stream in listener.incoming() {
+        if shared.is_shutting_down() {
+            return;
+        }
+        match stream {
+            Ok(stream) => serve_metrics_scrape(stream, shared),
+            Err(e) if retry_accept(shared, &e) => {}
+            Err(_) => return,
         }
     }
 }
@@ -1163,11 +1126,12 @@ fn serve_metrics_scrape(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.write_all(response.as_bytes());
 }
 
-/// Open the artifact at `path` and publish it. While a background
-/// compaction runs the answer is `Busy`: its publish would otherwise land
-/// over the reloaded generation.
+/// Open the artifact at `path` and publish it, under the admin lock.
+/// While a background compaction runs the answer is `Busy`: its publish
+/// would otherwise land over the reloaded generation.
 fn handle_reload(shared: &Arc<Shared>, path: &str) -> Vec<Frame> {
-    if shared.compaction_running() {
+    let admin = shared.admin();
+    if admin.iter().any(|compaction| !compaction.is_finished()) {
         return error_frames(
             ErrorCode::Busy,
             format!("reload {path}: a background compaction is running; retry after it ends"),
@@ -1190,10 +1154,12 @@ fn handle_reload(shared: &Arc<Shared>, path: &str) -> Vec<Frame> {
     }
 }
 
-/// Run one append request against the current generation's live index:
-/// parse, WAL-log, fold into the live snapshot, publish the layered
-/// generation, and maybe kick a background compaction.
+/// Run one append request against the current generation's live index,
+/// under the admin lock: parse, WAL-log, fold into the live snapshot,
+/// publish the layered generation, and maybe kick a background
+/// compaction.
 fn handle_append(shared: &Arc<Shared>, fasta: &str) -> Vec<Frame> {
+    let mut admin = shared.admin();
     if shared.is_shutting_down() {
         return error_frames(ErrorCode::ShuttingDown, "server is shutting down");
     }
@@ -1236,7 +1202,7 @@ fn handle_append(shared: &Arc<Shared>, fasta: &str) -> Vec<Frame> {
             return error_frames(ErrorCode::ShuttingDown, format!("append: {e}"));
         }
     };
-    maybe_spawn_compaction(shared, &live);
+    maybe_spawn_compaction(shared, &mut admin, &live);
     vec![Frame::Appended(AppendDone {
         appended_seqs: receipt.appended_seqs,
         appended_residues: receipt.appended_residues,
@@ -1251,7 +1217,11 @@ fn handle_append(shared: &Arc<Shared>, fasta: &str) -> Vec<Frame> {
 /// threshold and none is already running. The thread folds the delta
 /// into a fresh base artifact and publishes the compacted snapshot; a
 /// publish refused by shutdown aborts without touching the WAL.
-fn maybe_spawn_compaction(shared: &Arc<Shared>, live: &Arc<LiveIndex>) {
+fn maybe_spawn_compaction(
+    shared: &Arc<Shared>,
+    compactions: &mut Vec<JoinHandle<()>>,
+    live: &Arc<LiveIndex>,
+) {
     if shared.compact_after == 0
         || (live.stats().delta_seqs as usize) < shared.compact_after
         || live.is_compacting()
@@ -1260,7 +1230,7 @@ fn maybe_spawn_compaction(shared: &Arc<Shared>, live: &Arc<LiveIndex>) {
     }
     let thread_shared = Arc::clone(shared);
     let live = Arc::clone(live);
-    let handle = std::thread::spawn(move || {
+    let compact = move || {
         let served_live = Arc::clone(&live);
         let result = live.compact(move |snapshot| {
             thread_shared
@@ -1277,15 +1247,15 @@ fn maybe_spawn_compaction(shared: &Arc<Shared>, live: &Arc<LiveIndex>) {
             Ok(_) => {}
             Err(e) => eprintln!("oasis-net: compaction aborted: {e}"),
         }
-    });
-    let mut compactions = shared
-        .compactions
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    };
     // An exited thread needs no join; keeping its handle would keep one
     // dead thread per compaction for the server's whole life.
     compactions.retain(|h| !h.is_finished());
-    compactions.push(handle);
+    match spawn("oasis-compaction".into(), WRITER_STACK, compact) {
+        Ok(handle) => compactions.push(handle),
+        // The delta stays served; the next append tries again.
+        Err(e) => eprintln!("oasis-net: compaction not started: {e}"),
+    }
 }
 
 #[cfg(test)]
@@ -1317,14 +1287,7 @@ mod tests {
         let shared = Arc::clone(&server.shared);
         let runner = std::thread::spawn(move || server.run());
 
-        let all_exited = || {
-            shared
-                .compactions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .all(|h| h.is_finished())
-        };
+        let all_exited = || shared.admin().iter().all(|h| h.is_finished());
         let mut client = Client::connect(addr).unwrap();
         const ROUNDS: u64 = 5;
         for round in 0..ROUNDS {
@@ -1338,11 +1301,7 @@ mod tests {
             }
         }
         assert_eq!(client.metrics().unwrap().compactions, ROUNDS);
-        let retained = shared
-            .compactions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len();
+        let retained = shared.admin().len();
         assert!(retained <= 1, "{retained} compaction handles retained");
         client.shutdown_server().unwrap();
         runner.join().unwrap().unwrap();

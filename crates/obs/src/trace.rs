@@ -2,7 +2,7 @@
 //!
 //! A [`QueryTrace`] is born when a query is admitted and travels *by
 //! value* with it through the serving pipeline — admission queue, worker
-//! execution, event-loop resolution, frame flush — each layer appending a
+//! execution, hit resolution, frame flush — each layer appending a
 //! [`StageSpan`] (a named interval, offsets relative to the trace's birth)
 //! and folding its counters into [`TraceCounters`]. When the response hits
 //! the socket the trace is [finished](QueryTrace::finish) into a plain

@@ -27,8 +27,8 @@
 //!
 //! The network trio makes the serving stack an actual service: `serve`
 //! exposes an index artifact over the versioned wire protocol of
-//! `oasis-net` through one event-driven readiness loop (pipelined
-//! connections, bounded admission with `Busy` backpressure, a bounded
+//! `oasis-net` with a blocking reader and writer thread per connection
+//! (pipelined connections, bounded admission with `Busy` backpressure, a bounded
 //! LRU result cache, per-request deadlines, hot `reload` of a new index
 //! generation), `query --remote` streams hits from such a server with
 //! stdout byte-identical to a local `search`, and `admin` issues
@@ -95,9 +95,10 @@ sequences next to an artifact: later `search --index`/`serve` runs
 replay them into a layered (base + delta) index with results
 byte-identical to a full rebuild, and `--compact` (or a server's
 background compaction) folds them into a fresh base artifact. `serve`
-exposes an artifact over TCP (the oasis-net wire protocol) through one
-event-driven readiness loop: connections are pipelined (several
-requests in flight per stream, responses in request order), bounded
+exposes an artifact over TCP (the oasis-net wire protocol) with a
+blocking reader and writer thread per connection: connections are
+pipelined (several requests in flight per stream, responses in request
+order), bounded
 admission answers Busy backpressure instead of queueing unboundedly,
 --max-conns (default 1024; 0 unlimited) caps concurrent connections, a
 bounded LRU result cache (--cache-entries, default 512; 0 disables)

@@ -1618,3 +1618,343 @@ fn an_expired_deadline_or_a_closed_connection_cancels_the_search() {
     other.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");
 }
+
+#[test]
+fn concurrent_appends_from_two_connections_publish_in_wal_order() {
+    const PER_CLIENT: usize = 20;
+    const MOTIF: &str = "GGGCCCTTTAAAGGG";
+    let dir = tmpdir("concurrent-admin");
+    let (addr, _handle, runner) = start_live_server(&dir, 0);
+    let names = |client: usize| -> Vec<String> {
+        (0..PER_CLIENT).map(|i| format!("c{client}r{i}")).collect()
+    };
+    let appenders: Vec<_> = (0..2)
+        .map(|client| {
+            let records = names(client);
+            std::thread::spawn(move || {
+                let mut conn = bounded_client(addr);
+                records
+                    .iter()
+                    .map(|name| {
+                        let done = conn.append(format!(">{name}\n{MOTIF}\n")).expect("append");
+                        assert_eq!(done.appended_seqs, 1);
+                        (done.generation, done.delta_seqs)
+                    })
+                    .collect::<Vec<(u64, u32)>>()
+            })
+        })
+        .collect();
+    let mut published = Vec::new();
+    for appender in appenders {
+        let acks = appender.join().expect("appender");
+        assert!(
+            acks.windows(2).all(|w| w[0].0 < w[1].0),
+            "one connection's generations must strictly increase: {acks:?}"
+        );
+        published.extend(acks);
+    }
+    // Generations publish in WAL order: ordered by generation, the delta
+    // each append left behind counts 1, 2, …, 40.
+    published.sort_unstable();
+    let deltas: Vec<u32> = published.iter().map(|&(_, delta)| delta).collect();
+    let want: Vec<u32> = (1..=2 * PER_CLIENT as u32).collect();
+    assert_eq!(deltas, want, "{published:?}");
+    let generations: Vec<u64> = published
+        .iter()
+        .map(|&(generation, _)| generation)
+        .collect();
+
+    let mut client = bounded_client(addr);
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(metrics.delta_seqs as usize, 2 * PER_CLIENT, "{metrics:?}");
+    assert_eq!(metrics.generation, *generations.last().unwrap());
+    // The last publish carries every append, whichever connection sent it.
+    let (hits, _) = client
+        .search_collect(SearchRequest::new(MOTIF).with_min_score(MOTIF.len() as i32))
+        .expect("search");
+    let mut found: Vec<String> = hits.into_iter().map(|hit| hit.name).collect();
+    found.sort();
+    let mut want: Vec<String> = names(0).into_iter().chain(names(1)).collect();
+    want.sort();
+    assert_eq!(found, want);
+
+    client.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Read the handshake of a raw connection: `Hello`, or the terminal
+/// error a refused connection gets instead.
+fn greeting(addr: std::net::SocketAddr) -> (std::net::TcpStream, Frame) {
+    let mut stream = std::net::TcpStream::connect(addr).expect("raw connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let frame = oasis::net::read_frame(&mut stream).expect("greeting");
+    (stream, frame)
+}
+
+#[test]
+fn connections_over_max_conns_are_refused_with_busy_until_one_closes() {
+    let db = dna_db(SEQS);
+    let (addr, _handle, runner) = start_server(
+        &db,
+        1,
+        ServerConfig {
+            max_conns: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let (first, hello) = greeting(addr);
+    assert!(matches!(hello, Frame::Hello(_)), "{hello:?}");
+    let mut second = bounded_client(addr);
+
+    let (mut third, refusal) = greeting(addr);
+    match refusal {
+        Frame::Error(e) => {
+            assert_eq!(e.code, ErrorCode::Busy, "{e:?}");
+            assert!(e.message.contains("connection limit"), "{}", e.message);
+        }
+        other => panic!("expected a terminal Busy, got {other:?}"),
+    }
+    // The refusal is terminal: the server closes the stream.
+    assert!(matches!(
+        oasis::net::read_frame(&mut third),
+        Err(NetError::Io(_))
+    ));
+
+    drop(first);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while second.metrics().expect("metrics").connections_open > 1 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the closed connection never left"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (_fourth, hello) = greeting(addr);
+    assert!(matches!(hello, Frame::Hello(_)), "{hello:?}");
+    let metrics = second.metrics().expect("metrics");
+    assert_eq!(metrics.connections_open, 2, "{metrics:?}");
+    assert_eq!(metrics.connections_accepted, 4, "{metrics:?}");
+
+    second.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+}
+
+/// Runs every query on a real engine, except `heavy`: that one emits
+/// `hits` copies of a hit on the sequence with a long name — far more
+/// bytes than the socket buffers hold — and then returns only once its
+/// search is cancelled. `emitted` counts those searches once their hits
+/// are out, `cancelled` once they end.
+struct Firehose {
+    engine: oasis::engine::ShardedEngine,
+    heavy: Vec<u8>,
+    seq: SeqId,
+    hits: usize,
+    emitted: std::sync::atomic::AtomicUsize,
+    cancelled: std::sync::atomic::AtomicUsize,
+}
+
+impl QueryExecutor for Firehose {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+        use std::sync::atomic::Ordering;
+        if job.query != self.heavy {
+            return self.engine.stream(job, sink);
+        }
+        for _ in 0..self.hits {
+            sink.emit(Hit {
+                seq: self.seq,
+                score: 1,
+                t_start: 0,
+                t_len: 1,
+                q_end: 1,
+            });
+        }
+        self.emitted.fetch_add(1, Ordering::SeqCst);
+        while !sink.is_cancelled() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.cancelled.fetch_add(1, Ordering::SeqCst);
+        Default::default()
+    }
+}
+
+/// A server over a [`Firehose`] whose heavy query is "GATT" (4,000 hits
+/// of ~4 KB each: 16 MB per search, so one batch alone outgrows the
+/// loopback socket buffers), with `workers` engine workers.
+fn start_firehose(
+    workers: usize,
+) -> (
+    Arc<SequenceDatabase>,
+    Arc<Firehose>,
+    std::net::SocketAddr,
+    ServerHandle,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let mut b = DatabaseBuilder::new(Alphabet::dna());
+    for (i, s) in SEQS.iter().enumerate() {
+        b.push_str(format!("s{i}"), s).unwrap();
+    }
+    let seq = b.push_str("n".repeat(4000), "ACGT").unwrap();
+    let db = Arc::new(b.finish());
+    let executor = Arc::new(Firehose {
+        engine: oasis::engine::ShardedEngine::build(db.clone(), Scoring::unit_dna(), 2),
+        heavy: Alphabet::dna().encode_str("GATT").unwrap(),
+        seq,
+        hits: 4000,
+        emitted: Default::default(),
+        cancelled: Default::default(),
+    });
+    let index = ServedIndex::new(db.clone(), executor.clone());
+    let config = ServerConfig {
+        workers,
+        queue_capacity: 2 * workers,
+        ..ServerConfig::default()
+    };
+    let server =
+        OasisServer::bind("127.0.0.1:0", index, Scoring::unit_dna(), config).expect("bind");
+    let (addr, handle) = (server.local_addr(), server.handle());
+    (
+        db,
+        executor,
+        addr,
+        handle,
+        std::thread::spawn(move || server.run()),
+    )
+}
+
+/// Open a raw connection that sends `depth` heavy searches and never
+/// reads; return once the first has emitted its hits and its writer has
+/// had time to fill the socket and block.
+fn stop_reading_after(
+    addr: std::net::SocketAddr,
+    depth: usize,
+    executor: &Firehose,
+) -> std::net::TcpStream {
+    use std::io::Write;
+    let (mut stream, hello) = greeting(addr);
+    assert!(matches!(hello, Frame::Hello(_)), "{hello:?}");
+    let mut batch = Vec::new();
+    for _ in 0..depth {
+        oasis::net::write_frame(
+            &mut batch,
+            &Frame::Search(SearchRequest::new("GATT").with_min_score(1)),
+        )
+        .expect("encode request");
+    }
+    stream.write_all(&batch).expect("write pipeline");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while executor.emitted.load(std::sync::atomic::Ordering::SeqCst) == 0 {
+        assert!(std::time::Instant::now() < deadline, "the head never ran");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    stream
+}
+
+#[test]
+fn a_client_that_stops_reading_blocks_only_its_own_connection() {
+    use std::sync::atomic::Ordering;
+
+    // A worker for each of A's searches (they hold theirs until
+    // cancelled) and spares for B.
+    const DEPTH: usize = 32;
+    let (db, executor, addr, _handle, runner) = start_firehose(DEPTH + 2);
+    // Client A pipelines hit-heavy searches and never reads a byte.
+    let a = stop_reading_after(addr, DEPTH, &executor);
+
+    // Client B is served while A's writer is stuck on A's full socket.
+    let mut client_b = Client::connect_timeout(addr, Duration::from_secs(10)).expect("connect b");
+    let (hits, _) = client_b
+        .search_collect(SearchRequest::new("TACG").with_min_score(1))
+        .expect("B's search completes");
+    assert_identical_response(&db, &hits, "TACG", 1);
+
+    // Dropping A (its hits unread, so the kernel resets the connection)
+    // cancels every search of A's that started; none is served.
+    drop(a);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while executor.cancelled.load(Ordering::SeqCst) < executor.emitted.load(Ordering::SeqCst) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "A's searches were not cancelled"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let metrics = client_b.metrics().expect("metrics");
+    assert_eq!(metrics.served, 1, "only B's search is served: {metrics:?}");
+
+    client_b.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+}
+
+#[test]
+fn a_half_closed_client_still_reads_its_whole_response() {
+    use std::io::Read;
+
+    let db = dna_db(SEQS);
+    let want = local_hits(&db, "GATT", 1);
+    let (executor, parked, release) = hold_after_first_hit(&db, "GATT");
+    let (addr, runner) = start_with(&db, executor, 2);
+
+    let (mut stream, hello) = greeting(addr);
+    assert!(matches!(hello, Frame::Hello(_)), "{hello:?}");
+    oasis::net::write_frame(
+        &mut stream,
+        &Frame::Search(SearchRequest::new("GATT").with_min_score(1)),
+    )
+    .expect("send search");
+    // Half-close while the search is held mid-stream: the server's reader
+    // sees the end of the request stream before the response is done.
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    parked
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the search is parked");
+    std::thread::sleep(Duration::from_millis(50));
+    release.send(()).unwrap();
+    let (hits, done) = read_response(&mut stream).expect("the whole response");
+    assert_eq!(done.hits as usize, want.len());
+    assert_identical_response(&db, &hits, "GATT", 1);
+    // Then the server closes the connection.
+    assert_eq!(stream.read(&mut [0u8; 1]).expect("clean close"), 0);
+
+    let mut admin = bounded_client(addr);
+    admin.shutdown_server().expect("shutdown");
+    runner.join().expect("accept loop").expect("run ok");
+}
+
+#[test]
+fn shutdown_force_closes_a_peer_that_stopped_reading() {
+    use std::sync::atomic::Ordering;
+
+    let (_db, executor, addr, handle, runner) = start_firehose(2);
+    let stalled = stop_reading_after(addr, 1, &executor);
+    // Its writer is blocked in a write and its search never ends: only
+    // the drain grace period's force-close can end the connection.
+    let (joined_tx, joined) = mpsc::channel();
+    std::thread::spawn(move || joined_tx.send(runner.join()).ok());
+    let started = std::time::Instant::now();
+    handle.shutdown();
+    let run = joined
+        .recv_timeout(Duration::from_secs(60))
+        .expect("shutdown wedged");
+    run.expect("accept loop").expect("run ok");
+    let waited = started.elapsed();
+    assert!(
+        waited >= Duration::from_secs(5),
+        "closed before the grace period: {waited:?}"
+    );
+    // Force-closing the connection dropped its ticket: the search ends.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while executor.cancelled.load(Ordering::SeqCst) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the search was not cancelled"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(stalled);
+}
