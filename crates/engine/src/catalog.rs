@@ -13,9 +13,7 @@
 //!   they pinned (their `Arc` keeps it alive);
 //! * every query admitted after the swap pins the new generation;
 //! * the old generation is dropped exactly when its last pinned query
-//!   completes (the catalog itself keeps only a [`Weak`] to retired
-//!   generations, observable through
-//!   [`retired_in_flight`](IndexCatalog::retired_in_flight)).
+//!   completes: the catalog keeps no reference to a retired generation.
 //!
 //! A generation wraps any [`crate::QueryExecutor`] (a
 //! [`crate::ShardedEngine`] or a test double):
@@ -26,7 +24,6 @@
 //! use oasis_bioseq::{Alphabet, DatabaseBuilder};
 //! use oasis_core::OasisParams;
 //! use oasis_engine::{BatchQuery, IndexCatalog, ServingConfig, ServingEngine, ShardedEngine};
-//! use oasis_obs::QueryTrace;
 //!
 //! let mut b = DatabaseBuilder::new(Alphabet::dna());
 //! b.push_str("s0", "AGTACGCCTAG").unwrap();
@@ -38,9 +35,7 @@
 //! // Admission pins the current generation; the query runs on it.
 //! let query = Alphabet::dna().encode_str("TACG").unwrap();
 //! let job = BatchQuery::new(query, OasisParams::with_min_score(2));
-//! let ticket = serving
-//!     .try_submit(catalog.current(), job, QueryTrace::disabled(), None)
-//!     .unwrap();
+//! let ticket = serving.try_submit(catalog.current(), job, None).unwrap();
 //!
 //! // … meanwhile, without stopping admission: build (or load) a new
 //! // generation and swap it in. Pinned queries finish on the old one.
@@ -57,7 +52,7 @@
 //! into a server that is already draining.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, Weak};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One catalogued index generation: an executor plus the identity it was
 /// published under. Handed out pinned (`Arc`) by [`IndexCatalog::current`];
@@ -87,15 +82,6 @@ impl<E: ?Sized> Generation<E> {
     }
 }
 
-/// Identity of a retired generation still pinned by in-flight queries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GenerationInfo {
-    /// The generation's id.
-    pub id: u64,
-    /// The label supplied at publication.
-    pub label: String,
-}
-
 /// Why a publish was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PublishError {
@@ -123,9 +109,6 @@ impl std::error::Error for PublishError {}
 pub struct IndexCatalog<E> {
     current: RwLock<Arc<Generation<E>>>,
     next_id: AtomicU64,
-    /// Retired generations, weakly held: an entry upgrades only while some
-    /// in-flight query still owns the generation.
-    retired: RwLock<Vec<(GenerationInfo, Weak<Generation<E>>)>>,
     /// Set by [`begin_shutdown`](IndexCatalog::begin_shutdown), checked
     /// under the `current` write lock so a publish and a shutdown cannot
     /// interleave.
@@ -142,7 +125,6 @@ impl<E> IndexCatalog<E> {
                 executor,
             })),
             next_id: AtomicU64::new(1),
-            retired: RwLock::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
         }
     }
@@ -154,37 +136,29 @@ impl<E> IndexCatalog<E> {
     /// [`begin_shutdown`](IndexCatalog::begin_shutdown) — the generation
     /// is then dropped, never swapped in.
     pub fn publish(&self, label: impl Into<String>, executor: E) -> Result<u64, PublishError> {
-        let (id, old) = {
-            // The data under these locks (an Arc and a list of weak
-            // handles) stays valid across any panic, so a poisoned lock
-            // is recovered rather than cascading the panic into every
-            // later query on the serving path.
-            let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
-            if self.shutting_down.load(Ordering::Relaxed) {
-                return Err(PublishError::ShuttingDown);
-            }
-            // The id is allocated only after the shutdown check (and under
-            // the same lock), so ids stay dense and
-            // [`generations_published`](IndexCatalog::generations_published)
-            // counts exactly the generations that actually served.
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let fresh = Arc::new(Generation {
-                id,
-                label: label.into(),
-                executor,
-            });
-            (id, std::mem::replace(&mut *current, fresh))
-        };
-        let mut retired = self.retired.write().unwrap_or_else(PoisonError::into_inner);
-        retired.push((
-            GenerationInfo {
-                id: old.id,
-                label: old.label.clone(),
-            },
-            Arc::downgrade(&old),
-        ));
-        // Drop dead bookkeeping eagerly so a long-lived catalog stays flat.
-        retired.retain(|(_, weak)| weak.strong_count() > 0);
+        // The `Arc` under the lock stays valid across any panic, so a
+        // poisoned lock is recovered rather than cascading the panic into
+        // every later query on the serving path.
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        if self.shutting_down.load(Ordering::Relaxed) {
+            return Err(PublishError::ShuttingDown);
+        }
+        // The id is allocated only after the shutdown check (and under
+        // the same lock), so ids stay dense and
+        // [`generations_published`](IndexCatalog::generations_published)
+        // counts exactly the generations that actually served.
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let fresh = Arc::new(Generation {
+            id,
+            label: label.into(),
+            executor,
+        });
+        let retired = std::mem::replace(&mut *current, fresh);
+        // Unlock first: the retired generation drops here unless queries
+        // still pin it (the last of them drops it then), and freeing an
+        // index must not stall admissions.
+        drop(current);
+        drop(retired);
         Ok(id)
     }
 
@@ -212,15 +186,6 @@ impl<E> IndexCatalog<E> {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .clone()
-    }
-
-    /// Retired generations still pinned by in-flight queries. Empty once
-    /// every query admitted before the last publish has completed — the
-    /// observable guarantee that old generations are dropped, not leaked.
-    pub fn retired_in_flight(&self) -> Vec<GenerationInfo> {
-        let mut retired = self.retired.write().unwrap_or_else(PoisonError::into_inner);
-        retired.retain(|(_, weak)| weak.strong_count() > 0);
-        retired.iter().map(|(info, _)| info.clone()).collect()
     }
 
     /// Total generations ever published (including generation 0).
@@ -285,24 +250,20 @@ mod tests {
             }),
         ));
         // A query pins generation 0 and parks inside it.
-        let worker = {
-            let pinned = catalog.current();
-            std::thread::spawn(move || pinned.executor().run())
-        };
+        let pinned = catalog.current();
+        let retired = Arc::downgrade(&pinned);
+        let worker = std::thread::spawn(move || pinned.executor().run());
         started_rx.recv().unwrap();
         // Swap generations while the query is in flight.
         catalog.publish("instant", Either::Instant).unwrap();
         // New queries run (on the new generation) without blocking…
         catalog.current().executor().run();
         // …while the old generation is still pinned by the parked query.
-        let pinned = catalog.retired_in_flight();
-        assert_eq!(pinned.len(), 1);
-        assert_eq!(pinned[0].id, 0);
-        assert_eq!(pinned[0].label, "gated");
+        assert!(retired.upgrade().is_some());
         // Release it: the old generation must drop with the last query.
         release_tx.send(()).unwrap();
         worker.join().unwrap();
-        assert!(catalog.retired_in_flight().is_empty());
+        assert!(retired.upgrade().is_none());
     }
 
     #[test]
@@ -322,6 +283,5 @@ mod tests {
         assert_eq!(catalog.current().id(), 1);
         // Queries still run on the current generation while draining.
         assert_eq!(catalog.current().executor().0, 9);
-        assert!(catalog.retired_in_flight().is_empty());
     }
 }

@@ -83,7 +83,7 @@ mod serving;
 mod shard;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
-pub use catalog::{Generation, GenerationInfo, IndexCatalog, PublishError};
+pub use catalog::{Generation, IndexCatalog, PublishError};
 pub use compactor::CompactionReport;
 pub use delta::DeltaIndex;
 pub use layered::{AppendReceipt, LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats};

@@ -35,10 +35,10 @@
 //! lives, every sample counted — and [`ServingEngine::snapshot`], the
 //! engine's one read API, folds them with the served/rejected counters
 //! and the queue depth into the torn-free [`ServingSnapshot`] behind the
-//! `Metrics` wire frame. A query submitted with an enabled
-//! [`oasis_obs::QueryTrace`] carries it through the queue and worker,
-//! coming back out with `queue_wait`/`execute` stage spans and the
-//! driver's work counters recorded.
+//! `Metrics` wire frame. A completed query's [`ServedOutcome`] carries
+//! its queue wait, service time and the driver's work counters, from
+//! which a caller builds its own per-query record (the server's
+//! [`oasis_obs::QueryTrace`]).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,8 +50,7 @@ use crate::catalog::Generation;
 use crate::shard::SessionPoll;
 use crate::{BatchQuery, SearchOutcome, ShardedEngine};
 use oasis_core::{Hit, SearchStats};
-use oasis_obs::trace::stage;
-use oasis_obs::{Histogram, HistogramSnapshot, QueryTrace};
+use oasis_obs::{Histogram, HistogramSnapshot};
 use oasis_storage::PoolStatsSnapshot;
 
 /// Driver steps the worker runs between cancellation checks. One step
@@ -191,10 +190,6 @@ pub struct ServedOutcome {
     pub service: Duration,
     /// Submit-to-completion latency (`queue_wait + service`).
     pub total: Duration,
-    /// The query's trace, with admission/execution spans and driver
-    /// counters recorded (disabled and empty unless submitted with an
-    /// enabled trace).
-    pub trace: QueryTrace,
 }
 
 /// How a streamed query ended, as [`QueryTicket::poll`] reports it once
@@ -354,9 +349,6 @@ struct Submission {
     stream: Arc<Stream>,
     submitted: Instant,
     ready: Option<ReadyHook>,
-    /// Travels with the query; disabled (and free) unless the caller
-    /// passed an enabled trace.
-    trace: QueryTrace,
 }
 
 /// A torn-free view of a serving engine at one instant.
@@ -443,10 +435,7 @@ impl ServingEngine {
     ///
     /// The submission holds `generation` until the query has executed, so
     /// a publish after admission never changes what the query runs on.
-    /// An enabled `trace` gets the `queue_wait` and `execute` stage spans
-    /// plus the driver's work counters, and comes back in
-    /// [`ServedOutcome::trace`]; [`QueryTrace::disabled`] opts out at zero
-    /// cost. A `ready` hook fires whenever the ticket has something new to
+    /// A `ready` hook fires whenever the ticket has something new to
     /// take — the nonblocking path: the caller polls the ticket with
     /// [`QueryTicket::poll`] after the hook fired, so it never parks a
     /// thread per in-flight query.
@@ -454,7 +443,6 @@ impl ServingEngine {
         &self,
         generation: Arc<Generation<E>>,
         job: BatchQuery,
-        trace: QueryTrace,
         ready: Option<ReadyHook>,
     ) -> Result<QueryTicket, AdmissionError> {
         let stream = Arc::new(Stream {
@@ -488,7 +476,6 @@ impl ServingEngine {
                 stream: Arc::clone(&stream),
                 submitted: Instant::now(),
                 ready,
-                trace,
             });
         }
         self.shared.wake.notify_one();
@@ -562,7 +549,6 @@ fn worker_loop(shared: &Shared) {
             stream,
             submitted,
             ready,
-            mut trace,
         } = {
             let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
@@ -601,15 +587,6 @@ fn worker_loop(shared: &Shared) {
             // Nobody will read a cancelled search: it is not served.
             Ok(_) if stream.cancelled.load(Ordering::Relaxed) => continue,
             Ok((stats, pool_delta)) => {
-                trace.record_span(stage::QUEUE_WAIT, submitted, started);
-                trace.record_span(stage::EXECUTE, started, finished);
-                trace.record_search(
-                    stats.nodes_expanded,
-                    stats.nodes_enqueued,
-                    stats.columns_expanded,
-                    stats.nodes_pruned,
-                    stats.hits_emitted,
-                );
                 let served = ServedOutcome {
                     id: job.id,
                     outcome: SearchOutcome {
@@ -620,7 +597,6 @@ fn worker_loop(shared: &Shared) {
                     queue_wait: started - submitted,
                     service: finished - started,
                     total: finished - submitted,
-                    trace,
                 };
                 shared.queue_wait.record_duration(served.queue_wait);
                 shared.service.record_duration(served.service);
@@ -662,13 +638,13 @@ mod tests {
         crate::IndexCatalog::new("test", executor).current()
     }
 
-    /// Untraced, unhooked submission onto `generation`.
+    /// Unhooked submission onto `generation`.
     fn submit<E: QueryExecutor + 'static>(
         serving: &ServingEngine,
         generation: &Arc<Generation<E>>,
         job: BatchQuery,
     ) -> Result<QueryTicket, AdmissionError> {
-        serving.try_submit(Arc::clone(generation), job, QueryTrace::disabled(), None)
+        serving.try_submit(Arc::clone(generation), job, None)
     }
 
     fn job(alpha: &Alphabet, text: &str) -> BatchQuery {
@@ -875,48 +851,6 @@ mod tests {
         assert_eq!(serving.snapshot().served, 2000);
     }
 
-    #[test]
-    fn traced_submission_records_stages_and_counters() {
-        let db = dna_db(&["AGTACGCCTAG", "TACCG", "GGTAGG"]);
-        let generation = pinned(engine(&db));
-        let serving = ServingEngine::new(ServingConfig {
-            workers: 1,
-            queue_capacity: 4,
-        })
-        .expect("valid serving config");
-        let alpha = Alphabet::dna();
-        let trace = QueryTrace::enabled(7, 4);
-        let ticket = serving
-            .try_submit(
-                Arc::clone(&generation),
-                job(&alpha, "TACG"),
-                trace,
-                Some(Box::new(|| {})),
-            )
-            .expect("admitted");
-        let served = ticket.wait().expect("completed");
-        let trace = &served.trace;
-        assert!(trace.is_enabled());
-        let names: Vec<&str> = trace.spans().iter().map(|s| s.stage.as_str()).collect();
-        assert_eq!(names, vec!["queue_wait", "execute"]);
-        // Spans are ordered and contiguous: execute starts where the
-        // queue wait ended.
-        let spans = trace.spans();
-        assert!(spans[1].start_us >= spans[0].start_us + spans[0].dur_us);
-        assert_eq!(trace.counters.hits, served.outcome.stats.hits_emitted);
-        assert_eq!(
-            trace.counters.nodes_expanded,
-            served.outcome.stats.nodes_expanded
-        );
-        // An untraced submission stays disabled and recordless.
-        let plain = submit(&serving, &generation, job(&alpha, "GGTA"))
-            .expect("admitted")
-            .wait()
-            .expect("completed");
-        assert!(!plain.trace.is_enabled());
-        assert!(plain.trace.spans().is_empty());
-    }
-
     /// Emits one hit, then parks until its ticket is dropped — it only
     /// ever returns through the cancel path.
     struct HitThenPark {
@@ -962,7 +896,6 @@ mod tests {
             .try_submit(
                 Arc::clone(&generation),
                 BatchQuery::named("park", vec![0], params),
-                QueryTrace::disabled(),
                 Some(Box::new(move || {
                     ready_tx.lock().unwrap().send(()).ok();
                 })),

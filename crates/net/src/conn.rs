@@ -17,6 +17,11 @@
 //! drops its tickets, which cancels their searches. A frame that stalls
 //! mid-transfer for [`STALL_TIMEOUT`] is malformed; the read timeout is
 //! armed only while a frame is partly read.
+//!
+//! Each search response's [`QueryTrace`] is the writer's from admission
+//! to the response's last byte: [`Conn::flush`] adds each write to its
+//! `frame_flush` span and stamps its `first_hit`, then hands the trace of
+//! every response that ended to the server.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -25,6 +30,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use oasis_engine::{CacheKey, Generation, QueryTicket};
+use oasis_obs::trace::stage;
 use oasis_obs::QueryTrace;
 
 use crate::frame::{read_frame, write_frame, Frame};
@@ -311,9 +317,9 @@ impl Registry {
 /// One request's slot in the pipeline queue.
 pub(crate) enum Pending {
     /// The response frames are known; write them when this entry reaches
-    /// the head of the queue. A traced response (a cache hit) carries its
-    /// [`QueryTrace`] along so [`Conn::flush`] can time the write and hand
-    /// the trace back to the server.
+    /// the head of the queue. A cache hit carries its [`QueryTrace`]
+    /// along so [`Conn::flush`] can time the write and hand the trace
+    /// back to the server.
     Ready(Vec<Frame>, Option<Box<QueryTrace>>),
     /// An admitted search whose hits stream in from an engine worker.
     Streaming(Box<StreamingSearch>),
@@ -338,43 +344,9 @@ pub(crate) struct StreamingSearch {
     /// The server's WAL-fsync counter at admission; the trace reports
     /// the delta (fsyncs that ran while this query was in flight).
     pub(crate) fsyncs_at_submit: u64,
-    /// Writer-side timings of the batches streamed so far.
-    pub(crate) clock: StreamClock,
-}
-
-/// The writer's side of one response: when it was admitted, when its
-/// first hit reached the socket, and the time its batches spent being
-/// resolved and flushed, summed over batches.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StreamClock {
-    /// When the request was admitted (or answered, for a cache hit).
-    pub(crate) admitted: Instant,
-    /// When the first `Hit` frame was handed to the socket.
-    pub(crate) first_hit: Option<Instant>,
-    /// When the first batch was resolved, and the total resolve time.
-    pub(crate) resolve: Option<(Instant, Duration)>,
-    /// When the first batch was flushed, and the total flush time.
-    pub(crate) flush: Option<(Instant, Duration)>,
-}
-
-impl StreamClock {
-    pub(crate) fn new(admitted: Instant) -> Self {
-        StreamClock {
-            admitted,
-            first_hit: None,
-            resolve: None,
-            flush: None,
-        }
-    }
-
-    /// Add the interval `start..end` to a summed stage.
-    pub(crate) fn add(stage: &mut Option<(Instant, Duration)>, start: Instant, end: Instant) {
-        let spent = end.saturating_duration_since(start);
-        match stage {
-            Some((_, total)) => *total += spent,
-            None => *stage = Some((start, spent)),
-        }
-    }
+    /// The query's record, born at admission: the writer's stages as they
+    /// happen, the worker's once the search is done.
+    pub(crate) trace: QueryTrace,
 }
 
 /// What the server's policy made of one streaming entry this pass.
@@ -383,18 +355,9 @@ pub(crate) enum Advance {
     Idle,
     /// The next batch of `Hit` frames; the search is still running.
     Batch(Vec<Frame>),
-    /// The response's last frames — remaining hits then `Done`, or a
-    /// terminal error — plus the trace of a traced search that completed.
-    End(Vec<Frame>, Option<Box<QueryTrace>>),
-}
-
-/// A response whose last frame was handed to the socket this flush, for
-/// the server to file into its stage histograms and slow-query log.
-pub(crate) struct Flushed {
-    /// Its writer-side timings.
-    pub(crate) clock: StreamClock,
-    /// Its trace, if it was traced and answered (not an error).
-    pub(crate) trace: Option<QueryTrace>,
+    /// The response's last frames: remaining hits then `Done`, or a
+    /// terminal error.
+    End(Vec<Frame>),
 }
 
 /// The writer's side of one client connection.
@@ -453,21 +416,22 @@ impl Conn {
     /// `write_all`; an `Err` means the connection is dead.
     ///
     /// The encode plus the write is the batch's flush time. It is added to
-    /// the clock of every response that wrote in this call, and a response
-    /// whose first `Hit` frame was in the call takes the write's end as
-    /// its first-hit instant. Responses that ended here come back through
-    /// `flushed`.
+    /// the `frame_flush` span of every search response that wrote in this
+    /// call, and a response whose first `Hit` frame was in the call gets a
+    /// `first_hit` span ending when the write did. The traces of the
+    /// responses that ended here are pushed onto `ended`.
     pub(crate) fn flush<F>(
         &mut self,
         mut advance: F,
-        flushed: &mut Vec<Flushed>,
+        ended: &mut Vec<QueryTrace>,
     ) -> Result<(), NetError>
     where
         F: FnMut(&mut StreamingSearch, bool) -> Advance,
     {
         let flush_start = Instant::now();
-        // Responses that ended in this call, and whether each sent a hit.
-        let mut ended: Vec<(Flushed, bool)> = Vec::new();
+        // Responses that ended in this call, and whether each sent a hit
+        // (a cache hit's hits never count as a first hit).
+        let mut done: Vec<(QueryTrace, bool)> = Vec::new();
         // The head kept streaming and sent hits in this call.
         let mut head_sent = false;
         loop {
@@ -479,9 +443,7 @@ impl Conn {
                     };
                     self.encode(&frames)?;
                     if let Some(trace) = trace {
-                        let clock = StreamClock::new(trace.born());
-                        let trace = Some(*trace);
-                        ended.push((Flushed { clock, trace }, false));
+                        done.push((*trace, false));
                     }
                 }
                 Some(Pending::Streaming(search)) => match advance(search, true) {
@@ -491,15 +453,13 @@ impl Conn {
                         head_sent = true;
                         break;
                     }
-                    Advance::End(frames, trace) => {
+                    Advance::End(frames) => {
                         self.encode(&frames)?;
                         let Some(Pending::Streaming(search)) = self.pending.pop_front() else {
                             break;
                         };
                         let sent = frames.iter().any(|f| matches!(f, Frame::Hit(_)));
-                        let trace = trace.map(|t| *t);
-                        let clock = search.clock;
-                        ended.push((Flushed { clock, trace }, sent));
+                        done.push((search.trace, sent));
                     }
                 },
             }
@@ -508,8 +468,8 @@ impl Conn {
         // them (their tickets drop here, cancelling the searches).
         for entry in self.pending.iter_mut().skip(1) {
             if let Pending::Streaming(search) = entry {
-                if let Advance::End(frames, trace) = advance(search, false) {
-                    *entry = Pending::Ready(frames, trace);
+                if let Advance::End(frames) = advance(search, false) {
+                    *entry = Pending::Ready(frames, None);
                 }
             }
         }
@@ -519,14 +479,20 @@ impl Conn {
             written?;
         }
         let flush_end = Instant::now();
+        let charge = |trace: &mut QueryTrace, sent_hit: bool| {
+            trace.record_span(stage::FRAME_FLUSH, flush_start, flush_end);
+            if sent_hit && trace.span(stage::FIRST_HIT).is_none() {
+                trace.record_span(stage::FIRST_HIT, trace.born(), flush_end);
+            }
+        };
         if head_sent {
             if let Some(Pending::Streaming(search)) = self.pending.front_mut() {
-                stamp(&mut search.clock, flush_start, flush_end, true);
+                charge(&mut search.trace, true);
             }
         }
-        for (mut done, sent) in ended {
-            stamp(&mut done.clock, flush_start, flush_end, sent);
-            flushed.push(done);
+        for (mut trace, sent) in done {
+            charge(&mut trace, sent);
+            ended.push(trace);
         }
         Ok(())
     }
@@ -539,15 +505,6 @@ impl Conn {
             write_frame(&mut self.out, frame)?;
         }
         Ok(())
-    }
-}
-
-/// Charge one flush (`start..end`) to a response's clock; `sent_hit`
-/// marks the write that carried its first `Hit` frame.
-fn stamp(clock: &mut StreamClock, start: Instant, end: Instant, sent_hit: bool) {
-    StreamClock::add(&mut clock.flush, start, end);
-    if sent_hit && clock.first_hit.is_none() {
-        clock.first_hit = Some(end);
     }
 }
 

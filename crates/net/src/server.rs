@@ -26,6 +26,14 @@
 //! a search that completed is inserted; cache hits stream the same hit
 //! frames a fresh execution would, with `service_us = 0`.
 //!
+//! Every search response has one [`QueryTrace`], born at admission and
+//! kept by the connection's writer until its last byte is written. The
+//! writer records its own stages as they happen and, once the search is
+//! done, the worker's `queue_wait`/`execute` from the [`ServedOutcome`].
+//! Each finished trace feeds the writer-side stage histograms; an
+//! answered search (executed or a cache hit) at or over
+//! [`ServerConfig::slow_ms`] is kept in the slow-query ring.
+//!
 //! Admin frames run on the requesting connection's writer. One admin
 //! lock serializes `Reload`, `Append` and the compaction spawn, so
 //! generations publish in WAL order. Artifacts are opened only by
@@ -63,6 +71,7 @@
 //! [`Conn`]: crate::conn::Conn
 //! [`read_frame`]: crate::frame::read_frame
 //! [`ServingEngine::try_submit`]: oasis_engine::ServingEngine::try_submit
+//! [`ServedOutcome`]: oasis_engine::ServedOutcome
 
 use std::collections::BTreeMap;
 use std::io::{self, ErrorKind, Read, Write};
@@ -88,8 +97,7 @@ use oasis_obs::{Counter, Histogram, HistogramSnapshot, QueryTrace, SlowLog};
 use oasis_storage::{read_manifest, ArtifactError, PoolStatsSnapshot};
 
 use crate::conn::{
-    read_requests, Advance, Conn, Flushed, Pending, ReadEnd, Registry, StreamClock,
-    StreamingSearch, Waker,
+    read_requests, Advance, Conn, Pending, ReadEnd, Registry, StreamingSearch, Waker,
 };
 use crate::frame::{
     write_frame, AppendDone, ErrorCode, ErrorFrame, Frame, GenerationServed, Hello, MetricsReport,
@@ -214,13 +222,10 @@ pub struct ServerConfig {
     /// minimal HTTP/1.0 — `curl http://addr/metrics` works; so does a
     /// bare TCP read.
     pub metrics_addr: Option<SocketAddr>,
-    /// Slow-query threshold in milliseconds. `Some(ms)` enables
-    /// per-query tracing: every search carries a [`QueryTrace`] through
-    /// the pipeline, and queries whose admission-to-flush time reaches
-    /// the threshold land in the slow-query ring (`Some(0)` logs every
-    /// query). `None` disables tracing entirely — searches carry a
-    /// disabled trace that never allocates.
-    pub slow_ms: Option<u64>,
+    /// Slow-query threshold in milliseconds: an answered search whose
+    /// admission-to-last-byte time reaches it lands in the slow-query
+    /// ring (`0` logs every answered search).
+    pub slow_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -233,7 +238,7 @@ impl Default for ServerConfig {
             max_conns: 1024,
             cache_entries: 512,
             metrics_addr: None,
-            slow_ms: None,
+            slow_ms: 250,
         }
     }
 }
@@ -301,14 +306,14 @@ struct Shared {
     /// Admission to the first `Hit` frame handed to the socket, per
     /// streamed search that sent a hit (µs).
     first_hit_hist: Histogram,
-    /// Time to encode and hand a traced response to the kernel (µs);
-    /// samples only while tracing is enabled (`slow_ms` set).
+    /// Time to encode and hand a search response to the kernel, summed
+    /// over its batches (µs).
     flush_hist: Histogram,
-    /// Slow-query threshold, microseconds (`None` = tracing off).
-    slow_threshold_us: Option<u64>,
+    /// Slow-query threshold, microseconds.
+    slow_us: u64,
     /// The bounded slow-query ring, dumped by `TraceDumpRequest`.
     slowlog: SlowLog,
-    /// WAL fsyncs performed (one per acknowledged append).
+    /// WAL fsyncs performed (one per appended sequence).
     wal_fsyncs: Counter,
 }
 
@@ -459,7 +464,7 @@ impl OasisServer {
             resolve_hist: Histogram::new(),
             first_hit_hist: Histogram::new(),
             flush_hist: Histogram::new(),
-            slow_threshold_us: config.slow_ms.map(|ms| ms.saturating_mul(1000)),
+            slow_us: config.slow_ms.saturating_mul(1000),
             slowlog: SlowLog::new(SLOWLOG_CAPACITY),
             wal_fsyncs: Counter::new(),
         });
@@ -658,14 +663,14 @@ fn serve_connection(shared: &Arc<Shared>, mut conn: Conn, waker: &Arc<Waker>) {
             conn.term_queued = true;
             conn.closing = true;
         }
-        let mut flushed = Vec::new();
+        let mut ended = Vec::new();
         let now = Instant::now();
         let advance =
             |search: &mut StreamingSearch, head| advance_stream(shared, search, head, now);
-        if conn.flush(advance, &mut flushed).is_err() {
+        if conn.flush(advance, &mut ended).is_err() {
             return; // client gone mid-response
         }
-        deposit(shared, flushed);
+        deposit(shared, ended);
         if conn.pending.is_empty() && (conn.closing || conn.peer_eof) {
             return;
         }
@@ -768,8 +773,9 @@ fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest)
         }
     };
 
-    let query_len = encoded.len() as u32;
     let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
+    let mut trace = QueryTrace::new(token, encoded.len() as u32);
+    trace.counters.generation = generation;
     let key = CacheKey {
         generation,
         query: encoded.clone(),
@@ -790,17 +796,11 @@ fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest)
             service_us: 0,
             total_us: 0,
         }));
-        if shared.slow_threshold_us.is_some() {
-            // A traced cache hit still gets a record: no queue/execute
-            // spans (nothing executed), flush span stamped on the way
-            // out, cache_hit set so the slow log tells the paths apart.
-            let mut trace = QueryTrace::enabled(token, query_len);
-            trace.counters.cache_hit = true;
-            trace.counters.generation = generation;
-            trace.counters.hits = cached.len() as u64;
-            return Pending::Ready(frames, Some(Box::new(trace)));
-        }
-        return reply(frames);
+        // Nothing executed: the trace gets only its flush span, and
+        // `cache_hit` tells the slow log the paths apart.
+        trace.counters.cache_hit = true;
+        trace.counters.hits = cached.len() as u64;
+        return Pending::Ready(frames, Some(Box::new(trace)));
     }
 
     let mut params = OasisParams::with_min_score(min_score);
@@ -811,17 +811,11 @@ fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest)
     if let Some(top) = req.top {
         job = job.with_limit(top as usize);
     }
-    let submitted = Instant::now();
     let waker = Arc::clone(waker);
     let ready = Box::new(move || waker.wake());
-    let trace = if shared.slow_threshold_us.is_some() {
-        QueryTrace::enabled(token, query_len)
-    } else {
-        QueryTrace::disabled()
-    };
     let admitted = shared
         .serving
-        .try_submit(Arc::clone(&pinned), job, trace, Some(ready));
+        .try_submit(Arc::clone(&pinned), job, Some(ready));
     let ticket = match admitted {
         Ok(ticket) => ticket,
         Err(AdmissionError::QueueFull { capacity }) => {
@@ -841,13 +835,13 @@ fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest)
         ticket,
         deadline: req
             .deadline_ms
-            .map(|ms| submitted + Duration::from_millis(ms as u64)),
+            .map(|ms| trace.born() + Duration::from_millis(ms as u64)),
         deadline_ms: req.deadline_ms,
         cache_key: Some(key),
         min_score,
         generation: pinned,
         fsyncs_at_submit: shared.wal_fsyncs.get(),
-        clock: StreamClock::new(submitted),
+        trace,
     }))
 }
 
@@ -868,7 +862,7 @@ fn advance_stream(
     let expired = search.deadline.is_some_and(|deadline| now >= deadline);
     if !head {
         return if expired && !search.ticket.is_finished() {
-            Advance::End(deadline_frames(search), None)
+            Advance::End(deadline_frames(search))
         } else {
             Advance::Idle
         };
@@ -893,29 +887,40 @@ fn advance_stream(
                 service_us: served.service.as_micros() as u64,
                 total_us: served.total.as_micros() as u64,
             }));
-            let mut trace = served.trace;
-            let trace = trace.is_enabled().then(|| {
-                trace.counters.generation = generation;
-                trace.counters.wal_fsyncs = shared
-                    .wal_fsyncs
-                    .get()
-                    .saturating_sub(search.fsyncs_at_submit);
-                Box::new(trace)
-            });
-            Advance::End(frames, trace)
+            // The worker's stages, laid out from admission.
+            let trace = &mut search.trace;
+            let started = trace.born() + served.queue_wait;
+            trace.record_span(stage::QUEUE_WAIT, trace.born(), started);
+            trace.record_span(stage::EXECUTE, started, started + served.service);
+            let stats = &served.outcome.stats;
+            trace.record_search(
+                stats.nodes_expanded,
+                stats.nodes_enqueued,
+                stats.columns_expanded,
+                stats.nodes_pruned,
+                stats.hits_emitted,
+            );
+            trace.counters.wal_fsyncs = shared
+                .wal_fsyncs
+                .get()
+                .saturating_sub(search.fsyncs_at_submit);
+            Advance::End(frames)
         }
         Some(StreamEnd::Failed) => {
             frames.extend(error_frames(ErrorCode::Internal, "query execution failed"));
-            Advance::End(frames, None)
+            Advance::End(frames)
         }
         None if expired => {
             frames.extend(deadline_frames(search));
-            Advance::End(frames, None)
+            Advance::End(frames)
         }
         None if frames.is_empty() => return Advance::Idle,
         None => Advance::Batch(frames),
     };
-    StreamClock::add(&mut search.clock.resolve, resolve_start, Instant::now());
+    let resolved = Instant::now();
+    search
+        .trace
+        .record_span(stage::RESOLVE, resolve_start, resolved);
     advance
 }
 
@@ -926,7 +931,7 @@ fn deadline_frames(search: &StreamingSearch) -> Vec<Frame> {
         ErrorCode::DeadlineExceeded,
         format!(
             "deadline of {ms} ms elapsed ({:?} in)",
-            search.clock.admitted.elapsed()
+            search.trace.born().elapsed()
         ),
     )
 }
@@ -1040,53 +1045,41 @@ fn trace_dump_frame(shared: &Shared) -> Frame {
                 .spans
                 .into_iter()
                 .map(|span| TraceSpan {
-                    stage: span.stage,
-                    start_us: span.start_us,
-                    dur_us: span.dur_us,
+                    stage: span.stage.to_string(),
+                    start_us: span.start.as_micros() as u64,
+                    dur_us: span.dur.as_micros() as u64,
                 })
                 .collect(),
         })
         .collect();
     Frame::TraceDump(TraceDump {
-        threshold_us: shared.slow_threshold_us.unwrap_or(u64::MAX),
+        threshold_us: shared.slow_us,
         capacity: snap.capacity.min(u32::MAX as usize) as u32,
         dropped: snap.dropped,
         entries,
     })
 }
 
-/// File the responses that finished flushing: their writer-side stages go
-/// into the stage histograms and, for a traced search, into its trace as
-/// spans; a trace that crossed the slow threshold is kept in the ring.
-/// Only traced responses pay for spans and the ring.
-fn deposit(shared: &Shared, flushed: Vec<Flushed>) {
-    for Flushed { clock, trace } in flushed {
-        if let Some(first_hit) = clock.first_hit {
-            shared
-                .first_hit_hist
-                .record_duration(first_hit.saturating_duration_since(clock.admitted));
-        }
-        if let Some((_, spent)) = clock.resolve {
-            shared.resolve_hist.record_duration(spent);
-        }
-        let Some(mut trace) = trace else {
-            continue;
-        };
-        if let Some((start, spent)) = clock.resolve {
-            trace.record_span(stage::RESOLVE, start, start + spent);
-        }
-        if let Some((start, spent)) = clock.flush {
-            trace.record_span(stage::FRAME_FLUSH, start, start + spent);
-            shared.flush_hist.record_duration(spent);
-        }
-        if let Some(first_hit) = clock.first_hit {
-            trace.record_span(stage::FIRST_HIT, clock.admitted, first_hit);
-        }
+/// File the search responses that finished writing: each trace's
+/// writer-side spans feed the stage histograms (the engine keeps
+/// `queue_wait` and `execute`), and an answered search whose total
+/// reached the slow threshold is kept in the ring.
+fn deposit(shared: &Shared, ended: Vec<QueryTrace>) {
+    for trace in ended {
         let record = trace.finish();
-        if shared
-            .slow_threshold_us
-            .is_some_and(|threshold| record.total_us >= threshold)
-        {
+        for span in &record.spans {
+            let hist = match span.stage {
+                stage::RESOLVE => &shared.resolve_hist,
+                stage::FRAME_FLUSH => &shared.flush_hist,
+                stage::FIRST_HIT => &shared.first_hit_hist,
+                _ => continue,
+            };
+            hist.record_duration(span.dur);
+        }
+        // An answered search was a cache hit or executed (only a `Done`
+        // gives a trace the worker's spans); an error is not logged.
+        let executed = record.spans.iter().any(|span| span.stage == stage::EXECUTE);
+        if (record.counters.cache_hit || executed) && record.total_us >= shared.slow_us {
             shared.slowlog.push(record);
         }
     }
@@ -1185,9 +1178,9 @@ fn handle_append(shared: &Arc<Shared>, fasta: &str) -> Vec<Frame> {
         Ok(receipt) => receipt,
         Err(e) => return error_frames(ErrorCode::Internal, format!("append: {e}")),
     };
-    // One durable append = one WAL fsync; traces report how many landed
-    // while a query was in flight.
-    shared.wal_fsyncs.inc();
+    // The WAL fsyncs each appended sequence; traces report how many
+    // landed while a query was in flight.
+    shared.wal_fsyncs.add(receipt.appended_seqs.into());
     // Publish the fresh layered snapshot so queries (and hit naming) see
     // the appended sequences.
     let label = format!("live-append+{}", receipt.stats.appended_seqs);
@@ -1265,12 +1258,18 @@ mod tests {
     use oasis_bioseq::{Alphabet, DatabaseBuilder};
     use oasis_engine::{build_index_artifact, IndexBackend};
 
-    #[test]
-    fn finished_compaction_threads_are_not_retained() {
-        let dir = std::env::temp_dir().join(format!(
-            "oasis-net-compaction-handles-{}",
-            std::process::id()
-        ));
+    /// A server over a fresh two-sequence DNA artifact in a temp dir
+    /// named after `tag`, running on its own thread.
+    fn serve_artifact(
+        tag: &str,
+        config: ServerConfig,
+    ) -> (
+        SocketAddr,
+        Arc<Shared>,
+        JoinHandle<io::Result<()>>,
+        std::path::PathBuf,
+    ) {
+        let dir = std::env::temp_dir().join(format!("oasis-net-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut b = DatabaseBuilder::new(Alphabet::dna());
         b.push_str("s0", "AGTACGCCTAG").unwrap();
@@ -1278,14 +1277,35 @@ mod tests {
         build_index_artifact(&b.finish(), &dir, 1, 64, IndexBackend::Tree).unwrap();
         let scoring = Scoring::unit_dna();
         let index = ServedIndex::from_artifact(&dir, scoring.clone(), 1 << 20).unwrap();
+        let server = OasisServer::bind("127.0.0.1:0", index, scoring, config).unwrap();
+        let (addr, shared) = (server.local_addr(), Arc::clone(&server.shared));
+        (addr, shared, std::thread::spawn(move || server.run()), dir)
+    }
+
+    #[test]
+    fn a_multi_sequence_append_counts_one_fsync_per_sequence() {
+        let config = ServerConfig {
+            compact_after: 0,
+            ..ServerConfig::default()
+        };
+        let (addr, shared, runner, dir) = serve_artifact("append-fsyncs", config);
+        let mut client = Client::connect(addr).unwrap();
+        let done = client.append(">a\nACGT\n>b\nGGCA\n>c\nTTAG\n").unwrap();
+        assert_eq!(done.appended_seqs, 3);
+        // The WAL syncs each sequence it logs.
+        assert_eq!(shared.wal_fsyncs.get(), 3);
+        client.shutdown_server().unwrap();
+        runner.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn finished_compaction_threads_are_not_retained() {
         let config = ServerConfig {
             compact_after: 1,
             ..ServerConfig::default()
         };
-        let server = OasisServer::bind("127.0.0.1:0", index, scoring, config).unwrap();
-        let addr = server.local_addr();
-        let shared = Arc::clone(&server.shared);
-        let runner = std::thread::spawn(move || server.run());
+        let (addr, shared, runner, dir) = serve_artifact("compaction-handles", config);
 
         let all_exited = || shared.admin().iter().all(|h| h.is_finished());
         let mut client = Client::connect(addr).unwrap();

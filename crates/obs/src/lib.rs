@@ -20,10 +20,10 @@
 //! * [`Registry`] — a named collection of histograms and [`Counter`]s.
 //!   Registration takes a lock once at setup; recording goes through the
 //!   returned [`std::sync::Arc`] and never touches the registry again.
-//! * [`QueryTrace`] / [`TraceRecord`] — per-query span tracing. A trace
-//!   travels *by value* with the query through admission, execution,
-//!   resolution, and the frame flush; a disabled trace allocates nothing
-//!   and every recording call on it is a branch-and-return.
+//! * [`QueryTrace`] / [`TraceRecord`] — per-query span tracing. Every
+//!   query gets one trace, owned by its connection's writer from
+//!   admission to the last byte, with one span per pipeline stage (a
+//!   stage recorded per batch sums into its span).
 //! * [`SlowLog`] — a bounded ring of finished [`TraceRecord`]s for
 //!   queries over a configurable threshold, dumpable over the wire
 //!   (`TraceDump` frame) and via `oasis admin slowlog`.

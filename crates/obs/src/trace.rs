@@ -1,18 +1,20 @@
 //! Per-query span tracing.
 //!
-//! A [`QueryTrace`] is born when a query is admitted and travels *by
-//! value* with it through the serving pipeline — admission queue, worker
-//! execution, hit resolution, frame flush — each layer appending a
-//! [`StageSpan`] (a named interval, offsets relative to the trace's birth)
-//! and folding its counters into [`TraceCounters`]. When the response hits
-//! the socket the trace is [finished](QueryTrace::finish) into a plain
-//! [`TraceRecord`], which the server keeps in the [slow-query
-//! log](crate::SlowLog) if the query exceeded the threshold.
+//! A [`QueryTrace`] is born when a query is admitted and stays with the
+//! connection's writer until the response's last byte is written: the
+//! writer records each stage as a [`StageSpan`] (a named interval, offset
+//! from the trace's birth) and folds the query's work into
+//! [`TraceCounters`]. A stage recorded more than once — the writer's
+//! `resolve` and `frame_flush`, once per batch of hits — is one span whose
+//! duration is the sum. When the response is written the trace is
+//! [finished](QueryTrace::finish) into a plain [`TraceRecord`], whose
+//! spans feed the server's stage histograms; the server keeps the record
+//! in the [slow-query log](crate::SlowLog) if the query crossed the
+//! threshold.
 //!
-//! Cost discipline: a [disabled](QueryTrace::disabled) trace holds an
-//! empty `Vec` (no allocation) and every recording method checks one bool
-//! and returns — the per-query overhead with tracing off is a handful of
-//! branches.
+//! Every query is traced. A trace is a few counters plus at most one
+//! span per stage, allocated once at birth, so recording a span is a
+//! scan of at most five entries.
 
 use std::time::{Duration, Instant};
 
@@ -24,27 +26,31 @@ pub mod stage {
     pub const QUEUE_WAIT: &str = "queue_wait";
     /// Worker execution: suffix traversal + expand kernel + merge.
     pub const EXECUTE: &str = "execute";
-    /// Event-loop resolution: a batch of streamed hits taken from the
-    /// ticket, named and framed (summed over a query's batches).
+    /// Writer resolution: a batch of streamed hits taken from the ticket,
+    /// named and framed (summed over a query's batches).
     pub const RESOLVE: &str = "resolve";
-    /// Frame flush: a batch's encode + socket write attempt (summed over a
+    /// Frame flush: a batch's encode + socket write (summed over a
     /// query's batches).
     pub const FRAME_FLUSH: &str = "frame_flush";
     /// Time to first hit: admission to the first `Hit` frame handed to
     /// the socket. It overlaps the stages above — the online property
     /// means the first hit leaves while the search still executes.
     pub const FIRST_HIT: &str = "first_hit";
+
+    /// Every stage, in pipeline order: the order of a finished trace's
+    /// spans.
+    pub const ALL: [&str; 5] = [QUEUE_WAIT, EXECUTE, RESOLVE, FRAME_FLUSH, FIRST_HIT];
 }
 
 /// One named interval inside a query's lifetime.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageSpan {
     /// Stage name (one of the [`stage`] constants).
-    pub stage: String,
-    /// Microseconds from trace birth to stage start.
-    pub start_us: u64,
-    /// Stage duration in microseconds.
-    pub dur_us: u64,
+    pub stage: &'static str,
+    /// From trace birth to stage start.
+    pub start: Duration,
+    /// Stage duration, summed over the stage's recordings.
+    pub dur: Duration,
 }
 
 /// Work and outcome counters folded into a trace as the query moves
@@ -72,7 +78,6 @@ pub struct TraceCounters {
 /// A live trace riding along with one query.
 #[derive(Debug, Clone)]
 pub struct QueryTrace {
-    enabled: bool,
     born: Instant,
     /// Numeric token naming the query (the server's `BatchQuery` id).
     pub id: u64,
@@ -84,33 +89,15 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// A disabled trace: allocates nothing, every method is a cheap no-op.
-    pub fn disabled() -> QueryTrace {
+    /// A trace born now, for the query named `id`.
+    pub fn new(id: u64, query_len: u32) -> QueryTrace {
         QueryTrace {
-            enabled: false,
-            born: Instant::now(),
-            id: 0,
-            query_len: 0,
-            counters: TraceCounters::default(),
-            spans: Vec::new(),
-        }
-    }
-
-    /// An enabled trace born now, for the query named `id`.
-    pub fn enabled(id: u64, query_len: u32) -> QueryTrace {
-        QueryTrace {
-            enabled: true,
             born: Instant::now(),
             id,
             query_len,
             counters: TraceCounters::default(),
-            spans: Vec::new(),
+            spans: Vec::with_capacity(stage::ALL.len()),
         }
-    }
-
-    /// Whether recording calls do anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// When this trace was born (admission time).
@@ -118,24 +105,24 @@ impl QueryTrace {
         self.born
     }
 
-    /// Append the interval `start..end` as stage `name`. Instants before
-    /// birth clamp to zero; a disabled trace records nothing.
+    /// Record the interval `start..end` as stage `name`; instants before
+    /// birth clamp to zero. A stage that already has a span adds the
+    /// interval to its duration and keeps its start.
     pub fn record_span(&mut self, name: &'static str, start: Instant, end: Instant) {
-        if !self.enabled {
-            return;
+        let dur = end.saturating_duration_since(start);
+        match self.spans.iter_mut().find(|span| span.stage == name) {
+            Some(span) => span.dur += dur,
+            None => self.spans.push(StageSpan {
+                stage: name,
+                start: start.saturating_duration_since(self.born),
+                dur,
+            }),
         }
-        let start_us = as_us(start.saturating_duration_since(self.born));
-        let dur_us = as_us(end.saturating_duration_since(start));
-        self.spans.push(StageSpan {
-            stage: name.to_string(),
-            start_us,
-            dur_us,
-        });
     }
 
-    /// Spans recorded so far, in append order.
-    pub fn spans(&self) -> &[StageSpan] {
-        &self.spans
+    /// The span of stage `name`, if one was recorded.
+    pub fn span(&self, name: &str) -> Option<&StageSpan> {
+        self.spans.iter().find(|span| span.stage == name)
     }
 
     /// Fold in the driver's work counters (summed across shards).
@@ -147,9 +134,6 @@ impl QueryTrace {
         nodes_pruned: u64,
         hits: u64,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.counters.nodes_expanded = nodes_expanded;
         self.counters.nodes_enqueued = nodes_enqueued;
         self.counters.columns_expanded = columns_expanded;
@@ -157,9 +141,13 @@ impl QueryTrace {
         self.counters.hits = hits;
     }
 
-    /// Seal the trace into a plain record, stamping the total.
-    pub fn finish(self) -> TraceRecord {
-        let total_us = as_us(self.born.elapsed());
+    /// Seal the trace into a plain record, stamping the total and putting
+    /// the spans in pipeline ([`stage::ALL`]) order.
+    pub fn finish(mut self) -> TraceRecord {
+        let total_us = u64::try_from(self.born.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let rank = |span: &StageSpan| stage::ALL.iter().position(|&s| s == span.stage);
+        self.spans
+            .sort_by_key(|span| rank(span).unwrap_or(usize::MAX));
         TraceRecord {
             id: self.id,
             query_len: self.query_len,
@@ -168,10 +156,6 @@ impl QueryTrace {
             spans: self.spans,
         }
     }
-}
-
-fn as_us(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// A finished trace: plain data, safe to store, ship, and print.
@@ -185,65 +169,62 @@ pub struct TraceRecord {
     pub total_us: u64,
     /// Work and outcome counters.
     pub counters: TraceCounters,
-    /// Recorded stage spans, in append (pipeline) order.
+    /// Recorded stage spans, in pipeline order.
     pub spans: Vec<StageSpan>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn disabled_trace_records_nothing_and_allocates_nothing() {
-        let mut t = QueryTrace::disabled();
-        assert!(!t.is_enabled());
-        assert_eq!(t.spans.capacity(), 0);
-        let now = Instant::now();
-        t.record_span(stage::EXECUTE, now, now + Duration::from_millis(5));
-        t.record_search(1, 2, 3, 4, 5);
-        assert!(t.spans().is_empty());
-        assert_eq!(t.spans.capacity(), 0);
-        assert_eq!(t.counters, TraceCounters::default());
-    }
 
     #[test]
     fn spans_preserve_pipeline_order_and_offsets() {
-        let mut t = QueryTrace::enabled(42, 11);
+        let mut t = QueryTrace::new(42, 11);
         let born = t.born();
-        let a0 = born + Duration::from_micros(100);
-        let a1 = born + Duration::from_micros(300);
-        let b1 = born + Duration::from_micros(900);
-        t.record_span(stage::QUEUE_WAIT, born, a0);
-        t.record_span(stage::EXECUTE, a0, a1);
-        t.record_span(stage::RESOLVE, a1, b1);
-        let names: Vec<&str> = t.spans().iter().map(|s| s.stage.as_str()).collect();
+        let at = |us| born + Duration::from_micros(us);
+        // Recorded out of pipeline order, as the connection writer does:
+        // its own stages while the search runs, the worker's at the end.
+        t.record_span(stage::RESOLVE, at(300), at(900));
+        t.record_span(stage::QUEUE_WAIT, born, at(100));
+        t.record_span(stage::EXECUTE, at(100), at(300));
+        let rec = t.finish();
+        let names: Vec<&str> = rec.spans.iter().map(|s| s.stage).collect();
         assert_eq!(
             names,
             vec![stage::QUEUE_WAIT, stage::EXECUTE, stage::RESOLVE]
         );
-        // Stage starts are non-decreasing and each span starts at or after
-        // the previous one's end: the ordering invariant consumers rely on.
-        let spans = t.spans().to_vec();
-        for pair in spans.windows(2) {
-            assert!(pair[1].start_us >= pair[0].start_us + pair[0].dur_us);
+        // Each span starts at or after the previous one's end: the
+        // ordering invariant consumers rely on.
+        for pair in rec.spans.windows(2) {
+            assert!(pair[1].start >= pair[0].start + pair[0].dur);
         }
-        assert_eq!(spans[0].start_us, 0);
-        assert_eq!(spans[0].dur_us, 100);
-        assert_eq!(spans[1].start_us, 100);
-        assert_eq!(spans[1].dur_us, 200);
-        let rec = t.finish();
-        assert_eq!(rec.id, 42);
-        assert_eq!(rec.query_len, 11);
-        assert_eq!(rec.spans.len(), 3);
+        assert_eq!(rec.spans[0].start, Duration::ZERO);
+        assert_eq!(rec.spans[0].dur, Duration::from_micros(100));
+        assert_eq!(rec.spans[1].start, Duration::from_micros(100));
+        assert_eq!(rec.spans[1].dur, Duration::from_micros(200));
+        assert_eq!((rec.id, rec.query_len), (42, 11));
+    }
+
+    #[test]
+    fn a_repeated_stage_adds_to_its_span() {
+        let mut t = QueryTrace::new(1, 1);
+        let born = t.born();
+        let at = |us| born + Duration::from_micros(us);
+        t.record_span(stage::FRAME_FLUSH, at(10), at(15));
+        t.record_span(stage::FRAME_FLUSH, at(40), at(47));
+        let span = t.span(stage::FRAME_FLUSH).expect("one span");
+        assert_eq!(span.start, Duration::from_micros(10));
+        assert_eq!(span.dur, Duration::from_micros(12));
+        assert!(t.span(stage::FIRST_HIT).is_none());
+        assert_eq!(t.finish().spans.len(), 1);
     }
 
     #[test]
     fn instants_before_birth_clamp_to_zero() {
         let early = Instant::now();
         std::thread::sleep(Duration::from_millis(1));
-        let mut t = QueryTrace::enabled(1, 1);
+        let mut t = QueryTrace::new(1, 1);
         t.record_span(stage::QUEUE_WAIT, early, early);
-        assert_eq!(t.spans()[0].start_us, 0);
+        assert_eq!(t.span(stage::QUEUE_WAIT).unwrap().start, Duration::ZERO);
     }
 }

@@ -68,12 +68,13 @@ fn main() {
     let job = BatchQuery::named("demo", query.clone(), params);
     let submit = |job: BatchQuery| {
         serving
-            .try_submit(catalog.current(), job, QueryTrace::disabled(), None)
+            .try_submit(catalog.current(), job, None)
             .expect("admitted")
             .wait()
             .expect("served")
     };
     let before = submit(job.clone());
+    let gen0 = std::sync::Arc::downgrade(&catalog.current());
 
     // Swap in the artifact-loaded generation without stopping admission:
     // pinned queries finish on the old generation, new ones see gen 1,
@@ -85,10 +86,10 @@ fn main() {
     assert_eq!(before.outcome.hits, after.outcome.hits);
     let current = catalog.current();
     println!(
-        "hot-swapped to generation {} ({:?}); retired generations still pinned: {}",
+        "hot-swapped to generation {} ({:?}); generation 0 dropped: {}",
         current.id(),
         current.label(),
-        catalog.retired_in_flight().len()
+        gen0.upgrade().is_none()
     );
     println!("results identical across the swap (asserted)");
 

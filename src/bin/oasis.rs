@@ -1114,17 +1114,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
+    // The server's defaults, overridden by the flags given.
+    let defaults = oasis::net::ServerConfig::default();
     let config = oasis::net::ServerConfig {
-        workers: flags.workers.unwrap_or(0),
-        queue_capacity: flags.queue.unwrap_or(64),
+        workers: flags.workers.unwrap_or(defaults.workers),
+        queue_capacity: flags.queue.unwrap_or(defaults.queue_capacity),
         pool_bytes: flags.pool_bytes(),
-        compact_after: flags.compact_after.unwrap_or(256),
-        max_conns: flags.max_conns.unwrap_or(1024),
-        cache_entries: flags.cache_entries.unwrap_or(512),
+        compact_after: flags.compact_after.unwrap_or(defaults.compact_after),
+        max_conns: flags.max_conns.unwrap_or(defaults.max_conns),
+        cache_entries: flags.cache_entries.unwrap_or(defaults.cache_entries),
         metrics_addr,
-        // Tracing is on by default with a high-enough bar that only
-        // genuinely slow queries are retained; --slow-ms 0 logs all.
-        slow_ms: Some(flags.slow_ms.unwrap_or(250)),
+        slow_ms: flags.slow_ms.unwrap_or(defaults.slow_ms),
     };
     let server = oasis::net::OasisServer::bind(addr.as_str(), served, artifact.scoring, config)
         .map_err(|e| e.to_string())?;

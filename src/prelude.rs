@@ -27,10 +27,10 @@ pub use oasis_core::{
 pub use oasis_engine::{
     build_index_artifact, load_sharded_engine, open_artifact_engine, opens_disk_resident,
     persist_sharded_engine, AdmissionError, AppendReceipt, BatchQuery, CacheKey, CacheStats,
-    CompactionReport, DeltaIndex, Generation, GenerationInfo, HitSink, IndexBackend, IndexCatalog,
-    LiveIndex, LiveIndexError, LiveIndexOptions, LiveStats, PublishError, QueryExecutor,
-    QueryTicket, ReadyHook, ResultCache, SearchOutcome, ServedOutcome, ServingConfig,
-    ServingConfigError, ServingEngine, SessionPoll, ShardedEngine, ShardedSession, StreamEnd,
+    CompactionReport, DeltaIndex, Generation, HitSink, IndexBackend, IndexCatalog, LiveIndex,
+    LiveIndexError, LiveIndexOptions, LiveStats, PublishError, QueryExecutor, QueryTicket,
+    ReadyHook, ResultCache, SearchOutcome, ServedOutcome, ServingConfig, ServingConfigError,
+    ServingEngine, SessionPoll, ShardedEngine, ShardedSession, StreamEnd,
 };
 
 pub use oasis_net::{
@@ -38,8 +38,6 @@ pub use oasis_net::{
     MetricsReport, NetError, OasisServer, ReloadDone, RemoteHit, ScoreRule, SearchDone,
     SearchRequest, ServedIndex, ServerConfig, ServerHandle, PER_GENERATION_ROWS, PROTOCOL_VERSION,
 };
-
-pub use oasis_obs::QueryTrace;
 
 pub use oasis_blast::{BlastParams, BlastSearch};
 

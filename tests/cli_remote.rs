@@ -316,7 +316,7 @@ fn prom_exposition_metrics_endpoint_and_slowlog_work_end_to_end() {
     );
     assert!(out.status.success(), "index build failed: {out:?}");
 
-    // `--slow-ms 0` logs every traced query; `--metrics-addr 127.0.0.1:0`
+    // `--slow-ms 0` logs every answered search; `--metrics-addr 127.0.0.1:0`
     // opens the plain-HTTP scrape endpoint on an ephemeral port.
     let server = spawn_server(&dir, &["--metrics-addr", "127.0.0.1:0", "--slow-ms", "0"]);
     let addr = server.addr.clone();

@@ -388,8 +388,7 @@ fn protein_workload_is_identical_on_every_execution_path() {
     let mut served = Vec::new();
     for job in &jobs {
         loop {
-            let trace = QueryTrace::disabled();
-            match serving.try_submit(Arc::clone(&generation), job.clone(), trace, None) {
+            match serving.try_submit(Arc::clone(&generation), job.clone(), None) {
                 Ok(ticket) => {
                     tickets.push_back(ticket);
                     break;

@@ -193,7 +193,7 @@ fn loaded_generation_hot_swaps_into_live_serving_without_result_change() {
             vec![3, 0, 1, 2],
             OasisParams::with_min_score(1),
         );
-        serving.try_submit(catalog.current(), job, QueryTrace::disabled(), None)
+        serving.try_submit(catalog.current(), job, None)
     };
     let before = submit(0).expect("admitted").wait().expect("served");
 

@@ -1177,7 +1177,7 @@ fn a_search_queued_across_a_reload_answers_from_its_admission_generation() {
         ServerConfig {
             workers: 1,
             queue_capacity: 4,
-            slow_ms: Some(0),
+            slow_ms: 0,
             ..ServerConfig::default()
         },
     )
@@ -1225,13 +1225,29 @@ fn a_search_queued_across_a_reload_answers_from_its_admission_generation() {
         "B answers from its admission generation"
     );
     assert_identical_response(&db0, &hits_b, "TACG", 1);
-    // Its trace counters name the same generation.
+    // Its trace counters name the same generation. Each trace holds
+    // every stage in pipeline order, the worker's laid out back to back,
+    // and counts the hits its Done frame reported (A took token 0, B 1).
     let dump = admin.trace_dump().expect("trace dump");
     assert_eq!(dump.entries.len(), 2, "{:?}", dump.entries);
-    assert!(dump
-        .entries
-        .iter()
-        .all(|e| e.generation == 0 && !e.cache_hit));
+    for entry in &dump.entries {
+        assert_eq!((entry.generation, entry.cache_hit), (0, false));
+        let names: Vec<&str> = entry.spans.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "queue_wait",
+                "execute",
+                "resolve",
+                "frame_flush",
+                "first_hit"
+            ]
+        );
+        let (queue_wait, execute) = (&entry.spans[0], &entry.spans[1]);
+        assert!(execute.start_us >= queue_wait.start_us + queue_wait.dur_us);
+        let done = if entry.id == 0 { &done_a } else { &done_b };
+        assert_eq!(entry.hits, u64::from(done.hits), "entry {}", entry.id);
+    }
     // Its result was cached under generation 0: both entries exist, and
     // the same query on generation 1 misses them.
     let cached = admin.metrics().expect("metrics");
@@ -1248,6 +1264,29 @@ fn a_search_queued_across_a_reload_answers_from_its_admission_generation() {
     admin.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_default_server_traces_every_search() {
+    let db = dna_db(SEQS);
+    let (addr, handle, runner) = start_server(&db, 2, ServerConfig::default());
+    let mut client = Client::connect(addr).expect("connect");
+    let (hits, _) = client
+        .search_collect(SearchRequest::new("TACG").with_min_score(2))
+        .expect("search");
+    assert_identical_response(&db, &hits, "TACG", 2);
+    // The answer's writes were timed into its trace and filed.
+    let metrics = client.metrics().expect("metrics");
+    let flush = metrics
+        .stages
+        .iter()
+        .find(|s| s.stage == "frame_flush")
+        .expect("frame_flush row");
+    assert!(flush.count >= 1, "{flush:?}");
+    let dump = client.trace_dump().expect("trace dump");
+    assert_eq!(dump.threshold_us, 250_000);
+    handle.shutdown();
+    runner.join().expect("accept loop").expect("run ok");
 }
 
 #[test]

@@ -40,13 +40,13 @@ fn job(id: &str) -> BatchQuery {
     BatchQuery::named(id, vec![0, 1, 2], OasisParams::with_min_score(1))
 }
 
-/// Untraced, unhooked submission pinned to `catalog`'s current generation.
+/// Unhooked submission pinned to `catalog`'s current generation.
 fn submit<E: QueryExecutor + 'static>(
     serving: &ServingEngine,
     catalog: &IndexCatalog<E>,
     job: BatchQuery,
 ) -> Result<QueryTicket, AdmissionError> {
-    serving.try_submit(catalog.current(), job, QueryTrace::disabled(), None)
+    serving.try_submit(catalog.current(), job, None)
 }
 
 #[test]
@@ -168,6 +168,7 @@ fn hot_swap_serves_new_generation_and_drains_old_one() {
     .expect("valid serving config");
 
     // Park one query inside generation 0.
+    let gen0 = Arc::downgrade(&catalog.current());
     let parked = submit(&serving, &catalog, job("parked")).expect("admitted");
     assert_eq!(started_rx.recv().expect("started"), "parked");
 
@@ -183,14 +184,17 @@ fn hot_swap_serves_new_generation_and_drains_old_one() {
     assert_eq!(after.wait().expect("served").id, "after-swap");
 
     // Generation 0 is still pinned by the parked query…
-    let pinned = catalog.retired_in_flight();
-    assert_eq!(pinned.len(), 1);
-    assert_eq!(pinned[0].label, "gated-gen0");
+    let pinned = gen0.upgrade().expect("the parked query pins generation 0");
+    assert_eq!(pinned.label(), "gated-gen0");
+    drop(pinned);
 
     // …and is dropped once that query completes.
     release_tx.send(()).expect("worker listening");
     assert_eq!(parked.wait().expect("drained").id, "parked");
-    assert!(catalog.retired_in_flight().is_empty());
+    assert!(
+        gen0.upgrade().is_none(),
+        "generation 0 outlived its last query"
+    );
     assert_eq!(serving.snapshot().rejected, 0);
 }
 
@@ -213,6 +217,7 @@ fn hot_swap_under_concurrent_traffic_is_lossless_and_correct() {
         "gen0",
         ShardedEngine::build(db.clone(), Scoring::unit_dna(), 1),
     );
+    let gen0 = Arc::downgrade(&catalog.current());
     let serving = ServingEngine::new(ServingConfig {
         workers: 2,
         queue_capacity: 256,
@@ -268,8 +273,8 @@ fn hot_swap_under_concurrent_traffic_is_lossless_and_correct() {
     let snap = serving.snapshot();
     assert_eq!(snap.rejected, 0, "no backpressure under swaps");
     assert_eq!(snap.served, 100);
-    // Once everything drained, no retired generation stays pinned.
-    assert!(catalog.retired_in_flight().is_empty());
+    // Once everything drained, the retired generation 0 is gone.
+    assert!(gen0.upgrade().is_none());
     assert_eq!(catalog.generations_published(), 4);
 }
 
