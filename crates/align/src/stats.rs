@@ -14,6 +14,8 @@
 //! matrix and background residue frequencies, following Karlin & Altschul
 //! (PNAS 1990) — the same machinery BLAST uses for ungapped statistics.
 
+use oasis_bioseq::AlphabetKind;
+
 use crate::matrix::SubstitutionMatrix;
 use crate::score::Score;
 
@@ -121,6 +123,15 @@ impl KarlinParams {
                 .sum::<f64>();
         let k = estimate_k(&prob, low, lambda, h);
         Ok(KarlinParams { lambda, k, h })
+    }
+
+    /// Estimate λ, K, H for `matrix` under the standard background of its
+    /// alphabet: [`background_dna`] or [`background_protein`].
+    pub fn for_matrix(matrix: &SubstitutionMatrix) -> Result<Self, StatsError> {
+        match matrix.kind() {
+            AlphabetKind::Dna => Self::estimate(matrix, &background_dna()),
+            AlphabetKind::Protein => Self::estimate(matrix, &background_protein()),
+        }
     }
 
     /// Equation 2: the E-value of alignment score `s` for a length-`m` query
@@ -246,7 +257,6 @@ fn gcd(a: i64, b: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oasis_bioseq::AlphabetKind;
 
     fn unit_dna_params() -> KarlinParams {
         KarlinParams::estimate(
@@ -291,6 +301,18 @@ mod tests {
         assert!((p.lambda - 0.3176).abs() < 0.01, "lambda = {}", p.lambda);
         assert!((p.h - 0.40).abs() < 0.05, "h = {}", p.h);
         assert!((p.k - 0.134).abs() < 0.05, "k = {}", p.k);
+    }
+
+    #[test]
+    fn for_matrix_uses_the_alphabet_background() {
+        assert_eq!(
+            KarlinParams::for_matrix(&SubstitutionMatrix::unit(AlphabetKind::Dna)),
+            Ok(unit_dna_params())
+        );
+        assert_eq!(
+            KarlinParams::for_matrix(&SubstitutionMatrix::pam30()),
+            KarlinParams::estimate(&SubstitutionMatrix::pam30(), &background_protein())
+        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Criterion microbenchmarks for index construction: the SA-IS pipeline,
-//! the prefix-doubling cross-check, the Hunt-style partitioned build
-//! (§3.4.1), and disk-image serialization (§3.4).
+//! Criterion microbenchmarks for index construction: the SA-IS → Kasai →
+//! tree pipeline, stage by stage, and disk-image serialization (§3.4).
 
 use std::time::Duration;
 
@@ -8,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use oasis_bench::{Scale, Testbed};
-use oasis_storage::{partitioned::build_tree_partitioned, DiskTreeBuilder};
+use oasis_storage::DiskTreeBuilder;
 use oasis_suffix::{lcp_kasai, suffix_array, RankedText, SuffixTree};
 
 fn bench_build(c: &mut Criterion) {
@@ -25,25 +24,12 @@ fn bench_build(c: &mut Criterion) {
     group.bench_function("suffix_array_sais", |b| {
         b.iter(|| black_box(suffix_array(black_box(ranked.ranks())).len()))
     });
-    group.bench_function("suffix_array_doubling", |b| {
-        b.iter(|| {
-            black_box(
-                oasis_suffix::doubling::suffix_array_doubling(black_box(ranked.ranks())).len(),
-            )
-        })
-    });
     let sa = suffix_array(ranked.ranks());
     group.bench_function("lcp_kasai", |b| {
         b.iter(|| black_box(lcp_kasai(black_box(ranked.ranks()), black_box(&sa)).len()))
     });
     group.bench_function("tree_build_full", |b| {
         b.iter(|| black_box(SuffixTree::build(black_box(db)).num_leaves()))
-    });
-    group.bench_function("tree_build_ukkonen", |b| {
-        b.iter(|| black_box(oasis_suffix::build_ukkonen(black_box(db)).num_leaves()))
-    });
-    group.bench_function("tree_build_partitioned", |b| {
-        b.iter(|| black_box(build_tree_partitioned(black_box(db), 4096).num_leaves()))
     });
     let tree = SuffixTree::build(db);
     group.bench_function("disk_serialize_2k", |b| {

@@ -13,9 +13,9 @@
 //! unsharded index is K=1: one shard over the whole database, in memory
 //! (a suffix tree or an enhanced suffix array) or disk-resident behind a
 //! buffer pool (the paper's §3.4 mode, [`open_artifact_engine`]). With K > 1 the
-//! database is partitioned into lexically contiguous sequence shards
-//! (boundaries picked by `oasis-storage`'s adaptive lexical-range
-//! machinery), every query fans out across the shards, and a lazy k-way
+//! database is partitioned into contiguous runs of sequences balanced by
+//! residue count (boundaries picked by `oasis-storage`'s adaptive range
+//! selection), every query fans out across the shards, and a lazy k-way
 //! merge restores the global non-increasing-score order. Each query runs
 //! its own [`SearchDriver`](oasis_core::SearchDriver) per shard, so results
 //! are *byte-identical* to a serial [`oasis_core::OasisSearch`] run

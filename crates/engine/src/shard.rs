@@ -1,10 +1,10 @@
 //! The engine: K per-partition indexes behind one query interface.
 //!
-//! [`ShardedEngine`] splits the database into lexically contiguous runs of
-//! sequences — boundaries picked by `oasis-storage`'s adaptive range
-//! machinery ([`balanced_ranges`]), the same "select lexical ranges based
-//! on the contents" idea the paper uses for bounded-memory construction
-//! (§3.4.1) — and indexes each shard. A query fans out across every shard
+//! [`ShardedEngine`] splits the database into contiguous runs of sequences
+//! balanced by residue count — boundaries picked by `oasis-storage`'s
+//! [`balanced_ranges`], the range selection the paper uses for
+//! bounded-memory construction (§3.4.1), applied here to sequences rather
+//! than to first symbols — and indexes each shard with SA-IS. A query fans out across every shard
 //! and the per-shard online hit streams are merged back into the *global*
 //! online order by a lazy k-way merge. An unsharded index is simply K=1:
 //! one shard over the whole database, which shares the global database

@@ -28,9 +28,10 @@
 
 use std::io::{Read, Write};
 
-use oasis_align::Score;
-use oasis_bioseq::AlphabetKind;
-use oasis_core::Hit;
+use oasis_align::{KarlinParams, Score};
+use oasis_bioseq::{AlphabetKind, SequenceDatabase};
+use oasis_core::{Hit, OasisParams};
+use oasis_engine::BatchQuery;
 
 use crate::NetError;
 
@@ -171,6 +172,58 @@ impl SearchRequest {
     pub fn with_deadline_ms(mut self, ms: u32) -> Self {
         self.deadline_ms = Some(ms);
         self
+    }
+
+    /// Resolve this request into the job it runs against `db`: the query
+    /// encoded with `db`'s alphabet, minScore from the score rule (an
+    /// E-value goes through Equation 3 with `karlin`, the serving
+    /// matrix's statistics, and `db`'s residue count), the report mode and
+    /// the `top` limit. The server and the local `oasis search` both run
+    /// their searches through here. A request that cannot run is refused
+    /// with the error frame the server sends for it.
+    pub fn resolve(
+        &self,
+        db: &SequenceDatabase,
+        karlin: Option<&KarlinParams>,
+    ) -> Result<BatchQuery, ErrorFrame> {
+        let query = db
+            .alphabet()
+            .encode_str(&self.query)
+            .map_err(|e| ErrorFrame::new(ErrorCode::Malformed, format!("query: {e}")))?;
+        let min_score = match (self.rule, karlin) {
+            (ScoreRule::MinScore(s), _) if s >= 1 => s,
+            (ScoreRule::MinScore(s), _) => {
+                return Err(ErrorFrame::new(
+                    ErrorCode::Malformed,
+                    format!("minScore must be at least 1 (got {s})"),
+                ))
+            }
+            (ScoreRule::Evalue(e), _) if !(e.is_finite() && e > 0.0) => {
+                return Err(ErrorFrame::new(
+                    ErrorCode::Malformed,
+                    format!("E-value must be finite and positive (got {e})"),
+                ))
+            }
+            (ScoreRule::Evalue(e), Some(karlin)) => {
+                karlin.min_score_for_evalue(query.len() as u64, db.total_residues(), e)
+            }
+            (ScoreRule::Evalue(_), None) => {
+                return Err(ErrorFrame::new(
+                    ErrorCode::Internal,
+                    "Karlin-Altschul statistics unavailable for the serving matrix; \
+                     use an explicit minScore",
+                ))
+            }
+        };
+        let mut params = OasisParams::with_min_score(min_score);
+        if self.all_occurrences {
+            params = params.all_occurrences();
+        }
+        let job = BatchQuery::named(self.id.clone(), query, params);
+        Ok(match self.top {
+            Some(top) => job.with_limit(top as usize),
+            None => job,
+        })
     }
 }
 
@@ -1303,5 +1356,123 @@ impl<'a> Reader<'a> {
             )));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oasis_align::SubstitutionMatrix;
+    use oasis_bioseq::{Alphabet, DatabaseBuilder};
+
+    fn db() -> SequenceDatabase {
+        let mut b = DatabaseBuilder::new(Alphabet::dna());
+        b.push_str("s0", "AGTACGCCTAG").unwrap();
+        b.push_str("s1", "GATTACA").unwrap();
+        b.finish()
+    }
+
+    fn karlin() -> KarlinParams {
+        KarlinParams::for_matrix(&SubstitutionMatrix::unit(AlphabetKind::Dna)).unwrap()
+    }
+
+    fn refusal(req: SearchRequest, karlin: Option<&KarlinParams>) -> ErrorFrame {
+        req.resolve(&db(), karlin)
+            .expect_err("the request is refused")
+    }
+
+    #[test]
+    fn resolves_the_query_rule_mode_and_limit() {
+        let mut req = SearchRequest::new("tacg")
+            .with_id("q7")
+            .with_min_score(3)
+            .with_top(5);
+        req.all_occurrences = true;
+        let job = req.resolve(&db(), None).unwrap();
+        assert_eq!(job.id, "q7");
+        assert_eq!(job.query, Alphabet::dna().encode_str("TACG").unwrap());
+        assert_eq!(job.params, OasisParams::with_min_score(3).all_occurrences());
+        assert_eq!(job.limit, Some(5));
+        let job = SearchRequest::new("TACG")
+            .with_min_score(3)
+            .resolve(&db(), None)
+            .unwrap();
+        assert_eq!(job.params, OasisParams::with_min_score(3));
+        assert_eq!(job.limit, None);
+    }
+
+    #[test]
+    fn evalue_goes_through_equation_3() {
+        let db = db();
+        let karlin = karlin();
+        for (query, evalue) in [("TACG", 1.0), ("GATTACAGATTACA", 0.01), ("A", 10.0)] {
+            let job = SearchRequest::new(query)
+                .with_evalue(evalue)
+                .resolve(&db, Some(&karlin))
+                .unwrap();
+            let want = karlin.min_score_for_evalue(query.len() as u64, db.total_residues(), evalue);
+            assert_eq!(job.params.min_score, want, "{query} at E={evalue}");
+        }
+    }
+
+    #[test]
+    fn refuses_a_residue_outside_the_alphabet() {
+        let e = refusal(SearchRequest::new("TA!G").with_min_score(2), None);
+        assert_eq!(
+            e,
+            ErrorFrame::new(
+                ErrorCode::Malformed,
+                "query: unknown residue '!' at byte offset 2"
+            )
+        );
+    }
+
+    #[test]
+    fn refuses_a_min_score_below_one() {
+        for s in [0, -4] {
+            let e = refusal(SearchRequest::new("TACG").with_min_score(s), None);
+            assert_eq!(
+                e,
+                ErrorFrame::new(
+                    ErrorCode::Malformed,
+                    format!("minScore must be at least 1 (got {s})")
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn refuses_an_evalue_that_is_not_finite_and_positive() {
+        for (evalue, shown) in [
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (0.0, "0"),
+            (-1.0, "-1"),
+        ] {
+            let e = refusal(
+                SearchRequest::new("TACG").with_evalue(evalue),
+                Some(&karlin()),
+            );
+            assert_eq!(
+                e,
+                ErrorFrame::new(
+                    ErrorCode::Malformed,
+                    format!("E-value must be finite and positive (got {shown})")
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn refuses_an_evalue_without_karlin_statistics() {
+        let e = refusal(SearchRequest::new("TACG").with_evalue(10.0), None);
+        assert_eq!(
+            e,
+            ErrorFrame::new(
+                ErrorCode::Internal,
+                "Karlin-Altschul statistics unavailable for the serving matrix; \
+                 use an explicit minScore"
+            )
+        );
     }
 }

@@ -84,9 +84,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use oasis_align::{background_dna, background_protein, KarlinParams, Score, Scoring};
-use oasis_bioseq::{parse_fasta, AlphabetKind, SequenceDatabase, UnknownResiduePolicy};
-use oasis_core::{Hit, OasisParams, SearchStats};
+use oasis_align::{KarlinParams, Scoring};
+use oasis_bioseq::{parse_fasta, SequenceDatabase, UnknownResiduePolicy};
+use oasis_core::{Hit, SearchStats};
 use oasis_engine::{
     open_artifact_engine, AdmissionError, BatchQuery, CacheKey, HitSink, IndexCatalog, LiveIndex,
     LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor, ResultCache, ServingConfig,
@@ -101,8 +101,8 @@ use crate::conn::{
 };
 use crate::frame::{
     write_frame, AppendDone, ErrorCode, ErrorFrame, Frame, GenerationServed, Hello, MetricsReport,
-    ReloadDone, RemoteHit, ScoreRule, SearchDone, SearchRequest, StageSummary, TraceDump,
-    TraceEntry, TraceSpan, PROTOCOL_VERSION,
+    ReloadDone, RemoteHit, SearchDone, SearchRequest, StageSummary, TraceDump, TraceEntry,
+    TraceSpan, PROTOCOL_VERSION,
 };
 
 /// How long a draining shutdown waits for peers that stopped reading
@@ -424,11 +424,7 @@ impl OasisServer {
         } else {
             config.workers
         };
-        let freqs: Vec<f64> = match scoring.matrix.kind() {
-            AlphabetKind::Dna => background_dna().to_vec(),
-            AlphabetKind::Protein => background_protein().to_vec(),
-        };
-        let karlin = KarlinParams::estimate(&scoring.matrix, &freqs).ok();
+        let karlin = KarlinParams::for_matrix(&scoring.matrix).ok();
         let serving = ServingEngine::new(ServingConfig {
             workers,
             queue_capacity: config.queue_capacity,
@@ -741,44 +737,18 @@ fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest)
     let pinned = shared.catalog.current();
     let generation = pinned.id();
     let db = pinned.executor().db();
-    let encoded = match db.alphabet().encode_str(&req.query) {
-        Ok(encoded) => encoded,
-        Err(e) => return reply(error_frames(ErrorCode::Malformed, format!("query: {e}"))),
+    let job = match req.resolve(db, shared.karlin.as_ref()) {
+        Ok(job) => job,
+        Err(refusal) => return reply(vec![Frame::Error(refusal)]),
     };
-    let min_score: Score = match req.rule {
-        ScoreRule::MinScore(s) if s >= 1 => s,
-        ScoreRule::MinScore(s) => {
-            return reply(error_frames(
-                ErrorCode::Malformed,
-                format!("minScore must be at least 1 (got {s})"),
-            ))
-        }
-        ScoreRule::Evalue(e) if e.is_finite() && e > 0.0 => match &shared.karlin {
-            Some(karlin) => {
-                karlin.min_score_for_evalue(encoded.len() as u64, db.total_residues(), e)
-            }
-            None => {
-                return reply(error_frames(
-                    ErrorCode::Internal,
-                    "Karlin-Altschul statistics unavailable for the serving matrix; \
-                     use an explicit minScore",
-                ))
-            }
-        },
-        ScoreRule::Evalue(e) => {
-            return reply(error_frames(
-                ErrorCode::Malformed,
-                format!("E-value must be finite and positive (got {e})"),
-            ))
-        }
-    };
+    let min_score = job.params.min_score;
 
     let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
-    let mut trace = QueryTrace::new(token, encoded.len() as u32);
+    let mut trace = QueryTrace::new(token, job.query.len() as u32);
     trace.counters.generation = generation;
     let key = CacheKey {
         generation,
-        query: encoded.clone(),
+        query: job.query.clone(),
         min_score,
         all_occurrences: req.all_occurrences,
         limit: req.top,
@@ -803,14 +773,6 @@ fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest)
         return Pending::Ready(frames, Some(Box::new(trace)));
     }
 
-    let mut params = OasisParams::with_min_score(min_score);
-    if req.all_occurrences {
-        params = params.all_occurrences();
-    }
-    let mut job = BatchQuery::named(token.to_string(), encoded, params);
-    if let Some(top) = req.top {
-        job = job.with_limit(top as usize);
-    }
     let waker = Arc::clone(waker);
     let ready = Box::new(move || waker.wake());
     let admitted = shared

@@ -16,7 +16,6 @@
 //! exceed reality and never decreases between reads.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Sub-bucket precision: each octave above 32 splits into `2^SUB_BITS`
@@ -253,97 +252,10 @@ impl Counter {
     }
 }
 
-enum Metric {
-    Counter(Arc<Counter>),
-    Histogram(Arc<Histogram>),
-}
-
-struct Entry {
-    name: String,
-    metric: Metric,
-}
-
-/// A named collection of metrics.
-///
-/// Registration (`counter` / `histogram`) takes the registry lock and is
-/// meant for setup paths; the returned [`Arc`] is then recorded against
-/// lock-free. Asking for an existing name returns the existing instrument,
-/// so independent subsystems can share one metric by agreeing on its name.
-#[derive(Default)]
-pub struct Registry {
-    entries: Mutex<Vec<Entry>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Get or create the counter named `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        for e in entries.iter() {
-            if e.name == name {
-                if let Metric::Counter(c) = &e.metric {
-                    return Arc::clone(c);
-                }
-            }
-        }
-        let c = Arc::new(Counter::new());
-        entries.push(Entry {
-            name: name.to_string(),
-            metric: Metric::Counter(Arc::clone(&c)),
-        });
-        c
-    }
-
-    /// Get or create the histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        for e in entries.iter() {
-            if e.name == name {
-                if let Metric::Histogram(h) = &e.metric {
-                    return Arc::clone(h);
-                }
-            }
-        }
-        let h = Arc::new(Histogram::new());
-        entries.push(Entry {
-            name: name.to_string(),
-            metric: Metric::Histogram(Arc::clone(&h)),
-        });
-        h
-    }
-
-    /// Snapshot every histogram, in registration order.
-    pub fn histogram_snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
-        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        entries
-            .iter()
-            .filter_map(|e| match &e.metric {
-                Metric::Histogram(h) => Some((e.name.clone(), h.snapshot())),
-                Metric::Counter(_) => None,
-            })
-            .collect()
-    }
-
-    /// Read every counter, in registration order.
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
-        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        entries
-            .iter()
-            .filter_map(|e| match &e.metric {
-                Metric::Counter(c) => Some((e.name.clone(), c.get())),
-                Metric::Histogram(_) => None,
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn bucket_index_monotone_and_invertible() {
@@ -440,19 +352,11 @@ mod tests {
     }
 
     #[test]
-    fn registry_shares_instruments_by_name() {
-        let r = Registry::new();
-        let a = r.counter("served");
-        let b = r.counter("served");
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3);
-        let h1 = r.histogram("lat");
-        let h2 = r.histogram("lat");
-        h1.record(5);
-        assert_eq!(h2.snapshot().count, 1);
-        assert_eq!(r.counter_values(), vec![("served".to_string(), 3)]);
-        assert_eq!(r.histogram_snapshots().len(), 1);
+    fn counter_sums_every_increment() {
+        let c = Counter::new();
+        c.inc();
+        c.add(2);
+        assert_eq!(c.get(), 3);
     }
 
     #[test]

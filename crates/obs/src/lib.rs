@@ -8,7 +8,7 @@
 //! the rest of the workspace keeps that promise measurable without
 //! distorting it.
 //!
-//! Four pieces, each bounded in memory and lock-free (or nearly so) on the
+//! Three pieces, each bounded in memory and lock-free (or nearly so) on the
 //! hot path:
 //!
 //! * [`Histogram`] — a log-bucketed, HDR-style latency histogram with
@@ -16,10 +16,7 @@
 //!   adds plus a `fetch_max`; quantiles come from a merged
 //!   [`HistogramSnapshot`] and are *exact over buckets* (every sample is
 //!   counted, unlike the sampled ring it replaces) with ≤ 1/32 relative
-//!   bucket error.
-//! * [`Registry`] — a named collection of histograms and [`Counter`]s.
-//!   Registration takes a lock once at setup; recording goes through the
-//!   returned [`std::sync::Arc`] and never touches the registry again.
+//!   bucket error. A [`Counter`] is its one-number sibling.
 //! * [`QueryTrace`] / [`TraceRecord`] — per-query span tracing. Every
 //!   query gets one trace, owned by its connection's writer from
 //!   admission to the last byte, with one span per pipeline stage (a
@@ -37,7 +34,7 @@ pub mod prom;
 pub mod slowlog;
 pub mod trace;
 
-pub use hist::{Counter, Histogram, HistogramSnapshot, Registry};
+pub use hist::{Counter, Histogram, HistogramSnapshot};
 pub use prom::PromWriter;
 pub use slowlog::{SlowLog, SlowLogSnapshot};
 pub use trace::{QueryTrace, StageSpan, TraceCounters, TraceRecord};

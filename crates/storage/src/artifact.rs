@@ -468,8 +468,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Write `bytes` to `dir/name` atomically: temp file, fsync, rename.
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+/// Write `bytes` to `dir/name` atomically: temp file, fsync, rename,
+/// then a directory fsync. The artifact writer and the WAL's rewrite
+/// share it.
+pub(crate) fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = dir.join(format!(".{name}.tmp"));
     {
         let mut f = std::fs::File::create(&tmp)?;

@@ -17,9 +17,9 @@
 //!   symbol array, internal nodes in level-first order with siblings stored
 //!   contiguously, and a leaf array indexed by symbol offset with explicit
 //!   right-sibling pointers.
-//! * [`partitioned`] — bounded-memory index construction in the spirit of
-//!   Hunt et al. (the paper's §3.4.1): suffixes are partitioned into
-//!   adaptive lexical ranges, each sorted in its own pass.
+//! * [`partitioned`] — adaptive range selection after the paper's §3.4.1
+//!   ("select lexical ranges … based on the contents"), which picks the
+//!   engine's shard boundaries.
 //! * [`artifact`] — persistent index artifacts: a checksummed, versioned,
 //!   atomically written directory format capturing the database plus every
 //!   shard's serialized tree, so a restart *loads* the index instead of
@@ -42,7 +42,7 @@ pub use artifact::{
 };
 pub use device::{BlockDevice, FileDevice, MemDevice, SimulatedDisk};
 pub use layout::{DiskSuffixTree, DiskTreeBuilder, ImageStats};
-pub use partitioned::{balanced_ranges, budget_ranges, partitioned_suffix_array};
+pub use partitioned::{balanced_ranges, budget_ranges};
 pub use pool::{BufferPool, BufferPoolStats, PoolDeltaScope, PoolStatsSnapshot, Region};
 pub use wal::{
     pending_records, replay_wal, WalError, WalRecord, WalReplay, WriteAheadLog, WAL_FILE,

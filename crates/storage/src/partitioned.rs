@@ -1,5 +1,5 @@
-//! Bounded-memory suffix sorting in the spirit of Hunt et al., the
-//! construction technique the paper adopts (§3.4.1).
+//! Adaptive range selection, the production form of the paper's §3.4.1
+//! partitioning idea.
 //!
 //! "This technique constructs sub-trees stemming from fixed-length prefixes
 //! of each suffix in memory, by making one pass through the sequence data
@@ -7,25 +7,21 @@
 //! ranges for each pass based on the contents of the underlying database
 //! sequences."
 //!
-//! We reproduce the approach at the suffix-array level: the first-symbol
-//! rank space is split into *adaptive lexical ranges* whose suffix counts
-//! respect a memory budget; each pass scans the text, collects the suffixes
-//! falling in its range, sorts them in isolation, and appends them to the
-//! global order. The concatenation of per-range sorted runs is exactly the
-//! suffix array, because ranges partition the space of first symbols in
-//! lexicographic order.
-
-use oasis_bioseq::SequenceDatabase;
-use oasis_suffix::{lcp_kasai, RankedText, SuffixTree};
+//! The index itself is built in memory by SA-IS, Kasai's LCP and the
+//! tree assembler; this module holds the technique's range selection.
+//! [`budget_ranges`] groups consecutive weighted items under a budget and
+//! [`balanced_ranges`] picks the most even split into at most K ranges.
+//! The engine's shard partitioner uses them with per-sequence residue
+//! counts as weights, so each shard is a contiguous run of sequences with
+//! its own generalized suffix tree.
 
 /// Group consecutive weighted items into inclusive index ranges whose
 /// summed weight respects `budget`. A single item heavier than the budget
 /// forms a range of its own — the "select lexical ranges based on the
 /// contents" adaptation — and all-zero stretches are skipped entirely.
 ///
-/// This is the range-selection core shared by the partitioned suffix-array
-/// build (weights = first-symbol suffix counts) and the engine layer's
-/// shard-boundary picker (weights = per-sequence residue counts).
+/// This is the range-selection core of the engine layer's shard-boundary
+/// picker (weights = per-sequence residue counts).
 pub fn budget_ranges(weights: &[usize], budget: usize) -> Vec<(usize, usize)> {
     assert!(budget > 0, "partition budget must be positive");
     let mut ranges = Vec::new();
@@ -69,121 +65,14 @@ pub fn balanced_ranges(weights: &[usize], max_ranges: usize) -> Vec<(usize, usiz
     budget_ranges(weights, lo)
 }
 
-/// Build the suffix array of `ranked` using passes that each sort at most
-/// `max_partition` suffixes (a single over-represented first symbol may
-/// exceed the budget; it then forms a partition of its own, mirroring the
-/// "select lexical ranges based on the contents" adaptation).
-pub fn partitioned_suffix_array(ranked: &RankedText, max_partition: usize) -> Vec<u32> {
-    let ranks = ranked.ranks();
-    let n = ranks.len();
-    if n == 0 {
-        assert!(max_partition > 0, "partition budget must be positive");
-        return Vec::new();
-    }
-
-    // Pass 0: first-symbol histogram, to pick the lexical ranges.
-    let max_rank = *ranks.iter().max().expect("non-empty") as usize;
-    let mut hist = vec![0usize; max_rank + 1];
-    for &r in ranks {
-        hist[r as usize] += 1;
-    }
-
-    // Group consecutive ranks while the summed count fits the budget.
-    let ranges = budget_ranges(&hist, max_partition);
-
-    // One pass per range: collect, sort, append.
-    let mut sa = Vec::with_capacity(n);
-    let mut bucket: Vec<u32> = Vec::new();
-    for &(rlo, rhi) in &ranges {
-        bucket.clear();
-        for (p, &r) in ranks.iter().enumerate() {
-            if (r as usize) >= rlo && (r as usize) <= rhi {
-                bucket.push(p as u32);
-            }
-        }
-        bucket.sort_unstable_by(|&a, &b| ranks[a as usize..].cmp(&ranks[b as usize..]));
-        sa.extend_from_slice(&bucket);
-    }
-    debug_assert_eq!(sa.len(), n);
-    sa
-}
-
-/// Build the suffix tree for `db` via the partitioned pipeline — the result
-/// is identical to [`SuffixTree::build`]; only construction memory differs.
-pub fn build_tree_partitioned(db: &SequenceDatabase, max_partition: usize) -> SuffixTree {
-    let ranked = RankedText::from_database(db);
-    let sa = partitioned_suffix_array(&ranked, max_partition);
-    let lcp = lcp_kasai(ranked.ranks(), &sa);
-    SuffixTree::from_sa_lcp(db, &ranked, &sa, &lcp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oasis_bioseq::{Alphabet, DatabaseBuilder};
-    use oasis_suffix::suffix_array;
-
-    fn ranked(seqs: &[&str]) -> RankedText {
-        let mut b = DatabaseBuilder::new(Alphabet::dna());
-        for (i, s) in seqs.iter().enumerate() {
-            b.push_str(format!("s{i}"), s).unwrap();
-        }
-        RankedText::from_database(&b.finish())
-    }
-
-    #[test]
-    fn matches_sais_for_all_budgets() {
-        let r = ranked(&["ACGTACGTTGCAGT", "GTACCA", "ACACACAC"]);
-        let want = suffix_array(r.ranks());
-        for budget in [1usize, 2, 3, 5, 10, 100, 10_000] {
-            assert_eq!(
-                partitioned_suffix_array(&r, budget),
-                want,
-                "budget {budget}"
-            );
-        }
-    }
-
-    #[test]
-    fn skewed_content_handled() {
-        // One symbol dominating the database forces a single-rank partition
-        // bigger than the budget.
-        let r = ranked(&["AAAAAAAAAAAAAAAAAAAAAAAAAAAAAC"]);
-        let want = suffix_array(r.ranks());
-        assert_eq!(partitioned_suffix_array(&r, 4), want);
-    }
-
-    #[test]
-    fn empty_database() {
-        let r = ranked(&[]);
-        assert!(partitioned_suffix_array(&r, 8).is_empty());
-    }
-
-    #[test]
-    fn tree_via_partitions_equals_direct_build() {
-        let mut b = DatabaseBuilder::new(Alphabet::dna());
-        b.push_str("a", "ACGTACGTTGCAGTACCAGA").unwrap();
-        b.push_str("b", "TTGACCAGATACATTG").unwrap();
-        let db = b.finish();
-        let direct = SuffixTree::build(&db);
-        let part = build_tree_partitioned(&db, 6);
-        use oasis_suffix::SuffixTreeAccess;
-        assert_eq!(
-            SuffixTreeAccess::num_internal(&direct),
-            SuffixTreeAccess::num_internal(&part)
-        );
-        assert_eq!(direct.num_leaves(), part.num_leaves());
-        assert_eq!(
-            direct.collect_leaves(direct.root()),
-            part.collect_leaves(part.root())
-        );
-    }
 
     #[test]
     #[should_panic(expected = "budget must be positive")]
     fn zero_budget_rejected() {
-        let r = ranked(&["ACGT"]);
-        partitioned_suffix_array(&r, 0);
+        budget_ranges(&[1, 2], 0);
     }
 
     #[test]

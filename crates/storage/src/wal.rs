@@ -36,7 +36,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::artifact::{fnv1a64, DeltaLineage};
+use crate::artifact::{fnv1a64, write_atomic, DeltaLineage};
 
 /// File name of the write-ahead log inside an artifact directory. Does not
 /// match any of the artifact section naming patterns, so artifact rebuilds
@@ -236,22 +236,6 @@ fn decode_record(bytes: &[u8], at: usize) -> Option<WalRecord> {
         name,
         codes: codes.to_vec(),
     })
-}
-
-/// Write `bytes` to `dir/name` atomically — the same temp-file + fsync +
-/// rename + directory-fsync discipline the artifact writer uses.
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = dir.join(format!(".{name}.tmp"));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, dir.join(name))?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
 }
 
 /// Write ownership of an artifact directory's append log.

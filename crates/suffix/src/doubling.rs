@@ -1,8 +1,8 @@
 //! Prefix-doubling suffix-array construction (Manber & Myers style).
 //!
-//! O(n log² n) with library sorting. Kept as an independently implemented
-//! cross-check for [`crate::sais`]: the two builders share no code, so
-//! agreement between them on random inputs is strong evidence of
+//! O(n log² n) with library sorting. A test oracle for [`crate::sais`]
+//! (compiled only under `#[cfg(test)]`): the two builders share no code,
+//! so agreement between them on random inputs is strong evidence of
 //! correctness.
 
 /// Build the suffix array of `text` by prefix doubling.

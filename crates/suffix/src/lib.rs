@@ -9,10 +9,8 @@
 //! * [`text`] — the ranked text: the database's concatenated codes with each
 //!   terminator given a *unique* rank so that no suffix-tree path crosses a
 //!   sequence boundary (the generalized-suffix-tree property).
-//! * [`sais`] — linear-time SA-IS suffix-array construction.
-//! * [`doubling`] — an O(n log² n) prefix-doubling builder kept as an
-//!   independently implemented cross-check.
-//! * [`naive`] — the obvious quadratic builder, for tests only.
+//! * [`sais`] — linear-time SA-IS suffix-array construction, the only
+//!   production builder.
 //! * [`lcp`] — Kasai's linear-time LCP array.
 //! * [`tree`] — the compact (PATRICIA) generalized suffix tree assembled
 //!   from SA + LCP with a stack in one pass.
@@ -22,23 +20,31 @@
 //! * [`esa`] — [`EsaIndex`], the enhanced-suffix-array backend: SA + LCP +
 //!   lcp-interval navigation with a two-byte bucket LUT, persisted as a
 //!   packed payload that is validated and served in place.
-//! * [`search`] — exact-match lookup (§2.3.1), used by tests and by the
-//!   highly selective fast path.
+//! * [`search`] — exact-match lookup (§2.3.1); tests use it to check each
+//!   substrate's traversal against a scan of the text.
 //! * [`rebuild`] — validated reassembly of a [`SuffixTree`] from serialized
 //!   parts, the load path of the persistent index artifacts written by
 //!   `oasis-storage`.
+//!
+//! Three builders exist only as test oracles (`#[cfg(test)]`), each sharing
+//! no code with the production pipeline: prefix doubling and the naive
+//! quadratic sort check [`sais`], and Ukkonen's online construction checks
+//! [`tree`].
 
 pub mod access;
-pub mod doubling;
+#[cfg(test)]
+mod doubling;
 pub mod esa;
 pub mod lcp;
-pub mod naive;
+#[cfg(test)]
+mod naive;
 pub mod rebuild;
 pub mod sais;
 pub mod search;
 pub mod text;
 pub mod tree;
-pub mod ukkonen;
+#[cfg(test)]
+mod ukkonen;
 
 pub use access::{NodeHandle, SuffixTreeAccess};
 pub use esa::{EsaError, EsaIndex};
@@ -48,4 +54,3 @@ pub use sais::suffix_array;
 pub use search::{find_exact, occurrences, ExactMatch};
 pub use text::RankedText;
 pub use tree::SuffixTree;
-pub use ukkonen::build_ukkonen;

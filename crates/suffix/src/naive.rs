@@ -1,5 +1,6 @@
 //! Naive quadratic suffix-array construction — the reference implementation
-//! the fast builders are tested against.
+//! the fast builders are tested against (compiled only under
+//! `#[cfg(test)]`).
 
 /// Sort all suffixes of `text` by direct lexicographic comparison.
 ///

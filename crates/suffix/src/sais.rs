@@ -5,9 +5,9 @@
 //! them, recurse on the reduced string if names repeat, then induce the full
 //! order from the sorted LMS suffixes.
 //!
-//! This is the production builder used for index construction; it is
-//! property-tested against [`crate::doubling`] and [`crate::naive`], which
-//! share no code with it.
+//! This is the only production builder used for index construction; it is
+//! tested against the prefix-doubling and naive test oracles, which share
+//! no code with it.
 
 const EMPTY: u32 = u32::MAX;
 
@@ -286,6 +286,14 @@ mod tests {
                     "doubling: len={len} alpha={alpha}"
                 );
             }
+        }
+        // Random lengths 0..120 over six symbols.
+        for case in 0..128 {
+            let len = (next() % 120) as usize;
+            let text: Vec<u32> = (0..len).map(|_| (next() % 6) as u32).collect();
+            let got = suffix_array(&text);
+            assert_eq!(got, suffix_array_naive(&text), "naive: case {case}");
+            assert_eq!(got, suffix_array_doubling(&text), "doubling: case {case}");
         }
     }
 

@@ -53,7 +53,8 @@ impl SuffixTree {
     }
 
     /// Build from a precomputed suffix array and LCP array over the ranked
-    /// text (used by tests to exercise alternative SA builders).
+    /// text: [`SuffixTree::build`] passes SA-IS + Kasai, and tests pass
+    /// the prefix-doubling oracle's suffix array.
     pub fn from_sa_lcp(
         db: &SequenceDatabase,
         ranked: &RankedText,
@@ -158,8 +159,9 @@ impl SuffixTree {
         self.num_leaves
     }
 
-    /// An empty tree shell (root only) for alternative builders such as
-    /// [`crate::ukkonen`]. `seq_starts` must include the trailing sentinel.
+    /// An empty tree shell (root only) for [`crate::rebuild`]'s assembler
+    /// and the Ukkonen test oracle. `seq_starts` must include the trailing
+    /// sentinel.
     pub(crate) fn from_raw(text: Vec<u8>, seq_starts: Vec<u32>) -> Self {
         SuffixTree {
             text,
@@ -175,8 +177,8 @@ impl SuffixTree {
         }
     }
 
-    /// Append a converted internal node (alternative builders). Returns its
-    /// index. Leaf children increment the leaf count.
+    /// Append an assembled internal node. Returns its index. Leaf
+    /// children increment the leaf count.
     pub(crate) fn push_internal(&mut self, depth: u32, witness: u32, kids: Vec<NodeHandle>) -> u32 {
         let child_start = self.children.len() as u32;
         let child_count = kids.len() as u32;
@@ -191,7 +193,7 @@ impl SuffixTree {
         (self.nodes.len() - 1) as u32
     }
 
-    /// Set the root's children (alternative builders; call once).
+    /// Set the root's children (assembly; call once).
     pub(crate) fn set_root_children(&mut self, kids: Vec<NodeHandle>) {
         assert_eq!(self.nodes[0].child_count, 0, "root children already set");
         let child_start = self.children.len() as u32;

@@ -1,11 +1,10 @@
 //! Ukkonen's online linear-time suffix-tree construction.
 //!
 //! The paper cites the classical in-memory construction algorithms
-//! (McCreight, Ukkonen — its refs [25, 38]) before adopting the partitioned
-//! approach for disk. This module provides Ukkonen's algorithm as a *third*
-//! independently implemented tree builder: it shares no code with the
+//! (McCreight, Ukkonen — its refs [25, 38]). This module is a test oracle
+//! (compiled only under `#[cfg(test)]`): it shares no code with the
 //! SA-IS → LCP → stack pipeline of [`crate::tree`], so structural agreement
-//! between the two (asserted by tests) is strong evidence both are correct.
+//! between the two (asserted below) is strong evidence both are correct.
 //!
 //! Ukkonen builds the suffix tree of the *whole* concatenated text. Because
 //! every separator rank is unique (see [`crate::text`]), no two suffixes
@@ -248,7 +247,8 @@ pub fn build_ukkonen(db: &SequenceDatabase) -> SuffixTree {
 mod tests {
     use super::*;
     use crate::access::SuffixTreeAccess;
-    use oasis_bioseq::{Alphabet, DatabaseBuilder};
+    use oasis_bioseq::{Alphabet, DatabaseBuilder, Sequence};
+    use proptest::prelude::*;
 
     fn db(seqs: &[&str]) -> SequenceDatabase {
         let mut b = DatabaseBuilder::new(Alphabet::dna());
@@ -354,6 +354,33 @@ mod tests {
         let t = build_ukkonen(&d);
         let q = Alphabet::dna().encode_str("TACG").unwrap();
         assert_eq!(crate::search::occurrences(&t, &q), vec![2]);
+    }
+
+    #[test]
+    fn ukkonen_on_paper_example() {
+        let d = db(&["AGTACGCCTAG"]);
+        let uk = build_ukkonen(&d);
+        assert_eq!(uk.num_leaves(), 11);
+        assert_eq!(SuffixTreeAccess::num_internal(&uk), 6);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn ukkonen_equals_sa_builder(
+            seqs in prop::collection::vec(prop::collection::vec(0u8..4, 1..40), 1..8),
+        ) {
+            let mut b = DatabaseBuilder::new(Alphabet::dna());
+            for (i, codes) in seqs.iter().enumerate() {
+                b.push(Sequence::from_codes(format!("s{i}"), codes.clone())).unwrap();
+            }
+            let d = b.finish();
+            let sa_tree = SuffixTree::build(&d);
+            let uk_tree = build_ukkonen(&d);
+            prop_assert_eq!(canon(&sa_tree), canon(&uk_tree));
+            prop_assert_eq!(sa_tree.num_leaves(), uk_tree.num_leaves());
+        }
     }
 
     #[test]

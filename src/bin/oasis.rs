@@ -9,7 +9,6 @@
 //! oasis serve  --index <dir> --addr <host:port> [options]
 //! oasis query  --remote <host:port> <QUERY> [options]
 //! oasis admin  --remote <host:port> metrics|slowlog|reload <dir>|append <fasta>|shutdown
-//! oasis lint   [--json] [--root <DIR>]
 //! ```
 //!
 //! The one on-disk index is the **index artifact** directory: `index
@@ -68,7 +67,6 @@ USAGE:
   oasis admin  --remote <host:port> append <queries.fasta>
   oasis admin  --remote <host:port> shutdown
                (admin also accepts [--timeout-ms T])
-  oasis lint   [--json] [--root <DIR>]
 
 `index build` persists a complete artifact directory (database + N
 balanced shard indexes, per-section checksums, atomic temp-file+rename
@@ -133,11 +131,6 @@ setup with --timeout-ms (default 10000; 0 waits forever; given
 explicitly, it also bounds every response wait). See
 docs/OBSERVABILITY.md for the full metric and stage taxonomy.
 
-`lint` runs the workspace invariant checker (oasis-lint) over this
-repository's own sources — serving-path panic-freedom, lock discipline,
-wire-spec and artifact-manifest drift — and exits non-zero on findings;
-see docs/LINTS.md for the rules and the escape syntax.
-
 Defaults: --protein for `index build`, --matrix unit on a DNA index and
 pam30 on a protein one, --gap -10, --evalue 10, --pool-mb 64, --shards 1
 and --block-size 2048 for `index build`, --queue 64 and --workers = all
@@ -151,7 +144,6 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("admin") => cmd_admin(&args[1..]),
-        Some("lint") => return cmd_lint(&args[1..]),
         _ => {
             eprintln!("{USAGE}");
             return ExitCode::from(2);
@@ -481,19 +473,10 @@ fn cmd_index_append(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// How `minScore` is derived for each query of a run: a fixed
-/// `--min-score`, or Karlin-Altschul statistics (estimated once — the
-/// matrix and background are the same for every query) converting the
-/// E-value threshold per query length via the paper's Equation 3.
-enum MinScoreRule {
-    Fixed(Score),
-    Evalue { karlin: KarlinParams, evalue: f64 },
-}
-
 /// The validated score flags: `--min-score` (at least 1) or `--evalue`
-/// (finite and positive, default 10). The local rule and the remote
-/// request both go through here, so a bad flag fails with the same
-/// wording on either path; `query --remote` checks it before connecting.
+/// (finite and positive, default 10). The local and the remote search
+/// both go through here, so a bad flag fails with the same wording on
+/// either path, before an index is opened or a server is connected.
 fn score_rule(flags: &Flags) -> Result<ScoreRule, String> {
     match (flags.min_score, flags.evalue.unwrap_or(10.0)) {
         // `OasisParams` asserts minScore >= 1; turn a bad flag into a
@@ -504,30 +487,6 @@ fn score_rule(flags: &Flags) -> Result<ScoreRule, String> {
             Err(format!("E-value must be finite and positive (got {e})"))
         }
         (None, e) => Ok(ScoreRule::Evalue(e)),
-    }
-}
-
-impl MinScoreRule {
-    fn from_flags(flags: &Flags, scoring: &Scoring) -> Result<Self, String> {
-        let evalue = match score_rule(flags)? {
-            ScoreRule::MinScore(s) => return Ok(MinScoreRule::Fixed(s)),
-            ScoreRule::Evalue(e) => e,
-        };
-        let freqs: Vec<f64> = match flags.alphabet.kind() {
-            oasis::bioseq::AlphabetKind::Dna => oasis::align::background_dna().to_vec(),
-            oasis::bioseq::AlphabetKind::Protein => oasis::align::background_protein().to_vec(),
-        };
-        let karlin = KarlinParams::estimate(&scoring.matrix, &freqs).map_err(|e| e.to_string())?;
-        Ok(MinScoreRule::Evalue { karlin, evalue })
-    }
-
-    fn min_score(&self, db: &SequenceDatabase, query_len: usize) -> Score {
-        match self {
-            MinScoreRule::Fixed(s) => *s,
-            MinScoreRule::Evalue { karlin, evalue } => {
-                karlin.min_score_for_evalue(query_len as u64, db.total_residues(), *evalue)
-            }
-        }
     }
 }
 
@@ -697,10 +656,14 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
                 .to_string(),
         );
     }
+    let rule = score_rule(&flags)?;
     let engine = open_search_engine(&mut flags, &dir)?;
+    // Estimated once for the run, as the server does at bind.
+    let karlin = KarlinParams::for_matrix(&engine.scoring().matrix).ok();
+    let karlin = karlin.as_ref();
     match (flags.positional.as_slice(), &flags.queries) {
-        ([query_text], None) => search_single(&flags, &engine, query_text),
-        ([], Some(queries_path)) => search_batch(&flags, &engine, queries_path),
+        ([query_text], None) => search_single(&flags, rule, karlin, &engine, query_text),
+        ([], Some(path)) => search_batch(&flags, rule, karlin, &engine, path),
         _ => Err("usage: oasis search --index <dir> <QUERY> [...]\n\
              or:    oasis search --index <dir> --queries <queries.fasta> [...]"
             .to_string()),
@@ -750,28 +713,47 @@ fn print_hits(db: &SequenceDatabase, hits: impl Iterator<Item = Hit>, limit: usi
     shown
 }
 
+/// The job of one local query: the request `query --remote` would send,
+/// resolved by the server's own
+/// [`SearchRequest::resolve`](oasis::net::SearchRequest::resolve), so the
+/// two paths cannot derive different jobs.
+fn local_job(
+    flags: &Flags,
+    rule: ScoreRule,
+    karlin: Option<&KarlinParams>,
+    engine: &ShardedEngine,
+    id: &str,
+    query_text: &str,
+) -> Result<BatchQuery, String> {
+    search_request(flags, rule, id, query_text)?
+        .resolve(engine.db(), karlin)
+        .map_err(|refusal| refusal.message)
+}
+
 /// One query: stream hits online (respecting `--top`) through an engine
 /// session, then close the session for the per-query accounting — on the
 /// drained *and* the `--top` early-exit path alike, so the pool hit ratio
 /// is never silently discarded.
-fn search_single(flags: &Flags, engine: &ShardedEngine, query_text: &str) -> Result<(), String> {
+fn search_single(
+    flags: &Flags,
+    rule: ScoreRule,
+    karlin: Option<&KarlinParams>,
+    engine: &ShardedEngine,
+    query_text: &str,
+) -> Result<(), String> {
     if query_text.is_empty() {
         return Err("query is empty — nothing to search".to_string());
     }
-    let query = flags
-        .alphabet
-        .encode_str(query_text)
-        .map_err(|e| e.to_string())?;
-    let scoring = scoring_from(flags)?;
-    let db = engine.db();
-    let min_score = MinScoreRule::from_flags(flags, &scoring)?.min_score(db, query.len());
-    eprintln!("minScore = {min_score}");
+    let job = local_job(flags, rule, karlin, engine, "q", query_text)?;
+    eprintln!("minScore = {}", job.params.min_score);
 
-    let params = OasisParams::with_min_score(min_score);
-    let limit = flags.top.unwrap_or(usize::MAX);
     let start = std::time::Instant::now();
-    let mut session = engine.session(&query, &params);
-    let shown = print_hits(db, session.by_ref(), limit);
+    let mut session = engine.session(&job.query, &job.params);
+    let shown = print_hits(
+        engine.db(),
+        session.by_ref(),
+        job.limit.unwrap_or(usize::MAX),
+    );
     let (_, delta) = session.finish();
     eprintln!("{shown} hits in {:.2?}", start.elapsed());
     report_pool(&delta);
@@ -780,38 +762,33 @@ fn search_single(flags: &Flags, engine: &ShardedEngine, query_text: &str) -> Res
 
 /// A FASTA of queries: run the whole batch concurrently over the shared
 /// index and print per-query results keyed by record name.
-fn search_batch(flags: &Flags, engine: &ShardedEngine, queries_path: &str) -> Result<(), String> {
-    let scoring = scoring_from(flags)?;
+fn search_batch(
+    flags: &Flags,
+    rule: ScoreRule,
+    karlin: Option<&KarlinParams>,
+    engine: &ShardedEngine,
+    queries_path: &str,
+) -> Result<(), String> {
     let db = engine.db();
-
     let bytes = std::fs::read(queries_path).map_err(|e| format!("{queries_path}: {e}"))?;
     // Queries use Reject, matching the positional-QUERY path (encode_str):
     // silently skipping residues would search a different sequence.
     let records = parse_fasta(
         BufReader::new(&bytes[..]),
-        &flags.alphabet,
+        db.alphabet(),
         UnknownResiduePolicy::Reject,
     )
     .map_err(|e| format!("{queries_path}: {e}"))?;
     if records.is_empty() {
         return Err(format!("{queries_path}: no query records"));
     }
-    let rule = MinScoreRule::from_flags(flags, &scoring)?;
-    let jobs: Vec<BatchQuery> = records
-        .into_iter()
+    let jobs = records
+        .iter()
         .map(|seq| {
-            let (name, codes) = seq.into_parts();
-            let min = rule.min_score(db, codes.len());
-            let mut job = BatchQuery::named(name, codes, OasisParams::with_min_score(min));
-            if let Some(top) = flags.top {
-                // Top-k abort per query: the engine stops each search as
-                // soon as its k best hits are proven, like the single-query
-                // streaming path.
-                job = job.with_limit(top);
-            }
-            job
+            let text = db.alphabet().decode_all(seq.codes());
+            local_job(flags, rule, karlin, engine, seq.name(), &text)
         })
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
 
     eprintln!(
         "{} queries on {} thread(s)",
@@ -1014,71 +991,6 @@ fn cmd_index_inspect(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Run the workspace invariant checker (`oasis-lint`, see
-/// `docs/LINTS.md`). Exit status follows the standalone binary: 0 clean,
-/// 1 findings, 2 usage or I/O error.
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--root" => match it.next() {
-                Some(dir) => root = Some(std::path::PathBuf::from(dir)),
-                None => {
-                    eprintln!("error: --root needs a directory argument");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown lint argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let root = match root.or_else(|| {
-        std::env::current_dir()
-            .ok()
-            .and_then(|cwd| oasis::lint::find_root(&cwd))
-    }) {
-        Some(r) => r,
-        None => {
-            eprintln!(
-                "error: could not find the workspace root (no Cargo.toml + crates/ above \
-                 the cwd); pass --root"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let ws = match oasis::lint::Workspace::load(&root) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("error: cannot load workspace at {}: {e}", root.display());
-            return ExitCode::from(2);
-        }
-    };
-    let diags = ws.lint();
-    if json {
-        println!("{}", oasis::lint::render_json(&diags));
-    } else {
-        for d in &diags {
-            println!("{d}");
-        }
-    }
-    if diags.is_empty() {
-        eprintln!(
-            "oasis lint: clean — {} files, {} rules",
-            ws.files.len(),
-            oasis::lint::rules::RULES.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("oasis lint: {} finding(s)", diags.len());
-        ExitCode::FAILURE
-    }
-}
-
 /// Serve an index artifact over the oasis-net wire protocol.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut flags = parse_flags(args)?;
@@ -1150,9 +1062,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     server.run().map_err(|e| e.to_string())
 }
 
-/// Remote search request shared by the single-query and batch paths;
-/// `rule` is the [`score_rule`] checked before connecting.
-fn remote_request(
+/// The search request a set of flags describes, shared by the local and
+/// remote paths, single and batch; `rule` is the [`score_rule`] checked
+/// before any index is opened or server connected.
+fn search_request(
     flags: &Flags,
     rule: ScoreRule,
     id: &str,
@@ -1236,7 +1149,7 @@ fn query_single(
     if query_text.is_empty() {
         return Err("query is empty — nothing to search".to_string());
     }
-    let req = remote_request(flags, rule, "q", query_text)?;
+    let req = search_request(flags, rule, "q", query_text)?;
     let limit = flags.top.unwrap_or(usize::MAX);
     let start = std::time::Instant::now();
     let mut stream = client.search(req).map_err(|e| e.to_string())?;
@@ -1292,7 +1205,7 @@ fn query_batch(
     for seq in records {
         let (name, codes) = seq.into_parts();
         let text = alphabet.decode_all(&codes);
-        let req = remote_request(flags, rule, &name, &text)?;
+        let req = search_request(flags, rule, &name, &text)?;
         let (hits, done) = client
             .search_collect(req)
             .map_err(|e| format!("query {name}: {e}"))?;

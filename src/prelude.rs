@@ -9,9 +9,7 @@ pub use oasis_align::{
     Alignment, GapModel, KarlinParams, Score, Scoring, SubstitutionMatrix, SwScanner, NEG_INF,
 };
 
-pub use oasis_suffix::{
-    build_ukkonen, EsaError, EsaIndex, NodeHandle, SuffixTree, SuffixTreeAccess,
-};
+pub use oasis_suffix::{EsaError, EsaIndex, NodeHandle, SuffixTree, SuffixTreeAccess};
 
 pub use oasis_storage::{
     read_manifest, replay_wal, write_index_artifact, ArtifactError, BufferPool, BufferPoolStats,

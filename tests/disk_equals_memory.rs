@@ -108,21 +108,3 @@ fn one_frame_pool_is_still_correct() {
     assert_eq!(a, b);
     assert!(disk.pool().stats().total().misses() > 0);
 }
-
-#[test]
-fn partitioned_build_serves_identical_queries() {
-    // Hunt-style bounded-memory construction feeds the same search results.
-    let db = build_db(&[
-        vec![0, 1, 2, 3, 0, 1, 2, 3, 1, 1, 0, 2],
-        vec![2, 3, 0, 1, 2, 2, 3],
-        vec![1, 1, 1, 0, 3],
-    ]);
-    let direct = SuffixTree::build(&db);
-    let partitioned = oasis::storage::partitioned::build_tree_partitioned(&db, 4);
-    let scoring = Scoring::unit_dna();
-    let params = OasisParams::with_min_score(2);
-    let query = vec![0, 1, 2];
-    let (a, _) = OasisSearch::new(&direct, &db, &query, &scoring, &params).run();
-    let (b, _) = OasisSearch::new(&partitioned, &db, &query, &scoring, &params).run();
-    assert_eq!(a, b);
-}

@@ -1,7 +1,7 @@
-//! Deeper property tests over the substrates: the three suffix-tree
-//! builders agree; alignments recompute their own scores; FASTA round-trips
-//! arbitrary sequences; BLAST word neighborhoods match brute force; the
-//! E-value-ordered search agrees with an offline sort.
+//! Deeper property tests over the substrates: alignments recompute their
+//! own scores; FASTA round-trips arbitrary sequences; BLAST word
+//! neighborhoods match brute force; the E-value-ordered search agrees with
+//! an offline sort.
 
 use proptest::prelude::*;
 
@@ -19,65 +19,8 @@ fn build_db(seqs: &[Vec<u8>]) -> SequenceDatabase {
     b.finish()
 }
 
-/// Canonical structural form of a suffix tree.
-fn canon(tree: &SuffixTree) -> Vec<(Vec<u8>, bool)> {
-    let mut out = Vec::new();
-    let mut stack = vec![(tree.root(), Vec::new())];
-    let mut kids = Vec::new();
-    while let Some((h, prefix)) = stack.pop() {
-        if h.is_leaf() {
-            out.push((prefix, true));
-            continue;
-        }
-        if h != tree.root() {
-            out.push((prefix.clone(), false));
-        }
-        tree.children_into(h, &mut kids);
-        let depth = tree.depth(h);
-        for &c in kids.iter() {
-            let mut p = prefix.clone();
-            p.extend(tree.arc_label(depth, c));
-            stack.push((c, p));
-        }
-    }
-    out.sort();
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn ukkonen_equals_sa_builder(
-        seqs in prop::collection::vec(prop::collection::vec(0u8..4, 1..40), 1..8),
-    ) {
-        let db = build_db(&seqs);
-        let sa_tree = SuffixTree::build(&db);
-        let uk_tree = build_ukkonen(&db);
-        prop_assert_eq!(canon(&sa_tree), canon(&uk_tree));
-        prop_assert_eq!(sa_tree.num_leaves(), uk_tree.num_leaves());
-    }
-
-    #[test]
-    fn oasis_identical_over_ukkonen_tree(
-        seqs in prop::collection::vec(prop::collection::vec(0u8..4, 1..40), 1..8),
-        query in prop::collection::vec(0u8..4, 1..10),
-        min in 1i32..6,
-    ) {
-        let db = build_db(&seqs);
-        let sa_tree = SuffixTree::build(&db);
-        let uk_tree = build_ukkonen(&db);
-        let scoring = Scoring::unit_dna();
-        let params = OasisParams::with_min_score(min);
-        let (a, sa_stats) = OasisSearch::new(&sa_tree, &db, &query, &scoring, &params).run();
-        let (b, uk_stats) = OasisSearch::new(&uk_tree, &db, &query, &scoring, &params).run();
-        let mut a: Vec<_> = a.iter().map(|h| (h.seq, h.score)).collect();
-        let mut b: Vec<_> = b.iter().map(|h| (h.seq, h.score)).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(sa_stats.columns_expanded, uk_stats.columns_expanded);
-    }
 
     #[test]
     fn alignments_recompute_their_scores(
@@ -222,14 +165,4 @@ proptest! {
             s.hits as usize + s.misses() as usize
         });
     }
-}
-
-#[test]
-fn ukkonen_on_paper_example() {
-    let mut b = DatabaseBuilder::new(Alphabet::dna());
-    b.push_str("paper", "AGTACGCCTAG").unwrap();
-    let db = b.finish();
-    let uk = build_ukkonen(&db);
-    assert_eq!(uk.num_leaves(), 11);
-    assert_eq!(SuffixTreeAccess::num_internal(&uk), 6);
 }

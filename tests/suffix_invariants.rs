@@ -1,11 +1,12 @@
-//! Property tests on the index substrate: suffix arrays (three independent
-//! builders agree), LCP, the generalized suffix tree's structural
-//! invariants, and exact-match search against a naive scan.
+//! Property tests on the index substrate: LCP, the generalized suffix
+//! tree's structural invariants, and exact-match search against a naive
+//! scan. The suffix-array builders are checked against each other inside
+//! `oasis-suffix`, where the test oracles live.
 
 use proptest::prelude::*;
 
 use oasis::prelude::*;
-use oasis::suffix::{lcp_kasai, occurrences, suffix_array, RankedText};
+use oasis::suffix::{lcp_kasai, occurrences, suffix_array};
 
 fn build_db(seqs: &[Vec<u8>]) -> SequenceDatabase {
     let mut b = DatabaseBuilder::new(Alphabet::dna());
@@ -26,28 +27,6 @@ fn naive_occurrences(db: &SequenceDatabase, query: &[u8]) -> Vec<u32> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn three_sa_builders_agree(text in prop::collection::vec(0u32..6, 0..120)) {
-        let sais = suffix_array(&text);
-        let doubling = oasis::suffix::doubling::suffix_array_doubling(&text);
-        let naive = oasis::suffix::naive::suffix_array_naive(&text);
-        prop_assert_eq!(&sais, &doubling);
-        prop_assert_eq!(&sais, &naive);
-    }
-
-    #[test]
-    fn partitioned_sa_agrees(
-        seqs in prop::collection::vec(prop::collection::vec(0u8..4, 1..30), 1..6),
-        budget in 1usize..64,
-    ) {
-        let db = build_db(&seqs);
-        let ranked = RankedText::from_database(&db);
-        prop_assert_eq!(
-            oasis::storage::partitioned_suffix_array(&ranked, budget),
-            suffix_array(ranked.ranks())
-        );
-    }
 
     #[test]
     fn lcp_matches_direct_comparison(text in prop::collection::vec(0u32..4, 1..100)) {
