@@ -1,7 +1,6 @@
-//! Property tests on the index substrate: LCP, the generalized suffix
-//! tree's structural invariants, and exact-match search against a naive
-//! scan. The suffix-array builders are checked against each other inside
-//! `oasis-suffix`, where the test oracles live.
+//! Property tests on the index substrate: suffix arrays (SA-IS agrees with
+//! two independent references), LCP, the generalized suffix tree's
+//! structural invariants, and exact-match search against a naive scan.
 
 use proptest::prelude::*;
 
@@ -25,8 +24,52 @@ fn naive_occurrences(db: &SequenceDatabase, query: &[u8]) -> Vec<u32> {
         .collect()
 }
 
+/// Sort all suffixes by direct comparison.
+fn naive_suffix_array(text: &[u32]) -> Vec<u32> {
+    let mut sa: Vec<u32> = (0..text.len() as u32).collect();
+    sa.sort_by(|&a, &b| text[a as usize..].cmp(&text[b as usize..]));
+    sa
+}
+
+/// Prefix doubling: sort by (rank of the first k symbols, rank of the next
+/// k), with the end of the text ranking below every symbol, until all ranks
+/// are distinct.
+fn doubling_suffix_array(text: &[u32]) -> Vec<u32> {
+    let n = text.len();
+    let mut sa: Vec<u32> = (0..n as u32).collect();
+    let mut rank: Vec<i64> = text.iter().map(|&x| x as i64).collect();
+    let mut k = 1;
+    if n == 0 {
+        return sa;
+    }
+    loop {
+        let key = |i: u32| {
+            let i = i as usize;
+            (rank[i], rank.get(i + k).copied().unwrap_or(-1))
+        };
+        sa.sort_by_key(|&i| key(i));
+        let mut next = vec![0i64; n];
+        for w in 1..n {
+            next[sa[w] as usize] = next[sa[w - 1] as usize] + (key(sa[w]) != key(sa[w - 1])) as i64;
+        }
+        rank = next;
+        if rank[sa[n - 1] as usize] == n as i64 - 1 {
+            break;
+        }
+        k *= 2;
+    }
+    sa
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn three_sa_builders_agree(text in prop::collection::vec(0u32..6, 0..120)) {
+        let sais = suffix_array(&text);
+        prop_assert_eq!(&sais, &doubling_suffix_array(&text));
+        prop_assert_eq!(&sais, &naive_suffix_array(&text));
+    }
 
     #[test]
     fn lcp_matches_direct_comparison(text in prop::collection::vec(0u32..4, 1..100)) {
