@@ -8,9 +8,7 @@ use std::time::{Duration, Instant};
 
 use oasis_bench::{banner, fmt_duration, fmt_ratio, print_table, Scale, Testbed};
 use oasis_core::OasisParams;
-use oasis_storage::{
-    DiskSuffixTree, DiskTreeBuilder, MemDevice, PoolStatsSnapshot, Region, SimulatedDisk,
-};
+use oasis_storage::{DiskSuffixTree, DiskTreeBuilder, MemDevice, Region, SimulatedDisk};
 
 fn main() {
     let scale = Scale::from_env();
@@ -29,15 +27,15 @@ fn main() {
         let device = SimulatedDisk::fujitsu_2003(MemDevice::new(image, block_size));
         let tree = DiskSuffixTree::open(device, pool_bytes).expect("valid image");
         tree.pool().device().reset();
+        let opened = tree.pool().stats();
         let mut cpu = Duration::ZERO;
-        let mut s = PoolStatsSnapshot::default();
         for q in &tb.queries {
             let params = OasisParams::with_min_score(tb.min_score(q.len(), evalue));
             let start = Instant::now();
-            let (_, delta) = tb.run_pooled(&tree, q, &params);
+            tb.search(&tree, q, &params).run();
             cpu += start.elapsed();
-            s.merge(&delta);
         }
+        let s = tree.pool().stats().since(&opened);
         let io = Duration::from_nanos(tree.pool().device().virtual_nanos());
         rows.push(vec![
             block_size.to_string(),

@@ -17,11 +17,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use oasis_align::{background_protein, KarlinParams, Score, Scoring, SwScanner};
+use oasis_align::{KarlinParams, Score, Scoring, SwScanner};
 use oasis_bioseq::Alphabet;
 use oasis_blast::{BlastParams, BlastSearch};
 use oasis_core::{Hit, OasisParams, OasisSearch, SearchStats};
-use oasis_storage::{PoolDeltaScope, PoolStatsSnapshot};
+use oasis_storage::{BlockDevice, DiskSuffixTree, PoolStatsSnapshot};
 use oasis_suffix::{SuffixTree, SuffixTreeAccess};
 use oasis_workloads::{generate_protein, generate_queries, ProteinDbSpec, QuerySpec, Workload};
 
@@ -140,8 +140,8 @@ impl Testbed {
     pub fn protein(scale: Scale) -> Self {
         let workload = generate_protein(&scale.protein_spec());
         let scoring = Scoring::pam30_protein();
-        let karlin = KarlinParams::estimate(&scoring.matrix, &background_protein())
-            .expect("PAM30 statistics are well-defined");
+        let karlin =
+            KarlinParams::for_matrix(&scoring.matrix).expect("PAM30 statistics are well-defined");
         let queries = generate_queries(
             &workload,
             &QuerySpec::proclass_like(scale.query_count(), 0xBEEF),
@@ -177,7 +177,7 @@ impl Testbed {
         };
         let workload = oasis_workloads::generate_dna(&spec);
         let scoring = Scoring::unit_dna();
-        let karlin = KarlinParams::estimate(&scoring.matrix, &oasis_align::background_dna())
+        let karlin = KarlinParams::for_matrix(&scoring.matrix)
             .expect("unit-matrix statistics are well-defined");
         // BLAST classifies nucleotide queries under 20 symbols as short;
         // sample the same short-query regime.
@@ -221,18 +221,18 @@ impl Testbed {
         OasisSearch::new(index, &self.workload.db, query, &self.scoring, params)
     }
 
-    /// Run one query to completion over `index`, returning its hits and
-    /// the buffer-pool traffic it caused (all zeros in memory), measured
-    /// through a thread-local [`PoolDeltaScope`].
-    pub fn run_pooled<T: SuffixTreeAccess + ?Sized>(
+    /// Run one query to completion over the disk-resident `tree`,
+    /// returning its hits and the buffer-pool traffic it caused: the
+    /// pool's counters after the run minus those before.
+    pub fn run_pooled<D: BlockDevice>(
         &self,
-        index: &T,
+        tree: &DiskSuffixTree<D>,
         query: &[u8],
         params: &OasisParams,
     ) -> (Vec<Hit>, PoolStatsSnapshot) {
-        let scope = PoolDeltaScope::begin();
-        let (hits, _) = self.search(index, query, params).run();
-        (hits, scope.finish())
+        let before = tree.pool().stats();
+        let (hits, _) = self.search(tree, query, params).run();
+        (hits, tree.pool().stats().since(&before))
     }
 
     /// Run OASIS for one query at `evalue` over the in-memory tree.
@@ -307,26 +307,25 @@ impl Testbed {
     /// pool of `pool_bytes`, modelling the paper's SCSI disk per miss. The
     /// pool is shared across queries (steady-state behaviour, as in §4.5);
     /// queries run serially so the CPU/IO split stays attributable, and
-    /// the workload's pool statistics are the fold of the per-query deltas
-    /// (not a racy global reset).
+    /// the workload's pool statistics are the pool's counters after the
+    /// workload minus those after opening the tree.
     pub fn disk_run(&self, image: &[u8], pool_bytes: usize, evalue: f64) -> DiskRun {
-        use oasis_storage::{DiskSuffixTree, MemDevice, SimulatedDisk};
+        use oasis_storage::{MemDevice, SimulatedDisk};
         let device = SimulatedDisk::fujitsu_2003(MemDevice::new(image.to_vec(), 2048));
         let tree = DiskSuffixTree::open(device, pool_bytes).expect("valid image");
         tree.pool().device().reset();
+        let opened = tree.pool().stats();
         let mut cpu = Duration::ZERO;
-        let mut pool_stats = PoolStatsSnapshot::default();
         for q in &self.queries {
             let params = OasisParams::with_min_score(self.min_score(q.len(), evalue));
             let start = Instant::now();
-            let (_, delta) = self.run_pooled(&tree, q, &params);
+            self.search(&tree, q, &params).run();
             cpu += start.elapsed();
-            pool_stats.merge(&delta);
         }
         DiskRun {
             cpu,
             io: Duration::from_nanos(tree.pool().device().virtual_nanos()),
-            pool_stats,
+            pool_stats: tree.pool().stats().since(&opened),
             queries: self.queries.len(),
         }
     }

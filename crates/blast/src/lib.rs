@@ -30,5 +30,5 @@ pub mod search;
 pub mod words;
 
 pub use params::{BlastParams, SeedMode};
-pub use search::{BlastHit, BlastSearch, BlastStats};
+pub use search::{BlastError, BlastHit, BlastSearch, BlastStats};
 pub use words::WordIndex;

@@ -1,8 +1,6 @@
 //! The scan–extend–filter pipeline.
 
-use oasis_align::{
-    background_dna, background_protein, sw_best, KarlinParams, Score, Scoring, StatsError,
-};
+use oasis_align::{sw_best, KarlinParams, Score, Scoring, StatsError};
 use oasis_bioseq::{AlphabetKind, SeqId, SequenceDatabase};
 
 use crate::params::{BlastParams, SeedMode};
@@ -32,6 +30,34 @@ pub struct BlastStats {
     pub gapped_cells: u64,
 }
 
+/// Why [`BlastSearch::new`] refused a database and scoring scheme.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BlastError {
+    /// The scoring matrix is over another alphabet than the database.
+    AlphabetMismatch {
+        /// The database's alphabet.
+        database: AlphabetKind,
+        /// The matrix's alphabet.
+        matrix: AlphabetKind,
+    },
+    /// Karlin-Altschul statistics are undefined for the matrix.
+    Stats(StatsError),
+}
+
+impl std::fmt::Display for BlastError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BlastError::AlphabetMismatch { database, matrix } => write!(
+                f,
+                "database alphabet {database:?} does not match the {matrix:?} scoring matrix"
+            ),
+            BlastError::Stats(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for BlastError {}
+
 /// A BLAST-style searcher bound to one database and scoring scheme.
 pub struct BlastSearch<'a> {
     db: &'a SequenceDatabase,
@@ -42,18 +68,18 @@ pub struct BlastSearch<'a> {
 
 impl<'a> BlastSearch<'a> {
     /// Create a searcher; Karlin-Altschul parameters are estimated from the
-    /// scoring matrix and the standard background for the database alphabet.
+    /// scoring matrix and the standard background of its alphabet, which
+    /// must be the database's.
     pub fn new(
         db: &'a SequenceDatabase,
         scoring: &'a Scoring,
         params: BlastParams,
-    ) -> Result<Self, StatsError> {
-        let karlin = match db.alphabet_kind() {
-            AlphabetKind::Dna => KarlinParams::estimate(&scoring.matrix, &background_dna())?,
-            AlphabetKind::Protein => {
-                KarlinParams::estimate(&scoring.matrix, &background_protein())?
-            }
-        };
+    ) -> Result<Self, BlastError> {
+        let (database, matrix) = (db.alphabet_kind(), scoring.matrix.kind());
+        if database != matrix {
+            return Err(BlastError::AlphabetMismatch { database, matrix });
+        }
+        let karlin = KarlinParams::for_matrix(&scoring.matrix).map_err(BlastError::Stats)?;
         Ok(BlastSearch {
             db,
             scoring,
@@ -233,6 +259,25 @@ mod tests {
 
     fn blosum() -> Scoring {
         Scoring::new(SubstitutionMatrix::blosum62(), GapModel::linear(-8))
+    }
+
+    #[test]
+    fn protein_matrix_over_dna_database_is_refused() {
+        let mut b = DatabaseBuilder::new(Alphabet::dna());
+        b.push_str("d0", "ACGTACGTACGT").unwrap();
+        let db = b.finish();
+        let scoring = Scoring::new(SubstitutionMatrix::pam30(), GapModel::linear(-8));
+        let err = BlastSearch::new(&db, &scoring, BlastParams::dna())
+            .err()
+            .expect("a DNA database with PAM30 is refused");
+        assert_eq!(
+            err,
+            BlastError::AlphabetMismatch {
+                database: AlphabetKind::Dna,
+                matrix: AlphabetKind::Protein,
+            }
+        );
+        assert!(err.to_string().contains("does not match"), "{err}");
     }
 
     #[test]

@@ -386,8 +386,7 @@ impl LiveIndex {
         // Adopt: swap the merged artifact in as the new base, rebuild the
         // snapshot over the (possibly non-empty) surviving delta tail,
         // publish, and only then truncate the WAL.
-        let merged = ShardedEngine::from_shards(merged_db, base.scoring().clone(), merged_shards)
-            .with_threads(base.threads());
+        let merged = ShardedEngine::from_shards(merged_db, base.scoring().clone(), merged_shards);
         let mut state = self.lock();
         state.base = Arc::new(merged);
         state.delta.drop_folded(folded_through);
@@ -456,10 +455,11 @@ fn make_snapshot(
     };
     let mut shards = base.shared_shards();
     shards.push(Arc::new(delta_shard));
-    Ok(Arc::new(
-        ShardedEngine::from_shared_shards(combined, base.scoring().clone(), shards)
-            .with_threads(base.threads()),
-    ))
+    Ok(Arc::new(ShardedEngine::from_shared_shards(
+        combined,
+        base.scoring().clone(),
+        shards,
+    )))
 }
 
 #[cfg(test)]
@@ -646,9 +646,10 @@ mod tests {
         let q = Alphabet::dna().encode_str("TACGT").unwrap();
         for min in 1..=5 {
             let params = OasisParams::with_min_score(min);
+            let before = snap.pool_stats();
             let outcome = snap.run_one(&q, &params);
             assert!(
-                outcome.pool_delta.total().requests > 0,
+                snap.pool_stats().since(&before).total().requests > 0,
                 "min={min}: the base shard must still read through the buffer pool"
             );
             assert_eq!(outcome.hits, rebuilt.run_one(&q, &params).hits, "min={min}");

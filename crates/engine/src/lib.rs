@@ -24,11 +24,9 @@
 //! statistics) is private to its query. The only shared mutable state is
 //! the buffer-pool frame table, which affects *timing*, never *results*.
 //!
-//! Per-query buffer-pool accounting uses
-//! [`PoolDeltaScope`](oasis_storage::PoolDeltaScope): each worker opens a
-//! thread-local scope around its query, so [`SearchOutcome::pool_delta`]
-//! reports exactly that query's hit ratio even while other queries hammer
-//! the same pool.
+//! The pool's counters are cumulative and kept by the pool itself:
+//! [`ShardedEngine::pool_stats`] reads them, and a caller diffs two reads
+//! for the traffic of the run between them.
 //!
 //! [`ServingEngine`] is the non-blocking front end over it: a bounded
 //! admission queue and worker pool, hits streamed through ticket handles, and
@@ -54,7 +52,7 @@
 //! b.push_str("s0", "AGTACGCCTAG").unwrap();
 //! b.push_str("s1", "TACCG").unwrap();
 //! let db = Arc::new(b.finish());
-//! let engine = ShardedEngine::build(db, Scoring::unit_dna(), 1).with_threads(4);
+//! let engine = ShardedEngine::build(db, Scoring::unit_dna(), 1);
 //!
 //! let alpha = Alphabet::dna();
 //! let params = OasisParams::with_min_score(2);
@@ -71,7 +69,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use oasis_core::{Hit, OasisParams, SearchStats};
-use oasis_storage::PoolStatsSnapshot;
 
 mod cache;
 mod catalog;
@@ -143,7 +140,9 @@ impl BatchQuery {
     }
 }
 
-/// Everything one query produced.
+/// Everything one query produced: its hits and search counters. Its
+/// buffer-pool traffic is the pool's to count; see
+/// [`ShardedEngine::pool_stats`].
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// The hits, in the search's online (non-increasing score) order —
@@ -152,9 +151,6 @@ pub struct SearchOutcome {
     pub hits: Vec<Hit>,
     /// Search instrumentation counters for this query alone.
     pub stats: SearchStats,
-    /// Buffer-pool traffic attributable to this query alone (all zeros
-    /// for purely in-memory indexes, which issue no pool requests).
-    pub pool_delta: PoolStatsSnapshot,
 }
 
 /// Execute `run(0..n)` across up to `threads` scoped worker threads,
@@ -247,9 +243,9 @@ mod tests {
     #[test]
     fn batch_equals_serial_in_memory() {
         let db = dna_db(&["AGTACGCCTAG", "TACCG", "GGTAGG", "CCCCCC", "GATTACA"]);
-        let engine = mem_engine(&db).with_threads(4);
+        let engine = mem_engine(&db);
         let jobs = queries(&Alphabet::dna(), &["TACG", "GATT", "CC", "GGTAGG"], 2);
-        let batch = engine.run_batch(&jobs);
+        let batch = engine.run_batch_on(&jobs, 4);
         assert_eq!(batch.len(), jobs.len());
         let tree = SuffixTree::build(&db);
         let scoring = Scoring::unit_dna();
@@ -258,8 +254,12 @@ mod tests {
                 OasisSearch::new(&tree, &db, &job.query, &scoring, &job.params).run();
             assert_eq!(out.hits, hits, "query {}", job.id);
             assert_eq!(out.stats, stats, "query {}", job.id);
-            assert_eq!(out.pool_delta.total().requests, 0, "in-memory: no pool");
         }
+        assert_eq!(
+            engine.pool_stats().total().requests,
+            0,
+            "in-memory: no pool"
+        );
     }
 
     #[test]
@@ -284,7 +284,7 @@ mod tests {
         let mut session = engine.session(&q, &params);
         assert!(session.score_bound().is_some());
         let top2: Vec<Hit> = session.by_ref().take(2).collect();
-        let (stats, _) = session.finish();
+        let stats = session.finish();
         assert_eq!(&all[..2], &top2[..]);
         assert_eq!(stats.hits_emitted, 2);
     }
@@ -296,15 +296,16 @@ mod tests {
         let engine = ShardedEngine::disk_resident(db.clone(), disk, Scoring::unit_dna()).unwrap();
         let q = Alphabet::dna().encode_str("GTAC").unwrap();
         let params = OasisParams::with_min_score(3);
+        let before = engine.pool_stats();
         let outcome = engine.run_one(&q, &params);
-        assert!(outcome.pool_delta.total().requests > 0);
-        assert!(outcome.pool_delta.region(Region::Internal).requests > 0);
-        // On this (single) thread the delta is exactly a second run's.
-        let again = engine.run_one(&q, &params);
-        assert_eq!(
-            again.pool_delta.total().requests,
-            outcome.pool_delta.total().requests
-        );
+        let first = engine.pool_stats().since(&before);
+        assert!(first.total().requests > 0);
+        assert!(first.region(Region::Internal).requests > 0);
+        // A second run of the same query issues exactly as many requests.
+        let before = engine.pool_stats();
+        engine.run_one(&q, &params);
+        let second = engine.pool_stats().since(&before);
+        assert_eq!(second.total().requests, first.total().requests);
         // And the disk engine agrees with the in-memory one, counters too.
         let mem = mem_engine(&db).run_one(&q, &params);
         assert_eq!(outcome.hits, mem.hits);
@@ -317,9 +318,9 @@ mod tests {
         // the core search over a `dyn` tree agrees with the engine exactly.
         let db = dna_db(&["AGTACGCCTAG", "TACCG"]);
         let tree: Arc<dyn SuffixTreeAccess> = Arc::new(SuffixTree::build(&db));
-        let engine = mem_engine(&db).with_threads(2);
+        let engine = mem_engine(&db);
         let jobs = queries(&Alphabet::dna(), &["TACG", "CC"], 1);
-        let outcomes = engine.run_batch(&jobs);
+        let outcomes = engine.run_batch_on(&jobs, 2);
         assert!(!outcomes[0].hits.is_empty());
         for (job, out) in jobs.iter().zip(&outcomes) {
             let (hits, stats) =
@@ -332,12 +333,12 @@ mod tests {
     #[test]
     fn batch_limit_returns_serial_prefix_with_less_work() {
         let db = dna_db(&["AGTACGCCTAG", "TACCG", "GGTAGG", "CCCCCC", "GATTACA"]);
-        let engine = mem_engine(&db).with_threads(4);
+        let engine = mem_engine(&db);
         let q = Alphabet::dna().encode_str("TACG").unwrap();
         let params = OasisParams::with_min_score(1);
         let full = engine.run_one(&q, &params);
         let jobs = vec![BatchQuery::named("top2", q.clone(), params).with_limit(2)];
-        let limited = &engine.run_batch(&jobs)[0];
+        let limited = &engine.run_batch_on(&jobs, 4)[0];
         // The online property: a limited run is exactly the serial prefix…
         assert_eq!(limited.hits, full.hits[..2].to_vec());
         assert_eq!(limited.stats.hits_emitted, 2);
@@ -350,17 +351,16 @@ mod tests {
         // Degenerate input must never reach the driver: a zero-length
         // query serves an empty outcome on every execution path.
         let db = dna_db(&["AGTACGCCTAG", "TACCG"]);
-        let engine = mem_engine(&db).with_threads(4);
+        let engine = mem_engine(&db);
         let params = OasisParams::with_min_score(1);
         let outcome = engine.run_one(&[], &params);
         assert!(outcome.hits.is_empty());
         assert_eq!(outcome.stats, SearchStats::default());
-        assert_eq!(outcome.pool_delta.total().requests, 0);
         let jobs = vec![
             BatchQuery::named("empty", Vec::new(), params),
             BatchQuery::named("real", Alphabet::dna().encode_str("TACG").unwrap(), params),
         ];
-        let outcomes = engine.run_batch(&jobs);
+        let outcomes = engine.run_batch_on(&jobs, 4);
         assert!(outcomes[0].hits.is_empty());
         assert!(!outcomes[1].hits.is_empty());
     }
@@ -368,11 +368,15 @@ mod tests {
     #[test]
     fn empty_batch_and_more_threads_than_jobs() {
         let db = dna_db(&["ACGT"]);
-        let engine = mem_engine(&db).with_threads(8);
-        assert!(engine.run_batch(&[]).is_empty());
+        let engine = mem_engine(&db);
+        assert!(engine.run_batch_on(&[], 8).is_empty());
         let jobs = queries(&Alphabet::dna(), &["AC"], 1);
-        assert_eq!(engine.run_batch(&jobs).len(), 1);
-        assert_eq!(engine.with_threads(0).threads(), 1);
+        assert_eq!(engine.run_batch_on(&jobs, 8).len(), 1);
+        assert_eq!(
+            engine.run_batch_on(&jobs, 0).len(),
+            1,
+            "no workers runs inline"
+        );
     }
 
     #[test]

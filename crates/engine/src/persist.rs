@@ -368,8 +368,10 @@ mod tests {
                 .unwrap();
         let q = Alphabet::dna().encode_str("TACG").unwrap();
         let params = OasisParams::with_min_score(2);
+        let before = engine.pool_stats();
         let outcome = engine.run_one(&q, &params);
-        assert!(outcome.pool_delta.total().requests > 0, "must hit the pool");
+        let traffic = engine.pool_stats().since(&before);
+        assert!(traffic.total().requests > 0, "must hit the pool");
         // The one disk shard shares the global database: it is held once.
         assert_eq!(engine.num_shards(), 1);
         assert!(Arc::ptr_eq(&engine.shards()[0].db, &db));

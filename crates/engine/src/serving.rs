@@ -51,7 +51,6 @@ use crate::shard::SessionPoll;
 use crate::{BatchQuery, SearchOutcome, ShardedEngine};
 use oasis_core::{Hit, SearchStats};
 use oasis_obs::{Histogram, HistogramSnapshot};
-use oasis_storage::PoolStatsSnapshot;
 
 /// Driver steps the worker runs between cancellation checks. One step
 /// pops and expands one frontier node (about 1.3 µs for the benchmark's
@@ -69,11 +68,11 @@ pub trait QueryExecutor: Send + Sync {
     /// the search's accounting. Between bounded batches of work an
     /// implementation checks [`HitSink::is_cancelled`] and, once it is
     /// set, returns early: nobody will read the rest.
-    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot);
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> SearchStats;
 }
 
 impl QueryExecutor for ShardedEngine {
-    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> SearchStats {
         let mut session = self.session(&job.query, &job.params);
         let mut left = job.limit.unwrap_or(usize::MAX);
         while left > 0 && !sink.is_cancelled() {
@@ -586,13 +585,12 @@ fn worker_loop(shared: &Shared) {
         let end = match result {
             // Nobody will read a cancelled search: it is not served.
             Ok(_) if stream.cancelled.load(Ordering::Relaxed) => continue,
-            Ok((stats, pool_delta)) => {
+            Ok(stats) => {
                 let served = ServedOutcome {
                     id: job.id,
                     outcome: SearchOutcome {
                         hits: Vec::new(), // filled from the stream when read
                         stats,
-                        pool_delta,
                     },
                     queue_wait: started - submitted,
                     service: finished - started,
@@ -713,11 +711,7 @@ mod tests {
     fn panicking_query_resolves_ticket_and_worker_survives() {
         struct Bomb;
         impl QueryExecutor for Bomb {
-            fn stream(
-                &self,
-                job: &BatchQuery,
-                _sink: &mut HitSink<'_>,
-            ) -> (SearchStats, PoolStatsSnapshot) {
+            fn stream(&self, job: &BatchQuery, _sink: &mut HitSink<'_>) -> SearchStats {
                 if job.id == "boom" {
                     panic!("injected query panic");
                 }
@@ -758,11 +752,7 @@ mod tests {
     /// A trivial executor for stress tests: no real search, no blocking.
     struct Noop;
     impl QueryExecutor for Noop {
-        fn stream(
-            &self,
-            _job: &BatchQuery,
-            _sink: &mut HitSink<'_>,
-        ) -> (SearchStats, PoolStatsSnapshot) {
+        fn stream(&self, _job: &BatchQuery, _sink: &mut HitSink<'_>) -> SearchStats {
             Default::default()
         }
     }
@@ -857,11 +847,7 @@ mod tests {
         parked: std::sync::mpsc::Sender<()>,
     }
     impl QueryExecutor for HitThenPark {
-        fn stream(
-            &self,
-            job: &BatchQuery,
-            sink: &mut HitSink<'_>,
-        ) -> (SearchStats, PoolStatsSnapshot) {
+        fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> SearchStats {
             if job.id != "park" {
                 return Default::default();
             }

@@ -36,7 +36,7 @@ use oasis_align::{Score, Scoring};
 use oasis_bioseq::{SeqId, Sequence, SequenceDatabase};
 use oasis_core::{Hit, OasisParams, SearchDriver, SearchStats, StepOutcome};
 use oasis_storage::{
-    balanced_ranges, ArtifactError, DiskSuffixTree, FileDevice, PoolDeltaScope, PoolStatsSnapshot,
+    balanced_ranges, ArtifactError, DiskSuffixTree, FileDevice, PoolStatsSnapshot,
 };
 use oasis_suffix::{EsaIndex, NodeHandle, SuffixTree, SuffixTreeAccess};
 
@@ -234,7 +234,6 @@ impl Shard {
 pub struct ShardedEngine {
     db: Arc<SequenceDatabase>,
     scoring: Scoring,
-    threads: usize,
     // Shards are shared (`Arc`) so layered snapshots — base shards + a
     // fresh delta shard per append — clone handles, not indexes.
     shards: Vec<Arc<Shard>>,
@@ -309,28 +308,11 @@ impl ShardedEngine {
         scoring: Scoring,
         shards: Vec<Arc<Shard>>,
     ) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         ShardedEngine {
             db,
             scoring,
-            threads,
             shards,
         }
-    }
-
-    /// Override the worker-thread count for [`run_batch`] (min 1).
-    ///
-    /// [`run_batch`]: ShardedEngine::run_batch
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Number of shards actually built.
@@ -363,11 +345,25 @@ impl ShardedEngine {
         &self.scoring
     }
 
+    /// The buffer-pool counters of the disk-resident shard, cumulative
+    /// since it was opened; all zeros for an in-memory engine. At most one
+    /// shard is disk-resident (the §3.4 mode serves one unsharded tree),
+    /// and the layered snapshots over it share its pool. Diff two reads
+    /// with [`PoolStatsSnapshot::since`] for the traffic in between.
+    pub fn pool_stats(&self) -> PoolStatsSnapshot {
+        self.shards
+            .iter()
+            .find_map(|shard| match &shard.index {
+                ShardBackend::Disk(tree) => Some(tree.pool().stats()),
+                _ => None,
+            })
+            .unwrap_or_default()
+    }
+
     /// Begin a streaming fan-out search across all shards: hits arrive one
     /// by one in the global online order. Consume it as an iterator, then
     /// call [`ShardedSession::finish`] for the accounting.
     pub fn session(&self, query: &[u8], params: &OasisParams) -> ShardedSession<'_> {
-        let scope = PoolDeltaScope::begin();
         let cursors = if query.is_empty() {
             Vec::new() // degenerate input: serve an empty stream
         } else {
@@ -390,7 +386,6 @@ impl ShardedEngine {
         };
         ShardedSession {
             cursors,
-            scope: Some(scope),
             emitted: 0,
         }
     }
@@ -406,15 +401,19 @@ impl ShardedEngine {
         let mut session = self.session(&job.query, &job.params);
         let cap = job.limit.unwrap_or(usize::MAX);
         let hits: Vec<Hit> = session.by_ref().take(cap).collect();
-        let (stats, pool_delta) = session.finish();
-        SearchOutcome {
-            hits,
-            stats,
-            pool_delta,
-        }
+        let stats = session.finish();
+        SearchOutcome { hits, stats }
     }
 
-    /// Execute a batch of queries across the worker pool, one fan-out per
+    /// Execute a batch with one worker per available core, as
+    /// [`run_batch_on`](ShardedEngine::run_batch_on) does with a given
+    /// worker count.
+    pub fn run_batch(&self, jobs: &[BatchQuery]) -> Vec<SearchOutcome> {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.run_batch_on(jobs, threads)
+    }
+
+    /// Execute a batch of queries across `threads` workers, one fan-out per
     /// query, returning one [`SearchOutcome`] per job **in job order**.
     ///
     /// Workers claim jobs from a shared cursor, so long and short queries
@@ -423,9 +422,9 @@ impl ShardedEngine {
     /// time, even when the workers share one disk shard's buffer pool. A
     /// worker panic (e.g. a query encoded with the wrong alphabet)
     /// propagates to the caller.
-    pub fn run_batch(&self, jobs: &[BatchQuery]) -> Vec<SearchOutcome> {
+    pub fn run_batch_on(&self, jobs: &[BatchQuery], threads: usize) -> Vec<SearchOutcome> {
         // oasis-lint: allow(panic-free-serving) — run_pooled only calls with i < jobs.len()
-        run_pooled(self.threads, jobs.len(), |i| self.run_job(&jobs[i]))
+        run_pooled(threads, jobs.len(), |i| self.run_job(&jobs[i]))
     }
 }
 
@@ -510,16 +509,13 @@ fn precedes(a: &Hit, b: &Hit) -> bool {
 /// in the global online (score descending, then start position) order,
 /// byte-identical to a serial [`oasis_core::OasisSearch`] over the whole
 /// database. Dropping the session without finishing simply discards the
-/// accounting; the session stays on the thread that opened it (the pool
-/// delta scope is thread-local), which the `!Send` scope enforces.
+/// accounting.
 ///
 /// [`finish`](ShardedSession::finish) returns the aggregate search
 /// statistics (summed over shards; `max_queue` is the largest per-shard
-/// queue and `hits_emitted` counts hits the *merge* emitted) plus this
-/// query's buffer-pool delta.
+/// queue and `hits_emitted` counts hits the *merge* emitted).
 pub struct ShardedSession<'e> {
     cursors: Vec<ShardCursor<'e>>,
-    scope: Option<PoolDeltaScope>,
     emitted: u64,
 }
 
@@ -538,14 +534,8 @@ impl ShardedSession<'_> {
             .max()
     }
 
-    /// Close the session, returning the aggregated search statistics and
-    /// this query's buffer-pool delta.
-    pub fn finish(mut self) -> (SearchStats, PoolStatsSnapshot) {
-        let delta = self
-            .scope
-            .take()
-            .map(PoolDeltaScope::finish)
-            .unwrap_or_default();
+    /// Close the session, returning the aggregated search statistics.
+    pub fn finish(self) -> SearchStats {
         let mut stats = SearchStats::default();
         for cursor in &self.cursors {
             let s = cursor.driver.stats();
@@ -556,7 +546,7 @@ impl ShardedSession<'_> {
             stats.max_queue = stats.max_queue.max(s.max_queue);
         }
         stats.hits_emitted = self.emitted;
-        (stats, delta)
+        stats
     }
 }
 
@@ -763,7 +753,7 @@ mod tests {
     #[test]
     fn batch_is_order_preserving_and_threaded() {
         let db = dna_db(SEQS);
-        let engine = ShardedEngine::build(db.clone(), Scoring::unit_dna(), 4).with_threads(4);
+        let engine = ShardedEngine::build(db.clone(), Scoring::unit_dna(), 4);
         let alpha = Alphabet::dna();
         let jobs: Vec<BatchQuery> = ["TACG", "CC", "GATT", "ACAC", "GGTAGG"]
             .iter()
@@ -775,7 +765,7 @@ mod tests {
                 )
             })
             .collect();
-        let got = engine.run_batch(&jobs);
+        let got = engine.run_batch_on(&jobs, 4);
         assert_eq!(got.len(), jobs.len());
         for (g, job) in got.iter().zip(&jobs) {
             assert_eq!(
@@ -799,9 +789,13 @@ mod tests {
         assert!(session.score_bound().is_none());
         assert!(hits.windows(2).all(|w| w[0].score > w[1].score
             || (w[0].score == w[1].score && w[0].t_start < w[1].t_start)));
-        let (stats, delta) = session.finish();
+        let stats = session.finish();
         assert_eq!(stats.hits_emitted as usize, hits.len());
-        assert_eq!(delta.total().requests, 0, "in-memory shards: no pool");
+        assert_eq!(
+            engine.pool_stats().total().requests,
+            0,
+            "in-memory shards: no pool"
+        );
     }
 
     #[test]
@@ -812,7 +806,7 @@ mod tests {
         let params = OasisParams::with_min_score(1);
         let mut whole = engine.session(&q, &params);
         let want: Vec<Hit> = whole.by_ref().collect();
-        let want_stats = whole.finish().0;
+        let want_stats = whole.finish();
         assert!(want.len() > 2, "the query must stream several hits");
         for budget in [1usize, 2, 7] {
             let mut session = engine.session(&q, &params);
@@ -825,7 +819,7 @@ mod tests {
                 }
             }
             assert_eq!(got, want, "budget {budget}");
-            assert_eq!(session.finish().0, want_stats, "budget {budget}");
+            assert_eq!(session.finish(), want_stats, "budget {budget}");
             if budget == 1 {
                 assert!(pending > 0, "a one-step budget must yield Pending");
             }

@@ -94,7 +94,7 @@ use oasis_engine::{
 };
 use oasis_obs::trace::stage;
 use oasis_obs::{Counter, Histogram, HistogramSnapshot, QueryTrace, SlowLog};
-use oasis_storage::{read_manifest, ArtifactError, PoolStatsSnapshot};
+use oasis_storage::{read_manifest, ArtifactError};
 
 use crate::conn::{
     read_requests, Advance, Conn, Pending, ReadEnd, Registry, StreamingSearch, Waker,
@@ -189,7 +189,7 @@ impl ServedIndex {
 }
 
 impl QueryExecutor for ServedIndex {
-    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> SearchStats {
         self.executor.stream(job, sink)
     }
 }

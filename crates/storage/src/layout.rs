@@ -749,10 +749,10 @@ mod tests {
     fn pool_stats_tagged_by_region() {
         let d = db(&["ACGTACGTTGCAGT", "GTACCA"]);
         let disk = disk_tree(&d, 64, 1 << 20);
-        let scope = crate::pool::PoolDeltaScope::begin();
+        let before = disk.pool().stats();
         let alpha = Alphabet::dna();
         occurrences(&disk, &alpha.encode_str("ACGT").unwrap());
-        let s = scope.finish();
+        let s = disk.pool().stats().since(&before);
         assert!(s.region(Region::Internal).requests > 0);
         assert!(s.region(Region::Symbols).requests > 0);
         assert!(s.region(Region::Leaves).requests > 0);

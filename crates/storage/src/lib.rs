@@ -43,7 +43,7 @@ pub use artifact::{
 pub use device::{BlockDevice, FileDevice, MemDevice, SimulatedDisk};
 pub use layout::{DiskSuffixTree, DiskTreeBuilder, ImageStats};
 pub use partitioned::{balanced_ranges, budget_ranges};
-pub use pool::{BufferPool, BufferPoolStats, PoolDeltaScope, PoolStatsSnapshot, Region};
+pub use pool::{BufferPool, BufferPoolStats, PoolStatsSnapshot, Region};
 pub use wal::{
     pending_records, replay_wal, WalError, WalRecord, WalReplay, WriteAheadLog, WAL_FILE,
 };

@@ -10,20 +10,12 @@
 //! paper's Figure 8 plots ("the buffer hit ratios for each of the three
 //! components of the suffix tree").
 //!
-//! ## Per-query statistics
-//!
-//! The global counters are *cumulative over the pool's lifetime* and shared
-//! by every concurrent reader, so "reset, run, snapshot" accounting is racy
-//! the moment two queries overlap (the old `reset_stats` entry point that
-//! encouraged it is gone). Per-query attribution instead goes
-//! through [`PoolDeltaScope`]: a thread-local scope that accumulates
-//! exactly the requests issued by the current thread while it is open.
-//! Because a query runs on one thread (the `oasis-engine` worker model),
-//! the scope's delta is precisely that query's pool traffic, no matter how
-//! many other queries hammer the same pool concurrently.
-
-use std::cell::RefCell;
-use std::marker::PhantomData;
+//! The counters are cumulative over the pool's lifetime and shared by
+//! every reader, updated under the lock each read already takes. A caller
+//! that wants the traffic of one run reads [`BufferPool::stats`] before and
+//! after it and takes [`PoolStatsSnapshot::since`]; with one run at a time
+//! on the pool that is exactly the run's traffic, and with several it is
+//! their sum.
 
 use parking_lot::Mutex;
 
@@ -90,95 +82,16 @@ impl PoolStatsSnapshot {
         t
     }
 
-    /// Accumulate another snapshot's counters into this one (used to fold
-    /// per-query deltas into a workload total).
-    pub fn merge(&mut self, other: &PoolStatsSnapshot) {
-        for (mine, theirs) in self.regions.iter_mut().zip(&other.regions) {
-            mine.requests += theirs.requests;
-            mine.hits += theirs.hits;
+    /// The traffic between `earlier` and this later snapshot of the same
+    /// pool (with no [`BufferPool::clear`] between): each counter minus its
+    /// earlier value.
+    pub fn since(&self, earlier: &PoolStatsSnapshot) -> PoolStatsSnapshot {
+        let mut delta = *self;
+        for (d, e) in delta.regions.iter_mut().zip(&earlier.regions) {
+            d.requests -= e.requests;
+            d.hits -= e.hits;
         }
-    }
-}
-
-thread_local! {
-    /// Open delta scopes on this thread, keyed by scope id. Every
-    /// buffer-pool request made by this thread is attributed to *all* open
-    /// scopes, so overlapping scopes compose (an outer batch scope sees
-    /// the sum of its inner per-query scopes).
-    static DELTA_SCOPES: RefCell<Vec<(u64, PoolStatsSnapshot)>> = const { RefCell::new(Vec::new()) };
-    /// Next scope id on this thread (ids are per-thread, like the scopes).
-    static NEXT_SCOPE_ID: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Record one request on every delta scope open on this thread.
-fn record_delta(region: Region, hit: bool) {
-    DELTA_SCOPES.with(|scopes| {
-        for (_, frame) in scopes.borrow_mut().iter_mut() {
-            let r = &mut frame.regions[region as usize];
-            r.requests += 1;
-            if hit {
-                r.hits += 1;
-            }
-        }
-    });
-}
-
-/// Remove and return the frame belonging to scope `id`, if still present.
-fn take_delta_frame(id: u64) -> Option<PoolStatsSnapshot> {
-    DELTA_SCOPES.with(|scopes| {
-        let mut scopes = scopes.borrow_mut();
-        let at = scopes.iter().position(|(sid, _)| *sid == id)?;
-        Some(scopes.remove(at).1)
-    })
-}
-
-/// A thread-local accounting scope for per-query buffer-pool statistics.
-///
-/// Between [`PoolDeltaScope::begin`] and [`PoolDeltaScope::finish`], every
-/// [`BufferPool::read`] issued **by the current thread** — against any pool
-/// — is tallied into the scope. Concurrent readers on other threads never
-/// pollute the delta, which is what makes per-query hit ratios meaningful
-/// under a multi-threaded engine (the global [`BufferPool::stats`] counters
-/// keep growing monotonically across all threads).
-///
-/// Scopes on one thread may overlap in any order — each is identified by
-/// its own frame, so finishing an older scope before a newer sibling
-/// returns exactly the reads issued during *its* lifetime. A scope open
-/// while another is open sees those reads too (composition). The type is
-/// deliberately `!Send` — moving a scope to another thread would detach it
-/// from the reads it is supposed to observe.
-#[derive(Debug)]
-pub struct PoolDeltaScope {
-    id: u64,
-    /// Keeps the scope `!Send`/`!Sync`: the delta is bound to this thread.
-    _thread_bound: PhantomData<*const ()>,
-}
-
-impl PoolDeltaScope {
-    /// Open a scope; subsequent reads on this thread are tallied into it.
-    pub fn begin() -> Self {
-        let id = NEXT_SCOPE_ID.with(|next| {
-            let id = next.get();
-            next.set(id + 1);
-            id
-        });
-        DELTA_SCOPES.with(|scopes| scopes.borrow_mut().push((id, PoolStatsSnapshot::default())));
-        PoolDeltaScope {
-            id,
-            _thread_bound: PhantomData,
-        }
-    }
-
-    /// Close the scope and return the accumulated per-thread delta.
-    pub fn finish(self) -> PoolStatsSnapshot {
-        take_delta_frame(self.id).expect("delta scope frame missing (double finish?)")
-        // `self` is dropped here; Drop finds the frame already gone.
-    }
-}
-
-impl Drop for PoolDeltaScope {
-    fn drop(&mut self) {
-        take_delta_frame(self.id);
+        delta
     }
 }
 
@@ -247,18 +160,15 @@ impl<D: BlockDevice> BufferPool<D> {
     /// Read block `block` (tagged with `region`) and call `f` on its bytes.
     ///
     /// The frame is latched for the duration of `f`; keep `f` short. The
-    /// request is counted in the global cumulative statistics and in every
-    /// [`PoolDeltaScope`] open on the calling thread.
+    /// request is counted in the pool's cumulative statistics.
     pub fn read<R>(&self, block: u64, region: Region, f: impl FnOnce(&[u8]) -> R) -> R {
         let mut inner = self.inner.lock();
         inner.stats[region as usize].requests += 1;
         if let Some(&fi) = inner.map.get(&block) {
             inner.stats[region as usize].hits += 1;
             inner.frames[fi].ref_bit = true;
-            record_delta(region, true);
             return f(&inner.frames[fi].data);
         }
-        record_delta(region, false);
         // Miss: pick a victim with the clock sweep.
         let fi = Self::clock_victim(&mut inner);
         let old = inner.frames[fi].block;
@@ -289,8 +199,8 @@ impl<D: BlockDevice> BufferPool<D> {
     }
 
     /// Snapshot the per-region statistics, cumulative since construction
-    /// (or the last [`BufferPool::clear`]). Shared by every reader of the
-    /// pool; for per-query accounting use [`PoolDeltaScope`].
+    /// (or the last [`BufferPool::clear`]) and shared by every reader of the
+    /// pool; diff two snapshots with [`PoolStatsSnapshot::since`].
     pub fn stats(&self) -> PoolStatsSnapshot {
         PoolStatsSnapshot {
             regions: self.inner.lock().stats,
@@ -365,122 +275,26 @@ mod tests {
         pool.read(1, Region::Symbols, |_| ());
         pool.read(2, Region::Symbols, |_| ());
         pool.read(3, Region::Symbols, |_| ());
-        let scope = PoolDeltaScope::begin();
+        let before = pool.stats();
         pool.read(2, Region::Symbols, |_| ()); // survived thanks to its ref bit
-        assert_eq!(scope.finish().region(Region::Symbols).hits, 1);
+        assert_eq!(pool.stats().since(&before).region(Region::Symbols).hits, 1);
     }
 
     #[test]
-    fn delta_scope_counts_only_its_window() {
+    fn snapshot_since_counts_only_its_window() {
         let pool = BufferPool::with_frames(image(4, 8), 4);
-        pool.read(0, Region::Symbols, |_| ()); // before the scope: not counted
-        let scope = PoolDeltaScope::begin();
+        pool.read(0, Region::Symbols, |_| ()); // before the window
+        let before = pool.stats();
         pool.read(0, Region::Symbols, |_| ()); // hit
         pool.read(1, Region::Internal, |_| ()); // miss
-        let delta = scope.finish();
-        pool.read(2, Region::Symbols, |_| ()); // after the scope: not counted
+        let delta = pool.stats().since(&before);
         assert_eq!(delta.region(Region::Symbols).requests, 1);
         assert_eq!(delta.region(Region::Symbols).hits, 1);
         assert_eq!(delta.region(Region::Internal).requests, 1);
         assert_eq!(delta.region(Region::Internal).hits, 0);
         assert_eq!(delta.total().requests, 2);
-        // The global counters keep the full history.
-        assert_eq!(pool.stats().total().requests, 4);
-    }
-
-    #[test]
-    fn delta_scopes_nest_and_compose() {
-        let pool = BufferPool::with_frames(image(4, 8), 4);
-        let outer = PoolDeltaScope::begin();
-        pool.read(0, Region::Symbols, |_| ());
-        let inner = PoolDeltaScope::begin();
-        pool.read(1, Region::Symbols, |_| ());
-        let inner_delta = inner.finish();
-        pool.read(2, Region::Symbols, |_| ());
-        let outer_delta = outer.finish();
-        assert_eq!(inner_delta.total().requests, 1);
-        assert_eq!(outer_delta.total().requests, 3); // sees the inner reads too
-    }
-
-    #[test]
-    fn delta_scopes_are_per_thread() {
-        let pool = std::sync::Arc::new(BufferPool::with_frames(image(4, 8), 4));
-        let scope = PoolDeltaScope::begin();
-        let other = {
-            let pool = pool.clone();
-            std::thread::spawn(move || {
-                // This thread has no scope; its reads must not leak into
-                // the main thread's delta.
-                for b in 0..4u64 {
-                    pool.read(b, Region::Leaves, |_| ());
-                }
-            })
-        };
-        other.join().unwrap();
-        pool.read(0, Region::Symbols, |_| ());
-        let delta = scope.finish();
-        assert_eq!(delta.total().requests, 1);
-        assert_eq!(delta.region(Region::Leaves).requests, 0);
-        assert_eq!(pool.stats().total().requests, 5);
-    }
-
-    #[test]
-    fn sibling_scopes_finish_in_any_order() {
-        // Two overlapping (non-nested) scopes: finishing the older one
-        // first must return ITS delta, not the younger sibling's frame.
-        let pool = BufferPool::with_frames(image(4, 8), 4);
-        let s1 = PoolDeltaScope::begin();
-        pool.read(0, Region::Symbols, |_| ()); // s1 only
-        let s2 = PoolDeltaScope::begin();
-        pool.read(1, Region::Internal, |_| ()); // s1 and s2
-        let d1 = s1.finish(); // older scope closed first
-        pool.read(2, Region::Leaves, |_| ()); // s2 only
-        let d2 = s2.finish();
-        assert_eq!(d1.total().requests, 2);
-        assert_eq!(d1.region(Region::Symbols).requests, 1);
-        assert_eq!(d1.region(Region::Internal).requests, 1);
-        assert_eq!(d1.region(Region::Leaves).requests, 0);
-        assert_eq!(d2.total().requests, 2);
-        assert_eq!(d2.region(Region::Symbols).requests, 0);
-        assert_eq!(d2.region(Region::Internal).requests, 1);
-        assert_eq!(d2.region(Region::Leaves).requests, 1);
-    }
-
-    #[test]
-    fn dropped_scope_unwinds_cleanly() {
-        let pool = BufferPool::with_frames(image(4, 8), 2);
-        {
-            let _abandoned = PoolDeltaScope::begin();
-            pool.read(0, Region::Symbols, |_| ());
-        } // dropped without finish()
-        let scope = PoolDeltaScope::begin();
-        pool.read(1, Region::Symbols, |_| ());
-        assert_eq!(scope.finish().total().requests, 1);
-    }
-
-    #[test]
-    fn snapshot_merge_accumulates() {
-        let mut total = PoolStatsSnapshot::default();
-        let mut a = PoolStatsSnapshot::default();
-        a.regions[Region::Symbols as usize] = BufferPoolStats {
-            requests: 3,
-            hits: 2,
-        };
-        let mut b = PoolStatsSnapshot::default();
-        b.regions[Region::Symbols as usize] = BufferPoolStats {
-            requests: 5,
-            hits: 1,
-        };
-        b.regions[Region::Meta as usize] = BufferPoolStats {
-            requests: 1,
-            hits: 1,
-        };
-        total.merge(&a);
-        total.merge(&b);
-        assert_eq!(total.region(Region::Symbols).requests, 8);
-        assert_eq!(total.region(Region::Symbols).hits, 3);
-        assert_eq!(total.region(Region::Meta).requests, 1);
-        assert_eq!(total.total().requests, 9);
+        // The cumulative counters keep the full history.
+        assert_eq!(pool.stats().total().requests, 3);
     }
 
     #[test]

@@ -43,11 +43,11 @@ fn main() {
         let pool_bytes = (image.len() / divisor).max(4096);
         let disk_tree =
             DiskSuffixTree::open_image(image.clone(), 2048, pool_bytes).expect("valid image");
-        // A thread-local delta scope attributes pool traffic to this query
-        // alone (exact even under concurrent queries) — no global reset.
-        let scope = PoolDeltaScope::begin();
+        // The pool's counters are cumulative: their change across the
+        // search is this query's traffic.
+        let before = disk_tree.pool().stats();
         let (hits, _) = OasisSearch::new(&disk_tree, &db, &query, &scoring, &params).run();
-        let s = scope.finish();
+        let s = disk_tree.pool().stats().since(&before);
         // `hit_ratio` is None when a region saw no requests — render that
         // as n/a rather than a fabricated number.
         let ratio = |r: Region| {

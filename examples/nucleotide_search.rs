@@ -46,13 +46,14 @@ fn main() {
             )
         })
         .collect();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let t = Instant::now();
-    let outcomes = engine.run_batch(&jobs);
+    let outcomes = engine.run_batch_on(&jobs, threads);
     let batch_time = t.elapsed();
     println!(
         "engine batch: {} queries on {} thread(s) in {:.2?}\n",
         jobs.len(),
-        engine.threads().min(jobs.len()),
+        threads.min(jobs.len()),
         batch_time
     );
 

@@ -490,9 +490,9 @@ fn score_rule(flags: &Flags) -> Result<ScoreRule, String> {
     }
 }
 
-/// Report a run's buffer-pool traffic on stderr — the per-query (or
-/// per-batch) delta the engine attributes through `PoolDeltaScope`, i.e.
-/// the paper's Figure 8 hit-ratio metric.
+/// Report a run's buffer-pool traffic on stderr — the pool counters'
+/// change across the query (or the batch), i.e. the paper's Figure 8
+/// hit-ratio metric.
 fn report_pool(delta: &PoolStatsSnapshot) {
     let total = delta.total();
     match total.hit_ratio() {
@@ -580,9 +580,8 @@ impl<'a> Artifact<'a> {
 
     /// Open the artifact's live index: the base by `open_artifact_engine`'s
     /// policy (a single tree shard disk-resident through a buffer pool of
-    /// `--pool-mb`, anything else in memory) with `--threads` applied,
-    /// adopted by the directory's `LiveIndex`, which replays any appends
-    /// pending in the WAL.
+    /// `--pool-mb`, anything else in memory), adopted by the directory's
+    /// `LiveIndex`, which replays any appends pending in the WAL.
     fn open_live(&self, flags: &Flags, options: LiveIndexOptions) -> Result<LiveIndex, String> {
         self.warn_pool_mb_ignored(flags);
         let fail = |e: &dyn std::fmt::Display| format!("{}: {e}", self.dir);
@@ -598,10 +597,6 @@ impl<'a> Artifact<'a> {
             flags.pool_bytes(),
         )
         .map_err(|e| fail(&e))?;
-        let engine = match flags.threads {
-            Some(threads) => engine.with_threads(threads),
-            None => engine,
-        };
         LiveIndex::adopt(self.path(), &self.manifest, engine, options).map_err(|e| fail(&e))
     }
 }
@@ -731,9 +726,8 @@ fn local_job(
 }
 
 /// One query: stream hits online (respecting `--top`) through an engine
-/// session, then close the session for the per-query accounting — on the
-/// drained *and* the `--top` early-exit path alike, so the pool hit ratio
-/// is never silently discarded.
+/// session, then report the pool traffic it caused — on the drained *and*
+/// the `--top` early-exit path alike.
 fn search_single(
     flags: &Flags,
     rule: ScoreRule,
@@ -748,15 +742,14 @@ fn search_single(
     eprintln!("minScore = {}", job.params.min_score);
 
     let start = std::time::Instant::now();
-    let mut session = engine.session(&job.query, &job.params);
+    let pool_before = engine.pool_stats();
     let shown = print_hits(
         engine.db(),
-        session.by_ref(),
+        engine.session(&job.query, &job.params),
         job.limit.unwrap_or(usize::MAX),
     );
-    let (_, delta) = session.finish();
     eprintln!("{shown} hits in {:.2?}", start.elapsed());
-    report_pool(&delta);
+    report_pool(&engine.pool_stats().since(&pool_before));
     Ok(())
 }
 
@@ -790,13 +783,18 @@ fn search_batch(
         })
         .collect::<Result<Vec<_>, _>>()?;
 
+    let threads = match flags.threads {
+        Some(threads) => threads.max(1),
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
     eprintln!(
         "{} queries on {} thread(s)",
         jobs.len(),
-        engine.threads().min(jobs.len())
+        threads.min(jobs.len())
     );
     let start = std::time::Instant::now();
-    let outcomes = engine.run_batch(&jobs);
+    let pool_before = engine.pool_stats();
+    let outcomes = engine.run_batch_on(&jobs, threads);
     let elapsed = start.elapsed();
 
     let mut total_hits = 0usize;
@@ -824,13 +822,7 @@ fn search_batch(
         outcomes.len(),
         elapsed
     );
-    // Fold the per-query pool deltas into the batch's traffic, matching
-    // the single-query path's report.
-    let mut pool = PoolStatsSnapshot::default();
-    for outcome in &outcomes {
-        pool.merge(&outcome.pool_delta);
-    }
-    report_pool(&pool);
+    report_pool(&engine.pool_stats().since(&pool_before));
     Ok(())
 }
 

@@ -13,8 +13,8 @@ pub use oasis_suffix::{EsaError, EsaIndex, NodeHandle, SuffixTree, SuffixTreeAcc
 
 pub use oasis_storage::{
     read_manifest, replay_wal, write_index_artifact, ArtifactError, BufferPool, BufferPoolStats,
-    DeltaLineage, DiskSuffixTree, DiskTreeBuilder, IndexManifest, MemDevice, PoolDeltaScope,
-    PoolStatsSnapshot, Region, SimulatedDisk, WalRecord, WalReplay, WriteAheadLog, WAL_FILE,
+    DeltaLineage, DiskSuffixTree, DiskTreeBuilder, IndexManifest, MemDevice, PoolStatsSnapshot,
+    Region, SimulatedDisk, WalRecord, WalReplay, WriteAheadLog, WAL_FILE,
 };
 
 pub use oasis_core::{

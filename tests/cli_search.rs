@@ -128,7 +128,7 @@ fn pool_hit_ratio_reported_on_drained_and_top_k_paths() {
             "per-query pool accounting missing ({extra:?}):\n{stderr}"
         );
     }
-    // Batch mode reports the folded per-query deltas.
+    // Batch mode reports the pool's traffic across the whole batch.
     let out = search(&dir, &["--queries", "q.fa"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("hit ratio"), "batch accounting:\n{stderr}");

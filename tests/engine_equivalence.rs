@@ -69,8 +69,8 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// The one-shard in-memory engine over `db`.
-fn one_shard(db: &Arc<SequenceDatabase>, scoring: &Scoring, threads: usize) -> ShardedEngine {
-    ShardedEngine::build(db.clone(), scoring.clone(), 1).with_threads(threads)
+fn one_shard(db: &Arc<SequenceDatabase>, scoring: &Scoring) -> ShardedEngine {
+    ShardedEngine::build(db.clone(), scoring.clone(), 1)
 }
 
 /// Strategy: a database of 1..10 DNA sequences with lengths 1..50.
@@ -97,7 +97,7 @@ proptest! {
         let scoring = Scoring::unit_dna();
         let jobs = jobs_from(&queries, min);
 
-        let outcomes = one_shard(&db, &scoring, THREADS).run_batch(&jobs);
+        let outcomes = one_shard(&db, &scoring).run_batch_on(&jobs, THREADS);
         let reference = serial_reference(&tree, &db, &scoring, &jobs);
 
         prop_assert_eq!(outcomes.len(), reference.len());
@@ -119,8 +119,8 @@ proptest! {
         let db = build_db(&seqs);
         let scoring = Scoring::unit_dna();
         let jobs = jobs_from(&queries, min);
-        let engine = one_shard(&db, &scoring, THREADS);
-        for (job, out) in jobs.iter().zip(engine.run_batch(&jobs)) {
+        let engine = one_shard(&db, &scoring);
+        for (job, out) in jobs.iter().zip(engine.run_batch_on(&jobs, THREADS)) {
             let sw = SwScanner::new().scan(&db, &job.query, &scoring, min);
             let mut got: Vec<(SeqId, Score)> =
                 out.hits.iter().map(|h| (h.seq, h.score)).collect();
@@ -140,8 +140,8 @@ proptest! {
     ) {
         // The hard case: all THREADS workers share one buffer pool (with a
         // deliberately tiny frame budget, so they fight over frames) while
-        // their per-query deltas and results must stay exact. The pool is
-        // a one-shard artifact's, opened disk-resident.
+        // their results and the pool's request count must stay exact. The
+        // pool is a one-shard artifact's, opened disk-resident.
         let db = build_db(&seqs);
         let mem_tree = SuffixTree::build(&db);
         let scoring = Scoring::unit_dna();
@@ -151,24 +151,24 @@ proptest! {
             .expect("artifact written");
         prop_assert!(opens_disk_resident(&manifest));
         let engine = open_artifact_engine(&dir, &manifest, db.clone(), scoring.clone(), 64 * 4)
-            .expect("artifact opens")
-            .with_threads(THREADS);
-        let outcomes = engine.run_batch(&jobs);
-        // Byte-identical to serial runs over the SAME disk image, each in
-        // its own delta scope: a read is one pool request however the
-        // frames are contended, so every query's attributed traffic must
-        // equal its serial run's exactly…
+            .expect("artifact opens");
+        let before = engine.pool_stats();
+        let outcomes = engine.run_batch_on(&jobs, THREADS);
+        let concurrent = engine.pool_stats().since(&before).total().requests;
+        // Byte-identical to serial runs over the SAME disk image: a read is
+        // one request under the pool mutex however the frames are
+        // contended, so the batch's requests must equal the serial runs'
+        // sum exactly…
         let device = FileDevice::open(manifest.shard_path(&dir, 0), 64).expect("shard file");
         let disk = DiskSuffixTree::open(device, 64 * 4).expect("valid image");
+        let before = disk.pool().stats();
         for (out, job) in outcomes.iter().zip(&jobs) {
-            let scope = PoolDeltaScope::begin();
             let (hits, stats) =
                 OasisSearch::new(&disk, &db, &job.query, &scoring, &job.params).run();
-            let serial = scope.finish().total().requests;
             prop_assert_eq!(&out.hits, &hits);
             prop_assert_eq!(&out.stats, &stats);
-            prop_assert_eq!(out.pool_delta.total().requests, serial);
         }
+        prop_assert_eq!(concurrent, disk.pool().stats().since(&before).total().requests);
         // …and byte-identical to the in-memory tree: the driver's
         // canonical (score desc, start asc) tie-break depends only on the
         // text and the query, never on the substrate's node enumeration.
@@ -198,23 +198,21 @@ proptest! {
         let db = build_db(&seqs);
         let scoring = Scoring::unit_dna();
         let jobs = jobs_from(&queries, min);
-        let reference = one_shard(&db, &scoring, 1).run_batch(&jobs);
-        let mut esa =
+        let reference = one_shard(&db, &scoring).run_batch_on(&jobs, 1);
+        let esa =
             ShardedEngine::build_with_backend(db.clone(), scoring.clone(), 1, IndexBackend::Esa);
         for threads in [1usize, THREADS] {
-            esa = esa.with_threads(threads);
-            let outcomes = esa.run_batch(&jobs);
+            let outcomes = esa.run_batch_on(&jobs, threads);
             prop_assert_eq!(outcomes.len(), reference.len());
             for (out, want) in outcomes.iter().zip(&reference) {
                 prop_assert_eq!(&out.hits, &want.hits, "threads={}", threads);
                 prop_assert_eq!(&out.stats, &want.stats, "threads={}", threads);
             }
         }
-        let mut engine =
+        let engine =
             ShardedEngine::build_with_backend(db.clone(), scoring.clone(), 4, IndexBackend::Esa);
         for threads in [1usize, THREADS] {
-            engine = engine.with_threads(threads);
-            let sharded = engine.run_batch(&jobs);
+            let sharded = engine.run_batch_on(&jobs, threads);
             for (s, u) in sharded.iter().zip(&reference) {
                 prop_assert_eq!(&s.hits, &u.hits, "k=4 threads={}", threads);
             }
@@ -233,10 +231,9 @@ proptest! {
         let tree = SuffixTree::build(&db);
         let unsharded = serial_reference(&tree, &db, &scoring, &jobs);
         for k in [1usize, 2, 3, 7] {
-            let mut engine = ShardedEngine::build(db.clone(), scoring.clone(), k);
+            let engine = ShardedEngine::build(db.clone(), scoring.clone(), k);
             for threads in [1usize, THREADS] {
-                engine = engine.with_threads(threads);
-                let sharded = engine.run_batch(&jobs);
+                let sharded = engine.run_batch_on(&jobs, threads);
                 prop_assert_eq!(sharded.len(), unsharded.len());
                 for ((s, (hits, _)), job) in sharded.iter().zip(&unsharded).zip(&jobs) {
                     // Byte-identical hits: every field, in the same global
@@ -269,10 +266,10 @@ fn batch_results_are_deterministic_across_runs() {
         vec![3, 0, 1, 1],
     ];
     let jobs = jobs_from(&queries, 1);
-    let engine = one_shard(&db, &scoring, THREADS);
-    let first = engine.run_batch(&jobs);
+    let engine = one_shard(&db, &scoring);
+    let first = engine.run_batch_on(&jobs, THREADS);
     for _ in 0..3 {
-        let again = engine.run_batch(&jobs);
+        let again = engine.run_batch_on(&jobs, THREADS);
         for (a, b) in first.iter().zip(&again) {
             assert_eq!(a.hits, b.hits);
             assert_eq!(a.stats, b.stats);
@@ -291,11 +288,10 @@ fn thread_count_does_not_change_results() {
     let scoring = Scoring::unit_dna();
     let queries: Vec<Vec<u8>> = vec![vec![0, 1, 0], vec![2, 3], vec![0, 0, 0], vec![1, 1]];
     let jobs = jobs_from(&queries, 1);
-    let mut engine = one_shard(&db, &scoring, 1);
-    let serial = engine.run_batch(&jobs);
+    let engine = one_shard(&db, &scoring);
+    let serial = engine.run_batch_on(&jobs, 1);
     for threads in [2usize, 4, 8] {
-        engine = engine.with_threads(threads);
-        let parallel = engine.run_batch(&jobs);
+        let parallel = engine.run_batch_on(&jobs, threads);
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.hits, b.hits, "threads={threads}");
             assert_eq!(a.stats, b.stats, "threads={threads}");
@@ -326,8 +322,8 @@ fn protein_workload_is_identical_on_every_execution_path() {
             BatchQuery::named(format!("q{i}"), q, OasisParams::with_min_score(min))
         })
         .collect();
-    let mut tree_engine = one_shard(&db, &scoring, 1);
-    let serial = tree_engine.run_batch(&jobs);
+    let tree_engine = one_shard(&db, &scoring);
+    let serial = tree_engine.run_batch_on(&jobs, 1);
     assert!(serial.iter().any(|o| !o.hits.is_empty()), "no query hit");
     let same = |got: &[SearchOutcome], what: &str| {
         assert_eq!(got.len(), serial.len(), "{what}: outcome count");
@@ -337,13 +333,15 @@ fn protein_workload_is_identical_on_every_execution_path() {
     };
 
     for threads in [2usize, THREADS, 8] {
-        tree_engine = tree_engine.with_threads(threads);
-        same(&tree_engine.run_batch(&jobs), &format!("threads={threads}"));
+        same(
+            &tree_engine.run_batch_on(&jobs, threads),
+            &format!("threads={threads}"),
+        );
     }
     for shards in [1usize, 2, 4, 8] {
         let engine = ShardedEngine::build(db.clone(), scoring.clone(), shards);
         same(
-            &engine.with_threads(THREADS).run_batch(&jobs),
+            &engine.run_batch_on(&jobs, THREADS),
             &format!("shards={shards}"),
         );
     }
@@ -362,7 +360,7 @@ fn protein_workload_is_identical_on_every_execution_path() {
         build_index_artifact(&db, &dir, 4, 2048, backend).expect("artifact written");
         let loaded = load_sharded_engine(&dir, scoring.clone()).expect("artifact loads");
         same(
-            &loaded.with_threads(THREADS).run_batch(&jobs),
+            &loaded.run_batch_on(&jobs, THREADS),
             &format!("{} artifact", backend.as_str()),
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -371,14 +369,15 @@ fn protein_workload_is_identical_on_every_execution_path() {
     let manifest = build_index_artifact(&db, &dir, 1, 2048, IndexBackend::Tree).expect("written");
     let disk = open_artifact_engine(&dir, &manifest, db.clone(), scoring.clone(), 1 << 20)
         .expect("artifact opens");
-    let outcomes = disk.with_threads(THREADS).run_batch(&jobs);
+    let before = disk.pool_stats();
+    let outcomes = disk.run_batch_on(&jobs, THREADS);
     same(&outcomes, "disk-resident artifact");
-    assert!(outcomes.iter().any(|o| o.pool_delta.total().requests > 0));
+    assert!(disk.pool_stats().since(&before).total().requests > 0);
     std::fs::remove_dir_all(&dir).ok();
 
     // A queue a quarter of the batch deep: a full queue is answered by
     // completing the oldest ticket and resubmitting.
-    let generation = IndexCatalog::new("protein", one_shard(&db, &scoring, 1)).current();
+    let generation = IndexCatalog::new("protein", one_shard(&db, &scoring)).current();
     let serving = ServingEngine::new(ServingConfig {
         workers: THREADS,
         queue_capacity: jobs.len() / 4,

@@ -63,16 +63,15 @@ proptest! {
         let jobs = jobs_for(&queries);
         for k in [1usize, 4] {
             let fresh = ShardedEngine::build(db.clone(), Scoring::unit_dna(), k);
-            let want = fresh.with_threads(1).run_batch(&jobs);
+            let want = fresh.run_batch_on(&jobs, 1);
             for backend in [IndexBackend::Tree, IndexBackend::Esa] {
                 let dir = scratch("roundtrip");
                 build_index_artifact(&db, &dir, k, 64, backend).expect("artifact written");
                 for threads in [1usize, 4] {
                     let loaded = load_sharded_engine(&dir, Scoring::unit_dna())
-                        .expect("artifact loads")
-                        .with_threads(threads);
+                        .expect("artifact loads");
                     prop_assert_eq!(loaded.num_shards() <= k, true);
-                    let got = loaded.run_batch(&jobs);
+                    let got = loaded.run_batch_on(&jobs, threads);
                     prop_assert_eq!(got.len(), want.len());
                     for (g, w) in got.iter().zip(&want) {
                         prop_assert_eq!(
@@ -102,9 +101,10 @@ fn single_shard_artifact_serves_disk_resident_and_identical() {
         .expect("disk-resident load");
     let q = vec![3u8, 0, 1, 2];
     let params = OasisParams::with_min_score(1);
+    let before = engine.pool_stats();
     let outcome = engine.run_one(&q, &params);
     // Genuinely disk-resident: served through the buffer pool.
-    assert!(outcome.pool_delta.total().requests > 0);
+    assert!(engine.pool_stats().since(&before).total().requests > 0);
     let fresh = ShardedEngine::build(db, Scoring::unit_dna(), 1);
     assert_eq!(outcome.hits, fresh.run_one(&q, &params).hits);
     std::fs::remove_dir_all(&dir).ok();

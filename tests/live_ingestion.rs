@@ -81,9 +81,7 @@ proptest! {
         all.extend(appended.iter().cloned());
         let full_db = build_db(&all, 0);
         let jobs = jobs_for(&queries);
-        let reference = ShardedEngine::build(full_db, Scoring::unit_dna(), 1)
-            .with_threads(1)
-            .run_batch(&jobs);
+        let reference = ShardedEngine::build(full_db, Scoring::unit_dna(), 1).run_batch_on(&jobs, 1);
 
         for k in [1usize, 4] {
             for backend in [IndexBackend::Tree, IndexBackend::Esa] {

@@ -170,11 +170,7 @@ struct Gate {
 }
 
 impl QueryExecutor for Gate {
-    fn stream(
-        &self,
-        _job: &BatchQuery,
-        _sink: &mut HitSink<'_>,
-    ) -> (SearchStats, PoolStatsSnapshot) {
+    fn stream(&self, _job: &BatchQuery, _sink: &mut HitSink<'_>) -> SearchStats {
         self.started.send(()).ok();
         self.release.lock().unwrap().recv().unwrap();
         Default::default()
@@ -1135,7 +1131,7 @@ struct ParkThenRun {
 }
 
 impl QueryExecutor for ParkThenRun {
-    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> SearchStats {
         self.started.send(()).ok();
         self.release.lock().unwrap().recv().unwrap();
         self.engine.stream(job, sink)
@@ -1366,7 +1362,7 @@ struct HoldAfterFirstHit {
 }
 
 impl QueryExecutor for HoldAfterFirstHit {
-    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> SearchStats {
         if job.query != self.held {
             return self.engine.stream(job, sink);
         }
@@ -1512,7 +1508,7 @@ struct TwoHitsThenPanic {
 }
 
 impl QueryExecutor for TwoHitsThenPanic {
-    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> SearchStats {
         if job.query != self.failing {
             return self.engine.stream(job, sink);
         }
@@ -1576,7 +1572,7 @@ struct ParkUntilCancelled {
 }
 
 impl QueryExecutor for ParkUntilCancelled {
-    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> SearchStats {
         if job.query != self.parking {
             return self.engine.stream(job, sink);
         }
@@ -1796,7 +1792,7 @@ struct Firehose {
 }
 
 impl QueryExecutor for Firehose {
-    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> (SearchStats, PoolStatsSnapshot) {
+    fn stream(&self, job: &BatchQuery, sink: &mut HitSink<'_>) -> SearchStats {
         use std::sync::atomic::Ordering;
         if job.query != self.heavy {
             return self.engine.stream(job, sink);

@@ -21,11 +21,7 @@ struct GateExecutor {
 }
 
 impl QueryExecutor for GateExecutor {
-    fn stream(
-        &self,
-        job: &BatchQuery,
-        _sink: &mut HitSink<'_>,
-    ) -> (SearchStats, PoolStatsSnapshot) {
+    fn stream(&self, job: &BatchQuery, _sink: &mut HitSink<'_>) -> SearchStats {
         self.started.send(job.id.clone()).expect("test listening");
         self.release
             .lock()
@@ -138,11 +134,7 @@ fn hot_swap_serves_new_generation_and_drains_old_one() {
         Instant,
     }
     impl QueryExecutor for Gen {
-        fn stream(
-            &self,
-            job: &BatchQuery,
-            _sink: &mut HitSink<'_>,
-        ) -> (SearchStats, PoolStatsSnapshot) {
+        fn stream(&self, job: &BatchQuery, _sink: &mut HitSink<'_>) -> SearchStats {
             if let Gen::Gated { started, release } = self {
                 started.send(job.id.clone()).expect("test listening");
                 release
