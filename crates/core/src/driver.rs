@@ -13,10 +13,10 @@ use std::collections::VecDeque;
 
 use oasis_align::{GapModel, Score, Scoring, NEG_INF};
 use oasis_bioseq::SequenceDatabase;
-use oasis_suffix::SuffixTreeAccess;
+use oasis_suffix::{NodeHandle, SuffixTreeAccess};
 
 use crate::affine::{expand_affine, AffineScratch};
-use crate::expand::{expand, ExpandScratch};
+use crate::expand::QueryKernel;
 use crate::frontier::Frontier;
 use crate::heuristic::heuristic_vector;
 use crate::node::{SearchNode, Status};
@@ -53,7 +53,7 @@ pub fn root_node(query: &[u8], h: &[Score], min_score: Score) -> Option<SearchNo
         return None;
     }
     Some(SearchNode {
-        handle: oasis_suffix::NodeHandle::internal(0),
+        handle: NodeHandle::internal(0),
         depth: 0,
         f,
         g: 0,
@@ -104,9 +104,24 @@ pub struct SearchDriver<'a, T: SuffixTreeAccess + ?Sized> {
     reported_count: u32,
     stats: SearchStats,
     next_seq: u64,
-    scratch: ExpandScratch,
-    affine_scratch: AffineScratch,
-    kids: Vec<oasis_suffix::NodeHandle>,
+    kernel: Kernel,
+    /// Run linear-gap expansions through `expand_reference` instead: the
+    /// oracle for the driver-level differential test.
+    #[cfg(test)]
+    reference_kernel: bool,
+    kids: Vec<NodeHandle>,
+}
+
+/// The expand kernel for the driver's gap model, chosen once at
+/// construction: the driver searches one query under one scoring for its
+/// whole life, so the linear kernel's query profile is built exactly once.
+enum Kernel {
+    Linear(QueryKernel),
+    Affine {
+        scratch: AffineScratch,
+        open: Score,
+        extend: Score,
+    },
 }
 
 impl<'a, T: SuffixTreeAccess + ?Sized> SearchDriver<'a, T> {
@@ -150,8 +165,16 @@ impl<'a, T: SuffixTreeAccess + ?Sized> SearchDriver<'a, T> {
             reported_count: 0,
             stats: SearchStats::default(),
             next_seq: 1,
-            scratch: ExpandScratch::default(),
-            affine_scratch: AffineScratch::default(),
+            kernel: match scoring.gap {
+                GapModel::Linear { .. } => Kernel::Linear(QueryKernel::new(query, scoring)),
+                GapModel::Affine { open, extend } => Kernel::Affine {
+                    scratch: AffineScratch::default(),
+                    open,
+                    extend,
+                },
+            },
+            #[cfg(test)]
+            reference_kernel: false,
             kids: Vec::new(),
         }
     }
@@ -209,7 +232,13 @@ impl<'a, T: SuffixTreeAccess + ?Sized> SearchDriver<'a, T> {
         };
         match node.status {
             Status::Accepted => self.report_accepted(&node),
-            Status::Viable => self.expand_children(&node),
+            Status::Viable => {
+                self.expand_children(&node);
+                // Only the linear kernel draws columns from a free list.
+                if let Kernel::Linear(kernel) = &mut self.kernel {
+                    kernel.recycle_column(node.c);
+                }
+            }
             Status::Unviable => unreachable!("unviable nodes are never enqueued"),
         }
         StepOutcome::Advanced
@@ -293,8 +322,9 @@ impl<'a, T: SuffixTreeAccess + ?Sized> SearchDriver<'a, T> {
         for &child in &kids {
             let seq = self.next_seq;
             self.next_seq += 1;
-            let new = match self.scoring.gap {
-                GapModel::Linear { .. } => expand(
+            let new = match &mut self.kernel {
+                #[cfg(test)]
+                Kernel::Linear(kernel) if self.reference_kernel => crate::expand::expand_reference(
                     self.tree,
                     node,
                     child,
@@ -303,21 +333,35 @@ impl<'a, T: SuffixTreeAccess + ?Sized> SearchDriver<'a, T> {
                     &self.h,
                     self.min_score,
                     seq,
-                    &mut self.scratch,
+                    kernel.scratch(),
+                    &mut self.stats.columns_expanded,
+                    crate::expand::PruneRules::default(),
+                ),
+                Kernel::Linear(kernel) => kernel.expand(
+                    self.tree,
+                    node,
+                    child,
+                    &self.h,
+                    self.min_score,
+                    seq,
                     &mut self.stats.columns_expanded,
                 ),
-                GapModel::Affine { open, extend } => expand_affine(
+                Kernel::Affine {
+                    scratch,
+                    open,
+                    extend,
+                } => expand_affine(
                     self.tree,
                     node,
                     child,
                     &self.query,
                     &self.scoring.matrix,
-                    open,
-                    extend,
+                    *open,
+                    *extend,
                     &self.h,
                     self.min_score,
                     seq,
-                    &mut self.affine_scratch,
+                    scratch,
                     &mut self.stats.columns_expanded,
                 ),
             };
@@ -733,6 +777,114 @@ mod tests {
         assert_eq!(root.f, 4);
         assert_eq!(root.c[4], SCORE_NEG_INF); // h_4 = 0 < minScore prunes it
         assert!(root_node(&query, &h, 5).is_none());
+    }
+
+    /// A deterministic pseudo-random database of `count` sequences over
+    /// the first `symbols` residue codes (an LCG; no test dependency).
+    fn lcg_db(alphabet: Alphabet, symbols: u64, count: usize, seed: u64) -> SequenceDatabase {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut b = DatabaseBuilder::new(alphabet);
+        for i in 0..count {
+            let len = 20 + next() as usize % 60;
+            let codes: Vec<u8> = (0..len).map(|_| (next() % symbols) as u8).collect();
+            b.push(oasis_bioseq::Sequence::from_codes(format!("s{i}"), codes))
+                .unwrap();
+        }
+        b.finish()
+    }
+
+    /// Drain a driver, optionally with every linear expansion run through
+    /// `expand_reference` instead of the pinned-profile kernel.
+    fn drain(
+        tree: &SuffixTree,
+        db: &SequenceDatabase,
+        q: &[u8],
+        scoring: &Scoring,
+        params: &OasisParams,
+        reference: bool,
+    ) -> (Vec<Hit>, SearchStats) {
+        let mut driver = SearchDriver::new(tree, db, q, scoring, params);
+        driver.reference_kernel = reference;
+        let mut hits = Vec::new();
+        let stats = driver.drain_into(&mut hits);
+        (hits, stats)
+    }
+
+    #[test]
+    fn pinned_profile_search_equals_reference_kernel_search() {
+        // The whole search, not just one arc: the driver over its pinned
+        // query profile emits the same hits in the same order, with the
+        // same work counters, as the same driver running the scalar oracle
+        // — for DNA/unit and for protein/PAM30 at served query lengths on
+        // both sides of the 48-symbol cutoff.
+        let cases = [
+            (Alphabet::dna(), 4, Scoring::unit_dna(), [4usize, 9, 14], 3),
+            (
+                Alphabet::protein(),
+                20,
+                Scoring::pam30_protein(),
+                [6, 16, 56],
+                40,
+            ),
+        ];
+        for (seed, (alphabet, symbols, scoring, lengths, min_score)) in
+            cases.into_iter().enumerate()
+        {
+            let db = lcg_db(alphabet, symbols, 12, seed as u64 + 7);
+            let tree = SuffixTree::build(&db);
+            for len in lengths {
+                // A query copied out of the database, so the search runs deep.
+                let q: Vec<u8> = db
+                    .text()
+                    .iter()
+                    .copied()
+                    .filter(|&c| (c as u64) < symbols)
+                    .skip(5)
+                    .take(len)
+                    .collect();
+                for params in [
+                    OasisParams::with_min_score(min_score),
+                    OasisParams::with_min_score(min_score).all_occurrences(),
+                ] {
+                    let fast = drain(&tree, &db, &q, &scoring, &params, false);
+                    let slow = drain(&tree, &db, &q, &scoring, &params, true);
+                    assert!(!fast.0.is_empty(), "len {len}: the planted query must hit");
+                    assert_eq!(fast, slow, "len {len}, {params:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn columns_are_recycled_through_the_free_list() {
+        // Each viable node used to get a fresh column. With expanded nodes'
+        // columns handed back, no more columns exist at once than the
+        // frontier's peak plus the node being expanded.
+        let db = lcg_db(Alphabet::dna(), 4, 40, 3);
+        let tree = SuffixTree::build(&db);
+        let scoring = Scoring::unit_dna();
+        let q: Vec<u8> = db.text()[3..15].to_vec();
+        let params = OasisParams::with_min_score(4);
+        let mut driver = SearchDriver::new(&tree, &db, &q, &scoring, &params);
+        let mut hits = Vec::new();
+        let stats = driver.drain_into(&mut hits);
+        let Kernel::Linear(kernel) = &driver.kernel else {
+            panic!("linear gaps run the linear kernel");
+        };
+        let fresh = kernel.fresh_columns();
+        assert!(
+            fresh <= stats.max_queue as u64 + 1,
+            "{fresh} fresh columns, frontier peak {}",
+            stats.max_queue
+        );
+        // The bound bites: far more nodes were enqueued than columns made.
+        assert!(stats.nodes_enqueued > 2 * fresh, "{stats:?}, {fresh} fresh");
     }
 
     #[test]

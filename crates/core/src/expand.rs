@@ -21,20 +21,38 @@
 //!
 //! ## Kernel layout
 //!
-//! The hot column loop is split into two passes over a cache-friendly
-//! layout. A **query profile** (`profile[t · n + i] = S(q_{i+1}, t)`,
-//! built once per query and cached in [`ExpandScratch`]) turns the
-//! substitution lookup into a contiguous streamed row. Pass 1 computes the
-//! carry-free part of the recurrence — `max(replace, delete)` — which has
-//! no loop-carried dependency and compiles to straight-line vector code;
+//! Every production expansion reads substitution scores from a **query
+//! profile** (`profile[t · n + i] = S(q_{i+1}, t)`): the matrix transposed
+//! into one contiguous row per *target* symbol, so an arc symbol streams
+//! one row instead of looking up the matrix cell by cell. A
+//! [`SearchDriver`](crate::SearchDriver) builds the profile once, when it is
+//! constructed; [`expand`] caches it in [`ExpandScratch`] and rebuilds it
+//! only when the query or scoring changes.
+//!
+//! Below `FUSED_SCALAR_CUTOFF` (48) query symbols a column is one fused
+//! left-to-right loop over the profile row, with every slice cut to
+//! `n + 1` before the loop so the cells carry no bounds checks. From 48
+//! symbols on, a column takes two passes. Pass 1 computes the carry-free
+//! part of the recurrence — `max(replace, delete)` — which has no
+//! loop-carried dependency and compiles to straight-line vector code;
 //! pass 2 folds in the sequential insertion chain and applies the pruning
 //! rules, `Gmax`, and the column bounds in the exact left-to-right order
 //! of Algorithm 3. A per-column **live mask** (one bit per surviving `C`
 //! cell) lets whole 64-cell blocks whose inputs are all pruned be skipped
 //! outright — valid precisely when rule 1 is active, because rule 1 pins
-//! every dead cell to exactly `NEG_INF`. The scalar transcription is kept
-//! as [`expand_reference`]; a property test pins the fast kernel to it
-//! byte for byte.
+//! every dead cell to exactly `NEG_INF`.
+//!
+//! A leaf arc always ends with its terminator, where expansion stops, so a
+//! leaf child is read without asking the substrate how long its arc is
+//! (which, for a leaf, means searching the sequence starts for where its
+//! sequence ends). A viable node's `C` column is taken from a free list in
+//! [`ExpandScratch`], and the driver hands each node's column back through
+//! [`QueryKernel::recycle_column`] once the node is expanded, so a search
+//! allocates about as many columns as its frontier ever holds rather than
+//! one per viable node.
+//!
+//! The scalar transcription is kept as [`expand_reference`]; property
+//! tests pin both production paths to it byte for byte.
 
 use oasis_align::{Score, Scoring, NEG_INF};
 use oasis_bioseq::TERMINATOR;
@@ -43,7 +61,7 @@ use oasis_suffix::{NodeHandle, SuffixTreeAccess};
 use crate::node::{SearchNode, Status};
 
 /// Reusable buffers for [`expand`], so the hot loop performs no allocation
-/// except for the `C` vector of nodes that stay viable. Also caches the
+/// except for `C` columns the free list cannot supply. Also caches the
 /// query substitution profile across expansions of the same query.
 #[derive(Debug, Default)]
 pub struct ExpandScratch {
@@ -63,6 +81,10 @@ pub struct ExpandScratch {
     /// active; see the module doc).
     live_prev: Vec<u64>,
     live_cur: Vec<u64>,
+    /// `C` columns of expanded nodes, ready for the next viable node.
+    free_columns: Vec<Box<[Score]>>,
+    /// Columns allocated because `free_columns` was empty.
+    fresh_columns: u64,
 }
 
 impl ExpandScratch {
@@ -87,6 +109,84 @@ impl ExpandScratch {
         self.profile_query.clear();
         self.profile_query.extend_from_slice(query);
         self.profile_scoring = Some(scoring.clone());
+    }
+}
+
+/// The production kernel pinned to one query and scoring. The query
+/// profile is built once, by [`QueryKernel::new`], and every
+/// [`QueryKernel::expand`] reads it without checking it again. This is
+/// what a [`SearchDriver`](crate::SearchDriver) runs, one per search;
+/// [`expand`] runs the same kernel for callers that keep one
+/// [`ExpandScratch`] across queries, and compares the cached query and
+/// scoring on every call.
+#[derive(Debug)]
+pub struct QueryKernel {
+    scratch: ExpandScratch,
+    gap: Score,
+}
+
+impl QueryKernel {
+    /// Build the kernel for `query` under `scoring`.
+    ///
+    /// # Panics
+    /// If `scoring` has an affine gap model (that search runs
+    /// [`crate::affine::expand_affine`]).
+    pub fn new(query: &[u8], scoring: &Scoring) -> Self {
+        let mut scratch = ExpandScratch::default();
+        scratch.ensure_profile(query, scoring);
+        QueryKernel {
+            scratch,
+            gap: scoring.gap.linear_per_symbol(),
+        }
+    }
+
+    /// [`expand`] for the pinned query and scoring; the other arguments
+    /// are the same.
+    // Algorithm 3's inputs less the pinned query and scoring.
+    #[allow(clippy::too_many_arguments)]
+    pub fn expand<T: SuffixTreeAccess + ?Sized>(
+        &mut self,
+        tree: &T,
+        parent: &SearchNode,
+        child: NodeHandle,
+        h: &[Score],
+        min_score: Score,
+        seq: u64,
+        columns: &mut u64,
+    ) -> SearchNode {
+        debug_assert_eq!(parent.c.len(), self.scratch.profile_query.len() + 1);
+        expand_profiled(
+            tree,
+            parent,
+            child,
+            self.gap,
+            h,
+            min_score,
+            seq,
+            &mut self.scratch,
+            columns,
+            PruneRules::default(),
+        )
+    }
+
+    /// Hand back the `C` column of a node that has been expanded, for a
+    /// later viable node to reuse.
+    pub fn recycle_column(&mut self, column: Box<[Score]>) {
+        if !column.is_empty() {
+            self.scratch.free_columns.push(column);
+        }
+    }
+
+    /// How many `C` columns were allocated rather than recycled.
+    #[cfg(test)]
+    pub(crate) fn fresh_columns(&self) -> u64 {
+        self.scratch.fresh_columns
+    }
+
+    /// The buffers, for running the reference kernel in their place.
+    #[cfg(test)]
+    pub(crate) fn scratch(&mut self) -> &mut ExpandScratch {
+        &mut self.scratch
     }
 }
 
@@ -177,21 +277,20 @@ pub fn expand<T: SuffixTreeAccess + ?Sized>(
 }
 
 /// Queries shorter than this run the fused scalar column loop instead of
-/// the two-pass layout: below it a column fits comfortably in registers
-/// and L1, so profile rows and live-mask upkeep cost more than the fused
-/// dependency chain they replace. At and above it the carry-free first
-/// pass auto-vectorizes and whole 64-cell blocks of dead cells are
-/// skipped, which is where the layout pays for itself.
+/// the two-pass layout. Both read the query profile; below the cutoff a
+/// column fits in registers and L1, and one fused pass beats a second pass
+/// plus live-mask upkeep. At and above it the carry-free first pass
+/// auto-vectorizes and whole 64-cell blocks of dead cells are skipped,
+/// which is where the two-pass layout pays for itself.
 const FUSED_SCALAR_CUTOFF: usize = 48;
 
 /// [`expand`] with explicit pruning-rule control (ablation entry point).
 ///
-/// This is the production kernel: query-profile rows, a vectorizable
-/// carry-free first pass, and live-mask block skipping (see the module
-/// doc) for queries of at least `FUSED_SCALAR_CUTOFF` (48) symbols, and the
-/// fused scalar loop below that. It is byte-identical to
-/// [`expand_reference`] on both sides of the cutoff — a property test
-/// straddling the boundary holds the two together.
+/// This is the production kernel (see the module doc): the query profile
+/// with the fused scalar loop below `FUSED_SCALAR_CUTOFF` (48) symbols, and
+/// the two-pass layout with live-mask block skipping from there on. It is
+/// byte-identical to [`expand_reference`] on both sides of the cutoff —
+/// property tests straddling the boundary hold the two together.
 // Same signature as `expand` plus the rule toggles; see the note there.
 #[allow(clippy::too_many_arguments)]
 pub fn expand_with_rules<T: SuffixTreeAccess + ?Sized>(
@@ -207,41 +306,90 @@ pub fn expand_with_rules<T: SuffixTreeAccess + ?Sized>(
     columns: &mut u64,
     rules: PruneRules,
 ) -> SearchNode {
-    if query.len() < FUSED_SCALAR_CUTOFF {
-        return expand_reference(
-            tree, parent, child, query, scoring, h, min_score, seq, scratch, columns, rules,
-        );
-    }
-    debug_assert_eq!(parent.status, Status::Viable);
     debug_assert_eq!(parent.c.len(), query.len() + 1);
-    let n = query.len();
-    let gap = scoring.gap.linear_per_symbol();
+    scratch.ensure_profile(query, scoring);
+    expand_profiled(
+        tree,
+        parent,
+        child,
+        scoring.gap.linear_per_symbol(),
+        h,
+        min_score,
+        seq,
+        scratch,
+        columns,
+        rules,
+    )
+}
+
+/// The production kernel over the profile already held in `scratch`. The
+/// caller guarantees that profile was built for this search's query and
+/// scoring ([`QueryKernel::new`], or `ensure_profile` in
+/// [`expand_with_rules`]); `gap` is the scoring's linear gap score.
+// Algorithm 3's inputs with the query and scoring replaced by the profile.
+#[allow(clippy::too_many_arguments)]
+fn expand_profiled<T: SuffixTreeAccess + ?Sized>(
+    tree: &T,
+    parent: &SearchNode,
+    child: NodeHandle,
+    gap: Score,
+    h: &[Score],
+    min_score: Score,
+    seq: u64,
+    scratch: &mut ExpandScratch,
+    columns: &mut u64,
+    rules: PruneRules,
+) -> SearchNode {
+    debug_assert_eq!(parent.status, Status::Viable);
+    let n = parent.c.len() - 1;
+    debug_assert_eq!(h.len(), n + 1);
+    let h = &h[..=n];
+    let fused = n < FUSED_SCALAR_CUTOFF;
     let parent_depth = parent.depth;
-    let arc_total = tree.arc_len(parent_depth, child);
+    // A leaf arc ends with its terminator, which returns below: the loop
+    // needs no arc length for it.
+    let arc_total = if child.is_leaf() {
+        u32::MAX
+    } else {
+        tree.arc_len(parent_depth, child)
+    };
 
     let mut gmax = parent.gmax;
     let mut gmax_depth = parent.gmax_depth;
     let mut gmax_qend = parent.gmax_qend;
 
-    scratch.ensure_profile(query, scoring);
-    scratch.prev.clear();
-    scratch.prev.extend_from_slice(&parent.c);
-    scratch.cur.resize(n + 1, NEG_INF);
-    scratch.tmp.resize(n + 1, NEG_INF);
-    scratch.chunk.resize(ARC_CHUNK, 0);
+    let ExpandScratch {
+        prev,
+        cur,
+        chunk,
+        tmp,
+        profile,
+        live_prev,
+        live_cur,
+        free_columns,
+        fresh_columns,
+        ..
+    } = scratch;
+    prev.clear();
+    prev.extend_from_slice(&parent.c);
+    cur.resize(n + 1, NEG_INF);
+    chunk.resize(ARC_CHUNK, 0);
 
     // Rule 1 pins every pruned cell to exactly NEG_INF, which is what
     // makes a zero live mask a proof that a whole block stays dead.
-    let block_skip = rules.non_positive;
-    let words = (n + 1).div_ceil(64);
-    scratch.live_prev.clear();
-    scratch.live_prev.resize(words, 0);
-    scratch.live_cur.clear();
-    scratch.live_cur.resize(words, 0);
-    if block_skip {
-        for (i, &v) in scratch.prev.iter().enumerate() {
-            if v != NEG_INF {
-                set_live(&mut scratch.live_prev, i);
+    let block_skip = !fused && rules.non_positive;
+    if !fused {
+        tmp.resize(n + 1, NEG_INF);
+        let words = (n + 1).div_ceil(64);
+        live_prev.clear();
+        live_prev.resize(words, 0);
+        live_cur.clear();
+        live_cur.resize(words, 0);
+        if block_skip {
+            for (i, &v) in prev.iter().enumerate() {
+                if v != NEG_INF {
+                    set_live(live_prev, i);
+                }
             }
         }
     }
@@ -269,86 +417,45 @@ pub fn expand_with_rules<T: SuffixTreeAccess + ?Sized>(
         seq,
     };
 
+    let pruned = |v: Score, hi: Score, gmax: Score| -> bool {
+        (rules.non_positive && v <= 0)
+            || (rules.no_improvement && v + hi <= gmax)
+            || (rules.threshold && v + hi < min_score)
+    };
+
     while consumed < arc_total {
-        let got = tree.arc_fill(parent_depth, child, consumed, &mut scratch.chunk);
+        let got = tree.arc_fill(parent_depth, child, consumed, chunk);
         debug_assert!(got > 0, "arc_fill must make progress");
-        for k in 0..got {
-            let t = scratch.chunk[k];
+        for &t in &chunk[..got] {
             if t == TERMINATOR {
                 // End of a leaf arc: "no further expansion is possible".
                 return terminal(gmax, gmax_depth, gmax_qend, depth);
             }
             *columns += 1;
             depth += 1;
-            let ExpandScratch {
-                prev,
-                cur,
-                tmp,
-                profile,
-                live_prev,
-                live_cur,
-                ..
-            } = &mut *scratch;
-            let row = &profile[t as usize * n..t as usize * n + n];
-
-            let pruned = |v: Score, hi: Score, gmax: Score| -> bool {
-                (rules.non_positive && v <= 0)
-                    || (rules.no_improvement && v + hi <= gmax)
-                    || (rules.threshold && v + hi < min_score)
-            };
+            let row = &profile[t as usize * n..][..n];
+            let (pv, cv) = (&prev[..=n], &mut cur[..=n]);
 
             // Row 0: the empty query prefix can only extend by a deletion;
             // resets to zero are "not permitted outside of the seed entry".
-            let v0 = prev[0] + gap;
-            cur[0] = if pruned(v0, h[0], gmax) { NEG_INF } else { v0 };
-            f_col = if cur[0] == NEG_INF {
+            let v0 = pv[0] + gap;
+            cv[0] = if pruned(v0, h[0], gmax) { NEG_INF } else { v0 };
+            f_col = if cv[0] == NEG_INF {
                 NEG_INF
             } else {
-                cur[0] + h[0]
+                cv[0] + h[0]
             };
-            g_col = cur[0];
-            if block_skip {
-                live_cur.fill(0);
-                if cur[0] != NEG_INF {
-                    set_live(live_cur, 0);
-                }
-            }
+            g_col = cv[0];
 
-            // Cells 1..=n, in 64-cell blocks. A block whose diagonal,
-            // vertical, and carry inputs are all dead cannot produce a
-            // positive score, so rule 1 would prune every cell in it:
-            // write the NEG_INFs and move on without computing anything.
-            let mut lo = 1usize;
-            while lo <= n {
-                let hi_cell = (lo + 63).min(n);
-                if block_skip && cur[lo - 1] == NEG_INF && !any_live(live_prev, lo - 1, hi_cell) {
-                    cur[lo..=hi_cell].fill(NEG_INF);
-                    lo = hi_cell + 1;
-                    continue;
-                }
-                // Pass 1: replace/delete have no carried state — this
-                // loop is pure elementwise max over contiguous rows.
-                {
-                    let dst = &mut tmp[lo..=hi_cell];
-                    let diag = &prev[lo - 1..hi_cell];
-                    let up = &prev[lo..=hi_cell];
-                    let sub = &row[lo - 1..hi_cell];
-                    for (((d, &pd), &pu), &s) in dst.iter_mut().zip(diag).zip(up).zip(sub) {
-                        *d = (pd + s).max(pu + gap);
-                    }
-                }
-                // Pass 2: fold in the sequential insertion chain and the
-                // pruning rules in Algorithm 3's left-to-right order
-                // (pruning reads `gmax`, which this same pass advances).
-                for i in lo..=hi_cell {
-                    let best = tmp[i].max(cur[i - 1] + gap);
-                    if pruned(best, h[i], gmax) {
-                        cur[i] = NEG_INF;
+            if fused {
+                // One pass, left to right: the insertion carry is the
+                // previous cell of this column.
+                let mut left = cv[0];
+                for i in 1..=n {
+                    let best = (pv[i - 1] + row[i - 1]).max(left + gap).max(pv[i] + gap);
+                    left = if pruned(best, h[i], gmax) {
+                        NEG_INF
                     } else {
-                        cur[i] = best;
-                        if block_skip {
-                            set_live(live_cur, i);
-                        }
                         if best > gmax {
                             gmax = best;
                             gmax_depth = depth;
@@ -356,9 +463,64 @@ pub fn expand_with_rules<T: SuffixTreeAccess + ?Sized>(
                         }
                         f_col = f_col.max(best + h[i]);
                         g_col = g_col.max(best);
+                        best
+                    };
+                    cv[i] = left;
+                }
+            } else {
+                if block_skip {
+                    live_cur.fill(0);
+                    if cv[0] != NEG_INF {
+                        set_live(live_cur, 0);
                     }
                 }
-                lo = hi_cell + 1;
+                // Cells 1..=n, in 64-cell blocks. A block whose diagonal,
+                // vertical, and carry inputs are all dead cannot produce a
+                // positive score, so rule 1 would prune every cell in it:
+                // write the NEG_INFs and move on without computing anything.
+                let mut lo = 1usize;
+                while lo <= n {
+                    let hi_cell = (lo + 63).min(n);
+                    if block_skip && cv[lo - 1] == NEG_INF && !any_live(live_prev, lo - 1, hi_cell)
+                    {
+                        cv[lo..=hi_cell].fill(NEG_INF);
+                        lo = hi_cell + 1;
+                        continue;
+                    }
+                    // Pass 1: replace/delete have no carried state — this
+                    // loop is pure elementwise max over contiguous rows.
+                    {
+                        let dst = &mut tmp[lo..=hi_cell];
+                        let diag = &pv[lo - 1..hi_cell];
+                        let up = &pv[lo..=hi_cell];
+                        let sub = &row[lo - 1..hi_cell];
+                        for (((d, &pd), &pu), &s) in dst.iter_mut().zip(diag).zip(up).zip(sub) {
+                            *d = (pd + s).max(pu + gap);
+                        }
+                    }
+                    // Pass 2: fold in the sequential insertion chain and the
+                    // pruning rules in Algorithm 3's left-to-right order
+                    // (pruning reads `gmax`, which this same pass advances).
+                    for i in lo..=hi_cell {
+                        let best = tmp[i].max(cv[i - 1] + gap);
+                        if pruned(best, h[i], gmax) {
+                            cv[i] = NEG_INF;
+                        } else {
+                            cv[i] = best;
+                            if block_skip {
+                                set_live(live_cur, i);
+                            }
+                            if best > gmax {
+                                gmax = best;
+                                gmax_depth = depth;
+                                gmax_qend = i as u32;
+                            }
+                            f_col = f_col.max(best + h[i]);
+                            g_col = g_col.max(best);
+                        }
+                    }
+                    lo = hi_cell + 1;
+                }
             }
 
             // Early exits (§3.2): no improvement possible along this path…
@@ -392,6 +554,16 @@ pub fn expand_with_rules<T: SuffixTreeAccess + ?Sized>(
     // Whole arc consumed without a terminator: an internal node, still
     // promising — keep its final column for the children.
     debug_assert!(!child.is_leaf(), "leaf arcs end with a terminator");
+    let c = match free_columns.pop() {
+        Some(mut column) if column.len() == n + 1 => {
+            column.copy_from_slice(prev);
+            column
+        }
+        _ => {
+            *fresh_columns += 1;
+            prev.clone().into_boxed_slice()
+        }
+    };
     SearchNode {
         handle: child,
         depth,
@@ -401,7 +573,7 @@ pub fn expand_with_rules<T: SuffixTreeAccess + ?Sized>(
         gmax_depth,
         gmax_qend,
         status: Status::Viable,
-        c: scratch.prev.clone().into_boxed_slice(),
+        c,
         e: Box::new([]),
         seq,
     }

@@ -51,7 +51,9 @@ pub mod search;
 
 pub use driver::{root_node, SearchDriver, StepOutcome};
 pub use evalue::{EvalueOrderedSearch, EvaluedHit};
-pub use expand::{expand, expand_reference, expand_with_rules, ExpandScratch, PruneRules};
+pub use expand::{
+    expand, expand_reference, expand_with_rules, ExpandScratch, PruneRules, QueryKernel,
+};
 pub use frontier::Frontier;
 pub use heuristic::heuristic_vector;
 pub use node::{SearchNode, Status};

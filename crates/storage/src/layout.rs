@@ -23,7 +23,7 @@
 use std::io::Write;
 use std::path::Path;
 
-use oasis_suffix::{NodeHandle, SuffixTree, SuffixTreeAccess};
+use oasis_suffix::{fill_through_terminator, NodeHandle, SuffixTree, SuffixTreeAccess};
 
 use crate::device::{BlockDevice, MemDevice};
 use crate::pool::{BufferPool, Region};
@@ -576,7 +576,12 @@ impl<D: BlockDevice> SuffixTreeAccess for DiskSuffixTree<D> {
     }
 
     fn arc_fill(&self, parent_depth: u32, h: NodeHandle, offset: u32, out: &mut [u8]) -> usize {
-        let (witness, depth) = if h.is_leaf() {
+        // A leaf read from its first symbol runs to the terminator (or the
+        // block end): no search of `seq_starts` for the sequence end.
+        let leaf_head = h.is_leaf() && offset == 0;
+        let (witness, depth) = if leaf_head {
+            (h.index(), self.text_len - h.index())
+        } else if h.is_leaf() {
             (h.index(), self.suffix_len(h.index()))
         } else {
             let rec = self.internal_rec(h.index());
@@ -596,9 +601,14 @@ impl<D: BlockDevice> SuffixTreeAccess for DiskSuffixTree<D> {
             .min((end - start) as usize)
             .min(self.block_size - in_block);
         self.pool.read(block, Region::Symbols, |b| {
-            out[..take].copy_from_slice(&b[in_block..in_block + take]);
-        });
-        take
+            let src = &b[in_block..in_block + take];
+            if leaf_head {
+                fill_through_terminator(src, out)
+            } else {
+                out[..take].copy_from_slice(src);
+                take
+            }
+        })
     }
 
     fn leaves_under(&self, h: NodeHandle, visit: &mut dyn FnMut(u32)) {

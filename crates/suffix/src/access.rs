@@ -86,6 +86,12 @@ pub trait SuffixTreeAccess: Sync {
     /// `offset` symbols into the arc, given the parent's depth. Returns the
     /// number of symbols written (less than `out.len()` only at arc end).
     /// Terminators are reported as [`TERMINATOR`].
+    ///
+    /// A leaf arc ends with its suffix's terminator, so a reader may stop
+    /// at that symbol instead of asking [`arc_len`](Self::arc_len) — which,
+    /// for a leaf, searches the sequence starts for the end of its
+    /// sequence. Every shipped substrate serves a leaf read from offset 0
+    /// the same way, with [`fill_through_terminator`].
     fn arc_fill(&self, parent_depth: u32, h: NodeHandle, offset: u32, out: &mut [u8]) -> usize;
 
     /// Invoke `visit` with the text position of every leaf in `h`'s subtree
@@ -130,6 +136,20 @@ pub trait SuffixTreeAccess: Sync {
     }
 }
 
+/// Copy `src` into `out`, stopping after the first [`TERMINATOR`] or when
+/// either runs out; returns the symbols written. Read from a leaf arc's
+/// first symbol, this is the arc label up to and including the terminator
+/// that ends it, with no lookup of where the sequence ends.
+pub fn fill_through_terminator(src: &[u8], out: &mut [u8]) -> usize {
+    let take = src.len().min(out.len());
+    let take = src[..take]
+        .iter()
+        .position(|&s| s == TERMINATOR)
+        .map_or(take, |end| end + 1);
+    out[..take].copy_from_slice(&src[..take]);
+    take
+}
+
 // Compile-time proof that the trait stays object-safe: a `&dyn` reference
 // must remain a valid type (the engine layer shares `Arc<dyn
 // SuffixTreeAccess>` substrates across worker threads).
@@ -151,6 +171,17 @@ mod tests {
 
         assert_ne!(i, l);
         assert_ne!(NodeHandle::internal(7), NodeHandle::leaf(7));
+    }
+
+    #[test]
+    fn fill_stops_after_the_first_terminator() {
+        let src = [1, 2, TERMINATOR, 3, TERMINATOR];
+        let mut out = [0u8; 8];
+        assert_eq!(fill_through_terminator(&src, &mut out), 3);
+        assert_eq!(&out[..3], &[1, 2, TERMINATOR]);
+        // A short `out` or `src` bounds the copy before the terminator.
+        assert_eq!(fill_through_terminator(&src, &mut out[..2]), 2);
+        assert_eq!(fill_through_terminator(&src[..1], &mut out), 1);
     }
 
     #[test]

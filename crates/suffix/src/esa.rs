@@ -28,7 +28,7 @@
 
 use oasis_bioseq::{SequenceDatabase, TERMINATOR};
 
-use crate::access::{NodeHandle, SuffixTreeAccess};
+use crate::access::{fill_through_terminator, NodeHandle, SuffixTreeAccess};
 use crate::lcp::lcp_kasai;
 use crate::sais::suffix_array;
 use crate::text::RankedText;
@@ -868,6 +868,13 @@ impl SuffixTreeAccess for EsaIndex {
     }
 
     fn arc_fill(&self, parent_depth: u32, h: NodeHandle, offset: u32, out: &mut [u8]) -> usize {
+        if h.is_leaf() && offset == 0 {
+            let start = h.index().saturating_add(parent_depth) as usize;
+            return self
+                .text
+                .get(start..)
+                .map_or(0, |src| fill_through_terminator(src, out));
+        }
         let (witness, depth) = if h.is_leaf() {
             (h.index(), self.suffix_len(h.index()))
         } else {

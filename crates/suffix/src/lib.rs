@@ -46,7 +46,7 @@ pub mod tree;
 #[cfg(test)]
 mod ukkonen;
 
-pub use access::{NodeHandle, SuffixTreeAccess};
+pub use access::{fill_through_terminator, NodeHandle, SuffixTreeAccess};
 pub use esa::{EsaError, EsaIndex};
 pub use lcp::lcp_kasai;
 pub use rebuild::{RebuildError, TreeAssembler};

@@ -13,7 +13,7 @@
 
 use oasis_bioseq::SequenceDatabase;
 
-use crate::access::{NodeHandle, SuffixTreeAccess};
+use crate::access::{fill_through_terminator, NodeHandle, SuffixTreeAccess};
 use crate::lcp::lcp_kasai;
 use crate::sais::suffix_array;
 use crate::text::RankedText;
@@ -276,6 +276,10 @@ impl SuffixTreeAccess for SuffixTree {
     }
 
     fn arc_fill(&self, parent_depth: u32, h: NodeHandle, offset: u32, out: &mut [u8]) -> usize {
+        if h.is_leaf() && offset == 0 {
+            let start = (h.index() + parent_depth) as usize;
+            return fill_through_terminator(&self.text[start..], out);
+        }
         let witness = if h.is_leaf() {
             h.index()
         } else {

@@ -1,14 +1,72 @@
 //! Deeper property tests over the substrates: alignments recompute their
 //! own scores; FASTA round-trips arbitrary sequences; BLAST word
 //! neighborhoods match brute force; the E-value-ordered search agrees with
-//! an offline sort.
+//! an offline sort; every substrate reads leaf arcs up to their terminator.
 
 use proptest::prelude::*;
 
 use oasis::align::sw_align;
 use oasis::blast::WordIndex;
 use oasis::prelude::*;
-use oasis::storage::BlockDevice;
+use oasis::storage::{BlockDevice, DiskTreeBuilder};
+
+/// Every leaf arc of `index`, read from offset 0 in chunks of 1, 3 and 64
+/// symbols until a read returns 0, must equal `arc_label` and the text from
+/// the arc's start through the terminator that ends the suffix — the
+/// contract that lets the expand kernel read a leaf without asking where
+/// its sequence ends. Returns the number of leaves checked.
+fn check_leaf_arcs<T: SuffixTreeAccess + ?Sized>(
+    index: &T,
+    text: &[u8],
+) -> Result<usize, TestCaseError> {
+    let mut stack = vec![(index.root(), 0u32)];
+    let mut kids = Vec::new();
+    let mut leaves = 0;
+    while let Some((node, depth)) = stack.pop() {
+        index.children_into(node, &mut kids);
+        for &child in &kids {
+            if !child.is_leaf() {
+                stack.push((child, index.depth(child)));
+                continue;
+            }
+            leaves += 1;
+            let start = (child.index() + depth) as usize;
+            let end = start + text[start..].iter().position(|&c| c == TERMINATOR).unwrap();
+            let want = &text[start..=end];
+            prop_assert_eq!(
+                &index.arc_label(depth, child)[..],
+                want,
+                "leaf {}",
+                child.index()
+            );
+            for chunk in [1usize, 3, 64] {
+                let mut buf = vec![0u8; chunk];
+                let mut got = Vec::new();
+                loop {
+                    let n = index.arc_fill(depth, child, got.len() as u32, &mut buf);
+                    if n == 0 {
+                        break;
+                    }
+                    prop_assert!(n <= chunk);
+                    got.extend_from_slice(&buf[..n]);
+                    prop_assert!(
+                        got.len() <= want.len(),
+                        "leaf {} read past its end",
+                        child.index()
+                    );
+                }
+                prop_assert_eq!(
+                    &got[..],
+                    want,
+                    "leaf {} in chunks of {}",
+                    child.index(),
+                    chunk
+                );
+            }
+        }
+    }
+    Ok(leaves)
+}
 
 fn build_db(seqs: &[Vec<u8>]) -> SequenceDatabase {
     let mut b = DatabaseBuilder::new(Alphabet::dna());
@@ -135,6 +193,23 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn leaf_arcs_read_to_their_terminator_on_every_substrate(
+        seqs in prop::collection::vec(prop::collection::vec(0u8..4, 1..90), 1..6),
+        block_pow in 6u32..8,
+    ) {
+        let db = build_db(&seqs);
+        let tree = SuffixTree::build(&db);
+        let esa = EsaIndex::build(&db);
+        let block = 1usize << block_pow;
+        let (image, _) = DiskTreeBuilder::with_block_size(block).build_image(&tree);
+        let disk = DiskSuffixTree::open_image(image, block, 4 * block).unwrap();
+        let via_tree = check_leaf_arcs(&tree, db.text())?;
+        prop_assert_eq!(via_tree, db.total_residues() as usize);
+        prop_assert_eq!(check_leaf_arcs(&esa, db.text())?, via_tree);
+        prop_assert_eq!(check_leaf_arcs(&disk, db.text())?, via_tree);
     }
 
     #[test]
