@@ -16,8 +16,10 @@ use oasis_core::{expand, heuristic_vector, root_node, ExpandScratch, SearchNode,
 use oasis_suffix::SuffixTreeAccess;
 
 #[derive(Clone, Copy, PartialEq)]
-// The shared `First` suffix is the point: these *are* the ordering policies.
-#[allow(clippy::enum_variant_names)]
+#[allow(
+    clippy::enum_variant_names,
+    reason = "the shared `First` suffix is the point: these are the ordering policies"
+)]
 enum Order {
     BestFirst,
     DepthFirst,

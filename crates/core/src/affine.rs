@@ -31,9 +31,10 @@ const ARC_CHUNK: usize = 64;
 /// Affine-gap version of Algorithm 3. `parent.c` holds the parent's `H`
 /// column; `parent.e` holds its `E` column (empty means "no gap open",
 /// i.e. all `−∞`, which is the root's state).
-// The arguments are the paper's Algorithm 3 inputs (affine variant), kept
-// positional so the code reads against the pseudocode.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the paper's Algorithm 3 inputs (affine variant), kept positional so the code reads against the pseudocode"
+)]
 pub fn expand_affine<T: SuffixTreeAccess + ?Sized>(
     tree: &T,
     parent: &SearchNode,

@@ -142,8 +142,10 @@ impl QueryKernel {
 
     /// [`expand`] for the pinned query and scoring; the other arguments
     /// are the same.
-    // Algorithm 3's inputs less the pinned query and scoring.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "Algorithm 3's inputs less the pinned query and scoring"
+    )]
     pub fn expand<T: SuffixTreeAccess + ?Sized>(
         &mut self,
         tree: &T,
@@ -246,9 +248,10 @@ impl Default for PruneRules {
 /// populated; `h` is the heuristic vector; `seq` is the new node's
 /// deterministic tie-breaking sequence number. Each computed DP column
 /// increments `columns`, the filtering metric of the paper's Figure 4.
-// The arguments are the paper's Algorithm 3 inputs, kept positional so the
-// code reads against the pseudocode.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the paper's Algorithm 3 inputs, kept positional so the code reads against the pseudocode"
+)]
 pub fn expand<T: SuffixTreeAccess + ?Sized>(
     tree: &T,
     parent: &SearchNode,
@@ -291,8 +294,10 @@ const FUSED_SCALAR_CUTOFF: usize = 48;
 /// the two-pass layout with live-mask block skipping from there on. It is
 /// byte-identical to [`expand_reference`] on both sides of the cutoff —
 /// property tests straddling the boundary hold the two together.
-// Same signature as `expand` plus the rule toggles; see the note there.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the signature of `expand` plus the rule toggles"
+)]
 pub fn expand_with_rules<T: SuffixTreeAccess + ?Sized>(
     tree: &T,
     parent: &SearchNode,
@@ -326,8 +331,10 @@ pub fn expand_with_rules<T: SuffixTreeAccess + ?Sized>(
 /// caller guarantees that profile was built for this search's query and
 /// scoring ([`QueryKernel::new`], or `ensure_profile` in
 /// [`expand_with_rules`]); `gap` is the scoring's linear gap score.
-// Algorithm 3's inputs with the query and scoring replaced by the profile.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "Algorithm 3's inputs with the query and scoring replaced by the profile"
+)]
 fn expand_profiled<T: SuffixTreeAccess + ?Sized>(
     tree: &T,
     parent: &SearchNode,
@@ -583,9 +590,10 @@ fn expand_profiled<T: SuffixTreeAccess + ?Sized>(
 /// column, no profile, no blocks. Kept as the differential oracle for the
 /// production kernel: `expand_with_rules` must match it byte for byte on
 /// every field of the returned node and on the column count.
-// Mirrors the `expand_with_rules` signature exactly so the two kernels are
-// drop-in interchangeable in the differential tests; see the note there.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "mirrors `expand_with_rules` exactly so the two kernels are interchangeable in the differential tests"
+)]
 pub fn expand_reference<T: SuffixTreeAccess + ?Sized>(
     tree: &T,
     parent: &SearchNode,

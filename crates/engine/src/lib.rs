@@ -1,5 +1,15 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Serving-path crate: a panic on a request kills the daemon, so failures
+// are typed errors (docs/LINTS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 
 //! # oasis-engine
 //!
@@ -153,43 +163,44 @@ pub struct SearchOutcome {
     pub stats: SearchStats,
 }
 
-/// Execute `run(0..n)` across up to `threads` scoped worker threads,
-/// collecting the results **in index order**. Workers claim indices from a
-/// shared cursor, so slow and fast jobs interleave without static
+/// Execute `run` on every job across up to `threads` scoped worker
+/// threads, collecting the results **in job order**. Workers claim jobs
+/// from a shared cursor, so slow and fast jobs interleave without static
 /// partitioning skew; with one worker (or one job) everything runs on the
 /// calling thread. A panic inside `run` propagates to the caller.
-pub(crate) fn run_pooled<F>(threads: usize, n: usize, run: F) -> Vec<SearchOutcome>
+pub(crate) fn run_pooled<F>(threads: usize, jobs: &[BatchQuery], run: F) -> Vec<SearchOutcome>
 where
-    F: Fn(usize) -> SearchOutcome + Sync,
+    F: Fn(&BatchQuery) -> SearchOutcome + Sync,
 {
-    let workers = threads.min(n);
+    let workers = threads.min(jobs.len());
     if workers <= 1 {
-        return (0..n).map(run).collect();
+        return jobs.iter().map(run).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<SearchOutcome>> = (0..n).map(|_| OnceLock::new()).collect();
+    let slots: Vec<OnceLock<SearchOutcome>> = jobs.iter().map(|_| OnceLock::new()).collect();
     let run = &run;
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let (cursor, slots) = (&cursor, &slots);
             scope.spawn(move || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                let (Some(job), Some(slot)) = (jobs.get(i), slots.get(i)) else {
                     break;
-                }
-                let outcome = run(i);
-                // oasis-lint: allow(panic-free-serving) — the cursor hands out each i < n exactly once
-                slots[i]
-                    .set(outcome)
+                };
+                slot.set(run(job))
                     .unwrap_or_else(|_| unreachable!("slot {i} claimed twice"));
             });
         }
     });
-    slots
+    #[expect(
+        clippy::expect_used,
+        reason = "scope join already propagated any worker panic, so every slot is set"
+    )]
+    let outcomes = slots
         .into_iter()
-        // oasis-lint: allow(panic-free-serving) — scope join already propagated any worker panic, so every slot is set
         .map(|slot| slot.into_inner().expect("every slot filled"))
-        .collect()
+        .collect();
+    outcomes
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use oasis_align::Scoring;
 use oasis_bioseq::{SeqId, SequenceDatabase};
 use oasis_storage::{
     decode_esa, image_text, load_section, read_manifest, write_index_artifact, ArtifactError,
-    DiskSuffixTree, FileDevice, IndexManifest, SectionKind, ShardPayload,
+    DiskSuffixTree, FileDevice, IndexManifest, SectionKind, ShardMeta, ShardPayload,
 };
 
 use crate::shard::{Shard, ShardBackend};
@@ -131,9 +131,7 @@ pub(crate) fn sharded_engine_from_artifact(
     scoring: Scoring,
 ) -> Result<ShardedEngine, ArtifactError> {
     validate_coverage(manifest)?;
-    let load_one = |i: usize| -> Result<Shard, ArtifactError> {
-        // oasis-lint: allow(panic-free-serving) — i ranges over 0..manifest.shards.len() below
-        let meta = &manifest.shards[i];
+    let load_one = |i: usize, meta: &ShardMeta| -> Result<Shard, ArtifactError> {
         let (lo, hi) = (meta.seq_lo as usize, meta.seq_hi as usize);
         let shard_db = Shard::database_for(&db, Some(&db), lo, hi);
         let index = match meta.kind {
@@ -166,14 +164,18 @@ pub(crate) fn sharded_engine_from_artifact(
             text_offset: db.seq_start(lo as SeqId),
         })
     };
+    // Decode errors travel in the Result; a loader panic is a real bug
+    // and propagates as itself.
     let shards: Result<Vec<Shard>, ArtifactError> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..manifest.shards.len())
-            .map(|i| scope.spawn(move || load_one(i)))
+        let handles: Vec<_> = manifest
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, meta)| scope.spawn(move || load_one(i, meta)))
             .collect();
         handles
             .into_iter()
-            // oasis-lint: allow(panic-free-serving) — decode errors travel in the Result; a join error is a real loader bug worth propagating
-            .map(|h| h.join().expect("shard load panicked"))
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     });
     Ok(ShardedEngine::from_shards(db, scoring, shards?))
@@ -201,17 +203,13 @@ pub(crate) fn disk_engine_from_artifact(
     scoring: Scoring,
     pool_bytes: usize,
 ) -> Result<ShardedEngine, ArtifactError> {
-    if manifest.shards.len() != 1 {
+    let [shard] = manifest.shards.as_slice() else {
         return Err(ArtifactError::Corrupt(format!(
             "disk-resident load needs a single-shard artifact (this one has {})",
             manifest.shards.len()
         )));
-    }
-    if manifest
-        .shards
-        .iter()
-        .any(|s| s.kind != SectionKind::TreeImage)
-    {
+    };
+    if shard.kind != SectionKind::TreeImage {
         return Err(ArtifactError::Corrupt(
             "disk-resident load needs a tree-image shard (this one is packed-esa; \
              load it through the in-memory sharded path instead)"
@@ -224,8 +222,7 @@ pub(crate) fn disk_engine_from_artifact(
     // together — verify the image indexes exactly this database's text
     // (the sharded load path makes the same check per shard). The bytes
     // are then dropped; all serving reads go through the buffer pool.
-    // oasis-lint: allow(panic-free-serving) — shards.len() == 1 was checked above
-    let image = load_section(dir, &manifest.shards[0].section)?;
+    let image = load_section(dir, &shard.section)?;
     if image_text(&image)? != db.text() {
         return Err(ArtifactError::Corrupt(
             "shard 0: tree does not index the database".to_string(),

@@ -209,8 +209,7 @@ impl Shard {
                 .collect();
             handles
                 .into_iter()
-                // oasis-lint: allow(panic-free-serving) — index build, not serving: a build-thread panic must propagate to the builder
-                .map(|h| h.join().expect("shard build panicked"))
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         })
     }
@@ -423,8 +422,7 @@ impl ShardedEngine {
     /// worker panic (e.g. a query encoded with the wrong alphabet)
     /// propagates to the caller.
     pub fn run_batch_on(&self, jobs: &[BatchQuery], threads: usize) -> Vec<SearchOutcome> {
-        // oasis-lint: allow(panic-free-serving) — run_pooled only calls with i < jobs.len()
-        run_pooled(threads, jobs.len(), |i| self.run_job(&jobs[i]))
+        run_pooled(threads, jobs, |job| self.run_job(job))
     }
 }
 
@@ -451,6 +449,10 @@ impl<'a> DatabaseBuilderFor<'a> {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "build-time invariant: the shard re-adds a strict subset of the source"
+    )]
     fn push(&mut self, id: SeqId) {
         let view = self.source.sequence(id);
         self.builder
@@ -458,7 +460,6 @@ impl<'a> DatabaseBuilderFor<'a> {
                 view.name.to_string(),
                 view.codes.to_vec(),
             ))
-            // oasis-lint: allow(panic-free-serving) — build-time invariant: the shard re-adds a strict subset of the source
             .expect("shard cannot exceed the source database's size");
     }
 

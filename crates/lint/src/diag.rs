@@ -12,7 +12,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line of the finding.
     pub line: u32,
-    /// What is wrong and how to fix or escape it.
+    /// What is wrong and how to fix it.
     pub message: String,
 }
 

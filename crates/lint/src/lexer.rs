@@ -6,8 +6,9 @@
 //! scan goes wrong: line comments, nested block comments, string
 //! literals (plain, byte, C, and raw with any `#` count), raw
 //! identifiers, character literals vs. lifetimes, and numeric literals.
-//! Comments are *kept* as tokens because the escape syntax and the
-//! justification rule both read them.
+//! Comments are kept as tokens; rules walk
+//! [`SourceFile::code_indices`](crate::SourceFile::code_indices) to skip
+//! them.
 
 /// What a [`Token`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,12 +57,6 @@ impl Token {
     /// True if this token is the punctuation character `c`.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.len() == c.len_utf8() && self.text.starts_with(c)
-    }
-
-    /// The line a token *ends* on (relevant for block comments).
-    pub fn end_line(&self) -> u32 {
-        let newlines = self.text.bytes().filter(|&b| b == b'\n').count() as u32;
-        self.line.saturating_add(newlines)
     }
 }
 

@@ -1,8 +1,6 @@
 //! The `oasis-lint` binary: lint the workspace, print `file:line`
 //! diagnostics (or `--json`), exit non-zero on findings.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -256,7 +256,10 @@ fn normalize(name: &str) -> String {
 }
 
 /// Parse the document: frame rows, error rows, `(version N)` title.
-#[allow(clippy::type_complexity)] // one call site; splitting the triple adds nothing
+#[allow(
+    clippy::type_complexity,
+    reason = "one call site; splitting the triple adds nothing"
+)]
 fn parse_doc(text: &str) -> (Vec<Entry>, Vec<Entry>, Option<(u32, u64)>) {
     #[derive(PartialEq)]
     enum Section {

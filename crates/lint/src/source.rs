@@ -1,26 +1,7 @@
-//! A lexed source file plus the two per-file analyses every rule needs:
-//! which tokens live inside test code, and which lines carry an
-//! `oasis-lint` escape.
+//! A lexed source file plus the per-file analysis every rule needs:
+//! which tokens live inside test code.
 
 use crate::lexer::{lex, Token};
-
-/// An inline rule escape parsed from a comment. The syntax is
-/// `// oasis-lint: allow(rule-name) — reason text`; the escape covers its
-/// own line(s) and the line immediately after, so it can sit either above
-/// the flagged code or trailing on the same line.
-#[derive(Debug, Clone)]
-pub struct Escape {
-    /// Index of the comment token carrying the escape.
-    pub token: usize,
-    /// First line the escape covers.
-    pub line: u32,
-    /// Last line the escape covers (start of the *next* code line).
-    pub end_line: u32,
-    /// Rule names listed inside `allow(...)`.
-    pub rules: Vec<String>,
-    /// Whether justification text follows the closing parenthesis.
-    pub has_reason: bool,
-}
 
 /// One lexed, analysed source file.
 #[derive(Debug)]
@@ -32,10 +13,8 @@ pub struct SourceFile {
     /// The token stream, comments included.
     pub tokens: Vec<Token>,
     /// Parallel to `tokens`: true for tokens inside `#[cfg(test)]` or
-    /// `#[test]` items, which the serving-path rules skip.
+    /// `#[test]` items, which the rules skip.
     pub in_test: Vec<bool>,
-    /// Inline escapes found in comments.
-    pub escapes: Vec<Escape>,
 }
 
 impl SourceFile {
@@ -45,21 +24,12 @@ impl SourceFile {
         let text = text.into();
         let tokens = lex(&text);
         let in_test = mark_test_regions(&tokens);
-        let escapes = find_escapes(&tokens);
         SourceFile {
             path,
             text,
             tokens,
             in_test,
-            escapes,
         }
-    }
-
-    /// True if an escape for `rule` covers `line`.
-    pub fn allows(&self, rule: &str, line: u32) -> bool {
-        self.escapes
-            .iter()
-            .any(|e| e.line <= line && line <= e.end_line && e.rules.iter().any(|r| r == rule))
     }
 
     /// Indices of the non-comment tokens, in order. Most rules walk this
@@ -175,57 +145,6 @@ fn find_item_end(tokens: &[Token], code: &[usize], mut k: usize) -> usize {
     code.len().saturating_sub(1)
 }
 
-/// Scan comment tokens for `oasis-lint: allow(rule, …)` escapes.
-fn find_escapes(tokens: &[Token]) -> Vec<Escape> {
-    const MARKER: &str = "oasis-lint:";
-    let mut out = Vec::new();
-    for (i, tok) in tokens.iter().enumerate() {
-        if !tok.is_comment() {
-            continue;
-        }
-        // Doc comments never carry escapes: documentation may *describe*
-        // the escape syntax without enacting it.
-        if tok.text.starts_with("///") || tok.text.starts_with("//!") {
-            continue;
-        }
-        let Some(at) = tok.text.find(MARKER) else {
-            continue;
-        };
-        let after = tok.text[at + MARKER.len()..].trim_start();
-        let Some(rest) = after.strip_prefix("allow") else {
-            continue;
-        };
-        let rest = rest.trim_start();
-        let Some(rest) = rest.strip_prefix('(') else {
-            continue;
-        };
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        let rules: Vec<String> = rest[..close]
-            .split(',')
-            .map(|r| r.trim().to_string())
-            .filter(|r| !r.is_empty())
-            .collect();
-        let mut tail = rest[close + 1..].trim_start();
-        for sep in ["—", "--", "-", ":", ","] {
-            if let Some(t) = tail.strip_prefix(sep) {
-                tail = t;
-                break;
-            }
-        }
-        let reason = tail.trim().trim_end_matches("*/").trim();
-        out.push(Escape {
-            token: i,
-            line: tok.line,
-            end_line: tok.end_line() + 1,
-            rules,
-            has_reason: reason.len() >= 3,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,19 +193,5 @@ mod tests {
             .expect("live");
         assert!(f.in_test[boom]);
         assert!(!f.in_test[live]);
-    }
-
-    #[test]
-    fn escape_parsing() {
-        let f = SourceFile::new(
-            "x.rs",
-            "// oasis-lint: allow(panic-free-serving) — bounds checked above\nlet x = v[0];\n// oasis-lint: allow(guard-across-blocking)\nlet y = 1;\n",
-        );
-        assert_eq!(f.escapes.len(), 2);
-        assert!(f.escapes[0].has_reason);
-        assert!(f.allows("panic-free-serving", 2));
-        assert!(!f.escapes[1].has_reason);
-        assert!(f.allows("guard-across-blocking", 4));
-        assert!(!f.allows("panic-free-serving", 4));
     }
 }

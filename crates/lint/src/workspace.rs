@@ -1,6 +1,6 @@
 //! Workspace loading: gather the Rust sources and normative documents
-//! the rules read, either from disk (the real tree) or from in-memory
-//! `(path, text)` pairs (fixtures and break-the-invariant self-tests).
+//! the rules read, either from disk (the real tree) or from fixture files
+//! mounted at workspace paths.
 
 use std::fs;
 use std::io;
@@ -17,41 +17,20 @@ pub struct Workspace {
     /// Non-Rust documents the rules cross-check (e.g. `docs/PROTOCOL.md`),
     /// as `(path, text)` pairs.
     pub docs: Vec<(String, String)>,
-    /// Crate roots that must carry `#![forbid(unsafe_code)]`.
-    pub lib_roots: Vec<String>,
 }
 
 impl Workspace {
-    /// Build a workspace from in-memory sources. `docs` and `lib_roots`
-    /// follow the same path conventions as [`Workspace::load`].
-    pub fn from_sources(
-        files: Vec<(String, String)>,
-        docs: Vec<(String, String)>,
-        lib_roots: Vec<String>,
-    ) -> Workspace {
-        Workspace {
-            files: files
-                .into_iter()
-                .map(|(p, t)| SourceFile::new(p, t))
-                .collect(),
-            docs,
-            lib_roots,
-        }
-    }
-
     /// Build a workspace from fixture files on disk. Fixtures declare
     /// where they mount via header directives — `//@ mount: <path>` in
     /// Rust files, `<!--@ mount: <path> -->` in documents — plus
     /// `//@ with: <sibling>` to pull in a companion file from the same
-    /// directory and `//@ lib-root` to register the mount as a crate
-    /// root. Without a `mount:` directive, documents mount at
+    /// directory. Without a `mount:` directive, documents mount at
     /// `docs/PROTOCOL.md` and Rust files under `crates/fixture/src/`.
     pub fn from_fixtures(paths: &[PathBuf]) -> io::Result<Workspace> {
         let mut queue: Vec<PathBuf> = paths.to_vec();
         let mut loaded: Vec<PathBuf> = Vec::new();
         let mut files = Vec::new();
         let mut docs = Vec::new();
-        let mut lib_roots = Vec::new();
         let mut at = 0usize;
         while let Some(path) = queue.get(at).cloned() {
             at += 1;
@@ -62,7 +41,6 @@ impl Workspace {
             let text = fs::read_to_string(&path)?;
             let is_doc = path.extension().is_some_and(|e| e == "md");
             let mut mount: Option<String> = None;
-            let mut is_lib_root = false;
             for line in text.lines() {
                 let l = line.trim();
                 let Some(body) = l
@@ -77,8 +55,6 @@ impl Workspace {
                 } else if let Some(w) = body.strip_prefix("with:") {
                     let dir = path.parent().unwrap_or(Path::new("."));
                     queue.push(dir.join(w.trim()));
-                } else if body == "lib-root" {
-                    is_lib_root = true;
                 }
             }
             let mount = mount.unwrap_or_else(|| {
@@ -92,20 +68,13 @@ impl Workspace {
                     format!("crates/fixture/src/{name}")
                 }
             });
-            if is_lib_root {
-                lib_roots.push(mount.clone());
-            }
             if mount.ends_with(".md") {
                 docs.push((mount, text));
             } else {
                 files.push(SourceFile::new(mount, text));
             }
         }
-        Ok(Workspace {
-            files,
-            docs,
-            lib_roots,
-        })
+        Ok(Workspace { files, docs })
     }
 
     /// Load the workspace rooted at `root` from disk: every `.rs` file
@@ -146,23 +115,10 @@ impl Workspace {
             docs.push((relative(root, &protocol), fs::read_to_string(&protocol)?));
         }
 
-        let mut lib_roots: Vec<String> = files
-            .iter()
-            .map(|f| f.path.clone())
-            .filter(|p| {
-                (p.starts_with("crates/") && p.ends_with("/src/lib.rs")) || p == "src/lib.rs"
-            })
-            .collect();
-        lib_roots.sort();
-
-        Ok(Workspace {
-            files,
-            docs,
-            lib_roots,
-        })
+        Ok(Workspace { files, docs })
     }
 
-    /// Run every rule; returns the surviving findings, sorted.
+    /// Run every rule; returns the findings, sorted.
     pub fn lint(&self) -> Vec<Diagnostic> {
         rules::run_all(self)
     }

@@ -6,6 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
+use oasis_lint::rules::serving_index::is_serving_path;
 use oasis_lint::{find_root, Diagnostic, Workspace};
 
 fn fixture(rel: &str) -> PathBuf {
@@ -26,90 +27,28 @@ fn fires(diags: &[Diagnostic], rule: &str) -> bool {
 }
 
 #[test]
-fn panic_free_fixtures() {
-    let fail = lint_fixtures(&["panic_free/fail.rs"]);
-    assert!(fires(&fail, "panic-free-serving"), "{fail:?}");
-    assert!(
-        fail.len() >= 3,
-        "the unwrap, the panic!, and the indexing should all fire: {fail:?}"
-    );
-    let pass = lint_fixtures(&["panic_free/pass.rs"]);
-    assert!(pass.is_empty(), "{pass:?}");
-}
-
-#[test]
-fn live_ingestion_mutation_paths_have_fixture_pairs() {
-    // Every mutation path of the layered live index — the WAL, the delta
-    // index, the layered executor, and the background compactor — is
-    // serving-path code: the rule must fire on each failing fixture and
-    // stay silent on its panic-free twin.
-    for (fail, pass) in [
-        ("panic_free_live/wal_fail.rs", "panic_free_live/wal_pass.rs"),
-        (
-            "panic_free_live/delta_fail.rs",
-            "panic_free_live/delta_pass.rs",
-        ),
-        (
-            "panic_free_live/layered_fail.rs",
-            "panic_free_live/layered_pass.rs",
-        ),
-        (
-            "panic_free_live/compactor_fail.rs",
-            "panic_free_live/compactor_pass.rs",
-        ),
-    ] {
-        let diags = lint_fixtures(&[fail]);
-        assert!(fires(&diags, "panic-free-serving"), "{fail}: {diags:?}");
-        let diags = lint_fixtures(&[pass]);
-        assert!(diags.is_empty(), "{pass}: {diags:?}");
-    }
-}
-
-#[test]
 fn front_door_paths_have_fixture_pairs() {
-    // The front door — the waker each connection's threads share, the
-    // reader decoding peer-controlled bytes, and the result cache on
-    // every dispatch — is serving-path code: the rule must fire on each
-    // failing fixture and stay silent on its panic-free twin.
-    for (fail, pass) in [
+    // The front door: the waker each connection's reader, writer and
+    // readiness hooks share, and the result cache on every dispatch. A
+    // guard held across the waker's blocking recv must fire, and so must
+    // a `VecDeque` index into the cache's LRU order; each twin is clean.
+    for (rule, fail, pass) in [
         (
-            "panic_free_front_door/waker_fail.rs",
-            "panic_free_front_door/waker_pass.rs",
+            "guard-across-blocking",
+            "guard_blocking/waker_fail.rs",
+            "guard_blocking/waker_pass.rs",
         ),
         (
-            "panic_free_front_door/conn_fail.rs",
-            "panic_free_front_door/conn_pass.rs",
-        ),
-        (
-            "panic_free_front_door/cache_fail.rs",
-            "panic_free_front_door/cache_pass.rs",
+            "serving-index",
+            "serving_index/cache_fail.rs",
+            "serving_index/cache_pass.rs",
         ),
     ] {
         let diags = lint_fixtures(&[fail]);
-        assert!(fires(&diags, "panic-free-serving"), "{fail}: {diags:?}");
+        assert!(fires(&diags, rule), "{fail}: {diags:?}");
         let diags = lint_fixtures(&[pass]);
         assert!(diags.is_empty(), "{pass}: {diags:?}");
     }
-    // The waker fixture also holds an inbox guard across a blocking
-    // recv — lock discipline is checked on the new paths too.
-    let diags = lint_fixtures(&["panic_free_front_door/waker_fail.rs"]);
-    assert!(fires(&diags, "guard-across-blocking"), "{diags:?}");
-}
-
-#[test]
-fn observability_paths_have_fixture_pairs() {
-    // The metrics registry runs on every served query — a panic while
-    // recording a sample kills the daemon just like one in the frame
-    // codec, so the obs crate is serving-path code: the rule must fire
-    // on the failing fixture and stay silent on its panic-free twin.
-    let fail = lint_fixtures(&["panic_free_obs/hist_fail.rs"]);
-    assert!(fires(&fail, "panic-free-serving"), "{fail:?}");
-    assert!(
-        fail.len() >= 2,
-        "the indexed bucket lookup and the quantile unwrap should both fire: {fail:?}"
-    );
-    let pass = lint_fixtures(&["panic_free_obs/hist_pass.rs"]);
-    assert!(pass.is_empty(), "{pass:?}");
 }
 
 #[test]
@@ -144,26 +83,6 @@ fn manifest_coverage_fixtures() {
     assert!(pass.is_empty(), "{pass:?}");
 }
 
-#[test]
-fn allow_reason_fixtures() {
-    let fail = lint_fixtures(&["allow_reason/fail.rs"]);
-    assert!(fires(&fail, "allow-needs-reason"), "{fail:?}");
-    assert!(
-        fail.len() >= 3,
-        "the bare allow, the reasonless escape, and the unknown rule should all fire: {fail:?}"
-    );
-    let pass = lint_fixtures(&["allow_reason/pass.rs"]);
-    assert!(pass.is_empty(), "{pass:?}");
-}
-
-#[test]
-fn forbid_unsafe_fixtures() {
-    let fail = lint_fixtures(&["forbid_unsafe/fail.rs"]);
-    assert!(fires(&fail, "forbid-unsafe"), "{fail:?}");
-    let pass = lint_fixtures(&["forbid_unsafe/pass.rs"]);
-    assert!(pass.is_empty(), "{pass:?}");
-}
-
 /// The binary itself: exit 1 on every failing fixture, exit 0 on every
 /// passing one.
 #[test]
@@ -179,38 +98,20 @@ fn binary_exit_status_tracks_fixtures() {
             .code()
     };
     for fail in [
-        "panic_free/fail.rs",
-        "panic_free_live/wal_fail.rs",
-        "panic_free_live/delta_fail.rs",
-        "panic_free_live/layered_fail.rs",
-        "panic_free_live/compactor_fail.rs",
-        "panic_free_front_door/waker_fail.rs",
-        "panic_free_front_door/conn_fail.rs",
-        "panic_free_front_door/cache_fail.rs",
-        "panic_free_obs/hist_fail.rs",
         "guard_blocking/fail.rs",
+        "guard_blocking/waker_fail.rs",
+        "serving_index/cache_fail.rs",
         "protocol_drift/fail.md",
         "manifest_coverage/fail.rs",
-        "allow_reason/fail.rs",
-        "forbid_unsafe/fail.rs",
     ] {
         assert_eq!(run(fail), Some(1), "expected findings in {fail}");
     }
     for pass in [
-        "panic_free/pass.rs",
-        "panic_free_live/wal_pass.rs",
-        "panic_free_live/delta_pass.rs",
-        "panic_free_live/layered_pass.rs",
-        "panic_free_live/compactor_pass.rs",
-        "panic_free_front_door/waker_pass.rs",
-        "panic_free_front_door/conn_pass.rs",
-        "panic_free_front_door/cache_pass.rs",
-        "panic_free_obs/hist_pass.rs",
         "guard_blocking/pass.rs",
+        "guard_blocking/waker_pass.rs",
+        "serving_index/cache_pass.rs",
         "protocol_drift/pass.md",
         "manifest_coverage/pass.rs",
-        "allow_reason/pass.rs",
-        "forbid_unsafe/pass.rs",
     ] {
         assert_eq!(run(pass), Some(0), "expected a clean run on {pass}");
     }
@@ -243,83 +144,6 @@ fn renumbering_a_documented_tag_fires_protocol_drift() {
 }
 
 #[test]
-fn an_unwrap_in_the_net_server_fires_panic_free() {
-    let mut ws = real_tree();
-    let src = ws
-        .text_of("crates/net/src/server.rs")
-        .expect("server source")
-        .to_string();
-    let broken = format!("{src}\nfn oops(v: &[u8]) -> u8 {{ v.first().copied().unwrap() }}\n");
-    assert!(ws.patch("crates/net/src/server.rs", broken));
-    assert!(fires(&ws.lint(), "panic-free-serving"));
-}
-
-#[test]
-fn the_esa_backend_is_on_the_serving_path_list() {
-    // The packed-ESA index serves loaded artifact bytes directly, so its
-    // decoder and traversal sit on the serving path like the artifact
-    // reader does: an injected unwrap (or a direct index) must fire.
-    let mut ws = real_tree();
-    let src = ws
-        .text_of("crates/suffix/src/esa.rs")
-        .expect("esa source")
-        .to_string();
-    let broken = format!("{src}\nfn oops(v: &[u8]) -> u8 {{ v.first().copied().unwrap() }}\n");
-    assert!(ws.patch("crates/suffix/src/esa.rs", broken));
-    assert!(fires(&ws.lint(), "panic-free-serving"));
-
-    let mut ws = real_tree();
-    let indexed = format!("{src}\nfn oops2(v: &[u8]) -> u8 {{ v[0] }}\n");
-    assert!(ws.patch("crates/suffix/src/esa.rs", indexed));
-    assert!(fires(&ws.lint(), "panic-free-serving"));
-}
-
-#[test]
-fn the_connection_module_is_on_the_serving_path_list() {
-    // Every connection's reader and writer run `conn.rs` inside the
-    // daemon: an injected unwrap there must fire, exactly like one in
-    // server.rs.
-    let path = "crates/net/src/conn.rs";
-    let mut ws = real_tree();
-    let src = ws.text_of(path).expect("source loaded").to_string();
-    let broken = format!("{src}\nfn oops(v: &[u8]) -> u8 {{ v.first().copied().unwrap() }}\n");
-    assert!(ws.patch(path, broken));
-    assert!(fires(&ws.lint(), "panic-free-serving"));
-}
-
-#[test]
-fn the_obs_crate_is_on_the_serving_path_list() {
-    // The histogram registry and the trace carrier both execute inside
-    // the daemon on every query: an injected unwrap (or a direct index)
-    // in either must fire.
-    for path in ["crates/obs/src/hist.rs", "crates/obs/src/trace.rs"] {
-        let mut ws = real_tree();
-        let src = ws.text_of(path).expect("source loaded").to_string();
-        let broken = format!("{src}\nfn oops(v: &[u8]) -> u8 {{ v.first().copied().unwrap() }}\n");
-        assert!(ws.patch(path, broken));
-        assert!(fires(&ws.lint(), "panic-free-serving"), "{path}");
-
-        let mut ws = real_tree();
-        let src = ws.text_of(path).expect("source loaded").to_string();
-        let indexed = format!("{src}\nfn oops2(v: &[u8]) -> u8 {{ v[0] }}\n");
-        assert!(ws.patch(path, indexed));
-        assert!(fires(&ws.lint(), "panic-free-serving"), "{path}");
-    }
-}
-
-#[test]
-fn the_result_cache_is_on_the_serving_path_list() {
-    let mut ws = real_tree();
-    let src = ws
-        .text_of("crates/engine/src/cache.rs")
-        .expect("cache source")
-        .to_string();
-    let broken = format!("{src}\nfn oops(v: &[u8]) -> u8 {{ v[0] }}\n");
-    assert!(ws.patch("crates/engine/src/cache.rs", broken));
-    assert!(fires(&ws.lint(), "panic-free-serving"));
-}
-
-#[test]
 fn a_guard_across_recv_fires_guard_blocking() {
     let mut ws = real_tree();
     let src = ws
@@ -331,6 +155,21 @@ fn a_guard_across_recv_fires_guard_blocking() {
     );
     assert!(ws.patch("crates/engine/src/serving.rs", broken));
     assert!(fires(&ws.lint(), "guard-across-blocking"));
+}
+
+#[test]
+fn a_map_index_in_the_result_cache_fires_serving_index() {
+    // Clippy's `indexing_slicing` misses `HashMap`'s `Index` impl.
+    let mut ws = real_tree();
+    let src = ws
+        .text_of("crates/engine/src/cache.rs")
+        .expect("cache.rs is loaded")
+        .to_string();
+    let broken = format!(
+        "{src}\nfn oops(m: &std::collections::HashMap<u64, u64>) -> u64 {{\n    m[&0]\n}}\n"
+    );
+    assert!(ws.patch("crates/engine/src/cache.rs", broken));
+    assert!(fires(&ws.lint(), "serving-index"));
 }
 
 #[test]
@@ -346,27 +185,71 @@ fn dropping_a_gc_pattern_fires_manifest_coverage() {
     assert!(fires(&ws.lint(), "manifest-coverage"));
 }
 
-#[test]
-fn a_bare_allow_fires_allow_needs_reason() {
-    let mut ws = real_tree();
-    let src = ws
-        .text_of("crates/core/src/expand.rs")
-        .expect("expand source")
-        .to_string();
-    let broken = format!("{src}\n#[allow(dead_code)]\nfn oops() {{}}\n");
-    assert!(ws.patch("crates/core/src/expand.rs", broken));
-    assert!(fires(&ws.lint(), "allow-needs-reason"));
-}
+// ---- the invariants rustc and clippy enforce ----------------------------
 
+/// The clippy lints that keep a module panic-free.
+const PANIC_FREE_DENY: &str = "#![deny(clippy::unwrap_used,clippy::expect_used,clippy::panic,\
+                               clippy::todo,clippy::unimplemented,clippy::indexing_slicing,\
+                               clippy::string_slice)]";
+
+/// Panic-freedom on the serving path, reasons on lint suppressions and
+/// `forbid(unsafe_code)` are compiler lints, so `cargo clippy -D warnings`
+/// fails on a regression. This pins the configuration that makes it so:
+/// deleting any of it fails here.
 #[test]
-fn stripping_the_forbid_attribute_fires_forbid_unsafe() {
-    let mut ws = real_tree();
-    let src = ws
-        .text_of("crates/core/src/lib.rs")
-        .expect("core lib root")
-        .to_string();
-    let broken = src.replace("#![forbid(unsafe_code)]\n", "");
-    assert_ne!(src, broken, "the attribute should exist to strip");
-    assert!(ws.patch("crates/core/src/lib.rs", broken));
-    assert!(fires(&ws.lint(), "forbid-unsafe"));
+fn the_compiler_lint_config_is_in_place() {
+    let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
+    let ws = real_tree();
+    // Every serving crate root and module carries the deny, and
+    // `serving-index` covers each of them.
+    for path in [
+        "crates/engine/src/lib.rs",
+        "crates/net/src/lib.rs",
+        "crates/obs/src/lib.rs",
+        "crates/storage/src/artifact.rs",
+        "crates/storage/src/wal.rs",
+        "crates/suffix/src/esa.rs",
+    ] {
+        assert!(is_serving_path(path), "serving-index skips {path}");
+        let file = ws
+            .files
+            .iter()
+            .find(|f| f.path == path)
+            .unwrap_or_else(|| panic!("{path} is loaded"));
+        let code: String = file
+            .code_indices()
+            .into_iter()
+            .map(|i| file.tokens[i].text.as_str())
+            .collect();
+        assert!(
+            code.contains(PANIC_FREE_DENY),
+            "{path} lost its panic-free deny attribute"
+        );
+    }
+
+    // Manifests with all whitespace removed.
+    let manifest = |dir: &Path| {
+        let text = std::fs::read_to_string(dir.join("Cargo.toml"))
+            .unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+        text.split_whitespace().collect::<String>()
+    };
+    let workspace = manifest(&root);
+    assert!(workspace.contains("[workspace.lints.rust]unsafe_code=\"forbid\""));
+    assert!(workspace.contains("[workspace.lints.clippy]allow_attributes_without_reason=\"deny\""));
+
+    let mut packages = vec![root.clone()];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ lists") {
+        let dir = entry.expect("crates/ entry").path();
+        if dir.join("Cargo.toml").is_file() {
+            packages.push(dir);
+        }
+    }
+    assert!(packages.len() > 12, "found only {packages:?}");
+    for dir in packages {
+        assert!(
+            manifest(&dir).contains("[lints]workspace=true"),
+            "{} does not inherit the workspace lints",
+            dir.display()
+        );
+    }
 }

@@ -189,7 +189,7 @@ impl Client {
 
     /// The pre-version-5 name of [`metrics`](Client::metrics). Kept only
     /// because the repository benchmark (`perfbench/`) still calls it; it
-    /// goes with the benchmark change of ROADMAP item 8.
+    /// goes with the benchmark change of ROADMAP item 2.
     pub fn stats(&mut self) -> Result<MetricsReport, NetError> {
         self.metrics()
     }

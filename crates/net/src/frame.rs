@@ -584,7 +584,7 @@ impl MetricsReport {
 
 /// The pre-version-5 name of [`MetricsReport`]. Kept only because the
 /// repository benchmark (`perfbench/`) still names it; it goes with the
-/// benchmark change of ROADMAP item 8.
+/// benchmark change of ROADMAP item 2.
 pub type StatsReport = MetricsReport;
 
 /// Latency summary of one pipeline stage: one row of

@@ -1,5 +1,15 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Serving-path crate: a panic on a request kills the daemon, so failures
+// are typed errors (docs/LINTS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 
 //! # oasis-obs
 //!

@@ -53,6 +53,18 @@
 //! [`crate::DiskSuffixTree`] over a [`crate::FileDevice`] and served
 //! through the buffer pool without ever materializing the tree in memory.
 
+// Serving path: an artifact load runs inside the daemon (boot and reload), so
+// failures are typed errors (docs/LINTS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use std::io::Write;
 use std::path::{Path, PathBuf};
 

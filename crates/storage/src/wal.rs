@@ -33,6 +33,18 @@
 //!   failing its checksum) ends the replay cleanly at the last good
 //!   record instead of poisoning the artifact.
 
+// Serving path: the WAL is replayed and appended inside the daemon, so
+// failures are typed errors (docs/LINTS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
+
 use std::io::Write;
 use std::path::{Path, PathBuf};
 

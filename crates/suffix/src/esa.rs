@@ -22,9 +22,21 @@
 //! backends: the search result depends only on text + query, never on
 //! which substrate walked the index.
 //!
-//! Decode is *checked*: this module is on oasis-lint's `panic-free-serving`
-//! list, so every byte access is bounds-guarded and corrupt input surfaces
-//! as a typed [`EsaError`], never a panic.
+//! Decode is *checked*: this module denies clippy's panicking lints, so
+//! every byte access is bounds-guarded and corrupt input surfaces as a
+//! typed [`EsaError`], never a panic.
+
+// Serving path: a served ESA decodes artifact bytes inside the daemon, so
+// failures are typed errors (docs/LINTS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 
 use oasis_bioseq::{SequenceDatabase, TERMINATOR};
 

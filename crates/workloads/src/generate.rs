@@ -83,9 +83,10 @@ fn mutate(
     out
 }
 
-// The knobs mirror the paper's workload table one-to-one; bundling them
-// into a config struct would just rename the problem.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the knobs mirror the paper's workload table one-to-one; a config struct would just rename the problem"
+)]
 fn generate_with(
     kind: AlphabetKind,
     freqs: &[f64],

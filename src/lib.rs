@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! # OASIS — Online and Accurate Search for Inferring local alignments on Sequences
@@ -61,7 +60,6 @@ pub use oasis_bioseq as bioseq;
 pub use oasis_blast as blast;
 pub use oasis_core as core;
 pub use oasis_engine as engine;
-pub use oasis_lint as lint;
 pub use oasis_net as net;
 pub use oasis_obs as obs;
 pub use oasis_storage as storage;
