@@ -3,7 +3,7 @@
 //! Compaction is the maintenance half of the layered lifecycle
 //! ([`crate::LiveIndex`]): it concatenates the base database with the
 //! frozen delta, rebuilds every shard over the merged text, and persists
-//! a version-3 artifact whose [`DeltaLineage`] records how far into the
+//! an artifact whose [`DeltaLineage`] records how far into the
 //! WAL the fold reached (`folded_through`). The artifact write is atomic
 //! (temp + fsync + rename, inherited from the artifact layer), and the
 //! WAL is truncated only *after* the merged artifact — and, on the
@@ -63,7 +63,7 @@ pub(crate) fn resolve_shape(
 
 /// The fold: concatenate `base` with the frozen delta, rebuild
 /// `shard_count` shards over the merged database, and atomically persist
-/// the version-3 artifact (lineage included) into `dir`. Returns the
+/// the artifact (lineage included) into `dir`. Returns the
 /// merged database and its shards so the caller can adopt them without
 /// re-reading the artifact it just wrote.
 pub(crate) fn fold_into_base(
@@ -197,7 +197,7 @@ mod tests {
             "opening the WAL wrote no file"
         );
         let manifest = read_manifest(&dir).unwrap();
-        assert!(manifest.lineage.is_none(), "stays a plain v2 artifact");
+        assert!(manifest.lineage.is_none(), "stays lineage-free");
 
         // A second compaction right after a fold is also idle.
         log_append(&dir, "c", "ACGT");

@@ -366,32 +366,6 @@ pub fn lex(src: &str) -> Vec<Token> {
     .run()
 }
 
-/// Parse the integer value of a numeric-literal token: handles `_`
-/// separators, `0x`/`0o`/`0b` radices, and type suffixes (`u8`, `usize`,
-/// …). Returns `None` for floats and malformed text.
-pub fn int_value(text: &str) -> Option<u64> {
-    let t = text.replace('_', "");
-    let (radix, digits) = match t.as_bytes() {
-        [b'0', b'x' | b'X', rest @ ..] => (16, rest),
-        [b'0', b'o' | b'O', rest @ ..] => (8, rest),
-        [b'0', b'b' | b'B', rest @ ..] => (2, rest),
-        rest => (10, rest),
-    };
-    let end = digits
-        .iter()
-        .position(|&b| !(b as char).is_digit(radix))
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return None;
-    }
-    // Anything after the digits must be a type suffix, not `.5` or `e9`.
-    match digits[end..].first() {
-        None | Some(b'u' | b'i') => {}
-        Some(_) => return None,
-    }
-    u64::from_str_radix(std::str::from_utf8(&digits[..end]).ok()?, radix).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,15 +422,5 @@ mod tests {
         let toks = lex("a\nb\n  c");
         let lines: Vec<u32> = toks.iter().map(|t| t.line).collect();
         assert_eq!(lines, [1, 2, 3]);
-    }
-
-    #[test]
-    fn int_values() {
-        assert_eq!(int_value("42"), Some(42));
-        assert_eq!(int_value("0x2A"), Some(42));
-        assert_eq!(int_value("1_000u32"), Some(1000));
-        assert_eq!(int_value("64"), Some(64));
-        assert_eq!(int_value("1.5"), None);
-        assert_eq!(int_value("1e9"), None);
     }
 }

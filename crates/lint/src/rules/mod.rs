@@ -6,17 +6,10 @@ use crate::diag::{sort, Diagnostic};
 use crate::workspace::Workspace;
 
 pub mod guard_blocking;
-pub mod manifest_coverage;
-pub mod protocol_drift;
 pub mod serving_index;
 
 /// Every rule name, in reporting order.
-pub const RULES: &[&str] = &[
-    serving_index::RULE,
-    guard_blocking::RULE,
-    protocol_drift::RULE,
-    manifest_coverage::RULE,
-];
+pub const RULES: &[&str] = &[serving_index::RULE, guard_blocking::RULE];
 
 /// Run every rule over `ws` and return the findings sorted by
 /// file/line/rule.
@@ -27,13 +20,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
             serving_index::check(file, &mut diags);
         }
         guard_blocking::check(file, &mut diags);
-        if file.path == "crates/storage/src/artifact.rs"
-            || file.path.ends_with("/crates/storage/src/artifact.rs")
-        {
-            manifest_coverage::check(file, &mut diags);
-        }
     }
-    protocol_drift::check(ws, &mut diags);
     sort(&mut diags);
     diags
 }

@@ -1,6 +1,6 @@
-//! Workspace loading: gather the Rust sources and normative documents
-//! the rules read, either from disk (the real tree) or from fixture files
-//! mounted at workspace paths.
+//! Workspace loading: gather the Rust sources the rules read, either
+//! from disk (the real tree) or from fixture files mounted at workspace
+//! paths.
 
 use std::fs;
 use std::io;
@@ -14,73 +14,36 @@ use crate::source::SourceFile;
 pub struct Workspace {
     /// Rust sources, paths workspace-relative with `/` separators.
     pub files: Vec<SourceFile>,
-    /// Non-Rust documents the rules cross-check (e.g. `docs/PROTOCOL.md`),
-    /// as `(path, text)` pairs.
-    pub docs: Vec<(String, String)>,
 }
 
 impl Workspace {
-    /// Build a workspace from fixture files on disk. Fixtures declare
-    /// where they mount via header directives — `//@ mount: <path>` in
-    /// Rust files, `<!--@ mount: <path> -->` in documents — plus
-    /// `//@ with: <sibling>` to pull in a companion file from the same
-    /// directory. Without a `mount:` directive, documents mount at
-    /// `docs/PROTOCOL.md` and Rust files under `crates/fixture/src/`.
+    /// Build a workspace from fixture files on disk. A fixture declares
+    /// where it mounts with a `//@ mount: <path>` header line; without
+    /// one it mounts under `crates/fixture/src/`.
     pub fn from_fixtures(paths: &[PathBuf]) -> io::Result<Workspace> {
-        let mut queue: Vec<PathBuf> = paths.to_vec();
-        let mut loaded: Vec<PathBuf> = Vec::new();
         let mut files = Vec::new();
-        let mut docs = Vec::new();
-        let mut at = 0usize;
-        while let Some(path) = queue.get(at).cloned() {
-            at += 1;
-            if loaded.contains(&path) {
-                continue;
-            }
-            loaded.push(path.clone());
-            let text = fs::read_to_string(&path)?;
-            let is_doc = path.extension().is_some_and(|e| e == "md");
-            let mut mount: Option<String> = None;
-            for line in text.lines() {
-                let l = line.trim();
-                let Some(body) = l
-                    .strip_prefix("//@")
-                    .or_else(|| l.strip_prefix("<!--@").and_then(|r| r.strip_suffix("-->")))
-                else {
-                    continue;
-                };
-                let body = body.trim();
-                if let Some(m) = body.strip_prefix("mount:") {
-                    mount = Some(m.trim().to_string());
-                } else if let Some(w) = body.strip_prefix("with:") {
-                    let dir = path.parent().unwrap_or(Path::new("."));
-                    queue.push(dir.join(w.trim()));
-                }
-            }
-            let mount = mount.unwrap_or_else(|| {
-                if is_doc {
-                    "docs/PROTOCOL.md".to_string()
-                } else {
+        for path in paths {
+            let text = fs::read_to_string(path)?;
+            let mount = text
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("//@")?.trim().strip_prefix("mount:"))
+                .map(|m| m.trim().to_string())
+                .unwrap_or_else(|| {
                     let name = path
                         .file_name()
                         .map(|n| n.to_string_lossy().into_owned())
                         .unwrap_or_else(|| "fixture.rs".to_string());
                     format!("crates/fixture/src/{name}")
-                }
-            });
-            if mount.ends_with(".md") {
-                docs.push((mount, text));
-            } else {
-                files.push(SourceFile::new(mount, text));
-            }
+                });
+            files.push(SourceFile::new(mount, text));
         }
-        Ok(Workspace { files, docs })
+        Ok(Workspace { files })
     }
 
     /// Load the workspace rooted at `root` from disk: every `.rs` file
-    /// under `crates/*/src` and the root `src/`, plus `docs/PROTOCOL.md`.
-    /// Fixture corpora (`crates/*/fixtures`) are deliberately excluded —
-    /// they exist to *fail* rules.
+    /// under `crates/*/src` and the root `src/`. Fixture corpora
+    /// (`crates/*/fixtures`) are deliberately excluded — they exist to
+    /// *fail* rules.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut rel_files = Vec::new();
         let crates_dir = root.join("crates");
@@ -108,14 +71,7 @@ impl Workspace {
             let text = fs::read_to_string(path)?;
             files.push(SourceFile::new(relative(root, path), text));
         }
-
-        let mut docs = Vec::new();
-        let protocol = root.join("docs").join("PROTOCOL.md");
-        if protocol.is_file() {
-            docs.push((relative(root, &protocol), fs::read_to_string(&protocol)?));
-        }
-
-        Ok(Workspace { files, docs })
+        Ok(Workspace { files })
     }
 
     /// Run every rule; returns the findings, sorted.
@@ -123,7 +79,7 @@ impl Workspace {
         rules::run_all(self)
     }
 
-    /// Replace the text of the file or doc at `path` (suffix-matched),
+    /// Replace the text of the file at `path` (suffix-matched),
     /// re-analysing it. Returns false if no such source exists. The
     /// break-the-invariant self-tests use this to corrupt one file of the
     /// real tree in memory and assert the right rule fires.
@@ -137,14 +93,6 @@ impl Workspace {
             *f = SourceFile::new(f.path.clone(), text);
             return true;
         }
-        if let Some(d) = self
-            .docs
-            .iter_mut()
-            .find(|(p, _)| p == path || p.ends_with(path))
-        {
-            d.1 = text;
-            return true;
-        }
         false
     }
 
@@ -154,12 +102,6 @@ impl Workspace {
             .iter()
             .find(|f| f.path == path || f.path.ends_with(path))
             .map(|f| f.text.as_str())
-            .or_else(|| {
-                self.docs
-                    .iter()
-                    .find(|(p, _)| p == path || p.ends_with(path))
-                    .map(|(_, t)| t.as_str())
-            })
     }
 }
 

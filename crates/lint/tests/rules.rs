@@ -63,26 +63,6 @@ fn guard_blocking_fixtures() {
     assert!(pass.is_empty(), "{pass:?}");
 }
 
-#[test]
-fn protocol_drift_fixtures() {
-    let fail = lint_fixtures(&["protocol_drift/fail.md"]);
-    assert!(fires(&fail, "protocol-drift"), "{fail:?}");
-    let pass = lint_fixtures(&["protocol_drift/pass.md"]);
-    assert!(pass.is_empty(), "{pass:?}");
-}
-
-#[test]
-fn manifest_coverage_fixtures() {
-    let fail = lint_fixtures(&["manifest_coverage/fail.rs"]);
-    assert!(fires(&fail, "manifest-coverage"), "{fail:?}");
-    assert!(
-        fail.len() >= 2,
-        "both the unrecorded section and the unswept pattern should fire: {fail:?}"
-    );
-    let pass = lint_fixtures(&["manifest_coverage/pass.rs"]);
-    assert!(pass.is_empty(), "{pass:?}");
-}
-
 /// The binary itself: exit 1 on every failing fixture, exit 0 on every
 /// passing one.
 #[test]
@@ -101,8 +81,6 @@ fn binary_exit_status_tracks_fixtures() {
         "guard_blocking/fail.rs",
         "guard_blocking/waker_fail.rs",
         "serving_index/cache_fail.rs",
-        "protocol_drift/fail.md",
-        "manifest_coverage/fail.rs",
     ] {
         assert_eq!(run(fail), Some(1), "expected findings in {fail}");
     }
@@ -110,8 +88,6 @@ fn binary_exit_status_tracks_fixtures() {
         "guard_blocking/pass.rs",
         "guard_blocking/waker_pass.rs",
         "serving_index/cache_pass.rs",
-        "protocol_drift/pass.md",
-        "manifest_coverage/pass.rs",
     ] {
         assert_eq!(run(pass), Some(0), "expected a clean run on {pass}");
     }
@@ -128,19 +104,6 @@ fn real_tree() -> Workspace {
 fn the_real_tree_lints_clean() {
     let diags = real_tree().lint();
     assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn renumbering_a_documented_tag_fires_protocol_drift() {
-    let mut ws = real_tree();
-    let doc = ws
-        .text_of("docs/PROTOCOL.md")
-        .expect("doc loaded")
-        .to_string();
-    let broken = doc.replace("| 1    | Hello", "| 9    | Hello");
-    assert_ne!(doc, broken, "the Hello row should exist to renumber");
-    assert!(ws.patch("docs/PROTOCOL.md", broken));
-    assert!(fires(&ws.lint(), "protocol-drift"));
 }
 
 #[test]
@@ -170,19 +133,6 @@ fn a_map_index_in_the_result_cache_fires_serving_index() {
     );
     assert!(ws.patch("crates/engine/src/cache.rs", broken));
     assert!(fires(&ws.lint(), "serving-index"));
-}
-
-#[test]
-fn dropping_a_gc_pattern_fires_manifest_coverage() {
-    let mut ws = real_tree();
-    let src = ws
-        .text_of("crates/storage/src/artifact.rs")
-        .expect("artifact source")
-        .to_string();
-    let broken = src.replace("ends_with(\".oasis\")", "ends_with(\".bak\")");
-    assert_ne!(src, broken, "the shard sweep pattern should exist to drop");
-    assert!(ws.patch("crates/storage/src/artifact.rs", broken));
-    assert!(fires(&ws.lint(), "manifest-coverage"));
 }
 
 // ---- the invariants rustc and clippy enforce ----------------------------

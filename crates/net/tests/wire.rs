@@ -1,7 +1,12 @@
 //! Wire-format guarantees: every frame type round-trips through
 //! encode → decode as the identity (property-tested over randomized
-//! field values), and malformed or truncated input is rejected with a
-//! clean protocol error — never a panic, never a silent misparse.
+//! field values), malformed or truncated input is rejected with a
+//! clean protocol error — never a panic, never a silent misparse — and
+//! the codec agrees with the frame, error-code and metric tables of
+//! `docs/PROTOCOL.md` and `docs/OBSERVABILITY.md`.
+
+use std::collections::BTreeSet;
+use std::path::Path;
 
 use oasis_bioseq::AlphabetKind;
 use oasis_net::frame::{read_frame, write_frame};
@@ -9,6 +14,7 @@ use oasis_net::{
     AppendDone, AppendRequest, ErrorCode, ErrorFrame, Frame, GenerationServed, Hello,
     MetricsReport, NetError, ReloadDone, ReloadRequest, RemoteHit, ScoreRule, SearchDone,
     SearchRequest, StageSummary, TraceDump, TraceEntry, TraceSpan, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -416,4 +422,254 @@ fn oversized_string_field_fails_encode_cleanly() {
             other.map(|b| b.len())
         ),
     }
+}
+
+// ---- the codec against the specs in docs/ --------------------------------
+
+fn doc(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../docs")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The body rows of the first Markdown table after the line `heading`.
+fn table_rows<'d>(doc: &'d str, heading: &str) -> Vec<&'d str> {
+    let rows: Vec<&str> = doc
+        .lines()
+        .skip_while(|l| l.trim() != heading)
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2)
+        .collect();
+    assert!(!rows.is_empty(), "no table under {heading:?}");
+    rows
+}
+
+/// `(number, name)` from the first two cells of each row under `heading`.
+fn numbered_rows(doc: &str, heading: &str) -> BTreeSet<(u16, String)> {
+    table_rows(doc, heading)
+        .into_iter()
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let num = cells[1]
+                .parse()
+                .unwrap_or_else(|_| panic!("bad number in {row:?}"));
+            (num, cells[2].to_string())
+        })
+        .collect()
+}
+
+/// A metrics report with one generation row and every stage.
+fn full_report() -> MetricsReport {
+    let stages = oasis_obs::trace::stage::ALL
+        .iter()
+        .map(|stage| StageSummary {
+            stage: stage.to_string(),
+            count: 1,
+            p50_us: 2,
+            p95_us: 3,
+            p99_us: 4,
+            max_us: 5,
+            sum_us: 6,
+        })
+        .collect();
+    MetricsReport {
+        served: 1,
+        rejected: 0,
+        queue_depth: 0,
+        queue_capacity: 64,
+        p50_us: 1,
+        p95_us: 2,
+        p99_us: 3,
+        max_us: 4,
+        generation: 1,
+        generation_label: "idx".into(),
+        delta_seqs: 0,
+        delta_residues: 0,
+        wal_bytes: 0,
+        compactions: 0,
+        last_compaction_us: 0,
+        cache_hits: 0,
+        cache_misses: 1,
+        cache_evictions: 0,
+        cache_entries: 1,
+        cache_capacity: 16,
+        connections_open: 1,
+        connections_accepted: 1,
+        pipelined_peak: 1,
+        uptime_us: 1_000,
+        per_generation: vec![GenerationServed {
+            generation: 1,
+            served: 1,
+        }],
+        stages,
+    }
+}
+
+/// One frame of every `Frame` variant. Adding a variant fails to compile
+/// here until it is listed.
+fn every_frame() -> Vec<Frame> {
+    let frames = vec![
+        Frame::Hello(Hello {
+            protocol: PROTOCOL_VERSION,
+            generation: 1,
+            generation_label: "idx".into(),
+            alphabet: AlphabetKind::Dna,
+            num_seqs: 1,
+            total_residues: 4,
+        }),
+        Frame::Search(SearchRequest::new("ACGT").with_min_score(3)),
+        Frame::Hit(RemoteHit {
+            seq: 0,
+            score: 4,
+            t_start: 0,
+            t_len: 4,
+            q_end: 4,
+            name: "s0".into(),
+        }),
+        Frame::Done(SearchDone {
+            hits: 1,
+            min_score: 3,
+            generation: 1,
+            service_us: 2,
+            total_us: 3,
+        }),
+        Frame::Error(ErrorFrame::new(ErrorCode::Busy, "busy")),
+        Frame::Reload(ReloadRequest { path: "idx".into() }),
+        Frame::Reloaded(ReloadDone {
+            generation: 2,
+            label: "idx".into(),
+        }),
+        Frame::Shutdown,
+        Frame::ShutdownAck,
+        Frame::Append(AppendRequest {
+            fasta: ">a\nACGT\n".into(),
+        }),
+        Frame::Appended(AppendDone {
+            appended_seqs: 1,
+            appended_residues: 4,
+            delta_seqs: 1,
+            delta_residues: 4,
+            wal_bytes: 64,
+            generation: 2,
+        }),
+        Frame::MetricsRequest,
+        Frame::Metrics(full_report()),
+        Frame::TraceDumpRequest,
+        Frame::TraceDump(TraceDump {
+            threshold_us: 0,
+            capacity: 8,
+            dropped: 0,
+            entries: Vec::new(),
+        }),
+    ];
+    for frame in &frames {
+        match frame {
+            Frame::Hello(_)
+            | Frame::Search(_)
+            | Frame::Hit(_)
+            | Frame::Done(_)
+            | Frame::Error(_)
+            | Frame::Reload(_)
+            | Frame::Reloaded(_)
+            | Frame::Shutdown
+            | Frame::ShutdownAck
+            | Frame::Append(_)
+            | Frame::Appended(_)
+            | Frame::MetricsRequest
+            | Frame::Metrics(_)
+            | Frame::TraceDumpRequest
+            | Frame::TraceDump(_) => {}
+        }
+    }
+    frames
+}
+
+/// Every `ErrorCode`. Adding a code fails to compile here until it is
+/// listed.
+fn every_error_code() -> Vec<ErrorCode> {
+    let codes = vec![
+        ErrorCode::Busy,
+        ErrorCode::ShuttingDown,
+        ErrorCode::Malformed,
+        ErrorCode::DeadlineExceeded,
+        ErrorCode::Internal,
+    ];
+    for code in &codes {
+        match code {
+            ErrorCode::Busy
+            | ErrorCode::ShuttingDown
+            | ErrorCode::Malformed
+            | ErrorCode::DeadlineExceeded
+            | ErrorCode::Internal => {}
+        }
+    }
+    codes
+}
+
+#[test]
+fn the_codec_matches_the_protocol_tables() {
+    let doc = doc("PROTOCOL.md");
+    let title = doc.lines().next().unwrap_or_default();
+    let version = title
+        .split("(version ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .and_then(|v| v.parse::<u32>().ok());
+    assert_eq!(version, Some(PROTOCOL_VERSION), "title: {title:?}");
+
+    let errors = every_error_code()
+        .into_iter()
+        .map(|code| Frame::Error(ErrorFrame::new(code, "m")));
+    let mut types = BTreeSet::new();
+    let mut codes = BTreeSet::new();
+    let mut payloads = Vec::new();
+    for frame in every_frame().into_iter().chain(errors) {
+        let bytes = frame.encode().unwrap();
+        let (ty, payload) = (bytes[4], &bytes[5..]);
+        assert_eq!(Frame::decode(ty, payload).unwrap(), frame);
+        types.insert((u16::from(ty), frame.kind().to_string()));
+        if let Frame::Error(e) = &frame {
+            let code = u16::from_le_bytes([payload[0], payload[1]]);
+            codes.insert((code, format!("{:?}", e.code)));
+        }
+        payloads.push(payload.to_vec());
+    }
+    assert_eq!(types, numbered_rows(&doc, "## Frame catalogue"));
+    assert_eq!(codes, numbered_rows(&doc, "### Error codes"));
+
+    // A type byte the catalogue does not list decodes nothing.
+    for ty in 0..=u8::MAX {
+        if types.iter().any(|(t, _)| *t == u16::from(ty)) {
+            continue;
+        }
+        for payload in &payloads {
+            assert!(
+                Frame::decode(ty, payload).is_err(),
+                "undocumented type {ty} decoded"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_prometheus_families_match_the_metric_table() {
+    let body = full_report().to_prometheus();
+    let rendered: BTreeSet<&str> = body
+        .lines()
+        .filter_map(|line| match line.strip_prefix("# TYPE ") {
+            Some(rest) => rest.split(' ').next(),
+            None if line.starts_with('#') => None,
+            None => line.split(['{', ' ']).next(),
+        })
+        .collect();
+    let doc = doc("OBSERVABILITY.md");
+    let documented: BTreeSet<&str> = table_rows(&doc, "## Scraping metrics")
+        .into_iter()
+        .flat_map(|row| row.split('`').skip(1).step_by(2))
+        .filter(|code| code.starts_with("oasis_"))
+        .map(|code| code.split('{').next().unwrap_or(code))
+        .collect();
+    assert_eq!(rendered, documented);
 }

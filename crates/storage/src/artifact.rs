@@ -14,7 +14,7 @@
 //!   esa-0001-<checksum>.oasisesa   a packed enhanced-suffix-array shard
 //! ```
 //!
-//! Since format version 2 every shard entry records its [`SectionKind`]:
+//! Every shard entry records its [`SectionKind`]:
 //! a **tree image** (servable disk-resident through the buffer pool or
 //! decoded into an in-memory [`SuffixTree`]) or a **packed ESA** payload
 //! (bit-compressed SA/LCP/node/LUT streams that
@@ -77,13 +77,11 @@ use crate::layout::{
 
 /// Magic bytes opening the manifest file.
 const MANIFEST_MAGIC: &[u8; 8] = b"OASISMF1";
-/// Current artifact format version (2 added per-shard section kinds).
-pub const ARTIFACT_VERSION: u32 = 2;
-/// Format version written when the manifest also records delta lineage
-/// (version 3): live-ingestion artifacts that have folded appends from a
-/// write-ahead log. Plain builds keep writing [`ARTIFACT_VERSION`], so
-/// readers and writers of either version interoperate.
-pub const ARTIFACT_VERSION_DELTA: u32 = 3;
+/// The artifact format version, the only one written and read. Version 2
+/// added per-shard section kinds and version 3 a trailing delta lineage;
+/// version 4 records the lineage behind a presence byte, so plain and
+/// compacted artifacts share one layout.
+pub const ARTIFACT_VERSION: u32 = 4;
 /// File name of the manifest inside an artifact directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
@@ -130,8 +128,7 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported artifact version {v} (this build reads \
-                     {ARTIFACT_VERSION} and {ARTIFACT_VERSION_DELTA})"
+                    "unsupported artifact version {v} (this build reads {ARTIFACT_VERSION})"
                 )
             }
             ArtifactError::ChecksumMismatch { file } => {
@@ -152,8 +149,8 @@ impl From<std::io::Error> for ArtifactError {
 }
 
 /// What a shard section's bytes encode. Recorded per shard in the
-/// manifest since format version 2 so loaders route each section to the
-/// right decoder without sniffing magic bytes.
+/// manifest so loaders route each section to the right decoder without
+/// sniffing magic bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectionKind {
     /// A §3.4 disk-tree image (`shard-….oasis`): servable disk-resident
@@ -227,8 +224,8 @@ pub struct ShardMeta {
     pub section: SectionMeta,
 }
 
-/// Live-ingestion provenance recorded by manifest version 3: how the
-/// artifact relates to its append write-ahead log (`wal.oasislog`).
+/// Live-ingestion provenance recorded by a compacted artifact's manifest:
+/// how the artifact relates to its append write-ahead log (`wal.oasislog`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaLineage {
     /// How many compactions have folded appended sequences into the base.
@@ -246,9 +243,6 @@ pub struct DeltaLineage {
 /// and the shard table with boundary metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexManifest {
-    /// Format version ([`ARTIFACT_VERSION`], or [`ARTIFACT_VERSION_DELTA`]
-    /// when `lineage` is recorded).
-    pub version: u32,
     /// Block size the shard images were serialized with.
     pub block_size: u32,
     /// Number of sequences in the database.
@@ -259,7 +253,9 @@ pub struct IndexManifest {
     pub database: SectionMeta,
     /// Per-shard tree images with their global sequence ranges, in order.
     pub shards: Vec<ShardMeta>,
-    /// Delta lineage, present in version-3 (live-ingestion) manifests.
+    /// Delta lineage, present once a compaction has folded appends into
+    /// the base. `None` is not a zero lineage: with no lineage every WAL
+    /// record is pending, while `folded_through: 0` marks record 0 folded.
     pub lineage: Option<DeltaLineage>,
 }
 
@@ -331,7 +327,7 @@ impl IndexManifest {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
+        out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.block_size.to_le_bytes());
         out.extend_from_slice(&self.num_seqs.to_le_bytes());
         out.extend_from_slice(&self.text_len.to_le_bytes());
@@ -349,6 +345,7 @@ impl IndexManifest {
             out.push(shard.kind.to_byte());
             push_section(&mut out, &shard.section);
         }
+        out.push(u8::from(self.lineage.is_some()));
         if let Some(lineage) = &self.lineage {
             out.extend_from_slice(&lineage.compactions.to_le_bytes());
             out.extend_from_slice(&lineage.appended_seqs.to_le_bytes());
@@ -378,7 +375,7 @@ impl IndexManifest {
         }
         let mut cur = Cursor { body, at: 8 };
         let version = cur.u32()?;
-        if version != ARTIFACT_VERSION && version != ARTIFACT_VERSION_DELTA {
+        if version != ARTIFACT_VERSION {
             return Err(ArtifactError::UnsupportedVersion(version));
         }
         let block_size = cur.u32()?;
@@ -399,20 +396,19 @@ impl IndexManifest {
                 section,
             });
         }
-        let lineage = if version == ARTIFACT_VERSION_DELTA {
-            Some(DeltaLineage {
+        let lineage = match u8::from_le_bytes(cur.array()?) {
+            0 => None,
+            1 => Some(DeltaLineage {
                 compactions: cur.u64()?,
                 appended_seqs: cur.u64()?,
                 folded_through: cur.u64()?,
-            })
-        } else {
-            None
+            }),
+            other => return Err(corrupt(&format!("lineage presence byte {other}"))),
         };
         if cur.at != body.len() {
             return Err(corrupt("trailing bytes"));
         }
         Ok(IndexManifest {
-            version,
             block_size,
             num_seqs,
             text_len,
@@ -521,9 +517,7 @@ pub fn load_section(dir: &Path, meta: &SectionMeta) -> Result<Vec<u8>, ArtifactE
 /// manifest are then garbage-collected (best-effort).
 ///
 /// `lineage`, when given, records live-ingestion provenance (compaction
-/// count and the WAL fold high-water mark) and switches the manifest to
-/// format version [`ARTIFACT_VERSION_DELTA`]; plain builds pass `None`
-/// and keep writing [`ARTIFACT_VERSION`].
+/// count and the WAL fold high-water mark); plain builds pass `None`.
 pub fn write_index_artifact(
     dir: &Path,
     db: &SequenceDatabase,
@@ -539,13 +533,7 @@ pub fn write_index_artifact(
     std::fs::create_dir_all(dir)?;
     let mut db_bytes = Vec::new();
     oasis_bioseq::write_database(&mut db_bytes, db)?;
-    let db_checksum = fnv1a64(&db_bytes);
-    let database = SectionMeta {
-        file: format!("db-{db_checksum:016x}.oasisdb"),
-        bytes: db_bytes.len() as u64,
-        checksum: db_checksum,
-    };
-    write_atomic(dir, &database.file, &db_bytes)?;
+    let database = write_section(dir, None, "", &db_bytes)?;
 
     let builder = DiskTreeBuilder::with_block_size(block_size);
     let mut shard_metas = Vec::with_capacity(shards.len());
@@ -555,48 +543,24 @@ pub fn write_index_artifact(
                 "shard {i} range {seq_lo}..={seq_hi} outside the database"
             )));
         }
-        match payload {
+        let image;
+        let (kind, bytes) = match payload {
             ShardPayload::Tree(tree) => {
-                let (image, _) = builder.build_image(tree);
-                let checksum = fnv1a64(&image);
-                let file = format!("shard-{i:04}-{checksum:016x}.oasis");
-                shard_metas.push(ShardMeta {
-                    seq_lo,
-                    seq_hi,
-                    kind: SectionKind::TreeImage,
-                    section: SectionMeta {
-                        file: file.clone(),
-                        bytes: image.len() as u64,
-                        checksum,
-                    },
-                });
-                write_atomic(dir, &file, &image)?;
+                image = builder.build_image(tree).0;
+                (SectionKind::TreeImage, image.as_slice())
             }
-            ShardPayload::Esa(esa) => {
-                let bytes = esa.payload();
-                let checksum = fnv1a64(bytes);
-                let file = format!("esa-{i:04}-{checksum:016x}.oasisesa");
-                shard_metas.push(ShardMeta {
-                    seq_lo,
-                    seq_hi,
-                    kind: SectionKind::PackedEsa,
-                    section: SectionMeta {
-                        file: file.clone(),
-                        bytes: bytes.len() as u64,
-                        checksum,
-                    },
-                });
-                write_atomic(dir, &file, bytes)?;
-            }
-        }
+            ShardPayload::Esa(esa) => (SectionKind::PackedEsa, esa.payload()),
+        };
+        let section = write_section(dir, Some(kind), &format!("{i:04}-"), bytes)?;
+        shard_metas.push(ShardMeta {
+            seq_lo,
+            seq_hi,
+            kind,
+            section,
+        });
     }
 
     let manifest = IndexManifest {
-        version: if lineage.is_some() {
-            ARTIFACT_VERSION_DELTA
-        } else {
-            ARTIFACT_VERSION
-        },
         block_size: block_size as u32,
         num_seqs: db.num_sequences(),
         text_len: db.text_len(),
@@ -609,9 +573,42 @@ pub fn write_index_artifact(
     Ok(manifest)
 }
 
+/// File-name prefix and extension of every section the writer emits: the
+/// database (`None`) and each [`SectionKind`]. [`write_section`] names
+/// sections from this table and [`collect_garbage`] sweeps the
+/// unreferenced files it matches, so the two cannot disagree.
+const SECTION_NAMES: [(Option<SectionKind>, &str, &str); 3] = [
+    (None, "db-", ".oasisdb"),
+    (Some(SectionKind::TreeImage), "shard-", ".oasis"),
+    (Some(SectionKind::PackedEsa), "esa-", ".oasisesa"),
+];
+
+/// Write one section as `<prefix><tag><checksum:016x><ext>`, the name
+/// [`SECTION_NAMES`] gives `kind` (`None`: the database), and return its
+/// manifest entry.
+fn write_section(
+    dir: &Path,
+    kind: Option<SectionKind>,
+    tag: &str,
+    bytes: &[u8],
+) -> Result<SectionMeta, ArtifactError> {
+    let (_, prefix, ext) = SECTION_NAMES
+        .iter()
+        .find(|(k, ..)| *k == kind)
+        .ok_or_else(|| ArtifactError::Unsupported(format!("no file name for {kind:?}")))?;
+    let checksum = fnv1a64(bytes);
+    let file = format!("{prefix}{tag}{checksum:016x}{ext}");
+    write_atomic(dir, &file, bytes)?;
+    Ok(SectionMeta {
+        file,
+        bytes: bytes.len() as u64,
+        checksum,
+    })
+}
+
 /// Remove section files no manifest can reference any more: everything
-/// matching the artifact naming scheme that the (just-durable) manifest
-/// does not name, plus orphaned temp files from crashed writers.
+/// matching [`SECTION_NAMES`] that the (just-durable) manifest does not
+/// name, plus orphaned temp files from crashed writers.
 /// Best-effort — a concurrent loader that already read the *previous*
 /// manifest may race this; it will surface a clean checksum/IO error and
 /// can simply retry against the new manifest.
@@ -626,9 +623,9 @@ fn collect_garbage(dir: &Path, manifest: &IndexManifest) {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let is_section = (name.starts_with("db-") && name.ends_with(".oasisdb"))
-            || (name.starts_with("shard-") && name.ends_with(".oasis"))
-            || (name.starts_with("esa-") && name.ends_with(".oasisesa"));
+        let is_section = SECTION_NAMES
+            .iter()
+            .any(|(_, prefix, ext)| name.starts_with(prefix) && name.ends_with(ext));
         let is_stale_tmp = name.starts_with('.') && name.ends_with(".tmp");
         if (is_section && !referenced.contains(name)) || is_stale_tmp {
             let _ = std::fs::remove_file(entry.path());
@@ -1144,38 +1141,48 @@ mod tests {
     }
 
     #[test]
-    fn lineage_roundtrips_as_version_3() {
+    fn lineage_roundtrips_behind_a_presence_byte() {
         let d = db(&["ACGTACGT", "TTGCA"]);
         let tree = SuffixTree::build(&d);
         let dir = tmpdir("lineage");
+        let shards = [(0, 1, tr(&tree))];
         let lineage = DeltaLineage {
             compactions: 2,
             appended_seqs: 7,
             folded_through: 6,
         };
-        let m = write_index_artifact(&dir, &d, &[(0, 1, tr(&tree))], 64, Some(lineage)).unwrap();
-        assert_eq!(m.version, ARTIFACT_VERSION_DELTA);
-        let read = read_manifest(&dir).unwrap();
-        assert_eq!(read, m);
-        assert_eq!(read.lineage, Some(lineage));
-        assert!(read.load_database(&dir).is_ok());
-        assert!(read.load_shard_tree(&dir, 0).is_ok());
+        // Each reads back as written: a zero lineage is not `None`, whose
+        // WAL records are all pending.
+        for recorded in [Some(lineage), Some(DeltaLineage::default()), None] {
+            let m = write_index_artifact(&dir, &d, &shards, 64, recorded).unwrap();
+            let read = read_manifest(&dir).unwrap();
+            assert_eq!(read, m);
+            assert_eq!(read.lineage, recorded);
+            assert!(read.load_database(&dir).is_ok());
+            assert!(read.load_shard_tree(&dir, 0).is_ok());
+        }
 
-        // Folding is monotone but re-publishing without lineage (a plain
-        // rebuild over the same directory) drops back to version 2.
-        let m2 = write_index_artifact(&dir, &d, &[(0, 1, tr(&tree))], 64, None).unwrap();
-        assert_eq!(m2.version, ARTIFACT_VERSION);
-        assert_eq!(read_manifest(&dir).unwrap().lineage, None);
-
-        // A version-3 manifest whose lineage fields are cut off is
-        // corrupt, not silently lineage-free.
+        // Rewrite the manifest body and its trailer checksum.
         let mf = dir.join(MANIFEST_FILE);
-        write_index_artifact(&dir, &d, &[(0, 1, tr(&tree))], 64, Some(lineage)).unwrap();
-        let bytes = std::fs::read(&mf).unwrap();
-        let mut bytes = bytes[..bytes.len() - 16].to_vec(); // drop 8 lineage bytes + trailer
-        let trailer = fnv1a64(&bytes);
-        bytes.extend_from_slice(&trailer.to_le_bytes());
-        std::fs::write(&mf, &bytes).unwrap();
+        let rewrite = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let bytes = std::fs::read(&mf).unwrap();
+            let mut body = bytes[..bytes.len() - 8].to_vec();
+            edit(&mut body);
+            let trailer = fnv1a64(&body);
+            body.extend_from_slice(&trailer.to_le_bytes());
+            std::fs::write(&mf, &body).unwrap();
+        };
+
+        // A presence byte other than 0 or 1 is corrupt.
+        rewrite(&|body| *body.last_mut().unwrap() = 2);
+        assert!(matches!(
+            read_manifest(&dir),
+            Err(ArtifactError::Corrupt(_))
+        ));
+
+        // Lineage fields cut off are corrupt, not silently lineage-free.
+        write_index_artifact(&dir, &d, &shards, 64, Some(lineage)).unwrap();
+        rewrite(&|body| body.truncate(body.len() - 8));
         assert!(matches!(
             read_manifest(&dir),
             Err(ArtifactError::Corrupt(_))

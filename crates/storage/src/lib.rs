@@ -37,7 +37,7 @@ pub mod wal;
 pub use artifact::{
     decode_esa, decode_tree, fnv1a64, image_text, load_section, read_manifest,
     write_index_artifact, ArtifactError, DeltaLineage, IndexManifest, SectionKind, SectionMeta,
-    ShardMeta, ShardPayload, ARTIFACT_VERSION, ARTIFACT_VERSION_DELTA, MANIFEST_FILE,
+    ShardMeta, ShardPayload, ARTIFACT_VERSION, MANIFEST_FILE,
 };
 pub use device::{BlockDevice, FileDevice, MemDevice, SimulatedDisk};
 pub use layout::{DiskSuffixTree, DiskTreeBuilder, ImageStats};

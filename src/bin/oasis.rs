@@ -856,7 +856,10 @@ fn inspect_json(
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"artifact\": {},\n", json_str(dir)));
-    out.push_str(&format!("  \"version\": {},\n", manifest.version));
+    out.push_str(&format!(
+        "  \"version\": {},\n",
+        oasis::storage::ARTIFACT_VERSION
+    ));
     out.push_str(&format!("  \"block_size\": {},\n", manifest.block_size));
     out.push_str(&format!("  \"sequences\": {},\n", manifest.num_seqs));
     out.push_str(&format!("  \"text_length\": {},\n", manifest.text_len));
@@ -925,7 +928,7 @@ fn cmd_index_inspect(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     println!("artifact:      {dir}");
-    println!("version:       {}", manifest.version);
+    println!("version:       {}", oasis::storage::ARTIFACT_VERSION);
     println!("block size:    {}", manifest.block_size);
     println!("sequences:     {}", manifest.num_seqs);
     println!("text length:   {}", manifest.text_len);

@@ -185,7 +185,7 @@ fn index_inspect_prints_the_manifest_without_loading_trees() {
     assert!(out.status.success(), "inspect failed: {out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
-        "version:       2",
+        "version:       4",
         "block size:    64",
         "sequences:     4",
         "shards:        2",
@@ -233,7 +233,7 @@ fn index_inspect_json_is_machine_readable_and_tracks_the_live_state() {
     assert!(doc.starts_with('{') && doc.ends_with('}'), "{doc}");
     for needle in [
         "\"artifact\": \"arti\"",
-        "\"version\": 2",
+        "\"version\": 4",
         "\"block_size\": 64",
         "\"sequences\": 4",
         "\"text_length\":",
@@ -291,7 +291,7 @@ fn index_inspect_json_is_machine_readable_and_tracks_the_live_state() {
     assert!(out.status.success(), "inspect after compact: {out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
-        "\"version\": 3",
+        "\"version\": 4",
         "\"sequences\": 6",
         "\"lineage\": {\"compactions\": 1, \"appended_seqs\": 2, \"folded_through\": 1}",
         "\"pending_seqs\": 0",
