@@ -27,9 +27,10 @@ use oasis_core::{
 };
 use oasis_suffix::{EsaIndex, NodeHandle, SuffixTreeAccess};
 
-/// Query lengths: both sides of the kernel's 48-symbol cutoff and past
-/// one 64-cell live-mask word.
-const QUERY_LENGTHS: [usize; 5] = [8, 16, 48, 128, 512];
+/// Query lengths: both sides of the kernel's 48-symbol cutoff, its
+/// neighbourhood up to 128 (where the fused scalar loop and the two-pass
+/// kernel cost about the same), and past one 64-cell live-mask word.
+const QUERY_LENGTHS: [usize; 8] = [8, 16, 32, 48, 64, 96, 128, 512];
 /// Arc expansions per kernel iteration.
 const EXPAND_BUDGET: usize = 2_000;
 /// Internal nodes visited per `children_into` iteration.

@@ -19,7 +19,7 @@
 //! sequence), so fanning a query over base shards + the delta shard and
 //! merging on the canonical (score desc, start asc) key reproduces — byte
 //! for byte — what a full rebuild over the concatenated database would
-//! return. `tests/live_ingestion.rs` property-tests exactly that.
+//! return. `tests/model_oracle.rs` property-tests exactly that.
 
 use std::sync::Arc;
 

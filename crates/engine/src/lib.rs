@@ -252,40 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_equals_serial_in_memory() {
-        let db = dna_db(&["AGTACGCCTAG", "TACCG", "GGTAGG", "CCCCCC", "GATTACA"]);
-        let engine = mem_engine(&db);
-        let jobs = queries(&Alphabet::dna(), &["TACG", "GATT", "CC", "GGTAGG"], 2);
-        let batch = engine.run_batch_on(&jobs, 4);
-        assert_eq!(batch.len(), jobs.len());
-        let tree = SuffixTree::build(&db);
-        let scoring = Scoring::unit_dna();
-        for (job, out) in jobs.iter().zip(&batch) {
-            let (hits, stats) =
-                OasisSearch::new(&tree, &db, &job.query, &scoring, &job.params).run();
-            assert_eq!(out.hits, hits, "query {}", job.id);
-            assert_eq!(out.stats, stats, "query {}", job.id);
-        }
-        assert_eq!(
-            engine.pool_stats().total().requests,
-            0,
-            "in-memory: no pool"
-        );
-    }
-
-    #[test]
-    fn run_one_and_session_agree() {
-        let db = dna_db(&["AGTACGCCTAG", "TACCG"]);
-        let engine = mem_engine(&db);
-        let q = Alphabet::dna().encode_str("TACG").unwrap();
-        let params = OasisParams::with_min_score(1);
-        let outcome = engine.run_one(&q, &params);
-        let streamed: Vec<Hit> = engine.session(&q, &params).collect();
-        assert_eq!(outcome.hits, streamed);
-        assert_eq!(outcome.stats.hits_emitted as usize, outcome.hits.len());
-    }
-
-    #[test]
     fn session_supports_top_k_abort_and_bound() {
         let db = dna_db(&["AGTACGCCTAG", "TACCG", "GGTAGG", "CCCC"]);
         let engine = mem_engine(&db);

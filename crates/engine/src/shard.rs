@@ -224,8 +224,8 @@ impl Shard {
 /// ([`run_batch`]). Each query runs one [`SearchDriver`] per shard and
 /// k-way-merges the streams, so results are byte-identical to a serial
 /// [`oasis_core::OasisSearch`] over the whole database for every shard and
-/// thread count (asserted by `tests/engine_equivalence.rs`); with one
-/// shard even the search counters match.
+/// thread count (asserted by `tests/model_oracle.rs`); with one shard even
+/// the search counters match.
 ///
 /// [`run_one`]: ShardedEngine::run_one
 /// [`run_batch`]: ShardedEngine::run_batch
@@ -245,20 +245,7 @@ impl ShardedEngine {
     /// by the slowest single shard, not the sum. Fewer shards may result
     /// when the database has fewer sequences than requested.
     pub fn build(db: Arc<SequenceDatabase>, scoring: Scoring, shards: usize) -> Self {
-        Self::build_with_backend(db, scoring, shards, IndexBackend::Tree)
-    }
-
-    /// [`build`](ShardedEngine::build) with an explicit index substrate:
-    /// [`IndexBackend::Esa`] indexes each shard with an enhanced suffix
-    /// array instead of a suffix tree. Hit streams are byte-identical
-    /// either way (asserted by `tests/engine_equivalence.rs`).
-    pub fn build_with_backend(
-        db: Arc<SequenceDatabase>,
-        scoring: Scoring,
-        shards: usize,
-        backend: IndexBackend,
-    ) -> Self {
-        let shards = Shard::build_all(&db, Some(&db), shards, backend);
+        let shards = Shard::build_all(&db, Some(&db), shards, IndexBackend::Tree);
         Self::from_shards(db, scoring, shards)
     }
 
@@ -671,44 +658,6 @@ mod tests {
     ];
 
     #[test]
-    fn sharded_equals_unsharded_for_all_k() {
-        let db = dna_db(SEQS);
-        let q = Alphabet::dna().encode_str("TACG").unwrap();
-        for min in 1..=4 {
-            let params = OasisParams::with_min_score(min);
-            let (want, _) = serial(&db, &q, &params);
-            for k in [1usize, 2, 3, 7, 20] {
-                let engine = ShardedEngine::build(db.clone(), Scoring::unit_dna(), k);
-                assert!(engine.num_shards() <= k.max(1));
-                let got = engine.run_one(&q, &params);
-                assert_eq!(got.hits, want, "k={k} min={min}");
-                assert_eq!(got.stats.hits_emitted as usize, want.len());
-            }
-        }
-    }
-
-    #[test]
-    fn esa_backend_equals_tree_backend_for_all_k() {
-        let db = dna_db(SEQS);
-        let q = Alphabet::dna().encode_str("TACG").unwrap();
-        for min in 1..=4 {
-            let params = OasisParams::with_min_score(min);
-            let (want, _) = serial(&db, &q, &params);
-            for k in [1usize, 3, 7] {
-                let engine = ShardedEngine::build_with_backend(
-                    db.clone(),
-                    Scoring::unit_dna(),
-                    k,
-                    IndexBackend::Esa,
-                );
-                let got = engine.run_one(&q, &params);
-                assert_eq!(got.hits, want, "k={k} min={min}");
-                assert_eq!(got.stats.hits_emitted as usize, want.len());
-            }
-        }
-    }
-
-    #[test]
     fn single_shard_reproduces_stats_exactly() {
         let db = dna_db(SEQS);
         let engine = ShardedEngine::build(db.clone(), Scoring::unit_dna(), 1);
@@ -725,9 +674,8 @@ mod tests {
     fn one_shard_shares_the_global_database() {
         let db = dna_db(SEQS);
         for backend in [IndexBackend::Tree, IndexBackend::Esa] {
-            let engine =
-                ShardedEngine::build_with_backend(db.clone(), Scoring::unit_dna(), 1, backend);
-            assert!(Arc::ptr_eq(&engine.shards()[0].db, &db), "{backend:?}");
+            let shards = Shard::build_all(&db, Some(&db), 1, backend);
+            assert!(Arc::ptr_eq(&shards[0].db, &db), "{backend:?}");
         }
         // Several shards each hold their own slice of the database.
         let engine = ShardedEngine::build(db.clone(), Scoring::unit_dna(), 2);
@@ -749,33 +697,6 @@ mod tests {
         assert!(limited.stats.nodes_expanded <= full.stats.nodes_expanded);
         // And matches the serial search's prefix.
         assert_eq!(limited.hits, serial(&db, &q, &params).0[..2]);
-    }
-
-    #[test]
-    fn batch_is_order_preserving_and_threaded() {
-        let db = dna_db(SEQS);
-        let engine = ShardedEngine::build(db.clone(), Scoring::unit_dna(), 4);
-        let alpha = Alphabet::dna();
-        let jobs: Vec<BatchQuery> = ["TACG", "CC", "GATT", "ACAC", "GGTAGG"]
-            .iter()
-            .map(|t| {
-                BatchQuery::named(
-                    t.to_string(),
-                    alpha.encode_str(t).unwrap(),
-                    OasisParams::with_min_score(2),
-                )
-            })
-            .collect();
-        let got = engine.run_batch_on(&jobs, 4);
-        assert_eq!(got.len(), jobs.len());
-        for (g, job) in got.iter().zip(&jobs) {
-            assert_eq!(
-                g.hits,
-                serial(&db, &job.query, &job.params).0,
-                "query {}",
-                job.id
-            );
-        }
     }
 
     #[test]

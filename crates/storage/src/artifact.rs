@@ -530,6 +530,15 @@ pub fn write_index_artifact(
             "block size {block_size} is invalid (must be >= 64 and a multiple of 16)"
         )));
     }
+    // Check the whole shard table before anything lands, so a bad table
+    // leaves the directory as it was.
+    for (i, &(seq_lo, seq_hi, _)) in shards.iter().enumerate() {
+        if seq_lo > seq_hi || seq_hi >= db.num_sequences() {
+            return Err(ArtifactError::Corrupt(format!(
+                "shard {i} range {seq_lo}..={seq_hi} outside the database"
+            )));
+        }
+    }
     std::fs::create_dir_all(dir)?;
     let mut db_bytes = Vec::new();
     oasis_bioseq::write_database(&mut db_bytes, db)?;
@@ -538,11 +547,6 @@ pub fn write_index_artifact(
     let builder = DiskTreeBuilder::with_block_size(block_size);
     let mut shard_metas = Vec::with_capacity(shards.len());
     for (i, &(seq_lo, seq_hi, payload)) in shards.iter().enumerate() {
-        if seq_lo > seq_hi || seq_hi >= db.num_sequences() {
-            return Err(ArtifactError::Corrupt(format!(
-                "shard {i} range {seq_lo}..={seq_hi} outside the database"
-            )));
-        }
         let image;
         let (kind, bytes) = match payload {
             ShardPayload::Tree(tree) => {

@@ -1,8 +1,9 @@
 //! The artifact directory layout, checked by writing artifacts of every
 //! shard kind: after a write the directory holds exactly `MANIFEST` and
 //! the sections it names (plus the WAL, which the writer never touches),
-//! a rebuild sweeps every section of the previous generation, and a
-//! write that fails midway publishes no manifest.
+//! a rebuild sweeps every section of the previous generation, a write
+//! that fails midway publishes no manifest, and a bad shard table writes
+//! nothing at all.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -131,12 +132,15 @@ fn a_write_that_fails_midway_publishes_no_manifest() {
     let b = built(&["ACGTACGT", "TTGCA", "GGATC"]);
     let other = built(&["GGGGCCCC", "ATAT"]);
     for (k, payload) in every_payload(&b).into_iter().enumerate() {
-        // Shard 1's range lies outside the database, so the write fails
-        // after the database section and shard 0 have landed.
+        // A directory where the manifest's temp file goes makes the final
+        // manifest write fail after every section has landed.
         let failing = |dir: &Path| {
-            let shards = [(0, 0, payload), (1, 9, payload)];
-            let err = write_index_artifact(dir, &other.db, &shards, 64, Some(LINEAGE));
-            assert!(matches!(err, Err(ArtifactError::Corrupt(_))), "kind {k}");
+            let blocker = dir.join(format!(".{MANIFEST_FILE}.tmp"));
+            std::fs::create_dir_all(&blocker).unwrap();
+            let last = other.db.num_sequences() - 1;
+            let err = write_index_artifact(dir, &other.db, &[(0, last, payload)], 64, None);
+            assert!(matches!(err, Err(ArtifactError::Io(_))), "kind {k}");
+            std::fs::remove_dir(&blocker).unwrap();
         };
 
         let dir = fresh_dir(&format!("fail-fresh-{k}"));
@@ -155,6 +159,30 @@ fn a_write_that_fails_midway_publishes_no_manifest() {
         assert_eq!(read, m);
         assert_eq!(read.load_database(&dir).unwrap(), b.db);
         read.load_shard_section(&dir, 0).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn a_bad_shard_table_writes_nothing() {
+    let b = built(&["ACGTACGT", "TTGCA", "GGATC"]);
+    let other = built(&["GGGGCCCC", "ATAT"]);
+    for (k, payload) in every_payload(&b).into_iter().enumerate() {
+        // Shard 1's range lies outside the database.
+        let shards = [(0, 0, payload), (1, 9, payload)];
+
+        let dir = fresh_dir(&format!("bad-table-fresh-{k}"));
+        let err = write_index_artifact(&dir, &other.db, &shards, 64, None);
+        assert!(matches!(err, Err(ArtifactError::Corrupt(_))), "kind {k}");
+        assert_eq!(listing(&dir), BTreeSet::new(), "kind {k}");
+        std::fs::remove_dir_all(&dir).ok();
+
+        let dir = fresh_dir(&format!("bad-table-existing-{k}"));
+        write(&dir, &b, payload, None).unwrap();
+        let before = listing(&dir);
+        let err = write_index_artifact(&dir, &other.db, &shards, 64, None);
+        assert!(matches!(err, Err(ArtifactError::Corrupt(_))), "kind {k}");
+        assert_eq!(listing(&dir), before, "kind {k}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

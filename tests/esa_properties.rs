@@ -10,18 +10,12 @@
 //!   surfaces as a typed error or provably changes nothing observable
 //!   (never silently serves different data).
 
+mod support;
+
 use proptest::prelude::*;
 
 use oasis::prelude::*;
-
-fn build_db(seqs: &[Vec<u8>]) -> SequenceDatabase {
-    let mut b = DatabaseBuilder::new(Alphabet::dna());
-    for (i, codes) in seqs.iter().enumerate() {
-        b.push(Sequence::from_codes(format!("s{i}"), codes.clone()))
-            .unwrap();
-    }
-    b.finish()
-}
+use support::build_db;
 
 /// The LUT sub-key of a second symbol: every terminator sorts before every
 /// residue in the ranked text, so terminators collapse to 0 and residue

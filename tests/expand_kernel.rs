@@ -14,6 +14,8 @@
 //! expands the *entire* viable frontier, so agreement is checked not just
 //! at the root's children but along every path the real search could take.
 
+mod support;
+
 use proptest::prelude::*;
 
 use oasis::core::{
@@ -22,15 +24,7 @@ use oasis::core::{
 };
 use oasis::prelude::*;
 use oasis::storage::DiskTreeBuilder;
-
-fn build_db(alphabet: Alphabet, seqs: &[Vec<u8>]) -> SequenceDatabase {
-    let mut b = DatabaseBuilder::new(alphabet);
-    for (i, codes) in seqs.iter().enumerate() {
-        b.push(Sequence::from_codes(format!("s{i}"), codes.clone()))
-            .unwrap();
-    }
-    b.finish()
-}
+use support::build_db_in;
 
 /// Expand every reachable viable node with all kernels, asserting
 /// lockstep equality (returned node and column counter) at each arc.
@@ -147,7 +141,7 @@ proptest! {
         threshold in any::<bool>(),
         block_pow in 6u32..8,
     ) {
-        let db = build_db(Alphabet::dna(), &seqs);
+        let db = build_db_in(Alphabet::dna(), &seqs);
         let scoring = Scoring::unit_dna();
         let rules = PruneRules { non_positive, no_improvement, threshold };
         walk_every_substrate(&db, &query, &scoring, min, rules, 1 << block_pow)?;
@@ -170,7 +164,7 @@ proptest! {
             let at = seqs[0].len().min(10);
             seqs[0].splice(at.., query.iter().copied());
         }
-        let db = build_db(Alphabet::protein(), &seqs);
+        let db = build_db_in(Alphabet::protein(), &seqs);
         let scoring = Scoring::pam30_protein();
         walk_every_substrate(&db, &query, &scoring, min * 5, PruneRules::default(), 1 << block_pow)?;
     }
@@ -187,12 +181,12 @@ proptest! {
         protein in any::<bool>(),
     ) {
         let (db, query, scoring, min) = if protein {
-            let db = build_db(Alphabet::protein(), &seqs);
+            let db = build_db_in(Alphabet::protein(), &seqs);
             (db, query, Scoring::blosum62_protein(), min * 4)
         } else {
             let dna = |codes: &Vec<u8>| codes.iter().map(|c| c % 4).collect::<Vec<u8>>();
             let seqs: Vec<Vec<u8>> = seqs.iter().map(dna).collect();
-            (build_db(Alphabet::dna(), &seqs), dna(&query), Scoring::unit_dna(), min)
+            (build_db_in(Alphabet::dna(), &seqs), dna(&query), Scoring::unit_dna(), min)
         };
         walk_every_substrate(&db, &query, &scoring, min, PruneRules::default(), 128)?;
     }

@@ -1,11 +1,8 @@
-//! Live ingestion's correctness contract, end to end over the real
-//! artifact + WAL files:
+//! Live ingestion's robustness contract, end to end over the real
+//! artifact + WAL files (that a layered index answers exactly like a full
+//! rebuild, before and after compaction, is checked by
+//! `tests/model_oracle.rs`):
 //!
-//! * **Byte-identity**: querying a layered index (base artifact + WAL
-//!   delta) equals a full rebuild over the concatenated database — same
-//!   hits, same order — for K ∈ {1, 4} base shards, both index backends,
-//!   serially and on 4 worker threads; and it still holds after the
-//!   delta is compacted into a fresh base (property-tested).
 //! * **Crash recovery**: a process that appended and then died without
 //!   any shutdown handshake loses nothing — reopening replays the WAL;
 //!   a record torn mid-write by the crash is discarded cleanly while
@@ -14,117 +11,19 @@
 //!   manifest and truncates the log, and a crash *between* the fold and
 //!   the truncation replays nothing twice.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+mod support;
+
 use std::sync::Arc;
 
-use proptest::prelude::*;
-
 use oasis::prelude::*;
-
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A unique scratch directory per use (proptest reruns cases in-process).
-fn scratch(tag: &str) -> PathBuf {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "oasis-live-ingestion-{tag}-{}-{n}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn build_db(seqs: &[Vec<u8>], name_offset: usize) -> Arc<SequenceDatabase> {
-    let mut b = DatabaseBuilder::new(Alphabet::dna());
-    for (i, codes) in seqs.iter().enumerate() {
-        b.push(Sequence::from_codes(
-            format!("s{}", name_offset + i),
-            codes.clone(),
-        ))
-        .unwrap();
-    }
-    Arc::new(b.finish())
-}
-
-fn sequences(seqs: &[Vec<u8>], name_offset: usize) -> Vec<Sequence> {
-    seqs.iter()
-        .enumerate()
-        .map(|(i, codes)| Sequence::from_codes(format!("s{}", name_offset + i), codes.clone()))
-        .collect()
-}
-
-fn jobs_for(queries: &[Vec<u8>]) -> Vec<BatchQuery> {
-    queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| BatchQuery::named(format!("q{i}"), q.clone(), OasisParams::with_min_score(1)))
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Append → query ≡ full rebuild, before AND after compaction, for
-    /// K ∈ {1, 4} base shards × {tree, esa} × {serial, 4 threads}.
-    #[test]
-    fn layered_query_equals_full_rebuild(
-        base in prop::collection::vec(prop::collection::vec(0u8..4, 1..40), 1..6),
-        appended in prop::collection::vec(prop::collection::vec(0u8..4, 1..40), 1..5),
-        queries in prop::collection::vec(prop::collection::vec(0u8..4, 1..8), 1..4),
-    ) {
-        let base_db = build_db(&base, 0);
-        // Ground truth: a fresh unsharded build over base ++ appended
-        // (sharded results are shard-count invariant, so one reference
-        // covers every K).
-        let mut all = base.clone();
-        all.extend(appended.iter().cloned());
-        let full_db = build_db(&all, 0);
-        let jobs = jobs_for(&queries);
-        let reference = ShardedEngine::build(full_db, Scoring::unit_dna(), 1).run_batch_on(&jobs, 1);
-
-        for k in [1usize, 4] {
-            for backend in [IndexBackend::Tree, IndexBackend::Esa] {
-                let dir = scratch("identity");
-                build_index_artifact(&base_db, &dir, k, 64, backend).expect("artifact written");
-                let live = LiveIndex::open(&dir, Scoring::unit_dna(), LiveIndexOptions::default())
-                    .expect("live open");
-                live.append(sequences(&appended, base.len())).expect("append");
-
-                // Base + delta, then a compacted base: both must match.
-                for stage in ["delta", "compacted"] {
-                    if stage == "compacted" {
-                        let report = live.compact(|_| Ok(0)).expect("compact");
-                        prop_assert_eq!(report.folded_seqs as usize, appended.len());
-                    }
-                    let snapshot = live.snapshot();
-                    for threads in [1usize, 4] {
-                        let got: Vec<SearchOutcome> = if threads == 1 {
-                            jobs.iter().map(|j| snapshot.run_job(j)).collect()
-                        } else {
-                            snapshot.run_batch(&jobs)
-                        };
-                        for (g, w) in got.iter().zip(&reference) {
-                            prop_assert_eq!(
-                                &g.hits, &w.hits,
-                                "stage={} k={} threads={} backend={}",
-                                stage, k, threads, backend.as_str()
-                            );
-                        }
-                    }
-                }
-                std::fs::remove_dir_all(&dir).ok();
-            }
-        }
-    }
-}
+use support::{build_db, scratch_dir, sequences};
 
 #[test]
 fn reopen_after_simulated_kill_replays_the_wal() {
     let base = vec![vec![0u8, 2, 3, 0, 1, 2, 1], vec![3u8, 0, 1, 1, 2]];
     let added = vec![vec![1u8, 1, 2, 3, 0, 2, 1, 0], vec![2u8, 3, 0, 2]];
-    let db = build_db(&base, 0);
-    let dir = scratch("kill");
+    let db = build_db(&base);
+    let dir = scratch_dir("kill");
     build_index_artifact(&db, &dir, 2, 64, IndexBackend::Tree).expect("artifact written");
 
     {
@@ -152,7 +51,7 @@ fn reopen_after_simulated_kill_replays_the_wal() {
     // Identity after recovery, not just presence.
     let mut all = base.clone();
     all.extend(added.clone());
-    let reference = ShardedEngine::build(build_db(&all, 0), Scoring::unit_dna(), 1);
+    let reference = ShardedEngine::build(Arc::new(build_db(&all)), Scoring::unit_dna(), 1);
     let q = vec![2u8, 3, 0, 2];
     assert_eq!(
         snapshot.run_one(&q, &OasisParams::with_min_score(1)).hits,
@@ -165,8 +64,8 @@ fn reopen_after_simulated_kill_replays_the_wal() {
 fn torn_wal_tail_is_discarded_and_earlier_records_survive() {
     let base = vec![vec![0u8, 2, 3, 0, 1]];
     let added = vec![vec![1u8, 1, 2, 3], vec![2u8, 3, 0, 2, 1]];
-    let dir = scratch("torn");
-    build_index_artifact(&build_db(&base, 0), &dir, 1, 64, IndexBackend::Tree)
+    let dir = scratch_dir("torn");
+    build_index_artifact(&build_db(&base), &dir, 1, 64, IndexBackend::Tree)
         .expect("artifact written");
     {
         let live = LiveIndex::open(&dir, Scoring::unit_dna(), LiveIndexOptions::default())
@@ -211,8 +110,8 @@ fn torn_wal_tail_is_discarded_and_earlier_records_survive() {
 fn offline_compaction_records_lineage_and_truncates() {
     let base = vec![vec![0u8, 2, 3, 0, 1, 2], vec![3u8, 0, 1]];
     let added = vec![vec![1u8, 1, 2, 3, 0], vec![2u8, 3, 0, 2]];
-    let dir = scratch("lineage");
-    build_index_artifact(&build_db(&base, 0), &dir, 2, 64, IndexBackend::Tree)
+    let dir = scratch_dir("lineage");
+    build_index_artifact(&build_db(&base), &dir, 2, 64, IndexBackend::Tree)
         .expect("artifact written");
     {
         let live = LiveIndex::open(&dir, Scoring::unit_dna(), LiveIndexOptions::default())

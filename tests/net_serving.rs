@@ -1,7 +1,7 @@
-//! The network serving subsystem end to end, against the public API:
+//! The network serving subsystem end to end, against the public API
+//! (that remote hits equal the local engine's, for every history of
+//! appends and reloads, is checked by `tests/model_oracle.rs`):
 //!
-//! * remote hits are byte-identical to the local engine's output —
-//!   including hit order — for serial and concurrent clients;
 //! * `Busy` backpressure surfaces on the wire when the admission queue
 //!   is full, and the connection stays usable;
 //! * hits stream online: the first `Hit` frame reaches the client while
@@ -29,19 +29,14 @@
 //! * malformed bytes on the wire get a typed `Malformed` error, not a
 //!   hung or poisoned server.
 
-use std::path::{Path, PathBuf};
+mod support;
+
+use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use oasis::prelude::*;
-
-fn dna_db(seqs: &[&str]) -> Arc<SequenceDatabase> {
-    let mut b = DatabaseBuilder::new(Alphabet::dna());
-    for (i, s) in seqs.iter().enumerate() {
-        b.push_str(format!("s{i}"), s).unwrap();
-    }
-    Arc::new(b.finish())
-}
+use support::{dna_db, scratch_dir};
 
 const SEQS: &[&str] = &[
     "AGTACGCCTAG",
@@ -101,65 +96,6 @@ fn assert_identical_response(
         assert_eq!(got.hit(), *local, "hit mismatch for {query} at min {min}");
         assert_eq!(got.name, db.name(local.seq), "name mismatch for {query}");
     }
-}
-
-#[test]
-fn remote_hits_byte_identical_to_local_for_serial_and_concurrent_clients() {
-    let db = dna_db(SEQS);
-    let (addr, handle, runner) = start_server(&db, 3, ServerConfig::default());
-
-    // Serial: one client, every query, several thresholds, in order.
-    let mut client = Client::connect(addr).expect("connect");
-    assert_eq!(client.hello().protocol, PROTOCOL_VERSION);
-    assert_eq!(client.hello().generation, 0);
-    assert_eq!(client.hello().num_seqs, db.num_sequences());
-    assert_eq!(client.hello().total_residues, db.total_residues());
-    for query in QUERIES {
-        for min in 1..=3 {
-            let (hits, done) = client
-                .search_collect(SearchRequest::new(*query).with_min_score(min))
-                .expect("remote search");
-            assert_eq!(done.hits as usize, hits.len());
-            assert_eq!(done.min_score, min);
-            assert_eq!(done.generation, 0);
-            assert_identical_response(&db, &hits, query, min);
-        }
-    }
-    // Top-k returns exactly the serial prefix.
-    let (top2, _) = client
-        .search_collect(SearchRequest::new("TACG").with_min_score(1).with_top(2))
-        .expect("top-k search");
-    let full = local_hits(&db, "TACG", 1);
-    assert_eq!(top2.len(), 2.min(full.len()));
-    for (got, want) in top2.iter().zip(&full) {
-        assert_eq!(got.hit(), *want);
-    }
-
-    // Concurrent: four clients hammering their own connections.
-    let workers: Vec<_> = (0..4)
-        .map(|w| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                for round in 0..3 {
-                    for (qi, query) in QUERIES.iter().enumerate() {
-                        let min = 1 + ((w + qi + round) % 3) as Score;
-                        let (hits, _) = client
-                            .search_collect(SearchRequest::new(*query).with_min_score(min))
-                            .expect("remote search");
-                        assert_identical_response(&db, &hits, query, min);
-                    }
-                }
-            })
-        })
-        .collect();
-    for worker in workers {
-        worker.join().expect("concurrent client");
-    }
-
-    client.shutdown_server().expect("shutdown");
-    runner.join().expect("accept loop").expect("run ok");
-    drop(handle);
 }
 
 /// A gated executor: every query parks until the test releases it, and
@@ -310,17 +246,11 @@ fn deadline_exceeded_is_typed_and_the_server_keeps_serving() {
     runner.join().expect("accept loop").expect("run ok");
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("oasis-net-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn reload_hot_swaps_a_generation_under_live_streaming_clients() {
     let db = dna_db(SEQS);
-    let dir_a = tmpdir("gen-a");
-    let dir_b = tmpdir("gen-b");
+    let dir_a = scratch_dir("gen-a");
+    let dir_b = scratch_dir("gen-b");
     // Two artifacts over the same database with different shard layouts:
     // results must be byte-identical across the swap, so any corruption a
     // racing reload could cause is observable.
@@ -402,7 +332,7 @@ fn reload_hot_swaps_a_generation_under_live_streaming_clients() {
     assert_eq!(client.hello().generation, 2);
 
     // Reloading garbage is a typed error, not a swap.
-    let missing = tmpdir("gen-missing");
+    let missing = scratch_dir("gen-missing");
     match admin.reload(missing.to_string_lossy().to_string()) {
         Err(NetError::Remote(e)) => assert_eq!(e.code, ErrorCode::Internal, "{e:?}"),
         other => panic!("expected Internal, got {other:?}"),
@@ -557,7 +487,7 @@ fn fasta_for(records: &[(&str, &str)]) -> String {
 
 #[test]
 fn appends_and_background_compaction_publish_with_zero_downtime() {
-    let dir = tmpdir("live-traffic");
+    let dir = scratch_dir("live-traffic");
     let (addr, _handle, runner) = start_live_server(&dir, 3);
 
     // The database each generation serves, keyed by the deterministic
@@ -661,8 +591,8 @@ fn appends_and_background_compaction_publish_with_zero_downtime() {
 
 #[test]
 fn background_compaction_racing_admin_reload_keeps_every_generation_sound() {
-    let dir = tmpdir("race-reload-live");
-    let dir_b = tmpdir("race-reload-b");
+    let dir = scratch_dir("race-reload-live");
+    let dir_b = scratch_dir("race-reload-b");
     let (addr, _handle, runner) = start_live_server(&dir, 3);
     let db_base = dna_db(SEQS);
     oasis::engine::build_index_artifact(&db_base, &dir_b, 3, 64, oasis::engine::IndexBackend::Esa)
@@ -727,7 +657,7 @@ fn background_compaction_racing_admin_reload_keeps_every_generation_sound() {
 
 #[test]
 fn background_compaction_racing_shutdown_loses_nothing() {
-    let dir = tmpdir("race-shutdown");
+    let dir = scratch_dir("race-shutdown");
     let (addr, handle, runner) = start_live_server(&dir, 3);
 
     let mut admin = Client::connect(addr).expect("connect admin");
@@ -788,7 +718,7 @@ fn background_compaction_racing_shutdown_loses_nothing() {
 fn unreadable_wal_fails_from_artifact_instead_of_serving_without_it() {
     // A log that does not replay may hold acknowledged appends: opening
     // the artifact over it must fail, not silently serve the base.
-    let dir = tmpdir("bad-wal");
+    let dir = scratch_dir("bad-wal");
     let db = dna_db(SEQS);
     oasis::engine::build_index_artifact(&db, &dir, 2, 64, oasis::engine::IndexBackend::Tree)
         .expect("base artifact");
@@ -815,8 +745,8 @@ const B_SEQS: &[(&str, &str)] = &[("b0", "TTACGATTAC"), ("b1", "CCGGTACGTT")];
 
 #[test]
 fn append_after_reload_logs_into_the_reloaded_artifact() {
-    let dir_a = tmpdir("append-after-reload-a");
-    let dir_b = tmpdir("append-after-reload-b");
+    let dir_a = scratch_dir("append-after-reload-a");
+    let dir_b = scratch_dir("append-after-reload-b");
     let (addr, _handle, runner) = start_live_server(&dir_a, 0);
     let db_b = named_db(B_SEQS);
     oasis::engine::build_index_artifact(&db_b, &dir_b, 1, 64, oasis::engine::IndexBackend::Tree)
@@ -861,8 +791,8 @@ fn append_after_reload_logs_into_the_reloaded_artifact() {
 
 #[test]
 fn reload_serves_the_pending_wal_of_the_reloaded_artifact() {
-    let dir_a = tmpdir("reload-pending-a");
-    let dir_b = tmpdir("reload-pending-b");
+    let dir_a = scratch_dir("reload-pending-a");
+    let dir_b = scratch_dir("reload-pending-b");
     let (addr, _handle, runner) = start_live_server(&dir_a, 0);
     oasis::engine::build_index_artifact(
         &named_db(B_SEQS),
@@ -905,7 +835,7 @@ fn reload_serves_the_pending_wal_of_the_reloaded_artifact() {
 
 #[test]
 fn fresh_server_metrics_carry_the_artifact_lineage_and_wal() {
-    let dir = tmpdir("fresh-metrics");
+    let dir = scratch_dir("fresh-metrics");
     oasis::engine::build_index_artifact(
         &dna_db(SEQS),
         &dir,
@@ -935,33 +865,6 @@ fn fresh_server_metrics_carry_the_artifact_lineage_and_wal() {
     admin.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn evalue_rule_matches_the_local_conversion() {
-    // The server derives minScore from an E-value exactly like the local
-    // CLI: same Karlin estimate, same database statistics.
-    let db = dna_db(SEQS);
-    let (addr, _handle, runner) = start_server(&db, 2, ServerConfig::default());
-
-    let scoring = Scoring::unit_dna();
-    let karlin = KarlinParams::estimate(&scoring.matrix, &oasis::align::background_dna())
-        .expect("dna statistics");
-    let mut client = Client::connect(addr).expect("connect");
-    for (query, evalue) in [("TACGTACG", 1.0), ("GATTACA", 0.5)] {
-        let encoded = Alphabet::dna().encode_str(query).unwrap();
-        let want_min =
-            karlin.min_score_for_evalue(encoded.len() as u64, db.total_residues(), evalue);
-        let (hits, done) = client
-            .search_collect(SearchRequest::new(query).with_evalue(evalue))
-            .expect("evalue search");
-        assert_eq!(done.min_score, want_min, "server-side Equation 3");
-        if want_min >= 1 {
-            assert_identical_response(&db, &hits, query, want_min);
-        }
-    }
-    client.shutdown_server().expect("shutdown");
-    runner.join().expect("accept loop").expect("run ok");
 }
 
 /// Read one full search response (hits then a terminal Done or Error)
@@ -1054,7 +957,7 @@ fn pipelined_requests_answer_in_order_and_survive_a_malformed_one() {
 
 #[test]
 fn result_cache_hits_repeated_queries_but_never_serves_a_stale_generation() {
-    let dir = tmpdir("cache-hot-swap");
+    let dir = scratch_dir("cache-hot-swap");
     let (addr, _handle, runner) = start_live_server(&dir, 0);
 
     let mut client = Client::connect(addr).expect("connect");
@@ -1151,7 +1054,7 @@ fn a_search_queued_across_a_reload_answers_from_its_admission_generation() {
         }
         Arc::new(b.finish())
     };
-    let dir = tmpdir("admission-generation");
+    let dir = scratch_dir("admission-generation");
     oasis::engine::build_index_artifact(&db1, &dir, 2, 64, oasis::engine::IndexBackend::Tree)
         .expect("reload artifact");
 
@@ -1290,7 +1193,7 @@ fn per_generation_table_stays_bounded_across_many_appends() {
     // Every append publishes a generation; the served-per-generation
     // table keeps only the most recent ones, so the Metrics frame stays
     // encodable however long the server ingests.
-    let dir = tmpdir("per-generation-cap");
+    let dir = scratch_dir("per-generation-cap");
     let (addr, _handle, runner) = start_live_server(&dir, 0);
     let mut client = Client::connect(addr).expect("connect");
     let appends = PER_GENERATION_ROWS + 8;
@@ -1658,7 +1561,7 @@ fn an_expired_deadline_or_a_closed_connection_cancels_the_search() {
 fn concurrent_appends_from_two_connections_publish_in_wal_order() {
     const PER_CLIENT: usize = 20;
     const MOTIF: &str = "GGGCCCTTTAAAGGG";
-    let dir = tmpdir("concurrent-admin");
+    let dir = scratch_dir("concurrent-admin");
     let (addr, _handle, runner) = start_live_server(&dir, 0);
     let names = |client: usize| -> Vec<String> {
         (0..PER_CLIENT).map(|i| format!("c{client}r{i}")).collect()

@@ -3,18 +3,12 @@
 //! (sequence, best-score) pairs OASIS reports equals what an exhaustive
 //! Smith-Waterman scan reports. Property-tested over randomized inputs.
 
+mod support;
+
 use proptest::prelude::*;
 
 use oasis::prelude::*;
-
-fn build_db(seqs: &[Vec<u8>]) -> SequenceDatabase {
-    let mut b = DatabaseBuilder::new(Alphabet::dna());
-    for (i, codes) in seqs.iter().enumerate() {
-        b.push(Sequence::from_codes(format!("s{i}"), codes.clone()))
-            .unwrap();
-    }
-    b.finish()
-}
+use support::build_db;
 
 fn result_set(hits: &[Hit]) -> Vec<(SeqId, Score)> {
     let mut v: Vec<_> = hits.iter().map(|h| (h.seq, h.score)).collect();

@@ -2,18 +2,12 @@
 //! order, and consuming only the top k is consistent with the full run —
 //! so a user can "abort the query after seeing the top few matches".
 
+mod support;
+
 use proptest::prelude::*;
 
 use oasis::prelude::*;
-
-fn build_db(seqs: &[Vec<u8>]) -> SequenceDatabase {
-    let mut b = DatabaseBuilder::new(Alphabet::dna());
-    for (i, codes) in seqs.iter().enumerate() {
-        b.push(Sequence::from_codes(format!("s{i}"), codes.clone()))
-            .unwrap();
-    }
-    b.finish()
-}
+use support::build_db;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]

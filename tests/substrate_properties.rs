@@ -3,12 +3,15 @@
 //! neighborhoods match brute force; the E-value-ordered search agrees with
 //! an offline sort; every substrate reads leaf arcs up to their terminator.
 
+mod support;
+
 use proptest::prelude::*;
 
 use oasis::align::sw_align;
 use oasis::blast::WordIndex;
 use oasis::prelude::*;
 use oasis::storage::{BlockDevice, DiskTreeBuilder};
+use support::build_db;
 
 /// Every leaf arc of `index`, read from offset 0 in chunks of 1, 3 and 64
 /// symbols until a read returns 0, must equal `arc_label` and the text from
@@ -66,15 +69,6 @@ fn check_leaf_arcs<T: SuffixTreeAccess + ?Sized>(
         }
     }
     Ok(leaves)
-}
-
-fn build_db(seqs: &[Vec<u8>]) -> SequenceDatabase {
-    let mut b = DatabaseBuilder::new(Alphabet::dna());
-    for (i, codes) in seqs.iter().enumerate() {
-        b.push(Sequence::from_codes(format!("s{i}"), codes.clone()))
-            .unwrap();
-    }
-    b.finish()
 }
 
 proptest! {

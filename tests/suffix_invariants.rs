@@ -2,19 +2,13 @@
 //! two independent references), LCP, the generalized suffix tree's
 //! structural invariants, and exact-match search against a naive scan.
 
+mod support;
+
 use proptest::prelude::*;
 
 use oasis::prelude::*;
 use oasis::suffix::{lcp_kasai, occurrences, suffix_array};
-
-fn build_db(seqs: &[Vec<u8>]) -> SequenceDatabase {
-    let mut b = DatabaseBuilder::new(Alphabet::dna());
-    for (i, codes) in seqs.iter().enumerate() {
-        b.push(Sequence::from_codes(format!("s{i}"), codes.clone()))
-            .unwrap();
-    }
-    b.finish()
-}
+use support::build_db;
 
 fn naive_occurrences(db: &SequenceDatabase, query: &[u8]) -> Vec<u32> {
     let text = db.text();
