@@ -14,11 +14,12 @@
 //! for the oldest stamp — `O(capacity)` on insert-at-capacity, which is
 //! trivial at the few-hundred-entry bounds the server configures).
 //! Everything is behind one mutex; no lock is ever held across a
-//! blocking call. A poisoned mutex degrades the cache to a no-op rather
-//! than poisoning the serving path.
+//! blocking call. A poisoned mutex is recovered: the map stays
+//! structurally valid across a panic.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use oasis_obs::sync::{Map, Mutex};
 
 use oasis_align::Score;
 use oasis_core::Hit;
@@ -61,7 +62,7 @@ struct Entry {
 }
 
 struct Inner {
-    map: HashMap<CacheKey, Entry>,
+    map: Map<CacheKey, Entry>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -81,7 +82,7 @@ impl ResultCache {
         ResultCache {
             capacity,
             inner: Mutex::new(Inner {
-                map: HashMap::new(),
+                map: Map::new(),
                 tick: 0,
                 hits: 0,
                 misses: 0,
@@ -101,9 +102,7 @@ impl ResultCache {
         if self.capacity == 0 {
             return None;
         }
-        let Ok(mut inner) = self.inner.lock() else {
-            return None;
-        };
+        let mut inner = self.inner.lock();
         inner.tick = inner.tick.wrapping_add(1);
         let tick = inner.tick;
         match inner.map.get_mut(key) {
@@ -126,9 +125,7 @@ impl ResultCache {
         if self.capacity == 0 {
             return;
         }
-        let Ok(mut inner) = self.inner.lock() else {
-            return;
-        };
+        let mut inner = self.inner.lock();
         inner.tick = inner.tick.wrapping_add(1);
         let tick = inner.tick;
         if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
@@ -153,12 +150,7 @@ impl ResultCache {
 
     /// The hit/miss/eviction counters and current occupancy.
     pub fn stats(&self) -> CacheStats {
-        let Ok(inner) = self.inner.lock() else {
-            return CacheStats {
-                capacity: self.capacity as u32,
-                ..CacheStats::default()
-            };
-        };
+        let inner = self.inner.lock();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,

@@ -52,7 +52,9 @@
 //! into a server that is already draining.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
+
+use oasis_obs::sync::RwLock;
 
 /// One catalogued index generation: an executor plus the identity it was
 /// published under. Handed out pinned (`Arc`) by [`IndexCatalog::current`];
@@ -136,10 +138,7 @@ impl<E> IndexCatalog<E> {
     /// [`begin_shutdown`](IndexCatalog::begin_shutdown) — the generation
     /// is then dropped, never swapped in.
     pub fn publish(&self, label: impl Into<String>, executor: E) -> Result<u64, PublishError> {
-        // The `Arc` under the lock stays valid across any panic, so a
-        // poisoned lock is recovered rather than cascading the panic into
-        // every later query on the serving path.
-        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let mut current = self.current.write();
         if self.shutting_down.load(Ordering::Relaxed) {
             return Err(PublishError::ShuttingDown);
         }
@@ -169,7 +168,7 @@ impl<E> IndexCatalog<E> {
     /// own shutdown check completes before the flag is visible — there is
     /// no window where a publish half-succeeds.
     pub fn begin_shutdown(&self) {
-        let _current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let _current = self.current.write();
         self.shutting_down.store(true, Ordering::Relaxed);
     }
 
@@ -182,10 +181,7 @@ impl<E> IndexCatalog<E> {
     /// clone under a read lock). The caller's clone keeps the generation
     /// alive for as long as it holds it, independent of later publishes.
     pub fn current(&self) -> Arc<Generation<E>> {
-        self.current
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        self.current.read().clone()
     }
 
     /// Total generations ever published (including generation 0).
@@ -197,8 +193,7 @@ impl<E> IndexCatalog<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-    use std::sync::Mutex;
+    use std::sync::Barrier;
 
     /// A stand-in executor carrying its generation's marker.
     struct Marker(u64);
@@ -223,8 +218,8 @@ mod tests {
     #[test]
     fn retired_generation_lives_until_last_query_completes() {
         struct Gate {
-            started: mpsc::Sender<()>,
-            release: Mutex<mpsc::Receiver<()>>,
+            started: Arc<Barrier>,
+            release: Arc<Barrier>,
         }
         enum Either {
             Gated(Gate),
@@ -234,26 +229,25 @@ mod tests {
             /// Stands in for a query: a gated generation parks it.
             fn run(&self) {
                 if let Either::Gated(g) = self {
-                    g.started.send(()).unwrap();
-                    g.release.lock().unwrap().recv().unwrap();
+                    g.started.wait();
+                    g.release.wait();
                 }
             }
         }
 
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel();
+        let (started, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
         let catalog = Arc::new(IndexCatalog::new(
             "gated",
             Either::Gated(Gate {
-                started: started_tx,
-                release: Mutex::new(release_rx),
+                started: Arc::clone(&started),
+                release: Arc::clone(&release),
             }),
         ));
         // A query pins generation 0 and parks inside it.
         let pinned = catalog.current();
         let retired = Arc::downgrade(&pinned);
         let worker = std::thread::spawn(move || pinned.executor().run());
-        started_rx.recv().unwrap();
+        started.wait();
         // Swap generations while the query is in flight.
         catalog.publish("instant", Either::Instant).unwrap();
         // New queries run (on the new generation) without blocking…
@@ -261,8 +255,8 @@ mod tests {
         // …while the old generation is still pinned by the parked query.
         assert!(retired.upgrade().is_some());
         // Release it: the old generation must drop with the last query.
-        release_tx.send(()).unwrap();
-        worker.join().unwrap();
+        release.wait();
+        oasis_obs::sync::join(worker).unwrap();
         assert!(retired.upgrade().is_none());
     }
 

@@ -34,12 +34,13 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use oasis_align::Scoring;
 use oasis_bioseq::database::MAX_TEXT_LEN;
 use oasis_bioseq::{BioseqError, DatabaseBuilder, Sequence, SequenceDatabase};
+use oasis_obs::sync::Mutex;
 use oasis_storage::artifact::ArtifactError;
 use oasis_storage::wal::{WalError, WriteAheadLog};
 use oasis_storage::{pending_records, read_manifest, DeltaLineage, IndexManifest};
@@ -260,20 +261,16 @@ impl LiveIndex {
         self.backend
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, LiveState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The current immutable query snapshot: the base shards plus, when
     /// the delta is non-empty, one delta shard over the concatenated
     /// database ([`LiveIndex::stats`] reports the delta's size).
     pub fn snapshot(&self) -> Arc<ShardedEngine> {
-        Arc::clone(&self.lock().snapshot)
+        Arc::clone(&self.state.lock().snapshot)
     }
 
     /// Current ingestion counters.
     pub fn stats(&self) -> LiveStats {
-        self.lock().stats()
+        self.state.lock().stats()
     }
 
     /// Durably append sequences and fold them into the live snapshot.
@@ -284,7 +281,7 @@ impl LiveIndex {
     /// against the global text-length limit up front; an oversized batch
     /// is rejected whole, leaving log and delta untouched.
     pub fn append(&self, seqs: Vec<Sequence>) -> Result<AppendReceipt, LiveIndexError> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         let mut projected = state.base.db().text_len() as u64
             + state.delta.residues()
             + u64::from(state.delta.num_seqs());
@@ -345,7 +342,7 @@ impl LiveIndex {
         // compaction will fold. Appends that land afterwards get higher
         // seq_nos and simply survive into the next delta.
         let (base, frozen, lineage) = {
-            let state = self.lock();
+            let state = self.state.lock();
             if state.delta.is_empty() {
                 return Ok(CompactionReport {
                     folded_seqs: 0,
@@ -387,7 +384,7 @@ impl LiveIndex {
         // snapshot over the (possibly non-empty) surviving delta tail,
         // publish, and only then truncate the WAL.
         let merged = ShardedEngine::from_shards(merged_db, base.scoring().clone(), merged_shards);
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         state.base = Arc::new(merged);
         state.delta.drop_folded(folded_through);
         state.lineage = next_lineage;

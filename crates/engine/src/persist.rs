@@ -173,10 +173,16 @@ pub(crate) fn sharded_engine_from_artifact(
             .enumerate()
             .map(|(i, meta)| scope.spawn(move || load_one(i, meta)))
             .collect();
-        handles
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "joins this load's own scoped threads; a reload runs it under the server's \
+                      admin lock, which serializes admin work by design (docs/LINTS.md)"
+        )]
+        let shards = handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
+            .collect();
+        shards
     });
     Ok(ShardedEngine::from_shards(db, scoring, shards?))
 }

@@ -40,9 +40,8 @@
 //! which a caller builds its own per-query record (the server's
 //! [`oasis_obs::QueryTrace`]).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -50,6 +49,7 @@ use crate::catalog::Generation;
 use crate::shard::SessionPoll;
 use crate::{BatchQuery, SearchOutcome, ShardedEngine};
 use oasis_core::{Hit, SearchStats};
+use oasis_obs::sync::{self, Condvar, Deque, Mutex};
 use oasis_obs::{Histogram, HistogramSnapshot};
 
 /// Driver steps the worker runs between cancellation checks. One step
@@ -225,16 +225,8 @@ struct StreamState {
 }
 
 impl Stream {
-    fn lock(&self) -> MutexGuard<'_, StreamState> {
-        // Poisoning is recovered from throughout this module: worker
-        // panics are already confined by `catch_unwind`, and the data
-        // under these locks stays structurally valid across a panic — so
-        // a poisoned lock must not take the serving path down with it.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn end(&self, end: StreamEnd) {
-        self.lock().end = Some(end);
+        self.state.lock().end = Some(end);
         self.ended.notify_all();
     }
 }
@@ -251,7 +243,7 @@ impl HitSink<'_> {
     /// Publish the next hit of the stream to the ticket.
     pub fn emit(&mut self, hit: Hit) {
         let was_empty = {
-            let mut state = self.stream.lock();
+            let mut state = self.stream.state.lock();
             state.hits.push(hit);
             state.taken + 1 == state.hits.len()
         };
@@ -286,13 +278,9 @@ impl QueryTicket {
     /// Block until the query ends and return its whole answer; `None` only
     /// when the query itself panicked.
     pub fn wait(self) -> Option<ServedOutcome> {
-        let mut state = self.stream.lock();
+        let mut state = self.stream.state.lock();
         while state.end.is_none() {
-            state = self
-                .stream
-                .ended
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            state = self.stream.ended.wait(state);
         }
         drop(state);
         match self.poll(&mut Vec::new()) {
@@ -305,7 +293,7 @@ impl QueryTicket {
     /// query has ended (and so every hit is taken), return how it ended.
     /// The end is returned once; later polls answer `None`.
     pub fn poll(&self, out: &mut Vec<Hit>) -> Option<StreamEnd> {
-        let mut state = self.stream.lock();
+        let mut state = self.stream.state.lock();
         if let Some(fresh) = state.hits.get(state.taken..) {
             out.extend_from_slice(fresh);
         }
@@ -321,7 +309,7 @@ impl QueryTicket {
 
     /// Has the query ended? Takes nothing.
     pub fn is_finished(&self) -> bool {
-        self.stream.lock().end.is_some()
+        self.stream.state.lock().end.is_some()
     }
 }
 
@@ -376,7 +364,7 @@ pub struct ServingSnapshot {
 }
 
 struct Shared {
-    queue: Mutex<VecDeque<Submission>>,
+    queue: Mutex<Deque<Submission>>,
     /// Signalled when work is enqueued or shutdown begins.
     wake: Condvar,
     capacity: usize,
@@ -410,7 +398,7 @@ impl ServingEngine {
     pub fn new(config: ServingConfig) -> Result<Self, ServingConfigError> {
         config.validate()?;
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Deque::new()),
             wake: Condvar::new(),
             capacity: config.queue_capacity,
             shutdown: AtomicBool::new(false),
@@ -450,11 +438,7 @@ impl ServingEngine {
             cancelled: AtomicBool::new(false),
         });
         {
-            let mut queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut queue = self.shared.queue.lock();
             // The shutdown flag only flips while this lock is held, so
             // checking it here is race-free: if it is still false, any
             // subsequent shutdown() happens after our push and the workers
@@ -491,12 +475,7 @@ impl ServingEngine {
         ServingSnapshot {
             served: total.count,
             rejected: self.shared.rejected.load(Ordering::Relaxed),
-            queue_depth: self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
+            queue_depth: self.shared.queue.lock().len(),
             queue_capacity: self.shared.capacity,
             queue_wait: self.shared.queue_wait.snapshot(),
             service: self.shared.service.snapshot(),
@@ -513,11 +492,7 @@ impl ServingEngine {
         // Flip the flag under the queue lock — see `Drop` for why storing
         // outside it could let a worker park past the notification.
         {
-            let _queue = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let _queue = self.shared.queue.lock();
             self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.wake.notify_all();
@@ -535,7 +510,7 @@ impl Drop for ServingEngine {
         // the join below would deadlock.
         self.shutdown();
         for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            let _ = sync::join(worker);
         }
     }
 }
@@ -549,7 +524,7 @@ fn worker_loop(shared: &Shared) {
             submitted,
             ready,
         } = {
-            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut queue = shared.queue.lock();
             loop {
                 if let Some(s) = queue.pop_front() {
                     break s;
@@ -557,10 +532,7 @@ fn worker_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return; // queue drained and no more work will arrive
                 }
-                queue = shared
-                    .wake
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
+                queue = shared.wake.wait(queue);
             }
         };
         if stream.cancelled.load(Ordering::Relaxed) {
@@ -837,7 +809,7 @@ mod tests {
             assert_eq!(snap.served, snap.total.count);
             last = snap.served;
         }
-        submitter.join().expect("submitter thread");
+        sync::join(submitter).expect("submitter thread");
         assert_eq!(serving.snapshot().served, 2000);
     }
 
@@ -860,13 +832,17 @@ mod tests {
             });
             self.parked.send(()).ok();
             while !sink.is_cancelled() {
-                std::thread::sleep(Duration::from_millis(1));
+                sync::sleep(Duration::from_millis(1));
             }
             Default::default()
         }
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test code: the test thread holds no lock while it waits for the executor"
+    )]
     fn hits_reach_the_ticket_before_the_search_ends_and_a_drop_cancels_it() {
         let (parked_tx, parked_rx) = std::sync::mpsc::channel();
         let generation = pinned(HitThenPark { parked: parked_tx });
@@ -883,7 +859,7 @@ mod tests {
                 Arc::clone(&generation),
                 BatchQuery::named("park", vec![0], params),
                 Some(Box::new(move || {
-                    ready_tx.lock().unwrap().send(()).ok();
+                    ready_tx.lock().send(()).ok();
                 })),
             )
             .expect("admitted");

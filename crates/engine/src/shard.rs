@@ -207,10 +207,15 @@ impl Shard {
                 .iter()
                 .map(|range| scope.spawn(move || build_one(range)))
                 .collect();
-            handles
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "joins this build's own scoped threads; no caller holds a lock here"
+            )]
+            let shards = handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
+                .collect();
+            shards
         })
     }
 }

@@ -5,6 +5,8 @@ use std::io::{BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use oasis_obs::sync;
+
 use crate::frame::{
     read_frame, write_frame, AppendDone, AppendRequest, Frame, Hello, MetricsReport, ReloadDone,
     ReloadRequest, RemoteHit, SearchDone, SearchRequest, TraceDump, PROTOCOL_VERSION,
@@ -33,7 +35,13 @@ impl Client {
     /// speaks, otherwise the connection is rejected with
     /// [`NetError::Protocol`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, NetError> {
-        Self::handshake(TcpStream::connect(addr)?)
+        sync::assert_unlocked("connect");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "checked by the assert_unlocked call above"
+        )]
+        let stream = TcpStream::connect(addr)?;
+        Self::handshake(stream)
     }
 
     /// [`connect`](Client::connect) with `timeout` bounding *both* the
@@ -134,6 +142,10 @@ impl Client {
     fn request(&mut self, frame: &Frame) -> Result<(), NetError> {
         self.ensure_request_boundary()?;
         write_frame(&mut self.writer, frame)?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "checked by write_frame's assert_unlocked call just above"
+        )]
         self.writer.flush()?;
         Ok(())
     }

@@ -3,8 +3,8 @@
 //!
 //! The **reader** blocks in [`read_frame`] and posts each request to the
 //! [`Waker`]. The **writer** owns a [`Conn`]: it dispatches the posted
-//! requests (policy lives in `server.rs`), writes responses with a
-//! blocking `write_all`, and parks on the [`Waker`] with no timeout except
+//! requests (policy lives in `server.rs`), writes responses with one
+//! blocking socket write, and parks on the [`Waker`] with no timeout except
 //! the nearest search deadline. Wakes are sticky, so a hit released
 //! between the writer's poll and its park is never missed.
 //!
@@ -23,13 +23,13 @@
 //! `frame_flush` span and stamps its `first_hit`, then hands the trace of
 //! every response that ended to the server.
 
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use oasis_engine::{CacheKey, Generation, QueryTicket};
+use oasis_obs::sync::{self, Condvar, Deque, Mutex, MutexGuard};
 use oasis_obs::trace::stage;
 use oasis_obs::QueryTrace;
 
@@ -86,12 +86,6 @@ impl Waker {
         }
     }
 
-    /// The slot stays structurally valid across a panic, so poisoning is
-    /// recovered from.
-    fn lock(&self) -> MutexGuard<'_, Slot> {
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn wake_locked(&self, mut slot: MutexGuard<'_, Slot>) {
         // A wake already pending covers this one.
         if !std::mem::replace(&mut slot.woken, true) {
@@ -101,32 +95,29 @@ impl Waker {
 
     /// End the writer's park, or make its next park return at once.
     pub(crate) fn wake(&self) {
-        self.wake_locked(self.lock());
+        self.wake_locked(self.slot.lock());
     }
 
     /// Tear the connection down: the writer leaves at its next park, and
     /// a reader waiting for room stops.
     pub(crate) fn close(&self) {
-        self.lock().closed = true;
+        self.slot.lock().closed = true;
         self.writer.notify_one();
         self.reader.notify_one();
     }
 
     /// Reader side: wait for pipeline room; false once closed.
     fn wait_for_room(&self) -> bool {
-        let mut slot = self.lock();
+        let mut slot = self.slot.lock();
         while !slot.closed && slot.inbox.len() + slot.queued >= MAX_PIPELINE {
-            slot = self
-                .reader
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
+            slot = self.reader.wait(slot);
         }
         !slot.closed
     }
 
     /// Reader side: hand the writer a request, or the end of reading.
     fn post(&self, next: Result<Frame, ReadEnd>) {
-        let mut slot = self.lock();
+        let mut slot = self.slot.lock();
         match next {
             Ok(frame) => slot.inbox.push(frame),
             Err(end) => slot.read_end = Some(end),
@@ -143,21 +134,15 @@ impl Waker {
         queued: usize,
         deadline: Option<Instant>,
     ) -> (Vec<Frame>, Option<ReadEnd>, bool) {
-        let mut slot = self.lock();
+        let mut slot = self.slot.lock();
         slot.queued = queued;
         self.reader.notify_one();
         while !slot.woken && !slot.closed {
             let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
             slot = match left {
-                None => self
-                    .writer
-                    .wait(slot)
-                    .unwrap_or_else(PoisonError::into_inner),
+                None => self.writer.wait(slot),
                 Some(left) if left.is_zero() => break,
-                Some(left) => match self.writer.wait_timeout(slot, left) {
-                    Ok((slot, _)) => slot,
-                    Err(poisoned) => poisoned.into_inner().0,
-                },
+                Some(left) => self.writer.wait_timeout(slot, left),
             };
         }
         slot.woken = false;
@@ -236,13 +221,9 @@ impl Registry {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Roster> {
-        self.roster.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Connections open right now.
     pub(crate) fn open(&self) -> usize {
-        self.lock().conns.len()
+        self.roster.lock().conns.len()
     }
 
     /// Register a connection, unless `max` are already open.
@@ -253,7 +234,7 @@ impl Registry {
         stream: &Arc<TcpStream>,
         max: usize,
     ) -> bool {
-        let mut roster = self.lock();
+        let mut roster = self.roster.lock();
         let admitted = roster.conns.len() < max;
         if admitted {
             roster
@@ -265,13 +246,13 @@ impl Registry {
 
     /// Unregister a connection whose threads are done with it.
     pub(crate) fn leave(&self, id: u64) {
-        self.lock().conns.retain(|(open, ..)| *open != id);
+        self.roster.lock().conns.retain(|(open, ..)| *open != id);
         self.changed.notify_all();
     }
 
     /// Shutdown began: wake every writer so it can drain and close.
     pub(crate) fn shut_down(&self) {
-        let mut roster = self.lock();
+        let mut roster = self.roster.lock();
         roster.shutting = true;
         roster.conns.iter().for_each(|(_, waker, _)| waker.wake());
         drop(roster);
@@ -281,13 +262,10 @@ impl Registry {
     /// Block until a connection leaves or shutdown begins. False at once
     /// when none is open, since then no close would end the wait.
     pub(crate) fn wait_for_leave(&self) -> bool {
-        let mut roster = self.lock();
+        let mut roster = self.roster.lock();
         let open = roster.conns.len();
         while open > 0 && !roster.shutting && roster.conns.len() >= open {
-            roster = self
-                .changed
-                .wait(roster)
-                .unwrap_or_else(PoisonError::into_inner);
+            roster = self.changed.wait(roster);
         }
         open > 0 || roster.shutting
     }
@@ -296,16 +274,13 @@ impl Registry {
     /// the rest: peers that stopped reading must not wedge shutdown.
     pub(crate) fn drain(&self, grace: Duration) {
         let deadline = Instant::now() + grace;
-        let mut roster = self.lock();
+        let mut roster = self.roster.lock();
         while !roster.conns.is_empty() {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break;
             }
-            roster = match self.changed.wait_timeout(roster, left) {
-                Ok((roster, _)) => roster,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+            roster = self.changed.wait_timeout(roster, left);
         }
         for (_, waker, stream) in &roster.conns {
             waker.close();
@@ -366,7 +341,7 @@ pub(crate) struct Conn {
     /// One flush's encoded response bytes (reused across flushes).
     out: Vec<u8>,
     /// In-flight requests, in arrival order.
-    pub(crate) pending: VecDeque<Pending>,
+    pub(crate) pending: Deque<Pending>,
     /// The peer half-closed its side; close once the pipeline drains.
     pub(crate) peer_eof: bool,
     /// Take no more requests; close once the pipeline drains.
@@ -380,7 +355,7 @@ impl Conn {
         Conn {
             stream,
             out: Vec::new(),
-            pending: VecDeque::new(),
+            pending: Deque::new(),
             peer_eof: false,
             closing: false,
             term_queued: false,
@@ -412,8 +387,8 @@ impl Conn {
     /// `advance` is the policy hook: called with `head = true` for the
     /// entry that may write, `false` for a streaming entry behind it
     /// (which may only end, with a terminal error, never write hits).
-    /// The frames are encoded, then written with one blocking
-    /// `write_all`; an `Err` means the connection is dead.
+    /// The frames are encoded, then written with one blocking socket
+    /// write; an `Err` means the connection is dead.
     ///
     /// The encode plus the write is the batch's flush time. It is added to
     /// the `frame_flush` span of every search response that wrote in this
@@ -474,7 +449,7 @@ impl Conn {
             }
         }
         if !self.out.is_empty() {
-            let written = (&*self.stream).write_all(&self.out);
+            let written = sync::write_all(&mut &*self.stream, &self.out);
             self.out.clear();
             written?;
         }
@@ -518,12 +493,12 @@ mod tests {
         let remote = Arc::clone(&waker);
         let start = Instant::now();
         let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
+            sync::sleep(Duration::from_millis(30));
             remote.wake();
         });
         waker.park(0, None);
         assert!(start.elapsed() < Duration::from_secs(5));
-        t.join().unwrap();
+        sync::join(t).unwrap();
     }
 
     #[test]
@@ -552,14 +527,27 @@ mod tests {
             let waker = Arc::clone(&waker);
             std::thread::spawn(move || waker.wait_for_room())
         };
-        std::thread::sleep(Duration::from_millis(30));
+        sync::sleep(Duration::from_millis(30));
         assert!(!reader.is_finished(), "the reader must wait for room");
         // The writer's pipeline shrinks by one; the reader may post again.
         waker.wake();
         waker.park(MAX_PIPELINE - 1, None);
-        assert!(reader.join().unwrap());
+        assert!(sync::join(reader).unwrap());
         // A closed connection releases the reader with `false`.
         waker.close();
         assert!(!waker.wait_for_room());
+    }
+
+    /// The waker's slot is shared by the reader, the writer and every
+    /// search's readiness hook: a guard held across a blocking call
+    /// stalls them all.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "read_frame while holding 1 lock guard(s)")]
+    fn a_slot_guard_held_across_a_frame_read_panics() {
+        let waker = Waker::new();
+        let slot = waker.slot.lock();
+        let _ = read_frame(&mut &[0u8; 0][..]);
+        drop(slot);
     }
 }

@@ -32,6 +32,7 @@ use oasis_align::{KarlinParams, Score};
 use oasis_bioseq::{AlphabetKind, SequenceDatabase};
 use oasis_core::{Hit, OasisParams};
 use oasis_engine::BatchQuery;
+use oasis_obs::sync;
 
 use crate::NetError;
 
@@ -1186,8 +1187,15 @@ fn decode_header(header: [u8; HEADER_LEN]) -> Result<(u8, u32), NetError> {
 /// Read exactly one frame from `r`.
 ///
 /// An end-of-stream before the first header byte surfaces as
-/// [`std::io::ErrorKind::UnexpectedEof`] inside [`NetError::Io`].
+/// [`std::io::ErrorKind::UnexpectedEof`] inside [`NetError::Io`]. Debug
+/// builds panic if the calling thread holds a lock guard
+/// ([`oasis_obs::sync`]).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the read is checked by the assert_unlocked call that opens this function"
+)]
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, NetError> {
+    sync::assert_unlocked("read_frame");
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let (frame_type, len) = decode_header(header)?;
@@ -1196,10 +1204,11 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, NetError> {
     Frame::decode(frame_type, &payload)
 }
 
-/// Encode `frame` and write it to `w` (the caller flushes).
+/// Encode `frame` and write it to `w` (the caller flushes). Debug builds
+/// panic if the calling thread holds a lock guard ([`oasis_obs::sync`]).
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), NetError> {
     let bytes = frame.encode()?;
-    w.write_all(&bytes)?;
+    sync::write_all(w, &bytes)?;
     Ok(())
 }
 

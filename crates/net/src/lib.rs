@@ -10,6 +10,10 @@
     clippy::indexing_slicing,
     clippy::string_slice
 )]
+// Lock discipline and serving-path indexing: the lock, queue and map types
+// and the blocking calls `clippy.toml` bans go through `oasis_obs::sync`
+// (docs/LINTS.md).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 //! # oasis-net
 //!

@@ -73,14 +73,13 @@
 //! [`ServingEngine::try_submit`]: oasis_engine::ServingEngine::try_submit
 //! [`ServedOutcome`]: oasis_engine::ServedOutcome
 
-use std::collections::BTreeMap;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read};
 use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -92,6 +91,7 @@ use oasis_engine::{
     LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor, ResultCache, ServingConfig,
     ServingConfigError, ServingEngine, ShardedEngine, StreamEnd,
 };
+use oasis_obs::sync::{self, Mutex, OrderedMap};
 use oasis_obs::trace::stage;
 use oasis_obs::{Counter, Histogram, HistogramSnapshot, QueryTrace, SlowLog};
 use oasis_storage::{read_manifest, ArtifactError};
@@ -297,7 +297,7 @@ struct Shared {
     pipelined_peak: AtomicU64,
     /// Searches answered per generation (executions and cache hits), for
     /// the [`PER_GENERATION_ROWS`] most recent generations.
-    per_gen: Mutex<BTreeMap<u64, u64>>,
+    per_gen: Mutex<OrderedMap<u64, u64>>,
     /// Open-connection bound (`usize::MAX` = unlimited).
     max_conns: usize,
     /// Writer-side time to name hits and build response frames, summed
@@ -318,10 +318,6 @@ struct Shared {
 }
 
 impl Shared {
-    fn admin(&self) -> MutexGuard<'_, Vec<JoinHandle<()>>> {
-        self.admin.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn begin_shutdown(&self) {
         if self.shutting_down.swap(true, Ordering::AcqRel) {
             return;
@@ -351,7 +347,7 @@ impl Shared {
     /// Count one answered search against `generation`, keeping only the
     /// most recent [`PER_GENERATION_ROWS`] generations.
     fn bump_generation(&self, generation: u64) {
-        let mut per_gen = self.per_gen.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut per_gen = self.per_gen.lock();
         *per_gen.entry(generation).or_insert(0) += 1;
         while per_gen.len() > PER_GENERATION_ROWS {
             per_gen.pop_first();
@@ -361,7 +357,6 @@ impl Shared {
     fn per_generation_snapshot(&self) -> Vec<GenerationServed> {
         self.per_gen
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(&generation, &served)| GenerationServed { generation, served })
             .collect()
@@ -376,6 +371,11 @@ fn release_accept(addr: SocketAddr) {
         IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
         ip => ip,
     };
+    sync::assert_unlocked("loopback connect");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "checked by the assert_unlocked call above"
+    )]
     let _ = TcpStream::connect((ip, addr.port()));
 }
 
@@ -451,7 +451,7 @@ impl OasisServer {
             started: Instant::now(),
             accepted: AtomicU64::new(0),
             pipelined_peak: AtomicU64::new(0),
-            per_gen: Mutex::new(BTreeMap::new()),
+            per_gen: Mutex::new(OrderedMap::new()),
             max_conns: if config.max_conns == 0 {
                 usize::MAX
             } else {
@@ -528,17 +528,17 @@ impl OasisServer {
         shared.begin_shutdown();
         shared.conns.drain(DRAIN_GRACE);
         for thread in threads {
-            let _ = thread.join();
+            let _ = sync::join(thread);
         }
         if let Some(thread) = metrics_thread {
-            let _ = thread.join();
+            let _ = sync::join(thread);
         }
         // Background compactions abort cleanly (their publish is refused
         // once shutdown began) — but they must finish before the process
         // may exit, or a truncation could be torn mid-write.
-        let compactions = std::mem::take(&mut *shared.admin());
+        let compactions = std::mem::take(&mut *shared.admin.lock());
         for compaction in compactions {
-            let _ = compaction.join();
+            let _ = sync::join(compaction);
         }
         failure.map_or(Ok(()), Err)
     }
@@ -599,7 +599,7 @@ fn run_connection(shared: &Arc<Shared>, id: u64, stream: Arc<TcpStream>, waker: 
             serve_connection(shared, Conn::new(Arc::clone(&stream)), &waker);
             waker.close();
             let _ = stream.shutdown(Shutdown::Both);
-            let _ = reader.join();
+            let _ = sync::join(reader);
         }
         Err(_) => refuse(&stream, shared.max_conns),
     }
@@ -1078,14 +1078,14 @@ fn serve_metrics_scrape(mut stream: TcpStream, shared: &Shared) {
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.write_all(response.as_bytes());
+    let _ = sync::write_all(&mut stream, response.as_bytes());
 }
 
 /// Open the artifact at `path` and publish it, under the admin lock.
 /// While a background compaction runs the answer is `Busy`: its publish
 /// would otherwise land over the reloaded generation.
 fn handle_reload(shared: &Arc<Shared>, path: &str) -> Vec<Frame> {
-    let admin = shared.admin();
+    let admin = shared.admin.lock();
     if admin.iter().any(|compaction| !compaction.is_finished()) {
         return error_frames(
             ErrorCode::Busy,
@@ -1114,7 +1114,7 @@ fn handle_reload(shared: &Arc<Shared>, path: &str) -> Vec<Frame> {
 /// publish the layered generation, and maybe kick a background
 /// compaction.
 fn handle_append(shared: &Arc<Shared>, fasta: &str) -> Vec<Frame> {
-    let mut admin = shared.admin();
+    let mut admin = shared.admin.lock();
     if shared.is_shutting_down() {
         return error_frames(ErrorCode::ShuttingDown, "server is shutting down");
     }
@@ -1257,7 +1257,7 @@ mod tests {
         // The WAL syncs each sequence it logs.
         assert_eq!(shared.wal_fsyncs.get(), 3);
         client.shutdown_server().unwrap();
-        runner.join().unwrap().unwrap();
+        sync::join(runner).unwrap().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1269,7 +1269,7 @@ mod tests {
         };
         let (addr, shared, runner, dir) = serve_artifact("compaction-handles", config);
 
-        let all_exited = || shared.admin().iter().all(|h| h.is_finished());
+        let all_exited = || shared.admin.lock().iter().all(|h| h.is_finished());
         let mut client = Client::connect(addr).unwrap();
         const ROUNDS: u64 = 5;
         for round in 0..ROUNDS {
@@ -1279,14 +1279,14 @@ mod tests {
             let deadline = Instant::now() + Duration::from_secs(60);
             while !all_exited() {
                 assert!(Instant::now() < deadline, "compaction {round} never ended");
-                std::thread::sleep(Duration::from_millis(5));
+                sync::sleep(Duration::from_millis(5));
             }
         }
         assert_eq!(client.metrics().unwrap().compactions, ROUNDS);
-        let retained = shared.admin().len();
+        let retained = shared.admin.lock().len();
         assert!(retained <= 1, "{retained} compaction handles retained");
         client.shutdown_server().unwrap();
-        runner.join().unwrap().unwrap();
+        sync::join(runner).unwrap().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -373,7 +373,7 @@ mod tests {
             })
             .collect();
         for t in threads {
-            t.join().unwrap();
+            crate::sync::join(t).unwrap();
         }
         let snap = h.snapshot();
         assert_eq!(snap.count, 80_000);

@@ -6,9 +6,7 @@
 //! operator can always see how much history was lost. Dumped over the
 //! wire by the `TraceDump` frame and rendered by `oasis admin slowlog`.
 
-use std::collections::VecDeque;
-use std::sync::{Mutex, PoisonError};
-
+use crate::sync::{Deque, Mutex};
 use crate::trace::TraceRecord;
 
 /// Bounded ring of finished slow-query traces.
@@ -18,7 +16,7 @@ pub struct SlowLog {
 }
 
 struct Inner {
-    entries: VecDeque<TraceRecord>,
+    entries: Deque<TraceRecord>,
     dropped: u64,
 }
 
@@ -38,7 +36,7 @@ impl SlowLog {
     pub fn new(capacity: usize) -> SlowLog {
         SlowLog {
             inner: Mutex::new(Inner {
-                entries: VecDeque::new(),
+                entries: Deque::new(),
                 dropped: 0,
             }),
             capacity: capacity.max(1),
@@ -47,7 +45,7 @@ impl SlowLog {
 
     /// Record a finished slow query, evicting the oldest when full.
     pub fn push(&self, rec: TraceRecord) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.inner.lock();
         if inner.entries.len() == self.capacity {
             inner.entries.pop_front();
             inner.dropped += 1;
@@ -57,7 +55,7 @@ impl SlowLog {
 
     /// Copy out the retained traces (oldest first) and eviction count.
     pub fn snapshot(&self) -> SlowLogSnapshot {
-        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let inner = self.inner.lock();
         SlowLogSnapshot {
             entries: inner.entries.iter().cloned().collect(),
             dropped: inner.dropped,
@@ -67,11 +65,7 @@ impl SlowLog {
 
     /// Number of traces currently retained.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entries
-            .len()
+        self.inner.lock().entries.len()
     }
 
     /// Whether the ring is empty.

@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn instants_before_birth_clamp_to_zero() {
         let early = Instant::now();
-        std::thread::sleep(Duration::from_millis(1));
+        crate::sync::sleep(Duration::from_millis(1));
         let mut t = QueryTrace::new(1, 1);
         t.record_span(stage::QUEUE_WAIT, early, early);
         assert_eq!(t.span(stage::QUEUE_WAIT).unwrap().start, Duration::ZERO);

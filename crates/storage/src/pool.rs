@@ -17,6 +17,11 @@
 //! on the pool that is exactly the run's traffic, and with several it is
 //! their sum.
 
+// Every query on a disk-resident artifact reads through this pool's lock:
+// the lock, queue and map types and the blocking calls `clippy.toml` bans
+// need a stated reason here (docs/LINTS.md).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use parking_lot::Mutex;
 
 use crate::device::BlockDevice;
@@ -103,10 +108,17 @@ struct Frame {
     data: Box<[u8]>,
 }
 
+/// Block number -> frame index.
+#[expect(
+    clippy::disallowed_types,
+    reason = "read through get/insert/remove only; storage's dependency list is pinned, \
+              so it cannot take oasis_obs::sync::Map (docs/LINTS.md)"
+)]
+type BlockMap = std::collections::HashMap<u64, usize>;
+
 struct PoolInner {
     frames: Vec<Frame>,
-    /// block number -> frame index.
-    map: std::collections::HashMap<u64, usize>,
+    map: BlockMap,
     hand: usize,
     stats: [BufferPoolStats; 4],
 }
@@ -140,7 +152,7 @@ impl<D: BlockDevice> BufferPool<D> {
             device,
             inner: Mutex::new(PoolInner {
                 frames,
-                map: std::collections::HashMap::new(),
+                map: BlockMap::new(),
                 hand: 0,
                 stats: Default::default(),
             }),

@@ -37,6 +37,10 @@
     clippy::indexing_slicing,
     clippy::string_slice
 )]
+// Lock discipline and serving-path indexing: the lock, queue and map types
+// and the blocking calls `clippy.toml` bans need a stated reason here
+// (docs/LINTS.md).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use oasis_bioseq::{SequenceDatabase, TERMINATOR};
 
