@@ -32,6 +32,7 @@
 //!   (base + delta) database — see the module docs of
 //!   [`crate::DeltaIndex`] for why the shard merge makes this exact.
 
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -40,7 +41,7 @@ use std::time::Instant;
 use oasis_align::Scoring;
 use oasis_bioseq::database::MAX_TEXT_LEN;
 use oasis_bioseq::{BioseqError, DatabaseBuilder, Sequence, SequenceDatabase};
-use oasis_obs::sync::Mutex;
+use oasis_obs::sync::{Mutex, MutexGuard};
 use oasis_storage::artifact::ArtifactError;
 use oasis_storage::wal::{WalError, WriteAheadLog};
 use oasis_storage::{pending_records, read_manifest, DeltaLineage, IndexManifest};
@@ -200,7 +201,39 @@ pub struct LiveIndex {
     shard_count: usize,
     block_size: usize,
     state: Mutex<LiveState>,
+    /// `state`'s counters as of the last mutation, published before the
+    /// mutation releases `state`. [`LiveIndex::stats`] reads this copy,
+    /// so a metrics request never waits behind an append's WAL fsyncs or
+    /// a snapshot rebuild.
+    stats: Mutex<LiveStats>,
     compacting: AtomicBool,
+}
+
+/// `state` locked for a mutation. Dropping it publishes the state's
+/// counters to [`LiveIndex::stats`] before the lock is released.
+struct Mutating<'a> {
+    state: MutexGuard<'a, LiveState>,
+    stats: &'a Mutex<LiveStats>,
+}
+
+impl Deref for Mutating<'_> {
+    type Target = LiveState;
+
+    fn deref(&self) -> &LiveState {
+        &self.state
+    }
+}
+
+impl DerefMut for Mutating<'_> {
+    fn deref_mut(&mut self) -> &mut LiveState {
+        &mut self.state
+    }
+}
+
+impl Drop for Mutating<'_> {
+    fn drop(&mut self) {
+        *self.stats.lock() = self.state.stats();
+    }
 }
 
 impl LiveIndex {
@@ -238,20 +271,22 @@ impl LiveIndex {
         }
         let base = Arc::new(base);
         let snapshot = make_snapshot(&base, &delta, backend)?;
+        let state = LiveState {
+            base,
+            delta,
+            wal,
+            lineage: manifest.lineage.unwrap_or_default(),
+            snapshot,
+            last_compaction_micros: 0,
+            last_folded_seqs: 0,
+        };
         Ok(LiveIndex {
             dir: dir.to_path_buf(),
             backend,
             shard_count,
             block_size,
-            state: Mutex::new(LiveState {
-                base,
-                delta,
-                wal,
-                lineage: manifest.lineage.unwrap_or_default(),
-                snapshot,
-                last_compaction_micros: 0,
-                last_folded_seqs: 0,
-            }),
+            stats: Mutex::new(state.stats()),
+            state: Mutex::new(state),
             compacting: AtomicBool::new(false),
         })
     }
@@ -268,9 +303,18 @@ impl LiveIndex {
         Arc::clone(&self.state.lock().snapshot)
     }
 
-    /// Current ingestion counters.
+    /// Ingestion counters as of the end of the last append or compaction.
+    /// Never waits for one in flight.
     pub fn stats(&self) -> LiveStats {
-        self.state.lock().stats()
+        *self.stats.lock()
+    }
+
+    /// Lock `state` for a mutation; see [`Mutating`].
+    fn mutate(&self) -> Mutating<'_> {
+        Mutating {
+            state: self.state.lock(),
+            stats: &self.stats,
+        }
     }
 
     /// Durably append sequences and fold them into the live snapshot.
@@ -281,7 +325,7 @@ impl LiveIndex {
     /// against the global text-length limit up front; an oversized batch
     /// is rejected whole, leaving log and delta untouched.
     pub fn append(&self, seqs: Vec<Sequence>) -> Result<AppendReceipt, LiveIndexError> {
-        let mut state = self.state.lock();
+        let mut state = self.mutate();
         let mut projected = state.base.db().text_len() as u64
             + state.delta.residues()
             + u64::from(state.delta.num_seqs());
@@ -384,7 +428,7 @@ impl LiveIndex {
         // snapshot over the (possibly non-empty) surviving delta tail,
         // publish, and only then truncate the WAL.
         let merged = ShardedEngine::from_shards(merged_db, base.scoring().clone(), merged_shards);
-        let mut state = self.state.lock();
+        let mut state = self.mutate();
         state.base = Arc::new(merged);
         state.delta.drop_folded(folded_through);
         state.lineage = next_lineage;
@@ -502,6 +546,30 @@ mod tests {
         assert_eq!(stats.delta_seqs, 2);
         assert_eq!(stats.appended_seqs, 2);
         assert_eq!(live.backend(), IndexBackend::Esa, "backend inherited");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test code: the state lock is held across the wait on purpose"
+    )]
+    fn stats_answer_while_a_mutation_holds_the_state_lock() {
+        let dir = tmpdir("stats-unlocked");
+        seed_artifact(&dir, IndexBackend::Tree, 1);
+        let live = LiveIndex::open(&dir, Scoring::unit_dna(), LiveIndexOptions::default()).unwrap();
+        let receipt = live.append(vec![dna_seq("d", "ACGTAA")]).unwrap();
+        // An append in flight holds `state` across its fsyncs and the
+        // snapshot rebuild; a stats reader must not wait for it.
+        let held = live.state.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let live = &live;
+            scope.spawn(move || tx.send(live.stats()));
+            let answered = rx.recv_timeout(std::time::Duration::from_secs(2));
+            drop(held);
+            assert_eq!(answered.ok(), Some(receipt.stats));
+        });
         std::fs::remove_dir_all(&dir).ok();
     }
 

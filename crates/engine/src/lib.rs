@@ -84,7 +84,6 @@ use std::sync::OnceLock;
 
 use oasis_core::{Hit, OasisParams, SearchStats};
 
-mod cache;
 mod catalog;
 mod compactor;
 mod delta;
@@ -93,7 +92,6 @@ pub mod persist;
 mod serving;
 mod shard;
 
-pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use catalog::{Generation, IndexCatalog, PublishError};
 pub use compactor::CompactionReport;
 pub use delta::DeltaIndex;

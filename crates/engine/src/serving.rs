@@ -19,10 +19,12 @@
 //! merge releases it. The sink appends it to a buffer the ticket shares,
 //! so a reader sees hits long before the search ends:
 //! [`QueryTicket::poll`] takes whatever arrived, never blocking, and
-//! [`QueryTicket::wait`] collects the whole answer for in-process
-//! callers. An optional [`ReadyHook`] fires whenever the ticket goes from
-//! nothing-to-take to something-to-take, which is how a connection's
-//! writer learns to poll without parking on any one query.
+//! hands each hit over exactly once, so the buffer holds only the hits
+//! not yet taken; [`QueryTicket::wait`] builds the whole answer from its
+//! own poll for in-process callers. An optional [`ReadyHook`] fires
+//! whenever the ticket goes from nothing-to-take to something-to-take,
+//! which is how a connection's writer learns to poll without parking on
+//! any one query.
 //!
 //! Dropping a ticket cancels its query: the worker checks the flag
 //! between step batches (and before starting a queued query), so a search
@@ -181,7 +183,9 @@ impl std::error::Error for AdmissionError {}
 pub struct ServedOutcome {
     /// The job's caller-assigned id.
     pub id: String,
-    /// The search result: every hit the stream carried, in order.
+    /// The search result: every hit the stream carried, in order, from
+    /// [`QueryTicket::wait`] (a [`StreamEnd::Done`] carries none: `poll`
+    /// handed them over).
     pub outcome: SearchOutcome,
     /// Time spent waiting in the admission queue.
     pub queue_wait: Duration,
@@ -195,8 +199,8 @@ pub struct ServedOutcome {
 /// every hit has been taken.
 #[derive(Debug)]
 pub enum StreamEnd {
-    /// The search completed; `outcome.hits` holds the whole answer (the
-    /// hits already taken through `poll`, in order).
+    /// The search completed. `outcome.hits` is empty: `poll` has already
+    /// handed every hit over, in order.
     Done(Box<ServedOutcome>),
     /// The query panicked (e.g. it was encoded with the wrong alphabet).
     /// The hits taken before it are a valid prefix of the answer; the
@@ -217,10 +221,8 @@ struct Stream {
 
 #[derive(Debug, Default)]
 struct StreamState {
-    /// Every hit so far, in merge order.
+    /// The hits the reader has not taken yet, in merge order.
     hits: Vec<Hit>,
-    /// How many of `hits` the reader has taken.
-    taken: usize,
     end: Option<StreamEnd>,
 }
 
@@ -245,7 +247,7 @@ impl HitSink<'_> {
         let was_empty = {
             let mut state = self.stream.state.lock();
             state.hits.push(hit);
-            state.taken + 1 == state.hits.len()
+            state.hits.len() == 1
         };
         // Only the first hit after the reader caught up wakes it; later
         // ones coalesce into the batch it takes next.
@@ -275,36 +277,33 @@ pub struct QueryTicket {
 }
 
 impl QueryTicket {
-    /// Block until the query ends and return its whole answer; `None` only
-    /// when the query itself panicked.
+    /// Block until the query ends and return its whole answer, built from
+    /// one [`poll`](QueryTicket::poll); `None` only when the query itself
+    /// panicked.
     pub fn wait(self) -> Option<ServedOutcome> {
         let mut state = self.stream.state.lock();
         while state.end.is_none() {
             state = self.stream.ended.wait(state);
         }
         drop(state);
-        match self.poll(&mut Vec::new()) {
-            Some(StreamEnd::Done(served)) => Some(*served),
+        let mut hits = Vec::new();
+        match self.poll(&mut hits) {
+            Some(StreamEnd::Done(mut served)) => {
+                served.outcome.hits = hits;
+                Some(*served)
+            }
             _ => None,
         }
     }
 
-    /// Non-blocking: move the hits not yet taken into `out`, and once the
-    /// query has ended (and so every hit is taken), return how it ended.
-    /// The end is returned once; later polls answer `None`.
+    /// Non-blocking: move the hits not yet taken into `out` (each hit is
+    /// handed over once), and once the query has ended (and so every hit
+    /// is taken), return how it ended. The end is returned once; later
+    /// polls answer `None`.
     pub fn poll(&self, out: &mut Vec<Hit>) -> Option<StreamEnd> {
         let mut state = self.stream.state.lock();
-        if let Some(fresh) = state.hits.get(state.taken..) {
-            out.extend_from_slice(fresh);
-        }
-        state.taken = state.hits.len();
-        match state.end.take() {
-            Some(StreamEnd::Done(mut served)) => {
-                served.outcome.hits = std::mem::take(&mut state.hits);
-                Some(StreamEnd::Done(served))
-            }
-            end => end,
-        }
+        out.append(&mut state.hits);
+        state.end.take()
     }
 
     /// Has the query ended? Takes nothing.
@@ -561,7 +560,7 @@ fn worker_loop(shared: &Shared) {
                 let served = ServedOutcome {
                     id: job.id,
                     outcome: SearchOutcome {
-                        hits: Vec::new(), // filled from the stream when read
+                        hits: Vec::new(), // handed over through `poll`
                         stats,
                     },
                     queue_wait: started - submitted,
@@ -651,6 +650,37 @@ mod tests {
         assert_eq!(snap.rejected, 0);
         assert_eq!(snap.total.count, 3);
         assert!(snap.total.max >= snap.total.quantile(0.50));
+    }
+
+    #[test]
+    fn poll_hands_each_hit_over_once_and_the_stream_keeps_none() {
+        let db = dna_db(&["AGTACGCCTAG", "TACCG", "GGTAGG", "TACGTACG"]);
+        let alpha = Alphabet::dna();
+        let want = engine(&db).run_job(&job(&alpha, "TACG")).hits;
+        assert!(want.len() > 1, "the query needs several hits");
+        let generation = pinned(engine(&db));
+        let serving = ServingEngine::new(ServingConfig {
+            workers: 1,
+            queue_capacity: 4,
+        })
+        .expect("valid serving config");
+        let ticket = submit(&serving, &generation, job(&alpha, "TACG")).expect("admitted");
+        let mut taken = Vec::new();
+        let served = loop {
+            let end = ticket.poll(&mut taken);
+            assert!(
+                ticket.stream.state.lock().hits.is_empty(),
+                "a taken hit stays"
+            );
+            match end {
+                Some(StreamEnd::Done(served)) => break served,
+                Some(StreamEnd::Failed) => panic!("the search failed"),
+                None => std::thread::yield_now(),
+            }
+        };
+        assert_eq!(taken, want, "every hit once, in canonical order");
+        assert!(served.outcome.hits.is_empty());
+        assert!(ticket.poll(&mut taken).is_none() && taken.len() == want.len());
     }
 
     #[test]

@@ -188,9 +188,8 @@ impl Client {
     }
 
     /// Fetch the server's admin snapshot: admission-queue state, latency
-    /// tails, the serving generation, live-ingestion state, result-cache
-    /// counters, connection/pipeline gauges, and per-generation and
-    /// per-stage rows.
+    /// tails, the serving generation, live-ingestion state,
+    /// connection/pipeline gauges, and per-generation and per-stage rows.
     pub fn metrics(&mut self) -> Result<MetricsReport, NetError> {
         self.request(&Frame::MetricsRequest)?;
         match self.response("Metrics")? {

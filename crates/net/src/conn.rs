@@ -28,7 +28,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use oasis_engine::{CacheKey, Generation, QueryTicket};
+use oasis_engine::{Generation, QueryTicket};
 use oasis_obs::sync::{self, Condvar, Deque, Mutex, MutexGuard};
 use oasis_obs::trace::stage;
 use oasis_obs::QueryTrace;
@@ -291,11 +291,9 @@ impl Registry {
 
 /// One request's slot in the pipeline queue.
 pub(crate) enum Pending {
-    /// The response frames are known; write them when this entry reaches
-    /// the head of the queue. A cache hit carries its [`QueryTrace`]
-    /// along so [`Conn::flush`] can time the write and hand the trace
-    /// back to the server.
-    Ready(Vec<Frame>, Option<Box<QueryTrace>>),
+    /// The response frames are known (handshake, admin reply, error);
+    /// write them when this entry reaches the head of the queue.
+    Ready(Vec<Frame>),
     /// An admitted search whose hits stream in from an engine worker.
     Streaming(Box<StreamingSearch>),
 }
@@ -309,8 +307,6 @@ pub(crate) struct StreamingSearch {
     pub(crate) deadline: Option<Instant>,
     /// The requested deadline in milliseconds (for the error message).
     pub(crate) deadline_ms: Option<u32>,
-    /// Cache slot to fill on completion (keyed by the pinned generation).
-    pub(crate) cache_key: Option<CacheKey>,
     /// The resolved score threshold (echoed in the Done frame).
     pub(crate) min_score: oasis_align::Score,
     /// The generation pinned at admission: the query executes on it, and
@@ -376,7 +372,7 @@ impl Conn {
             .iter()
             .filter_map(|p| match p {
                 Pending::Streaming(search) => search.deadline,
-                Pending::Ready(..) => None,
+                Pending::Ready(_) => None,
             })
             .min()
     }
@@ -404,22 +400,18 @@ impl Conn {
         F: FnMut(&mut StreamingSearch, bool) -> Advance,
     {
         let flush_start = Instant::now();
-        // Responses that ended in this call, and whether each sent a hit
-        // (a cache hit's hits never count as a first hit).
+        // Responses that ended in this call, and whether each sent a hit.
         let mut done: Vec<(QueryTrace, bool)> = Vec::new();
         // The head kept streaming and sent hits in this call.
         let mut head_sent = false;
         loop {
             match self.pending.front_mut() {
                 None => break,
-                Some(Pending::Ready(..)) => {
-                    let Some(Pending::Ready(frames, trace)) = self.pending.pop_front() else {
+                Some(Pending::Ready(_)) => {
+                    let Some(Pending::Ready(frames)) = self.pending.pop_front() else {
                         break;
                     };
                     self.encode(&frames)?;
-                    if let Some(trace) = trace {
-                        done.push((*trace, false));
-                    }
                 }
                 Some(Pending::Streaming(search)) => match advance(search, true) {
                     Advance::Idle => break,
@@ -444,7 +436,7 @@ impl Conn {
         for entry in self.pending.iter_mut().skip(1) {
             if let Pending::Streaming(search) = entry {
                 if let Advance::End(frames) = advance(search, false) {
-                    *entry = Pending::Ready(frames, None);
+                    *entry = Pending::Ready(frames);
                 }
             }
         }

@@ -360,16 +360,16 @@ impl ErrorFrame {
 pub struct GenerationServed {
     /// Id of the index generation.
     pub generation: u64,
-    /// Queries that generation executed to completion (cache hits it
-    /// answered included).
+    /// Queries that generation executed to completion.
     pub served: u64,
 }
 
 /// The one admin snapshot (the admin `metrics` response, also rendered
 /// for the `--metrics-addr` scrape): admission-queue state, latency
-/// tails, the serving generation, live-ingestion state, result-cache
-/// counters, connection and pipelining gauges, and per-generation and
-/// per-stage rows.
+/// tails, the serving generation, live-ingestion state, connection and
+/// pipelining gauges, and per-generation and per-stage rows. The five
+/// `cache_*` fields are reserved: the server has no result cache and
+/// always sends 0. They leave the wire with the next protocol version.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsReport {
     /// Queries executed to completion by the engine; also the sample
@@ -405,15 +405,15 @@ pub struct MetricsReport {
     /// Wall-clock duration of the most recent compaction, microseconds
     /// (zero when none has run).
     pub last_compaction_us: u64,
-    /// Result-cache lookups answered from the cache.
+    /// Reserved, always 0.
     pub cache_hits: u64,
-    /// Result-cache lookups that missed.
+    /// Reserved, always 0.
     pub cache_misses: u64,
-    /// Entries evicted to keep the cache within its bound.
+    /// Reserved, always 0.
     pub cache_evictions: u64,
-    /// Entries resident in the cache right now.
+    /// Reserved, always 0.
     pub cache_entries: u32,
-    /// The configured cache capacity (entries; 0 = cache disabled).
+    /// Reserved, always 0.
     pub cache_capacity: u32,
     /// Connections open right now.
     pub connections_open: u32,
@@ -514,32 +514,6 @@ impl MetricsReport {
             );
         }
         w.header(
-            "oasis_cache_hits_total",
-            "counter",
-            "Result-cache lookups answered from the cache.",
-        );
-        w.sample("oasis_cache_hits_total", self.cache_hits);
-        w.header(
-            "oasis_cache_misses_total",
-            "counter",
-            "Result-cache lookups that missed.",
-        );
-        w.sample("oasis_cache_misses_total", self.cache_misses);
-        w.header(
-            "oasis_cache_evictions_total",
-            "counter",
-            "Result-cache entries evicted by the LRU bound.",
-        );
-        w.sample("oasis_cache_evictions_total", self.cache_evictions);
-        w.header("oasis_cache_entries", "gauge", "Resident cache entries.");
-        w.sample("oasis_cache_entries", u64::from(self.cache_entries));
-        w.header(
-            "oasis_cache_capacity",
-            "gauge",
-            "Configured cache capacity, entries.",
-        );
-        w.sample("oasis_cache_capacity", u64::from(self.cache_capacity));
-        w.header(
             "oasis_connections_open",
             "gauge",
             "Open client connections.",
@@ -631,7 +605,8 @@ pub struct TraceEntry {
     pub total_us: u64,
     /// Index generation the query executed against.
     pub generation: u64,
-    /// Whether the result came from the result cache.
+    /// Reserved, always `false` (the server has no result cache); leaves
+    /// the wire with the next protocol version.
     pub cache_hit: bool,
     /// Suffix-tree nodes expanded.
     pub nodes_expanded: u64,

@@ -39,16 +39,16 @@
 //! * [`OasisServer`] is a threaded daemon over a shared `ServingEngine`:
 //!   each connection has a blocking reader thread and a writer thread,
 //!   and nothing waits on a timer. Connections are **pipelined** (several
-//!   requests in flight per stream, responses in request order), a
-//!   bounded LRU result cache answers repeated queries without re-running
-//!   the index traversal, each search's hits go on the wire as the
+//!   requests in flight per stream, responses in request order), every
+//!   search executes (there is no result cache), each search's hits go
+//!   on the wire as the
 //!   engine's shard merge releases them (the first one long before the
 //!   search ends), a search whose deadline elapsed or whose connection
 //!   was reset is cancelled on its worker, and graceful shutdown stops
 //!   accepting, drains admitted work, and closes every stream with a
 //!   terminal frame. The `Metrics` admin frame is the one admin
 //!   snapshot: queue depth, latency tails, the serving generation,
-//!   live-ingestion state, cache counters and connection/pipeline counts,
+//!   live-ingestion state and connection/pipeline counts,
 //!   the same report the `--metrics-addr` scrape renders.
 //! * [`Client`] connects (optionally with a connect timeout), verifies
 //!   the handshake, and iterates streamed hits as they arrive.

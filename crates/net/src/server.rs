@@ -20,19 +20,16 @@
 //! [`ErrorCode::Busy`] on the wire, and a connection over `max_conns`
 //! (or one whose threads could not be spawned) gets a terminal `Busy`.
 //!
-//! A bounded LRU [`ResultCache`] keyed on `(generation, query bytes,
-//! score params)` sits in front of admission. Generations are immutable,
-//! so a cached result never goes stale: a hot swap changes the key. Only
-//! a search that completed is inserted; cache hits stream the same hit
-//! frames a fresh execution would, with `service_us = 0`.
+//! Every search executes: there is no result cache, so a repeated query
+//! runs again on the generation current at its admission.
 //!
 //! Every search response has one [`QueryTrace`], born at admission and
 //! kept by the connection's writer until its last byte is written. The
 //! writer records its own stages as they happen and, once the search is
 //! done, the worker's `queue_wait`/`execute` from the [`ServedOutcome`].
 //! Each finished trace feeds the writer-side stage histograms; an
-//! answered search (executed or a cache hit) at or over
-//! [`ServerConfig::slow_ms`] is kept in the slow-query ring.
+//! answered search at or over [`ServerConfig::slow_ms`] is kept in the
+//! slow-query ring.
 //!
 //! Admin frames run on the requesting connection's writer. One admin
 //! lock serializes `Reload`, `Append` and the compaction spawn, so
@@ -53,8 +50,8 @@
 //! compaction never publishes over it. Each search is pinned to the generation current when it is *admitted*:
 //! the query is encoded with that generation's alphabet, its E-value
 //! becomes a `minScore` against that generation's database, the engine
-//! executes it on that generation, and its hit names, `Done.generation`,
-//! cache key and trace counters all come from the same pinned `Arc`. A
+//! executes it on that generation, and its hit names, `Done.generation`
+//! and trace counters all come from the same pinned `Arc`. A
 //! swap that lands while the request waits in the queue therefore
 //! changes nothing about its answer — one answer, one index version.
 //!
@@ -87,8 +84,8 @@ use oasis_align::{KarlinParams, Scoring};
 use oasis_bioseq::{parse_fasta, SequenceDatabase, UnknownResiduePolicy};
 use oasis_core::{Hit, SearchStats};
 use oasis_engine::{
-    open_artifact_engine, AdmissionError, BatchQuery, CacheKey, HitSink, IndexCatalog, LiveIndex,
-    LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor, ResultCache, ServingConfig,
+    open_artifact_engine, AdmissionError, BatchQuery, HitSink, IndexCatalog, LiveIndex,
+    LiveIndexError, LiveIndexOptions, PublishError, QueryExecutor, ServingConfig,
     ServingConfigError, ServingEngine, ShardedEngine, StreamEnd,
 };
 use oasis_obs::sync::{self, Mutex, OrderedMap};
@@ -215,8 +212,6 @@ pub struct ServerConfig {
     /// beyond the limit is greeted with a terminal [`ErrorCode::Busy`]
     /// frame and closed. `0` = unlimited.
     pub max_conns: usize,
-    /// Result-cache capacity, in entries. `0` disables the cache.
-    pub cache_entries: usize,
     /// Bind a plain-text metrics listener here (`None` = no listener).
     /// It answers every connection with one Prometheus scrape body over
     /// minimal HTTP/1.0 — `curl http://addr/metrics` works; so does a
@@ -236,7 +231,6 @@ impl Default for ServerConfig {
             pool_bytes: 64 << 20,
             compact_after: 256,
             max_conns: 1024,
-            cache_entries: 512,
             metrics_addr: None,
             slow_ms: 250,
         }
@@ -281,8 +275,6 @@ struct Shared {
     /// during a reload. It guards the compaction threads not yet seen to
     /// finish (dropped at the next spawn, the rest joined in `run`).
     admin: Mutex<Vec<JoinHandle<()>>>,
-    /// The bounded LRU result cache (capacity 0 = disabled).
-    cache: ResultCache,
     /// The open connections: the accept limit, metrics and shutdown.
     conns: Registry,
     /// Where the server and the metrics listener accept; shutdown
@@ -295,8 +287,8 @@ struct Shared {
     accepted: AtomicU64,
     /// Deepest per-connection pipeline observed.
     pipelined_peak: AtomicU64,
-    /// Searches answered per generation (executions and cache hits), for
-    /// the [`PER_GENERATION_ROWS`] most recent generations.
+    /// Searches answered per generation, for the [`PER_GENERATION_ROWS`]
+    /// most recent generations.
     per_gen: Mutex<OrderedMap<u64, u64>>,
     /// Open-connection bound (`usize::MAX` = unlimited).
     max_conns: usize,
@@ -444,7 +436,6 @@ impl OasisServer {
             next_token: AtomicU64::new(0),
             compact_after: config.compact_after,
             admin: Mutex::new(Vec::new()),
-            cache: ResultCache::new(config.cache_entries),
             conns: Registry::new(),
             local_addr,
             metrics_addr,
@@ -637,25 +628,21 @@ fn error_frames(code: ErrorCode, message: impl Into<String>) -> Vec<Frame> {
     vec![Frame::Error(ErrorFrame::new(code, message))]
 }
 
-/// An already-known response (handshake, admin reply, error).
-fn reply(frames: Vec<Frame>) -> Pending {
-    Pending::Ready(frames, None)
-}
-
 /// A connection's writer loop: greet, then repeatedly write what the
 /// pipeline has, park on `waker`, and dispatch the requests the reader
 /// posted, until the connection is done. Returning drops `conn`.
 fn serve_connection(shared: &Arc<Shared>, mut conn: Conn, waker: &Arc<Waker>) {
     // Server-first handshake: protocol version + serving generation,
     // queued like any response.
-    conn.pending.push_back(reply(vec![hello_frame(shared)]));
+    conn.pending
+        .push_back(Pending::Ready(vec![hello_frame(shared)]));
     loop {
         if shared.is_shutting_down() && !conn.term_queued && !conn.has_streaming() {
             // In-flight work has drained: close with the typed terminal
             // frame (after any still-unwritten responses), so clients can
             // tell a graceful drain from a crash.
             let term = error_frames(ErrorCode::ShuttingDown, "server is shutting down");
-            conn.pending.push_back(reply(term));
+            conn.pending.push_back(Pending::Ready(term));
             conn.term_queued = true;
             conn.closing = true;
         }
@@ -687,7 +674,7 @@ fn serve_connection(shared: &Arc<Shared>, mut conn: Conn, waker: &Arc<Waker>) {
             Some(ReadEnd::Gone) => return,
             Some(ReadEnd::Malformed(e)) if !conn.closing => {
                 let malformed = error_frames(ErrorCode::Malformed, e.to_string());
-                conn.pending.push_back(reply(malformed));
+                conn.pending.push_back(Pending::Ready(malformed));
                 conn.closing = true;
             }
             Some(ReadEnd::Malformed(_)) | None => {}
@@ -702,21 +689,21 @@ fn serve_connection(shared: &Arc<Shared>, mut conn: Conn, waker: &Arc<Waker>) {
 fn dispatch(shared: &Arc<Shared>, waker: &Arc<Waker>, conn: &mut Conn, frame: Frame) {
     let entry = match frame {
         Frame::Search(req) => dispatch_search(shared, waker, req),
-        Frame::MetricsRequest => reply(vec![Frame::Metrics(metrics_report(shared))]),
-        Frame::TraceDumpRequest => reply(vec![trace_dump_frame(shared)]),
-        Frame::Reload(reload) => reply(handle_reload(shared, &reload.path)),
-        Frame::Append(append) => reply(handle_append(shared, &append.fasta)),
+        Frame::MetricsRequest => Pending::Ready(vec![Frame::Metrics(metrics_report(shared))]),
+        Frame::TraceDumpRequest => Pending::Ready(vec![trace_dump_frame(shared)]),
+        Frame::Reload(reload) => Pending::Ready(handle_reload(shared, &reload.path)),
+        Frame::Append(append) => Pending::Ready(handle_append(shared, &append.fasta)),
         Frame::Shutdown => {
             shared.begin_shutdown();
             // The ack is written first; the writer's shutdown pass then
             // adds the terminal frame and closes this stream too.
-            reply(vec![Frame::ShutdownAck])
+            Pending::Ready(vec![Frame::ShutdownAck])
         }
         other => {
             // A client sending server-side frames is out of sync;
             // answer with a typed error and drop the connection.
             conn.closing = true;
-            reply(error_frames(
+            Pending::Ready(error_frames(
                 ErrorCode::Malformed,
                 format!("unexpected {} frame from a client", other.kind()),
             ))
@@ -726,52 +713,24 @@ fn dispatch(shared: &Arc<Shared>, waker: &Arc<Waker>, conn: &mut Conn, frame: Fr
 }
 
 /// Admit one search: pin the current generation, resolve the request's
-/// parameters against it, consult the result cache, and either answer
-/// immediately (cache hit, parameter error, admission refusal) or hand
-/// back the in-flight state the writer will poll.
+/// parameters against it, and either answer at once (parameter error,
+/// admission refusal) or hand back the in-flight state the writer will
+/// poll.
 fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest) -> Pending {
     // Encode with the pinned generation's alphabet and derive minScore
     // against its database (the serving alphabet is authoritative, like
     // the artifact alphabet on the local --index path). The query then
     // executes on, and is answered from, this same generation.
     let pinned = shared.catalog.current();
-    let generation = pinned.id();
-    let db = pinned.executor().db();
-    let job = match req.resolve(db, shared.karlin.as_ref()) {
+    let job = match req.resolve(pinned.executor().db(), shared.karlin.as_ref()) {
         Ok(job) => job,
-        Err(refusal) => return reply(vec![Frame::Error(refusal)]),
+        Err(refusal) => return Pending::Ready(vec![Frame::Error(refusal)]),
     };
     let min_score = job.params.min_score;
 
     let token = shared.next_token.fetch_add(1, Ordering::Relaxed);
     let mut trace = QueryTrace::new(token, job.query.len() as u32);
-    trace.counters.generation = generation;
-    let key = CacheKey {
-        generation,
-        query: job.query.clone(),
-        min_score,
-        all_occurrences: req.all_occurrences,
-        limit: req.top,
-    };
-    if let Some(cached) = shared.cache.get(&key) {
-        // The key's generation is the pinned one, so `db` is exactly the
-        // database the cached hits came from. Cache hits report zero
-        // service time.
-        shared.bump_generation(generation);
-        let mut frames = hit_frames(db, &cached);
-        frames.push(Frame::Done(SearchDone {
-            hits: cached.len() as u32,
-            min_score,
-            generation,
-            service_us: 0,
-            total_us: 0,
-        }));
-        // Nothing executed: the trace gets only its flush span, and
-        // `cache_hit` tells the slow log the paths apart.
-        trace.counters.cache_hit = true;
-        trace.counters.hits = cached.len() as u64;
-        return Pending::Ready(frames, Some(Box::new(trace)));
-    }
+    trace.counters.generation = pinned.id();
 
     let waker = Arc::clone(waker);
     let ready = Box::new(move || waker.wake());
@@ -781,13 +740,13 @@ fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest)
     let ticket = match admitted {
         Ok(ticket) => ticket,
         Err(AdmissionError::QueueFull { capacity }) => {
-            return reply(error_frames(
+            return Pending::Ready(error_frames(
                 ErrorCode::Busy,
                 format!("admission queue full ({capacity} queries queued); retry later"),
             ))
         }
         Err(AdmissionError::ShuttingDown) => {
-            return reply(error_frames(
+            return Pending::Ready(error_frames(
                 ErrorCode::ShuttingDown,
                 "server is shutting down",
             ))
@@ -799,7 +758,6 @@ fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest)
             .deadline_ms
             .map(|ms| trace.born() + Duration::from_millis(ms as u64)),
         deadline_ms: req.deadline_ms,
-        cache_key: Some(key),
         min_score,
         generation: pinned,
         fsyncs_at_submit: shared.wal_fsyncs.get(),
@@ -810,9 +768,9 @@ fn dispatch_search(shared: &Arc<Shared>, waker: &Arc<Waker>, req: SearchRequest)
 /// Advance one streaming search. The head of its connection's pipeline
 /// takes the hits its worker released since the last pass and frames
 /// them, named against the pinned generation; at the end of the stream it
-/// fills the cache and frames `Done`, or frames the terminal error. An
-/// entry behind the head writes nothing: its hits wait in its ticket. Any
-/// entry whose deadline passed before its search ended answers
+/// frames `Done`, or the terminal error. An entry behind the head writes
+/// nothing: its hits wait in its ticket. Any entry whose deadline passed
+/// before its search ended answers
 /// `DeadlineExceeded` (after the hits already sent, for a head) — and
 /// dropping it drops its ticket, which cancels the search.
 fn advance_stream(
@@ -833,17 +791,16 @@ fn advance_stream(
     let mut hits = Vec::new();
     let end = search.ticket.poll(&mut hits);
     // The query executed on the generation pinned at admission; its
-    // names, id and cache key all come from that generation.
+    // names and id come from that generation. `Done` counts the hits
+    // framed here, batch by batch.
     let mut frames = hit_frames(search.generation.executor().db(), &hits);
+    search.trace.counters.hits += hits.len() as u64;
     let advance = match end {
         Some(StreamEnd::Done(served)) => {
             let generation = search.generation.id();
-            if let Some(key) = search.cache_key.take() {
-                shared.cache.insert(key, served.outcome.hits.clone());
-            }
             shared.bump_generation(generation);
             frames.push(Frame::Done(SearchDone {
-                hits: served.outcome.hits.len() as u32,
+                hits: search.trace.counters.hits as u32,
                 min_score: search.min_score,
                 generation,
                 service_us: served.service.as_micros() as u64,
@@ -860,7 +817,6 @@ fn advance_stream(
                 stats.nodes_enqueued,
                 stats.columns_expanded,
                 stats.nodes_pruned,
-                stats.hits_emitted,
             );
             trace.counters.wal_fsyncs = shared
                 .wal_fsyncs
@@ -944,7 +900,6 @@ fn metrics_report(shared: &Shared) -> MetricsReport {
         .as_ref()
         .map(|l| l.stats())
         .unwrap_or_default();
-    let cache = shared.cache.stats();
     let stages = vec![
         stage_summary(stage::QUEUE_WAIT, &snap.queue_wait),
         stage_summary(stage::EXECUTE, &snap.service),
@@ -968,11 +923,12 @@ fn metrics_report(shared: &Shared) -> MetricsReport {
         wal_bytes: live.wal_bytes,
         compactions: live.compactions,
         last_compaction_us: live.last_compaction_micros,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        cache_evictions: cache.evictions,
-        cache_entries: cache.entries,
-        cache_capacity: cache.capacity,
+        // Reserved until the next protocol version: there is no cache.
+        cache_hits: 0,
+        cache_misses: 0,
+        cache_evictions: 0,
+        cache_entries: 0,
+        cache_capacity: 0,
         connections_open: shared.conns.open().min(u32::MAX as usize) as u32,
         connections_accepted: shared.accepted.load(Ordering::Relaxed),
         pipelined_peak: shared
@@ -996,7 +952,7 @@ fn trace_dump_frame(shared: &Shared) -> Frame {
             query_len: rec.query_len,
             total_us: rec.total_us,
             generation: rec.counters.generation,
-            cache_hit: rec.counters.cache_hit,
+            cache_hit: false, // reserved: there is no cache
             nodes_expanded: rec.counters.nodes_expanded,
             nodes_enqueued: rec.counters.nodes_enqueued,
             columns_expanded: rec.counters.columns_expanded,
@@ -1038,10 +994,10 @@ fn deposit(shared: &Shared, ended: Vec<QueryTrace>) {
             };
             hist.record_duration(span.dur);
         }
-        // An answered search was a cache hit or executed (only a `Done`
-        // gives a trace the worker's spans); an error is not logged.
+        // Only a `Done` gives a trace the worker's spans: an error is not
+        // logged.
         let executed = record.spans.iter().any(|span| span.stage == stage::EXECUTE);
-        if (record.counters.cache_hit || executed) && record.total_us >= shared.slow_us {
+        if executed && record.total_us >= shared.slow_us {
             shared.slowlog.push(record);
         }
     }

@@ -15,10 +15,9 @@
 //!   when a guard is still held: a guard held across a blocking call
 //!   stalls every thread that needs the lock. Release builds compile the
 //!   count out, so each wrapper is the std call it wraps.
-//! * [`Deque`], [`Map`] and [`OrderedMap`] carry no `Index` impl and no
-//!   `Deref`, so a lookup that can miss is an `Option`, never a panic
-//!   (clippy's `indexing_slicing` does not see the std collections'
-//!   `Index` impls).
+//! * [`Deque`] and [`OrderedMap`] carry no `Index` impl and no `Deref`,
+//!   so a lookup that can miss is an `Option`, never a panic (clippy's
+//!   `indexing_slicing` does not see the std collections' `Index` impls).
 //!
 //! ```compile_fail,E0608
 //! let mut queue = oasis_obs::sync::Deque::new();
@@ -35,9 +34,7 @@
     reason = "the one module that owns the banned types and blocking calls"
 )]
 
-use std::borrow::Borrow;
-use std::collections::{btree_map, BTreeMap, HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::{btree_map, BTreeMap, VecDeque};
 use std::io::{self, Write};
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
@@ -337,67 +334,6 @@ impl<T> Deque<T> {
     }
 }
 
-/// A hash map with checked access only (a `HashMap` without `Index`).
-#[derive(Debug)]
-pub struct Map<K, V>(HashMap<K, V>);
-
-impl<K, V> Default for Map<K, V> {
-    fn default() -> Self {
-        Map(HashMap::new())
-    }
-}
-
-impl<K: Eq + Hash, V> Map<K, V> {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Whether `key` has an entry.
-    pub fn contains_key<Q: Eq + Hash + ?Sized>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-    {
-        self.0.contains_key(key)
-    }
-
-    /// The value under `key`, if any, mutably.
-    pub fn get_mut<Q: Eq + Hash + ?Sized>(&mut self, key: &Q) -> Option<&mut V>
-    where
-        K: Borrow<Q>,
-    {
-        self.0.get_mut(key)
-    }
-
-    /// Set `key`'s value, returning the one it replaced.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.0.insert(key, value)
-    }
-
-    /// Remove `key`'s entry, returning its value.
-    pub fn remove<Q: Eq + Hash + ?Sized>(&mut self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-    {
-        self.0.remove(key)
-    }
-
-    /// Every entry, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.0.iter()
-    }
-}
-
 /// An ordered map with checked access only (a `BTreeMap` without
 /// `Index`).
 #[derive(Debug)]
@@ -537,15 +473,6 @@ mod tests {
         queue.iter_mut().for_each(|v| *v += 1);
         assert_eq!(queue.iter().copied().collect::<Vec<_>>(), vec![12, 3]);
         assert_eq!((queue.len(), queue.pop_front()), (2, Some(12)));
-
-        let mut map = Map::new();
-        assert_eq!(map.insert("k", 1), None);
-        assert!(map.contains_key("k") && !map.is_empty());
-        if let Some(v) = map.get_mut("k") {
-            *v += 1;
-        }
-        assert_eq!(map.iter().collect::<Vec<_>>(), vec![(&"k", &2)]);
-        assert_eq!((map.remove("k"), map.len()), (Some(2), 0));
 
         let mut ordered = OrderedMap::new();
         for k in [3u64, 1, 2] {

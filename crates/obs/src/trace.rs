@@ -67,8 +67,6 @@ pub struct TraceCounters {
     pub nodes_pruned: u64,
     /// Hits emitted to the client.
     pub hits: u64,
-    /// Whether the result was served from the result cache.
-    pub cache_hit: bool,
     /// WAL fsyncs this query waited on (live appends only).
     pub wal_fsyncs: u64,
     /// Catalog generation the query was admitted on (and executed on).
@@ -132,13 +130,11 @@ impl QueryTrace {
         nodes_enqueued: u64,
         columns_expanded: u64,
         nodes_pruned: u64,
-        hits: u64,
     ) {
         self.counters.nodes_expanded = nodes_expanded;
         self.counters.nodes_enqueued = nodes_enqueued;
         self.counters.columns_expanded = columns_expanded;
         self.counters.nodes_pruned = nodes_pruned;
-        self.counters.hits = hits;
     }
 
     /// Seal the trace into a plain record, stamping the total and putting

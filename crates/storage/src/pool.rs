@@ -112,7 +112,7 @@ struct Frame {
 #[expect(
     clippy::disallowed_types,
     reason = "read through get/insert/remove only; storage's dependency list is pinned, \
-              so it cannot take oasis_obs::sync::Map (docs/LINTS.md)"
+              so it cannot take an oasis_obs::sync map (docs/LINTS.md)"
 )]
 type BlockMap = std::collections::HashMap<u64, usize>;
 

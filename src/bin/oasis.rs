@@ -27,12 +27,12 @@
 //! The network trio makes the serving stack an actual service: `serve`
 //! exposes an index artifact over the versioned wire protocol of
 //! `oasis-net` with a blocking reader and writer thread per connection
-//! (pipelined connections, bounded admission with `Busy` backpressure, a bounded
-//! LRU result cache, per-request deadlines, hot `reload` of a new index
-//! generation), `query --remote` streams hits from such a server with
-//! stdout byte-identical to a local `search`, and `admin` issues
-//! metrics/slowlog/reload/append/shutdown requests (`admin metrics` is
-//! the one admin snapshot, printed as one table).
+//! (pipelined connections, bounded admission with `Busy` backpressure,
+//! per-request deadlines, hot `reload` of a new index generation; every
+//! search executes, with no result cache), `query --remote` streams hits
+//! from such a server with stdout byte-identical to a local `search`,
+//! and `admin` issues metrics/slowlog/reload/append/shutdown requests
+//! (`admin metrics` is the one admin snapshot, printed as one table).
 
 use std::io::BufReader;
 use std::path::Path;
@@ -56,7 +56,7 @@ USAGE:
                [--block-size N] [--backend tree|esa]
   oasis serve  --index <dir> --addr <host:port> [--workers N] [--queue N]
                [--pool-mb M] [--matrix unit|blosum62|pam30] [--gap G]
-               [--compact-after N] [--max-conns N] [--cache-entries N]
+               [--compact-after N] [--max-conns N]
                [--metrics-addr <host:port>] [--slow-ms N]
   oasis query  --remote <host:port> <QUERY> [--evalue E | --min-score S]
                [--top K] [--deadline-ms D] [--timeout-ms T]
@@ -96,17 +96,16 @@ background compaction) folds them into a fresh base artifact. `serve`
 exposes an artifact over TCP (the oasis-net wire protocol) with a
 blocking reader and writer thread per connection: connections are
 pipelined (several requests in flight per stream, responses in request
-order), bounded
-admission answers Busy backpressure instead of queueing unboundedly,
---max-conns (default 1024; 0 unlimited) caps concurrent connections, a
-bounded LRU result cache (--cache-entries, default 512; 0 disables)
-answers repeated queries without re-running the traversal, requests
-may carry deadlines, and `admin reload` hot-swaps a freshly loaded
-artifact generation under live traffic, replaying its pending WAL and
-making it the append target (Busy while a background compaction
-runs). `query --remote` runs a search against such a server; its
-stdout is byte-identical to a local `search` over the same index (the
-scoring is fixed server-side at `serve` time). With port 0, `serve`
+order), bounded admission answers Busy backpressure instead of
+queueing unboundedly, --max-conns (default 1024; 0 unlimited) caps
+concurrent connections, every search executes (a repeated query runs
+again; there is no result cache), requests may carry deadlines, and
+`admin reload` hot-swaps a freshly loaded artifact generation under
+live traffic, replaying its pending WAL and making it the append target
+(Busy while a background compaction runs). `query --remote` runs a
+search against such a server; its stdout is byte-identical to a local
+`search` over the same index (the scoring is fixed server-side at
+`serve` time). With port 0, `serve`
 prints the actual listening address on stdout. `admin append` durably appends FASTA sequences to the
 serving index over the wire: they are WAL-logged server-side and
 answering queries before the call returns, and once the delta reaches
@@ -116,17 +115,17 @@ compaction folds them into a fresh base generation with zero downtime.
 table — serving generation, served/rejected counts, queue depth, exact
 histogram latency tails, per-stage timing summaries
 (queue_wait/execute/resolve/frame_flush/first_hit), the live delta, WAL size and
-compactions, cache hit/miss/eviction counters, connection and pipeline
-gauges, uptime and per-generation served counts. `admin metrics
---prom` emits the same snapshot as a Prometheus text-exposition body,
-byte-identical to what `serve --metrics-addr <host:port>` answers on
-every connection (curl its /metrics or read the socket raw; with port
+compactions, connection and pipeline gauges, uptime and per-generation
+served counts. `admin metrics --prom` emits the same snapshot as a
+Prometheus text-exposition body, byte-identical to what `serve
+--metrics-addr <host:port>` answers on every connection (curl its
+/metrics or read the socket raw; with port
 0 the resolved address prints as a `metrics on <addr>` stdout line). `serve --slow-ms N`
 (default 250; 0 logs every query) traces each query through the
 pipeline and retains queries slower than N milliseconds in a bounded
 slow-query ring; `admin slowlog` dumps it with full stage spans and
-work counters (nodes expanded/pruned, DP columns, cache hit,
-generation, WAL fsyncs in flight). Remote commands bound connection
+work counters (nodes expanded/pruned, DP columns, hits, generation,
+WAL fsyncs in flight). Remote commands bound connection
 setup with --timeout-ms (default 10000; 0 waits forever; given
 explicitly, it also bounds every response wait). See
 docs/OBSERVABILITY.md for the full metric and stage taxonomy.
@@ -181,7 +180,6 @@ struct Flags {
     backend: Option<String>,
     compact_after: Option<usize>,
     max_conns: Option<usize>,
-    cache_entries: Option<usize>,
     timeout_ms: Option<u64>,
     metrics_addr: Option<String>,
     slow_ms: Option<u64>,
@@ -279,7 +277,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         backend: None,
         compact_after: None,
         max_conns: None,
-        cache_entries: None,
         timeout_ms: None,
         metrics_addr: None,
         slow_ms: None,
@@ -311,7 +308,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--backend" => f.backend = Some(value(&mut it, "--backend")?),
             "--compact-after" => f.compact_after = Some(parsed(&mut it, "--compact-after")?),
             "--max-conns" => f.max_conns = Some(parsed(&mut it, "--max-conns")?),
-            "--cache-entries" => f.cache_entries = Some(parsed(&mut it, "--cache-entries")?),
             "--timeout-ms" => f.timeout_ms = Some(parsed(&mut it, "--timeout-ms")?),
             "--metrics-addr" => f.metrics_addr = Some(value(&mut it, "--metrics-addr")?),
             "--slow-ms" => f.slow_ms = Some(parsed(&mut it, "--slow-ms")?),
@@ -1029,7 +1025,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         pool_bytes: flags.pool_bytes(),
         compact_after: flags.compact_after.unwrap_or(defaults.compact_after),
         max_conns: flags.max_conns.unwrap_or(defaults.max_conns),
-        cache_entries: flags.cache_entries.unwrap_or(defaults.cache_entries),
         metrics_addr,
         slow_ms: flags.slow_ms.unwrap_or(defaults.slow_ms),
     };
@@ -1302,17 +1297,6 @@ fn cmd_admin(args: &[String]) -> Result<(), String> {
                 ),
             );
             admin_row(
-                "cache",
-                format_args!(
-                    "{} hits / {} misses / {} evictions ({}/{} entries)",
-                    m.cache_hits,
-                    m.cache_misses,
-                    m.cache_evictions,
-                    m.cache_entries,
-                    m.cache_capacity
-                ),
-            );
-            admin_row(
                 "connections",
                 format_args!(
                     "{} open / {} accepted",
@@ -1345,12 +1329,11 @@ fn cmd_admin(args: &[String]) -> Result<(), String> {
             );
             for e in &dump.entries {
                 println!(
-                    "#{}  len {}  total {:.2?}  gen {}{}",
+                    "#{}  len {}  total {:.2?}  gen {}",
                     e.id,
                     e.query_len,
                     us(e.total_us),
-                    e.generation,
-                    if e.cache_hit { "  [cache hit]" } else { "" }
+                    e.generation
                 );
                 let spans: Vec<String> = e
                     .spans

@@ -24,11 +24,11 @@ pub use oasis_core::{
 
 pub use oasis_engine::{
     build_index_artifact, load_sharded_engine, open_artifact_engine, opens_disk_resident,
-    persist_sharded_engine, AdmissionError, AppendReceipt, BatchQuery, CacheKey, CacheStats,
-    CompactionReport, DeltaIndex, Generation, HitSink, IndexBackend, IndexCatalog, LiveIndex,
-    LiveIndexError, LiveIndexOptions, LiveStats, PublishError, QueryExecutor, QueryTicket,
-    ReadyHook, ResultCache, SearchOutcome, ServedOutcome, ServingConfig, ServingConfigError,
-    ServingEngine, SessionPoll, ShardedEngine, ShardedSession, StreamEnd,
+    persist_sharded_engine, AdmissionError, AppendReceipt, BatchQuery, CompactionReport,
+    DeltaIndex, Generation, HitSink, IndexBackend, IndexCatalog, LiveIndex, LiveIndexError,
+    LiveIndexOptions, LiveStats, PublishError, QueryExecutor, QueryTicket, ReadyHook,
+    SearchOutcome, ServedOutcome, ServingConfig, ServingConfigError, ServingEngine, SessionPoll,
+    ShardedEngine, ShardedSession, StreamEnd,
 };
 
 pub use oasis_net::{

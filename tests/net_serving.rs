@@ -7,8 +7,10 @@
 //! * hits stream online: the first `Hit` frame reaches the client while
 //!   the search is still running, a pipelined connection streams only its
 //!   head request and answers the rest in order after the head's `Done`,
-//!   and a search that panics mid-stream sends its prefix, then
-//!   `Error(Internal)`, and is never cached;
+//!   `Done.hits` counts the `Hit` frames sent, and a search that panics
+//!   mid-stream sends its prefix, then `Error(Internal)`;
+//! * there is no result cache: a repeated query executes every time and,
+//!   after a reload, answers from the new generation;
 //! * per-request deadlines answer `DeadlineExceeded` without killing the
 //!   worker, and an expired deadline or a closed connection cancels its
 //!   search, freeing the worker for other connections;
@@ -16,7 +18,7 @@
 //!   without corrupting a single response;
 //! * a search queued when a `reload` lands answers wholly from the
 //!   generation it was admitted on (hits, names, `Done.generation`,
-//!   cache entry, trace);
+//!   trace);
 //! * the per-generation served table stays bounded under many appends;
 //! * every generation opened from an artifact carries that directory's
 //!   live index: a reload replays the new directory's pending WAL and
@@ -956,69 +958,55 @@ fn pipelined_requests_answer_in_order_and_survive_a_malformed_one() {
 }
 
 #[test]
-fn result_cache_hits_repeated_queries_but_never_serves_a_stale_generation() {
-    let dir = scratch_dir("cache-hot-swap");
-    let (addr, _handle, runner) = start_live_server(&dir, 0);
-
-    let mut client = Client::connect(addr).expect("connect");
-
-    // Generation 0: the same query twice. The second run is answerable
-    // from the cache; both must match the local reference exactly.
+fn a_repeated_query_executes_every_time_and_follows_a_reload() {
     let base = dna_db(SEQS);
-    for _ in 0..2 {
-        let (hits, done) = client
-            .search_collect(SearchRequest::new("TACG").with_min_score(1))
-            .expect("gen-0 search");
+    let config = ServerConfig {
+        slow_ms: 0,
+        ..ServerConfig::default()
+    };
+    let (addr, _handle, runner) = start_server(&base, 2, config);
+    let mut client = bounded_client(addr);
+    let request = || SearchRequest::new("TACG").with_min_score(1);
+
+    // Each repeat is admitted, executed and traced again, and answers
+    // exactly as the first run did.
+    let served = client.metrics().expect("metrics").served;
+    let mut answers = Vec::new();
+    for _ in 0..3 {
+        let (hits, done) = client.search_collect(request()).expect("gen-0 search");
         assert_eq!(done.generation, 0);
         assert_identical_response(&base, &hits, "TACG", 1);
+        answers.push(hits);
     }
-    let warm = client.metrics().expect("metrics");
-    assert!(
-        warm.cache_hits >= 1,
-        "repeated identical query must hit the cache (hits={}, misses={})",
-        warm.cache_hits,
-        warm.cache_misses
-    );
-    assert!(warm.cache_entries >= 1);
+    assert!(answers.iter().all(|hits| *hits == answers[0]));
+    assert_eq!(client.metrics().expect("metrics").served, served + 3);
+    let dump = client.trace_dump().expect("trace dump");
+    assert_eq!(dump.entries.len(), 3, "{:?}", dump.entries);
+    for entry in &dump.entries {
+        assert!(
+            entry.spans.iter().any(|span| span.stage == "execute"),
+            "{entry:?}"
+        );
+        assert!(!entry.cache_hit, "the reserved field stays false");
+    }
 
-    // Hot-swap: append a sequence that adds hits for the same query. The
-    // cached generation-0 entry must NOT answer for generation 1 — the
-    // response has to include the appended match.
-    client
-        .append(fasta_for(&[("a0", "GGTACGGA")]))
-        .expect("append");
+    // A reload publishes an index with one more TACG match: the repeat
+    // answers from it.
+    let dir = scratch_dir("repeat-reload");
     let swapped = db_with_appended(&[("a0", "GGTACGGA")]);
     assert!(
-        local_hits(&swapped, "TACG", 1).len() > local_hits(&base, "TACG", 1).len(),
-        "the appended sequence must add a TACG hit for this test to bite"
+        local_hits(&swapped, "TACG", 1).len() > answers[0].len(),
+        "the reloaded index must add a TACG hit for this test to bite"
     );
-    for _ in 0..2 {
-        let (hits, done) = client
-            .search_collect(SearchRequest::new("TACG").with_min_score(1))
-            .expect("gen-1 search");
-        assert_eq!(
-            done.generation, 1,
-            "post-append searches serve the new generation"
-        );
-        assert_identical_response(&swapped, &hits, "TACG", 1);
-    }
-
-    // The swap created fresh traffic for generation 1 and the repeat was
-    // cacheable again under the new key.
-    let after = client.metrics().expect("metrics after swap");
-    assert!(
-        after.cache_misses > warm.cache_misses,
-        "gen-1 first run must miss"
-    );
-    assert!(after.cache_hits > warm.cache_hits, "gen-1 repeat must hit");
-    assert!(
-        after
-            .per_generation
-            .iter()
-            .any(|g| g.generation == 1 && g.served >= 2),
-        "per-generation counters must follow the swap: {:?}",
-        after.per_generation
-    );
+    oasis::engine::build_index_artifact(&swapped, &dir, 2, 64, oasis::engine::IndexBackend::Tree)
+        .expect("reload artifact");
+    let reloaded = client
+        .reload(dir.to_string_lossy().to_string())
+        .expect("reload");
+    assert_eq!(reloaded.generation, 1);
+    let (hits, done) = client.search_collect(request()).expect("gen-1 search");
+    assert_eq!(done.generation, 1);
+    assert_identical_response(&swapped, &hits, "TACG", 1);
 
     client.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");
@@ -1130,7 +1118,7 @@ fn a_search_queued_across_a_reload_answers_from_its_admission_generation() {
     let dump = admin.trace_dump().expect("trace dump");
     assert_eq!(dump.entries.len(), 2, "{:?}", dump.entries);
     for entry in &dump.entries {
-        assert_eq!((entry.generation, entry.cache_hit), (0, false));
+        assert_eq!(entry.generation, 0);
         let names: Vec<&str> = entry.spans.iter().map(|s| s.stage.as_str()).collect();
         assert_eq!(
             names,
@@ -1147,18 +1135,12 @@ fn a_search_queued_across_a_reload_answers_from_its_admission_generation() {
         let done = if entry.id == 0 { &done_a } else { &done_b };
         assert_eq!(entry.hits, u64::from(done.hits), "entry {}", entry.id);
     }
-    // Its result was cached under generation 0: both entries exist, and
-    // the same query on generation 1 misses them.
-    let cached = admin.metrics().expect("metrics");
-    assert_eq!(cached.cache_entries, 2, "A and B are both cached");
+    // The same query admitted after the reload answers from generation 1.
     let (hits, done) = admin
         .search_collect(SearchRequest::new("TACG").with_min_score(1))
         .expect("search on generation 1");
     assert_eq!(done.generation, 1);
     assert_identical_response(&db1, &hits, "TACG", 1);
-    let after = admin.metrics().expect("metrics");
-    assert_eq!(after.cache_hits, cached.cache_hits);
-    assert_eq!(after.cache_misses, cached.cache_misses + 1);
 
     admin.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");
@@ -1324,9 +1306,16 @@ fn the_first_hit_reaches_the_client_before_the_search_ends() {
     while let Some(hit) = stream.next_hit().expect("the rest of the stream") {
         hits.push(hit);
     }
+    // `Done.hits` counts the `Hit` frames sent: above over two batches or
+    // more, here for a search that `top` stops after two hits.
     let done = stream.finish().expect("done");
-    assert_eq!(done.hits as usize, want.len());
+    assert_eq!(done.hits as usize, hits.len());
     assert_identical_response(&db, &hits, "GATT", 1);
+    assert!(local_hits(&db, "TACG", 1).len() > 2);
+    let (hits, done) = client
+        .search_collect(SearchRequest::new("TACG").with_min_score(1).with_top(2))
+        .expect("top-2 search");
+    assert_eq!((hits.len(), done.hits), (2, 2));
 
     client.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");
@@ -1449,10 +1438,8 @@ fn a_search_that_panics_mid_stream_sends_its_prefix_then_internal() {
             Err(NetError::Remote(e)) => assert_eq!(e.code, ErrorCode::Internal, "{e:?}"),
             other => panic!("expected Error(Internal), got {other:?}"),
         }
-        // Never cached: the repeat executes (and fails) again.
+        // The repeat executes (and fails) again.
         let metrics = client.metrics().expect("metrics");
-        assert_eq!(metrics.cache_entries, 0, "round {round}");
-        assert_eq!(metrics.cache_misses, round + 1, "round {round}");
         assert_eq!(metrics.served, 0, "a failed search is not served");
     }
     // The worker and the connection keep serving.
@@ -1548,10 +1535,9 @@ fn an_expired_deadline_or_a_closed_connection_cancels_the_search() {
         .expect("the worker is free after the close");
     assert_identical_response(&db, &hits, "CC", 1);
 
-    // Cancelled searches are neither served nor cached.
+    // Cancelled searches are not served.
     let metrics = other.metrics().expect("metrics");
     assert_eq!(metrics.served, 2, "{metrics:?}");
-    assert_eq!(metrics.cache_entries, 2, "{metrics:?}");
 
     other.shutdown_server().expect("shutdown");
     runner.join().expect("accept loop").expect("run ok");
